@@ -38,35 +38,6 @@ DEFAULT_LOCAL_BUDGET = 150
 DEFAULT_LOCAL_RADIUS = 0.1
 
 
-def supports_lockstep(optimizer: Optimizer) -> bool:
-    """True when ``optimizer``'s *global* stage can be driven in lockstep.
-
-    The batched pBO proposal (:func:`repro.bo.propose.propose_batch`)
-    replaces per-weight ``minimize`` calls with coroutine driving: every
-    weight's pending candidate batch joins one union that is scored by a
-    single shared GP posterior evaluation
-    (:meth:`~repro.acquisition.functions.MultiWeightAcquisition.evaluate_segments`).
-    That requires the global stage to expose the ``search`` coroutine
-    protocol, which :class:`~repro.optim.direct.Direct` does.
-    """
-    return isinstance(optimizer, GlobalLocalOptimizer) and isinstance(
-        optimizer.global_optimizer, Direct
-    )
-
-
-def supports_local_lockstep(optimizer: Optimizer) -> bool:
-    """True when the *local* refinement stage can also be driven in lockstep.
-
-    :class:`~repro.optim.cobyla.Cobyla` exposes the same ``search``
-    coroutine protocol over real (per-weight local) bounds, so the
-    refinement phase of the batched proposal can pool every weight's
-    simplex/trust-region candidates into shared posterior evaluations too.
-    """
-    return isinstance(optimizer, GlobalLocalOptimizer) and isinstance(
-        optimizer.local_optimizer, Cobyla
-    )
-
-
 def default_acquisition_optimizer(
     dim: int,
     global_budget: int | None = None,

@@ -6,7 +6,7 @@ points spanning exploitation (``w≈0``) through exploration (``w≈1``).  This
 is the paper's "pBO" baseline when run in the full ``D``-dimensional space,
 and the inner engine of the proposed method when run in an embedded space.
 
-With the default DIRECT-L + COBYLA stack, :func:`~repro.bo.propose.propose_batch`
+With the DIRECT-L + COBYLA stack, :func:`~repro.bo.propose.propose_batch`
 drives all ``n_b`` searches in lockstep: each generation's candidate union
 is scored by ONE shared GP posterior evaluation and reweighted per weight
 (:class:`~repro.acquisition.functions.MultiWeightAcquisition`), in both the
@@ -59,13 +59,12 @@ class BatchBO:
     surrogate:
         Engine-level surrogate choice (spec / kind string / mapping);
         ``spec.surrogate`` on an individual run overrides it.
+    acquisition_optimizer_factory:
+        ``dim -> optimizer`` building the DIRECT-L + COBYLA stack
+        (:func:`~repro.acquisition.optimize.default_acquisition_optimizer`,
+        any budgets); another stack raises ``TypeError`` at proposal.
     stop_on_failure:
         Terminate at the end of the first batch containing a failure.
-    n_jobs:
-        Process-pool width for per-weight acquisition searches on the
-        *fallback* path (custom optimizer factories without coroutine
-        stages); the default DIRECT-L + COBYLA stack runs fully in
-        lockstep and ignores it.  Results are identical either way.
     """
 
     def __init__(
@@ -79,7 +78,6 @@ class BatchBO:
         acquisition_optimizer_factory: OptimizerFactory | None = None,
         stop_on_failure: bool = False,
         seed: SeedLike = None,
-        n_jobs: int = 1,
         *,
         surrogate: SurrogateLike = None,
     ) -> None:
@@ -106,7 +104,6 @@ class BatchBO:
             acquisition_optimizer_factory or default_acquisition_optimizer
         )
         self.stop_on_failure = bool(stop_on_failure)
-        self.n_jobs = int(n_jobs)
         self._rng = as_generator(seed)
 
     def solve(
@@ -178,7 +175,6 @@ class BatchBO:
                         self.weights,
                         box,
                         optimizer_factory=self.acquisition_optimizer_factory,
-                        n_jobs=self.n_jobs,
                     )
                     acq_span.set("fevals", proposal.n_evaluations)
                 recorder.add_acquisition(proposal.n_evaluations)

@@ -8,7 +8,6 @@ live here.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
@@ -210,17 +209,6 @@ class SurrogateManager:
         self.last_hyperopt: HyperoptResult | None = None
         #: Whether the most recent :meth:`refit` ran a hyperparameter search.
         self.last_refit_tuned = False
-
-    @property
-    def gp(self) -> SurrogateModel | None:
-        """Deprecated alias for :attr:`model` (pre-surrogate-API name)."""
-        warnings.warn(
-            "SurrogateManager.gp is deprecated and will be removed in the "
-            "next release; use SurrogateManager.model",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.model
 
     def _ensure_model(self, n: int) -> SurrogateModel:
         """The surrogate for an ``n``-point fit, rebuilt on a kind switch.

@@ -13,11 +13,10 @@ and hands each search its reweighted slice.  Best-so-far tracking over a
 slice is a vectorized ``argmin`` whose first-minimum tie rule matches the
 point-at-a-time "first strictly better" update exactly.
 
-When a custom optimizer factory returns stacks whose stages do not expose
-the ``search`` coroutine protocol, the affected phase falls back to
-independent per-weight ``minimize`` calls, which can fan out across a
-process pool (``n_jobs``); each worker recomputes exactly what the
-sequential loop would, so parallel and sequential proposals are identical.
+Lockstep driving needs both stages to expose the ``search`` coroutine
+protocol, so the optimizer factory must build the paper's DIRECT-L +
+COBYLA stack (:func:`~repro.acquisition.optimize.default_acquisition_optimizer`
+with any budgets); any other stack raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -26,19 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.acquisition.functions import (
-    MultiWeightAcquisition,
-    WeightedAcquisition,
-)
-from repro.acquisition.optimize import (
-    default_acquisition_optimizer,
-    supports_local_lockstep,
-    supports_lockstep,
-)
+from repro.acquisition.functions import MultiWeightAcquisition
+from repro.acquisition.optimize import default_acquisition_optimizer
 from repro.gp.surrogate import SurrogateModel
+from repro.optim.cobyla import Cobyla
+from repro.optim.direct import Direct
+from repro.optim.multistart import GlobalLocalOptimizer
 from repro.telemetry.profile import profiled
 from repro.utils.contracts import shape_contract
-from repro.utils.parallel import parallel_map
 from repro.utils.validation import check_bounds
 
 
@@ -103,20 +97,19 @@ def _drive_lockstep(
                 search.points = None
 
 
-def _refine_task(task) -> tuple[np.ndarray, float, int]:
-    """Local refinement of one weight's incumbent (process-pool safe)."""
-    gp, weight, local_bounds, x0, optimizer = task
-    acquisition = WeightedAcquisition(gp, weight=weight)
-    result = optimizer.minimize(acquisition, local_bounds, x0=x0)
-    return result.x, result.fun, result.n_evaluations
-
-
-def _search_task(task) -> tuple[np.ndarray, int]:
-    """A full independent acquisition search (fallback path)."""
-    gp, weight, bounds, optimizer = task
-    acquisition = WeightedAcquisition(gp, weight=weight)
-    result = optimizer.minimize(acquisition, bounds)
-    return result.x, result.n_evaluations
+def _lockstep_stages(stack: object) -> tuple[Direct, Cobyla, float | None]:
+    """``stack``'s DIRECT and COBYLA stages and local radius, or ``TypeError``."""
+    if isinstance(stack, GlobalLocalOptimizer):
+        global_stage, local_stage = stack.global_optimizer, stack.local_optimizer
+        if isinstance(global_stage, Direct) and isinstance(local_stage, Cobyla):
+            return global_stage, local_stage, stack.local_radius
+        built = f"{type(global_stage).__name__} + {type(local_stage).__name__}"
+    else:
+        built = type(stack).__name__
+    raise TypeError(
+        "propose_batch needs GlobalLocalOptimizer(Direct, Cobyla) stacks "
+        f"(see default_acquisition_optimizer); the optimizer factory built {built}"
+    )
 
 
 @profiled("bo.propose_batch")
@@ -126,43 +119,29 @@ def propose_batch(
     weights,
     bounds,
     optimizer_factory=None,
-    n_jobs: int = 1,
 ) -> BatchProposal:
     """Propose one point per pBO weight over the box ``bounds``.
 
-    When the optimizer factory produces the standard DIRECT + COBYLA stack
-    (:class:`GlobalLocalOptimizer` with coroutine-capable stages), both the
-    global searches and the local refinements run in lockstep sharing one
-    posterior evaluation per candidate union.  Any other optimizer falls
-    back to independent per-weight searches for the non-conforming phase,
-    parallelizable across weights with ``n_jobs``.
+    ``optimizer_factory(dim)`` (default
+    :func:`~repro.acquisition.optimize.default_acquisition_optimizer`)
+    builds one DIRECT + COBYLA stack per weight.  The global searches and
+    then the local refinements run in lockstep, sharing one posterior
+    evaluation per candidate union; each weight's result equals what its
+    stack's own ``minimize`` returns on Eq. 9 for that weight.
     """
     lower, upper = check_bounds(bounds)
     dim = lower.shape[0]
-    box = np.column_stack([lower, upper])
     weights = np.asarray(weights, dtype=float).ravel()
     factory = optimizer_factory or default_acquisition_optimizer
-    stacks = [factory(dim) for _ in weights]
-    if not all(supports_lockstep(stack) for stack in stacks):
-        tasks = [
-            (gp, float(w), box, stack) for w, stack in zip(weights, stacks)
-        ]
-        outcomes = parallel_map(_search_task, tasks, n_jobs=n_jobs)
-        X = np.array([x for x, _ in outcomes])
-        evals = int(sum(n for _, n in outcomes))
-        return BatchProposal(X=X, n_evaluations=evals)
+    stages = [_lockstep_stages(factory(dim)) for _ in weights]
 
     span = upper - lower
     acquisition = MultiWeightAcquisition(gp, weights)
 
     # phase 1: global DIRECT coroutines over the unit cube, in lockstep
     searches = [
-        _WeightSearch(
-            index=i,
-            weight=float(w),
-            engine=stack.global_optimizer.search(dim),
-        )
-        for i, (w, stack) in enumerate(zip(weights, stacks))
+        _WeightSearch(index=i, weight=float(w), engine=direct.search(dim))
+        for i, (w, (direct, _, _)) in enumerate(zip(weights, stages))
     ]
     for search in searches:
         search.points = next(search.engine)
@@ -173,50 +152,33 @@ def propose_batch(
     # phase 2: local refinement inside each global incumbent's basin,
     # exactly as GlobalLocalOptimizer would have done per weight
     local_boxes = []
-    for search, stack in zip(searches, stacks):
-        if stack.local_radius is not None:
-            radius = stack.local_radius * span
+    for search, (_, _, local_radius) in zip(searches, stages):
+        if local_radius is not None:
+            radius = local_radius * span
             local_lower = np.maximum(lower, search.best_x - radius)
             local_upper = np.minimum(upper, search.best_x + radius)
         else:
             local_lower, local_upper = lower, upper
         local_boxes.append((local_lower, local_upper))
 
-    if all(supports_local_lockstep(stack) for stack in stacks):
-        refiners = [
-            _WeightSearch(
-                index=search.index,
-                weight=search.weight,
-                engine=stack.local_optimizer.search(lo, hi, x0=search.best_x),
-            )
-            for search, stack, (lo, hi) in zip(searches, stacks, local_boxes)
-        ]
-        for refiner in refiners:
-            refiner.points = next(refiner.engine)
-        _drive_lockstep(acquisition, refiners)
-        refinements = [
-            (refiner.best_x, refiner.best_f, refiner.n_evaluations)
-            for refiner in refiners
-        ]
-    else:
-        tasks = [
-            (
-                gp,
-                search.weight,
-                np.column_stack([lo, hi]),
-                search.best_x,
-                stack.local_optimizer,
-            )
-            for search, stack, (lo, hi) in zip(searches, stacks, local_boxes)
-        ]
-        refinements = parallel_map(_refine_task, tasks, n_jobs=n_jobs)
+    refiners = [
+        _WeightSearch(
+            index=search.index,
+            weight=search.weight,
+            engine=cobyla.search(lo, hi, x0=search.best_x),
+        )
+        for search, (_, cobyla, _), (lo, hi) in zip(searches, stages, local_boxes)
+    ]
+    for refiner in refiners:
+        refiner.points = next(refiner.engine)
+    _drive_lockstep(acquisition, refiners)
 
     proposed = []
     total_evals = 0
-    for search, (x_ref, f_ref, n_ref) in zip(searches, refinements):
-        total_evals += search.n_evaluations + n_ref
-        if f_ref <= search.best_f:
-            proposed.append(np.asarray(x_ref, dtype=float))
+    for search, refiner in zip(searches, refiners):
+        total_evals += search.n_evaluations + refiner.n_evaluations
+        if refiner.best_f <= search.best_f:
+            proposed.append(np.asarray(refiner.best_x, dtype=float))
         else:
             proposed.append(search.best_x)
     return BatchProposal(X=np.array(proposed), n_evaluations=total_evals)

@@ -73,6 +73,10 @@ class RemboBO:
         ``embedding_dim`` is None.
     weights:
         Preset pBO weights; defaults to an even ladder over [0, 1].
+    acquisition_optimizer_factory:
+        ``dim -> optimizer`` building the DIRECT-L + COBYLA stack
+        (:func:`~repro.acquisition.optimize.default_acquisition_optimizer`,
+        any budgets); another stack raises ``TypeError`` at proposal.
     surrogate:
         Engine-level surrogate choice (spec / kind string / mapping);
         ``spec.surrogate`` on an individual run overrides it.
@@ -95,7 +99,6 @@ class RemboBO:
         acquisition_optimizer_factory: OptimizerFactory | None = None,
         stop_on_failure: bool = False,
         seed: SeedLike = None,
-        n_jobs: int = 1,
         *,
         surrogate: SurrogateLike = None,
     ) -> None:
@@ -128,7 +131,6 @@ class RemboBO:
             acquisition_optimizer_factory or default_acquisition_optimizer
         )
         self.stop_on_failure = bool(stop_on_failure)
-        self.n_jobs = int(n_jobs)
         self._rng = as_generator(seed)
 
     def solve(
@@ -245,7 +247,6 @@ class RemboBO:
                         self.weights,
                         z_box,
                         optimizer_factory=self.acquisition_optimizer_factory,
-                        n_jobs=self.n_jobs,
                     )
                     acq_span.set("fevals", proposal.n_evaluations)
                 recorder.add_acquisition(proposal.n_evaluations)

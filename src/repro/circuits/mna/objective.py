@@ -1,17 +1,18 @@
 """Netlist-level MNA measurements as runtime :class:`Objective` s.
 
 The behavioral testbenches vectorize their closed-form equations over a
-whole ``(n, D)`` block, so chunked broker dispatch pays one array pipeline
-per batch.  An MNA measurement cannot vectorize that way — every row is an
-independent netlist build plus Newton continuation — but it still speaks
-the same batch protocol: :meth:`MNAObjective.evaluate` accepts a ``(n, D)``
-block and resolves it row by row.
+whole ``(n, D)`` block, so the broker hands them one multi-row chunk per
+worker and pays one array pipeline per batch.  An MNA measurement cannot
+vectorize that way — every row is an independent netlist build plus
+Newton continuation — but it still speaks the same batch protocol:
+:meth:`MNAObjective.evaluate` accepts a ``(n, D)`` block and resolves it
+row by row.
 
 ``prefers_batch`` is deliberately ``False`` here: a Newton solve is the
 failure-prone kind of evaluation the broker's per-point timeout/retry
-machinery exists for, and chunked dispatch would turn one non-convergent
-row into a whole-chunk fallback.  Row dispatch keeps fault isolation
-per simulation (see DESIGN.md §12 for the dispatch-selection rules).
+machinery exists for, and a multi-row chunk would turn one non-convergent
+row into a re-run of the whole chunk.  Size-1 chunks keep fault isolation
+per simulation (see DESIGN.md §12 for the chunk-size rule).
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class MNAObjective(Objective):
 
     @property
     def prefers_batch(self) -> bool:
-        """Row dispatch: per-simulation fault isolation beats chunking."""
+        """One row per chunk: per-simulation fault isolation beats batching."""
         return False
 
     @property

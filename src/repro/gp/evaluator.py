@@ -18,16 +18,13 @@ allocations that would otherwise dominate at moderate n.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from repro.backends import compiled_ops
 from repro.gp.model import (
     GaussianProcess,
     _potrf,
     _potri,
     _potrs,
     chol_with_jitter,
-    inv_from_cholesky,
 )
 from repro.telemetry.profile import profiled
 from repro.utils.contracts import shape_contract
@@ -79,14 +76,10 @@ class MarginalLikelihoodEvaluator:
         K = kernel.gram(self.ws)
         diag = np.einsum("ii->i", K)
         diag += noise
-        if _potrf is not None:
-            chol, info = _potrf(K, lower=1, clean=1)
-            if info != 0:  # singular without jitter: climb the ladder
-                chol = chol_with_jitter(K)
-            alpha = _potrs(chol, self._residual_col, lower=1)[0].ravel()
-        else:  # pragma: no cover - scipy always ships lapack
+        chol, info = _potrf(K, lower=1, clean=1)
+        if info != 0:  # singular without jitter: climb the ladder
             chol = chol_with_jitter(K)
-            alpha = cho_solve((chol, True), self.residual, check_finite=False)
+        alpha = _potrs(chol, self._residual_col, lower=1)[0].ravel()
         n = self.residual.shape[0]
         log_det = 2.0 * np.sum(np.log(np.einsum("ii->i", chol)))
         lml = float(
@@ -95,27 +88,17 @@ class MarginalLikelihoodEvaluator:
         inner = self._inner
         if inner is None or inner.shape[0] != n:
             inner = self._inner = np.empty((n, n))
-        if _potri is not None:
-            # dpotri fills only the lower triangle of K^{-1} (the strict
-            # upper stays zero from the factor), so subtract it plus its
-            # transpose and repair the doubly-subtracted diagonal; the
-            # factor is dead at this point, so invert it in place
-            inv, info = _potri(chol, lower=1, overwrite_c=1)
-            if info != 0:  # pragma: no cover - factor is already validated
-                raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-            ops = compiled_ops()
-            if ops is not None:
-                # compiled backend: the outer product, the triangular
-                # mirror and the subtraction fuse into one parallel pass
-                ops.assemble_inner(alpha, inv, inner)
-            else:
-                np.multiply(alpha[:, None], alpha[None, :], out=inner)
-                inner -= inv
-                inner -= inv.T
-                np.einsum("ii->i", inner)[...] += np.einsum("ii->i", inv)
-        else:  # pragma: no cover - scipy always ships lapack
-            np.multiply(alpha[:, None], alpha[None, :], out=inner)
-            inner -= inv_from_cholesky(chol)
+        # dpotri fills only the lower triangle of K^{-1} (the strict upper
+        # stays zero from the factor), so subtract it plus its transpose and
+        # repair the doubly-subtracted diagonal; the factor is dead at this
+        # point, so invert it in place
+        inv, info = _potri(chol, lower=1, overwrite_c=1)
+        if info != 0:  # pragma: no cover - factor is already validated
+            raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
+        np.multiply(alpha[:, None], alpha[None, :], out=inner)
+        inner -= inv
+        inner -= inv.T
+        np.einsum("ii->i", inner)[...] += np.einsum("ii->i", inv)
         grads = kernel.gradient_inner_products(self.ws, inner)
         if self.train_noise:
             trace = float(np.einsum("ii->", inner))

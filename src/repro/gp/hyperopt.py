@@ -5,14 +5,13 @@ gradient of Eq. 8.  Restart count is deliberately small — the paper notes GP
 hyperparameter tuning is itself a cost center (Section 3), so the default
 mirrors a practical BO inner loop rather than an exhaustive fit.
 
-The search accepts any :class:`~repro.gp.surrogate.SurrogateModel`.  An
-exact :class:`~repro.gp.model.GaussianProcess` is scored through a
+The search accepts any :class:`~repro.gp.surrogate.SurrogateModel` and
+never mutates the model mid-search.  An exact
+:class:`~repro.gp.model.GaussianProcess` is scored through a
 :class:`~repro.gp.evaluator.MarginalLikelihoodEvaluator`, which fuses the
 likelihood value and gradient into one evaluation over a cached kernel
-workspace and never mutates the GP mid-search; other surrogates that expose
-a side-effect-free ``evaluate_theta`` (the sparse GP's variational bound)
-are scored through that, and the legacy path that refits the model per
-evaluation is kept behind ``fused=False`` as a reference.
+workspace; any other surrogate is scored through its side-effect-free
+``evaluate_theta`` (the sparse GP's variational bound).
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ def fit_hyperparameters(
     n_restarts: int = 3,
     seed: SeedLike = None,
     max_iter: int = 100,
-    fused: bool = True,
 ) -> HyperoptResult:
     """Fit ``gp``'s hyperparameters in place and return the best result.
 
@@ -54,51 +52,40 @@ def fit_hyperparameters(
     starts are drawn uniformly inside the log-space bounds.  The model is
     left conditioned at the best hyperparameters found.
 
-    With ``fused=True`` (default) trial points are scored without mutating
-    the model: an exact :class:`GaussianProcess` goes through a
+    Trial points are scored without mutating the model: an exact
+    :class:`GaussianProcess` goes through a
     :class:`MarginalLikelihoodEvaluator` (one Cholesky and one ``K⁻¹`` per
-    evaluation over a cached workspace), and any other surrogate exposing
-    ``evaluate_theta(theta) -> (lml, grad)`` is scored through that hook.
-    ``fused=False`` uses the original refit-per-evaluation path (kept as a
-    numerical reference).
+    evaluation over a cached workspace), and any other surrogate through
+    its ``evaluate_theta(theta) -> (lml, grad)``.  A surrogate with neither
+    raises ``TypeError``.
     """
     if not gp.is_fitted:
         raise RuntimeError("fit the GP on data before tuning hyperparameters")
     if n_restarts < 1:
         raise ValueError(f"n_restarts must be >= 1, got {n_restarts}")
+    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    if isinstance(gp, GaussianProcess):
+        evaluate = MarginalLikelihoodEvaluator(gp).evaluate
+    else:
+        hook = getattr(gp, "evaluate_theta", None)
+        if not callable(hook):
+            raise TypeError(
+                f"{type(gp).__name__} cannot be tuned: hyperparameter search "
+                "needs an exact GaussianProcess or a surrogate with "
+                "evaluate_theta(theta) -> (lml, grad)"
+            )
+        evaluate = hook
     rng = as_generator(seed)
     bounds = gp.theta_bounds()
     lower, upper = bounds[:, 0], bounds[:, 1]
     evaluations = 0
-    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
-    if fused:
-        if isinstance(gp, GaussianProcess):
-            evaluate = MarginalLikelihoodEvaluator(gp).evaluate
-        else:
-            hook = getattr(gp, "evaluate_theta", None)
-            if callable(hook):
-                evaluate = hook
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal evaluations
         evaluations += 1
-        if evaluate is not None:
-            try:
-                lml, grad = evaluate(theta)
-            except np.linalg.LinAlgError:
-                return 1e25, np.zeros_like(theta)
-            if not np.isfinite(lml):
-                return 1e25, np.zeros_like(theta)
-            return -lml, -grad
-        previous = gp.theta.copy()
         try:
-            gp.theta = theta
-            lml = gp.log_marginal_likelihood()
-            grad = gp.log_marginal_likelihood_gradient()
+            lml, grad = evaluate(theta)
         except np.linalg.LinAlgError:
-            # the setter may have mutated the kernel before the refit
-            # failed; restore the last consistent state before penalizing
-            gp.theta = previous
             return 1e25, np.zeros_like(theta)
         if not np.isfinite(lml):
             return 1e25, np.zeros_like(theta)

@@ -17,6 +17,7 @@ from typing import Any
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import get_lapack_funcs
 
 from repro._typing import ArrayLike, FloatArray
 from repro.gp.mean import MeanFunction, ZeroMean
@@ -28,14 +29,10 @@ from repro.utils.validation import as_matrix, as_vector
 #: Diagonal jitter ladder tried when the Gram matrix is numerically singular.
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
-try:  # resolve the LAPACK factorization/inverse routines once, not per call
-    from scipy.linalg.lapack import get_lapack_funcs as _get_lapack_funcs
-
-    _potrf, _potrs, _potri = _get_lapack_funcs(
-        ("potrf", "potrs", "potri"), (np.empty((1, 1)),)
-    )
-except ImportError:  # pragma: no cover - scipy always ships lapack
-    _potrf = _potrs = _potri = None
+# resolve the LAPACK factorization/inverse routines once, not per call
+_potrf, _potrs, _potri = get_lapack_funcs(
+    ("potrf", "potrs", "potri"), (np.empty((1, 1)),)
+)
 
 
 @shape_contract("A: (n, n) -> (n, n)")
@@ -87,13 +84,11 @@ def inv_from_cholesky(chol: np.ndarray) -> np.ndarray:
     """Full inverse ``A^{-1}`` from the lower Cholesky factor of ``A``.
 
     Uses LAPACK ``dpotri`` (n^3/3 flops) instead of ``cho_solve`` against an
-    identity matrix (n^3 flops); falls back to the latter if the LAPACK
-    routine is unavailable.  ``chol`` must have an explicitly zeroed strict
-    upper triangle (as every factor produced in this module does), which
-    makes the symmetrization a plain transpose-add instead of a masked copy.
+    identity matrix (n^3 flops).  ``chol`` must have an explicitly zeroed
+    strict upper triangle (as every factor produced in this module does),
+    which makes the symmetrization a plain transpose-add instead of a
+    masked copy.
     """
-    if _potri is None:  # pragma: no cover - scipy always ships lapack
-        return cho_solve((chol, True), np.eye(chol.shape[0]))
     inv, info = _potri(chol, lower=True)
     if info != 0:  # pragma: no cover - factor is already validated
         raise np.linalg.LinAlgError(f"dpotri failed with info={info}")

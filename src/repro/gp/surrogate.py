@@ -50,10 +50,11 @@ class SurrogateModel(Protocol):
     :meth:`set_labels`), posterior queries (:meth:`predict` /
     :meth:`predict_cov` / :meth:`sample_posterior`), the evidence and its
     gradient for hyperparameter fitting, and the flat log-hyperparameter
-    vector ``theta`` with its box bounds.  Implementations may additionally
-    offer a side-effect-free ``evaluate_theta(theta) -> (lml, grad)``,
-    which :func:`~repro.gp.hyperopt.fit_hyperparameters` prefers over
-    refitting through the ``theta`` setter.
+    vector ``theta`` with its box bounds.  Implementations other than the
+    exact GP must also offer a side-effect-free
+    ``evaluate_theta(theta) -> (lml, grad)``:
+    :func:`~repro.gp.hyperopt.fit_hyperparameters` scores trial points
+    through it and raises ``TypeError`` without it.
     """
 
     # -- conditioning -------------------------------------------------------

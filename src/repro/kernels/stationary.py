@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends import compiled_ops
 from repro.kernels.base import Kernel, KernelWorkspace, pairwise_sq_dists
 from repro.utils.contracts import shape_contract
 from repro.utils.validation import as_matrix
@@ -268,23 +267,17 @@ class StationaryKernel(Kernel):
         W = self._ws_buffer(ws, "w_buf")
         np.multiply(inner, dg, out=W)
         X = ws.X
-        ops = compiled_ops()
-        if ops is not None:
-            # compiled backend: one parallel O(n^2 d) sweep over the
-            # literal (x_ik - x_jk)^2 differences, no GEMM intermediates
-            vec = ops.ard_grad_vec(W, X)
-        else:
-            X2 = ws.cache.get("X2")
-            if X2 is None:
-                X2 = ws.cache["X2"] = X * X
-            # <W, (x_ik - x_jk)^2> for every dimension k at once, via the
-            # expansion sum_ij W_ij (x_ik^2 + x_jk^2 - 2 x_ik x_jk): only
-            # O(n^2 d) GEMM work on (n, d) operands instead of a dense
-            # (d, n, n) difference tensor sweep
-            rc = W.sum(axis=0)
-            rc += W.sum(axis=1)
-            vec = X2.T @ rc
-            vec -= 2.0 * np.einsum("ik,ik->k", X, W @ X)
+        X2 = ws.cache.get("X2")
+        if X2 is None:
+            X2 = ws.cache["X2"] = X * X
+        # <W, (x_ik - x_jk)^2> for every dimension k at once, via the
+        # expansion sum_ij W_ij (x_ik^2 + x_jk^2 - 2 x_ik x_jk): only
+        # O(n^2 d) GEMM work on (n, d) operands instead of a dense
+        # (d, n, n) difference tensor sweep
+        rc = W.sum(axis=0)
+        rc += W.sum(axis=1)
+        vec = X2.T @ rc
+        vec -= 2.0 * np.einsum("ik,ik->k", X, W @ X)
         invl2 = self.lengthscales**-2.0
         if self.ard:
             # 0.5 tr(inner dK_k) = -v / l_k^2 * <inner * dg, diff2_k>
@@ -338,13 +331,6 @@ class SquaredExponential(StationaryKernel):
         dg_out: np.ndarray | None,
         scratch: np.ndarray,
     ) -> None:
-        ops = compiled_ops()
-        if ops is not None:
-            if dg_out is None:
-                ops.rbf_corr(sq, g_out)
-            else:
-                ops.rbf_corr_grad(sq, g_out, dg_out)
-            return
         np.multiply(sq, -0.5, out=g_out)
         np.exp(g_out, out=g_out)
         if dg_out is not None:
@@ -428,13 +414,6 @@ class Matern52(StationaryKernel):
         dg_out: np.ndarray | None,
         scratch: np.ndarray,
     ) -> None:
-        ops = compiled_ops()
-        if ops is not None:
-            if dg_out is None:
-                ops.matern52_corr(sq, g_out)
-            else:
-                ops.matern52_corr_grad(sq, g_out, dg_out)
-            return
         # Fully fused: one sqrt and one exp shared between g and dg, every
         # intermediate kept in the provided buffers.
         np.sqrt(sq, out=scratch)

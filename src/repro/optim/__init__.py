@@ -1,17 +1,14 @@
 """Derivative-free optimizers (paper Sections 3 and 5.1).
 
 ``Direct`` (DIRECT / DIRECT-L) and ``Cobyla`` mirror the paper's NLopt
-back-ends; ``NelderMead``, ``CmaEs``, ``RandomSearch`` and the composition
-drivers support ablations and the Fig. 2 scaling study.
+back-ends; ``GlobalLocalOptimizer`` composes them into the DIRECT_L +
+COBYLA acquisition search of Section 5.1.
 """
 
 from repro.optim.base import CountingObjective, Objective, Optimizer
-from repro.optim.cmaes import CmaEs
 from repro.optim.cobyla import Cobyla
 from repro.optim.direct import Direct
-from repro.optim.multistart import GlobalLocalOptimizer, MultiStartOptimizer
-from repro.optim.nelder_mead import NelderMead
-from repro.optim.random_search import RandomSearch
+from repro.optim.multistart import GlobalLocalOptimizer
 from repro.optim.result import OptimizationResult
 
 __all__ = [
@@ -21,9 +18,5 @@ __all__ = [
     "OptimizationResult",
     "Direct",
     "Cobyla",
-    "NelderMead",
-    "CmaEs",
-    "RandomSearch",
     "GlobalLocalOptimizer",
-    "MultiStartOptimizer",
 ]

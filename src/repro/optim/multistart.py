@@ -3,8 +3,6 @@
 Section 5.1: "DIRECT_L for global optimization and COBYLA for local
 optimization".  :class:`GlobalLocalOptimizer` runs any global method for a
 budget, then polishes the incumbent with any local method started there.
-:class:`MultiStartOptimizer` restarts a local method from several random
-points — a cheaper alternative used in ablations.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import numpy as np
 
 from repro.optim.base import Objective, Optimizer
 from repro.optim.result import OptimizationResult
-from repro.utils.rng import SeedLike, as_generator
 
 
 class GlobalLocalOptimizer(Optimizer):
@@ -80,51 +77,4 @@ class GlobalLocalOptimizer(Optimizer):
                 for n, f in refined.history
                 if f < coarse.fun
             ],
-        )
-
-
-class MultiStartOptimizer(Optimizer):
-    """Restart a local optimizer from random starts, keep the best."""
-
-    def __init__(
-        self,
-        local_optimizer: Optimizer,
-        n_starts: int = 5,
-        seed: SeedLike = None,
-    ) -> None:
-        if n_starts < 1:
-            raise ValueError(f"n_starts must be >= 1, got {n_starts}")
-        self.local_optimizer = local_optimizer
-        self.n_starts = int(n_starts)
-        self._rng = as_generator(seed)
-
-    def _minimize(
-        self,
-        fun: Objective,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        x0: np.ndarray | None,
-    ) -> OptimizationResult:
-        bounds = np.column_stack([lower, upper])
-        starts = [x0] if x0 is not None else []
-        while len(starts) < self.n_starts:
-            starts.append(self._rng.uniform(lower, upper))
-
-        best: OptimizationResult | None = None
-        total_evals = 0
-        total_iters = 0
-        for start in starts:
-            result = self.local_optimizer.minimize(fun, bounds, x0=start)
-            total_evals += result.n_evaluations
-            total_iters += result.n_iterations
-            if best is None or result.fun < best.fun:
-                best = result
-        assert best is not None
-        return OptimizationResult(
-            x=best.x,
-            fun=best.fun,
-            n_evaluations=total_evals,
-            n_iterations=total_iters,
-            success=best.success,
-            message=f"best of {self.n_starts} starts: {best.message}",
         )

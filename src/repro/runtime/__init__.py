@@ -15,7 +15,6 @@ Public surface of the evaluation layer described in DESIGN.md §10:
 """
 
 from repro.runtime.broker import (
-    DISPATCH_MODES,
     FAILURE_POLICIES,
     BrokerConfig,
     BrokerStats,
@@ -72,7 +71,6 @@ __all__ = [
     "DEFAULT_DECIMALS",
     "FAILURE_POLICIES",
     "LEDGER_VERSION",
-    "DISPATCH_MODES",
     "BrokerConfig",
     "BrokerStats",
     "EvalBatch",

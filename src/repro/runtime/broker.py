@@ -5,9 +5,11 @@ Every engine and sampler routes its objective calls through an
 call cannot express when each evaluation is an expensive, failure-prone
 simulation:
 
-* **dispatch** — a batch of points fans out across a
-  :class:`~repro.utils.parallel.WorkerPool` (inline / thread / process)
-  with a per-evaluation timeout;
+* **dispatch** — a batch of points fans out as chunks across a
+  :class:`~repro.utils.parallel.WorkerPool` (inline / thread / process):
+  one vectorized ``objective.evaluate`` call per worker when the objective
+  :attr:`~repro.runtime.objective.Objective.prefers_batch` and no timeout
+  is set, else one call per point under the per-evaluation timeout;
 * **retry** — transient failures (exceptions, timeouts, non-finite
   returns — the NaN quarantine) are retried up to ``max_retries`` times
   with exponential backoff plus deterministic jitter;
@@ -38,11 +40,11 @@ fault-free run, and a cache hit returns the exact float the simulation
 produced.  The backoff jitter draws from a broker-private seeded stream
 that never touches engine RNG state.
 
-Thread-sharing contract (DESIGN.md §13): the callables the broker submits
-to its pool (``self._simulate`` / ``self._simulate_chunk``) touch only
-locals and their arguments — *all* shared-state mutation (cache puts,
-ledger appends, metric increments, ``stats`` bookkeeping) happens on the
-dispatching thread after the pool joins the batch.  The shared collaborators
+Thread-sharing contract (DESIGN.md §13): the callable the broker submits
+to its pool (``self._simulate_chunk``) touches only locals and its
+arguments — *all* shared-state mutation (cache puts, ledger appends,
+metric increments, ``stats`` bookkeeping) happens on the dispatching
+thread after the pool joins the batch.  The shared collaborators
 (:class:`~repro.runtime.cache.ResultCache`,
 :class:`~repro.runtime.ledger.RunLedger`,
 :class:`~repro.telemetry.metrics.MetricsRegistry`,
@@ -84,9 +86,6 @@ from repro.utils.validation import as_matrix
 #: Recognized failure policies.
 FAILURE_POLICIES = ("raise", "skip", "penalty")
 
-#: Recognized dispatch modes (see :attr:`BrokerConfig.dispatch`).
-DISPATCH_MODES = ("auto", "row", "chunk")
-
 
 class EvaluationError(RuntimeError):
     """An evaluation failed after exhausting its retry budget."""
@@ -105,6 +104,8 @@ class BrokerConfig:
     timeout_seconds:
         Per-evaluation deadline; None disables.  Requires a non-inline
         executor to enforce (``executor="auto"`` picks threads when set).
+        Setting it dispatches every point as its own chunk, so the
+        deadline applies to one point.
     max_retries:
         Additional attempts after the first failure (0 = fail fast).
     backoff_seconds / backoff_factor / backoff_jitter:
@@ -119,29 +120,14 @@ class BrokerConfig:
         ``RunResult.y``, so it must be a valid observation; pick something
         clearly uninteresting in minimization orientation (large).
     n_jobs:
-        Worker width for dispatch parallelism (1 = sequential).
+        Worker width for dispatch parallelism (1 = sequential).  A round's
+        pending points split evenly into ``n_jobs`` vectorized chunks when
+        the objective prefers batches and no timeout is set.
     executor:
         ``"auto"`` (inline unless a timeout or ``n_jobs>1`` needs a pool),
         or an explicit :data:`~repro.utils.parallel.POOL_KINDS` entry.
     cache_decimals:
         Rounding applied to points before content-addressing.
-    dispatch:
-        ``"row"`` makes one ``objective.evaluate((1, D))`` call per point
-        (the historical behavior); ``"chunk"`` partitions each round's
-        pending points into contiguous chunks and makes one vectorized
-        ``objective.evaluate((k, D))`` call per chunk.  ``"auto"``
-        (default) picks ``"chunk"`` when the objective declares
-        :attr:`~repro.runtime.objective.Objective.prefers_batch` and no
-        per-evaluation timeout is set, ``"row"`` otherwise.  Chunked
-        dispatch preserves per-point ledger events, retry/failure policies
-        and cached values; per-point durations become the chunk mean, and
-        a chunk-level exception falls back to row-wise dispatch of that
-        chunk within the same retry round (objectives whose *failures* are
-        stateful per attempt should keep row dispatch).
-    chunk_size:
-        Maximum points per vectorized chunk; ``None`` splits each round
-        evenly across ``n_jobs`` workers (one chunk total when
-        ``n_jobs=1``).
     """
 
     timeout_seconds: float | None = None
@@ -154,8 +140,6 @@ class BrokerConfig:
     n_jobs: int = 1
     executor: str = "auto"
     cache_decimals: int = DEFAULT_DECIMALS
-    dispatch: str = "auto"
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
@@ -186,21 +170,6 @@ class BrokerConfig:
                 f"executor must be 'auto' or one of {POOL_KINDS}, "
                 f"got {self.executor!r}"
             )
-        if self.dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch must be one of {DISPATCH_MODES}, "
-                f"got {self.dispatch!r}"
-            )
-        if self.dispatch == "chunk" and self.timeout_seconds is not None:
-            raise ValueError(
-                "dispatch='chunk' cannot enforce a per-evaluation timeout "
-                "(one vectorized call covers many points); use row dispatch "
-                "or drop timeout_seconds"
-            )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1 when set, got {self.chunk_size}"
-            )
 
     def resolve_executor(self) -> str:
         if self.executor != "auto":
@@ -208,16 +177,6 @@ class BrokerConfig:
         if self.timeout_seconds is not None or self.n_jobs > 1:
             return "thread"
         return "inline"
-
-    def resolve_dispatch(self, objective: object = None) -> str:
-        """The concrete dispatch mode for ``objective`` (never ``"auto"``)."""
-        if self.dispatch != "auto":
-            return self.dispatch
-        if self.timeout_seconds is not None:
-            return "row"
-        if getattr(objective, "prefers_batch", False):
-            return "chunk"
-        return "row"
 
 
 @dataclass
@@ -342,19 +301,8 @@ class EvaluationBroker:
         if self.ledger is not None:
             self.ledger.append(event)
 
-    def _simulate(self, x: FloatArray) -> tuple[float, float]:
-        """One objective call: returns ``(value, seconds)``; quarantines NaN."""
-        start = time.perf_counter()
-        value = float(self.objective.evaluate(x[None, :])[0])
-        seconds = time.perf_counter() - start
-        if not math.isfinite(value):
-            raise NonFiniteResultError(
-                f"objective returned non-finite value {value!r}"
-            )
-        return value, seconds
-
     def _simulate_chunk(self, X: FloatArray) -> tuple[FloatArray, float]:
-        """One vectorized objective call over a ``(k, dim)`` chunk.
+        """One objective call over a ``(k, dim)`` chunk.
 
         NaN rows are *not* raised here — they surface per point in
         :meth:`_run_chunks` so one bad row quarantines alone instead of
@@ -370,48 +318,49 @@ class EvaluationBroker:
             )
         return out, seconds
 
-    def _chunk_bounds(self, n: int) -> list[tuple[int, int]]:
-        size = self.config.chunk_size
-        if size is None:
-            size = -(-n // max(1, self.config.n_jobs))  # ceil division
-        return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    def _rows_per_chunk(self, n: int) -> int:
+        """Points per chunk when ``n`` points are pending.
+
+        A vectorizing objective gets ``n_jobs`` even chunks; a timeout, or
+        an objective that does not prefer batches, gets one point per
+        chunk, so the deadline and any failure concern a single point.
+        """
+        if self.config.timeout_seconds is None and self.objective.prefers_batch:
+            return -(-n // max(1, self.config.n_jobs))  # ceil division
+        return 1
 
     def _run_chunks(
-        self, pool: WorkerPool, pending: list[_Pending]
+        self, pool: WorkerPool, pending: list[_Pending], size: int
     ) -> list[tuple[Any, BaseException | None]]:
-        """Chunked vectorized dispatch of one retry round.
+        """Dispatch one retry round as chunks of ``size`` points.
 
         Returns per-point ``(result, error)`` outcomes aligned with
-        ``pending``, exactly the shape row-wise ``pool.run_tasks`` hands
-        back — the bookkeeping loop (ledger events, retry/failure
-        policies, stats) is shared between both dispatch modes.  A
-        chunk-level exception re-dispatches that chunk row by row within
-        the same round, so every point still resolves to one outcome per
-        attempt; per-point seconds are the chunk mean (the total stays
-        exact).
+        ``pending``.  A size-1 chunk's exception is that point's outcome;
+        a multi-row chunk's exception re-dispatches its rows as size-1
+        chunks within the same round, so every point still resolves to
+        one outcome per attempt.  Per-point seconds are the chunk mean
+        (the total stays exact).
         """
-        bounds = self._chunk_bounds(len(pending))
+        n = len(pending)
+        bounds = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
         chunk_outcomes = pool.run_tasks(
             self._simulate_chunk,
             [np.stack([p.x for p in pending[lo:hi]]) for lo, hi in bounds],
-            timeout=None,
+            timeout=self.config.timeout_seconds,
         )
         outcomes: list[tuple[Any, BaseException | None]] = []
         for (lo, hi), (result, error) in zip(bounds, chunk_outcomes):
-            rows = pending[lo:hi]
             if error is not None:
-                # mixed-health chunk: one raising row poisons the whole
-                # vectorized call — fall back to row dispatch for it
-                outcomes.extend(
-                    pool.run_tasks(
-                        self._simulate, [p.x for p in rows], timeout=None
-                    )
-                )
+                if hi - lo == 1:
+                    outcomes.append((None, error))
+                else:
+                    # one raising row poisons the whole vectorized call:
+                    # re-run the chunk's rows one at a time
+                    outcomes.extend(self._run_chunks(pool, pending[lo:hi], 1))
                 continue
             out, seconds = result  # type: ignore[misc]
-            per_point = seconds / max(1, len(rows))
-            for i in range(len(rows)):
-                value = float(out[i])
+            per_point = seconds / (hi - lo)
+            for value in out.tolist():
                 if math.isfinite(value):
                     outcomes.append(((value, per_point), None))
                 else:
@@ -640,7 +589,6 @@ class EvaluationBroker:
         owned: set[str],
     ) -> None:
         kind = self.config.resolve_executor()
-        dispatch = self.config.resolve_dispatch(self.objective)
         pool = WorkerPool(kind=kind, n_jobs=self.config.n_jobs)
         attempt = 0
         try:
@@ -654,14 +602,9 @@ class EvaluationBroker:
                             "digest": p.digest,
                         }
                     )
-                if dispatch == "chunk" and len(pending) > 1:
-                    outcomes = self._run_chunks(pool, pending)
-                else:
-                    outcomes = pool.run_tasks(
-                        self._simulate,
-                        [p.x for p in pending],
-                        timeout=self.config.timeout_seconds,
-                    )
+                outcomes = self._run_chunks(
+                    pool, pending, self._rows_per_chunk(len(pending))
+                )
                 failed: list[tuple[_Pending, BaseException]] = []
                 timed_out = False
                 for p, (result, error) in zip(pending, outcomes):
@@ -830,7 +773,6 @@ def make_broker(
 
 
 __all__ = [
-    "DISPATCH_MODES",
     "FAILURE_POLICIES",
     "BrokerConfig",
     "BrokerStats",

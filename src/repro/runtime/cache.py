@@ -11,10 +11,10 @@ pipelines.  Twelve decimals is far inside simulator noise and far outside
 any step an optimizer takes deliberately, so distinct query points never
 collide (see DESIGN.md §10 for the rationale).
 
-Construction goes through two factories (the bare constructor is
-deprecated):
+Construction goes through two factories (the bare constructor raises
+``TypeError``):
 
-* :meth:`ResultCache.in_memory` — the historical per-run cache;
+* :meth:`ResultCache.in_memory` — a per-run cache;
 * :meth:`ResultCache.open` — a **persistent cross-campaign store**
   (DESIGN.md §15): digest → value pairs are appended to 16 shard files
   (``shard-0.jsonl`` … ``shard-f.jsonl``, by first hex digit) under one
@@ -42,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import warnings
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -64,10 +63,9 @@ CLAIM_OWNED = "owned"  #: caller now owns the digest: simulate, then put/abandon
 CLAIM_INFLIGHT = "inflight"  #: another thread owns it: wait_for() the value
 CLAIM_REPEAT = "repeat"  #: duplicate of an earlier digest in the *same* call
 
-_DEPRECATION_MSG = (
-    "constructing ResultCache() directly is deprecated and will be removed "
-    "in the next release; use ResultCache.in_memory() for the historical "
-    "per-run cache or ResultCache.open(path) for a persistent store"
+_BARE_CONSTRUCTOR_MSG = (
+    "ResultCache cannot be constructed directly; use ResultCache.in_memory() "
+    "for a per-run cache or ResultCache.open(path) for a persistent store"
 )
 
 
@@ -172,9 +170,9 @@ class ResultCache:
     condition variable (``_flight_lock``); where both are needed the
     nesting order is always ``_flight_lock`` outer, ``_lock`` inner.
 
-    Use :meth:`in_memory` or :meth:`open` — the bare constructor form is
-    deprecated (the extra keyword parameters are the factories' plumbing,
-    not public API).
+    Build one with :meth:`in_memory` or :meth:`open`; the bare constructor
+    raises ``TypeError`` (its keyword parameters are the factories'
+    plumbing, not public API).
     """
 
     def __init__(
@@ -186,7 +184,7 @@ class ResultCache:
         _from_factory: bool = False,
     ) -> None:
         if not _from_factory:
-            warnings.warn(_DEPRECATION_MSG, DeprecationWarning, stacklevel=2)
+            raise TypeError(_BARE_CONSTRUCTOR_MSG)
         if decimals < 0:
             raise ValueError(f"decimals must be non-negative, got {decimals}")
         if max_entries is not None and max_entries < 1:
@@ -215,7 +213,7 @@ class ResultCache:
         decimals: int = DEFAULT_DECIMALS,
         max_entries: int | None = None,
     ) -> "ResultCache":
-        """A process-local cache (the historical ``ResultCache()`` behavior).
+        """A process-local cache.
 
         ``max_entries`` optionally bounds the store with LRU eviction.
         """

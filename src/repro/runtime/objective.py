@@ -74,9 +74,9 @@ class Objective(abc.ABC):
 
         ``True`` declares that a ``(k, dim)`` call is genuinely vectorized
         — cheaper than ``k`` single-row calls and free of per-row state
-        that retries depend on — so ``dispatch="auto"`` may use chunked
-        dispatch.  The conservative default is ``False``: row-at-a-time
-        dispatch, which any correct :meth:`evaluate` supports.
+        that retries depend on — so the broker dispatches multi-row chunks
+        unless a timeout is set.  The conservative default is ``False``:
+        one row per chunk, which any correct :meth:`evaluate` supports.
         """
         return False
 

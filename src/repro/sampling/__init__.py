@@ -1,10 +1,5 @@
-"""Sampling baselines: MC, SSS, space-filling designs, statistical blockade."""
+"""Sampling baselines: MC, SSS and space-filling designs."""
 
-from repro.sampling.blockade import (
-    BlockadeDiagnostics,
-    LogisticClassifier,
-    StatisticalBlockade,
-)
 from repro.sampling.designs import halton, latin_hypercube
 from repro.sampling.monte_carlo import MonteCarloSampler
 from repro.sampling.sss import (
@@ -20,7 +15,4 @@ __all__ = [
     "NOMINAL_SIGMA_FRACTION",
     "latin_hypercube",
     "halton",
-    "StatisticalBlockade",
-    "LogisticClassifier",
-    "BlockadeDiagnostics",
 ]

@@ -27,13 +27,16 @@ for ``measure``.  ``surrogate`` picks the GP surrogate — a kind string
 (``"exact"`` / ``"sparse"`` / ``"auto"``) or a table of
 :class:`~repro.gp.surrogate.SurrogateSpec` fields; it is validated at
 load time so a typo'd kind rejects the job file, not the running
-campaign.  Engines are registered as *factories*: every (re)submission
-constructs a pristine solver, which is what makes ``--resume`` replay
-an interrupted campaign bitwise.
+campaign.  For the same reason the ``engine`` table's keys are checked
+against the engine constructor's parameters at load time.  Engines are
+registered as *factories*: every (re)submission constructs a pristine
+solver, which is what makes ``--resume`` replay an interrupted campaign
+bitwise.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 from typing import Any, Callable
@@ -90,6 +93,17 @@ def _engine_factory(
             f"engine.kind must be one of {sorted(ENGINE_KINDS)}, got {kind!r}"
         )
     ctor = ENGINE_KINDS[kind]
+    allowed = sorted(
+        name
+        for name, param in inspect.signature(ctor).parameters.items()
+        if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+    )
+    unknown = sorted(set(cfg) - set(allowed))
+    if unknown:
+        raise ValueError(
+            f"unknown engine keys for kind {kind!r}: {unknown}; "
+            f"allowed: {allowed}"
+        )
     if "seed" not in cfg and default_seed is not None:
         cfg["seed"] = default_seed
     # a fresh solver per call: resubmission/resume must never reuse

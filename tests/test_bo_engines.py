@@ -61,13 +61,6 @@ class TestSurrogateManager:
         manager.refit(X, y)
         np.testing.assert_allclose(manager.model.theta, theta_after_first)
 
-    def test_gp_property_deprecated(self, rng):
-        manager = SurrogateManager(2, seed=0)
-        manager.refit(rng.uniform(-1, 1, (8, 2)), rng.standard_normal(8))
-        with pytest.warns(DeprecationWarning, match="SurrogateManager.model"):
-            legacy = manager.gp
-        assert legacy is manager.model
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SurrogateManager(0)

@@ -285,7 +285,7 @@ class TestBrokerThreadCampaign:
             def campaign(i: int) -> None:
                 broker = EvaluationBroker(
                     FunctionObjective(objective, dim=2, cache_key="stress"),
-                    BrokerConfig(executor="thread", n_jobs=2, dispatch="row"),
+                    BrokerConfig(executor="thread", n_jobs=2),
                     cache=cache,
                     ledger=ledger,
                     telemetry=telemetry,

@@ -54,6 +54,15 @@ class TestFitHyperparameters:
         with pytest.raises(ValueError):
             fit_hyperparameters(gp, n_restarts=0)
 
+    def test_rejects_surrogate_without_evaluate_theta(self):
+        class Opaque:
+            """Fitted, but offers no side-effect-free evidence scoring."""
+
+            is_fitted = True
+
+        with pytest.raises(TypeError, match="Opaque.*evaluate_theta"):
+            fit_hyperparameters(Opaque())
+
     def test_reproducible_with_seed(self, small_dataset):
         X, y = small_dataset
         results = []

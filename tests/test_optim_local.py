@@ -1,16 +1,12 @@
-"""Tests for the local optimizers: COBYLA, Nelder-Mead, CMA-ES, random."""
+"""Tests for the local optimizer COBYLA and the DIRECT + COBYLA composition."""
 
 import numpy as np
 import pytest
 
 from repro.optim import (
-    CmaEs,
     Cobyla,
     CountingObjective,
     GlobalLocalOptimizer,
-    MultiStartOptimizer,
-    NelderMead,
-    RandomSearch,
     Direct,
 )
 from repro.utils.validation import unit_cube_bounds
@@ -27,8 +23,6 @@ def rosenbrock2(x):
 
 LOCALS = [
     Cobyla(max_evaluations=2000),
-    NelderMead(max_evaluations=2000),
-    CmaEs(max_evaluations=3000, seed=7),
 ]
 
 
@@ -54,12 +48,6 @@ class TestLocalConvergence:
         # substantial progress from f(start) = 4, not full convergence
         assert result.fun < 0.3 * rosenbrock2(start)
 
-    def test_nelder_mead_rosenbrock(self):
-        opt = NelderMead(max_evaluations=4000)
-        bounds = np.array([[-2.0, 2.0], [-2.0, 2.0]])
-        result = opt.minimize(rosenbrock2, bounds, x0=np.array([-1.0, 1.0]))
-        assert result.fun < 1e-3
-
     def test_optimum_on_boundary(self):
         opt = Cobyla(max_evaluations=1000)
         result = opt.minimize(sphere_at([2.0, 2.0]), unit_cube_bounds(2))
@@ -83,9 +71,6 @@ class TestBudgets:
         "opt",
         [
             Cobyla(max_evaluations=50),
-            NelderMead(max_evaluations=50),
-            CmaEs(max_evaluations=60, seed=1),
-            RandomSearch(max_evaluations=50, seed=1),
         ],
         ids=lambda o: type(o).__name__,
     )
@@ -99,24 +84,6 @@ class TestBudgets:
         result = opt.minimize(sphere_at([0.0] * 8), unit_cube_bounds(8))
         assert result.n_evaluations <= 3
         assert not result.success
-
-
-class TestRandomSearch:
-    def test_improves_with_budget(self):
-        fun = sphere_at([0.3, 0.3])
-        small = RandomSearch(max_evaluations=10, seed=0).minimize(
-            fun, unit_cube_bounds(2)
-        )
-        large = RandomSearch(max_evaluations=1000, seed=0).minimize(
-            fun, unit_cube_bounds(2)
-        )
-        assert large.fun <= small.fun
-
-    def test_reproducible(self):
-        fun = sphere_at([0.1, 0.1])
-        a = RandomSearch(max_evaluations=50, seed=5).minimize(fun, unit_cube_bounds(2))
-        b = RandomSearch(max_evaluations=50, seed=5).minimize(fun, unit_cube_bounds(2))
-        np.testing.assert_allclose(a.x, b.x)
 
 
 class TestComposition:
@@ -136,19 +103,6 @@ class TestComposition:
         )
         result = combo.minimize(fun, unit_cube_bounds(2))
         assert result.n_evaluations > 100  # both stages ran
-
-    def test_multistart_keeps_best(self):
-        fun = rosenbrock2
-        bounds = np.array([[-2.0, 2.0], [-2.0, 2.0]])
-        multi = MultiStartOptimizer(
-            NelderMead(max_evaluations=800), n_starts=4, seed=3
-        )
-        result = multi.minimize(fun, bounds)
-        assert result.fun < 1e-2
-
-    def test_multistart_rejects_zero_starts(self):
-        with pytest.raises(ValueError):
-            MultiStartOptimizer(NelderMead(), n_starts=0)
 
 
 class TestCountingObjective:

@@ -2,11 +2,15 @@
 
 The hot-path rework (cached kernel workspaces, fused LML value+gradient,
 incremental Cholesky updates, batched/lockstep acquisition evaluation and
-the opt-in process pool) is pure plumbing: every optimization must return
+chunked broker dispatch) is pure plumbing: every optimization must return
 what the straightforward implementation returns, to tight tolerance.
 These tests pin that contract so future performance work cannot silently
-change numbers.
+change numbers.  The straightforward implementations live here, as the
+references: per-weight ``minimize`` calls for the lockstep proposal and a
+one-row-per-call objective wrapper for chunked dispatch.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from repro.acquisition.functions import (
     WeightedAcquisition,
     pbo_weights,
 )
-from repro.bo.batch import BatchBO
+from repro.acquisition.optimize import default_acquisition_optimizer
 from repro.bo.engine import RunSpec
 from repro.bo.propose import propose_batch
 from repro.circuits.behavioral.uvlo import UVLOTestbench
@@ -28,13 +32,14 @@ from repro.kernels import (
     RationalQuadratic,
     SquaredExponential,
 )
-from repro.optim import Cobyla
+from repro.optim import Cobyla, Direct, GlobalLocalOptimizer
 from repro.runtime import (
     BrokerConfig,
     EvaluationBroker,
     FaultInjectingObjective,
     FaultPlan,
     FunctionObjective,
+    Objective,
 )
 
 
@@ -181,42 +186,6 @@ class TestBatchedAcquisitionEquivalence:
         np.testing.assert_allclose(batched, pointwise, atol=1e-12)
 
 
-class TestParallelEquivalence:
-    """``n_jobs > 1`` must reproduce the sequential results exactly."""
-
-    def _proposal_setup(self):
-        X, y = _dataset(25, 3, seed=10)
-        gp = GaussianProcess(
-            Matern52(dim=3, lengthscale=1.5), noise_variance=1e-4
-        ).fit(X, y)
-        box = np.column_stack([-np.ones(3), np.ones(3)])
-        return gp, pbo_weights(3), box
-
-    def test_propose_batch_parallel_identical(self):
-        gp, weights, box = self._proposal_setup()
-        seq = propose_batch(gp, weights, box, n_jobs=1)
-        par = propose_batch(gp, weights, box, n_jobs=2)
-        np.testing.assert_array_equal(seq.X, par.X)
-        assert seq.n_evaluations == par.n_evaluations
-
-    def test_batch_bo_parallel_identical_y(self):
-        def shifted_bowl(x):
-            return float(np.sum(np.asarray(x) ** 2) - 1.0)
-
-        box = np.column_stack([-np.ones(2), np.ones(2)])
-        objective = FunctionObjective(shifted_bowl, dim=2, bounds=box)
-        runs = []
-        for n_jobs in (1, 2):
-            engine = BatchBO(
-                batch_size=2, n_restarts=1, seed=42, n_jobs=n_jobs
-            )
-            runs.append(
-                engine.solve(objective=objective, spec=RunSpec(n_init=4, n_batches=2))
-            )
-        np.testing.assert_array_equal(runs[0].X, runs[1].X)
-        np.testing.assert_array_equal(runs[0].y, runs[1].y)
-
-
 class TestGemmAcquisitionEquivalence:
     """The one-GEMM multi-weight scoring vs per-weight Eq. 9 evaluation."""
 
@@ -325,7 +294,7 @@ class TestCobylaCoroutineEquivalence:
 
 
 class TestLockstepProposalEquivalence:
-    """Lockstep proposals must match the independent per-weight searches."""
+    """Lockstep proposals must match independent per-weight searches."""
 
     def _setup(self):
         X, y = _dataset(25, 3, seed=10)
@@ -335,34 +304,121 @@ class TestLockstepProposalEquivalence:
         box = np.column_stack([-np.ones(3), np.ones(3)])
         return gp, pbo_weights(4), box
 
-    def test_lockstep_matches_independent_fallback(self, monkeypatch):
-        import repro.bo.propose as propose_mod
+    @staticmethod
+    def _independent(gp, weights, box, factory):
+        """The reference: one full ``minimize`` of Eq. 9 per weight."""
+        results = [
+            factory(box.shape[0]).minimize(
+                WeightedAcquisition(gp, weight=float(w)), box
+            )
+            for w in weights
+        ]
+        X = np.array([r.x for r in results])
+        return X, sum(r.n_evaluations for r in results)
 
+    def test_lockstep_matches_independent_fallback(self):
         gp, weights, box = self._setup()
         lockstep = propose_batch(gp, weights, box)
-        monkeypatch.setattr(propose_mod, "supports_lockstep", lambda s: False)
-        fallback = propose_batch(gp, weights, box)
-        np.testing.assert_allclose(fallback.X, lockstep.X, atol=1e-8)
-        assert fallback.n_evaluations == lockstep.n_evaluations
-
-    def test_local_lockstep_matches_refine_fallback(self, monkeypatch):
-        import repro.bo.propose as propose_mod
-
-        gp, weights, box = self._setup()
-        lockstep = propose_batch(gp, weights, box)
-        monkeypatch.setattr(
-            propose_mod, "supports_local_lockstep", lambda s: False
+        X, n_evaluations = self._independent(
+            gp, weights, box, default_acquisition_optimizer
         )
-        fallback = propose_batch(gp, weights, box)
-        np.testing.assert_allclose(fallback.X, lockstep.X, atol=1e-8)
-        assert fallback.n_evaluations == lockstep.n_evaluations
+        np.testing.assert_allclose(lockstep.X, X, atol=1e-8)
+        assert lockstep.n_evaluations == n_evaluations
+
+    def test_custom_stack_matches_independent(self):
+        """Custom budgets and an unbounded local stage go lockstep too."""
+        gp, weights, box = self._setup()
+
+        def factory(dim):
+            return default_acquisition_optimizer(
+                dim, global_budget=120, local_budget=60, local_radius=None
+            )
+
+        lockstep = propose_batch(gp, weights, box, optimizer_factory=factory)
+        X, n_evaluations = self._independent(gp, weights, box, factory)
+        np.testing.assert_allclose(lockstep.X, X, atol=1e-8)
+        assert lockstep.n_evaluations == n_evaluations
+
+    @pytest.mark.parametrize(
+        "stack, built",
+        [
+            (Cobyla(max_evaluations=50), "Cobyla$"),
+            (
+                GlobalLocalOptimizer(
+                    Direct(max_evaluations=50), Direct(max_evaluations=50)
+                ),
+                r"Direct \+ Direct",
+            ),
+        ],
+        ids=["bare-local", "direct-direct"],
+    )
+    def test_other_stacks_rejected(self, stack, built):
+        gp, weights, box = self._setup()
+        with pytest.raises(TypeError, match=r"\(Direct, Cobyla\).*built " + built):
+            propose_batch(gp, weights, box, optimizer_factory=lambda d: stack)
+
+
+class _Delegate(Objective):
+    """The wrapped objective with a chosen ``prefers_batch``.
+
+    Records the row count of every ``evaluate`` call, so tests can see the
+    chunks the broker dispatched.  With ``prefers_batch=False`` the broker
+    calls it one row at a time: the reference side of the chunk tests.
+    """
+
+    def __init__(self, inner: Objective, prefers_batch: bool) -> None:
+        self._inner = inner
+        self._prefers_batch = prefers_batch
+        self.call_rows: list[int] = []
+
+    @property
+    def dim(self) -> int:
+        return self._inner.dim
+
+    @property
+    def bounds(self):
+        return self._inner.bounds
+
+    @property
+    def cache_key(self) -> str:
+        return self._inner.cache_key
+
+    @property
+    def prefers_batch(self) -> bool:
+        return self._prefers_batch
+
+    def evaluate(self, X):
+        self.call_rows.append(len(X))
+        return self._inner.evaluate(X)
+
+
+class _SlowRows(Objective):
+    """Vectorized sum of squares that sleeps on rows with ``x[0] > 0.9``."""
+
+    dim = 2
+
+    def __init__(self, sleep_seconds: float) -> None:
+        self.sleep_seconds = sleep_seconds
+
+    @property
+    def prefers_batch(self) -> bool:
+        return True
+
+    def evaluate(self, X):
+        X = np.asarray(X, dtype=float)
+        if np.any(X[:, 0] > 0.9):
+            time.sleep(self.sleep_seconds)
+        return np.sum(X**2, axis=1)
 
 
 class TestDispatchEquivalence:
-    """Chunked vectorized broker dispatch vs the historical row path."""
+    """Multi-row chunk dispatch vs one row per ``evaluate`` call."""
 
     def _objective(self):
         return UVLOTestbench().objective("delta_vthl")
+
+    def _rows(self, objective=None):
+        return _Delegate(objective or self._objective(), prefers_batch=False)
 
     def _points(self, n=40, seed=4):
         obj = self._objective()
@@ -371,77 +427,87 @@ class TestDispatchEquivalence:
 
     def test_chunk_matches_row_bitwise(self):
         X = self._points()
-        row = EvaluationBroker(
-            self._objective(), BrokerConfig(dispatch="row")
-        ).evaluate_batch(X)
-        chunk = EvaluationBroker(
-            self._objective(), BrokerConfig(dispatch="chunk")
-        ).evaluate_batch(X)
+        row_objective = self._rows()
+        row = EvaluationBroker(row_objective).evaluate_batch(X)
+        chunk = EvaluationBroker(self._objective()).evaluate_batch(X)
+        assert row_objective.call_rows == [1] * 40
         np.testing.assert_array_equal(row.y, chunk.y)
         np.testing.assert_array_equal(row.X, chunk.X)
 
-    def test_chunk_size_invariant(self):
+    def test_n_jobs_split_invariant(self):
+        """Splitting a round across n_jobs workers changes no value."""
         X = self._points(n=23, seed=8)
-        reference = EvaluationBroker(
-            self._objective(), BrokerConfig(dispatch="row")
-        ).evaluate_batch(X)
-        for chunk_size in (1, 5, 23, 64):
+        reference = EvaluationBroker(self._rows()).evaluate_batch(X)
+        for n_jobs, sizes in ((1, [23]), (2, [12, 11]), (5, [5, 5, 5, 5, 3])):
+            objective = _Delegate(self._objective(), prefers_batch=True)
             broker = EvaluationBroker(
-                self._objective(),
-                BrokerConfig(dispatch="chunk", chunk_size=chunk_size),
+                objective, BrokerConfig(executor="thread", n_jobs=n_jobs)
             )
             np.testing.assert_array_equal(
                 broker.evaluate_batch(X).y, reference.y
             )
+            assert sorted(objective.call_rows, reverse=True) == sizes
 
     def test_auto_dispatch_selection(self):
-        vectorized = self._objective()
-        assert vectorized.prefers_batch
-        scalar = FunctionObjective(lambda x: float(np.sum(x**2)), dim=2)
-        assert BrokerConfig().resolve_dispatch(vectorized) == "chunk"
-        assert BrokerConfig().resolve_dispatch(scalar) == "row"
-        assert (
-            BrokerConfig(timeout_seconds=5.0).resolve_dispatch(vectorized)
-            == "row"
-        )
-        assert BrokerConfig(dispatch="row").resolve_dispatch(vectorized) == "row"
+        """Chunks span the round only for a batch objective with no timeout."""
+        X = self._points(n=6, seed=2)
+        cases = [
+            (True, None, [6]),
+            (False, None, [1] * 6),
+            (True, 5.0, [1] * 6),
+        ]
+        for prefers_batch, timeout, rows in cases:
+            objective = _Delegate(self._objective(), prefers_batch)
+            EvaluationBroker(
+                objective, BrokerConfig(timeout_seconds=timeout)
+            ).evaluate_batch(X)
+            assert objective.call_rows == rows
 
-    def test_chunk_timeout_combination_rejected(self):
-        with pytest.raises(ValueError, match="timeout"):
-            BrokerConfig(dispatch="chunk", timeout_seconds=1.0)
-
-    def test_chunk_with_fault_injection_matches_clean(self):
-        X = self._points(n=30, seed=5)
-        clean = EvaluationBroker(
-            self._objective(), BrokerConfig(dispatch="row")
-        ).evaluate_batch(X)
-        faulty = FaultInjectingObjective(
-            self._objective(),
-            FaultPlan(failure_rate=0.3, nan_fraction=0.4, seed=5),
-        )
-        broker = EvaluationBroker(
-            faulty,
-            BrokerConfig(
-                dispatch="chunk", max_retries=5, backoff_seconds=0.0
-            ),
-        )
-        batch = broker.evaluate_batch(X)
-        assert broker.stats.n_attempt_failures > 0  # faults did fire
-        np.testing.assert_array_equal(batch.y, clean.y)
-
-    def test_chunk_skip_policy_drops_only_bad_rows(self):
-        def half_nan(x):
-            return float("nan") if x[0] > 0 else float(np.sum(x**2))
-
-        objective = FunctionObjective(half_nan, dim=2)
-        X = np.array([[-0.5, 0.1], [0.5, 0.2], [-0.25, 0.3], [0.75, 0.4]])
+    def test_timeout_dispatches_single_rows(self):
+        """A batch objective under a timeout times out one point, not all."""
+        objective = _SlowRows(sleep_seconds=0.5)
+        X = np.array([[0.1, 0.2], [0.95, 0.0], [-0.3, 0.4]])
         broker = EvaluationBroker(
             objective,
             BrokerConfig(
-                dispatch="chunk",
+                timeout_seconds=0.05,
+                n_jobs=3,
                 max_retries=0,
                 failure_policy="skip",
             ),
+        )
+        batch = broker.evaluate_batch(X)
+        np.testing.assert_array_equal(batch.index, [0, 2])
+        np.testing.assert_array_equal(batch.y, np.sum(X[[0, 2]] ** 2, axis=1))
+        assert broker.stats.n_attempt_failures == 1
+        assert broker.stats.n_skipped == 1
+
+    def test_chunk_with_fault_injection_matches_clean(self):
+        X = self._points(n=30, seed=5)
+        clean = EvaluationBroker(self._rows()).evaluate_batch(X)
+        faulty = _Delegate(
+            FaultInjectingObjective(
+                self._objective(),
+                FaultPlan(failure_rate=0.3, nan_fraction=0.4, seed=5),
+            ),
+            prefers_batch=True,
+        )
+        broker = EvaluationBroker(
+            faulty, BrokerConfig(max_retries=5, backoff_seconds=0.0)
+        )
+        batch = broker.evaluate_batch(X)
+        assert broker.stats.n_attempt_failures > 0  # faults did fire
+        assert faulty.call_rows[0] == 30  # the first round went as one chunk
+        np.testing.assert_array_equal(batch.y, clean.y)
+
+    def test_chunk_skip_policy_drops_only_bad_rows(self):
+        def half_nan(X):
+            return np.where(X[:, 0] > 0, np.nan, np.sum(X**2, axis=1))
+
+        objective = FunctionObjective(half_nan, dim=2, vectorized=True)
+        X = np.array([[-0.5, 0.1], [0.5, 0.2], [-0.25, 0.3], [0.75, 0.4]])
+        broker = EvaluationBroker(
+            objective, BrokerConfig(max_retries=0, failure_policy="skip")
         )
         batch = broker.evaluate_batch(X)
         np.testing.assert_array_equal(batch.index, [0, 2])
@@ -449,11 +515,11 @@ class TestDispatchEquivalence:
 
     def test_campaign_chunk_vs_row_identical(self):
         from repro.bo.rembo import RemboBO
-        from repro.runtime import RuntimePolicy
 
         results = []
-        for dispatch in ("row", "chunk"):
+        for rows in (True, False):
             tb = UVLOTestbench()
+            objective = tb.objective("delta_vthl")
             engine = RemboBO(
                 batch_size=3,
                 embedding_dim=2,
@@ -463,15 +529,12 @@ class TestDispatchEquivalence:
             )
             results.append(
                 engine.solve(
-                    objective=tb.objective("delta_vthl"),
+                    objective=self._rows(objective) if rows else objective,
                     spec=RunSpec(
                         bounds=tb.bounds(),
                         n_init=5,
                         n_batches=2,
                         threshold=tb.threshold("delta_vthl"),
-                    ),
-                    policy=RuntimePolicy(
-                        config=BrokerConfig(dispatch=dispatch)
                     ),
                 )
             )

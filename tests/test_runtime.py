@@ -141,12 +141,6 @@ class TestResultCache:
             "size": 1, "hits": 1, "misses": 1, "evictions": 0
         }
 
-    def test_bare_constructor_deprecated_but_working(self):
-        with pytest.warns(DeprecationWarning, match="in_memory"):
-            cache = ResultCache()
-        cache.put("d", 1.0)
-        assert cache.get("d") == 1.0
-
     def test_preload_does_not_count(self):
         cache = ResultCache.in_memory()
         cache.preload({"abc": 1.0})

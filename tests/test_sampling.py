@@ -1,4 +1,4 @@
-"""Tests for the sampling baselines: MC, designs, SSS, blockade."""
+"""Tests for the sampling baselines: MC, designs, SSS."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from repro.bo import RunSpec
 from repro.runtime import FunctionObjective
 from repro.sampling import (
-    LogisticClassifier,
     MonteCarloSampler,
     ScaledSigmaSampler,
-    StatisticalBlockade,
     halton,
     latin_hypercube,
 )
@@ -159,63 +157,6 @@ class TestScaledSigmaSampler:
             ScaledSigmaSampler(10, scales=())
         with pytest.raises(ValueError):
             ScaledSigmaSampler(10, sigma_fraction=0.0)
-
-
-class TestLogisticClassifier:
-    def test_separates_linear_labels(self, rng):
-        X = rng.uniform(-1, 1, (200, 2))
-        labels = (X[:, 0] + X[:, 1] > 0).astype(float)
-        clf = LogisticClassifier().fit(X, labels)
-        proba = clf.predict_proba(X)
-        accuracy = np.mean((proba > 0.5) == labels.astype(bool))
-        assert accuracy > 0.95
-
-    def test_rejects_non_binary(self, rng):
-        with pytest.raises(ValueError):
-            LogisticClassifier().fit(rng.uniform(size=(5, 2)), [0, 1, 2, 0, 1])
-
-    def test_predict_before_fit(self):
-        with pytest.raises(RuntimeError):
-            LogisticClassifier().predict_proba(np.zeros((1, 2)))
-
-
-class TestStatisticalBlockade:
-    def test_blocks_most_candidates(self):
-        """On a smooth objective the classifier blocks the bulk."""
-        blockade = StatisticalBlockade(
-            pilot_samples=150, candidate_samples=1000, seed=0
-        )
-        result = blockade.solve(
-            objective=bowl_objective(3), spec=RunSpec(threshold=-1.0)
-        )
-        diag = result.extra["blockade"]
-        assert diag.n_unblocked < 1000
-        assert result.n_evaluations == 150 + diag.n_unblocked
-
-    def test_unblocked_points_are_tail_biased(self):
-        def linear(x):
-            return float(np.sum(x))  # tail = all-negative corner
-
-        blockade = StatisticalBlockade(
-            pilot_samples=200, candidate_samples=1500, seed=1
-        )
-        result = blockade.solve(objective=wrap(linear, 4))
-        pilot_mean = result.y[:200].mean()
-        if result.n_evaluations > 200:
-            unblocked_mean = result.y[200:].mean()
-            assert unblocked_mean < pilot_mean
-
-    def test_run_wrapper_removed(self):
-        blockade = StatisticalBlockade(
-            pilot_samples=20, candidate_samples=50, seed=0
-        )
-        assert not hasattr(blockade, "run")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StatisticalBlockade(pilot_samples=5)
-        with pytest.raises(ValueError):
-            StatisticalBlockade(tail_quantile=0.5, margin_quantile=0.1)
 
 
 @settings(max_examples=15, deadline=None)

@@ -211,8 +211,8 @@ class TestPersistentCache:
         assert snap["counters"]["result_cache.evictions"] == 1
         assert snap["gauges"]["result_cache.size"] == 1
 
-    def test_bare_constructor_warns(self):
-        with pytest.warns(DeprecationWarning, match="in_memory"):
+    def test_bare_constructor_raises(self):
+        with pytest.raises(TypeError, match=r"in_memory\(\).*open\(path\)"):
             ResultCache()
 
     def test_factories_do_not_warn(self, tmp_path):
@@ -253,6 +253,19 @@ class TestJobs:
     def test_unknown_engine_kind_rejected(self):
         with pytest.raises(ValueError, match="engine.kind"):
             build_spec(self._payload(engine={"kind": "gradient-descent"}))
+
+    @pytest.mark.parametrize(
+        "engine, bad",
+        [
+            ({"kind": "rembo", "batch_sizee": 4}, "batch_sizee"),
+            ({"kind": "batch", "batch_size": 4, "n_jobs": 2}, "n_jobs"),
+        ],
+    )
+    def test_unknown_engine_keys_rejected_at_load(self, engine, bad):
+        with pytest.raises(
+            ValueError, match=rf"\['{bad}'\]; allowed: .*'batch_size'"
+        ):
+            build_spec(self._payload(engine=engine))
 
     def test_load_jobs_directory_sorted(self, tmp_path):
         for name in ("b.json", "a.json"):

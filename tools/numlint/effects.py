@@ -46,7 +46,7 @@ The analysis has three parts:
    edges: direct calls, ``self.method(...)`` within a class, bare names
    resolved against the defining module, imported names resolved through
    the alias map, and function *references* passed as call arguments
-   (``pool.run_tasks(self._simulate, ...)`` makes the submitter inherit
+   (``pool.run_tasks(self._simulate_chunk, ...)`` makes the submitter inherit
    the worker's effects).  Decorated functions keep their edges — a
    decorator wraps, it does not launder effects.  Cycles (recursion,
    mutual recursion) converge because the lattice is finite and the
@@ -421,7 +421,7 @@ class _Resolver:
             )
 
     def add_reference_edge(self, info: FunctionInfo, name: str) -> None:
-        # ``pool.run_tasks(self._simulate, ...)`` style references arrive
+        # ``pool.run_tasks(self._simulate_chunk, ...)`` style references arrive
         # as Attribute loads (handled via add_self_call_edge at call sites)
         # or bare names; only resolve names that are functions we indexed.
         self._add(info, self.local_names.get(name))

@@ -36,7 +36,6 @@ _ARRAY_MARKERS = ("FloatArray", "IntArray", "ndarray", "ArrayLike")
 ROLLOUT_OPT_IN_FRAGMENTS = (
     "repro/runtime/",
     "repro/telemetry/",
-    "repro/backends",
     "repro/serve/",
     "repro/gp/surrogate",
     "repro/gp/sparse",
