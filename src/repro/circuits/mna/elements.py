@@ -1,30 +1,32 @@
-"""Linear and weakly-nonlinear circuit elements with their MNA stamps.
+"""Linear and weakly-nonlinear circuit elements.
 
 Every element subclasses :class:`Element`, names its terminals at
-construction, gets node indices resolved by :meth:`Circuit.add`, and
-implements ``stamp``.  Time-varying sources take a callable ``value(t)``;
-source-stepping continuation scales all independent sources through
-``ctx.source_scale``.
+construction and gets node indices resolved by :meth:`Circuit.add`.  An
+element only holds its parameters: :class:`~repro.circuits.mna.stack.
+CircuitStack` knows each type's MNA contributions and builds them for a
+whole stack of same-topology circuits at once.  Time-varying sources take
+a callable ``value(t)``; source-stepping continuation scales all
+independent sources.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Callable, Union
 
 import numpy as np
 
-from repro.circuits.mna.netlist import Circuit, MNASystem, StampContext
+from repro.circuits.mna.netlist import Circuit
 
 Waveform = Union[float, Callable[[float], float]]
 
 
-def _evaluate(value: Waveform, t: float) -> float:
+def evaluate_waveform(value: Waveform, t: float) -> float:
+    """A source's value at time ``t`` (constants ignore ``t``)."""
     return float(value(t)) if callable(value) else float(value)
 
 
-class Element(abc.ABC):
-    """Base class: terminal bookkeeping plus the stamp interface."""
+class Element:
+    """Base class: terminal bookkeeping."""
 
     #: Number of MNA branch-current unknowns the element contributes.
     N_BRANCHES = 0
@@ -36,10 +38,7 @@ class Element(abc.ABC):
         self.branch: int | None = None
 
     def bind(self, circuit: Circuit) -> None:
-        self.nodes = tuple(circuit.node(n) for n in self.node_names)
-
-    @abc.abstractmethod
-    def stamp(self, system: MNASystem, ctx: StampContext) -> None: ...
+        self.nodes = tuple(circuit.intern_node(n) for n in self.node_names)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, {', '.join(self.node_names)})"
@@ -54,9 +53,6 @@ class Resistor(Element):
         super().__init__(name, n1, n2)
         self.resistance = float(resistance)
 
-    def stamp(self, system: MNASystem, ctx: StampContext) -> None:
-        system.add_conductance(*self.nodes, 1.0 / self.resistance)
-
 
 class Capacitor(Element):
     """Linear capacitor; open in DC, backward-Euler companion in transient."""
@@ -69,22 +65,6 @@ class Capacitor(Element):
         super().__init__(name, n1, n2)
         self.capacitance = float(capacitance)
 
-    def _v(self, x: np.ndarray) -> float:
-        n1, n2 = self.nodes
-        v1 = 0.0 if n1 < 0 else float(x[n1])
-        v2 = 0.0 if n2 < 0 else float(x[n2])
-        return v1 - v2
-
-    def stamp(self, system: MNASystem, ctx: StampContext) -> None:
-        if ctx.mode != "tran" or ctx.dt <= 0.0:
-            return  # open circuit in DC
-        g = self.capacitance / ctx.dt
-        v_prev = self._v(ctx.x_prev) if ctx.x_prev is not None else 0.0
-        n1, n2 = self.nodes
-        system.add_conductance(n1, n2, g)
-        system.add_current(n1, g * v_prev)
-        system.add_current(n2, -g * v_prev)
-
 
 class CurrentSource(Element):
     """Independent current source: ``value`` amps flow from n+ through the
@@ -93,12 +73,6 @@ class CurrentSource(Element):
     def __init__(self, name: str, n_plus: str, n_minus: str, value: Waveform) -> None:
         super().__init__(name, n_plus, n_minus)
         self.value = value
-
-    def stamp(self, system: MNASystem, ctx: StampContext) -> None:
-        current = ctx.source_scale * _evaluate(self.value, ctx.time)
-        n_plus, n_minus = self.nodes
-        system.add_current(n_plus, -current)
-        system.add_current(n_minus, current)
 
 
 class VoltageSource(Element):
@@ -109,17 +83,6 @@ class VoltageSource(Element):
     def __init__(self, name: str, n_plus: str, n_minus: str, value: Waveform) -> None:
         super().__init__(name, n_plus, n_minus)
         self.value = value
-
-    def stamp(self, system: MNASystem, ctx: StampContext) -> None:
-        n_plus, n_minus = self.nodes
-        row = system.branch_row(self.branch)
-        if n_plus >= 0:
-            system.G[n_plus, row] += 1.0
-            system.G[row, n_plus] += 1.0
-        if n_minus >= 0:
-            system.G[n_minus, row] -= 1.0
-            system.G[row, n_minus] -= 1.0
-        system.rhs[row] += ctx.source_scale * _evaluate(self.value, ctx.time)
 
 
 class VCVS(Element):
@@ -139,20 +102,6 @@ class VCVS(Element):
         super().__init__(name, out_plus, out_minus, ctrl_plus, ctrl_minus)
         self.gain = float(gain)
 
-    def stamp(self, system: MNASystem, ctx: StampContext) -> None:
-        op, om, cp, cn = self.nodes
-        row = system.branch_row(self.branch)
-        if op >= 0:
-            system.G[op, row] += 1.0
-            system.G[row, op] += 1.0
-        if om >= 0:
-            system.G[om, row] -= 1.0
-            system.G[row, om] -= 1.0
-        if cp >= 0:
-            system.G[row, cp] -= self.gain
-        if cn >= 0:
-            system.G[row, cn] += self.gain
-
 
 class VCCS(Element):
     """Voltage-controlled current source (SPICE G element convention):
@@ -171,13 +120,9 @@ class VCCS(Element):
         super().__init__(name, out_plus, out_minus, ctrl_plus, ctrl_minus)
         self.gm = float(gm)
 
-    def stamp(self, system: MNASystem, ctx: StampContext) -> None:
-        op, om, cp, cn = self.nodes
-        system.add_transconductance(op, om, cp, cn, self.gm)
-
 
 class Diode(Element):
-    """Shockley diode with Newton companion model and junction limiting."""
+    """Shockley diode; Newton companion model with junction limiting."""
 
     def __init__(
         self,
@@ -193,26 +138,6 @@ class Diode(Element):
         super().__init__(name, anode, cathode)
         self.i_s = float(saturation_current)
         self.n_vt = float(emission) * float(temperature_voltage)
-        #: critical voltage for junction limiting
+        #: critical voltage for junction limiting: the linearization point
+        #: is clamped to ``v_crit + n_vt``, the way SPICE limits junctions
         self.v_crit = self.n_vt * np.log(self.n_vt / (np.sqrt(2.0) * self.i_s))
-
-    def _vd(self, x: np.ndarray) -> float:
-        a, c = self.nodes
-        va = 0.0 if a < 0 else float(x[a])
-        vc = 0.0 if c < 0 else float(x[c])
-        return va - vc
-
-    def limited_voltage(self, vd: float) -> float:
-        """Clamp the linearization point the way SPICE limits junctions."""
-        return min(vd, self.v_crit + self.n_vt)
-
-    def stamp(self, system: MNASystem, ctx: StampContext) -> None:
-        vd = self.limited_voltage(self._vd(ctx.x))
-        exp_term = np.exp(np.clip(vd / self.n_vt, -100.0, 80.0))
-        i_d = self.i_s * (exp_term - 1.0)
-        g_d = max(self.i_s * exp_term / self.n_vt, 1e-12)
-        i_eq = i_d - g_d * vd
-        a, c = self.nodes
-        system.add_conductance(a, c, g_d)
-        system.add_current(a, -i_eq)
-        system.add_current(c, i_eq)

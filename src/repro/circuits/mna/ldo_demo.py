@@ -9,14 +9,18 @@ backward-Euler transient of a load-current step.
 
 Like :mod:`repro.circuits.mna.uvlo_demo`, this exists to exercise the full
 netlist → solve → measure path; the headline tables use the calibrated
-behavioral testbench (DESIGN.md §2).
+behavioral testbench (DESIGN.md §2).  :func:`ldo_demo_measure` measures a
+chunk of variation vectors: the DC measures solve its netlists as one
+stack, the undershoot runs one transient per row.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.circuits.mna.dc import solve_dc
+from repro.circuits.mna.dc import DCSolution, solve_dc, solve_dc_stack
 from repro.circuits.mna.elements import (
     Capacitor,
     CurrentSource,
@@ -26,7 +30,7 @@ from repro.circuits.mna.elements import (
 from repro.circuits.mna.measure import undershoot as undershoot_of
 from repro.circuits.mna.mosfet import MOSFET, MOSParams
 from repro.circuits.mna.netlist import Circuit
-from repro.utils.validation import as_float_array
+from repro.utils.validation import as_float_array, as_matrix
 
 #: Normalized-variation dimensionality of the demo bench.
 LDO_DEMO_DIM = 9
@@ -102,23 +106,17 @@ class LDODemo:
     # -- measurements -----------------------------------------------------------
 
     def output_voltage(self, load_current: float = 1e-3) -> float:
-        self.load_source.value = load_current
-        return solve_dc(self.circuit).voltage("vout")
+        return float(output_voltages([self], load_current)[0])
 
     def quiescent_current(self, load_current: float = 1e-4) -> float:
         """Supply current minus the delivered load current (amps)."""
-        self.load_source.value = load_current
-        solution = solve_dc(self.circuit)
-        supply = -solution.branch_current(self.vdd_source)
-        return float(supply - load_current)
+        return float(quiescent_currents([self], load_current)[0])
 
     def load_regulation(
         self, i_light: float = 1e-4, i_heavy: float = 20e-3
     ) -> float:
         """Percent output droop from light to heavy load."""
-        v_light = self.output_voltage(i_light)
-        v_heavy = self.output_voltage(i_heavy)
-        return float(100.0 * (v_light - v_heavy) / max(v_light, 1e-9))
+        return float(load_regulations([self], i_light, i_heavy)[0])
 
     def undershoot(
         self,
@@ -139,3 +137,61 @@ class LDODemo:
             return undershoot_of(result.voltage("vout"), v_nom)
         finally:
             self.load_source.value = i_light
+
+
+def _solve_loaded(
+    demos: Sequence[LDODemo], load_current: float
+) -> list[DCSolution]:
+    """Every demo's operating point at one load current, as one stack."""
+    for demo in demos:
+        demo.load_source.value = load_current
+    return solve_dc_stack([demo.circuit for demo in demos])
+
+
+def output_voltages(
+    demos: Sequence[LDODemo], load_current: float = 1e-3
+) -> np.ndarray:
+    """``vout`` of every demo at ``load_current``."""
+    return np.array(
+        [solution.voltage("vout") for solution in _solve_loaded(demos, load_current)]
+    )
+
+
+def quiescent_currents(
+    demos: Sequence[LDODemo], load_current: float = 1e-4
+) -> np.ndarray:
+    """Supply current minus the delivered load current (amps), per demo."""
+    supply = np.array(
+        [
+            -solution.branch_current(demo.vdd_source)
+            for demo, solution in zip(demos, _solve_loaded(demos, load_current))
+        ]
+    )
+    return supply - load_current
+
+
+def load_regulations(
+    demos: Sequence[LDODemo], i_light: float = 1e-4, i_heavy: float = 20e-3
+) -> np.ndarray:
+    """Percent output droop from light to heavy load, per demo."""
+    v_light = output_voltages(demos, i_light)
+    v_heavy = output_voltages(demos, i_heavy)
+    return 100.0 * (v_light - v_heavy) / np.maximum(v_light, 1e-9)
+
+
+#: The measures :func:`ldo_demo_measure` knows, by name.
+LDO_MEASURES = {
+    "output_voltage": output_voltages,
+    "quiescent_current": quiescent_currents,
+    "load_regulation": load_regulations,
+    # a failed transient step halves only its own row's time step, so the
+    # rows run one at a time
+    "undershoot": lambda demos: np.array([demo.undershoot() for demo in demos]),
+}
+
+
+def ldo_demo_measure(X, measure: str = "load_regulation") -> np.ndarray:
+    """One named LDO-demo measure (a key of :data:`LDO_MEASURES`) for each
+    row of ``X`` ``(n, LDO_DEMO_DIM)``."""
+    X = as_matrix(X, LDO_DEMO_DIM)
+    return LDO_MEASURES[measure]([LDODemo(x) for x in X])

@@ -1,4 +1,4 @@
-"""Level-1 (square-law) MOSFET with Newton companion-model stamping.
+"""Level-1 (square-law) MOSFET model.
 
 The classic SPICE level-1 equations with channel-length modulation:
 
@@ -11,7 +11,8 @@ The classic SPICE level-1 equations with channel-length modulation:
 Polarity handling covers PMOS through sign folding, and the device is
 treated as symmetric: when the model-polarity ``v_ds`` goes negative the
 drain and source roles swap.  A small off-conductance keeps the Jacobian
-nonsingular in cutoff.
+nonsingular in cutoff.  :func:`level1_current` is the one evaluation of
+these equations; the stacked assembly calls it on arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuits.mna.elements import Element
-from repro.circuits.mna.netlist import MNASystem, StampContext
 
 #: Conductance floor (cutoff leakage) to keep the Newton Jacobian regular.
 _G_OFF = 1e-9
@@ -59,25 +59,40 @@ class MOSParams:
         )
 
 
-def level1_current(params: MOSParams, vgs: float, vds: float) -> tuple[float, float, float]:
-    """``(I_D, gm, gds)`` of the NMOS-polarity level-1 model at ``vgs, vds ≥ 0``."""
-    vov = vgs - params.vth
+def level1_current(params, vgs, vds):
+    """``(I_D, gm, gds)`` of the NMOS-polarity level-1 model at ``vgs, vds ≥ 0``.
+
+    ``params`` is a :class:`MOSParams` or any object whose ``vth``,
+    ``beta`` and ``lambda_`` broadcast against ``vgs`` and ``vds``; scalar
+    inputs give scalar results.  Squares are written as products: CPython's
+    float ``**`` calls libm ``pow``, which is not always ``v * v`` in the
+    last bit, so only products keep scalar and array evaluation equal.
+    """
+    vgs = np.asarray(vgs, dtype=float)
+    vds = np.asarray(vds, dtype=float)
     beta = params.beta
+    vov = vgs - params.vth
     clm = 1.0 + params.lambda_ * vds
-    if vov <= 0.0:
-        return 0.0, 0.0, _G_OFF
-    if vds < vov:  # triode
-        i_d = beta * (vov * vds - 0.5 * vds**2) * clm
-        gm = beta * vds * clm
-        gds = (
-            beta * (vov - vds) * clm
-            + beta * (vov * vds - 0.5 * vds**2) * params.lambda_
-        )
-    else:  # saturation
-        i_d = 0.5 * beta * vov**2 * clm
-        gm = beta * vov * clm
-        gds = 0.5 * beta * vov**2 * params.lambda_
-    return i_d, gm, max(gds, _G_OFF)
+    cutoff = vov <= 0.0
+    triode = vds < vov
+    # the triode and saturation forms share their outer factors; with
+    # i_0 = I_D / clm (the current before channel-length modulation):
+    #   I_D = i_0 · clm,  gm = β · (v_ds | v_ov) · clm,
+    #   gds = [β (v_ov − v_ds) clm]_triode + i_0 · λ
+    # (in saturation the bracket is 0.0: 0.0 + y is y, or +0.0 for y = -0.0,
+    # which the G_OFF floor below replaces either way)
+    i_0 = np.where(
+        triode,
+        beta * (vov * vds - 0.5 * (vds * vds)),
+        0.5 * beta * (vov * vov),
+    )
+    i_d = i_0 * clm
+    gm = beta * np.where(triode, vds, vov) * clm
+    gds = np.where(triode, beta * (vov - vds) * clm, 0.0) + i_0 * params.lambda_
+    i_d = np.where(cutoff, 0.0, i_d)
+    gm = np.where(cutoff, 0.0, gm)
+    gds = np.where(cutoff, _G_OFF, np.maximum(gds, _G_OFF))
+    return i_d[()], gm[()], gds[()]
 
 
 class MOSFET(Element):
@@ -99,16 +114,9 @@ class MOSFET(Element):
         self.sign = 1.0 if polarity == "nmos" else -1.0
         self.polarity = polarity
 
-    def _voltages(self, x: np.ndarray) -> tuple[float, float, float]:
-        d, g, s = self.nodes
-        vd = 0.0 if d < 0 else float(x[d])
-        vg = 0.0 if g < 0 else float(x[g])
-        vs = 0.0 if s < 0 else float(x[s])
-        return vd, vg, vs
-
     def operating_point(self, x: np.ndarray) -> dict[str, float]:
         """Model-polarity ``vgs``, ``vds``, drain current and small-signal gains."""
-        vd, vg, vs = self._voltages(x)
+        vd, vg, vs = (0.0 if n < 0 else float(x[n]) for n in self.nodes)
         vgs = self.sign * (vg - vs)
         vds = self.sign * (vd - vs)
         swapped = vds < 0.0
@@ -119,31 +127,9 @@ class MOSFET(Element):
         return {
             "vgs": vgs,
             "vds": vds,
-            "id": i_d,
-            "gm": gm,
-            "gds": gds,
+            "id": float(i_d),
+            "gm": float(gm),
+            "gds": float(gds),
             "swapped": float(swapped),
             "saturated": float(vds >= max(vgs - self.params.vth, 0.0)),
         }
-
-    def stamp(self, system: MNASystem, ctx: StampContext) -> None:
-        d, g, s = self.nodes
-        op = self.operating_point(ctx.x)
-        if op["swapped"]:
-            d, s = s, d
-        gm, gds = op["gm"], op["gds"]
-        # actual terminal current out of the (effective) drain node
-        vd, vg_, vs = self._voltages(ctx.x)
-        if op["swapped"]:
-            vd, vs = vs, vd
-        # linearization in raw node voltages: the sign folding cancels in
-        # the derivatives, so gm/gds stamp with NMOS orientation on the
-        # effective terminals
-        i_actual = self.sign * op["id"]
-        i_eq = i_actual - gm * (vg_ - vs) - gds * (vd - vs)
-        system.add_transconductance(d, s, g, s, gm)
-        system.add_conductance(d, s, gds)
-        if d >= 0:
-            system.rhs[d] -= i_eq
-        if s >= 0:
-            system.rhs[s] += i_eq

@@ -1,92 +1,20 @@
-"""Netlist container and the MNA system assembled from it.
+"""Netlist container: named nodes, branch unknowns and element instances.
 
 Modified nodal analysis: unknowns are the non-ground node voltages plus one
-branch current per voltage-source-like element.  Nonlinear devices stamp
-linearized companion models around the present solution estimate, so the
-same assembly routine serves DC Newton iterations and transient steps.
+branch current per voltage-source-like element.  A :class:`Circuit` only
+records topology and parameters; :class:`~repro.circuits.mna.stack.
+CircuitStack` compiles one or more same-topology circuits into the
+linearized systems that DC, sweep and transient analyses solve.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 GROUND = "0"
 
-
-@dataclass
-class StampContext:
-    """Everything an element may need while stamping.
-
-    Attributes
-    ----------
-    x:
-        Present solution estimate ``[v_nodes..., i_branches...]``.
-    mode:
-        ``"dc"`` or ``"tran"``.
-    time / dt:
-        Transient time point and step (0 for DC).
-    x_prev:
-        Previous accepted transient solution (None in DC).
-    source_scale:
-        Multiplier on independent sources, used by source-stepping
-        continuation (1.0 in normal operation).
-    gmin:
-        Shunt conductance added from every device node to ground by the
-        devices that request it (gmin-stepping continuation).
-    """
-
-    x: np.ndarray
-    mode: str = "dc"
-    time: float = 0.0
-    dt: float = 0.0
-    x_prev: np.ndarray | None = None
-    source_scale: float = 1.0
-    gmin: float = 0.0
-
-
-class MNASystem:
-    """The linear(ized) system ``G @ x = rhs`` being assembled."""
-
-    def __init__(self, n_nodes: int, n_branches: int) -> None:
-        size = n_nodes + n_branches
-        self.n_nodes = n_nodes
-        self.n_branches = n_branches
-        self.G = np.zeros((size, size))
-        self.rhs = np.zeros(size)
-
-    # node index -1 is ground: its row/column are simply dropped
-
-    def add_conductance(self, i: int, j: int, g: float) -> None:
-        """Stamp a two-terminal conductance between nodes ``i`` and ``j``."""
-        if i >= 0:
-            self.G[i, i] += g
-        if j >= 0:
-            self.G[j, j] += g
-        if i >= 0 and j >= 0:
-            self.G[i, j] -= g
-            self.G[j, i] -= g
-
-    def add_transconductance(
-        self, out_p: int, out_n: int, ctrl_p: int, ctrl_n: int, gm: float
-    ) -> None:
-        """Stamp a VCCS: current ``gm·(v_cp − v_cn)`` from ``out_p`` to ``out_n``."""
-        for out, sign_out in ((out_p, 1.0), (out_n, -1.0)):
-            if out < 0:
-                continue
-            if ctrl_p >= 0:
-                self.G[out, ctrl_p] += sign_out * gm
-            if ctrl_n >= 0:
-                self.G[out, ctrl_n] -= sign_out * gm
-
-    def add_current(self, i: int, value: float) -> None:
-        """Inject ``value`` amps *into* node ``i``."""
-        if i >= 0:
-            self.rhs[i] += value
-
-    def branch_row(self, branch: int) -> int:
-        return self.n_nodes + branch
+#: Names that all denote the ground node (index ``-1``).
+_GROUND_ALIASES = (GROUND, "gnd", "GND")
 
 
 class Circuit:
@@ -100,16 +28,33 @@ class Circuit:
 
     # -- topology ------------------------------------------------------------
 
-    def node(self, name: str) -> int:
-        """Return (creating on first use) the index of node ``name``.
+    def intern_node(self, name: str) -> int:
+        """Index of node ``name``, creating it on first use.
 
-        The ground node ``"0"`` (alias ``"gnd"``) maps to index ``-1``.
+        Only element binding (:meth:`add`) calls this; lookups go through
+        :meth:`node`, which never grows the netlist.
         """
-        if name in (GROUND, "gnd", "GND"):
+        if name in _GROUND_ALIASES:
             return -1
         if name not in self._node_index:
             self._node_index[name] = len(self._node_index)
         return self._node_index[name]
+
+    def node(self, name: str) -> int:
+        """Index of the existing node ``name``; ``-1`` for ground.
+
+        Raises :class:`KeyError` naming the known nodes when ``name`` is not
+        in the netlist.
+        """
+        if name in _GROUND_ALIASES:
+            return -1
+        try:
+            return self._node_index[name]
+        except KeyError:
+            raise KeyError(
+                f"{self!r} has no node {name!r}; known nodes: "
+                f"{', '.join(self.node_names())}"
+            ) from None
 
     @property
     def n_nodes(self) -> int:
@@ -137,18 +82,6 @@ class Circuit:
             self._n_branches += element.N_BRANCHES
         self.elements.append(element)
         return element
-
-    # -- assembly ------------------------------------------------------------
-
-    def assemble(self, ctx: StampContext) -> MNASystem:
-        """Build the MNA system at the linearization point in ``ctx``."""
-        system = MNASystem(self.n_nodes, self._n_branches)
-        if ctx.gmin > 0.0:
-            for i in range(self.n_nodes):
-                system.G[i, i] += ctx.gmin
-        for element in self.elements:
-            element.stamp(system, ctx)
-        return system
 
     def voltage(self, x: np.ndarray, name: str) -> float:
         """Node voltage of ``name`` in a solution vector (0.0 for ground)."""

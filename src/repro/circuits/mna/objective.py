@@ -1,18 +1,18 @@
 """Netlist-level MNA measurements as runtime :class:`Objective` s.
 
-The behavioral testbenches vectorize their closed-form equations over a
-whole ``(n, D)`` block, so the broker hands them one multi-row chunk per
-worker and pays one array pipeline per batch.  An MNA measurement cannot
-vectorize that way — every row is an independent netlist build plus
-Newton continuation — but it still speaks the same batch protocol:
-:meth:`MNAObjective.evaluate` accepts a ``(n, D)`` block and resolves it
-row by row.
+An :class:`MNAObjective` wraps a *batch* measure: ``measure(X)`` builds
+one netlist per row of an ``(n, D)`` block and measures them together.
+The demo measures solve a chunk's netlists as one stack (see
+:mod:`repro.circuits.mna.stack`): every Newton iteration assembles and
+solves all live rows at once, and each row's value equals the one it gets
+alone, bit for bit.  So ``prefers_batch`` is ``True`` and the broker hands
+over whole chunks.
 
-``prefers_batch`` is deliberately ``False`` here: a Newton solve is the
-failure-prone kind of evaluation the broker's per-point timeout/retry
-machinery exists for, and a multi-row chunk would turn one non-convergent
-row into a re-run of the whole chunk.  Size-1 chunks keep fault isolation
-per simulation (see DESIGN.md §12 for the chunk-size rule).
+Fault isolation stays per point.  A row that fails every continuation
+strategy makes the chunk's call raise :class:`~repro.circuits.mna.dc.
+ConvergenceError`; the broker then re-runs that chunk's rows as size-1
+chunks in the same round, so only the failing row's outcome is a failure
+(DESIGN.md §12).  A per-evaluation timeout still forces size-1 chunks.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ class MNAObjective(Objective):
     Parameters
     ----------
     measure:
-        Row callable ``measure(x: (dim,)) -> float`` returning the
-        performance in natural units (build netlist, solve, measure).
+        Batch callable ``measure(X: (n, dim)) -> (n,)`` returning each
+        row's performance in natural units (build netlists, solve,
+        measure).
     dim:
         Dimensionality of the normalized variation space (the bounds are
         the unit hypercube, matching the demo benches).
@@ -78,8 +79,8 @@ class MNAObjective(Objective):
 
     @property
     def prefers_batch(self) -> bool:
-        """One row per chunk: per-simulation fault isolation beats batching."""
-        return False
+        """Whole chunks: the measure solves its rows as one stack."""
+        return True
 
     @property
     def threshold(self) -> float | None:
@@ -90,7 +91,7 @@ class MNAObjective(Objective):
 
     def evaluate(self, X) -> np.ndarray:
         X = as_matrix(np.asarray(X, dtype=float), self._dim)
-        values = np.array([float(self._measure(x)) for x in X], dtype=float)
+        values = np.asarray(self._measure(X), dtype=float).reshape(X.shape[0])
         if self._spec is None:
             return values
         return np.asarray(
@@ -102,13 +103,13 @@ def ldo_demo_objective(
     measure: str = "load_regulation", spec: Specification | None = None
 ) -> MNAObjective:
     """The MNA LDO demo's named measure as an :class:`MNAObjective`."""
-    from repro.circuits.mna.ldo_demo import LDO_DEMO_DIM, LDODemo
+    from repro.circuits.mna.ldo_demo import LDO_DEMO_DIM, LDO_MEASURES, ldo_demo_measure
 
-    if not callable(getattr(LDODemo, measure, None)):
+    if measure not in LDO_MEASURES:
         raise KeyError(f"LDODemo has no measure {measure!r}")
 
-    def run(x: np.ndarray) -> float:
-        return float(getattr(LDODemo(x), measure)())
+    def run(X: np.ndarray) -> np.ndarray:
+        return ldo_demo_measure(X, measure)
 
     return MNAObjective(
         run,

@@ -3,7 +3,8 @@
 Backward Euler is unconditionally stable and free of trapezoidal ringing,
 which suits the stiff, strongly-nonlinear step responses (load steps on a
 regulator, supply ramps on a UVLO) the testbenches exercise.  Accuracy is
-controlled by the step size.
+controlled by the step size.  Each step is a Newton solve of the circuit as
+a stack of one, with the same loop and assembly the DC solver uses.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuits.mna.dc import ConvergenceError, solve_dc
-from repro.circuits.mna.netlist import Circuit, StampContext
+from repro.circuits.mna.dc import ConvergenceError, operating_points
+from repro.circuits.mna.netlist import Circuit
+from repro.circuits.mna.stack import CircuitStack, newton
 
 
 @dataclass
@@ -30,39 +32,6 @@ class TransientResult:
         if idx < 0:
             return np.zeros(self.time.shape[0])
         return self.states[:, idx]
-
-
-def _newton_step(
-    circuit: Circuit,
-    x_guess: np.ndarray,
-    x_prev: np.ndarray,
-    time: float,
-    dt: float,
-    max_iterations: int,
-    v_tol: float,
-    damping: float,
-) -> np.ndarray | None:
-    x = x_guess.copy()
-    for _ in range(max_iterations):
-        ctx = StampContext(
-            x=x, mode="tran", time=time, dt=dt, x_prev=x_prev
-        )
-        system = circuit.assemble(ctx)
-        try:
-            x_new = np.linalg.solve(system.G, system.rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(x_new)):
-            return None
-        delta = x_new - x
-        nv = circuit.n_nodes
-        step = np.abs(delta[:nv]).max(initial=0.0)
-        if step > damping:
-            delta[:nv] *= damping / step
-        x = x + delta
-        if step < v_tol:
-            return x
-    return None
 
 
 def solve_transient(
@@ -82,30 +51,36 @@ def solve_transient(
     """
     if t_stop <= 0 or dt <= 0:
         raise ValueError("t_stop and dt must be positive")
+    stack = CircuitStack([circuit])
     if x0 is None:
-        x0 = solve_dc(circuit).x
+        x0 = operating_points(stack)[0][0]
 
     times = [0.0]
     states = [x0.copy()]
     t = 0.0
     x = x0.copy()
     while t < t_stop - 1e-15:
-        step = min(dt, t_stop - t)
-        x_next = None
-        sub = step
+        sub = min(dt, t_stop - t)
         for _ in range(5):
-            x_next = _newton_step(
-                circuit, x, x, t + sub, sub, max_iterations, v_tol, damping
+            x_next, iterations = newton(
+                stack,
+                x[None, :],
+                max_iterations=max_iterations,
+                v_tol=v_tol,
+                damping=damping,
+                time=t + sub,
+                dt=sub,
+                x_prev=x[None, :],
             )
-            if x_next is not None:
+            if iterations[0]:
                 break
             sub *= 0.5
-        if x_next is None:
+        else:
             raise ConvergenceError(
                 f"transient step failed at t={t:.3e} for {circuit!r}"
             )
         t += sub
-        x = x_next
+        x = x_next[0]
         times.append(t)
         states.append(x.copy())
     return TransientResult(circuit, np.asarray(times), np.asarray(states))

@@ -12,20 +12,23 @@ This demo exists to exercise the netlist → solve → measure code path end
 to end (the headline tables use the calibrated behavioral testbenches; see
 DESIGN.md §2).  A small normalized variation vector maps onto resistor
 values and threshold voltages so the bench plugs into the same failure-
-detection drivers.
+detection drivers.  A chunk of variation vectors is measured with one
+stacked supply sweep (:func:`turn_off_thresholds`).
 """
 
 from __future__ import annotations
 
+import functools
+from typing import Sequence
+
 import numpy as np
 
-from repro.circuits.mna.dc import solve_dc
 from repro.circuits.mna.elements import Resistor, VoltageSource
 from repro.circuits.mna.measure import threshold_crossings
 from repro.circuits.mna.mosfet import MOSFET, MOSParams
 from repro.circuits.mna.netlist import Circuit
-from repro.circuits.mna.sweep import sweep_source
-from repro.utils.validation import as_float_array
+from repro.circuits.mna.sweep import sweep_source, sweep_source_stack
+from repro.utils.validation import as_float_array, as_matrix
 
 #: Normalized-variation dimensionality of the demo bench.
 UVLO_DEMO_DIM = 8
@@ -100,34 +103,53 @@ class UVLODemo:
 
     def turn_off_threshold(self, n_points: int = 111) -> float:
         """``V_THL``: the supply at which "ok" collapses on a downward sweep."""
-        vdd = np.linspace(self.VDD_MAX, 0.8, n_points)
-        ok = self.output_vs_vdd(vdd)
-        level = 0.5 * self.VDD_MAX
-        crossings = threshold_crossings(vdd, ok, level, direction="both")
-        if crossings.size == 0:
-            return float(vdd[-1])  # never turned off inside the sweep
-        return float(crossings[0])
+        return float(turn_off_thresholds([self], n_points)[0])
 
     def turn_on_threshold(self, n_points: int = 111) -> float:
         """``V_THH``: the supply at which "ok" rises on an upward sweep."""
         vdd = np.linspace(0.8, self.VDD_MAX, n_points)
-        ok = self.output_vs_vdd(vdd)
-        level = 0.5 * self.VDD_MAX
-        crossings = threshold_crossings(vdd, ok, level, direction="both")
-        if crossings.size == 0:
-            return float(vdd[-1])
-        return float(crossings[0])
+        return float(_thresholds([self], vdd)[0])
 
     def hysteresis(self) -> float:
         """``V_THH − V_THL`` (positive for a healthy Schmitt loop)."""
         return self.turn_on_threshold() - self.turn_off_threshold()
 
 
-def uvlo_demo_threshold_offset(x) -> float:
-    """``|ΔV_THL|`` of the demo bench versus the nominal circuit (volts).
+def _thresholds(demos: Sequence[UVLODemo], vdd: np.ndarray) -> np.ndarray:
+    """Where each demo's "ok" first crosses ``VDD_MAX / 2`` along the supply
+    sweep ``vdd`` (its last value when it never does), one stacked sweep."""
+    sweeps = sweep_source_stack(
+        [demo.circuit for demo in demos], [demo.vdd_source for demo in demos], vdd
+    )
+    level = 0.5 * UVLODemo.VDD_MAX
+    out = np.empty(len(demos))
+    for k, sweep in enumerate(sweeps):
+        crossings = threshold_crossings(
+            vdd, sweep.voltage("ok"), level, direction="both"
+        )
+        out[k] = crossings[0] if crossings.size else vdd[-1]
+    return out
 
-    This is the demo counterpart of the behavioral UVLO objective; it runs
-    two full supply sweeps per call, so keep budgets modest.
+
+def turn_off_thresholds(demos: Sequence[UVLODemo], n_points: int = 111) -> np.ndarray:
+    """``V_THL`` of every demo, from one stacked downward supply sweep."""
+    return _thresholds(demos, np.linspace(UVLODemo.VDD_MAX, 0.8, n_points))
+
+
+@functools.cache
+def nominal_turn_off_threshold() -> float:
+    """``V_THL`` of the nominal circuit, computed once on first use."""
+    return UVLODemo().turn_off_threshold()
+
+
+def uvlo_demo_threshold_offset(X) -> np.ndarray:
+    """``|ΔV_THL|`` of the demo bench versus the nominal circuit (volts),
+    for each row of ``X`` ``(n, UVLO_DEMO_DIM)``.
+
+    This is the demo counterpart of the behavioral UVLO objective.  The
+    rows share one stacked supply sweep; the nominal threshold is computed
+    once per process, on the first call.
     """
-    nominal = UVLODemo().turn_off_threshold()
-    return abs(UVLODemo(x).turn_off_threshold() - nominal)
+    X = as_matrix(X, UVLO_DEMO_DIM)
+    thresholds = turn_off_thresholds([UVLODemo(x) for x in X])
+    return np.abs(thresholds - nominal_turn_off_threshold())

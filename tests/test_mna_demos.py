@@ -83,7 +83,7 @@ class TestMNAObjectives:
 
         objective = ldo_demo_objective("load_regulation")
         assert objective.dim == LDO_DEMO_DIM
-        assert not objective.prefers_batch  # row dispatch: fault isolation
+        assert objective.prefers_batch  # chunks solve as one stack
         assert objective.threshold is None
         assert objective.cache_key == "LDODemo:load_regulation"
         rng = np.random.default_rng(3)

@@ -541,3 +541,25 @@ class TestDispatchEquivalence:
         row, chunk = results
         np.testing.assert_array_equal(row.X, chunk.X)
         np.testing.assert_array_equal(row.y, chunk.y)
+
+    def test_mna_campaign_chunk_vs_row_identical(self):
+        """Stacked MNA chunks drive the same 16 + 10x8 campaign as rows."""
+        from repro.bo.rembo import RemboBO
+        from repro.circuits.mna import uvlo_demo_objective
+
+        results = []
+        for rows in (True, False):
+            objective = uvlo_demo_objective()
+            if rows:
+                objective = self._rows(objective)
+            engine = RemboBO(batch_size=8, embedding_dim=4, seed=7)
+            results.append(
+                engine.solve(
+                    objective=objective, spec=RunSpec(n_init=16, n_batches=10)
+                )
+            )
+            if rows:  # repeated (clipped) points are cache hits
+                assert set(objective.call_rows) == {1}
+        row, chunk = results
+        np.testing.assert_array_equal(row.X, chunk.X)
+        np.testing.assert_array_equal(row.y, chunk.y)
