@@ -5,8 +5,8 @@
 * :class:`RemboBO` — the proposed random-embedding batch BO (Algorithm 1).
 * :class:`RunSpec` / :class:`EngineProtocol` — the shared keyword-only
   ``solve(objective=..., spec=..., policy=..., telemetry=..., rng=...)``
-  entry point every engine implements (the legacy ``run(...)`` methods are
-  deprecated wrappers).
+  entry point; the three engines run one campaign loop
+  (:class:`~repro.bo.engine.BOEngine`) and supply only their proposal step.
 * :class:`Specification` / :class:`RunResult` — spec folding and run logs.
 """
 

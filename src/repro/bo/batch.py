@@ -4,7 +4,8 @@ Per batch: fit the GP once, then optimize the weighted acquisition of Eq. 9
 for each preset weight ``w_1 … w_{n_b}``, yielding ``n_b`` new simulation
 points spanning exploitation (``w≈0``) through exploration (``w≈1``).  This
 is the paper's "pBO" baseline when run in the full ``D``-dimensional space,
-and the inner engine of the proposed method when run in an embedded space.
+and the inner engine of the proposed method when run in an embedded space
+(:class:`~repro.bo.rembo.RemboBO` subclasses :class:`BatchBO`).
 
 With the DIRECT-L + COBYLA stack, :func:`~repro.bo.propose.propose_batch`
 drives all ``n_b`` searches in lockstep: each generation's candidate union
@@ -20,35 +21,20 @@ from typing import Sequence
 import numpy as np
 
 from repro.acquisition.functions import pbo_weights
-from repro.acquisition.optimize import default_acquisition_optimizer
-from repro.bo.engine import (
-    OptimizerFactory,
-    RunSpec,
-    SurrogateManager,
-    annotate_gp_fit,
-    resolve_bounds,
-    uniform_initial_design,
-)
-from repro.gp.surrogate import (
-    KernelFactory,
-    SurrogateLike,
-    coerce_surrogate_spec,
-)
+from repro.bo.engine import BOEngine, OptimizerFactory, RunSpec
 from repro.bo.propose import propose_batch
-from repro.bo.records import RunRecorder, RunResult
-from repro.runtime.broker import RuntimePolicy, make_broker
-from repro.runtime.objective import Objective, require_objective
-from repro.telemetry.config import TelemetryLike, resolve_telemetry
-from repro.utils.rng import SeedLike, as_generator, spawn
-from repro.utils.timing import Timer
-from repro.utils.validation import as_matrix, as_vector
+from repro.gp.surrogate import KernelFactory, SurrogateLike
+from repro.utils.rng import SeedLike
 
 #: Engine default when ``RunSpec.n_batches`` is None.
 DEFAULT_N_BATCHES = 5
 
 
-class BatchBO:
+class BatchBO(BOEngine):
     """Full-dimensional pBO (the paper's strongest non-embedded baseline).
+
+    ``solve`` runs ``spec.n_batches`` batches of ``batch_size`` simulations
+    each after the initial design.
 
     Parameters
     ----------
@@ -64,8 +50,11 @@ class BatchBO:
         (:func:`~repro.acquisition.optimize.default_acquisition_optimizer`,
         any budgets); another stack raises ``TypeError`` at proposal.
     stop_on_failure:
-        Terminate at the end of the first batch containing a failure.
+        Stop before the next iteration once any observation so far, the
+        initial data included, is below ``spec.threshold``.
     """
+
+    _method = "pBO"
 
     def __init__(
         self,
@@ -95,106 +84,19 @@ class BatchBO:
             )
         if np.any(self.weights < 0) or np.any(self.weights > 1):
             raise ValueError("weights must lie in [0, 1]")
-        self.kernel_factory = kernel_factory
-        self.noise_variance = float(noise_variance)
-        self.tune_every = int(tune_every)
-        self.n_restarts = int(n_restarts)
-        self.surrogate = coerce_surrogate_spec(surrogate)
-        self.acquisition_optimizer_factory = (
-            acquisition_optimizer_factory or default_acquisition_optimizer
-        )
-        self.stop_on_failure = bool(stop_on_failure)
-        self._rng = as_generator(seed)
-
-    def solve(
-        self,
-        *,
-        objective: Objective,
-        spec: RunSpec | None = None,
-        policy: RuntimePolicy | None = None,
-        telemetry: TelemetryLike = None,
-        rng: SeedLike = None,
-    ) -> RunResult:
-        """Run ``spec.n_batches`` batches of ``batch_size`` simulations each."""
-        objective = require_objective(objective, type(self).__name__)
-        spec = spec if spec is not None else RunSpec()
-        tele = resolve_telemetry(telemetry)
-        tracer = tele.tracer
-        lower, upper, box = resolve_bounds(objective, spec.bounds)
-        dim = lower.shape[0]
-        base_rng = as_generator(rng) if rng is not None else self._rng
-        rng_init, rng_model = spawn(base_rng, 2)
-        n_batches = (
-            spec.n_batches if spec.n_batches is not None else DEFAULT_N_BATCHES
-        )
-        threshold = spec.threshold
-
-        recorder = RunRecorder(method="pBO", model_dim=dim)
-        broker = make_broker(
-            objective, policy, recorder=recorder, method="pBO", telemetry=tele
+        super().__init__(
+            kernel_factory, noise_variance, tune_every, n_restarts,
+            acquisition_optimizer_factory, stop_on_failure, seed, surrogate
         )
 
-        timer = Timer().start()
-        if spec.initial_data is not None:
-            X = as_matrix(spec.initial_data[0], dim).copy()
-            y = as_vector(spec.initial_data[1], X.shape[0]).copy()
-            recorder.record_initial(X, y)
-        else:
-            with tracer.span("init_design", n_init=spec.n_init) as span:
-                X0 = uniform_initial_design(box, spec.n_init, seed=rng_init)
-                batch = broker.evaluate_batch(X0)
-                span.set("n_evaluated", batch.n_evaluated)
-            recorder.mark_initial()
-            X, y = batch.X, batch.y
-        if y.size == 0:
+    def _n_iterations(self, spec: RunSpec, n_init: int) -> int:
+        if spec.budget is not None:
             raise ValueError(
-                "no initial evaluations survived the failure policy; "
-                "cannot fit a surrogate"
+                f"{type(self).__name__} runs RunSpec.n_batches batches; "
+                "it does not read budget"
             )
+        return spec.n_batches if spec.n_batches is not None else DEFAULT_N_BATCHES
 
-        manager = SurrogateManager(
-            dim,
-            kernel_factory=self.kernel_factory,
-            noise_variance=self.noise_variance,
-            tune_every=self.tune_every,
-            n_restarts=self.n_restarts,
-            seed=rng_model,
-            surrogate=(
-                spec.surrogate if spec.surrogate is not None else self.surrogate
-            ),
-        )
-
-        for iteration in range(n_batches):
-            with tracer.span("iteration", index=iteration) as it_span:
-                with tracer.span("gp_fit", n_train=int(y.size)) as fit_span:
-                    gp = manager.refit(X, y)
-                    annotate_gp_fit(fit_span, manager)
-                with tracer.span("acq_opt") as acq_span:
-                    proposal = propose_batch(
-                        gp,
-                        self.weights,
-                        box,
-                        optimizer_factory=self.acquisition_optimizer_factory,
-                    )
-                    acq_span.set("fevals", proposal.n_evaluations)
-                recorder.add_acquisition(proposal.n_evaluations)
-                new_X = np.clip(proposal.X, lower, upper)
-                batch = broker.evaluate_batch(new_X)
-                it_span.set("n_evaluated", batch.n_evaluated)
-            if batch.n_evaluated:
-                X = np.vstack([X, batch.X])
-                y = np.concatenate([y, batch.y])
-            if (
-                self.stop_on_failure
-                and threshold is not None
-                and batch.n_evaluated
-                and np.min(batch.y) < threshold
-            ):
-                break
-        timer.stop()
-
-        return recorder.finalize(
-            total_seconds=timer.elapsed,
-            eval_seconds=broker.stats.eval_seconds,
-        )
-
+    def _propose(self, model, box):
+        factory = self.acquisition_optimizer_factory
+        return propose_batch(model, self.weights, box, optimizer_factory=factory)

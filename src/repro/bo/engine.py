@@ -1,18 +1,26 @@
-"""Shared plumbing for the BO engines: surrogate management, initial design.
+"""The one campaign loop every BO engine runs, and its shared plumbing.
 
-The engines differ only in how they propose points (single-acquisition
-sequential, multi-weight batch, or batch-through-embedding); GP fitting,
-label standardization and hyperparameter tuning cadence are identical and
-live here.
+A campaign has one shape: an initial design, then iterations of
+``gp_fit → acq_opt → evaluate`` until the run's iteration count is spent
+(paper Algorithm 1, lines 5-15).  :class:`BOEngine` runs that loop once,
+for all three engines; they differ only in their method label and RNG
+stream layout, in how many iterations a :class:`RunSpec` buys, in their
+proposal step (single acquisition, multi-weight batch), and — for REMBO —
+in the :class:`ModelSpace` the surrogate works in.  Surrogate fitting,
+label standardization and the hyperparameter tuning cadence
+(:class:`SurrogateManager`) live here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.acquisition.optimize import default_acquisition_optimizer
+from repro.bo.propose import BatchProposal
+from repro.bo.records import RunRecorder, RunResult
 from repro.gp.hyperopt import HyperoptResult, fit_hyperparameters
 from repro.gp.standardize import Standardizer
 from repro.gp.surrogate import (
@@ -26,15 +34,13 @@ from repro.gp.surrogate import (
 )
 from repro.kernels.stationary import Matern52
 from repro.optim.base import Optimizer
-from repro.runtime.objective import Objective, resolve_bounds  # noqa: F401 — engine-facing re-export
-from repro.telemetry.config import TelemetryLike
+from repro.runtime.broker import RuntimePolicy, make_broker
+from repro.runtime.objective import Objective, require_objective, resolve_bounds
+from repro.telemetry.config import TelemetryLike, resolve_telemetry
 from repro.utils.contracts import shape_contract
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike, as_generator, spawn
+from repro.utils.timing import Timer
 from repro.utils.validation import as_matrix, as_vector, check_bounds
-
-if TYPE_CHECKING:
-    from repro.bo.records import RunResult
-    from repro.runtime.broker import RuntimePolicy
 
 OptimizerFactory = Callable[[int], Optimizer]
 
@@ -57,10 +63,13 @@ class RunSpec:
     n_init:
         Initial-design size (ignored when ``initial_data`` is given).
     budget:
-        Total evaluation budget for sequential engines; None applies the
-        engine default.
+        Total evaluation budget, initial design included, of
+        :class:`~repro.bo.loop.SequentialBO`; None applies its default.
+        The batch engines reject a spec that sets it.
     n_batches:
-        Batch count for batch engines; None applies the engine default.
+        Batch count of :class:`~repro.bo.batch.BatchBO` and
+        :class:`~repro.bo.rembo.RemboBO`; None applies their default.
+        :class:`~repro.bo.loop.SequentialBO` rejects a spec that sets it.
     threshold:
         Failure threshold ``T`` (minimization orientation: ``y < T``).
     initial_data:
@@ -101,8 +110,8 @@ class EngineProtocol(Protocol):
 
     Implementations: :class:`~repro.bo.loop.SequentialBO`,
     :class:`~repro.bo.batch.BatchBO`, :class:`~repro.bo.rembo.RemboBO`
-    (and, duck-typed, the sampling baselines).  The legacy positional
-    ``run(...)`` methods remain as deprecated wrappers over ``solve``.
+    (all three through :meth:`BOEngine.solve`) and, duck-typed, the
+    sampling baselines.  ``solve`` is the only way to run an engine.
     """
 
     def solve(
@@ -140,8 +149,6 @@ def annotate_gp_fit(span, manager: "SurrogateManager") -> None:
         span.set("lml", float(hyper.log_marginal_likelihood))
         span.set("restarts", int(hyper.n_restarts))
         span.set("fevals", int(hyper.n_evaluations))
-
-
 
 
 @shape_contract("bounds: a(d, 2) | a(2, d), n_init: n -> (n, d)")
@@ -270,3 +277,177 @@ class SurrogateManager:
             self.last_refit_tuned = False
         self._refit_count += 1
         return model
+
+
+class ModelSpace:
+    """Where the surrogate is fitted and the acquisition is searched.
+
+    This base is the design box itself: model inputs are design points,
+    and a proposal is simulated as it stands.  REMBO's embedded space maps
+    proposals through ``x = p_Ω(A z)`` and adds its inputs ``Z`` and its
+    embedding to the result.
+    """
+
+    def __init__(self, box: np.ndarray) -> None:
+        self.box = box
+
+    def to_design(self, Z: np.ndarray, span: Any) -> np.ndarray:
+        """The design points to simulate for the proposals ``Z``."""
+        return Z
+
+    def result_fields(self, Z: np.ndarray) -> dict[str, Any]:
+        """Extra :class:`RunResult` fields; ``Z`` holds every model input."""
+        return {}
+
+
+class BOEngine:
+    """The campaign loop shared by :class:`~repro.bo.loop.SequentialBO`,
+    :class:`~repro.bo.batch.BatchBO` and :class:`~repro.bo.rembo.RemboBO`.
+
+    Subclasses keep explicit constructor signatures (the job loader reads
+    them) and supply only what differs: the method label, the RNG stream
+    count, :meth:`_n_iterations`, :meth:`_propose` and, for REMBO,
+    :meth:`_model_space`.
+    """
+
+    #: Method label of the run record and the ledger's campaign header.
+    _method = ""
+    #: RNG streams per run: the initial design's first, the surrogate's
+    #: last, the model space's in between.
+    _n_streams = 2
+
+    def __init__(
+        self,
+        kernel_factory: KernelFactory | None,
+        noise_variance: float,
+        tune_every: int,
+        n_restarts: int,
+        acquisition_optimizer_factory: OptimizerFactory | None,
+        stop_on_failure: bool,
+        seed: SeedLike,
+        surrogate: SurrogateLike,
+    ) -> None:
+        self.kernel_factory = kernel_factory
+        self.noise_variance = float(noise_variance)
+        self.tune_every = int(tune_every)
+        self.n_restarts = int(n_restarts)
+        self.surrogate = coerce_surrogate_spec(surrogate)
+        self.acquisition_optimizer_factory = (
+            acquisition_optimizer_factory or default_acquisition_optimizer
+        )
+        self.stop_on_failure = bool(stop_on_failure)
+        self._rng = as_generator(seed)
+
+    def _n_iterations(self, spec: RunSpec, n_init: int) -> int:
+        """Iterations ``spec`` buys after ``n_init`` initial points; a
+        ``ValueError`` for a spec field the engine does not read."""
+        raise NotImplementedError
+
+    def _propose(self, model: SurrogateModel, box: np.ndarray) -> BatchProposal:
+        """One iteration's proposals in the model space ``box``."""
+        raise NotImplementedError
+
+    def _model_space(
+        self, X: np.ndarray, y: np.ndarray, box: np.ndarray, rngs: list, tracer: Any
+    ) -> tuple[ModelSpace, np.ndarray]:
+        """The model space built from the initial data, and its inputs."""
+        return ModelSpace(box), X
+
+    def solve(
+        self,
+        *,
+        objective: Objective,
+        spec: RunSpec | None = None,
+        policy: RuntimePolicy | None = None,
+        telemetry: TelemetryLike = None,
+        rng: SeedLike = None,
+    ) -> RunResult:
+        """Run the initial design, then ``gp_fit → acq_opt → evaluate``
+        iterations; returns the full evaluation log.
+
+        ``spec.initial_data`` (``X0, y0``) reuses precomputed simulations,
+        as the paper shares one initial dataset across all BO methods;
+        ``spec.n_init`` is then ignored.  Every simulation routes through
+        the broker (``policy`` supplies the shared cache / ledger / failure
+        policy).  ``telemetry`` receives ``init_design`` / ``iteration`` /
+        ``gp_fit`` / ``acq_opt`` / ``evaluate`` spans and broker metrics.
+        ``rng`` overrides the constructor seed for this run.
+        """
+        objective = require_objective(objective, type(self).__name__)
+        spec = spec if spec is not None else RunSpec()
+        # once per run: a TelemetryConfig builds a fresh Telemetry per call
+        tele = resolve_telemetry(telemetry)
+        tracer = tele.tracer
+        _, _, box = resolve_bounds(objective, spec.bounds)
+        initial: tuple[np.ndarray, np.ndarray] | None = None
+        if spec.initial_data is not None:
+            X0 = as_matrix(spec.initial_data[0], box.shape[0]).copy()
+            initial = X0, as_vector(spec.initial_data[1], X0.shape[0]).copy()
+        # before the broker: a rejected spec writes no ledger header
+        n_iterations = self._n_iterations(
+            spec, spec.n_init if initial is None else initial[0].shape[0]
+        )
+        base_rng = as_generator(rng) if rng is not None else self._rng
+        rng_init, *rng_space, rng_model = spawn(base_rng, self._n_streams)
+        recorder = RunRecorder(method=self._method)
+        broker = make_broker(
+            objective, policy, recorder=recorder, method=self._method, telemetry=tele
+        )
+
+        timer = Timer().start()
+        if initial is not None:
+            X, y = initial
+            recorder.record_initial(X, y)
+        else:
+            with tracer.span("init_design", n_init=spec.n_init) as span:
+                design = uniform_initial_design(box, spec.n_init, seed=rng_init)
+                batch = broker.evaluate_batch(design)
+                span.set("n_evaluated", batch.n_evaluated)
+            recorder.mark_initial()
+            X, y = batch.X, batch.y
+        if y.size == 0:
+            raise ValueError(
+                "no initial evaluations survived the failure policy; "
+                "cannot fit a surrogate"
+            )
+
+        space, Z = self._model_space(X, y, box, rng_space, tracer)
+        recorder.model_dim = space.box.shape[0]
+        manager = SurrogateManager(
+            space.box.shape[0],
+            kernel_factory=self.kernel_factory,
+            noise_variance=self.noise_variance,
+            tune_every=self.tune_every,
+            n_restarts=self.n_restarts,
+            seed=rng_model,
+            surrogate=spec.surrogate if spec.surrogate is not None else self.surrogate,
+        )
+
+        threshold = spec.threshold if self.stop_on_failure else None
+        for iteration in range(n_iterations):
+            # stop_on_failure: any failure so far, D_0 included, ends the run
+            if threshold is not None and np.min(y) < threshold:
+                break
+            with tracer.span("iteration", index=iteration) as it_span:
+                with tracer.span("gp_fit", n_train=int(y.size)) as fit_span:
+                    model = manager.refit(Z, y)
+                    annotate_gp_fit(fit_span, manager)
+                with tracer.span("acq_opt") as acq_span:
+                    proposal = self._propose(model, space.box)
+                    acq_span.set("fevals", proposal.n_evaluations)
+                recorder.add_acquisition(proposal.n_evaluations)
+                new_Z = np.clip(proposal.X, space.box[:, 0], space.box[:, 1])
+                batch = broker.evaluate_batch(space.to_design(new_Z, it_span))
+                it_span.set("n_evaluated", batch.n_evaluated)
+            if batch.n_evaluated:
+                # under the skip policy only evaluated rows (batch.index)
+                # enter the model — keep Z aligned with X row for row
+                Z = np.vstack([Z, new_Z[batch.index]])
+                y = np.concatenate([y, batch.y])
+        timer.stop()
+
+        return recorder.finalize(
+            total_seconds=timer.elapsed,
+            eval_seconds=broker.stats.eval_seconds,
+            **space.result_fields(Z),
+        )

@@ -8,35 +8,15 @@ per iteration, one simulation per iteration.  Its failure on the 19- and
 
 from __future__ import annotations
 
-
-import numpy as np
-
 from repro.acquisition.functions import (
     ExpectedImprovement,
     LowerConfidenceBound,
     ProbabilityOfImprovement,
 )
-from repro.acquisition.optimize import default_acquisition_optimizer
-from repro.bo.engine import (
-    OptimizerFactory,
-    RunSpec,
-    SurrogateManager,
-    annotate_gp_fit,
-    resolve_bounds,
-    uniform_initial_design,
-)
-from repro.gp.surrogate import (
-    KernelFactory,
-    SurrogateLike,
-    coerce_surrogate_spec,
-)
-from repro.bo.records import RunRecorder, RunResult
-from repro.runtime.broker import RuntimePolicy, make_broker
-from repro.runtime.objective import Objective, require_objective
-from repro.telemetry.config import TelemetryLike, resolve_telemetry
-from repro.utils.rng import SeedLike, as_generator, spawn
-from repro.utils.timing import Timer
-from repro.utils.validation import as_matrix, as_vector
+from repro.bo.engine import BOEngine, OptimizerFactory, RunSpec
+from repro.bo.propose import BatchProposal
+from repro.gp.surrogate import KernelFactory, SurrogateLike
+from repro.utils.rng import SeedLike
 
 #: Acquisition registry used by the experiment harness ("EI", "PI", "LCB").
 ACQUISITIONS = {
@@ -49,8 +29,11 @@ ACQUISITIONS = {
 DEFAULT_BUDGET = 100
 
 
-class SequentialBO:
+class SequentialBO(BOEngine):
     """Classic one-point-per-iteration BO over a box.
+
+    ``solve`` spends ``spec.budget`` evaluations in total, the initial
+    design included, one point per iteration.
 
     Parameters
     ----------
@@ -67,8 +50,8 @@ class SequentialBO:
         Builds the inner optimizer for a given dimension; defaults to the
         paper's DIRECT-L + COBYLA stack.
     stop_on_failure:
-        Optionally terminate as soon as the objective drops below the
-        spec's ``threshold``.
+        Stop before the next iteration once any observation so far, the
+        initial data included, is below ``spec.threshold``.
     """
 
     def __init__(
@@ -91,127 +74,26 @@ class SequentialBO:
                 f"unknown acquisition {acquisition!r}; options: {sorted(ACQUISITIONS)}"
             )
         self.acquisition = acquisition
+        self._method = acquisition.upper()
         self.xi = float(xi)
         self.kappa = float(kappa)
-        self.kernel_factory = kernel_factory
-        self.noise_variance = float(noise_variance)
-        self.tune_every = int(tune_every)
-        self.n_restarts = int(n_restarts)
-        self.surrogate = coerce_surrogate_spec(surrogate)
-        self.acquisition_optimizer_factory = (
-            acquisition_optimizer_factory or default_acquisition_optimizer
+        super().__init__(
+            kernel_factory, noise_variance, tune_every, n_restarts,
+            acquisition_optimizer_factory, stop_on_failure, seed, surrogate
         )
-        self.stop_on_failure = bool(stop_on_failure)
-        self._rng = as_generator(seed)
 
-    def solve(
-        self,
-        *,
-        objective: Objective,
-        spec: RunSpec | None = None,
-        policy: RuntimePolicy | None = None,
-        telemetry: TelemetryLike = None,
-        rng: SeedLike = None,
-    ) -> RunResult:
-        """Spend ``spec.budget`` total objective evaluations minimizing.
-
-        ``spec.initial_data`` (``X0, y0``) reuses precomputed simulations —
-        the paper shares one initial dataset across all BO methods; when
-        given, ``spec.n_init`` is ignored and no extra initial simulations
-        are spent.  ``spec.bounds`` may be omitted for an
-        :class:`Objective` that declares its own.  All simulations route
-        through the evaluation runtime (``policy`` supplies shared
-        cache / ledger / failure policy); ``telemetry`` receives
-        ``init_design`` / ``iteration`` / ``gp_fit`` / ``acq_opt`` /
-        ``evaluate`` spans and broker metrics.  ``rng`` overrides the
-        constructor seed for this run.
-        """
-        objective = require_objective(objective, type(self).__name__)
-        spec = spec if spec is not None else RunSpec()
-        tele = resolve_telemetry(telemetry)
-        tracer = tele.tracer
-        lower, upper, box = resolve_bounds(objective, spec.bounds)
-        dim = lower.shape[0]
-        base_rng = as_generator(rng) if rng is not None else self._rng
-        rng_init, rng_model = spawn(base_rng, 2)
+    def _n_iterations(self, spec: RunSpec, n_init: int) -> int:
+        if spec.n_batches is not None:
+            raise ValueError(
+                "SequentialBO spends RunSpec.budget; it does not read n_batches"
+            )
         budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET
-        threshold = spec.threshold
+        if budget < n_init:
+            raise ValueError(f"budget {budget} smaller than initial design {n_init}")
+        return budget - n_init
 
-        method = self.acquisition.upper()
-        recorder = RunRecorder(method=method, model_dim=dim)
-        broker = make_broker(
-            objective, policy, recorder=recorder, method=method, telemetry=tele
-        )
-
-        timer = Timer().start()
-        if spec.initial_data is not None:
-            X = as_matrix(spec.initial_data[0], dim).copy()
-            y = as_vector(spec.initial_data[1], X.shape[0]).copy()
-            recorder.record_initial(X, y)
-        else:
-            with tracer.span("init_design", n_init=spec.n_init) as span:
-                X0 = uniform_initial_design(box, spec.n_init, seed=rng_init)
-                batch = broker.evaluate_batch(X0)
-                span.set("n_evaluated", batch.n_evaluated)
-            recorder.mark_initial()
-            X, y = batch.X, batch.y
-        n_spent = max(
-            X.shape[0], spec.n_init if spec.initial_data is None else 0
-        )
-        if budget < n_spent:
-            raise ValueError(
-                f"budget {budget} smaller than initial design {n_spent}"
-            )
-        if y.size == 0:
-            raise ValueError(
-                "no initial evaluations survived the failure policy; "
-                "cannot fit a surrogate"
-            )
-
-        manager = SurrogateManager(
-            dim,
-            kernel_factory=self.kernel_factory,
-            noise_variance=self.noise_variance,
-            tune_every=self.tune_every,
-            n_restarts=self.n_restarts,
-            seed=rng_model,
-            surrogate=(
-                spec.surrogate if spec.surrogate is not None else self.surrogate
-            ),
-        )
-        build = ACQUISITIONS[self.acquisition]
-
-        iteration = 0
-        while n_spent < budget:
-            if (
-                self.stop_on_failure
-                and threshold is not None
-                and np.min(y) < threshold
-            ):
-                break
-            with tracer.span("iteration", index=iteration) as it_span:
-                with tracer.span("gp_fit", n_train=int(y.size)) as fit_span:
-                    gp = manager.refit(X, y)
-                    annotate_gp_fit(fit_span, manager)
-                acq = build(gp, self.xi, self.kappa)
-                optimizer = self.acquisition_optimizer_factory(dim)
-                with tracer.span("acq_opt") as acq_span:
-                    result = optimizer.minimize(acq, box)
-                    acq_span.set("fevals", result.n_evaluations)
-                recorder.add_acquisition(result.n_evaluations)
-                x_next = np.clip(result.x, lower, upper)
-                y_next = broker.evaluate(x_next)
-                it_span.set("n_evaluated", 0 if y_next is None else 1)
-            iteration += 1
-            n_spent += 1
-            if y_next is None:  # dropped by the skip policy
-                continue
-            X = np.vstack([X, x_next])
-            y = np.append(y, y_next)
-        timer.stop()
-
-        return recorder.finalize(
-            total_seconds=timer.elapsed,
-            eval_seconds=broker.stats.eval_seconds,
-        )
-
+    def _propose(self, model, box):
+        acquisition = ACQUISITIONS[self.acquisition](model, self.xi, self.kappa)
+        optimizer = self.acquisition_optimizer_factory(box.shape[0])
+        result = optimizer.minimize(acquisition, box)
+        return BatchProposal(X=result.x[None, :], n_evaluations=result.n_evaluations)

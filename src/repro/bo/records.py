@@ -42,8 +42,9 @@ class RunResult:
     model_dim:
         Dimensionality the surrogate worked in (D, or d under embedding).
     Z:
-        Embedded-space points for REMBO runs, aligned with ``X`` rows that
-        were proposed through the embedding (None otherwise).
+        Embedded-space points for REMBO runs, one per row of ``X``: the
+        first rows are ``clip(A† x)`` of the initial data, the rest the
+        proposals ``x = p_Ω(A z)`` was computed from (None otherwise).
     """
 
     X: np.ndarray

@@ -12,9 +12,11 @@ This is the paper's contribution assembled end-to-end:
    to the variation space through ``x = p_Ω(A z)``, simulate, collect
    failures ``y < T`` and update the model.
 
-Both GP training and acquisition optimization happen in ``d`` dimensions,
-which is where the method's runtime and solution-quality advantages come
-from (paper Sections 3-4).
+Steps 1-3 build the embedded :class:`~repro.bo.engine.ModelSpace`; step 4
+is :class:`~repro.bo.batch.BatchBO`'s pBO proposal run in that space by
+the shared campaign loop.  Both GP training and acquisition optimization
+happen in ``d`` dimensions, which is where the method's runtime and
+solution-quality advantages come from (paper Sections 3-4).
 """
 
 from __future__ import annotations
@@ -23,42 +25,28 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.acquisition.functions import pbo_weights
-from repro.acquisition.optimize import default_acquisition_optimizer
-from repro.bo.engine import (
-    OptimizerFactory,
-    RunSpec,
-    SurrogateManager,
-    annotate_gp_fit,
-    resolve_bounds,
-    uniform_initial_design,
-)
-from repro.gp.surrogate import (
-    KernelFactory,
-    SurrogateLike,
-    coerce_surrogate_spec,
-)
-from repro.bo.propose import propose_batch
-from repro.bo.records import RunRecorder, RunResult
+from repro.bo.batch import BatchBO
+from repro.bo.engine import ModelSpace, OptimizerFactory
 from repro.embedding.dimension_selection import (
     DimensionSelectionResult,
     select_embedding_dimension,
 )
 from repro.embedding.random_embedding import RandomEmbedding
-from repro.runtime.broker import RuntimePolicy, make_broker
-from repro.runtime.objective import Objective, require_objective
-from repro.telemetry.config import TelemetryLike, resolve_telemetry
-from repro.utils.contracts import shape_contract
-from repro.utils.rng import SeedLike, as_generator, spawn
-from repro.utils.timing import Timer
-from repro.utils.validation import as_matrix, as_vector
-
-#: Engine default when ``RunSpec.n_batches`` is None.
-DEFAULT_N_BATCHES = 5
+from repro.gp.surrogate import KernelFactory, SurrogateLike
+from repro.utils.rng import SeedLike
 
 
-class RemboBO:
+class RemboBO(BatchBO):
     """Random-embedding batch BO for failure detection (Algorithm 1).
+
+    ``solve`` runs ``spec.n_batches`` pBO batches in the embedded space.
+    The result's ``Z`` holds the embedded point of every row of ``X``, and
+    its ``extra`` dict carries the fitted :class:`RandomEmbedding`
+    (``"embedding"``), ``"embedding_dim"`` and, when Algorithm 2 ran, its
+    :class:`DimensionSelectionResult` (``"dimension_selection"``).
+    ``telemetry`` additionally receives ``dimension_selection`` /
+    ``embedding_setup`` spans and a per-iteration ``clip_fraction``
+    attribute (how much of ``A z`` the projection ``p_Ω`` moved).
 
     Parameters
     ----------
@@ -81,8 +69,12 @@ class RemboBO:
         Engine-level surrogate choice (spec / kind string / mapping);
         ``spec.surrogate`` on an individual run overrides it.
     stop_on_failure:
-        Terminate at the end of the first batch containing a failure.
+        Stop before the next iteration once any observation so far, the
+        initial data included, is below ``spec.threshold``.
     """
+
+    _method = "REMBO-pBO"
+    _n_streams = 4  # initial design, dimension selection, embedding, model
 
     def __init__(
         self,
@@ -102,96 +94,21 @@ class RemboBO:
         *,
         surrogate: SurrogateLike = None,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        super().__init__(
+            batch_size, weights, kernel_factory, noise_variance, tune_every,
+            n_restarts, acquisition_optimizer_factory, stop_on_failure, seed,
+            surrogate=surrogate,
+        )
         if embedding_dim is not None and embedding_dim < 1:
             raise ValueError(f"embedding_dim must be >= 1, got {embedding_dim}")
-        self.batch_size = int(batch_size)
         self.embedding_dim = embedding_dim
         self.dimension_candidates = dimension_candidates
         self.dimension_trials = int(dimension_trials)
         self.dimension_tolerance = float(dimension_tolerance)
-        self.weights = (
-            np.asarray(list(weights), dtype=float)
-            if weights is not None
-            else pbo_weights(self.batch_size)
-        )
-        if self.weights.shape[0] != self.batch_size:
-            raise ValueError(
-                f"{self.weights.shape[0]} weights given for batch size {self.batch_size}"
-            )
-        if np.any(self.weights < 0) or np.any(self.weights > 1):
-            raise ValueError("weights must lie in [0, 1]")
-        self.kernel_factory = kernel_factory
-        self.noise_variance = float(noise_variance)
-        self.tune_every = int(tune_every)
-        self.n_restarts = int(n_restarts)
-        self.surrogate = coerce_surrogate_spec(surrogate)
-        self.acquisition_optimizer_factory = (
-            acquisition_optimizer_factory or default_acquisition_optimizer
-        )
-        self.stop_on_failure = bool(stop_on_failure)
-        self._rng = as_generator(seed)
 
-    def solve(
-        self,
-        *,
-        objective: Objective,
-        spec: RunSpec | None = None,
-        policy: RuntimePolicy | None = None,
-        telemetry: TelemetryLike = None,
-        rng: SeedLike = None,
-    ) -> RunResult:
-        """Execute Algorithm 1; returns the full evaluation log.
-
-        The result's ``extra`` dict carries the fitted
-        :class:`RandomEmbedding` (``"embedding"``) and, when Algorithm 2
-        ran, its :class:`DimensionSelectionResult` (``"dimension_selection"``).
-        ``telemetry`` additionally receives ``dimension_selection`` /
-        ``embedding_setup`` spans and a per-iteration ``clip_fraction``
-        attribute (how much of ``A z`` the projection ``p_Ω`` moved).
-        """
-        objective = require_objective(objective, type(self).__name__)
-        spec = spec if spec is not None else RunSpec()
-        tele = resolve_telemetry(telemetry)
-        tracer = tele.tracer
-        lower, upper, box = resolve_bounds(objective, spec.bounds)
-        D = lower.shape[0]
-        base_rng = as_generator(rng) if rng is not None else self._rng
-        rng_init, rng_dimsel, rng_embed, rng_model = spawn(base_rng, 4)
-        n_batches = (
-            spec.n_batches if spec.n_batches is not None else DEFAULT_N_BATCHES
-        )
-        threshold = spec.threshold
-
-        recorder = RunRecorder(method="REMBO-pBO")
-        broker = make_broker(
-            objective,
-            policy,
-            recorder=recorder,
-            method="REMBO-pBO",
-            telemetry=tele,
-        )
-
-        timer = Timer().start()
-        # initial dataset D_0, sampled (or supplied) in the original space
-        if spec.initial_data is not None:
-            X = as_matrix(spec.initial_data[0], D).copy()
-            y = as_vector(spec.initial_data[1], X.shape[0]).copy()
-            recorder.record_initial(X, y)
-        else:
-            with tracer.span("init_design", n_init=spec.n_init) as span:
-                X0 = uniform_initial_design(box, spec.n_init, seed=rng_init)
-                batch = broker.evaluate_batch(X0)
-                span.set("n_evaluated", batch.n_evaluated)
-            recorder.mark_initial()
-            X, y = batch.X, batch.y
-        if y.size == 0:
-            raise ValueError(
-                "no initial evaluations survived the failure policy; "
-                "cannot fit a surrogate"
-            )
-
+    def _model_space(self, X, y, box, rngs, tracer):
+        rng_dimsel, rng_embed = rngs
+        D = box.shape[0]
         # Algorithm 1, line 1: select the embedding dimension from D_0
         selection: DimensionSelectionResult | None = None
         if self.embedding_dim is not None:
@@ -218,70 +135,33 @@ class RemboBO:
         # line 3: initial model in the embedded space via the pseudo-inverse
         with tracer.span("embedding_setup", D=D, d=d):
             embedding = RandomEmbedding(D, d, bounds=box, seed=rng_embed)
-            z_box = embedding.z_bounds()
-            z_lower, z_upper = z_box[:, 0], z_box[:, 1]
-            Z = embedding.to_embedded(X)
-            Z = np.clip(Z, z_lower, z_upper)
-        manager = SurrogateManager(
-            d,
-            kernel_factory=self.kernel_factory,
-            noise_variance=self.noise_variance,
-            tune_every=self.tune_every,
-            n_restarts=self.n_restarts,
-            seed=rng_model,
-            surrogate=(
-                spec.surrogate if spec.surrogate is not None else self.surrogate
-            ),
-        )
-        recorder.model_dim = d
+            space = _EmbeddedSpace(embedding, selection)
+            Z = np.clip(embedding.to_embedded(X), space.box[:, 0], space.box[:, 1])
+        return space, Z
 
-        # lines 5-15: batched sequential design
-        for iteration in range(n_batches):
-            with tracer.span("iteration", index=iteration) as it_span:
-                with tracer.span("gp_fit", n_train=int(y.size)) as fit_span:
-                    gp = manager.refit(Z, y)
-                    annotate_gp_fit(fit_span, manager)
-                with tracer.span("acq_opt") as acq_span:
-                    proposal = propose_batch(
-                        gp,
-                        self.weights,
-                        z_box,
-                        optimizer_factory=self.acquisition_optimizer_factory,
-                    )
-                    acq_span.set("fevals", proposal.n_evaluations)
-                recorder.add_acquisition(proposal.n_evaluations)
-                new_Z = np.clip(proposal.X, z_lower, z_upper)
-                # x = p_Omega(A z), Eq. 11; clip_fraction is the telemetry
-                # signal for the embedding pressing against the box
-                new_X, clip_fraction = embedding.project(new_Z)
-                it_span.set("clip_fraction", clip_fraction)
-                batch = broker.evaluate_batch(new_X)
-                it_span.set("n_evaluated", batch.n_evaluated)
-            if batch.n_evaluated:
-                # under the skip policy only evaluated rows (batch.index)
-                # enter the model — keep Z aligned with X row for row
-                Z = np.vstack([Z, new_Z[batch.index]])
-                X = np.vstack([X, batch.X])
-                y = np.concatenate([y, batch.y])
-            if (
-                self.stop_on_failure
-                and threshold is not None
-                and batch.n_evaluated
-                and np.min(batch.y) < threshold
-            ):
-                break
-        timer.stop()
 
-        extra: dict = {"embedding": embedding, "embedding_dim": d}
+class _EmbeddedSpace(ModelSpace):
+    """The box ``[-√d, √d]^d``; proposals map to ``x = p_Ω(A z)``."""
+
+    def __init__(self, embedding, selection) -> None:
+        super().__init__(embedding.z_bounds())
+        self.embedding = embedding
+        self.extra: dict = {
+            "embedding": embedding,
+            "embedding_dim": embedding.embedded_dim,
+        }
         if selection is not None:
-            extra["dimension_selection"] = selection
-        return recorder.finalize(
-            total_seconds=timer.elapsed,
-            eval_seconds=broker.stats.eval_seconds,
-            Z=Z,
-            extra=extra,
-        )
+            self.extra["dimension_selection"] = selection
 
+    def to_design(self, Z, span):
+        # x = p_Omega(A z), Eq. 11; clip_fraction is the telemetry
+        # signal for the embedding pressing against the box
+        X, clip_fraction = self.embedding.project(Z)
+        span.set("clip_fraction", clip_fraction)
+        return X
+
+    def result_fields(self, Z):
+        return {"Z": Z, "extra": self.extra}
 
 
 def _default_candidates(D: int) -> list[int]:

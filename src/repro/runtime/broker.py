@@ -697,12 +697,12 @@ class EvaluationBroker:
 
 @dataclass
 class RuntimePolicy:
-    """Bundled runtime wiring passed to every engine/sampler ``run(...)``.
+    """Bundled runtime wiring passed to every engine/sampler ``solve(...)``.
 
     A policy owns what should be *shared across* runs — the broker config,
     a result cache (deduplicating evaluations between methods that share an
     initial design), and a ledger (one event stream for the whole
-    campaign).  Each ``run`` builds its own broker from the policy via
+    campaign).  Each ``solve`` builds its own broker from the policy via
     :func:`make_broker`.
     """
 

@@ -260,3 +260,60 @@ class TestRemboBO:
         )
         # either stopped early after a failing batch or exhausted budget
         assert result.n_evaluations <= 8 + 40
+
+
+def stopping_engines():
+    """One small instance of each engine, stopping on failure."""
+    common = dict(
+        stop_on_failure=True, seed=0, acquisition_optimizer_factory=tiny_optimizer
+    )
+    return [
+        SequentialBO(**common),
+        BatchBO(2, **common),
+        RemboBO(2, embedding_dim=2, **common),
+    ]
+
+
+class TestSharedLoop:
+    """Rules the one campaign loop applies to every engine alike."""
+
+    @pytest.mark.parametrize(
+        "engine", stopping_engines(), ids=lambda e: type(e).__name__
+    )
+    def test_failure_in_initial_data_stops_before_first_iteration(self, engine):
+        X0 = uniform_initial_design(unit_cube_bounds(4), 4, seed=5)
+        y0 = np.array([bowl(x) for x in X0])
+        y0[2] = 0.0  # D_0 already holds a failure
+        result = engine.solve(
+            objective=bowl_objective(4),
+            spec=RunSpec(threshold=0.01, initial_data=(X0, y0)),
+        )
+        assert result.n_evaluations == result.n_init == 4
+
+    @pytest.mark.parametrize(
+        "engine, spec, field",
+        [
+            (SequentialBO(seed=0), RunSpec(n_init=4, n_batches=2), "budget"),
+            (BatchBO(2, seed=0), RunSpec(n_init=4, budget=6), "n_batches"),
+            (
+                RemboBO(2, embedding_dim=2, seed=0),
+                RunSpec(n_init=4, budget=6),
+                "n_batches",
+            ),
+        ],
+        ids=["SequentialBO", "BatchBO", "RemboBO"],
+    )
+    def test_rejects_spec_field_it_does_not_read(self, engine, spec, field):
+        calls = []
+
+        def counted_bowl(x):
+            calls.append(1)
+            return bowl(x)
+
+        objective = FunctionObjective(
+            counted_bowl, dim=4, bounds=unit_cube_bounds(4), cache_key="bowl4"
+        )
+        # the error names the field the engine does read
+        with pytest.raises(ValueError, match=f"RunSpec.{field}"):
+            engine.solve(objective=objective, spec=spec)
+        assert not calls  # rejected before the initial design

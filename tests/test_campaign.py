@@ -1,7 +1,7 @@
 """End-to-end tests for the :class:`~repro.campaign.Campaign` facade.
 
-The acceptance criteria of the observability PR are pinned here on a small
-UVLO campaign:
+The acceptance criteria of the observability layer are pinned here on
+small UVLO campaigns, one per BO engine:
 
 * the evaluation-span count in the trace equals the ledger's completed
   event count (the two streams are joinable on the broker's eval ids);
@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bo import RemboBO, RunSpec, SequentialBO
+from repro.acquisition import default_acquisition_optimizer
+from repro.bo import BatchBO, RemboBO, RunSpec, SequentialBO
 from repro.campaign import Campaign, CampaignResult
 from repro.circuits.behavioral.uvlo import UVLOTestbench
 from repro.runtime import FunctionObjective, RuntimePolicy, read_ledger
@@ -38,13 +39,35 @@ def small_rembo(seed=11):
     )
 
 
-def uvlo_spec(testbench, n_batches=2):
+def small_optimizer(dim):
+    return default_acquisition_optimizer(dim, global_budget=150, local_budget=40)
+
+
+def uvlo_spec(testbench, **run):
     return RunSpec(
         bounds=testbench.bounds(),
         n_init=6,
-        n_batches=n_batches,
         threshold=testbench.threshold("delta_vthl"),
+        **run,
     )
+
+
+#: One small instance of each BO engine, with the spec it reads.
+ENGINE_CASES = {
+    "SequentialBO": (
+        lambda: SequentialBO(
+            n_restarts=1, acquisition_optimizer_factory=small_optimizer, seed=11
+        ),
+        {"budget": 9},
+    ),
+    "BatchBO": (
+        lambda: BatchBO(
+            4, n_restarts=1, acquisition_optimizer_factory=small_optimizer, seed=11
+        ),
+        {"n_batches": 2},
+    ),
+    "RemboBO": (small_rembo, {"n_batches": 2}),
+}
 
 
 class TestCampaignValidation:
@@ -68,17 +91,19 @@ class TestCampaignValidation:
 
 
 class TestCampaignTelemetry:
-    def test_trace_reconciles_with_ledger(self, tmp_path):
+    @pytest.mark.parametrize("engine_name", sorted(ENGINE_CASES))
+    def test_trace_reconciles_with_ledger(self, tmp_path, engine_name):
+        make_engine, run = ENGINE_CASES[engine_name]
         testbench = UVLOTestbench()
         trace_path = tmp_path / "uvlo.trace.jsonl"
         ledger_path = tmp_path / "uvlo.jsonl"
         campaign = Campaign(
             testbench.objective("delta_vthl"),
-            small_rembo(),
+            make_engine(),
             policy=RuntimePolicy.shared(ledger_path=ledger_path),
             telemetry=TelemetryConfig(trace_path=trace_path),
         )
-        outcome = campaign.run(uvlo_spec(testbench))
+        outcome = campaign.run(uvlo_spec(testbench, **run))
 
         assert outcome.trace_path == trace_path
         assert outcome.ledger_path == ledger_path
@@ -100,10 +125,15 @@ class TestCampaignTelemetry:
         # the engine phases all nest under the single campaign root
         (root,) = trace.roots()
         assert root.name == "campaign"
-        assert root.attrs["engine"] == "RemboBO"
+        assert root.attrs["engine"] == engine_name
         assert root.attrs["n_evaluations"] == outcome.run.n_evaluations
-        for name in ("init_design", "iteration", "gp_fit", "acq_opt"):
+        for name in ("init_design", "iteration", "gp_fit", "acq_opt", "evaluate"):
             assert trace.named(name), f"missing {name} spans"
+        iterations = trace.named("iteration")
+        assert all("n_evaluated" in span.attrs for span in iterations)
+        assert all("fevals" in span.attrs for span in trace.named("acq_opt"))
+        if engine_name == "RemboBO":
+            assert all("clip_fraction" in span.attrs for span in iterations)
 
         # every span fits inside the campaign wall clock, and the direct
         # children account for (almost) all of it: phase durations must
@@ -114,16 +144,18 @@ class TestCampaignTelemetry:
         assert child_time <= root.dt + 1e-6
         assert child_time >= 0.95 * root.dt
 
-    def test_telemetry_does_not_perturb_results(self, tmp_path):
+    @pytest.mark.parametrize("engine_name", sorted(ENGINE_CASES))
+    def test_telemetry_does_not_perturb_results(self, tmp_path, engine_name):
+        make_engine, run = ENGINE_CASES[engine_name]
         testbench = UVLOTestbench()
         plain = Campaign(
-            testbench.objective("delta_vthl"), small_rembo()
-        ).run(uvlo_spec(testbench))
+            testbench.objective("delta_vthl"), make_engine()
+        ).run(uvlo_spec(testbench, **run))
         traced = Campaign(
             testbench.objective("delta_vthl"),
-            small_rembo(),
+            make_engine(),
             telemetry=TelemetryConfig(trace_path=tmp_path / "t.jsonl"),
-        ).run(uvlo_spec(testbench))
+        ).run(uvlo_spec(testbench, **run))
         np.testing.assert_array_equal(plain.run.X, traced.run.X)
         np.testing.assert_array_equal(plain.run.y, traced.run.y)
 
