@@ -9,8 +9,8 @@ Monte-Carlo and scaled-sigma sampling baselines, behavioral UVLO/LDO
 circuit testbenches and an MNA circuit simulator.
 
 The single documented entry point for running a campaign is
-:class:`repro.campaign.Campaign`; observability (tracing, metrics,
-profiling) lives in :mod:`repro.telemetry`.
+:class:`repro.campaign.Campaign`; observability (tracing spans and
+counters) lives in :mod:`repro.telemetry`.
 """
 
 __version__ = "1.0.0"

@@ -18,7 +18,6 @@ from repro.optim.cobyla import Cobyla
 from repro.optim.direct import Direct
 from repro.optim.multistart import GlobalLocalOptimizer
 from repro.optim.result import OptimizationResult
-from repro.telemetry.profile import profiled
 from repro.utils.contracts import shape_contract
 from repro.utils.validation import check_bounds
 
@@ -58,7 +57,6 @@ def default_acquisition_optimizer(
     )
 
 
-@profiled("acquisition.optimize")
 @shape_contract("bounds: a(d, 2) | a(2, d)")
 def optimize_acquisition(
     acquisition: AcquisitionFunction,

@@ -31,7 +31,6 @@ from repro.gp.surrogate import SurrogateModel
 from repro.optim.cobyla import Cobyla
 from repro.optim.direct import Direct
 from repro.optim.multistart import GlobalLocalOptimizer
-from repro.telemetry.profile import profiled
 from repro.utils.contracts import shape_contract
 from repro.utils.validation import check_bounds
 
@@ -112,7 +111,6 @@ def _lockstep_stages(stack: object) -> tuple[Direct, Cobyla, float | None]:
     )
 
 
-@profiled("bo.propose_batch")
 @shape_contract("weights: a(n_w,), bounds: a(d, 2) | a(2, d)")
 def propose_batch(
     gp: SurrogateModel,

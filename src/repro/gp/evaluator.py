@@ -26,7 +26,6 @@ from repro.gp.model import (
     _potrs,
     chol_with_jitter,
 )
-from repro.telemetry.profile import profiled
 from repro.utils.contracts import shape_contract
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -51,7 +50,6 @@ class MarginalLikelihoodEvaluator:
         self._residual_col = np.asfortranarray(self.residual[:, None], dtype=float)
         self._inner: np.ndarray | None = None
 
-    @profiled("gp.evaluator.lml")
     @shape_contract("theta: a(p,) -> (), (p,)")
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Fused Eq. 8 value and gradient at ``theta``.

@@ -25,7 +25,6 @@ from scipy.optimize import minimize
 from repro.gp.evaluator import MarginalLikelihoodEvaluator
 from repro.gp.model import GaussianProcess
 from repro.gp.surrogate import SurrogateModel
-from repro.telemetry.profile import profiled
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -39,7 +38,6 @@ class HyperoptResult:
     n_evaluations: int
 
 
-@profiled("gp.hyperopt.fit")
 def fit_hyperparameters(
     gp: SurrogateModel,
     n_restarts: int = 3,

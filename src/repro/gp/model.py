@@ -22,7 +22,6 @@ from scipy.linalg.lapack import get_lapack_funcs
 from repro._typing import ArrayLike, FloatArray
 from repro.gp.mean import MeanFunction, ZeroMean
 from repro.kernels.base import Kernel, KernelWorkspace
-from repro.telemetry.profile import profiled
 from repro.utils.contracts import shape_contract
 from repro.utils.validation import as_matrix, as_vector
 
@@ -317,7 +316,6 @@ class GaussianProcess:
 
     # -- prediction -------------------------------------------------------------
 
-    @profiled("gp.model.predict")
     def predict(self, X: ArrayLike) -> GPPrediction:
         """Posterior mean and variance at test points (Eqs. 5-7)."""
         if not self.is_fitted:

@@ -41,7 +41,6 @@ from repro._typing import ArrayLike, FloatArray
 from repro.gp.mean import MeanFunction, ZeroMean
 from repro.gp.model import GPPrediction, chol_with_jitter, symmetrize
 from repro.kernels.base import Kernel
-from repro.telemetry.profile import profiled
 from repro.utils.contracts import shape_contract
 from repro.utils.validation import as_matrix, as_vector
 
@@ -407,7 +406,6 @@ class SparseGaussianProcess:
 
     # -- prediction ----------------------------------------------------------
 
-    @profiled("gp.sparse.predict")
     def predict(self, X: ArrayLike) -> GPPrediction:
         """DTC posterior mean and variance in O(m²) per test point."""
         X_arr, v, w = self._test_solves(X)

@@ -32,7 +32,11 @@ simulation:
   checkpoint;
 * **timing** — per-simulation durations accumulate into
   ``stats.eval_seconds``, giving :class:`~repro.bo.records.RunResult` its
-  ``eval_seconds`` / ``overhead_seconds`` split.
+  ``eval_seconds`` / ``overhead_seconds`` split;
+* **counting** — :class:`BrokerStats` is the only place the broker counts;
+  each batch adds its delta to the telemetry registry under the
+  :data:`_COUNTERS` names, and its cache hit/miss split to the open phase
+  span.
 
 Determinism: retries and caching are value-transparent — a campaign run
 under transient fault injection produces exactly the ``X``/``y`` of the
@@ -43,7 +47,7 @@ that never touches engine RNG state.
 Thread-sharing contract (DESIGN.md §13): the callable the broker submits
 to its pool (``self._simulate_chunk``) touches only locals and its
 arguments — *all* shared-state mutation (cache puts, ledger appends,
-metric increments, ``stats`` bookkeeping) happens on the dispatching
+counter deltas, ``stats`` bookkeeping) happens on the dispatching
 thread after the pool joins the batch.  The shared collaborators
 (:class:`~repro.runtime.cache.ResultCache`,
 :class:`~repro.runtime.ledger.RunLedger`,
@@ -181,17 +185,36 @@ class BrokerConfig:
 
 @dataclass
 class BrokerStats:
-    """Counters accumulated across a broker's lifetime."""
+    """Counters accumulated across a broker's lifetime.
+
+    The broker's only count of what it did; the telemetry registry
+    receives each batch's delta of the fields :data:`_COUNTERS` names.
+    """
 
     n_points: int = 0  # points requested through evaluate/evaluate_batch
     n_simulations: int = 0  # attempts actually dispatched to the objective
     n_completed: int = 0
     n_cache_hits: int = 0
+    n_cache_misses: int = 0  # digests this broker claimed to simulate
     n_retries: int = 0
     n_attempt_failures: int = 0
+    n_timeouts: int = 0  # attempt failures that were timeouts
     n_skipped: int = 0
     n_penalized: int = 0
     eval_seconds: float = 0.0  # summed duration of completed simulations
+
+
+#: ``(BrokerStats field, registry counter)`` pairs each batch publishes.
+_COUNTERS = (
+    ("n_completed", "evaluations.completed"),
+    ("n_cache_hits", "cache.hits"),
+    ("n_cache_misses", "cache.misses"),
+    ("n_retries", "evaluations.retries"),
+    ("n_attempt_failures", "evaluations.attempt_failures"),
+    ("n_timeouts", "evaluations.timeouts"),
+    ("n_skipped", "evaluations.skipped"),
+    ("n_penalized", "evaluations.penalized"),
+)
 
 
 @dataclass
@@ -248,9 +271,10 @@ class EvaluationBroker:
         Optional :class:`~repro.telemetry.Telemetry`.  Each completed
         simulation emits an ``evaluate`` span (worker-measured duration,
         parented under whatever span the dispatching thread has open, with
-        the ledger ``id`` as attribute — the trace/ledger join key) and
-        the metrics registry accumulates completed / cache-hit / retry /
-        timeout / policy counters plus a duration histogram.
+        the ledger ``id`` as attribute — the trace/ledger join key), and
+        each batch adds its :class:`BrokerStats` counts (completed, cache
+        hits and misses, retries, attempt failures, timeouts, skipped,
+        penalized) to the metrics registry.
     seed:
         Stream for backoff jitter only (never touches caller RNG state).
     """
@@ -392,7 +416,6 @@ class EvaluationBroker:
     ) -> None:
         """Bookkeeping for one point served without simulating here."""
         self.stats.n_cache_hits += 1
-        self._metrics.counter("cache.hits").inc()
         values[pos] = value
         self._log(
             {"event": "cache_hit", "id": eval_id, "digest": digest, "y": value}
@@ -404,42 +427,36 @@ class EvaluationBroker:
         values: list[float | None],
         dropped: list[bool],
         owned: set[str],
-    ) -> tuple[int, int]:
+    ) -> None:
         """Resolve points a concurrent broker claimed before this batch.
 
         Each point blocks until the owning broker publishes its value
         (served as a cache hit) or abandons the claim (this broker then
         races to re-claim and simulate it — the loop re-parks points that
-        lose the race to a third broker).  Returns ``(hits, misses)`` for
-        the batch's phase-span annotation.  Called only after this batch's
+        lose the race to a third broker).  Called only after this batch's
         own simulations resolved, so no broker ever waits while holding an
         unresolved claim — the fleet cannot deadlock on claims.
         """
-        hits = misses = 0
         while waiting:
             parked: list[_Pending] = []
             claimed: list[_Pending] = []
             for p in waiting:
                 value = self.cache.wait_for(p.digest)
                 if value is not None:
-                    hits += 1
                     self._record_hit(p.pos, p.eval_id, p.digest, value, values)
                     continue
                 status, hit = self.cache.lookup_or_claim([p.digest])[0]
                 if status == CLAIM_HIT:
-                    hits += 1
                     self._record_hit(p.pos, p.eval_id, p.digest, hit, values)
                 elif status == CLAIM_OWNED:
                     owned.add(p.digest)
-                    misses += 1
-                    self._metrics.counter("cache.misses").inc()
+                    self.stats.n_cache_misses += 1
                     claimed.append(p)
                 else:  # a third broker won the re-claim race; park again
                     parked.append(p)
             if claimed:
                 self._run_rounds(claimed, values, dropped, owned)
             waiting = parked
-        return hits, misses
 
     def _resolve_exhausted(
         self,
@@ -463,13 +480,11 @@ class EvaluationBroker:
             ) from error
         if policy == "skip":
             self.stats.n_skipped += 1
-            self._metrics.counter("evaluations.skipped").inc()
             dropped[pending.pos] = True
             self._log({"event": "skipped", "id": pending.eval_id})
         else:  # penalty
             penalty = float(self.config.penalty_value)  # type: ignore[arg-type]
             self.stats.n_penalized += 1
-            self._metrics.counter("evaluations.penalized").inc()
             values[pending.pos] = penalty
             self._log(
                 {"event": "penalized", "id": pending.eval_id, "y": penalty}
@@ -481,6 +496,7 @@ class EvaluationBroker:
         """Evaluate a ``(n, dim)`` batch through cache, pool and policies."""
         X = as_matrix(X, self.objective.dim)
         n = X.shape[0]
+        before = replace(self.stats)
         self.stats.n_points += n
         values: list[float | None] = [None] * n
         dropped = [False] * n
@@ -490,84 +506,84 @@ class EvaluationBroker:
         owned: set[str] = set()
         first_pos: dict[str, int] = {}
         duplicates: list[tuple[int, int, str]] = []  # (pos, eval_id, digest)
-        # one vectorized rounding/hash pass over the whole block, and one
-        # atomic lookup-or-claim for the block: hits resolve immediately,
-        # missing digests are either claimed for this broker (simulate) or
-        # already in flight under a concurrent broker (wait for its value)
-        digests = self.cache.keys_for_batch(self.objective.cache_key, X)
-        claims = self.cache.lookup_or_claim(digests)
-        batch_hits = 0
-        batch_misses = 0
-        for pos in range(n):
-            digest = digests[pos]
-            eval_id = self._next_id
-            self._next_id += 1
-            status, hit = claims[pos]
-            if status == CLAIM_HIT:
-                batch_hits += 1
-                self._record_hit(pos, eval_id, digest, hit, values)
-            elif status == CLAIM_OWNED:
-                first_pos[digest] = pos
-                owned.add(digest)
-                batch_misses += 1
-                self._metrics.counter("cache.misses").inc()
-                pending.append(_Pending(pos, eval_id, X[pos], digest))
-            elif status == CLAIM_INFLIGHT:
-                waiting.append(_Pending(pos, eval_id, X[pos], digest))
-            else:  # CLAIM_REPEAT: same point again within this batch —
-                # simulate once, mirror the first occurrence's outcome
-                duplicates.append((pos, eval_id, digest))
-
         try:
+            # one vectorized rounding/hash pass over the whole block, and
+            # one atomic lookup-or-claim for the block: hits resolve
+            # immediately, missing digests are either claimed for this
+            # broker (simulate) or already in flight under a concurrent
+            # broker (wait for its value)
+            digests = self.cache.keys_for_batch(self.objective.cache_key, X)
+            claims = self.cache.lookup_or_claim(digests)
+            for pos in range(n):
+                digest = digests[pos]
+                eval_id = self._next_id
+                self._next_id += 1
+                status, hit = claims[pos]
+                if status == CLAIM_HIT:
+                    self._record_hit(pos, eval_id, digest, hit, values)
+                elif status == CLAIM_OWNED:
+                    first_pos[digest] = pos
+                    owned.add(digest)
+                    self.stats.n_cache_misses += 1
+                    pending.append(_Pending(pos, eval_id, X[pos], digest))
+                elif status == CLAIM_INFLIGHT:
+                    waiting.append(_Pending(pos, eval_id, X[pos], digest))
+                else:  # CLAIM_REPEAT: same point again within this batch —
+                    # simulate once, mirror the first occurrence's outcome
+                    duplicates.append((pos, eval_id, digest))
+
             if pending:
                 self._run_rounds(pending, values, dropped, owned)
             if waiting:
                 # own simulations are done — block on concurrent owners
                 # (waiting *after* simulating keeps the fleet deadlock-free:
                 # nobody waits while holding an unresolved claim)
-                wait_hits, wait_misses = self._await_inflight(
-                    waiting, values, dropped, owned
-                )
-                batch_hits += wait_hits
-                batch_misses += wait_misses
+                self._await_inflight(waiting, values, dropped, owned)
+
+            for pos, eval_id, digest in duplicates:
+                lead = first_pos[digest]
+                if dropped[lead]:
+                    self.stats.n_skipped += 1
+                    dropped[pos] = True
+                    self._log({"event": "skipped", "id": eval_id})
+                elif digest in self.cache:  # completed (penalties are not cached)
+                    self.stats.n_cache_hits += 1
+                    values[pos] = values[lead]
+                    self._log(
+                        {
+                            "event": "cache_hit",
+                            "id": eval_id,
+                            "digest": digest,
+                            "y": values[lead],
+                        }
+                    )
+                else:
+                    self.stats.n_penalized += 1
+                    values[pos] = values[lead]
+                    self._log(
+                        {"event": "penalized", "id": eval_id, "y": values[lead]}
+                    )
         finally:
             # release any claims still held (raise-policy exits, bugs in
             # the objective) so concurrent waiters can re-claim the points
             if owned:
                 self.cache.abandon_many(owned)
-
-        for pos, eval_id, digest in duplicates:
-            lead = first_pos[digest]
-            if dropped[lead]:
-                self.stats.n_skipped += 1
-                dropped[pos] = True
-                self._log({"event": "skipped", "id": eval_id})
-            elif digest in self.cache:  # completed (penalties are not cached)
-                self.stats.n_cache_hits += 1
-                batch_hits += 1
-                self._metrics.counter("cache.hits").inc()
-                values[pos] = values[lead]
-                self._log(
-                    {
-                        "event": "cache_hit",
-                        "id": eval_id,
-                        "digest": digest,
-                        "y": values[lead],
-                    }
+            # the batch's counts, from the one place they are kept
+            for name, counter in _COUNTERS:
+                delta = getattr(self.stats, name) - getattr(before, name)
+                if delta:
+                    self._metrics.counter(counter).inc(delta)
+            if n:
+                # cache hits emit no evaluate span, so the open phase span
+                # (iteration / init_design) is where per-phase hit rates
+                # reach the report
+                self._tracer.annotate(
+                    "cache_hits", self.stats.n_cache_hits - before.n_cache_hits
                 )
-            else:
-                self.stats.n_penalized += 1
-                values[pos] = values[lead]
-                self._log(
-                    {"event": "penalized", "id": eval_id, "y": values[lead]}
+                self._tracer.annotate(
+                    "cache_misses",
+                    self.stats.n_cache_misses - before.n_cache_misses,
                 )
-
-        if n:
-            # land the batch's hit/miss split on whatever phase span is
-            # open (iteration / init_design): cache hits emit no evaluate
-            # span, so this is how per-phase hit rates reach the report
-            self._tracer.annotate("cache_hits", batch_hits)
-            self._tracer.annotate("cache_misses", batch_misses)
 
         keep = [i for i in range(n) if not dropped[i]]
         y = np.array([values[i] for i in keep], dtype=float)
@@ -624,10 +640,6 @@ class EvaluationBroker:
                             seconds,
                             {"id": p.eval_id, "attempt": attempt, "y": value},
                         )
-                        self._metrics.counter("evaluations.completed").inc()
-                        self._metrics.histogram("evaluations.seconds").observe(
-                            seconds
-                        )
                         self._log(
                             {
                                 "event": "completed",
@@ -642,10 +654,9 @@ class EvaluationBroker:
                         )
                     else:
                         self.stats.n_attempt_failures += 1
-                        self._metrics.counter("evaluations.attempt_failures").inc()
                         if isinstance(error, TimeoutError):
-                            self._metrics.counter("evaluations.timeouts").inc()
-                        timed_out = timed_out or isinstance(error, TimeoutError)
+                            self.stats.n_timeouts += 1
+                            timed_out = True
                         self._log(
                             {
                                 "event": "failed",
@@ -664,7 +675,6 @@ class EvaluationBroker:
                     return
                 delay = self._backoff_delay(attempt)
                 self.stats.n_retries += len(failed)
-                self._metrics.counter("evaluations.retries").inc(len(failed))
                 for p, _ in failed:
                     self._log(
                         {

@@ -43,7 +43,7 @@ import hashlib
 import json
 import threading
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -198,7 +198,6 @@ class ResultCache:
         self.path = path
         self._store: dict[str, float] = {}
         self._inflight: set[str] = set()
-        self._metrics: Any = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -277,39 +276,6 @@ class ResultCache:
     def persistent(self) -> bool:
         return self.path is not None
 
-    def bind_metrics(self, metrics: Any) -> None:
-        """Mirror hit/miss/eviction counts into a metrics registry.
-
-        ``metrics`` is a :class:`~repro.telemetry.metrics.MetricsRegistry`
-        (or the null registry); the cache feeds ``result_cache.hits`` /
-        ``result_cache.misses`` / ``result_cache.evictions`` counters and a
-        ``result_cache.size`` gauge.
-        """
-        with self._lock:
-            self._metrics = metrics
-            size = len(self._store)
-        self._emit_metrics(size=size)
-
-    def _emit_metrics(
-        self,
-        hits: int = 0,
-        misses: int = 0,
-        evictions: int = 0,
-        size: int | None = None,
-    ) -> None:
-        """Apply accumulated counter deltas outside the cache lock."""
-        metrics = self._metrics
-        if metrics is None:
-            return
-        if hits:
-            metrics.counter("result_cache.hits").inc(hits)
-        if misses:
-            metrics.counter("result_cache.misses").inc(misses)
-        if evictions:
-            metrics.counter("result_cache.evictions").inc(evictions)
-        if size is not None:
-            metrics.gauge("result_cache.size").set(float(size))
-
     def close(self) -> None:
         """Release the cache.
 
@@ -336,47 +302,21 @@ class ResultCache:
             if digest in self._store:
                 self.hits += 1
                 value = self._store[digest] = self._store.pop(digest)
-                hit = True
             else:
                 self.misses += 1
-                value, hit = None, False
-        self._emit_metrics(hits=int(hit), misses=int(not hit))
+                value = None
         return value
 
     def keys_for_batch(self, cache_key: str, X: ArrayLike) -> list[str]:
         """Digests for every row of ``X`` (one vectorized rounding pass)."""
         return batch_digests(cache_key, X, decimals=self.decimals)
 
-    def get_many(self, digests: list[str]) -> list[float | None]:
-        """Look up many digests under a single lock acquisition.
-
-        Counts one hit or miss per digest, exactly as the equivalent
-        sequence of :meth:`get` calls would.
-        """
-        out: list[float | None] = []
-        hits = misses = 0
-        with self._lock:
-            for digest in digests:
-                if digest in self._store:
-                    hits += 1
-                    value = self._store[digest] = self._store.pop(digest)
-                    out.append(value)
-                else:
-                    misses += 1
-                    out.append(None)
-            self.hits += hits
-            self.misses += misses
-        self._emit_metrics(hits=hits, misses=misses)
-        return out
-
     def put(self, digest: str, value: float) -> None:
         """Store one result, releasing any single-flight claim on it."""
-        evicted = 0
         with self._lock:
             if digest in self._store:
                 del self._store[digest]  # re-insert: most-recently-used
                 self._store[digest] = float(value)
-                size = len(self._store)
             else:
                 self._store[digest] = float(value)
                 if self.path is not None:
@@ -384,13 +324,10 @@ class ResultCache:
                 if self.max_entries is not None:
                     while len(self._store) > self.max_entries:
                         del self._store[next(iter(self._store))]
-                        evicted += 1
-                    self.evictions += evicted
-                size = len(self._store)
+                        self.evictions += 1
         with self._flight_lock:
             self._inflight.discard(digest)
             self._flight_lock.notify_all()
-        self._emit_metrics(evictions=evicted, size=size)
 
     def preload(self, mapping: Mapping[str, float]) -> None:
         """Bulk-insert digest → value pairs (ledger replay) without counting.
@@ -398,7 +335,6 @@ class ResultCache:
         Persistent caches write through: preloaded results a prior process
         simulated become part of the shared store.
         """
-        evicted = 0
         with self._lock:
             for digest, value in mapping.items():
                 if digest not in self._store and self.path is not None:
@@ -407,14 +343,11 @@ class ResultCache:
             if self.max_entries is not None:
                 while len(self._store) > self.max_entries:
                     del self._store[next(iter(self._store))]
-                    evicted += 1
-                self.evictions += evicted
-            size = len(self._store)
+                    self.evictions += 1
         with self._flight_lock:
             for digest in mapping:
                 self._inflight.discard(digest)
             self._flight_lock.notify_all()
-        self._emit_metrics(evictions=evicted, size=size)
 
     # -- single-flight claims (cross-campaign dedup) --------------------------
 
@@ -437,10 +370,10 @@ class ResultCache:
           *this call* (in-batch duplicate); the earlier occurrence's
           status governs.
 
-        Hit/miss counters move exactly as :meth:`get_many` would: one hit
-        per HIT, one miss per OWNED and per REPEAT (a repeat is a miss the
-        batch resolves internally), nothing for INFLIGHT (the wait is
-        counted when it resolves).
+        Hit/miss counters move exactly as one :meth:`get` per digest would:
+        one hit per HIT, one miss per OWNED and per REPEAT (a repeat is a
+        miss the batch resolves internally), nothing for INFLIGHT (the
+        wait is counted when it resolves).
         """
         out: list[tuple[str, float | None]] = []
         hits = misses = 0
@@ -464,7 +397,6 @@ class ResultCache:
                         out.append((CLAIM_OWNED, None))
                 self.hits += hits
                 self.misses += misses
-        self._emit_metrics(hits=hits, misses=misses)
         return out
 
     def wait_for(
@@ -488,8 +420,6 @@ class ResultCache:
                     value = self._store[digest] = self._store.pop(digest)
                 else:
                     value = None
-        if value is not None:
-            self._emit_metrics(hits=1)
         return value
 
     def abandon_many(self, digests: Iterable[str]) -> None:
@@ -531,7 +461,6 @@ class ResultCache:
         state = self.__dict__.copy()
         del state["_lock"]
         del state["_flight_lock"]
-        state["_metrics"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -37,7 +37,6 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.ledger import RunLedger, read_ledger
 from repro.runtime.resume import resume
 from repro.telemetry.config import (
-    Telemetry,
     TelemetryConfig,
     TelemetryLike,
     resolve_telemetry,
@@ -161,9 +160,12 @@ class CampaignScheduler:
         campaign; ``cache_decimals`` is aligned to the shared cache.
     telemetry:
         Shared observability for the whole service — every campaign's
-        spans nest in one trace, and the cache/queue metrics land in one
-        registry.  A :class:`~repro.telemetry.TelemetryConfig` is
-        materialized and owned (closed by :meth:`close`).
+        spans nest in one trace under a ``scheduled_campaign`` span, and
+        every campaign's broker counts sum in one registry.  ``None``
+        turns telemetry off; the outcomes still carry each campaign's
+        queue wait and elapsed time, and :attr:`SchedulerResult.cache_stats`
+        the shared cache's counts.  A :class:`~repro.telemetry.TelemetryConfig`
+        is materialized and owned (closed by :meth:`close`).
     resume:
         When True, a job whose result file exists is skipped, and a job
         whose ledger exists is resumed: its completed evaluations are
@@ -200,15 +202,7 @@ class CampaignScheduler:
         self.max_concurrent = int(max_concurrent)
         self._resume = bool(resume)
         self._owns_telemetry = isinstance(telemetry, TelemetryConfig)
-        if telemetry is None:
-            # no tracer, but always a real registry: SchedulerResult's
-            # queue/latency/cache metrics must exist even untraced
-            from repro.telemetry.metrics import MetricsRegistry
-
-            self.telemetry: Telemetry = Telemetry(metrics=MetricsRegistry())
-        else:
-            self.telemetry = resolve_telemetry(telemetry)
-        self.cache.bind_metrics(self.telemetry.metrics)
+        self.telemetry = resolve_telemetry(telemetry)
         self._specs: list[CampaignSpec] = []
         self._closed = False
 
@@ -222,7 +216,6 @@ class CampaignScheduler:
                 "names key the per-campaign ledger and result files"
             )
         self._specs.append(spec)
-        self.telemetry.metrics.counter("scheduler.campaigns_submitted").inc()
 
     def submit_all(self, specs: list[CampaignSpec]) -> None:
         for spec in specs:
@@ -252,8 +245,6 @@ class CampaignScheduler:
         ] = asyncio.PriorityQueue()
         for seq, spec in enumerate(specs):
             queue.put_nowait((-spec.priority, seq, spec, time.perf_counter()))
-        depth_gauge = self.telemetry.metrics.gauge("scheduler.queue_depth")
-        depth_gauge.set(queue.qsize())
 
         if self._resume:
             await asyncio.to_thread(self._preload_ledgers, specs)
@@ -261,7 +252,7 @@ class CampaignScheduler:
         outcomes: dict[int, CampaignOutcome] = {}
         n_workers = max(1, min(self.max_concurrent, len(specs)))
         workers = [
-            asyncio.create_task(self._worker(queue, outcomes, depth_gauge))
+            asyncio.create_task(self._worker(queue, outcomes))
             for _ in range(n_workers)
         ]
         await asyncio.gather(*workers)
@@ -277,14 +268,12 @@ class CampaignScheduler:
         self,
         queue: "asyncio.PriorityQueue[tuple[int, int, CampaignSpec, float]]",
         outcomes: dict[int, CampaignOutcome],
-        depth_gauge: Any,
     ) -> None:
         while True:
             try:
                 _, seq, spec, enqueued = queue.get_nowait()
             except asyncio.QueueEmpty:
                 return
-            depth_gauge.set(queue.qsize())
             outcomes[seq] = await asyncio.to_thread(
                 self._run_job, spec, enqueued
             )
@@ -317,9 +306,7 @@ class CampaignScheduler:
                 continue
 
     def _run_job(self, spec: CampaignSpec, enqueued: float) -> CampaignOutcome:
-        metrics = self.telemetry.metrics
         queue_wait = time.perf_counter() - enqueued
-        metrics.histogram("scheduler.queue_wait_seconds").observe(queue_wait)
         ledger_path = self.ledger_path(spec.name)
         result_path = self.result_path(spec.name)
         outcome = CampaignOutcome(
@@ -331,7 +318,6 @@ class CampaignScheduler:
         try:
             if self._resume and result_path.exists():
                 outcome.already_complete = True
-                metrics.counter("scheduler.campaigns_already_complete").inc()
                 return outcome
             if self._resume and ledger_path.exists():
                 # preloads the interrupted run's completed evaluations
@@ -343,7 +329,6 @@ class CampaignScheduler:
                     cache=self.cache,
                 )
                 outcome.resumed = True
-                metrics.counter("scheduler.campaigns_resumed").inc()
 
             policy = RuntimePolicy(
                 config=self.config,
@@ -368,13 +353,8 @@ class CampaignScheduler:
             outcome.elapsed_seconds = time.perf_counter() - t0
             _write_result(result_path, spec.name, result)
             outcome.result = result
-            metrics.counter("scheduler.campaigns_completed").inc()
-            metrics.histogram("scheduler.campaign_seconds").observe(
-                outcome.elapsed_seconds
-            )
         except Exception as exc:  # noqa: BLE001 — one bad job must not sink the fleet
             outcome.error = f"{type(exc).__name__}: {exc}"
-            metrics.counter("scheduler.campaigns_failed").inc()
         return outcome
 
     # -- lifecycle ------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Zero-dependency observability for the BO stack.
 
-Four pieces, one import surface:
+Three pieces, one import surface, one record per measurement:
 
 * :mod:`repro.telemetry.trace` — nested spans with monotonic durations,
   written as JSONL joinable with the :class:`~repro.runtime.ledger.RunLedger`;
-* :mod:`repro.telemetry.metrics` — counters/gauges/histograms with a
-  deterministic :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot`;
-* :mod:`repro.telemetry.profile` — ``REPRO_PROFILE=1`` per-call timing of
-  the numeric hot paths, identity (zero-cost) when off;
+  spans are the only record of where time went;
+* :mod:`repro.telemetry.metrics` — named counters summing each broker's
+  counts across campaigns, with a deterministic
+  :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot`;
 * :mod:`repro.telemetry.report` — the ``python -m repro.telemetry.report``
-  CLI rendering a per-phase time/eval breakdown.
+  CLI rendering a per-phase time/eval breakdown from a trace.
 
 Instrumented call sites take a single ``telemetry=`` argument resolved by
 :func:`resolve_telemetry`; ``None`` means off via shared no-op singletons.
@@ -27,17 +27,8 @@ from repro.telemetry.config import (
 from repro.telemetry.metrics import (
     NULL_METRICS,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     NullMetrics,
-)
-from repro.telemetry.profile import (
-    PROFILE_ENV_VAR,
-    profile_enabled,
-    profile_snapshot,
-    profiled,
-    reset_profile,
 )
 from repro.telemetry.trace import (
     NULL_SPAN,
@@ -58,11 +49,8 @@ __all__ = [
     "NULL_SPAN",
     "NULL_TELEMETRY",
     "NULL_TRACER",
-    "PROFILE_ENV_VAR",
     "TRACE_VERSION",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullMetrics",
     "NullSpan",
@@ -75,10 +63,6 @@ __all__ = [
     "TraceSchemaError",
     "TraceSpan",
     "Tracer",
-    "profile_enabled",
-    "profile_snapshot",
-    "profiled",
     "read_trace",
-    "reset_profile",
     "resolve_telemetry",
 ]

@@ -30,7 +30,12 @@ class TelemetryConfig:
     ----------
     trace_path:
         JSONL trace destination; ``None`` keeps spans in memory only
-        (still queryable through ``telemetry.tracer.finished``).
+        (still queryable through ``telemetry.tracer.finished``).  Each
+        materialized tracer overwrites the file, so it holds the spans of
+        the latest run only: rerunning a campaign or resuming a service
+        on the same path replaces the previous trace.  The
+        :class:`~repro.runtime.ledger.RunLedger` is the durable record of
+        a campaign; the trace is one run's timing.
     """
 
     trace_path: str | Path | None = None

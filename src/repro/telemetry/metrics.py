@@ -1,28 +1,29 @@
-"""Counters, gauges and histograms with a deterministic snapshot API.
+"""Named counters with a deterministic snapshot API.
 
-The registry is the numeric side of the observability layer: where the
-tracer answers "where did the time go", the metrics answer "how many" —
-simulations completed, cache hits, retries, acquisition fevals, clipped
-projection coordinates.  The perf harness consumes :meth:`snapshot`,
-whose output is deterministic (sorted keys, plain builtins) so two runs
-of the same seeded campaign produce byte-identical snapshots.
+The registry is the counting side of the observability layer: spans
+answer "where did the time go", the registry answers "how many" across
+every campaign that shares it — simulations completed, cache hits and
+misses, retries, timeouts, policy outcomes.  It keeps no count of its own:
+each :class:`~repro.runtime.broker.EvaluationBroker` keeps its counts in
+its :class:`~repro.runtime.broker.BrokerStats` and adds each batch's
+delta here, so each counter is the sum of one ``BrokerStats`` field over
+the brokers that report to the registry.  The perf harness consumes
+:meth:`snapshot`, whose output is deterministic (sorted keys, plain
+builtins) so two runs of the same seeded campaign produce byte-identical
+snapshots.
 
-Instruments are created on first use (``registry.counter("x").inc()``)
-and cheap enough to sit on warm paths; the telemetry-off path uses the
-:data:`NULL_METRICS` singleton whose instruments are shared no-ops.
-The registry and every instrument are ``@thread_shared``: a fleet of
-campaign threads over a shared broker (ROADMAP item 1) counts into one
-registry, so get-or-create races and increments are serialized under
-fine-grained per-object locks — an uncontended RLock acquire per ``inc``,
-which is noise next to the simulations being counted.  Snapshots taken
-while writers are still running are internally consistent per instrument;
-exact totals require the writers to have joined, which is what the
-threaded stress suite pins.
+Counters are created on first use (``registry.counter("x").inc()``); the
+telemetry-off path uses the :data:`NULL_METRICS` singleton whose counter
+is a shared no-op.  The registry and every counter are
+``@thread_shared``: campaign threads over a shared scheduler count into
+one registry, so get-or-create races and increments are serialized under
+fine-grained per-object locks.  Snapshots taken while writers are still
+running are internally consistent per counter; exact totals require the
+writers to have joined, which is what the threaded stress suite pins.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 from repro.utils.contracts import thread_shared
@@ -44,56 +45,6 @@ class Counter:
             self.value += int(n)
 
 
-@thread_shared
-class Gauge:
-    """A last-write-wins scalar; ``set`` is thread-safe."""
-
-    __slots__ = ("value", "_lock")
-
-    def __init__(self) -> None:
-        self._lock = make_lock("metrics.Gauge")
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-
-@thread_shared
-class Histogram:
-    """Streaming summary of observed values: count/total/min/max.
-
-    Deliberately bucket-free — the campaigns this instruments produce
-    hundreds of observations, and the report renders mean/extremes, not
-    quantiles.  ``observe`` is thread-safe: the four fields move together
-    under the instrument lock, so a snapshot never sees a count without
-    its total.
-    """
-
-    __slots__ = ("count", "total", "min", "max", "_lock")
-
-    def __init__(self) -> None:
-        self._lock = make_lock("metrics.Histogram")
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        with self._lock:
-            self.count += 1
-            self.total += value
-            if value < self.min:
-                self.min = value
-            if value > self.max:
-                self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
 class NullCounter:
     __slots__ = ()
 
@@ -103,47 +54,21 @@ class NullCounter:
         pass
 
 
-class NullGauge:
-    __slots__ = ()
-
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class NullHistogram:
-    __slots__ = ()
-
-    count = 0
-    total = 0.0
-    min = math.inf
-    max = -math.inf
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-
 _NULL_COUNTER = NullCounter()
-_NULL_GAUGE = NullGauge()
-_NULL_HISTOGRAM = NullHistogram()
 
 
 @thread_shared
 class MetricsRegistry:
-    """Named instruments, created on first use.
+    """Named counters, created on first use.
 
     Get-or-create runs under the registry lock so two threads asking for
-    the same name always receive the same instrument — the losing thread
-    of an unsynchronized race would otherwise count into an orphan.
+    the same name always receive the same counter — the losing thread of
+    an unsynchronized race would otherwise count into an orphan.
     """
 
     def __init__(self) -> None:
         self._lock = make_lock("metrics.MetricsRegistry")
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
 
     enabled = True
 
@@ -154,47 +79,16 @@ class MetricsRegistry:
                 inst = self._counters[name] = Counter()
             return inst
 
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            inst = self._gauges.get(name)
-            if inst is None:
-                inst = self._gauges[name] = Gauge()
-            return inst
-
-    def histogram(self, name: str) -> Histogram:
-        with self._lock:
-            inst = self._histograms.get(name)
-            if inst is None:
-                inst = self._histograms[name] = Histogram()
-            return inst
-
     def snapshot(self) -> dict[str, Any]:
-        """Deterministic plain-builtin view of every instrument.
+        """Deterministic plain-builtin view: ``{"counters": {name: n}}``.
 
-        Keys are sorted; histogram extremes of empty histograms render as
-        ``None`` so the snapshot stays JSON-serializable.  The registry
-        lock pins the instrument set; per-instrument fields are read
-        without their locks (reads are atomic under the GIL and exactness
-        is only promised once writers have joined).
+        Keys are sorted.  The registry lock pins the counter set; values
+        are read without their locks (reads are atomic under the GIL and
+        exactness is only promised once writers have joined).
         """
         with self._lock:
             counters = sorted(self._counters.items())
-            gauges = sorted(self._gauges.items())
-            histograms = sorted(self._histograms.items())
-        return {
-            "counters": {name: inst.value for name, inst in counters},
-            "gauges": {name: inst.value for name, inst in gauges},
-            "histograms": {
-                name: {
-                    "count": hist.count,
-                    "total": hist.total,
-                    "mean": hist.mean,
-                    "min": hist.min if hist.count else None,
-                    "max": hist.max if hist.count else None,
-                }
-                for name, hist in histograms
-            },
-        }
+        return {"counters": {name: inst.value for name, inst in counters}}
 
 
 class NullMetrics:
@@ -207,14 +101,8 @@ class NullMetrics:
     def counter(self, name: str) -> NullCounter:
         return _NULL_COUNTER
 
-    def gauge(self, name: str) -> NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str) -> NullHistogram:
-        return _NULL_HISTOGRAM
-
     def snapshot(self) -> dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
+        return {"counters": {}}
 
 
 NULL_METRICS = NullMetrics()
@@ -222,12 +110,8 @@ NULL_METRICS = NullMetrics()
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",
     "NullCounter",
-    "NullGauge",
-    "NullHistogram",
     "NullMetrics",
 ]

@@ -190,7 +190,8 @@ class Tracer:
     Parameters
     ----------
     path:
-        Trace file destination.  ``None`` keeps the spans in memory only
+        Trace file destination, overwritten when the tracer emits its
+        first span.  ``None`` keeps the spans in memory only
         (``finished``), which the tests and :class:`~repro.campaign.Campaign`
         use for reconciliation without touching disk.
     clock:
@@ -319,7 +320,9 @@ class Tracer:
             if self.path is not None:
                 if self._fh is None:
                     self.path.parent.mkdir(parents=True, exist_ok=True)
-                    self._fh = self.path.open("a", encoding="utf-8")
+                    # one file holds one tracer's spans: appending to an
+                    # earlier run's file would add a second header
+                    self._fh = self.path.open("w", encoding="utf-8")
                     header = {"kind": "trace", "version": TRACE_VERSION}
                     self._fh.write(
                         json.dumps(header, separators=(",", ":")) + "\n"

@@ -183,14 +183,31 @@ class TestCampaignTelemetry:
         assert tele.metrics.snapshot()["counters"]["evaluations.completed"] == 10
         tele.close()
 
+    def test_rerun_on_one_trace_path_keeps_one_readable_trace(self, tmp_path):
+        trace_path = tmp_path / "t.jsonl"
+        campaign = Campaign(
+            bowl_objective(),
+            MonteCarloSampler(5, seed=0),
+            policy=RuntimePolicy.shared(),
+            telemetry=TelemetryConfig(trace_path=trace_path),
+            seed=7,
+        )
+        campaign.run()
+        campaign.run()
+        # the second run found every point in the shared cache: the file
+        # holds its spans alone — one campaign, no simulations, five hits
+        trace = read_trace(trace_path)
+        assert [s.name for s in trace.roots()] == ["campaign"]
+        (sampling,) = trace.named("sampling")
+        assert sampling.attrs["cache_hits"] == 5
+        assert trace.named("evaluate") == []
+
     def test_off_by_default(self):
         outcome = Campaign(bowl_objective(), MonteCarloSampler(5, seed=0)).run()
         assert isinstance(outcome, CampaignResult)
         assert outcome.trace_path is None
         assert outcome.ledger_path is None
-        assert outcome.metrics == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
+        assert outcome.metrics == {"counters": {}}
         assert outcome.method == "MC"
 
 

@@ -88,26 +88,6 @@ class TestMetricsUnderThreads:
                 snap["counters"][f"per_thread.{i}"] == 2 * self.N_PER_THREAD
             )
 
-    def test_histogram_totals_are_exact(self):
-        registry = MetricsRegistry()
-
-        def observe(i: int) -> None:
-            for k in range(self.N_PER_THREAD):
-                registry.histogram("lat").observe(float(i * 1000 + k))
-
-        assert run_threads(observe) == []
-        hist = registry.snapshot()["histograms"]["lat"]
-        n = N_THREADS * self.N_PER_THREAD
-        assert hist["count"] == n
-        expected_total = sum(
-            float(i * 1000 + k)
-            for i in range(N_THREADS)
-            for k in range(self.N_PER_THREAD)
-        )
-        assert hist["total"] == pytest.approx(expected_total)
-        assert hist["min"] == 0.0
-        assert hist["max"] == float((N_THREADS - 1) * 1000 + self.N_PER_THREAD - 1)
-
     def test_get_or_create_race_yields_one_instrument(self):
         registry = MetricsRegistry()
 
@@ -166,7 +146,7 @@ class TestLedgerUnderThreads:
 
 
 class TestCacheUnderThreads:
-    def test_get_many_under_concurrent_writers(self):
+    def test_get_under_concurrent_writers(self):
         cache = ResultCache.in_memory()
         digests = [f"digest-{k}" for k in range(512)]
         stop = threading.Event()
@@ -175,10 +155,10 @@ class TestCacheUnderThreads:
         def read_loop() -> None:
             try:
                 while not stop.is_set():
-                    values = cache.get_many(digests)
                     # a value is either absent or exactly what the writer
                     # stored — never a torn/partial state
-                    for k, value in enumerate(values):
+                    for k, digest in enumerate(digests):
+                        value = cache.get(digest)
                         assert value is None or value == float(k)
             except BaseException as exc:  # noqa: BLE001
                 reader_errors.append(exc)
@@ -197,7 +177,7 @@ class TestCacheUnderThreads:
             reader.join()
         assert reader_errors == []
         assert len(cache) == len(digests)
-        assert cache.get_many(digests) == [float(k) for k in range(512)]
+        assert [cache.get(d) for d in digests] == [float(k) for k in range(512)]
 
     def test_hit_miss_accounting_is_exact(self):
         cache = ResultCache.in_memory()
@@ -312,10 +292,12 @@ class TestBrokerThreadCampaign:
 
         snap = telemetry.metrics.snapshot()
         assert snap["counters"]["evaluations.completed"] == total
-        assert snap["histograms"]["evaluations.seconds"]["count"] == total
 
+        # one timed evaluate span per simulation, none lost or merged
         spans = telemetry.tracer.finished
         assert len(spans) == total
+        assert all(line["name"] == "evaluate" for line in spans)
+        assert all(line["dt"] >= 0.0 for line in spans)
         assert len({line["id"] for line in spans}) == total
 
 

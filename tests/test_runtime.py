@@ -32,6 +32,7 @@ from repro.runtime import (
     read_ledger,
     require_objective,
 )
+from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from repro.utils.validation import unit_cube_bounds
 
 
@@ -173,12 +174,12 @@ class TestResultCache:
         assert cache.keys_for_batch("k", X) == [cache.key_for("k", X[0])]
         assert cache.keys_for_batch("k", X) != batch_digests("k", X)
 
-    def test_get_many_counts_like_sequential_gets(self):
+    def test_get_counts_one_hit_or_miss_per_lookup(self):
         cache = ResultCache.in_memory()
         X = np.array([[1.0], [2.0], [3.0]])
         digests = cache.keys_for_batch("k", X)
         cache.put(digests[1], 4.5)
-        assert cache.get_many(digests) == [None, 4.5, None]
+        assert [cache.get(d) for d in digests] == [None, 4.5, None]
         assert cache.stats == {
             "size": 1, "hits": 1, "misses": 2, "evictions": 0
         }
@@ -369,6 +370,37 @@ class TestBrokerFaultMatrix:
         )
         assert broker.evaluate(np.array([0.5, 0.5])) is None
 
+    @pytest.mark.parametrize(
+        "policy, counter, field, event",
+        [
+            ("skip", "evaluations.skipped", "n_skipped", "skipped"),
+            ("penalty", "evaluations.penalized", "n_penalized", "penalized"),
+        ],
+    )
+    def test_failed_duplicate_counts_in_every_record(
+        self, tmp_path, policy, counter, field, event
+    ):
+        telemetry = Telemetry(metrics=MetricsRegistry())
+        ledger = RunLedger(tmp_path / "run.jsonl")
+        broker = EvaluationBroker(
+            CountingObjective(fail_first=10, mode="nan"),
+            BrokerConfig(
+                max_retries=0,
+                backoff_seconds=0.0,
+                failure_policy=policy,
+                penalty_value=99.0 if policy == "penalty" else None,
+            ),
+            ledger=ledger,
+            telemetry=telemetry,
+        )
+        broker.evaluate_batch(np.array([[0.5, 0.5]] * 2))
+        ledger.close()
+        # the in-batch repeat mirrors the first point's outcome: both
+        # points count, in the registry as in the stats and the ledger
+        assert telemetry.snapshot()["counters"][counter] == 2
+        assert getattr(broker.stats, field) == 2
+        assert read_ledger(ledger.path).counts[event] == 2
+
 
 class TestBrokerCache:
     def test_repeat_batch_served_from_cache(self):
@@ -383,11 +415,19 @@ class TestBrokerCache:
 
     def test_within_batch_duplicates_simulate_once(self):
         obj = CountingObjective()
-        broker = EvaluationBroker(obj)
-        batch = broker.evaluate_batch(np.array([[0.1, 0.1]] * 3))
+        telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
+        broker = EvaluationBroker(obj, telemetry=telemetry)
+        with telemetry.tracer.span("iteration") as phase:
+            batch = broker.evaluate_batch(np.array([[0.1, 0.1]] * 3))
         assert obj.calls == 1
         assert batch.y.tolist() == [bowl([0.1, 0.1])] * 3
-        assert broker.stats.n_cache_hits == 2
+        # one claimed miss, two repeats served as hits — the same split
+        # in the stats, the registry and the phase span
+        counters = telemetry.snapshot()["counters"]
+        assert counters["cache.hits"] == broker.stats.n_cache_hits == 2
+        assert counters["cache.misses"] == broker.stats.n_cache_misses == 1
+        assert phase.attrs["cache_hits"] == 2
+        assert phase.attrs["cache_misses"] == 1
 
     def test_shared_cache_across_brokers(self):
         obj = CountingObjective()

@@ -1,7 +1,7 @@
 """Tests for the ``repro.serve`` campaign service layer.
 
 Covers the service contract end to end: spec validation, the persistent
-cache factories (shard round-trip, torn lines, LRU eviction, metrics),
+cache factories (shard round-trip, torn lines, LRU eviction, stats),
 N≥4 concurrent campaigns over one shared cache with zero lost ledger
 events and zero duplicate simulations, and kill + ``--resume`` bitwise
 reproduction — both in-process (truncated ledgers) and with a real
@@ -34,7 +34,6 @@ from repro.runtime.objective import FunctionObjective
 from repro.runtime.replay import truncate_mid_run, verify_replay
 from repro.sampling.monte_carlo import MonteCarloSampler
 from repro.serve import CampaignScheduler, build_spec, load_jobs
-from repro.telemetry.metrics import MetricsRegistry
 
 
 def bowl_objective(dim: int = 2) -> FunctionObjective:
@@ -197,19 +196,15 @@ class TestPersistentCache:
         with ResultCache.open(tmp_path / "c") as unbounded:
             assert len(unbounded) == 4
 
-    def test_metrics_binding(self):
-        registry = MetricsRegistry()
+    def test_stats_count_hits_misses_evictions(self):
         cache = ResultCache.in_memory(max_entries=1)
-        cache.bind_metrics(registry)
         cache.put("a", 1.0)
         cache.get("a")
         cache.get("missing")
         cache.put("b", 2.0)  # evicts "a"
-        snap = registry.snapshot()
-        assert snap["counters"]["result_cache.hits"] == 1
-        assert snap["counters"]["result_cache.misses"] == 1
-        assert snap["counters"]["result_cache.evictions"] == 1
-        assert snap["gauges"]["result_cache.size"] == 1
+        assert cache.stats == {
+            "size": 1, "hits": 1, "misses": 1, "evictions": 1
+        }
 
     def test_bare_constructor_raises(self):
         with pytest.raises(TypeError, match=r"in_memory\(\).*open\(path\)"):
@@ -342,12 +337,9 @@ class TestSchedulerConcurrent:
         assert total_completed == 24  # 2 unique seeds x 12 points
         assert result.cache_stats["size"] == 24
         assert result.cache_stats["hits"] >= 24
-        # queue/latency telemetry flowed into the shared registry
-        assert result.metrics["counters"]["scheduler.campaigns_completed"] == 4
-        assert (
-            result.metrics["histograms"]["scheduler.queue_wait_seconds"]["count"]
-            == 4
-        )
+        # every campaign completed and recorded its queue wait
+        assert result.n_completed == 4
+        assert all(o.queue_wait_seconds > 0.0 for o in result.outcomes)
 
     def test_duplicate_names_rejected(self, tmp_path):
         with CampaignScheduler(tmp_path / "runs") as scheduler:

@@ -1,4 +1,4 @@
-"""Tests for the telemetry layer: tracer, metrics, profiling gate, report.
+"""Tests for the telemetry layer: tracer, metrics, report.
 
 The trace schema round-trip and nesting invariants are pinned here; the
 campaign-level reconciliation against the :class:`RunLedger` lives in
@@ -8,8 +8,6 @@ campaign-level reconciliation against the :class:`RunLedger` lives in
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +25,6 @@ from repro.telemetry import (
     read_trace,
     resolve_telemetry,
 )
-from repro.telemetry import profile as profile_mod
 from repro.telemetry.report import (
     main as report_main,
     phase_breakdown,
@@ -230,28 +227,20 @@ class TestTraceRoundTrip:
 
 
 class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
+    def test_counters_sum_increments(self):
         registry = MetricsRegistry()
         registry.counter("evaluations.completed").inc()
         registry.counter("evaluations.completed").inc(2)
-        registry.gauge("gp.lml").set(-12.5)
-        for value in (1.0, 3.0):
-            registry.histogram("evaluations.seconds").observe(value)
-        snap = registry.snapshot()
-        assert snap["counters"] == {"evaluations.completed": 3}
-        assert snap["gauges"] == {"gp.lml": -12.5}
-        assert snap["histograms"]["evaluations.seconds"] == {
-            "count": 2, "total": 4.0, "mean": 2.0, "min": 1.0, "max": 3.0,
+        assert registry.snapshot() == {
+            "counters": {"evaluations.completed": 3}
         }
 
     def test_snapshot_is_deterministic_and_json_safe(self):
         registry = MetricsRegistry()
         registry.counter("b").inc()
         registry.counter("a").inc()
-        registry.histogram("empty")  # registered but never observed
         snap = registry.snapshot()
         assert list(snap["counters"]) == ["a", "b"]
-        assert snap["histograms"]["empty"]["min"] is None
         json.dumps(snap)  # plain builtins only
 
     def test_get_or_create_returns_same_instrument(self):
@@ -273,9 +262,7 @@ class TestNullObjects:
         assert NULL_METRICS.counter("a") is NULL_METRICS.counter("b")
         NULL_METRICS.counter("a").inc()
         assert NULL_METRICS.counter("a").value == 0
-        assert NULL_METRICS.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {},
-        }
+        assert NULL_METRICS.snapshot() == {"counters": {}}
 
     def test_resolve_telemetry(self, tmp_path):
         assert resolve_telemetry(None) is NULL_TELEMETRY
@@ -288,96 +275,6 @@ class TestNullObjects:
         assert materialized.tracer.path == tmp_path / "t.jsonl"
         materialized.close()
         assert not NULL_TELEMETRY.enabled
-
-
-# -- profiling gate ----------------------------------------------------------
-
-
-def _profile_probe(env_value: str | None) -> str:
-    """Report decorator behaviour from a fresh interpreter."""
-    code = (
-        "from repro.telemetry.profile import profiled, profile_snapshot\n"
-        "def f(x):\n"
-        "    return x\n"
-        "g = profiled('probe.site')(f)\n"
-        "g(1); g(2)\n"
-        "snap = profile_snapshot()\n"
-        "if g is f:\n"
-        "    print('identity', len(snap))\n"
-        "else:\n"
-        "    print('wrapped', snap['probe.site']['calls'])\n"
-    )
-    import os
-
-    env = dict(os.environ, PYTHONPATH="src")
-    env.pop("REPRO_PROFILE", None)
-    if env_value is not None:
-        env["REPRO_PROFILE"] = env_value
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=str(Path(__file__).resolve().parent.parent),
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
-class TestProfileGate:
-    def test_decorator_is_identity_when_off(self):
-        assert _profile_probe(None) == "identity 0"
-        assert _profile_probe("0") == "identity 0"
-
-    def test_decorator_accumulates_when_on(self):
-        assert _profile_probe("1") == "wrapped 2"
-
-    def test_hot_path_sites_unwrapped_when_off(self):
-        """The instrumented GP/acquisition sites must cost nothing when off.
-
-        ``profiled`` resolves at import time, so with ``REPRO_PROFILE``
-        unset the decorated hot-path functions are the bare functions —
-        no wrapper frame on the perf-smoke path (the <2% budget).
-        """
-        code = (
-            "from repro.gp.model import GaussianProcess\n"
-            "from repro.gp.evaluator import MarginalLikelihoodEvaluator\n"
-            "from repro.acquisition.optimize import optimize_acquisition\n"
-            "from repro.bo.propose import propose_batch\n"
-            "wrapped = [\n"
-            "    hasattr(GaussianProcess.predict, '__wrapped__'),\n"
-            "    hasattr(MarginalLikelihoodEvaluator.evaluate, '__wrapped__'),\n"
-            "    hasattr(optimize_acquisition, '__wrapped__'),\n"
-            "    hasattr(propose_batch, '__wrapped__'),\n"
-            "]\n"
-            "print('wrapped' if any(wrapped) else 'bare')\n"
-        )
-        import os
-
-        for env_value, expected in ((None, "bare"), ("1", "wrapped")):
-            env = dict(os.environ, PYTHONPATH="src")
-            env.pop("REPRO_PROFILE", None)
-            env.pop("REPRO_SANITIZE", None)  # sanitizer wraps too; isolate
-            if env_value is not None:
-                env["REPRO_PROFILE"] = env_value
-            proc = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True,
-                text=True,
-                env=env,
-                cwd=str(Path(__file__).resolve().parent.parent),
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.strip() == expected
-
-    def test_profile_enabled_reflects_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert not profile_mod.profile_enabled()
-        for value in ("1", "true", "YES", " on "):
-            monkeypatch.setenv("REPRO_PROFILE", value)
-            assert profile_mod.profile_enabled()
-        monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert not profile_mod.profile_enabled()
 
 
 # -- report CLI --------------------------------------------------------------
