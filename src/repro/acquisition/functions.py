@@ -94,17 +94,11 @@ class WeightedAcquisition(AcquisitionFunction):
 class MultiWeightAcquisition:
     """Eq. 9 for a whole weight ladder sharing one posterior evaluation.
 
-    ``evaluate_all(X)`` returns an ``(n_weights, m)`` matrix whose row ``i``
-    equals ``WeightedAcquisition(gp, w_i).evaluate(X)`` — the GP posterior
-    is computed once per candidate set and reweighted across all weights,
-    which is what makes the lockstep pBO proposal cheap.  The reweighting
-    itself is one rank-2 GEMM: the ``(n_w, 2)`` coefficient matrix
-    ``[1 − w, −w]`` against the ``(2, m)`` posterior slab ``[μ; σ]``.
-
-    ``evaluate_segments(X, segments)`` is the lockstep driver's entry
-    point: several searches contribute pending candidate blocks, the
-    concatenated union goes through ``gp.predict`` once, and each search
-    receives the slice of the union scored under *its* weight.
+    ``evaluate_segments(X, segments)`` is the multi-row search engines'
+    objective: every live search contributes a block of pending candidates,
+    the concatenated union goes through ``gp.predict`` once, and each block
+    is reweighted under *its* weight — arithmetic identical to that
+    weight's own :class:`WeightedAcquisition` evaluation.
     """
 
     def __init__(self, gp: SurrogateModel, weights: ArrayLike) -> None:
@@ -117,50 +111,35 @@ class MultiWeightAcquisition:
             raise ValueError("weights must lie in [0, 1]")
         self.gp = gp
         self.weights: FloatArray = w
-        #: (n_w, 2) Eq. 9 coefficients; row i is (1 − w_i, −w_i).
-        self._coeffs: FloatArray = np.column_stack([1.0 - w, -w])
+        #: ``1 − w_i`` per weight, the posterior-mean coefficient of Eq. 9.
+        self._mean_coeffs: FloatArray = 1.0 - w
 
-    @shape_contract("X: a(m, d) | a(d,) -> (n_w, m)")
-    def evaluate_all(self, X: np.ndarray) -> np.ndarray:
-        pred = self.gp.predict(as_matrix(X))
-        slab = np.vstack([pred.mean, pred.std])
-        return self._coeffs @ slab
-
-    def evaluate_segments(
-        self, X: np.ndarray, segments: list[tuple[int, int]]
-    ) -> list[FloatArray]:
+    def evaluate_segments(self, X: np.ndarray, segments: ArrayLike) -> FloatArray:
         """Score a concatenated candidate union with one posterior call.
 
-        ``segments`` is a list of ``(weight_index, length)`` pairs whose
-        lengths sum to ``X.shape[0]``; segment ``j`` covers the next
-        ``length`` rows of ``X`` and is scored under
-        ``self.weights[weight_index]``.  Returns one value array per
-        segment, arithmetic identical to that segment's own
-        :class:`WeightedAcquisition` evaluation — this is what lets the
-        batched proposal drive many DIRECT/COBYLA searches off a single
-        ``gp.predict`` per round.
+        ``segments`` holds ``(weight_index, length)`` pairs whose lengths
+        sum to ``X.shape[0]``; segment ``j`` covers the next ``length`` rows
+        of ``X`` and is scored under ``self.weights[weight_index]``.
+        Returns the ``(m,)`` values of the whole union, one reweight by row
+        index.
         """
         X = as_matrix(X)
-        total = sum(m for _, m in segments)
+        pairs = np.asarray(segments, dtype=np.intp).reshape(-1, 2)
+        index, lengths = pairs[:, 0], pairs[:, 1]
+        total = int(lengths.sum())
         if total != X.shape[0]:
             raise ValueError(
                 f"segment lengths sum to {total}, union holds {X.shape[0]} rows"
             )
+        n_weights = self.weights.shape[0]
+        if np.any((index < 0) | (index >= n_weights)):
+            raise IndexError(
+                f"weight index {index.tolist()} outside ladder of "
+                f"{n_weights} weights"
+            )
+        rows = np.repeat(index, lengths)
         pred = self.gp.predict(X)
-        out: list[FloatArray] = []
-        offset = 0
-        for index, m in segments:
-            if not 0 <= index < self.weights.shape[0]:
-                raise IndexError(
-                    f"weight index {index} outside ladder of "
-                    f"{self.weights.shape[0]} weights"
-                )
-            w = float(self.weights[index])
-            mu = pred.mean[offset : offset + m]
-            sigma = pred.std[offset : offset + m]
-            out.append((1.0 - w) * mu - w * sigma)
-            offset += m
-        return out
+        return self._mean_coeffs[rows] * pred.mean - self.weights[rows] * pred.std
 
 
 @shape_contract("batch_size: n -> (n,)")

@@ -51,7 +51,7 @@ def default_acquisition_optimizer(
     if local_budget is None:
         local_budget = DEFAULT_LOCAL_BUDGET
     return GlobalLocalOptimizer(
-        Direct(max_evaluations=global_budget, locally_biased=True),
+        Direct(max_evaluations=global_budget),
         Cobyla(max_evaluations=local_budget, rho_begin=0.25),
         local_radius=local_radius,
     )

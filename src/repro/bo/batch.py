@@ -8,8 +8,9 @@ and the inner engine of the proposed method when run in an embedded space
 (:class:`~repro.bo.rembo.RemboBO` subclasses :class:`BatchBO`).
 
 With the DIRECT-L + COBYLA stack, :func:`~repro.bo.propose.propose_batch`
-drives all ``n_b`` searches in lockstep: each generation's candidate union
-is scored by ONE shared GP posterior evaluation and reweighted per weight
+runs all ``n_b`` searches as the rows of one array search: each round's
+candidate union is scored by ONE shared GP posterior evaluation and
+reweighted per weight
 (:class:`~repro.acquisition.functions.MultiWeightAcquisition`), in both the
 global and the local refinement phase.
 """

@@ -41,3 +41,31 @@ class OptimizationResult:
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
         self.fun = float(self.fun)
+
+
+@dataclass
+class RowOutcome:
+    """Per-row outcome of a multi-row search: row ``i`` holds what the
+    ``i``-th optimizer's own :meth:`~repro.optim.base.Optimizer.minimize`
+    would report.
+
+    Attributes
+    ----------
+    x:
+        ``(n, d)`` best point per row.
+    fun:
+        ``(n,)`` objective value at each row's ``x``.
+    n_evaluations, n_iterations:
+        ``(n,)`` evaluation and iteration counts.
+    success:
+        ``(n,)`` whether each row stopped by its own convergence test.
+    message:
+        Termination reason per row.
+    """
+
+    x: np.ndarray
+    fun: np.ndarray
+    n_evaluations: np.ndarray
+    n_iterations: np.ndarray
+    success: np.ndarray
+    message: list[str]

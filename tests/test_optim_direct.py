@@ -1,4 +1,4 @@
-"""Tests for the DIRECT / DIRECT-L global optimizer."""
+"""Tests for the DIRECT-L global optimizer."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,8 @@ def sphere_at(c):
 
 
 class TestConvergence:
-    @pytest.mark.parametrize("locally_biased", [True, False])
-    def test_sphere_2d(self, locally_biased):
-        opt = Direct(max_evaluations=600, locally_biased=locally_biased)
+    def test_sphere_2d(self):
+        opt = Direct(max_evaluations=600)
         result = opt.minimize(sphere_at([0.3, -0.4]), unit_cube_bounds(2))
         assert result.fun < 1e-5
         np.testing.assert_allclose(result.x, [0.3, -0.4], atol=1e-2)
@@ -33,7 +32,7 @@ class TestConvergence:
                 np.sum(x**2 - 0.3 * np.cos(5 * np.pi * x)) + 0.6
             )
 
-        opt = Direct(max_evaluations=1500, locally_biased=False)
+        opt = Direct(max_evaluations=1500)
         result = opt.minimize(fun, unit_cube_bounds(2))
         assert np.linalg.norm(result.x) < 0.15
 
@@ -96,18 +95,3 @@ class TestValidation:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             Direct().minimize(sphere_at([0.0]), [[1.0, 0.0]])
-
-
-class TestLocallyBiasedDiffers:
-    def test_division_counts_differ(self):
-        """DIRECT-L divides fewer rectangles per iteration than DIRECT."""
-        fun = sphere_at([0.3, -0.2, 0.1])
-        r_l = Direct(max_evaluations=400, locally_biased=True).minimize(
-            fun, unit_cube_bounds(3)
-        )
-        r_std = Direct(max_evaluations=400, locally_biased=False).minimize(
-            fun, unit_cube_bounds(3)
-        )
-        # both converge on a convex bowl; they just take different paths
-        assert r_l.fun < 1e-3
-        assert r_std.fun < 1e-3

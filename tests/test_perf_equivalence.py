@@ -1,12 +1,13 @@
 """Equivalence guards for the vectorized GP hot path.
 
 The hot-path rework (cached kernel workspaces, fused LML value+gradient,
-incremental Cholesky updates, batched/lockstep acquisition evaluation and
-chunked broker dispatch) is pure plumbing: every optimization must return
-what the straightforward implementation returns, to tight tolerance.
-These tests pin that contract so future performance work cannot silently
-change numbers.  The straightforward implementations live here, as the
-references: per-weight ``minimize`` calls for the lockstep proposal and a
+incremental Cholesky updates, batched acquisition evaluation, the
+multi-row DIRECT-L and COBYLA engines behind the pBO proposal, and chunked
+broker dispatch) is pure plumbing: every optimization must return what the
+straightforward implementation returns.  These tests pin that contract so
+future performance work cannot silently change numbers.  The references:
+per-weight ``minimize`` calls and the coroutine searches the engines
+replaced (``tests/search_reference.py``) for the proposal, and a
 one-row-per-call objective wrapper for chunked dispatch.
 """
 
@@ -40,6 +41,11 @@ from repro.runtime import (
     FaultPlan,
     FunctionObjective,
     Objective,
+)
+from tests.search_reference import (
+    ReferenceCobyla,
+    drive_alone,
+    reference_propose_batch,
 )
 
 
@@ -187,7 +193,7 @@ class TestBatchedAcquisitionEquivalence:
 
 
 class TestGemmAcquisitionEquivalence:
-    """The one-GEMM multi-weight scoring vs per-weight Eq. 9 evaluation."""
+    """The one-predict multi-weight scoring vs per-weight Eq. 9 evaluation."""
 
     def _fitted(self, n_weights=5):
         X, y = _dataset(30, 4, seed=3)
@@ -196,29 +202,27 @@ class TestGemmAcquisitionEquivalence:
         ).fit(X, y)
         return gp, pbo_weights(n_weights)
 
-    def test_evaluate_all_matches_per_weight_loop(self):
-        gp, weights = self._fitted()
-        multi = MultiWeightAcquisition(gp, weights)
-        Z = _dataset(25, 4, seed=7)[0]
-        batched = multi.evaluate_all(Z)
-        assert batched.shape == (weights.size, 25)
-        for i, w in enumerate(weights):
-            row = WeightedAcquisition(gp, weight=float(w)).evaluate(Z)
-            np.testing.assert_allclose(batched[i], row, atol=1e-8)
-
     def test_evaluate_segments_matches_per_weight(self):
+        """Each segment's reweight by row index is its weight's own Eq. 9."""
         gp, weights = self._fitted()
         multi = MultiWeightAcquisition(gp, weights)
         segments = [(0, 4), (2, 1), (4, 6), (2, 3)]
         union = _dataset(sum(m for _, m in segments), 4, seed=11)[0]
-        sliced = multi.evaluate_segments(union, segments)
+        values = multi.evaluate_segments(union, segments)
+        assert values.shape == (union.shape[0],)
+        pred = gp.predict(union)
         offset = 0
-        for (index, m), values in zip(segments, sliced):
-            block = union[offset : offset + m]
+        for index, m in segments:
+            block = slice(offset, offset + m)
             expected = WeightedAcquisition(
                 gp, weight=float(weights[index])
-            ).evaluate(block)
-            np.testing.assert_allclose(values, expected, atol=1e-8)
+            ).evaluate(union[block])
+            np.testing.assert_allclose(values[block], expected, atol=1e-8)
+            # bitwise against the scalar-weight arithmetic on one predict
+            w = float(weights[index])
+            np.testing.assert_array_equal(
+                values[block], (1.0 - w) * pred.mean[block] - w * pred.std[block]
+            )
             offset += m
 
     def test_segment_lengths_validated(self):
@@ -244,7 +248,9 @@ class TestGemmAcquisitionEquivalence:
 
 
 class TestCobylaCoroutineEquivalence:
-    """``Cobyla.search`` driven by hand must replay ``minimize`` exactly."""
+    """The coroutine ``ReferenceCobyla.search`` (the point-at-a-time code
+    the array engine replaced), driven by hand, must replay ``minimize``
+    exactly."""
 
     @staticmethod
     def _fun(x):
@@ -252,49 +258,52 @@ class TestCobylaCoroutineEquivalence:
         return float(np.sum((x - 0.3) ** 2) + 0.1 * np.sin(5.0 * x[0]))
 
     def _drive(self, cobyla, lower, upper, x0):
-        engine = cobyla.search(lower, upper, x0=x0)
-        points = next(engine)
-        best_x, best_f, n_evaluations = None, np.inf, 0
-        while True:
-            values = np.array([self._fun(p) for p in points], dtype=float)
-            n_evaluations += values.shape[0]
-            j = int(np.argmin(values))
-            if float(values[j]) < best_f:
-                best_f = float(values[j])
-                best_x = points[j].copy()
-            try:
-                points = engine.send(values)
-            except StopIteration as stop:
-                return best_x, best_f, n_evaluations, stop.value
+        reference = ReferenceCobyla(
+            rho_begin=cobyla.rho_begin,
+            rho_end=cobyla.rho_end,
+            max_evaluations=cobyla.max_evaluations,
+        )
+        return drive_alone(reference.search(lower, upper, x0=x0), self._fun)
 
     def test_search_driven_matches_minimize(self):
         cobyla = Cobyla(max_evaluations=200)
         lower, upper = -np.ones(3), np.ones(3)
         x0 = np.array([0.4, -0.2, 0.1])
         bounds = np.column_stack([lower, upper])
-        reference = cobyla.minimize(self._fun, bounds, x0=x0)
+        result = cobyla.minimize(self._fun, bounds, x0=x0)
         best_x, best_f, n_evals, outcome = self._drive(
             cobyla, lower, upper, x0
         )
-        np.testing.assert_array_equal(best_x, reference.x)
-        assert best_f == reference.fun
-        assert n_evals == reference.n_evaluations
-        assert outcome.success == reference.success
-        assert outcome.message == reference.message
+        np.testing.assert_array_equal(best_x, result.x)
+        assert best_f == result.fun
+        assert n_evals == result.n_evaluations
+        assert outcome.n_iterations == result.n_iterations
+        assert outcome.success == result.success
+        assert outcome.message == result.message
 
     def test_budget_below_simplex_falls_back_to_x0(self):
         cobyla = Cobyla(max_evaluations=2)
         lower, upper = -np.ones(3), np.ones(3)
         x0 = np.array([0.1, 0.2, -0.3])
+        result = cobyla.minimize(
+            self._fun, np.column_stack([lower, upper]), x0=x0
+        )
         best_x, _, n_evals, outcome = self._drive(cobyla, lower, upper, x0)
+        np.testing.assert_array_equal(result.x, x0)
         np.testing.assert_array_equal(best_x, x0)
-        assert n_evals == 1
-        assert not outcome.success
-        assert "budget below simplex" in outcome.message
+        assert result.n_evaluations == n_evals == 1
+        assert not result.success and not outcome.success
+        assert "budget below simplex" in result.message
+        assert result.message == outcome.message
 
 
 class TestLockstepProposalEquivalence:
-    """Lockstep proposals must match independent per-weight searches."""
+    """Lockstep proposals must match independent per-weight searches.
+
+    The bitwise reference is the moved coroutine loop
+    (``tests/search_reference.py``): one DIRECT and one COBYLA coroutine
+    per weight, driven in lockstep over the same candidate unions.
+    """
 
     def _setup(self):
         X, y = _dataset(25, 3, seed=10)
@@ -338,6 +347,25 @@ class TestLockstepProposalEquivalence:
         X, n_evaluations = self._independent(gp, weights, box, factory)
         np.testing.assert_allclose(lockstep.X, X, atol=1e-8)
         assert lockstep.n_evaluations == n_evaluations
+
+    @pytest.mark.parametrize(
+        "budgets",
+        [(None, None, 0.1), (120, 60, None), (7, 3, 0.1), (41, 11, 0.5)],
+        ids=["default", "unbounded-local", "tiny", "odd"],
+    )
+    def test_matches_coroutine_lockstep_bitwise(self, budgets):
+        gp, weights, box = self._setup()
+        global_budget, local_budget, local_radius = budgets
+
+        def factory(dim):
+            return default_acquisition_optimizer(
+                dim, global_budget, local_budget, local_radius=local_radius
+            )
+
+        proposal = propose_batch(gp, weights, box, optimizer_factory=factory)
+        X, n_evaluations = reference_propose_batch(gp, weights, box, factory)
+        np.testing.assert_array_equal(proposal.X, X)
+        assert proposal.n_evaluations == n_evaluations
 
     @pytest.mark.parametrize(
         "stack, built",
