@@ -15,7 +15,6 @@ from repro.bo.engine import (
     EngineProtocol,
     RunSpec,
     SurrogateManager,
-    default_kernel_factory,
     uniform_initial_design,
 )
 from repro.bo.loop import ACQUISITIONS, SequentialBO
@@ -38,6 +37,5 @@ __all__ = [
     "propose_batch",
     "BatchProposal",
     "uniform_initial_design",
-    "default_kernel_factory",
     "ACQUISITIONS",
 ]

@@ -32,7 +32,6 @@ from repro.gp.surrogate import (
     make_surrogate,
     surrogate_kind_of,
 )
-from repro.kernels.stationary import Matern52
 from repro.optim.base import Optimizer
 from repro.runtime.broker import RuntimePolicy, make_broker
 from repro.runtime.objective import Objective, require_objective, resolve_bounds
@@ -125,11 +124,6 @@ class EngineProtocol(Protocol):
     ) -> "RunResult": ...
 
 
-def default_kernel_factory(dim: int):
-    """Matérn-5/2 with ARD, the usual BO default (paper cites both SE and Matérn)."""
-    return Matern52(dim=dim, ard=True)
-
-
 def annotate_gp_fit(span, manager: "SurrogateManager") -> None:
     """Attach the surrogate refit's hyperopt outcome to a ``gp_fit`` span.
 
@@ -172,7 +166,8 @@ class SurrogateManager:
         Dimensionality the surrogate operates in (D for plain BO, d for
         REMBO).
     kernel_factory / noise_variance:
-        Surrogate construction knobs.
+        Surrogate construction knobs; without a factory the surrogate gets
+        :func:`~repro.gp.surrogate.make_surrogate`'s ARD Matérn-5/2.
     tune_every:
         Re-optimize hyperparameters every ``tune_every`` refits (1 = always).
     n_restarts:
@@ -200,7 +195,7 @@ class SurrogateManager:
         if tune_every < 1:
             raise ValueError(f"tune_every must be >= 1, got {tune_every}")
         self.dim = int(dim)
-        self._kernel_factory = kernel_factory or default_kernel_factory
+        self._kernel_factory = kernel_factory
         self._noise_variance = float(noise_variance)
         self.tune_every = int(tune_every)
         self.n_restarts = int(n_restarts)

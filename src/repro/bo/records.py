@@ -87,10 +87,6 @@ class RunResult:
     def best_y(self) -> float:
         return float(self.y[self.best_index])
 
-    def best_so_far(self) -> np.ndarray:
-        """Running minimum of the objective, for convergence plots."""
-        return np.minimum.accumulate(self.y)
-
     def summarize(self, threshold: float) -> "FailureSummary":
         """Summarize against a minimization threshold (failure iff y < T)."""
         failures = np.flatnonzero(self.y < threshold)

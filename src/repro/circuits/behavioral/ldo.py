@@ -236,15 +236,6 @@ class LDOTestbench(CircuitTestbench):
             "nd,d->n", corner_stress(self._as_batch(X)), _LR_DIRECTION
         )
 
-    def iq_margin(self, x) -> float:
-        return float(self.iq_margin_batch(self._check(x)[None, :])[0])
-
-    def undershoot_margin(self, x) -> float:
-        return float(self.undershoot_margin_batch(self._check(x)[None, :])[0])
-
-    def load_regulation_margin(self, x) -> float:
-        return float(self.load_regulation_margin_batch(self._check(x)[None, :])[0])
-
     # -- performances -----------------------------------------------------------
 
     def quiescent_current_batch(self, X) -> np.ndarray:

@@ -27,7 +27,7 @@ from repro.circuits.mna.elements import Resistor, VoltageSource
 from repro.circuits.mna.measure import threshold_crossings
 from repro.circuits.mna.mosfet import MOSFET, MOSParams
 from repro.circuits.mna.netlist import Circuit
-from repro.circuits.mna.sweep import sweep_source, sweep_source_stack
+from repro.circuits.mna.sweep import sweep_source_stack
 from repro.utils.validation import as_float_array, as_matrix
 
 #: Normalized-variation dimensionality of the demo bench.
@@ -95,11 +95,6 @@ class UVLODemo:
         return c, vdd
 
     # -- measurements ----------------------------------------------------------
-
-    def output_vs_vdd(self, vdd_values) -> np.ndarray:
-        """The "ok" output along a supply sweep (continuation-tracked)."""
-        sweep = sweep_source(self.circuit, self.vdd_source, vdd_values)
-        return sweep.voltage("ok")
 
     def turn_off_threshold(self, n_points: int = 111) -> float:
         """``V_THL``: the supply at which "ok" collapses on a downward sweep."""

@@ -2,7 +2,6 @@
 
 from repro.embedding.dimension_selection import (
     DimensionSelectionResult,
-    default_gp_factory,
     pick_flat_dimension,
     select_embedding_dimension,
 )
@@ -14,5 +13,4 @@ __all__ = [
     "select_embedding_dimension",
     "pick_flat_dimension",
     "DimensionSelectionResult",
-    "default_gp_factory",
 ]

@@ -12,7 +12,7 @@ smallest ``d`` on the flat part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,26 +22,9 @@ from repro.utils.contracts import shape_contract
 from repro.gp.hyperopt import fit_hyperparameters
 from repro.gp.model import GaussianProcess
 from repro.gp.standardize import Standardizer
-from repro.gp.surrogate import SurrogateModel, make_surrogate
 from repro.kernels.stationary import Matern52
 from repro.utils.rng import SeedLike, as_generator, spawn
 from repro.utils.validation import as_matrix, as_vector
-
-
-def default_gp_factory(dim: int) -> SurrogateModel:
-    """The library-default surrogate: Matérn-5/2 with isotropic lengthscale.
-
-    Isotropic (non-ARD) keeps the per-dimension GP fit cheap, matching the
-    "small amount of data" regime Algorithm 2 is meant for.  Routed through
-    :func:`~repro.gp.surrogate.make_surrogate` like every other
-    engine-internal construction path.
-    """
-    return make_surrogate(
-        "exact",
-        dim,
-        kernel_factory=lambda d: Matern52(dim=d),
-        noise_variance=1e-4,
-    )
 
 
 @dataclass
@@ -112,13 +95,15 @@ def select_embedding_dimension(
     y: ArrayLike,
     dims: Sequence[int] | None = None,
     n_trials: int = 5,
-    gp_factory: Callable[[int], SurrogateModel] | None = None,
-    criterion: str = "training_mse",
     tolerance: float = 0.1,
-    tune_hyperparameters: bool = True,
     seed: SeedLike = None,
 ) -> DimensionSelectionResult:
     """Run Algorithm 2 on the initial dataset ``(X, y)``.
+
+    Each trial fits an exact GP with an isotropic Matérn-5/2 kernel (cheap
+    in the small-data regime Algorithm 2 is meant for), tunes its
+    hyperparameters, and scores it by its training MSE (the paper's
+    line 6).
 
     Parameters
     ----------
@@ -130,16 +115,8 @@ def select_embedding_dimension(
     n_trials:
         Random matrices per dimension (the paper's ``T``); their MSEs are
         averaged to damp the variance of a single random embedding.
-    gp_factory:
-        Builds the GP surrogate for a given embedded dimensionality.
-    criterion:
-        ``"training_mse"`` (the paper's line 6) or ``"loo"`` for
-        leave-one-out MSE, a less optimistic variant.
     tolerance:
         Flatness tolerance of :func:`pick_flat_dimension`.
-    tune_hyperparameters:
-        Fit GP hyperparameters per trial (recommended; Algorithm 2's models
-        are meaningless with arbitrary fixed lengthscales).
     """
     X_arr = as_matrix(X)
     y_arr = as_vector(y, X_arr.shape[0])
@@ -151,10 +128,6 @@ def select_embedding_dimension(
         raise ValueError(f"candidate dims must lie in [1, {D}]")
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    if criterion not in ("training_mse", "loo"):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    if gp_factory is None:
-        gp_factory = default_gp_factory
 
     rng = as_generator(seed)
     standardizer = Standardizer()
@@ -167,21 +140,11 @@ def select_embedding_dimension(
         for i, trial_rng in enumerate(trial_rngs):
             embedding = RandomEmbedding(D, d, seed=trial_rng)
             Z = embedding.to_embedded(X_arr)
-            gp = gp_factory(d)
+            gp = GaussianProcess(Matern52(dim=d), noise_variance=1e-4)
             gp.fit(Z, y_std)
-            if tune_hyperparameters:
-                fit_hyperparameters(gp, n_restarts=2, seed=trial_rng)
-            if criterion == "loo":
-                if not isinstance(gp, GaussianProcess):
-                    raise TypeError(
-                        "criterion='loo' needs the exact GaussianProcess "
-                        "(the LOO identity reads the full posterior "
-                        f"precision); factory built {type(gp).__name__}"
-                    )
-                trial_mse[i] = gp.loo_mse()
-            else:
-                pred = gp.predict(Z)
-                trial_mse[i] = float(np.mean((pred.mean - y_std) ** 2))
+            fit_hyperparameters(gp, n_restarts=2, seed=trial_rng)
+            pred = gp.predict(Z)
+            trial_mse[i] = float(np.mean((pred.mean - y_std) ** 2))
         mse_per_dim[j] = float(np.mean(trial_mse))
 
     selected = pick_flat_dimension(dims, mse_per_dim, tolerance=tolerance)

@@ -125,14 +125,6 @@ class RandomEmbedding:
         clipped = float(np.mean(raw != X)) if raw.size else 0.0
         return (X[0] if single else X), clipped
 
-    def to_original_unclipped(self, Z: ArrayLike) -> FloatArray:
-        """``A z`` without the projection, for diagnostics and ablations."""
-        Z_arr = np.asarray(Z, dtype=float)
-        single = Z_arr.ndim == 1
-        Z_mat = as_matrix(Z_arr, self.embedded_dim, name="z")
-        X = Z_mat @ self.matrix.T
-        return X[0] if single else X
-
     @shape_contract("X: a(n, D) | a(D,) -> (n, d) | (d,)")
     def to_embedded(self, X: ArrayLike) -> FloatArray:
         """Map original-space points down via the pseudo-inverse (Eq. 12)."""

@@ -49,12 +49,15 @@ class ExperimentConfig:
     noise_variance: float = 1e-4
     seed: int = 2019
 
+    def __post_init__(self) -> None:
+        if self.kernel not in ("iso", "ard"):
+            raise ValueError(
+                f"unknown kernel {self.kernel!r}; allowed: 'iso', 'ard'"
+            )
+
     def kernel_factory(self):
-        if self.kernel == "iso":
-            return lambda dim: Matern52(dim=dim)
-        if self.kernel == "ard":
-            return lambda dim: Matern52(dim=dim, ard=True)
-        raise ValueError(f"unknown kernel {self.kernel!r}")
+        ard = self.kernel == "ard"
+        return lambda dim: Matern52(dim=dim, ard=ard)
 
     @property
     def bo_budget(self) -> int:

@@ -2,8 +2,7 @@
 
 from repro.gp.evaluator import MarginalLikelihoodEvaluator
 from repro.gp.hyperopt import HyperoptResult, fit_hyperparameters
-from repro.gp.mean import ConstantMean, MeanFunction, ZeroMean
-from repro.gp.model import GaussianProcess, GPPrediction, symmetrize
+from repro.gp.model import GaussianProcess, GPPrediction
 from repro.gp.sparse import SparseGaussianProcess, select_inducing_points
 from repro.gp.standardize import Standardizer
 from repro.gp.surrogate import (
@@ -29,11 +28,7 @@ __all__ = [
     "fit_hyperparameters",
     "HyperoptResult",
     "make_surrogate",
-    "MeanFunction",
-    "ZeroMean",
-    "ConstantMean",
     "select_inducing_points",
     "Standardizer",
     "surrogate_kind_of",
-    "symmetrize",
 ]

@@ -35,8 +35,8 @@ class MarginalLikelihoodEvaluator:
     """Evaluates ``(lml, grad)`` at arbitrary theta without mutating the GP.
 
     The evaluator snapshots the training inputs (into a reusable kernel
-    workspace) and the mean-adjusted labels at construction time; the source
-    GP must not gain data while the evaluator is in use.
+    workspace) and the labels at construction time; the source GP must not
+    gain data while the evaluator is in use.
     """
 
     def __init__(self, gp: GaussianProcess) -> None:
@@ -45,9 +45,9 @@ class MarginalLikelihoodEvaluator:
         self.kernel = gp.kernel.clone()
         self.train_noise = gp.train_noise
         self.noise_variance = gp.noise_variance
-        self.residual = gp.y_train - gp.mean(gp.X_train)
+        self.y = gp.y_train.copy()
         self.ws = self.kernel.make_workspace(gp.X_train)
-        self._residual_col = np.asfortranarray(self.residual[:, None], dtype=float)
+        self._y_col = np.asfortranarray(self.y[:, None], dtype=float)
         self._inner: np.ndarray | None = None
 
     @shape_contract("theta: a(p,) -> (), (p,)")
@@ -66,23 +66,19 @@ class MarginalLikelihoodEvaluator:
         noise = (
             float(np.exp(theta[-1])) if self.train_noise else self.noise_variance
         )
-        corr_state = getattr(kernel, "corr_state", None)
-        if corr_state is not None:
-            # prime g and dg together so the kernel computes them fused
-            # (one sqrt/exp sweep) instead of in two passes
-            corr_state(self.ws, need_dg=True)
+        # prime g and dg together so the kernel computes them fused (one
+        # sqrt/exp sweep) instead of in two passes
+        kernel.corr_state(self.ws, need_dg=True)
         K = kernel.gram(self.ws)
         diag = np.einsum("ii->i", K)
         diag += noise
         chol, info = _potrf(K, lower=1, clean=1)
         if info != 0:  # singular without jitter: climb the ladder
             chol = chol_with_jitter(K)
-        alpha = _potrs(chol, self._residual_col, lower=1)[0].ravel()
-        n = self.residual.shape[0]
+        alpha = _potrs(chol, self._y_col, lower=1)[0].ravel()
+        n = self.y.shape[0]
         log_det = 2.0 * np.sum(np.log(np.einsum("ii->i", chol)))
-        lml = float(
-            -0.5 * self.residual @ alpha - 0.5 * log_det - 0.5 * n * _LOG_2PI
-        )
+        lml = float(-0.5 * self.y @ alpha - 0.5 * log_det - 0.5 * n * _LOG_2PI)
         inner = self._inner
         if inner is None or inner.shape[0] != n:
             inner = self._inner = np.empty((n, n))

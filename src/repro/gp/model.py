@@ -1,13 +1,10 @@
 """Exact Gaussian-process regression (paper Eqs. 3-8).
 
 The model implements the standard conjugate GP machinery on top of a
-Cholesky factorization of ``K + sigma0^2 I``:
-
-* posterior mean and variance at test points (Eqs. 5-7),
-* the log marginal likelihood and its analytic gradient with respect to the
-  kernel hyperparameters and the log noise variance (Eq. 8),
-* leave-one-out cross-validation residuals (used by the embedding-dimension
-  selector as a less optimistic alternative to training MSE).
+Cholesky factorization of ``K + sigma0^2 I``: the posterior mean and
+variance at test points (Eqs. 5-7) under the paper's zero prior mean, and
+the log marginal likelihood (Eq. 8).  Its gradient, which hyperparameter
+fitting needs, is :class:`~repro.gp.evaluator.MarginalLikelihoodEvaluator`'s.
 """
 
 from __future__ import annotations
@@ -20,8 +17,8 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import get_lapack_funcs
 
 from repro._typing import ArrayLike, FloatArray
-from repro.gp.mean import MeanFunction, ZeroMean
-from repro.kernels.base import Kernel, KernelWorkspace
+from repro.kernels.base import KernelWorkspace
+from repro.kernels.stationary import Matern52
 from repro.utils.contracts import shape_contract
 from repro.utils.validation import as_matrix, as_vector
 
@@ -60,43 +57,6 @@ def chol_with_jitter(A: np.ndarray) -> np.ndarray:
     ) from last_error
 
 
-@shape_contract("cov: (n, n) -> (n, n)")
-def symmetrize(cov: FloatArray, jitter: float = 0.0) -> FloatArray:
-    """Return ``½(C + Cᵀ)`` plus optional diagonal jitter.
-
-    Posterior covariances assembled as ``K** − vᵀv`` (exact) or
-    ``K** − vᵀv + wᵀw`` (sparse) are symmetric only up to floating-point
-    round-off, and ``rng.multivariate_normal(..., method="cholesky")`` is
-    exactly the kind of consumer that trips on the asymmetric low-order
-    bits.  Every covariance-returning path shares this one helper so the
-    PSD hygiene cannot drift between implementations.
-    """
-    out = 0.5 * (cov + cov.T)
-    if jitter:
-        diag = np.einsum("ii->i", out)
-        diag += jitter
-    return out
-
-
-@shape_contract("chol: (n, n) -> (n, n)")
-def inv_from_cholesky(chol: np.ndarray) -> np.ndarray:
-    """Full inverse ``A^{-1}`` from the lower Cholesky factor of ``A``.
-
-    Uses LAPACK ``dpotri`` (n^3/3 flops) instead of ``cho_solve`` against an
-    identity matrix (n^3 flops).  ``chol`` must have an explicitly zeroed
-    strict upper triangle (as every factor produced in this module does),
-    which makes the symmetrization a plain transpose-add instead of a
-    masked copy.
-    """
-    inv, info = _potri(chol, lower=True)
-    if info != 0:  # pragma: no cover - factor is already validated
-        raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-    # dpotri fills only the lower triangle; the upper stays zero from chol
-    out = inv + inv.T
-    np.einsum("ii->i", out)[:] = np.einsum("ii->i", inv)
-    return out
-
-
 @dataclass
 class GPPrediction:
     """Posterior prediction at a batch of test points."""
@@ -118,8 +78,6 @@ class GaussianProcess:
         Prior covariance function.
     noise_variance:
         The intrinsic noise ``sigma_0^2`` of Eq. 4.
-    mean:
-        Prior mean function; defaults to zero as in the paper.
     train_noise:
         When True, the log noise variance is appended to the hyperparameter
         vector exposed through :attr:`theta` and fitted jointly with the
@@ -128,9 +86,8 @@ class GaussianProcess:
 
     def __init__(
         self,
-        kernel: Kernel,
+        kernel: Matern52,
         noise_variance: float = 1e-6,
-        mean: MeanFunction | None = None,
         train_noise: bool = True,
     ) -> None:
         if noise_variance <= 0:
@@ -139,14 +96,12 @@ class GaussianProcess:
             )
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
-        self.mean = mean if mean is not None else ZeroMean()
         self.train_noise = bool(train_noise)
         self._X: np.ndarray | None = None
         self._y: np.ndarray | None = None
         self._chol: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
         self._ws: KernelWorkspace | None = None
-        self._K_inv: np.ndarray | None = None
         self._theta_fitted: np.ndarray | None = None
 
     def __getstate__(self) -> dict[str, Any]:
@@ -154,7 +109,6 @@ class GaussianProcess:
         # dropping them keeps pickles (process-pool payloads) small
         state = self.__dict__.copy()
         state["_ws"] = None
-        state["_K_inv"] = None
         return state
 
     @property
@@ -299,10 +253,8 @@ class GaussianProcess:
         return True
 
     def _refresh_alpha(self) -> None:
-        assert self._X is not None and self._y is not None
-        residual = self._y - self.mean(self._X)
-        self._alpha = cho_solve((self._chol, True), residual, check_finite=False)
-        self._K_inv = None
+        assert self._y is not None
+        self._alpha = cho_solve((self._chol, True), self._y, check_finite=False)
 
     def _refit(self) -> None:
         K = self.kernel.gram(self._workspace)
@@ -323,30 +275,10 @@ class GaussianProcess:
         assert self._X is not None
         X_arr = as_matrix(X, self._X.shape[1])
         k_star = self.kernel.cross(self._workspace, X_arr)  # (n_train, n_test)
-        mean = self.mean(X_arr) + k_star.T @ self._alpha
+        mean = k_star.T @ self._alpha
         v = solve_triangular(self._chol, k_star, lower=True, check_finite=False)
         variance = self.kernel.diag(X_arr) - np.sum(v**2, axis=0)
         return GPPrediction(mean=mean, variance=np.maximum(variance, 0.0))
-
-    def predict_cov(self, X: ArrayLike) -> tuple[FloatArray, FloatArray]:
-        """Posterior mean and full covariance matrix at test points."""
-        if not self.is_fitted:
-            raise RuntimeError("GP has not been fitted")
-        assert self._X is not None
-        X_arr = as_matrix(X, self._X.shape[1])
-        k_star = self.kernel.cross(self._workspace, X_arr)
-        mean = self.mean(X_arr) + k_star.T @ self._alpha
-        v = solve_triangular(self._chol, k_star, lower=True, check_finite=False)
-        cov = self.kernel(X_arr) - v.T @ v
-        return mean, symmetrize(cov)
-
-    def sample_posterior(
-        self, X: ArrayLike, n_samples: int, rng: np.random.Generator
-    ) -> FloatArray:
-        """Draw joint posterior samples; returns shape ``(n_samples, n_test)``."""
-        mean, cov = self.predict_cov(X)
-        cov = symmetrize(cov, jitter=1e-10)
-        return rng.multivariate_normal(mean, cov, size=n_samples, method="cholesky")
 
     # -- evidence ----------------------------------------------------------------
 
@@ -354,94 +286,11 @@ class GaussianProcess:
         """Eq. 8 evaluated at the current hyperparameters."""
         if not self.is_fitted:
             raise RuntimeError("GP has not been fitted")
-        assert self._X is not None and self._y is not None
-        residual = self._y - self.mean(self._X)
-        n = residual.shape[0]
+        assert self._y is not None
+        n = self._y.shape[0]
         log_det = 2.0 * np.sum(np.log(np.diag(self._chol)))
         return float(
-            -0.5 * residual @ self._alpha
+            -0.5 * self._y @ self._alpha
             - 0.5 * log_det
             - 0.5 * n * np.log(2.0 * np.pi)
         )
-
-    def log_marginal_likelihood_gradient(self) -> FloatArray:
-        """Analytic gradient of Eq. 8 with respect to :attr:`theta`.
-
-        Uses the standard identity
-        ``dL/dθ_j = ½ tr((α αᵀ − K⁻¹) ∂K/∂θ_j)`` with ``α = K⁻¹ (y − m)``.
-
-        This is the reference two-pass path; hyperparameter fitting uses the
-        fused :meth:`log_marginal_likelihood_value_and_gradient` instead.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("GP has not been fitted")
-        assert self._X is not None
-        n = self._X.shape[0]
-        K_inv = cho_solve((self._chol, True), np.eye(n))
-        outer = np.outer(self._alpha, self._alpha)
-        inner = outer - K_inv
-        grads = []
-        for dK in self.kernel.gradients(self._X):
-            grads.append(0.5 * np.sum(inner * dK))
-        if self.train_noise:
-            # d(K + σ² I)/d(log σ²) = σ² I
-            grads.append(0.5 * self.noise_variance * np.trace(inner))
-        return np.asarray(grads, dtype=float)
-
-    def _posterior_precision(self) -> FloatArray:
-        """``(K + σ² I)^{-1}``, cached until the factorization changes."""
-        if self._K_inv is None:
-            assert self._chol is not None, "GP has not been fitted"
-            self._K_inv = inv_from_cholesky(self._chol)
-        return self._K_inv
-
-    def log_marginal_likelihood_value_and_gradient(
-        self,
-    ) -> tuple[float, FloatArray]:
-        """Eq. 8 and its θ-gradient sharing one Cholesky and one ``K⁻¹``.
-
-        The gradient contraction is delegated to
-        :meth:`Kernel.gradient_inner_products`, which for stationary kernels
-        collapses all per-lengthscale traces into a handful of BLAS calls on
-        workspace-cached tensors instead of materializing each ``∂K/∂θ_j``.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("GP has not been fitted")
-        value = self.log_marginal_likelihood()
-        K_inv = self._posterior_precision()
-        inner = np.outer(self._alpha, self._alpha)
-        inner -= K_inv
-        grads = self.kernel.gradient_inner_products(self._workspace, inner)
-        if self.train_noise:
-            noise_grad = 0.5 * self.noise_variance * np.trace(inner)
-            grads = np.concatenate([grads, [noise_grad]])
-        return value, np.asarray(grads, dtype=float)
-
-    # -- diagnostics -----------------------------------------------------------
-
-    def training_mse(self) -> float:
-        """Mean squared error of the posterior mean at the training inputs.
-
-        This is the quantity averaged in the paper's Algorithm 2 (line 6):
-        with observation noise the GP does not interpolate, so the training
-        MSE measures how much signal survives a given embedding.
-        """
-        assert self._X is not None and self._y is not None
-        pred = self.predict(self._X)
-        return float(np.mean((pred.mean - self._y) ** 2))
-
-    def loo_residuals(self) -> FloatArray:
-        """Leave-one-out residuals via the Sundararajan-Keerthi identity.
-
-        ``r_i = α_i / (K⁻¹)_{ii}`` gives the LOO prediction error without
-        refitting n models.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("GP has not been fitted")
-        assert self._alpha is not None
-        diag = np.diag(self._posterior_precision())
-        return self._alpha / np.maximum(diag, 1e-300)
-
-    def loo_mse(self) -> float:
-        """Leave-one-out cross-validation mean squared error."""
-        return float(np.mean(self.loo_residuals() ** 2))

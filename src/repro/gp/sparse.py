@@ -9,12 +9,12 @@ approximation (Quiñonero-Candela & Rasmussen 2005; Titsias 2009):
   Cholesky,
 * **predict** is O(m²) per test point and never touches an n×n matrix,
 * **evidence** is the variational (Titsias) lower bound
-  ``log N(y | m(X), Q_ff + σ²I) − σ⁻²/2 · tr(K_ff − Q_ff)`` where
+  ``log N(y | 0, Q_ff + σ²I) − σ⁻²/2 · tr(K_ff − Q_ff)`` where
   ``Q_ff = K_fu K_uu⁻¹ K_uf``, evaluated in O(n m²) via Woodbury.
 
 With ``m >= n`` the inducing set *is* the training set, ``Q_ff = K_ff``,
-the trace term vanishes, and every quantity — posterior mean, variance,
-full covariance, and the evidence — reduces algebraically to the exact GP.
+the trace term vanishes, and every quantity — posterior mean, variance
+and the evidence — reduces algebraically to the exact GP.
 That identity is what the 1e-8 equivalence harness in
 ``tests/test_gp_sparse.py`` pins, so the sparse path is a checkable
 superset of the exact one rather than a silently different model.
@@ -38,9 +38,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from repro._typing import ArrayLike, FloatArray
-from repro.gp.mean import MeanFunction, ZeroMean
-from repro.gp.model import GPPrediction, chol_with_jitter, symmetrize
-from repro.kernels.base import Kernel
+from repro.gp.model import GPPrediction, chol_with_jitter
+from repro.kernels.stationary import Matern52
 from repro.utils.contracts import shape_contract
 from repro.utils.validation import as_matrix, as_vector
 
@@ -103,8 +102,6 @@ class SparseGaussianProcess:
         Prior covariance function.
     noise_variance:
         Observation noise ``σ₀²``.
-    mean:
-        Prior mean function; defaults to zero.
     train_noise:
         Append log noise variance to :attr:`theta` and fit it jointly.
     m:
@@ -119,9 +116,8 @@ class SparseGaussianProcess:
 
     def __init__(
         self,
-        kernel: Kernel,
+        kernel: Matern52,
         noise_variance: float = 1e-6,
-        mean: MeanFunction | None = None,
         train_noise: bool = True,
         m: int = 256,
         inducing_points: ArrayLike | None = None,
@@ -147,7 +143,6 @@ class SparseGaussianProcess:
             )
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
-        self.mean = mean if mean is not None else ZeroMean()
         self.train_noise = bool(train_noise)
         self.m = int(m)
         self.reselect_coverage = float(reselect_coverage)
@@ -354,11 +349,10 @@ class SparseGaussianProcess:
         self._refresh_information_vector()
 
     def _refresh_information_vector(self) -> None:
-        assert self._X is not None and self._y is not None
+        assert self._y is not None
         assert self._V is not None and self._LB is not None
-        residual = self._y - self.mean(self._X)
         self._c = solve_triangular(
-            self._LB, self._V @ residual, lower=True, check_finite=False
+            self._LB, self._V @ self._y, lower=True, check_finite=False
         )
 
     def _extend_factors(self, Kuf_new: FloatArray, X_new: FloatArray) -> None:
@@ -408,9 +402,16 @@ class SparseGaussianProcess:
 
     def predict(self, X: ArrayLike) -> GPPrediction:
         """DTC posterior mean and variance in O(m²) per test point."""
-        X_arr, v, w = self._test_solves(X)
+        if not self.is_fitted:
+            raise RuntimeError("sparse GP has not been fitted")
+        assert self._X is not None and self._Z is not None
+        assert self._Luu is not None and self._LB is not None
         assert self._c is not None
-        mean = self.mean(X_arr) + (w.T @ self._c) / self.noise_variance
+        X_arr = as_matrix(X, self._X.shape[1])
+        Kus = self.kernel(self._Z, X_arr)  # (m, n_test)
+        v = solve_triangular(self._Luu, Kus, lower=True, check_finite=False)
+        w = solve_triangular(self._LB, v, lower=True, check_finite=False)
+        mean = (w.T @ self._c) / self.noise_variance
         variance = (
             self.kernel.diag(X_arr)
             - np.einsum("ij,ij->j", v, v)
@@ -418,53 +419,22 @@ class SparseGaussianProcess:
         )
         return GPPrediction(mean=mean, variance=np.maximum(variance, 0.0))
 
-    def predict_cov(self, X: ArrayLike) -> tuple[FloatArray, FloatArray]:
-        """Posterior mean and full covariance matrix at test points."""
-        X_arr, v, w = self._test_solves(X)
-        assert self._c is not None
-        mean = self.mean(X_arr) + (w.T @ self._c) / self.noise_variance
-        cov = self.kernel(X_arr) - v.T @ v + w.T @ w
-        return mean, symmetrize(cov)
-
-    def sample_posterior(
-        self, X: ArrayLike, n_samples: int, rng: np.random.Generator
-    ) -> FloatArray:
-        """Draw joint posterior samples; returns ``(n_samples, n_test)``."""
-        mean, cov = self.predict_cov(X)
-        cov = symmetrize(cov, jitter=1e-10)
-        return rng.multivariate_normal(
-            mean, cov, size=n_samples, method="cholesky"
-        )
-
-    def _test_solves(
-        self, X: ArrayLike
-    ) -> tuple[FloatArray, FloatArray, FloatArray]:
-        if not self.is_fitted:
-            raise RuntimeError("sparse GP has not been fitted")
-        assert self._X is not None and self._Z is not None
-        assert self._Luu is not None and self._LB is not None
-        X_arr = as_matrix(X, self._X.shape[1])
-        Kus = self.kernel(self._Z, X_arr)  # (m, n_test)
-        v = solve_triangular(self._Luu, Kus, lower=True, check_finite=False)
-        w = solve_triangular(self._LB, v, lower=True, check_finite=False)
-        return X_arr, v, w
-
     # -- evidence ------------------------------------------------------------
 
     def log_marginal_likelihood(self) -> float:
         """The variational (Titsias) evidence lower bound.
 
-        ``log N(y | m(X), Q_ff + σ²I) − σ⁻²/2 · tr(K_ff − Q_ff)``; equal to
+        ``log N(y | 0, Q_ff + σ²I) − σ⁻²/2 · tr(K_ff − Q_ff)``; equal to
         the exact Eq. 8 evidence whenever ``Q_ff = K_ff`` (``m >= n``).
         """
         if not self.is_fitted:
             raise RuntimeError("sparse GP has not been fitted")
-        assert self._X is not None and self._y is not None
+        assert self._y is not None
         assert self._LB is not None and self._c is not None
-        residual = self._y - self.mean(self._X)
-        n = residual.shape[0]
+        y = self._y
+        n = y.shape[0]
         noise = self.noise_variance
-        quad = (residual @ residual) / noise - (self._c @ self._c) / noise**2
+        quad = (y @ y) / noise - (self._c @ self._c) / noise**2
         log_det = n * np.log(noise) + 2.0 * np.sum(
             np.log(np.einsum("ii->i", self._LB))
         )
@@ -494,15 +464,6 @@ class SparseGaussianProcess:
             ) / (2.0 * _FD_STEP)
         return value, grad
 
-    def log_marginal_likelihood_gradient(self) -> FloatArray:
-        """Finite-difference gradient of the bound at the current theta."""
-        return self.evaluate_theta(self.theta)[1]
-
-    def log_marginal_likelihood_value_and_gradient(
-        self,
-    ) -> tuple[float, FloatArray]:
-        return self.evaluate_theta(self.theta)
-
     def _bound_at(self, theta: np.ndarray) -> float:
         """The variational bound at arbitrary theta, without mutating self."""
         if not self.is_fitted:
@@ -529,10 +490,10 @@ class SparseGaussianProcess:
         diag = np.einsum("ii->i", B)
         diag += 1.0
         LB = chol_with_jitter(B)
-        residual = self._y - self.mean(self._X)
-        c = solve_triangular(LB, V @ residual, lower=True, check_finite=False)
-        n = residual.shape[0]
-        quad = (residual @ residual) / noise - (c @ c) / noise**2
+        y = self._y
+        c = solve_triangular(LB, V @ y, lower=True, check_finite=False)
+        n = y.shape[0]
+        quad = (y @ y) / noise - (c @ c) / noise**2
         log_det = n * np.log(noise) + 2.0 * np.sum(
             np.log(np.einsum("ii->i", LB))
         )

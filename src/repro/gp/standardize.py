@@ -48,20 +48,6 @@ class Standardizer:
         mean, scale = self._require_fitted()
         return as_vector(y) * scale + mean
 
-    def transform_scalar(self, value: float) -> float:
-        """Map a single threshold (e.g. the spec target ``T``)."""
-        mean, scale = self._require_fitted()
-        return (float(value) - mean) / scale
-
-    def inverse_transform_scalar(self, value: float) -> float:
-        mean, scale = self._require_fitted()
-        return float(value) * scale + mean
-
-    def scale_variance(self, variance: ArrayLike) -> FloatArray:
-        """Map a posterior variance back to the original label units."""
-        _, scale = self._require_fitted()
-        return np.asarray(variance, dtype=float) * scale**2
-
     def _require_fitted(self) -> tuple[float, float]:
         if self.mean_ is None or self.scale_ is None:
             raise RuntimeError("standardizer has not been fitted")

@@ -19,17 +19,15 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, Protocol, Union, runtime_checkable
+from typing import Callable, Protocol, Union, runtime_checkable
 
 import numpy as np
 
 from repro._typing import ArrayLike, FloatArray
 from repro.gp.model import GaussianProcess, GPPrediction
+from repro.kernels.stationary import Matern52
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.kernels.base import Kernel
-
-KernelFactory = Callable[[int], "Kernel"]
+KernelFactory = Callable[[int], Matern52]
 
 #: Surrogate kinds :func:`make_surrogate` can build.
 SURROGATE_KINDS = ("exact", "sparse", "auto")
@@ -45,14 +43,12 @@ DEFAULT_SWITCH_AT = 1024
 class SurrogateModel(Protocol):
     """What every GP-like surrogate exposes to the engines.
 
-    The protocol is extracted from the historical ``GaussianProcess``
-    surface: conditioning (:meth:`fit` / :meth:`add_data` /
-    :meth:`set_labels`), posterior queries (:meth:`predict` /
-    :meth:`predict_cov` / :meth:`sample_posterior`), the evidence and its
-    gradient for hyperparameter fitting, and the flat log-hyperparameter
-    vector ``theta`` with its box bounds.  Implementations other than the
-    exact GP must also offer a side-effect-free
-    ``evaluate_theta(theta) -> (lml, grad)``:
+    Exactly what campaigns call: conditioning (:meth:`fit` /
+    :meth:`add_data` / :meth:`set_labels`), the posterior mean and
+    variance (:meth:`predict`), the evidence, and the flat
+    log-hyperparameter vector ``theta`` with its box bounds.
+    Implementations other than the exact GP must also offer a
+    side-effect-free ``evaluate_theta(theta) -> (lml, grad)``:
     :func:`~repro.gp.hyperopt.fit_hyperparameters` scores trial points
     through it and raises ``TypeError`` without it.
     """
@@ -69,21 +65,9 @@ class SurrogateModel(Protocol):
 
     def predict(self, X: ArrayLike) -> GPPrediction: ...
 
-    def predict_cov(self, X: ArrayLike) -> tuple[FloatArray, FloatArray]: ...
-
-    def sample_posterior(
-        self, X: ArrayLike, n_samples: int, rng: np.random.Generator
-    ) -> FloatArray: ...
-
     # -- evidence -----------------------------------------------------------
 
     def log_marginal_likelihood(self) -> float: ...
-
-    def log_marginal_likelihood_gradient(self) -> FloatArray: ...
-
-    def log_marginal_likelihood_value_and_gradient(
-        self,
-    ) -> tuple[float, FloatArray]: ...
 
     # -- hyperparameters ----------------------------------------------------
 
@@ -239,7 +223,7 @@ def make_surrogate(
     dim:
         Input dimensionality the kernel is built for.
     kernel_factory:
-        ``dim -> Kernel``; defaults to Matérn-5/2 with ARD.
+        ``dim -> Matern52``; defaults to Matérn-5/2 with ARD.
     noise_variance:
         Observation noise, unless the spec overrides it.
     n:
@@ -250,8 +234,11 @@ def make_surrogate(
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     kind = resolved.resolve_kind(0 if n is None else int(n))
-    factory = kernel_factory if kernel_factory is not None else _default_kernel
-    kernel = factory(dim)
+    kernel = (
+        kernel_factory(dim)
+        if kernel_factory is not None
+        else Matern52(dim=dim, ard=True)
+    )
     noise = (
         resolved.noise_variance
         if resolved.noise_variance is not None
@@ -276,12 +263,6 @@ def surrogate_kind_of(model: SurrogateModel) -> str:
     from repro.gp.sparse import SparseGaussianProcess
 
     return "sparse" if isinstance(model, SparseGaussianProcess) else "exact"
-
-
-def _default_kernel(dim: int) -> "Kernel":
-    from repro.kernels.stationary import Matern52
-
-    return Matern52(dim=dim, ard=True)
 
 
 __all__ = [

@@ -1,31 +1,6 @@
-"""Covariance functions for the GP surrogate (paper Section 2.2.1)."""
+"""The covariance function of the GP surrogate (paper Section 2.2.1)."""
 
-from repro.kernels.base import Kernel, KernelWorkspace, pairwise_sq_dists
-from repro.kernels.composite import ProductKernel, ScaledKernel, SumKernel
-from repro.kernels.stationary import (
-    RBF,
-    Matern12,
-    Matern32,
-    Matern52,
-    RationalQuadratic,
-    SquaredExponential,
-    StationaryKernel,
-    WhiteNoise,
-)
+from repro.kernels.base import KernelWorkspace, pairwise_sq_dists
+from repro.kernels.stationary import Matern52
 
-__all__ = [
-    "Kernel",
-    "KernelWorkspace",
-    "pairwise_sq_dists",
-    "StationaryKernel",
-    "SquaredExponential",
-    "RBF",
-    "Matern12",
-    "Matern32",
-    "Matern52",
-    "RationalQuadratic",
-    "WhiteNoise",
-    "SumKernel",
-    "ProductKernel",
-    "ScaledKernel",
-]
+__all__ = ["KernelWorkspace", "Matern52", "pairwise_sq_dists"]

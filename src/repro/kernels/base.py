@@ -1,22 +1,14 @@
-"""Kernel (covariance function) interface and hyperparameter plumbing.
+"""Per-dataset kernel workspaces and the scaled pairwise distance helper.
 
-Kernels expose their tunable hyperparameters as an unconstrained flat vector
-(``theta``) holding *log*-transformed positive parameters, which is what the
-marginal-likelihood optimizer in :mod:`repro.gp` works with.  Gradients of
-the Gram matrix with respect to each ``theta`` entry are provided so that GP
-hyperparameter fitting can use analytic derivatives (paper Eq. 8).
-
-Kernels also support a per-dataset :class:`KernelWorkspace`: marginal-
-likelihood fitting evaluates the Gram matrix and its gradients hundreds of
-times at different hyperparameters over the *same* training inputs, so the
-input-dependent structure (pairwise squared differences) is cached once and
-rescaled per evaluation instead of being rebuilt from ``X``.
+Marginal-likelihood fitting evaluates the Gram matrix and its gradients
+hundreds of times at different hyperparameters over the *same* training
+inputs, so the kernel caches input-dependent structure in a
+:class:`KernelWorkspace` once and rescales it per evaluation instead of
+rebuilding it from ``X``.
 """
 
 from __future__ import annotations
 
-import abc
-import copy
 from typing import Any
 
 import numpy as np
@@ -30,11 +22,11 @@ class KernelWorkspace:
     """Per-dataset cache of input-dependent kernel structure.
 
     The workspace is opaque to callers: it stores the training inputs plus a
-    ``cache`` dict that each kernel class fills lazily with whatever derived
-    tensors it needs (per-dimension squared differences for ARD kernels,
-    scaled-input caches for cross-covariances, ...).  Hyperparameter values
-    are *never* baked into the required entries, so one workspace serves
-    every theta evaluated during a hyperparameter fit.
+    ``cache`` dict that the kernel fills lazily with the tensors it derives
+    from them (scaled squared distances, correlation buffers, scaled inputs
+    for cross-covariances).  Each entry is keyed by the lengthscales it was
+    computed at, so one workspace serves every theta evaluated during a
+    hyperparameter fit.
     """
 
     __slots__ = ("X", "cache")
@@ -46,107 +38,6 @@ class KernelWorkspace:
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-
-class Kernel(abc.ABC):
-    """Abstract covariance function ``k(x, x')``.
-
-    Subclasses implement :meth:`__call__` returning the cross Gram matrix and
-    :meth:`gradients` returning ``d K / d theta_j`` for each hyperparameter.
-    """
-
-    @property
-    @abc.abstractmethod
-    def theta(self) -> FloatArray:
-        """The unconstrained (log-space) hyperparameter vector."""
-
-    @theta.setter
-    @abc.abstractmethod
-    def theta(self, value: ArrayLike) -> None: ...
-
-    @property
-    def n_params(self) -> int:
-        """Number of tunable hyperparameters."""
-        return self.theta.shape[0]
-
-    @abc.abstractmethod
-    def __call__(
-        self, X: ArrayLike, Z: ArrayLike | None = None
-    ) -> FloatArray:
-        """Return the Gram matrix ``K[i, j] = k(X[i], Z[j])`` (``Z=X`` if None)."""
-
-    @abc.abstractmethod
-    def diag(self, X: ArrayLike) -> FloatArray:
-        """Return ``k(x_i, x_i)`` for each row, cheaper than ``diag(K(X, X))``."""
-
-    @abc.abstractmethod
-    def gradients(self, X: ArrayLike) -> list[FloatArray]:
-        """Return ``[dK/dtheta_0, ...]`` evaluated at the training inputs."""
-
-    @abc.abstractmethod
-    def theta_bounds(self) -> FloatArray:
-        """Return ``(n_params, 2)`` log-space box bounds for optimization."""
-
-    def clone(self) -> "Kernel":
-        """Return an independent copy (same hyperparameter values)."""
-        return copy.deepcopy(self)
-
-    # -- per-dataset workspaces --------------------------------------------
-    #
-    # The defaults fall back to the plain ``X``-based evaluation so that any
-    # kernel (composites included) works with workspace-driven callers; the
-    # stationary family overrides them with cached-tensor fast paths.
-
-    def make_workspace(self, X: ArrayLike) -> KernelWorkspace:
-        """Build a reusable evaluation workspace for the inputs ``X``."""
-        return KernelWorkspace(X)
-
-    def extend_workspace(
-        self, ws: KernelWorkspace, X_new: ArrayLike
-    ) -> KernelWorkspace:
-        """Return a workspace for ``[ws.X; X_new]``, reusing cached blocks."""
-        return self.make_workspace(np.vstack([ws.X, as_matrix(X_new)]))
-
-    def gram(self, ws: KernelWorkspace) -> FloatArray:
-        """Training Gram matrix at the current hyperparameters.
-
-        Always returns a freshly allocated matrix the caller may mutate.
-        """
-        return self(ws.X)
-
-    def gradients_ws(self, ws: KernelWorkspace) -> list[FloatArray]:
-        """``[dK/dtheta_j, ...]`` over the workspace inputs."""
-        return self.gradients(ws.X)
-
-    def cross(self, ws: KernelWorkspace, Z: ArrayLike) -> FloatArray:
-        """Cross Gram matrix ``k(ws.X, Z)`` (the prediction hot path)."""
-        return self(ws.X, Z)
-
-    def gradient_inner_products(
-        self, ws: KernelWorkspace, inner: FloatArray
-    ) -> FloatArray:
-        """``0.5 * sum(inner * dK/dtheta_j)`` for each hyperparameter.
-
-        This is the contraction the marginal-likelihood gradient needs
-        (``inner = alpha alpha^T - K^{-1}``); computing it directly lets
-        subclasses avoid materializing each ``dK/dtheta_j``.
-        """
-        return np.array(
-            [0.5 * np.sum(inner * dK) for dK in self.gradients_ws(ws)],
-            dtype=float,
-        )
-
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other: "Kernel") -> "Kernel":
-        from repro.kernels.composite import SumKernel
-
-        return SumKernel(self, other)
-
-    def __mul__(self, other: "Kernel") -> "Kernel":
-        from repro.kernels.composite import ProductKernel
-
-        return ProductKernel(self, other)
 
 
 @shape_contract("X: a(n, d), Z: a(m, d), lengthscales: (*,) -> (n, m)")

@@ -1,6 +1,5 @@
-"""Sampling baselines: MC, SSS and space-filling designs."""
+"""Sampling baselines: MC and SSS."""
 
-from repro.sampling.designs import halton, latin_hypercube
 from repro.sampling.monte_carlo import MonteCarloSampler
 from repro.sampling.sss import (
     NOMINAL_SIGMA_FRACTION,
@@ -13,6 +12,4 @@ __all__ = [
     "ScaledSigmaSampler",
     "SSSModelFit",
     "NOMINAL_SIGMA_FRACTION",
-    "latin_hypercube",
-    "halton",
 ]

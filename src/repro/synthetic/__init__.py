@@ -3,22 +3,14 @@
 from repro.synthetic.functions import (
     EmbeddedFunction,
     RareFailureFunction,
-    branin,
     random_orthonormal,
-    rastrigin,
-    rosenbrock,
     sphere,
-    styblinski_tang,
     ysyn,
 )
 
 __all__ = [
     "ysyn",
     "sphere",
-    "branin",
-    "styblinski_tang",
-    "rosenbrock",
-    "rastrigin",
     "random_orthonormal",
     "EmbeddedFunction",
     "RareFailureFunction",

@@ -37,46 +37,10 @@ def ysyn(c: np.ndarray) -> Callable[[np.ndarray], float]:
     return fun
 
 
-# -- classic low-dimensional minimization test functions --------------------
-
-
 def sphere(v: np.ndarray) -> float:
     """``Σ v_i²`` with minimum 0 at the origin."""
     v = np.asarray(v, dtype=float)
     return float(np.sum(v**2))
-
-
-def branin(v: np.ndarray) -> float:
-    """The 2-D Branin function (three global minima, value ≈ 0.397887)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != 2:
-        raise ValueError(f"branin is 2-D, got {v.shape[-1]} coordinates")
-    x1, x2 = float(v[0]), float(v[1])
-    a, b, c = 1.0, 5.1 / (4.0 * np.pi**2), 5.0 / np.pi
-    r, s, t = 6.0, 10.0, 1.0 / (8.0 * np.pi)
-    return a * (x2 - b * x1**2 + c * x1 - r) ** 2 + s * (1 - t) * np.cos(x1) + s
-
-
-def styblinski_tang(v: np.ndarray) -> float:
-    """Styblinski-Tang; per-dimension minimum ≈ −39.166 at v ≈ −2.9035."""
-    v = np.asarray(v, dtype=float)
-    return float(0.5 * np.sum(v**4 - 16.0 * v**2 + 5.0 * v))
-
-
-def rosenbrock(v: np.ndarray) -> float:
-    """The banana valley, minimum 0 at all-ones."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] < 2:
-        raise ValueError("rosenbrock needs at least 2 coordinates")
-    return float(
-        np.sum(100.0 * (v[1:] - v[:-1] ** 2) ** 2 + (1.0 - v[:-1]) ** 2)
-    )
-
-
-def rastrigin(v: np.ndarray) -> float:
-    """Highly multimodal; minimum 0 at the origin."""
-    v = np.asarray(v, dtype=float)
-    return float(10.0 * v.size + np.sum(v**2 - 10.0 * np.cos(2.0 * np.pi * v)))
 
 
 def random_orthonormal(D: int, d: int, seed: SeedLike = None) -> np.ndarray:

@@ -13,7 +13,7 @@ from repro.acquisition import (
     pbo_weights,
 )
 from repro.gp import GaussianProcess
-from repro.kernels import Matern52, SquaredExponential
+from repro.kernels import Matern52
 
 
 @pytest.fixture
@@ -27,7 +27,7 @@ class TestConventions:
     """All acquisitions are minimized: lower value = better sample point."""
 
     def test_requires_fitted_gp(self):
-        gp = GaussianProcess(SquaredExponential())
+        gp = GaussianProcess(Matern52())
         for cls in (ProbabilityOfImprovement, ExpectedImprovement):
             with pytest.raises(RuntimeError):
                 cls(gp)

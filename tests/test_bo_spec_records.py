@@ -66,10 +66,6 @@ class TestRunResult:
         assert result.best_index == 3
         np.testing.assert_array_equal(result.best_x, [1.0, 1.0])
 
-    def test_best_so_far_monotone(self):
-        trace = self.make().best_so_far()
-        np.testing.assert_array_equal(trace, [0.5, -0.2, -0.2, -0.8])
-
     def test_summarize_counts_failures(self):
         summary = self.make().summarize(threshold=0.0)
         assert summary.n_failures == 2

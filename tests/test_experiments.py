@@ -72,8 +72,10 @@ class TestConfigs:
         assert iso.lengthscales.shape == (1,)
         ard = uvlo_config(kernel="ard").kernel_factory()(4)
         assert ard.lengthscales.shape == (4,)
-        with pytest.raises(ValueError):
-            uvlo_config(kernel="rbf?").kernel_factory()
+        # an unknown name fails at construction, before any simulation
+        for bad in ("rbf?", "ARD"):
+            with pytest.raises(ValueError, match="unknown kernel"):
+                uvlo_config(kernel=bad)
 
 
 class TestRunMethod:

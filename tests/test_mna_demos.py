@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuits.mna import sweep_source
 from repro.circuits.mna.ldo_demo import LDO_DEMO_DIM, LDODemo
 from repro.circuits.mna.uvlo_demo import UVLO_DEMO_DIM, UVLODemo
 
@@ -16,7 +17,7 @@ class TestUVLODemo:
     def test_output_switches_along_sweep(self):
         demo = UVLODemo()
         vdd = np.linspace(UVLODemo.VDD_MAX, 0.8, 61)
-        ok = demo.output_vs_vdd(vdd)
+        ok = sweep_source(demo.circuit, demo.vdd_source, vdd).voltage("ok")
         # output is near VDD at full supply and collapses at low supply
         assert ok.max() - ok.min() > 1.0
 

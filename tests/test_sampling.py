@@ -1,18 +1,11 @@
-"""Tests for the sampling baselines: MC, designs, SSS."""
+"""Tests for the sampling baselines: MC and SSS."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.bo import RunSpec
 from repro.runtime import FunctionObjective
-from repro.sampling import (
-    MonteCarloSampler,
-    ScaledSigmaSampler,
-    halton,
-    latin_hypercube,
-)
+from repro.sampling import MonteCarloSampler, ScaledSigmaSampler
 from repro.utils.validation import unit_cube_bounds
 
 
@@ -60,45 +53,6 @@ class TestMonteCarloSampler:
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             MonteCarloSampler(0)
-
-
-class TestLatinHypercube:
-    def test_stratification_property(self):
-        """Each dimension has exactly one point per stratum."""
-        n = 20
-        X = latin_hypercube(n, unit_cube_bounds(3), seed=0)
-        for k in range(3):
-            strata = np.floor((X[:, k] + 1.0) / 2.0 * n).astype(int)
-            strata = np.clip(strata, 0, n - 1)
-            assert len(set(strata)) == n
-
-    def test_bounds_respected(self):
-        bounds = np.array([[2.0, 3.0], [-5.0, 5.0]])
-        X = latin_hypercube(50, bounds, seed=1)
-        assert np.all(X[:, 0] >= 2.0) and np.all(X[:, 0] <= 3.0)
-        assert np.all(X[:, 1] >= -5.0) and np.all(X[:, 1] <= 5.0)
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            latin_hypercube(0, unit_cube_bounds(2))
-
-
-class TestHalton:
-    def test_low_discrepancy_beats_nothing(self):
-        X = halton(100, unit_cube_bounds(2))
-        # points fill the box: each quadrant gets a fair share
-        quadrant = (X[:, 0] > 0).astype(int) * 2 + (X[:, 1] > 0).astype(int)
-        counts = np.bincount(quadrant, minlength=4)
-        assert counts.min() >= 15
-
-    def test_deterministic(self):
-        np.testing.assert_array_equal(
-            halton(10, unit_cube_bounds(3)), halton(10, unit_cube_bounds(3))
-        )
-
-    def test_distinct_points(self):
-        X = halton(50, unit_cube_bounds(2))
-        assert len(np.unique(X, axis=0)) == 50
 
 
 class TestScaledSigmaSampler:
@@ -157,13 +111,3 @@ class TestScaledSigmaSampler:
             ScaledSigmaSampler(10, scales=())
         with pytest.raises(ValueError):
             ScaledSigmaSampler(10, sigma_fraction=0.0)
-
-
-@settings(max_examples=15, deadline=None)
-@given(n=st.integers(2, 40), seed=st.integers(0, 2**31 - 1))
-def test_property_lhs_marginals_uniformish(n, seed):
-    """Every LHS marginal has one point in each of the n equal strata."""
-    X = latin_hypercube(n, unit_cube_bounds(2), seed=seed)
-    for k in range(2):
-        strata = np.clip(np.floor((X[:, k] + 1.0) / 2.0 * n).astype(int), 0, n - 1)
-        assert sorted(strata) == list(range(n))

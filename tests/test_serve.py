@@ -254,6 +254,12 @@ class TestJobs:
         [
             ({"kind": "rembo", "batch_sizee": 4}, "batch_sizee"),
             ({"kind": "batch", "batch_size": 4, "n_jobs": 2}, "n_jobs"),
+            # callables are not data: a factory name must not load
+            ({"kind": "rembo", "kernel_factory": "ard"}, "kernel_factory"),
+            (
+                {"kind": "batch", "acquisition_optimizer_factory": "direct"},
+                "acquisition_optimizer_factory",
+            ),
         ],
     )
     def test_unknown_engine_keys_rejected_at_load(self, engine, bad):

@@ -6,12 +6,8 @@ import pytest
 from repro.synthetic import (
     EmbeddedFunction,
     RareFailureFunction,
-    branin,
     random_orthonormal,
-    rastrigin,
-    rosenbrock,
     sphere,
-    styblinski_tang,
     ysyn,
 )
 
@@ -34,27 +30,6 @@ class TestYsyn:
 class TestClassicFunctions:
     def test_sphere_minimum(self):
         assert sphere(np.zeros(5)) == 0.0
-
-    def test_branin_global_minimum(self):
-        assert branin(np.array([np.pi, 2.275])) == pytest.approx(0.397887, abs=1e-5)
-
-    def test_branin_requires_2d(self):
-        with pytest.raises(ValueError):
-            branin(np.zeros(3))
-
-    def test_styblinski_minimum(self):
-        v = np.full(3, -2.903534)
-        assert styblinski_tang(v) == pytest.approx(3 * -39.16617, abs=1e-3)
-
-    def test_rosenbrock_minimum(self):
-        assert rosenbrock(np.ones(4)) == 0.0
-
-    def test_rosenbrock_needs_2d(self):
-        with pytest.raises(ValueError):
-            rosenbrock(np.ones(1))
-
-    def test_rastrigin_minimum(self):
-        assert rastrigin(np.zeros(3)) == pytest.approx(0.0)
 
 
 class TestRandomOrthonormal:

@@ -1,9 +1,9 @@
 """Linear-algebra safety: no explicit inverses, no normal equations.
 
-The GP stack (PR 1) standardized on Cholesky factorizations —
-``repro.gp.model.chol_with_jitter`` + ``cho_solve`` for solves and
-``inv_from_cholesky`` (LAPACK ``dpotri``) when a full inverse is genuinely
-needed.  REMBO's reverse map (Eq. 12) additionally needs a pseudo-inverse
+The GP stack standardized on Cholesky factorizations —
+``repro.gp.model.chol_with_jitter`` + ``cho_solve`` for solves and LAPACK
+``dpotri`` on the factor when a full inverse is genuinely needed (as the
+marginal-likelihood evaluator does).  REMBO's reverse map (Eq. 12) additionally needs a pseudo-inverse
 whose accuracy the dimension-selection procedure depends on.
 
 * **NL101** — a call to ``numpy.linalg.inv`` / ``scipy.linalg.inv``.
@@ -94,7 +94,8 @@ class LinalgSafetyPass(LintPass):
                     "NL101",
                     f"{qual} forms an explicit inverse; factorize instead "
                     "(repro.gp.model.chol_with_jitter + scipy cho_solve, or "
-                    "inv_from_cholesky when the dense inverse is required)",
+                    "LAPACK dpotri on the factor when the dense inverse is "
+                    "required)",
                 )
                 continue
             if qual in _SOLVE_FUNCTIONS and node.args:

@@ -1,6 +1,6 @@
 """Out-buffer contracts for in-place ``*_into`` kernels.
 
-PR 1's hot path relies on functions like ``StationaryKernel._corr_into``
+The GP hot path relies on functions like ``Matern52._corr_into``
 filling caller-owned buffers in place: the workspace hands out persistent
 arrays, and correctness depends on those exact allocations being written —
 a rebound local or a freshly returned array silently breaks the cache
