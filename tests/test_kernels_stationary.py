@@ -147,22 +147,31 @@ class TestTheta:
 
 
 class TestGradients:
-    @KERNELS
-    def test_gradient_matches_numeric(self, name, rng):
+    @staticmethod
+    def assert_gradients_match_numeric(k, X, rng):
         """The analytic ``∂K/∂θ``, both as the test reference builds it and
         as the workspace contracts it, against central differences."""
-        k = make_kernel(name, 3, variance=1.5)
-        X = rng.uniform(-1, 1, (7, 3))
         numeric = numeric_gradients(k, X)
         reference = matern52_gram_gradients(k, X)
         assert len(reference) == len(numeric) == k.n_params
         for a, n in zip(reference, numeric):
             np.testing.assert_allclose(a, n, atol=1e-5)
-        A = rng.standard_normal((7, 7))
+        n = X.shape[0]
+        A = rng.standard_normal((n, n))
         inner = A + A.T
         contracted = k.gradient_inner_products(k.make_workspace(X), inner)
         expected = [0.5 * np.sum(inner * dK) for dK in numeric]
         np.testing.assert_allclose(contracted, expected, atol=1e-5)
+
+    @pytest.mark.parametrize("cls", [Matern52])
+    def test_gradient_matches_numeric_iso(self, cls, rng):
+        k = cls(dim=3, variance=1.5, lengthscale=0.8)
+        self.assert_gradients_match_numeric(k, rng.uniform(-1, 1, (7, 3)), rng)
+
+    @pytest.mark.parametrize("cls", [Matern52])
+    def test_gradient_matches_numeric_ard(self, cls, rng):
+        k = cls(dim=3, variance=1.5, lengthscale=[0.5, 1.0, 2.0], ard=True)
+        self.assert_gradients_match_numeric(k, rng.uniform(-1, 1, (7, 3)), rng)
 
     @KERNELS
     def test_gradient_after_gram_matches_fused(self, name, rng):

@@ -113,8 +113,8 @@ class TestIncrementalCholeskyEquivalence:
 
 
 class TestFusedEvaluatorEquivalence:
-    """One-pass (lml, grad) must equal the model's evidence and the two-pass
-    gradient reference (``tests/gp_reference.py``)."""
+    """One-pass (lml, grad) must equal the two-call path: the model's
+    evidence and the two-pass gradient reference (``tests/gp_reference.py``)."""
 
     KERNELS = {
         "matern52-ard": lambda: Matern52(dim=4, ard=True),
@@ -122,7 +122,7 @@ class TestFusedEvaluatorEquivalence:
     }
 
     @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
-    def test_matches_two_pass_reference(self, kernel_name):
+    def test_matches_model_two_call_path(self, kernel_name):
         X, y = _dataset(35, 4, seed=4)
         gp = GaussianProcess(
             self.KERNELS[kernel_name](), noise_variance=1e-3, train_noise=True
