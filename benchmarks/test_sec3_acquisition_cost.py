@@ -13,7 +13,8 @@ import time
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.acquisition import WeightedAcquisition, optimize_acquisition
+from repro.acquisition import MultiWeightAcquisition
+from repro.bo import acquisition_search
 from repro.gp import GaussianProcess
 from repro.kernels import Matern52
 from repro.utils import render_table
@@ -28,9 +29,9 @@ def _time_one(dim: int, seed: int) -> float:
     X = rng.uniform(-1, 1, (N_TRAIN, dim))
     y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(N_TRAIN)
     gp = GaussianProcess(Matern52(dim=dim), noise_variance=1e-3).fit(X, y)
-    acq = WeightedAcquisition(gp, weight=0.5)
+    acq = MultiWeightAcquisition(gp, [0.5])
     start = time.perf_counter()
-    optimize_acquisition(acq, unit_cube_bounds(dim))
+    acquisition_search(acq.evaluate_segments, 1, unit_cube_bounds(dim))
     return time.perf_counter() - start
 
 

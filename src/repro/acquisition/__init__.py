@@ -1,4 +1,4 @@
-"""Acquisition functions and their optimization (paper Sections 2.2.2, 5.1)."""
+"""Acquisition functions: PI, EI, LCB and the pBO weighting of Eq. 9."""
 
 from repro.acquisition.base import AcquisitionFunction
 from repro.acquisition.functions import (
@@ -6,12 +6,7 @@ from repro.acquisition.functions import (
     LowerConfidenceBound,
     MultiWeightAcquisition,
     ProbabilityOfImprovement,
-    WeightedAcquisition,
     pbo_weights,
-)
-from repro.acquisition.optimize import (
-    default_acquisition_optimizer,
-    optimize_acquisition,
 )
 
 __all__ = [
@@ -19,9 +14,6 @@ __all__ = [
     "ProbabilityOfImprovement",
     "ExpectedImprovement",
     "LowerConfidenceBound",
-    "WeightedAcquisition",
     "MultiWeightAcquisition",
     "pbo_weights",
-    "optimize_acquisition",
-    "default_acquisition_optimizer",
 ]

@@ -1,11 +1,12 @@
 """The paper's acquisition functions: PI, EI, LCB and the pBO weighting.
 
 All are written for *minimization* of the objective (circuit performance);
-lower acquisition values are better.  ``WeightedAcquisition`` implements
-Eq. 9, ``α_pBO(x; D, w) = (1 - w) μ(x; D) − w σ(x; D)``: ``w = 0`` is pure
-exploitation of the posterior mean, ``w = 1`` pure exploration of posterior
-uncertainty, and a batch of different ``w`` values yields the paper's
-parallelizable multi-acquisition batch (Algorithm 1, line 7).
+lower acquisition values are better.  ``MultiWeightAcquisition``
+implements Eq. 9, ``α_pBO(x; D, w) = (1 - w) μ(x; D) − w σ(x; D)``, for a
+whole weight ladder: ``w = 0`` is pure exploitation of the posterior mean,
+``w = 1`` pure exploration of posterior uncertainty, and a batch of
+different ``w`` values yields the paper's parallelizable multi-acquisition
+batch (Algorithm 1, line 7).
 """
 
 from __future__ import annotations
@@ -76,29 +77,14 @@ class LowerConfidenceBound(AcquisitionFunction):
         return pred.mean - self.kappa * pred.std
 
 
-class WeightedAcquisition(AcquisitionFunction):
-    """The pBO acquisition of Eq. 9: ``(1 − w) μ(x) − w σ(x)``."""
-
-    def __init__(self, gp: SurrogateModel, weight: float) -> None:
-        super().__init__(gp)
-        if not 0.0 <= weight <= 1.0:
-            raise ValueError(f"weight must lie in [0, 1], got {weight}")
-        self.weight = float(weight)
-
-    @shape_contract("X: a(m, d) | a(d,) -> (m,)")
-    def evaluate(self, X: np.ndarray) -> np.ndarray:
-        pred = self.gp.predict(as_matrix(X))
-        return (1.0 - self.weight) * pred.mean - self.weight * pred.std
-
-
 class MultiWeightAcquisition:
     """Eq. 9 for a whole weight ladder sharing one posterior evaluation.
 
     ``evaluate_segments(X, segments)`` is the multi-row search engines'
     objective: every live search contributes a block of pending candidates,
     the concatenated union goes through ``gp.predict`` once, and each block
-    is reweighted under *its* weight — arithmetic identical to that
-    weight's own :class:`WeightedAcquisition` evaluation.
+    is reweighted under *its* weight.  A ladder of one weight is the
+    single-weight acquisition.
     """
 
     def __init__(self, gp: SurrogateModel, weights: ArrayLike) -> None:

@@ -7,6 +7,8 @@
   ``solve(objective=..., spec=..., policy=..., telemetry=..., rng=...)``
   entry point; the three engines run one campaign loop
   (:class:`~repro.bo.engine.BOEngine`) and supply only their proposal step.
+* :func:`acquisition_search` — the one DIRECT-L → COBYLA acquisition
+  search every proposal step runs, on one row or one row per pBO weight.
 * :class:`Specification` / :class:`RunResult` — spec folding and run logs.
 """
 
@@ -18,7 +20,7 @@ from repro.bo.engine import (
     uniform_initial_design,
 )
 from repro.bo.loop import ACQUISITIONS, SequentialBO
-from repro.bo.propose import BatchProposal, propose_batch
+from repro.bo.propose import BatchProposal, acquisition_search
 from repro.bo.records import FailureSummary, RunRecorder, RunResult
 from repro.bo.rembo import RemboBO
 from repro.bo.spec import Specification
@@ -34,7 +36,7 @@ __all__ = [
     "RunRecorder",
     "FailureSummary",
     "SurrogateManager",
-    "propose_batch",
+    "acquisition_search",
     "BatchProposal",
     "uniform_initial_design",
     "ACQUISITIONS",

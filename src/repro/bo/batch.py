@@ -7,12 +7,11 @@ is the paper's "pBO" baseline when run in the full ``D``-dimensional space,
 and the inner engine of the proposed method when run in an embedded space
 (:class:`~repro.bo.rembo.RemboBO` subclasses :class:`BatchBO`).
 
-With the DIRECT-L + COBYLA stack, :func:`~repro.bo.propose.propose_batch`
-runs all ``n_b`` searches as the rows of one array search: each round's
-candidate union is scored by ONE shared GP posterior evaluation and
-reweighted per weight
-(:class:`~repro.acquisition.functions.MultiWeightAcquisition`), in both the
-global and the local refinement phase.
+The ``n_b`` searches are the rows of the one acquisition search
+(:func:`~repro.bo.propose.acquisition_search`): each round's candidate
+union is scored by ONE shared GP posterior evaluation and reweighted per
+weight (:class:`~repro.acquisition.functions.MultiWeightAcquisition`), in
+both the DIRECT-L and the COBYLA stage.
 """
 
 from __future__ import annotations
@@ -21,10 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.acquisition.functions import pbo_weights
-from repro.bo.engine import BOEngine, OptimizerFactory, RunSpec
-from repro.bo.propose import propose_batch
-from repro.gp.surrogate import KernelFactory, SurrogateLike
+from repro.acquisition.functions import MultiWeightAcquisition, pbo_weights
+from repro.bo.engine import BOEngine, RunSpec
+from repro.bo.propose import (
+    DEFAULT_GLOBAL_BUDGET,
+    DEFAULT_LOCAL_BUDGET,
+    acquisition_search,
+)
+from repro.gp.surrogate import SurrogateLike
 from repro.utils.rng import SeedLike
 
 #: Engine default when ``RunSpec.n_batches`` is None.
@@ -43,13 +46,14 @@ class BatchBO(BOEngine):
         Points per batch ``n_b``.
     weights:
         Preset acquisition weights; defaults to ``pbo_weights(batch_size)``.
+    ard / noise_variance / tune_every / n_restarts:
+        Surrogate knobs, see :class:`~repro.bo.engine.SurrogateManager`.
     surrogate:
         Engine-level surrogate choice (spec / kind string / mapping);
         ``spec.surrogate`` on an individual run overrides it.
-    acquisition_optimizer_factory:
-        ``dim -> optimizer`` building the DIRECT-L + COBYLA stack
-        (:func:`~repro.acquisition.optimize.default_acquisition_optimizer`,
-        any budgets); another stack raises ``TypeError`` at proposal.
+    global_budget / local_budget:
+        Acquisition evaluation caps of the DIRECT-L and COBYLA stages of
+        :func:`~repro.bo.propose.acquisition_search`, per weight.
     stop_on_failure:
         Stop before the next iteration once any observation so far, the
         initial data included, is below ``spec.threshold``.
@@ -61,11 +65,12 @@ class BatchBO(BOEngine):
         self,
         batch_size: int,
         weights: Sequence[float] | None = None,
-        kernel_factory: KernelFactory | None = None,
+        ard: bool = True,
         noise_variance: float = 1e-4,
         tune_every: int = 1,
         n_restarts: int = 2,
-        acquisition_optimizer_factory: OptimizerFactory | None = None,
+        global_budget: int = DEFAULT_GLOBAL_BUDGET,
+        local_budget: int = DEFAULT_LOCAL_BUDGET,
         stop_on_failure: bool = False,
         seed: SeedLike = None,
         *,
@@ -86,8 +91,8 @@ class BatchBO(BOEngine):
         if np.any(self.weights < 0) or np.any(self.weights > 1):
             raise ValueError("weights must lie in [0, 1]")
         super().__init__(
-            kernel_factory, noise_variance, tune_every, n_restarts,
-            acquisition_optimizer_factory, stop_on_failure, seed, surrogate
+            ard, noise_variance, tune_every, n_restarts, global_budget,
+            local_budget, stop_on_failure, seed, surrogate
         )
 
     def _n_iterations(self, spec: RunSpec, n_init: int) -> int:
@@ -99,5 +104,10 @@ class BatchBO(BOEngine):
         return spec.n_batches if spec.n_batches is not None else DEFAULT_N_BATCHES
 
     def _propose(self, model, box):
-        factory = self.acquisition_optimizer_factory
-        return propose_batch(model, self.weights, box, optimizer_factory=factory)
+        return acquisition_search(
+            MultiWeightAcquisition(model, self.weights).evaluate_segments,
+            self.batch_size,
+            box,
+            self.global_budget,
+            self.local_budget,
+        )

@@ -14,17 +14,15 @@ label standardization and the hyperparameter tuning cadence
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.acquisition.optimize import default_acquisition_optimizer
-from repro.bo.propose import BatchProposal
+from repro.bo.propose import BatchProposal, check_budgets
 from repro.bo.records import RunRecorder, RunResult
 from repro.gp.hyperopt import HyperoptResult, fit_hyperparameters
 from repro.gp.standardize import Standardizer
 from repro.gp.surrogate import (
-    KernelFactory,
     SurrogateLike,
     SurrogateModel,
     SurrogateSpec,
@@ -32,7 +30,6 @@ from repro.gp.surrogate import (
     make_surrogate,
     surrogate_kind_of,
 )
-from repro.optim.base import Optimizer
 from repro.runtime.broker import RuntimePolicy, make_broker
 from repro.runtime.objective import Objective, require_objective, resolve_bounds
 from repro.telemetry.config import TelemetryLike, resolve_telemetry
@@ -40,8 +37,6 @@ from repro.utils.contracts import shape_contract
 from repro.utils.rng import SeedLike, as_generator, spawn
 from repro.utils.timing import Timer
 from repro.utils.validation import as_matrix, as_vector, check_bounds
-
-OptimizerFactory = Callable[[int], Optimizer]
 
 
 @dataclass(frozen=True)
@@ -165,9 +160,10 @@ class SurrogateManager:
     dim:
         Dimensionality the surrogate operates in (D for plain BO, d for
         REMBO).
-    kernel_factory / noise_variance:
-        Surrogate construction knobs; without a factory the surrogate gets
-        :func:`~repro.gp.surrogate.make_surrogate`'s ARD Matérn-5/2.
+    ard / noise_variance:
+        Surrogate construction knobs: a Matérn-5/2 kernel with one
+        lengthscale per input (``ard=True``) or one shared lengthscale,
+        see :func:`~repro.gp.surrogate.make_surrogate`.
     tune_every:
         Re-optimize hyperparameters every ``tune_every`` refits (1 = always).
     n_restarts:
@@ -183,7 +179,7 @@ class SurrogateManager:
     def __init__(
         self,
         dim: int,
-        kernel_factory: KernelFactory | None = None,
+        ard: bool = True,
         noise_variance: float = 1e-4,
         tune_every: int = 1,
         n_restarts: int = 2,
@@ -195,7 +191,7 @@ class SurrogateManager:
         if tune_every < 1:
             raise ValueError(f"tune_every must be >= 1, got {tune_every}")
         self.dim = int(dim)
-        self._kernel_factory = kernel_factory
+        self._ard = bool(ard)
         self._noise_variance = float(noise_variance)
         self.tune_every = int(tune_every)
         self.n_restarts = int(n_restarts)
@@ -228,7 +224,7 @@ class SurrogateManager:
         replacement = make_surrogate(
             self.surrogate_spec,
             self.dim,
-            kernel_factory=self._kernel_factory,
+            ard=self._ard,
             noise_variance=self._noise_variance,
             n=n,
         )
@@ -313,22 +309,23 @@ class BOEngine:
 
     def __init__(
         self,
-        kernel_factory: KernelFactory | None,
+        ard: bool,
         noise_variance: float,
         tune_every: int,
         n_restarts: int,
-        acquisition_optimizer_factory: OptimizerFactory | None,
+        global_budget: int,
+        local_budget: int,
         stop_on_failure: bool,
         seed: SeedLike,
         surrogate: SurrogateLike,
     ) -> None:
-        self.kernel_factory = kernel_factory
+        self.ard = bool(ard)
         self.noise_variance = float(noise_variance)
         self.tune_every = int(tune_every)
         self.n_restarts = int(n_restarts)
         self.surrogate = coerce_surrogate_spec(surrogate)
-        self.acquisition_optimizer_factory = (
-            acquisition_optimizer_factory or default_acquisition_optimizer
+        self.global_budget, self.local_budget = check_budgets(
+            global_budget, local_budget
         )
         self.stop_on_failure = bool(stop_on_failure)
         self._rng = as_generator(seed)
@@ -410,7 +407,7 @@ class BOEngine:
         recorder.model_dim = space.box.shape[0]
         manager = SurrogateManager(
             space.box.shape[0],
-            kernel_factory=self.kernel_factory,
+            ard=self.ard,
             noise_variance=self.noise_variance,
             tune_every=self.tune_every,
             n_restarts=self.n_restarts,

@@ -13,9 +13,13 @@ from repro.acquisition.functions import (
     LowerConfidenceBound,
     ProbabilityOfImprovement,
 )
-from repro.bo.engine import BOEngine, OptimizerFactory, RunSpec
-from repro.bo.propose import BatchProposal
-from repro.gp.surrogate import KernelFactory, SurrogateLike
+from repro.bo.engine import BOEngine, RunSpec
+from repro.bo.propose import (
+    DEFAULT_GLOBAL_BUDGET,
+    DEFAULT_LOCAL_BUDGET,
+    acquisition_search,
+)
+from repro.gp.surrogate import SurrogateLike
 from repro.utils.rng import SeedLike
 
 #: Acquisition registry used by the experiment harness ("EI", "PI", "LCB").
@@ -40,15 +44,17 @@ class SequentialBO(BOEngine):
     acquisition:
         ``"ei"``, ``"pi"`` or ``"lcb"``.
     xi / kappa:
-        Acquisition hyperparameters (improvement margin; LCB weight).
-    kernel_factory / noise_variance / tune_every / n_restarts:
+        Acquisition hyperparameters (improvement margin; LCB weight); both
+        must be non-negative.
+    ard / noise_variance / tune_every / n_restarts:
         Surrogate knobs, see :class:`SurrogateManager`.
     surrogate:
         Engine-level surrogate choice (spec / kind string / mapping);
         ``spec.surrogate`` on an individual run overrides it.
-    acquisition_optimizer_factory:
-        Builds the inner optimizer for a given dimension; defaults to the
-        paper's DIRECT-L + COBYLA stack.
+    global_budget / local_budget:
+        Acquisition evaluation caps of the DIRECT-L and COBYLA stages of
+        :func:`~repro.bo.propose.acquisition_search`, which each iteration
+        runs on one row.
     stop_on_failure:
         Stop before the next iteration once any observation so far, the
         initial data included, is below ``spec.threshold``.
@@ -59,11 +65,12 @@ class SequentialBO(BOEngine):
         acquisition: str = "ei",
         xi: float = 0.0,
         kappa: float = 2.0,
-        kernel_factory: KernelFactory | None = None,
+        ard: bool = True,
         noise_variance: float = 1e-4,
         tune_every: int = 1,
         n_restarts: int = 2,
-        acquisition_optimizer_factory: OptimizerFactory | None = None,
+        global_budget: int = DEFAULT_GLOBAL_BUDGET,
+        local_budget: int = DEFAULT_LOCAL_BUDGET,
         stop_on_failure: bool = False,
         seed: SeedLike = None,
         *,
@@ -73,13 +80,18 @@ class SequentialBO(BOEngine):
             raise ValueError(
                 f"unknown acquisition {acquisition!r}; options: {sorted(ACQUISITIONS)}"
             )
+        # the acquisition constructors' checks, before any simulation
+        if xi < 0:
+            raise ValueError(f"xi must be non-negative, got {xi}")
+        if kappa < 0:
+            raise ValueError(f"kappa must be non-negative, got {kappa}")
         self.acquisition = acquisition
         self._method = acquisition.upper()
         self.xi = float(xi)
         self.kappa = float(kappa)
         super().__init__(
-            kernel_factory, noise_variance, tune_every, n_restarts,
-            acquisition_optimizer_factory, stop_on_failure, seed, surrogate
+            ard, noise_variance, tune_every, n_restarts, global_budget,
+            local_budget, stop_on_failure, seed, surrogate
         )
 
     def _n_iterations(self, spec: RunSpec, n_init: int) -> int:
@@ -94,6 +106,10 @@ class SequentialBO(BOEngine):
 
     def _propose(self, model, box):
         acquisition = ACQUISITIONS[self.acquisition](model, self.xi, self.kappa)
-        optimizer = self.acquisition_optimizer_factory(box.shape[0])
-        result = optimizer.minimize(acquisition, box)
-        return BatchProposal(X=result.x[None, :], n_evaluations=result.n_evaluations)
+        return acquisition_search(
+            lambda X, segments: acquisition.evaluate(X),
+            1,
+            box,
+            self.global_budget,
+            self.local_budget,
+        )

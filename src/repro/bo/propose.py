@@ -1,19 +1,19 @@
-"""Batched multi-weight acquisition proposal — the pBO inner loop.
+"""The one acquisition search every BO engine runs (paper Section 5.1).
 
-Run naively, each pBO weight ``w_i`` performs its own DIRECT-L + COBYLA
-search and every candidate costs one GP posterior evaluation.  But all
-weights share the same posterior: only the reweighting ``(1 − w) μ − w σ``
-(Eq. 9) differs.  :func:`propose_batch` therefore runs the ``n_b`` searches
-as the rows of one array program — :func:`~repro.optim.direct.direct_rows`
-for the global stage, :func:`~repro.optim.cobyla.cobyla_rows` for the
-local one — and each lockstep round scores the union of every live row's
-candidates with ONE ``gp.predict`` through
-:meth:`~repro.acquisition.functions.MultiWeightAcquisition.evaluate_segments`.
-Each row's result equals what its stack's own ``minimize`` returns.
+The paper optimizes the acquisition of every BO method the same way:
+NLopt's DIRECT_L globally, then COBYLA locally, under one set of
+evaluation caps.  :func:`acquisition_search` runs that recipe for
+``n_rows`` searches at once, as the rows of two array engines —
+:func:`~repro.optim.direct.direct_rows` over the whole box, then
+:func:`~repro.optim.cobyla.cobyla_rows` inside each row's incumbent basin —
+and keeps the better point per row.  Each lockstep round scores the union
+of every live row's candidates with one ``score`` call.
 
-The optimizer factory must build the paper's DIRECT-L + COBYLA stack
-(:func:`~repro.acquisition.optimize.default_acquisition_optimizer` with any
-budgets); any other stack raises ``TypeError``.
+:class:`~repro.bo.loop.SequentialBO` searches one row under its EI/PI/LCB.
+The pBO engines search one row per weight: all weights share one
+posterior and only the reweighting ``(1 − w) μ − w σ`` (Eq. 9) differs, so
+:meth:`~repro.acquisition.functions.MultiWeightAcquisition.evaluate_segments`
+scores each round's union with ONE ``gp.predict``.
 """
 
 from __future__ import annotations
@@ -22,78 +22,76 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.acquisition.functions import MultiWeightAcquisition
-from repro.acquisition.optimize import default_acquisition_optimizer
-from repro.gp.surrogate import SurrogateModel
 from repro.optim.cobyla import Cobyla, cobyla_rows
-from repro.optim.direct import Direct, direct_rows
-from repro.optim.multistart import GlobalLocalOptimizer
+from repro.optim.direct import Direct, RowObjective, direct_rows
 from repro.utils.contracts import shape_contract
 from repro.utils.validation import check_bounds
+
+#: Default acquisition evaluation caps.  Deliberately *independent* of the
+#: search dimension: Section 3 notes that in practice the number of
+#: acquisition evaluations must be capped "to force the completion" of each
+#: sequential step, and that a fixed cap which is generous in a low-d
+#: embedded space is starvation in the full D-dimensional space — the very
+#: asymmetry the proposed method exploits.
+DEFAULT_GLOBAL_BUDGET = 400
+DEFAULT_LOCAL_BUDGET = 150
+
+#: The local stage refines inside the global incumbent's basin only: a box
+#: of this half-width (fraction of each side) around the DIRECT-L result,
+#: so a capped search cannot teleport to corners DIRECT-L never justified.
+LOCAL_RADIUS = 0.1
+
+
+def check_budgets(global_budget: int, local_budget: int) -> tuple[int, int]:
+    """The acquisition evaluation caps, or ``ValueError``: DIRECT-L needs
+    one evaluation, COBYLA two."""
+    if global_budget < 1:
+        raise ValueError(f"global_budget must be >= 1, got {global_budget}")
+    if local_budget < 2:
+        raise ValueError(f"local_budget must be >= 2, got {local_budget}")
+    return int(global_budget), int(local_budget)
 
 
 @dataclass
 class BatchProposal:
-    """One pBO batch: a proposed point per weight plus evaluation counts."""
+    """One iteration's proposals: a point per search row plus evaluation
+    counts."""
 
-    X: np.ndarray  # (n_weights, dim)
+    X: np.ndarray  # (n_rows, dim)
     n_evaluations: int
 
 
-def _lockstep_stages(stack: object) -> tuple[Direct, Cobyla, float | None]:
-    """``stack``'s DIRECT and COBYLA stages and local radius, or ``TypeError``."""
-    if isinstance(stack, GlobalLocalOptimizer):
-        global_stage, local_stage = stack.global_optimizer, stack.local_optimizer
-        if isinstance(global_stage, Direct) and isinstance(local_stage, Cobyla):
-            return global_stage, local_stage, stack.local_radius
-        built = f"{type(global_stage).__name__} + {type(local_stage).__name__}"
-    else:
-        built = type(stack).__name__
-    raise TypeError(
-        "propose_batch needs GlobalLocalOptimizer(Direct, Cobyla) stacks "
-        f"(see default_acquisition_optimizer); the optimizer factory built {built}"
-    )
-
-
-@shape_contract("weights: a(n_w,), bounds: a(d, 2) | a(2, d)")
-def propose_batch(
-    gp: SurrogateModel,
-    weights,
-    bounds,
-    optimizer_factory=None,
+@shape_contract("box: a(d, 2) | a(2, d)")
+def acquisition_search(
+    score: RowObjective,
+    n_rows: int,
+    box,
+    global_budget: int = DEFAULT_GLOBAL_BUDGET,
+    local_budget: int = DEFAULT_LOCAL_BUDGET,
 ) -> BatchProposal:
-    """Propose one point per pBO weight over the box ``bounds``.
+    """Minimize ``n_rows`` acquisitions over ``box``: DIRECT-L, then COBYLA.
 
-    ``optimizer_factory(dim)`` (default
-    :func:`~repro.acquisition.optimize.default_acquisition_optimizer`)
-    builds one DIRECT + COBYLA stack per weight.  The global searches and
-    then the local refinements run as rows of one array search, sharing one
-    posterior evaluation per candidate union; each weight's result equals
-    what its stack's own ``minimize`` returns on Eq. 9 for that weight.
+    ``score(X, segments)`` returns the ``(m,)`` values of the candidate
+    union ``X``, whose consecutive blocks belong to the ``(row, length)``
+    pairs of ``segments``.  DIRECT-L spends up to ``global_budget``
+    evaluations per row over the whole box; COBYLA then spends up to
+    ``local_budget`` from each row's incumbent, inside the box of
+    half-width :data:`LOCAL_RADIUS` of each side around it.  A row
+    proposes COBYLA's point unless it scored worse than DIRECT-L's;
+    ``n_evaluations`` counts both stages over every row.
     """
-    lower, upper = check_bounds(bounds)
-    dim = lower.shape[0]
-    weights = np.asarray(weights, dtype=float).ravel()
-    factory = optimizer_factory or default_acquisition_optimizer
-    stages = [_lockstep_stages(factory(dim)) for _ in weights]
-    score = MultiWeightAcquisition(gp, weights).evaluate_segments
-
-    coarse = direct_rows([direct for direct, _, _ in stages], lower, upper, score)
-
-    # local refinement inside each global incumbent's basin, exactly as
-    # GlobalLocalOptimizer would have done per weight
-    local_lower = np.tile(lower, (weights.shape[0], 1))
-    local_upper = np.tile(upper, (weights.shape[0], 1))
-    span = upper - lower
-    for i, (_, _, local_radius) in enumerate(stages):
-        if local_radius is not None:
-            radius = local_radius * span
-            local_lower[i] = np.maximum(lower, coarse.x[i] - radius)
-            local_upper[i] = np.minimum(upper, coarse.x[i] + radius)
+    lower, upper = check_bounds(box)
+    direct = Direct(max_evaluations=global_budget)
+    cobyla = Cobyla(max_evaluations=local_budget)
+    coarse = direct_rows([direct] * n_rows, lower, upper, score)
+    radius = LOCAL_RADIUS * (upper - lower)
     fine = cobyla_rows(
-        [cobyla for _, cobyla, _ in stages], local_lower, local_upper, coarse.x, score
+        [cobyla] * n_rows,
+        np.maximum(lower, coarse.x - radius),
+        np.minimum(upper, coarse.x + radius),
+        coarse.x,
+        score,
     )
-
     refined = fine.fun <= coarse.fun
     return BatchProposal(
         X=np.where(refined[:, None], fine.x, coarse.x),

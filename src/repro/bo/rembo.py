@@ -26,13 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.bo.batch import BatchBO
-from repro.bo.engine import ModelSpace, OptimizerFactory
+from repro.bo.engine import ModelSpace
+from repro.bo.propose import DEFAULT_GLOBAL_BUDGET, DEFAULT_LOCAL_BUDGET
 from repro.embedding.dimension_selection import (
     DimensionSelectionResult,
     select_embedding_dimension,
 )
 from repro.embedding.random_embedding import RandomEmbedding
-from repro.gp.surrogate import KernelFactory, SurrogateLike
+from repro.gp.surrogate import SurrogateLike
 from repro.utils.rng import SeedLike
 
 
@@ -61,10 +62,13 @@ class RemboBO(BatchBO):
         ``embedding_dim`` is None.
     weights:
         Preset pBO weights; defaults to an even ladder over [0, 1].
-    acquisition_optimizer_factory:
-        ``dim -> optimizer`` building the DIRECT-L + COBYLA stack
-        (:func:`~repro.acquisition.optimize.default_acquisition_optimizer`,
-        any budgets); another stack raises ``TypeError`` at proposal.
+    ard / noise_variance / tune_every / n_restarts:
+        Surrogate knobs for the GP in the embedded space, see
+        :class:`~repro.bo.engine.SurrogateManager`.
+    global_budget / local_budget:
+        Acquisition evaluation caps of the DIRECT-L and COBYLA stages of
+        :func:`~repro.bo.propose.acquisition_search`, per weight, in the
+        embedded box.
     surrogate:
         Engine-level surrogate choice (spec / kind string / mapping);
         ``spec.surrogate`` on an individual run overrides it.
@@ -84,19 +88,20 @@ class RemboBO(BatchBO):
         dimension_trials: int = 5,
         dimension_tolerance: float = 0.1,
         weights: Sequence[float] | None = None,
-        kernel_factory: KernelFactory | None = None,
+        ard: bool = True,
         noise_variance: float = 1e-4,
         tune_every: int = 1,
         n_restarts: int = 2,
-        acquisition_optimizer_factory: OptimizerFactory | None = None,
+        global_budget: int = DEFAULT_GLOBAL_BUDGET,
+        local_budget: int = DEFAULT_LOCAL_BUDGET,
         stop_on_failure: bool = False,
         seed: SeedLike = None,
         *,
         surrogate: SurrogateLike = None,
     ) -> None:
         super().__init__(
-            batch_size, weights, kernel_factory, noise_variance, tune_every,
-            n_restarts, acquisition_optimizer_factory, stop_on_failure, seed,
+            batch_size, weights, ard, noise_variance, tune_every, n_restarts,
+            global_budget, local_budget, stop_on_failure, seed,
             surrogate=surrogate,
         )
         if embedding_dim is not None and embedding_dim < 1:

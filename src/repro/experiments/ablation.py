@@ -19,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.acquisition.optimize import default_acquisition_optimizer
 from repro.bo.engine import RunSpec
 from repro.bo.records import RunResult
 from repro.bo.rembo import RemboBO
 from repro.circuits.behavioral.base import CircuitTestbench
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.methods import shared_initial_data
-from repro.kernels.stationary import Matern52
 
 
 @dataclass
@@ -61,12 +59,11 @@ def _run_rembo(
     kwargs = dict(
         batch_size=cfg.batch_size,
         embedding_dim=cfg.embedding_dim,
-        kernel_factory=cfg.kernel_factory(),
+        ard=cfg.ard,
         noise_variance=cfg.noise_variance,
         tune_every=cfg.tune_every_batch,
-        acquisition_optimizer_factory=lambda dim: default_acquisition_optimizer(
-            dim, global_budget=cfg.global_budget, local_budget=cfg.local_budget
-        ),
+        global_budget=cfg.global_budget,
+        local_budget=cfg.local_budget,
         seed=cfg.seed,
     )
     kwargs.update(overrides)
@@ -133,14 +130,8 @@ def kernel_ablation(
     """ARD versus isotropic Matérn-5/2 in the embedded space."""
     initial = shared_initial_data(testbench, spec_name, cfg)
     threshold = testbench.threshold(spec_name)
-    iso = _run_rembo(
-        testbench, spec_name, cfg, initial,
-        kernel_factory=lambda dim: Matern52(dim=dim),
-    )
-    ard = _run_rembo(
-        testbench, spec_name, cfg, initial,
-        kernel_factory=lambda dim: Matern52(dim=dim, ard=True),
-    )
+    iso = _run_rembo(testbench, spec_name, cfg, initial, ard=False)
+    ard = _run_rembo(testbench, spec_name, cfg, initial, ard=True)
     return [
         _summary_row("isotropic Matern-5/2", iso, threshold),
         _summary_row("ARD Matern-5/2", ard, threshold),

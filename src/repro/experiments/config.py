@@ -10,9 +10,9 @@ smoke runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.kernels.stationary import Matern52
+from repro.bo.propose import check_budgets
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; allowed: 'iso', 'ard'"
             )
+        check_budgets(self.global_budget, self.local_budget)
 
-    def kernel_factory(self):
-        ard = self.kernel == "ard"
-        return lambda dim: Matern52(dim=dim, ard=ard)
+    @property
+    def ard(self) -> bool:
+        """The engines' ``ard`` flag for :attr:`kernel`."""
+        return self.kernel == "ard"
 
     @property
     def bo_budget(self) -> int:

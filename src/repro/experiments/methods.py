@@ -11,11 +11,8 @@ through the random embedding.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.acquisition.optimize import default_acquisition_optimizer
 from repro.bo.batch import BatchBO
 from repro.bo.engine import EngineProtocol, RunSpec, uniform_initial_design
 from repro.bo.loop import SequentialBO
@@ -31,12 +28,6 @@ from repro.utils.rng import SeedLike
 
 #: Paper row order in Tables 1-2.
 METHOD_ORDER = ("MC", "SSS", "EI", "PI", "LCB", "pBO", "This work")
-
-
-def _acq_factory(cfg: ExperimentConfig) -> Callable:
-    return lambda dim: default_acquisition_optimizer(
-        dim, global_budget=cfg.global_budget, local_budget=cfg.local_budget
-    )
 
 
 def build_engine(
@@ -58,19 +49,21 @@ def build_engine(
     if name in ("EI", "PI", "LCB"):
         return SequentialBO(
             acquisition=name.lower(),
-            kernel_factory=cfg.kernel_factory(),
+            ard=cfg.ard,
             noise_variance=cfg.noise_variance,
             tune_every=cfg.tune_every_sequential,
-            acquisition_optimizer_factory=_acq_factory(cfg),
+            global_budget=cfg.global_budget,
+            local_budget=cfg.local_budget,
             seed=seed,
         )
     if name == "pBO":
         return BatchBO(
             batch_size=cfg.batch_size,
-            kernel_factory=cfg.kernel_factory(),
+            ard=cfg.ard,
             noise_variance=cfg.noise_variance,
             tune_every=cfg.tune_every_batch,
-            acquisition_optimizer_factory=_acq_factory(cfg),
+            global_budget=cfg.global_budget,
+            local_budget=cfg.local_budget,
             seed=seed,
         )
     if name == "This work":
@@ -78,10 +71,11 @@ def build_engine(
             batch_size=cfg.batch_size,
             embedding_dim=cfg.embedding_dim,
             dimension_trials=cfg.dimension_trials,
-            kernel_factory=cfg.kernel_factory(),
+            ard=cfg.ard,
             noise_variance=cfg.noise_variance,
             tune_every=cfg.tune_every_batch,
-            acquisition_optimizer_factory=_acq_factory(cfg),
+            global_budget=cfg.global_budget,
+            local_budget=cfg.local_budget,
             seed=seed,
         )
     raise ValueError(f"unknown method {name!r}; options: {METHOD_ORDER}")

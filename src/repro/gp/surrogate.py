@@ -19,15 +19,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Callable, Protocol, Union, runtime_checkable
+from typing import Protocol, Union, runtime_checkable
 
 import numpy as np
 
 from repro._typing import ArrayLike, FloatArray
 from repro.gp.model import GaussianProcess, GPPrediction
 from repro.kernels.stationary import Matern52
-
-KernelFactory = Callable[[int], Matern52]
 
 #: Surrogate kinds :func:`make_surrogate` can build.
 SURROGATE_KINDS = ("exact", "sparse", "auto")
@@ -204,7 +202,7 @@ def make_surrogate(
     spec: SurrogateLike,
     dim: int,
     *,
-    kernel_factory: "KernelFactory | None" = None,
+    ard: bool = True,
     noise_variance: float = 1e-4,
     n: int | None = None,
 ) -> SurrogateModel:
@@ -222,8 +220,9 @@ def make_surrogate(
         (exact GP with library defaults).
     dim:
         Input dimensionality the kernel is built for.
-    kernel_factory:
-        ``dim -> Matern52``; defaults to Matérn-5/2 with ARD.
+    ard:
+        One Matérn-5/2 lengthscale per input dimension (the default), or
+        one shared lengthscale.
     noise_variance:
         Observation noise, unless the spec overrides it.
     n:
@@ -234,11 +233,7 @@ def make_surrogate(
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     kind = resolved.resolve_kind(0 if n is None else int(n))
-    kernel = (
-        kernel_factory(dim)
-        if kernel_factory is not None
-        else Matern52(dim=dim, ard=True)
-    )
+    kernel = Matern52(dim=dim, ard=ard)
     noise = (
         resolved.noise_variance
         if resolved.noise_variance is not None

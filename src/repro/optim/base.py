@@ -38,16 +38,18 @@ class Optimizer(abc.ABC):
         """Minimize ``fun`` over the box ``bounds``.
 
         ``bounds`` is ``(dim, 2)`` rows of ``(lo, hi)``.  ``x0`` (optional)
-        seeds optimizers that support warm starts; it is clipped into the
-        box.
+        seeds optimizers that support warm starts; it must have shape
+        ``(dim,)`` and is clipped into the box.
         """
         lower, upper = check_bounds(bounds)
         if x0 is not None:
-            x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+            x0 = np.asarray(x0, dtype=float)
+            # before clipping, which would broadcast a wrong shape
             if x0.shape != lower.shape:
                 raise ValueError(
                     f"x0 has shape {x0.shape}, bounds cover {lower.shape[0]} dims"
                 )
+            x0 = np.clip(x0, lower, upper)
         return self._minimize(fun, lower, upper, x0)
 
 

@@ -28,9 +28,10 @@ for ``measure``.  ``surrogate`` picks the GP surrogate — a kind string
 :class:`~repro.gp.surrogate.SurrogateSpec` fields; it is validated at
 load time so a typo'd kind rejects the job file, not the running
 campaign.  For the same reason the ``engine`` table's keys are checked
-against the engine constructor's parameters at load time; the parameters
-that take a callable (``kernel_factory``, ``acquisition_optimizer_factory``)
-are not job keys, since a job file holds only data.  Engines are
+against the engine constructor's parameters at load time.  Every engine
+parameter takes a value, so a job file can set each of them — the
+acquisition caps ``global_budget`` / ``local_budget`` and the kernel's
+``ard`` flag included.  Engines are
 registered as *factories*: every (re)submission constructs a pristine
 solver, which is what makes ``--resume`` replay an interrupted campaign
 bitwise.
@@ -72,9 +73,6 @@ ENGINE_KINDS: dict[str, Callable[..., EngineProtocol]] = {
 #: RunSpec fields a job's ``run`` table may set (plus "threshold": "auto").
 _RUN_KEYS = ("n_init", "budget", "n_batches", "threshold")
 
-#: Engine parameters that take a callable; a job file holds only data.
-_FACTORY_PARAMS = frozenset({"kernel_factory", "acquisition_optimizer_factory"})
-
 
 def _make_testbench(name: str) -> Any:
     if name == "uvlo":
@@ -102,7 +100,6 @@ def _engine_factory(
         name
         for name, param in inspect.signature(ctor).parameters.items()
         if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
-        and name not in _FACTORY_PARAMS
     )
     unknown = sorted(set(cfg) - set(allowed))
     if unknown:

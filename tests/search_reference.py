@@ -4,10 +4,11 @@
 ``_apply_divisions``) and ``ReferenceCobyla.search`` are the
 rectangle-at-a-time DIRECT and point-at-a-time COBYLA coroutines that
 :func:`repro.optim.direct_rows` and :func:`repro.optim.cobyla_rows`
-replaced, kept unchanged apart from their class names.  ``_WeightSearch``
-and ``_drive_lockstep`` drove one coroutine per pBO weight in lockstep;
-:func:`reference_propose_batch` is the proposal built on them.  Each engine
-row must equal its coroutine run alone, bit for bit.
+replaced, kept unchanged apart from their class names.  ``_RowSearch``
+and ``_drive_lockstep`` drive one coroutine per search row in lockstep;
+:func:`reference_propose_batch` is the DIRECT-L then COBYLA proposal built
+on them, the reference of :func:`repro.bo.propose.acquisition_search`.
+Each engine row must equal its coroutine run alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -559,11 +560,10 @@ class ReferenceCobyla(Optimizer):
 
 
 @dataclass
-class _WeightSearch:
-    """Bookkeeping for one weight's search coroutine (global or local)."""
+class _RowSearch:
+    """Bookkeeping for one row's search coroutine (global or local)."""
 
     index: int
-    weight: float
     engine: object
     points: np.ndarray | None = None
     done: bool = False
@@ -573,17 +573,18 @@ class _WeightSearch:
 
 
 def _drive_lockstep(
-    acquisition: _SegmentScorer,
-    searches: list[_WeightSearch],
+    score,
+    searches: list[_RowSearch],
     to_domain=None,
 ) -> None:
-    """Drive live coroutines to completion, one posterior per round.
+    """Drive live coroutines to completion, one ``score`` call per round.
 
     Each round stacks every live search's pending candidate batch into a
     union, maps it to the objective domain (``to_domain``, for coroutines
-    that emit unit-cube points), scores the union segments under their
-    weights with a single shared ``gp.predict``, updates per-search
-    best-so-far state, and sends each coroutine its value slice.
+    that emit unit-cube points), scores the union's ``(row, length)``
+    segments with a single ``score`` call returning one value array per
+    segment, updates per-search best-so-far state, and sends each
+    coroutine its value slice.
     """
     while True:
         live = [s for s in searches if not s.done]
@@ -593,7 +594,7 @@ def _drive_lockstep(
         if to_domain is not None:
             union = to_domain(union)
         segments = [(s.index, s.points.shape[0]) for s in live]
-        sliced = acquisition.evaluate_segments(union, segments)
+        sliced = score(union, segments)
         offset = 0
         for search, values in zip(live, sliced):
             m = search.points.shape[0]
@@ -611,7 +612,7 @@ def _drive_lockstep(
                 search.points = None
 
 
-class _SegmentScorer:
+class SegmentScorer:
     """Eq. 9 per lockstep segment, scored the way ``_drive_lockstep`` did:
     one ``gp.predict`` per union, then ``(1 − w) μ − w σ`` per segment."""
 
@@ -619,7 +620,7 @@ class _SegmentScorer:
         self.gp = gp
         self.weights = np.asarray(weights, dtype=float)
 
-    def evaluate_segments(self, X, segments):
+    def __call__(self, X, segments):
         pred = self.gp.predict(X)
         out = []
         offset = 0
@@ -632,67 +633,46 @@ class _SegmentScorer:
         return out
 
 
-def as_reference(direct, cobyla):
-    """Coroutine twins of a library ``Direct`` and ``Cobyla``."""
-    return (
-        ReferenceDirect(
-            max_evaluations=direct.max_evaluations,
-            max_iterations=direct.max_iterations,
-            f_target=direct.f_target,
-        ),
-        ReferenceCobyla(
-            rho_begin=cobyla.rho_begin,
-            rho_end=cobyla.rho_end,
-            max_evaluations=cobyla.max_evaluations,
-        ),
-    )
+def reference_propose_batch(score, n_rows, bounds, global_budget, local_budget):
+    """The DIRECT-L then COBYLA proposal over the coroutines.
 
-
-def reference_propose_batch(gp, weights, bounds, factory):
-    """The lockstep pBO proposal over the coroutines; ``factory(dim)``
-    builds library ``GlobalLocalOptimizer(Direct, Cobyla)`` stacks."""
+    ``n_rows`` searches run in lockstep, each DIRECT-L search capped at
+    ``global_budget`` evaluations over ``bounds`` and each COBYLA search at
+    ``local_budget`` inside the box of half-width 0.1 of each side around
+    its row's DIRECT-L incumbent.  ``score(union, segments)`` returns one
+    value array per ``(row, length)`` segment.  Returns the proposed
+    ``(n_rows, dim)`` points and the evaluation count of both stages.
+    """
     lower, upper = check_bounds(bounds)
     dim = lower.shape[0]
-    weights = np.asarray(weights, dtype=float).ravel()
-    stacks = [factory(dim) for _ in weights]
-    stages = [
-        as_reference(s.global_optimizer, s.local_optimizer) + (s.local_radius,)
-        for s in stacks
-    ]
     span = upper - lower
-    acquisition = _SegmentScorer(gp, weights)
 
     searches = [
-        _WeightSearch(index=i, weight=float(w), engine=direct.search(dim))
-        for i, (w, (direct, _, _)) in enumerate(zip(weights, stages))
+        _RowSearch(
+            index=i,
+            engine=ReferenceDirect(max_evaluations=global_budget).search(dim),
+        )
+        for i in range(n_rows)
     ]
     for search in searches:
         search.points = next(search.engine)
-    _drive_lockstep(
-        acquisition, searches, to_domain=lambda unit: lower + unit * span
-    )
+    _drive_lockstep(score, searches, to_domain=lambda unit: lower + unit * span)
 
-    local_boxes = []
-    for search, (_, _, local_radius) in zip(searches, stages):
-        if local_radius is not None:
-            radius = local_radius * span
-            local_lower = np.maximum(lower, search.best_x - radius)
-            local_upper = np.minimum(upper, search.best_x + radius)
-        else:
-            local_lower, local_upper = lower, upper
-        local_boxes.append((local_lower, local_upper))
-
+    radius = 0.1 * span
     refiners = [
-        _WeightSearch(
+        _RowSearch(
             index=search.index,
-            weight=search.weight,
-            engine=cobyla.search(lo, hi, x0=search.best_x),
+            engine=ReferenceCobyla(max_evaluations=local_budget).search(
+                np.maximum(lower, search.best_x - radius),
+                np.minimum(upper, search.best_x + radius),
+                x0=search.best_x,
+            ),
         )
-        for search, (_, cobyla, _), (lo, hi) in zip(searches, stages, local_boxes)
+        for search in searches
     ]
     for refiner in refiners:
         refiner.points = next(refiner.engine)
-    _drive_lockstep(acquisition, refiners)
+    _drive_lockstep(score, refiners)
 
     proposed = []
     total_evals = 0

@@ -1,4 +1,4 @@
-"""Tests for the acquisition functions and their optimization."""
+"""Tests for the acquisition functions and the acquisition search."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,11 @@ import pytest
 from repro.acquisition import (
     ExpectedImprovement,
     LowerConfidenceBound,
+    MultiWeightAcquisition,
     ProbabilityOfImprovement,
-    WeightedAcquisition,
-    default_acquisition_optimizer,
-    optimize_acquisition,
     pbo_weights,
 )
+from repro.bo import acquisition_search
 from repro.gp import GaussianProcess
 from repro.kernels import Matern52
 
@@ -91,28 +90,34 @@ class TestLowerConfidenceBound:
         assert acq.evaluate(x)[0] == pytest.approx(fitted_gp.predict(x).mean[0])
 
 
+def weighted(gp, weight):
+    """Eq. 9 under one weight, scored one block at a time."""
+    acq = MultiWeightAcquisition(gp, [weight])
+    return lambda X: acq.evaluate_segments(X, [(0, X.shape[0])])
+
+
 class TestWeightedAcquisition:
     def test_eq9_formula(self, fitted_gp):
-        acq = WeightedAcquisition(fitted_gp, weight=0.3)
+        acq = weighted(fitted_gp, 0.3)
         x = np.array([[0.5, 0.1]])
         pred = fitted_gp.predict(x)
         expected = 0.7 * pred.mean[0] - 0.3 * pred.std[0]
-        assert acq.evaluate(x)[0] == pytest.approx(expected)
+        assert acq(x)[0] == pytest.approx(expected)
 
     def test_w0_is_pure_exploitation(self, fitted_gp):
-        acq = WeightedAcquisition(fitted_gp, weight=0.0)
+        acq = weighted(fitted_gp, 0.0)
         x = np.array([[0.5, 0.1]])
-        assert acq.evaluate(x)[0] == pytest.approx(fitted_gp.predict(x).mean[0])
+        assert acq(x)[0] == pytest.approx(fitted_gp.predict(x).mean[0])
 
     def test_w1_is_pure_exploration(self, fitted_gp):
-        acq = WeightedAcquisition(fitted_gp, weight=1.0)
+        acq = weighted(fitted_gp, 1.0)
         x = np.array([[0.5, 0.1]])
-        assert acq.evaluate(x)[0] == pytest.approx(-fitted_gp.predict(x).std[0])
+        assert acq(x)[0] == pytest.approx(-fitted_gp.predict(x).std[0])
 
     def test_weight_bounds(self, fitted_gp):
         for bad in (-0.1, 1.1):
             with pytest.raises(ValueError):
-                WeightedAcquisition(fitted_gp, weight=bad)
+                MultiWeightAcquisition(fitted_gp, [bad])
 
 
 class TestPboWeights:
@@ -134,20 +139,27 @@ class TestPboWeights:
 
 
 class TestOptimizeAcquisition:
+    """The one DIRECT-L then COBYLA search, on one row."""
+
+    bounds = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+
     def test_finds_bowl_minimum(self, fitted_gp):
         """Pure exploitation on a bowl-shaped posterior goes to the middle."""
-        acq = WeightedAcquisition(fitted_gp, weight=0.0)
-        bounds = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-        result = optimize_acquisition(acq, bounds)
-        assert np.linalg.norm(result.x) < 0.3
+        score = MultiWeightAcquisition(fitted_gp, [0.0]).evaluate_segments
+        result = acquisition_search(score, 1, self.bounds)
+        assert result.X.shape == (1, 2)
+        assert np.linalg.norm(result.X[0]) < 0.3
 
     def test_counts_acquisition_evaluations(self, fitted_gp):
         acq = ExpectedImprovement(fitted_gp)
-        bounds = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-        optimizer = default_acquisition_optimizer(2, global_budget=50, local_budget=30)
-        result = optimize_acquisition(acq, bounds, optimizer=optimizer)
-        assert 0 < result.n_evaluations <= 90
+        result = acquisition_search(
+            lambda X, segments: acq.evaluate(X), 1, self.bounds, 50, 30
+        )
+        assert 0 < result.n_evaluations <= 80
 
-    def test_default_optimizer_validation(self):
-        with pytest.raises(ValueError):
-            default_acquisition_optimizer(0)
+    def test_default_optimizer_validation(self, fitted_gp):
+        score = MultiWeightAcquisition(fitted_gp, [0.5]).evaluate_segments
+        with pytest.raises(ValueError, match="max_evaluations must be >= 1"):
+            acquisition_search(score, 1, self.bounds, global_budget=0)
+        with pytest.raises(ValueError, match="max_evaluations must be >= 2"):
+            acquisition_search(score, 1, self.bounds, local_budget=1)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.acquisition import default_acquisition_optimizer
 from repro.bo import BatchBO, RemboBO, RunSpec, SequentialBO, uniform_initial_design
 from repro.bo.engine import EngineProtocol, SurrogateManager
 from repro.runtime import FunctionObjective
@@ -23,8 +22,8 @@ def bowl_objective(dim):
     return wrap(bowl, dim)
 
 
-def tiny_optimizer(dim):
-    return default_acquisition_optimizer(dim, global_budget=80, local_budget=40)
+#: Reduced acquisition caps that keep the engine tests fast.
+TINY = dict(global_budget=80, local_budget=40)
 
 
 class TestUniformInitialDesign:
@@ -73,9 +72,7 @@ class TestSequentialBO:
         assert isinstance(SequentialBO(seed=0), EngineProtocol)
 
     def test_improves_on_initial_design(self):
-        engine = SequentialBO(
-            acquisition="ei", seed=0, acquisition_optimizer_factory=tiny_optimizer
-        )
+        engine = SequentialBO(acquisition="ei", seed=0, **TINY)
         result = engine.solve(
             objective=bowl_objective(2), spec=RunSpec(n_init=5, budget=20)
         )
@@ -84,9 +81,7 @@ class TestSequentialBO:
 
     @pytest.mark.parametrize("acq", ["ei", "pi", "lcb"])
     def test_all_acquisitions_run(self, acq):
-        engine = SequentialBO(
-            acquisition=acq, seed=1, acquisition_optimizer_factory=tiny_optimizer
-        )
+        engine = SequentialBO(acquisition=acq, seed=1, **TINY)
         result = engine.solve(
             objective=bowl_objective(2), spec=RunSpec(n_init=4, budget=10)
         )
@@ -96,7 +91,7 @@ class TestSequentialBO:
     def test_initial_data_reused(self):
         X0 = uniform_initial_design(unit_cube_bounds(2), 6, seed=2)
         y0 = np.array([bowl(x) for x in X0])
-        engine = SequentialBO(seed=2, acquisition_optimizer_factory=tiny_optimizer)
+        engine = SequentialBO(seed=2, **TINY)
         result = engine.solve(
             objective=bowl_objective(2),
             spec=RunSpec(budget=10, initial_data=(X0, y0)),
@@ -109,7 +104,7 @@ class TestSequentialBO:
             acquisition="lcb",
             seed=3,
             stop_on_failure=True,
-            acquisition_optimizer_factory=tiny_optimizer,
+            **TINY,
         )
         result = engine.solve(
             objective=bowl_objective(2),
@@ -138,8 +133,32 @@ class TestSequentialBO:
         with pytest.raises(ValueError):
             SequentialBO(acquisition="ucb")
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (dict(acquisition="lcb", kappa=-1.0), "kappa must be non-negative"),
+            (dict(acquisition="ei", xi=-0.1), "xi must be non-negative"),
+            (dict(acquisition="pi", xi=-0.1), "xi must be non-negative"),
+        ],
+        ids=["lcb-kappa", "ei-xi", "pi-xi"],
+    )
+    def test_bad_acquisition_parameter_rejected_before_simulating(
+        self, params, message
+    ):
+        calls = []
+
+        def counted_bowl(x):
+            calls.append(1)
+            return bowl(x)
+
+        with pytest.raises(ValueError, match=message):
+            SequentialBO(seed=0, **params).solve(
+                objective=wrap(counted_bowl, 2), spec=RunSpec(n_init=4, budget=6)
+            )
+        assert not calls
+
     def test_counts_acquisition_evaluations(self):
-        engine = SequentialBO(seed=4, acquisition_optimizer_factory=tiny_optimizer)
+        engine = SequentialBO(seed=4, **TINY)
         result = engine.solve(
             objective=bowl_objective(2), spec=RunSpec(n_init=4, budget=8)
         )
@@ -151,9 +170,7 @@ class TestBatchBO:
         assert isinstance(BatchBO(batch_size=2, seed=0), EngineProtocol)
 
     def test_batch_structure(self):
-        engine = BatchBO(
-            batch_size=4, seed=0, acquisition_optimizer_factory=tiny_optimizer
-        )
+        engine = BatchBO(batch_size=4, seed=0, **TINY)
         result = engine.solve(
             objective=bowl_objective(2), spec=RunSpec(n_init=5, n_batches=3)
         )
@@ -167,9 +184,7 @@ class TestBatchBO:
             BatchBO(batch_size=2, weights=[0.2, 1.5])
 
     def test_improves_on_initial_design(self):
-        engine = BatchBO(
-            batch_size=3, seed=1, acquisition_optimizer_factory=tiny_optimizer
-        )
+        engine = BatchBO(batch_size=3, seed=1, **TINY)
         result = engine.solve(
             objective=bowl_objective(3), spec=RunSpec(n_init=6, n_batches=4)
         )
@@ -185,7 +200,7 @@ class TestRemboBO:
             batch_size=3,
             embedding_dim=2,
             seed=0,
-            acquisition_optimizer_factory=tiny_optimizer,
+            **TINY,
         )
         result = engine.solve(
             objective=bowl_objective(6), spec=RunSpec(n_init=5, n_batches=3)
@@ -201,7 +216,7 @@ class TestRemboBO:
             batch_size=4,
             embedding_dim=3,
             seed=1,
-            acquisition_optimizer_factory=tiny_optimizer,
+            **TINY,
         )
         result = engine.solve(
             objective=bowl_objective(8), spec=RunSpec(n_init=5, n_batches=2)
@@ -216,7 +231,7 @@ class TestRemboBO:
             dimension_candidates=[1, 2, 4],
             dimension_trials=2,
             seed=2,
-            acquisition_optimizer_factory=tiny_optimizer,
+            **TINY,
         )
         result = engine.solve(
             objective=wrap(fun, 10), spec=RunSpec(n_init=10, n_batches=2)
@@ -252,7 +267,7 @@ class TestRemboBO:
             embedding_dim=3,
             seed=6,
             stop_on_failure=True,
-            acquisition_optimizer_factory=tiny_optimizer,
+            **TINY,
         )
         result = engine.solve(
             objective=wrap(fun, 12),
@@ -264,9 +279,7 @@ class TestRemboBO:
 
 def stopping_engines():
     """One small instance of each engine, stopping on failure."""
-    common = dict(
-        stop_on_failure=True, seed=0, acquisition_optimizer_factory=tiny_optimizer
-    )
+    common = dict(stop_on_failure=True, seed=0, **TINY)
     return [
         SequentialBO(**common),
         BatchBO(2, **common),
@@ -289,6 +302,19 @@ class TestSharedLoop:
             spec=RunSpec(threshold=0.01, initial_data=(X0, y0)),
         )
         assert result.n_evaluations == result.n_init == 4
+
+    @pytest.mark.parametrize(
+        "engine", [SequentialBO, BatchBO, RemboBO], ids=lambda e: e.__name__
+    )
+    @pytest.mark.parametrize(
+        "budgets, name",
+        [((0, 150), "global_budget"), ((400, 1), "local_budget")],
+        ids=["global", "local"],
+    )
+    def test_bad_search_budget_rejected_at_construction(self, engine, budgets, name):
+        args = () if engine is SequentialBO else (2,)
+        with pytest.raises(ValueError, match=name):
+            engine(*args, global_budget=budgets[0], local_budget=budgets[1])
 
     @pytest.mark.parametrize(
         "engine, spec, field",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.acquisition import default_acquisition_optimizer
 from repro.bo import BatchBO, RemboBO, RunSpec, SequentialBO
 from repro.campaign import Campaign, CampaignResult
 from repro.circuits.behavioral.uvlo import UVLOTestbench
@@ -39,8 +38,8 @@ def small_rembo(seed=11):
     )
 
 
-def small_optimizer(dim):
-    return default_acquisition_optimizer(dim, global_budget=150, local_budget=40)
+#: Reduced acquisition caps that keep the campaign tests fast.
+SMALL = dict(global_budget=150, local_budget=40)
 
 
 def uvlo_spec(testbench, **run):
@@ -55,15 +54,11 @@ def uvlo_spec(testbench, **run):
 #: One small instance of each BO engine, with the spec it reads.
 ENGINE_CASES = {
     "SequentialBO": (
-        lambda: SequentialBO(
-            n_restarts=1, acquisition_optimizer_factory=small_optimizer, seed=11
-        ),
+        lambda: SequentialBO(n_restarts=1, seed=11, **SMALL),
         {"budget": 9},
     ),
     "BatchBO": (
-        lambda: BatchBO(
-            4, n_restarts=1, acquisition_optimizer_factory=small_optimizer, seed=11
-        ),
+        lambda: BatchBO(4, n_restarts=1, seed=11, **SMALL),
         {"n_batches": 2},
     ),
     "RemboBO": (small_rembo, {"n_batches": 2}),

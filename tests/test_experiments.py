@@ -16,6 +16,8 @@ from repro.experiments import (
     shared_initial_data,
     uvlo_config,
 )
+from repro.experiments.methods import build_engine
+from repro.gp.surrogate import make_surrogate
 
 
 @pytest.fixture(scope="module")
@@ -68,14 +70,26 @@ class TestConfigs:
             uvlo_config().scaled(0.0)
 
     def test_kernel_factory(self):
-        iso = uvlo_config(kernel="iso").kernel_factory()(4)
-        assert iso.lengthscales.shape == (1,)
-        ard = uvlo_config(kernel="ard").kernel_factory()(4)
-        assert ard.lengthscales.shape == (4,)
+        for kernel, n_lengthscales in (("iso", 1), ("ard", 4)):
+            cfg = uvlo_config(kernel=kernel)
+            for name in ("EI", "pBO", "This work"):
+                engine = build_engine(name, cfg)
+                assert engine.ard is (kernel == "ard")
+            surrogate = make_surrogate(None, 4, ard=engine.ard)
+            assert surrogate.kernel.lengthscales.shape == (n_lengthscales,)
         # an unknown name fails at construction, before any simulation
         for bad in ("rbf?", "ARD"):
             with pytest.raises(ValueError, match="unknown kernel"):
                 uvlo_config(kernel=bad)
+
+    def test_search_budgets_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="global_budget"):
+            uvlo_config(global_budget=0)
+        with pytest.raises(ValueError, match="local_budget"):
+            uvlo_config(local_budget=1, n_batches=1)
+        cfg = uvlo_config(global_budget=7, local_budget=3)
+        engine = build_engine("pBO", cfg)
+        assert (engine.global_budget, engine.local_budget) == (7, 3)
 
 
 class TestRunMethod:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.acquisition import default_acquisition_optimizer
 from repro.bo import RemboBO, RunSpec, Specification, uniform_initial_design
 from repro.circuits.behavioral import UVLOTestbench
 from repro.embedding import select_embedding_dimension
@@ -18,10 +17,6 @@ from repro.runtime import FunctionObjective
 from repro.sampling import MonteCarloSampler
 from repro.synthetic import RareFailureFunction
 from repro.utils.validation import unit_cube_bounds
-
-
-def tiny_optimizer(dim):
-    return default_acquisition_optimizer(dim, global_budget=80, local_budget=40)
 
 
 class TestSyntheticPipeline:

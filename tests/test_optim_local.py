@@ -1,14 +1,11 @@
-"""Tests for the local optimizer COBYLA and the DIRECT + COBYLA composition."""
+"""Tests for the local optimizer COBYLA, the DIRECT + COBYLA composition
+and the shared ``minimize`` checks."""
 
 import numpy as np
 import pytest
 
-from repro.optim import (
-    Cobyla,
-    CountingObjective,
-    GlobalLocalOptimizer,
-    Direct,
-)
+from repro.bo import acquisition_search
+from repro.optim import Cobyla, CountingObjective, Direct
 from repro.utils.validation import unit_cube_bounds
 
 
@@ -86,23 +83,35 @@ class TestBudgets:
         assert not result.success
 
 
+def row_score(fun):
+    """``fun`` as a one-row search objective."""
+    return lambda X, segments: np.array([fun(x) for x in X])
+
+
 class TestComposition:
+    """The one acquisition search: DIRECT-L, then COBYLA around its best."""
+
     def test_global_local_beats_global_alone(self):
         fun = sphere_at([0.123, -0.456, 0.789])
         bounds = unit_cube_bounds(3)
         coarse = Direct(max_evaluations=150).minimize(fun, bounds)
-        combo = GlobalLocalOptimizer(
-            Direct(max_evaluations=150), Cobyla(max_evaluations=500)
-        ).minimize(fun, bounds)
-        assert combo.fun <= coarse.fun
+        combo = acquisition_search(row_score(fun), 1, bounds, 150, 500)
+        assert fun(combo.X[0]) <= coarse.fun
 
     def test_global_local_counts_both(self):
         fun = sphere_at([0.2, 0.2])
-        combo = GlobalLocalOptimizer(
-            Direct(max_evaluations=100), Cobyla(max_evaluations=100)
-        )
-        result = combo.minimize(fun, unit_cube_bounds(2))
-        assert result.n_evaluations > 100  # both stages ran
+        combo = acquisition_search(row_score(fun), 1, unit_cube_bounds(2), 100, 100)
+        assert combo.n_evaluations > 100  # both stages ran
+
+
+class TestStartPoint:
+    @pytest.mark.parametrize("x0", [[0.5], [0.5, 0.5]], ids=["one", "two"])
+    def test_x0_shape_checked_before_clipping(self, x0):
+        """A wrong-shape x0 is rejected, not broadcast over the box."""
+        with pytest.raises(ValueError, match=rf"x0 has shape \({len(x0)},\)"):
+            Cobyla(max_evaluations=50).minimize(
+                sphere_at([0.0] * 3), unit_cube_bounds(3), x0=np.array(x0)
+            )
 
 
 class TestCountingObjective:

@@ -2,12 +2,12 @@
 
 The hot-path rework (cached kernel workspaces, fused LML value+gradient,
 incremental Cholesky updates, batched acquisition evaluation, the
-multi-row DIRECT-L and COBYLA engines behind the pBO proposal, and chunked
-broker dispatch) is pure plumbing: every optimization must return what the
-straightforward implementation returns.  These tests pin that contract so
-future performance work cannot silently change numbers.  The references:
-per-weight ``minimize`` calls and the coroutine searches the engines
-replaced (``tests/search_reference.py``) for the proposal, and a
+multi-row DIRECT-L and COBYLA engines behind the acquisition search, and
+chunked broker dispatch) is pure plumbing: every optimization must return
+what the straightforward implementation returns.  These tests pin that
+contract so future performance work cannot silently change numbers.  The
+references: per-weight one-row searches and the coroutine searches the
+engines replaced (``tests/search_reference.py``) for the proposal, and a
 one-row-per-call objective wrapper for chunked dispatch.
 """
 
@@ -16,19 +16,15 @@ import time
 import numpy as np
 import pytest
 
-from repro.acquisition.functions import (
-    MultiWeightAcquisition,
-    WeightedAcquisition,
-    pbo_weights,
-)
-from repro.acquisition.optimize import default_acquisition_optimizer
+from repro.acquisition.functions import MultiWeightAcquisition, pbo_weights
 from repro.bo.engine import RunSpec
-from repro.bo.propose import propose_batch
+from repro.bo.loop import ACQUISITIONS, SequentialBO
+from repro.bo.propose import acquisition_search
 from repro.circuits.behavioral.uvlo import UVLOTestbench
 from repro.gp import GaussianProcess
 from repro.gp.evaluator import MarginalLikelihoodEvaluator
 from repro.kernels import Matern52
-from repro.optim import Cobyla, Direct, GlobalLocalOptimizer
+from repro.optim import Cobyla
 from repro.runtime import (
     BrokerConfig,
     EvaluationBroker,
@@ -40,6 +36,7 @@ from repro.runtime import (
 from tests.gp_reference import lml_gradient_two_pass
 from tests.search_reference import (
     ReferenceCobyla,
+    SegmentScorer,
     drive_alone,
     reference_propose_batch,
 )
@@ -178,10 +175,12 @@ class TestBatchedAcquisitionEquivalence:
     def test_evaluate_matches_scalar_calls(self):
         X, y = _dataset(30, 5, seed=8)
         gp = GaussianProcess(Matern52(dim=5), noise_variance=1e-4).fit(X, y)
-        acq = WeightedAcquisition(gp, weight=0.3)
+        acq = MultiWeightAcquisition(gp, [0.3])
         Z = _dataset(20, 5, seed=15)[0]
-        batched = acq.evaluate(Z)
-        pointwise = np.array([float(acq(z)) for z in Z])
+        batched = acq.evaluate_segments(Z, [(0, Z.shape[0])])
+        pointwise = np.array(
+            [float(acq.evaluate_segments(z[None, :], [(0, 1)])[0]) for z in Z]
+        )
         np.testing.assert_allclose(batched, pointwise, atol=1e-12)
 
 
@@ -207,9 +206,9 @@ class TestGemmAcquisitionEquivalence:
         offset = 0
         for index, m in segments:
             block = slice(offset, offset + m)
-            expected = WeightedAcquisition(
-                gp, weight=float(weights[index])
-            ).evaluate(union[block])
+            expected = MultiWeightAcquisition(
+                gp, [weights[index]]
+            ).evaluate_segments(union[block], [(0, m)])
             np.testing.assert_allclose(values[block], expected, atol=1e-8)
             # bitwise against the scalar-weight arithmetic on one predict
             w = float(weights[index])
@@ -290,12 +289,18 @@ class TestCobylaCoroutineEquivalence:
         assert result.message == outcome.message
 
 
+def _search(gp, weights, box, *budgets):
+    """The pBO proposal: one search row per weight."""
+    score = MultiWeightAcquisition(gp, weights).evaluate_segments
+    return acquisition_search(score, len(weights), box, *budgets)
+
+
 class TestLockstepProposalEquivalence:
     """Lockstep proposals must match independent per-weight searches.
 
     The bitwise reference is the moved coroutine loop
     (``tests/search_reference.py``): one DIRECT and one COBYLA coroutine
-    per weight, driven in lockstep over the same candidate unions.
+    per search row, driven in lockstep over the same candidate unions.
     """
 
     def _setup(self):
@@ -307,76 +312,57 @@ class TestLockstepProposalEquivalence:
         return gp, pbo_weights(4), box
 
     @staticmethod
-    def _independent(gp, weights, box, factory):
-        """The reference: one full ``minimize`` of Eq. 9 per weight."""
-        results = [
-            factory(box.shape[0]).minimize(
-                WeightedAcquisition(gp, weight=float(w)), box
-            )
-            for w in weights
-        ]
-        X = np.array([r.x for r in results])
+    def _independent(gp, weights, box, *budgets):
+        """The reference: one one-row search of Eq. 9 per weight."""
+        results = [_search(gp, [w], box, *budgets) for w in weights]
+        X = np.concatenate([r.X for r in results])
         return X, sum(r.n_evaluations for r in results)
 
     def test_lockstep_matches_independent_fallback(self):
         gp, weights, box = self._setup()
-        lockstep = propose_batch(gp, weights, box)
-        X, n_evaluations = self._independent(
-            gp, weights, box, default_acquisition_optimizer
-        )
+        lockstep = _search(gp, weights, box)
+        X, n_evaluations = self._independent(gp, weights, box)
         np.testing.assert_allclose(lockstep.X, X, atol=1e-8)
         assert lockstep.n_evaluations == n_evaluations
 
     def test_custom_stack_matches_independent(self):
-        """Custom budgets and an unbounded local stage go lockstep too."""
+        """Custom budgets go lockstep too."""
         gp, weights, box = self._setup()
-
-        def factory(dim):
-            return default_acquisition_optimizer(
-                dim, global_budget=120, local_budget=60, local_radius=None
-            )
-
-        lockstep = propose_batch(gp, weights, box, optimizer_factory=factory)
-        X, n_evaluations = self._independent(gp, weights, box, factory)
+        lockstep = _search(gp, weights, box, 120, 60)
+        X, n_evaluations = self._independent(gp, weights, box, 120, 60)
         np.testing.assert_allclose(lockstep.X, X, atol=1e-8)
         assert lockstep.n_evaluations == n_evaluations
 
     @pytest.mark.parametrize(
-        "budgets",
-        [(None, None, 0.1), (120, 60, None), (7, 3, 0.1), (41, 11, 0.5)],
-        ids=["default", "unbounded-local", "tiny", "odd"],
+        "budgets", [(400, 150), (7, 3), (41, 11)], ids=["default", "tiny", "odd"]
     )
     def test_matches_coroutine_lockstep_bitwise(self, budgets):
         gp, weights, box = self._setup()
-        global_budget, local_budget, local_radius = budgets
-
-        def factory(dim):
-            return default_acquisition_optimizer(
-                dim, global_budget, local_budget, local_radius=local_radius
-            )
-
-        proposal = propose_batch(gp, weights, box, optimizer_factory=factory)
-        X, n_evaluations = reference_propose_batch(gp, weights, box, factory)
+        proposal = _search(gp, weights, box, *budgets)
+        X, n_evaluations = reference_propose_batch(
+            SegmentScorer(gp, weights), len(weights), box, *budgets
+        )
         np.testing.assert_array_equal(proposal.X, X)
         assert proposal.n_evaluations == n_evaluations
 
-    @pytest.mark.parametrize(
-        "stack, built",
-        [
-            (Cobyla(max_evaluations=50), "Cobyla$"),
-            (
-                GlobalLocalOptimizer(
-                    Direct(max_evaluations=50), Direct(max_evaluations=50)
-                ),
-                r"Direct \+ Direct",
-            ),
-        ],
-        ids=["bare-local", "direct-direct"],
-    )
-    def test_other_stacks_rejected(self, stack, built):
-        gp, weights, box = self._setup()
-        with pytest.raises(TypeError, match=r"\(Direct, Cobyla\).*built " + built):
-            propose_batch(gp, weights, box, optimizer_factory=lambda d: stack)
+    @pytest.mark.parametrize("budgets", [(400, 150), (7, 3)], ids=["default", "tiny"])
+    @pytest.mark.parametrize("acquisition", ["ei", "pi", "lcb"])
+    def test_sequential_matches_coroutine_composition_bitwise(
+        self, acquisition, budgets
+    ):
+        """SequentialBO's one-row proposal is DIRECT-L then COBYLA."""
+        gp, _, box = self._setup()
+        global_budget, local_budget = budgets
+        engine = SequentialBO(
+            acquisition, global_budget=global_budget, local_budget=local_budget
+        )
+        proposal = engine._propose(gp, box)
+        score = ACQUISITIONS[acquisition](gp, engine.xi, engine.kappa).evaluate
+        X, n_evaluations = reference_propose_batch(
+            lambda union, segments: [score(union)], 1, box, *budgets
+        )
+        np.testing.assert_array_equal(proposal.X, X)
+        assert proposal.n_evaluations == n_evaluations
 
 
 class _Delegate(Objective):

@@ -254,7 +254,7 @@ class TestJobs:
         [
             ({"kind": "rembo", "batch_sizee": 4}, "batch_sizee"),
             ({"kind": "batch", "batch_size": 4, "n_jobs": 2}, "n_jobs"),
-            # callables are not data: a factory name must not load
+            # engines take budgets and an ard flag, not factories
             ({"kind": "rembo", "kernel_factory": "ard"}, "kernel_factory"),
             (
                 {"kind": "batch", "acquisition_optimizer_factory": "direct"},
@@ -267,6 +267,24 @@ class TestJobs:
             ValueError, match=rf"\['{bad}'\]; allowed: .*'batch_size'"
         ):
             build_spec(self._payload(engine=engine))
+
+    def test_every_engine_parameter_is_a_job_key(self):
+        engine = {
+            "kind": "rembo",
+            "batch_size": 2,
+            "embedding_dim": 2,
+            "global_budget": 50,
+            "local_budget": 20,
+            "ard": False,
+        }
+        run = {"n_init": 4, "n_batches": 1}
+        spec = build_spec(self._payload(engine=engine, run=run))
+        solver = spec.make_engine()
+        assert (solver.global_budget, solver.local_budget) == (50, 20)
+        assert solver.ard is False
+        result = run_campaign_spec(spec)
+        assert result.run.n_evaluations == 4 + 2
+        assert result.run.acquisition_evaluations <= 2 * (50 + 20)
 
     def test_load_jobs_directory_sorted(self, tmp_path):
         for name in ("b.json", "a.json"):
