@@ -5,7 +5,10 @@ posterior evaluation is ``O(N² + N·D)`` per acquisition query, and the
 number of queries needed by the acquisition optimizer grows super-linearly
 in ``D``.  This bench times one full acquisition optimization (DIRECT-L +
 COBYLA at the library's fixed caps) at several dimensions and asserts the
-wall-clock trend.
+wall-clock trend.  The whole sweep runs ``SWEEPS`` times and each dimension
+keeps its fastest time: on a shared host, the first second or so of
+compute in a process started after an idle spell has run several times
+slower than the rest, enough on its own to make D=2 look dearer than D=60.
 """
 
 import time
@@ -22,6 +25,7 @@ from repro.utils.validation import unit_cube_bounds
 
 DIMS = (2, 8, 19, 60)
 N_TRAIN = 100
+SWEEPS = 3
 
 
 def _time_one(dim: int, seed: int) -> float:
@@ -37,7 +41,8 @@ def _time_one(dim: int, seed: int) -> float:
 
 def test_sec3_acquisition_cost(benchmark):
     def sweep():
-        return {d: _time_one(d, seed=d) for d in DIMS}
+        runs = [{d: _time_one(d, seed=d) for d in DIMS} for _ in range(SWEEPS)]
+        return {d: min(run[d] for run in runs) for d in DIMS}
 
     times = run_once(benchmark, sweep)
     print()

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.bo.records import FailureSummary, RunResult
 from repro.circuits.behavioral.base import CircuitTestbench
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.methods import METHOD_ORDER, run_method, shared_initial_data
 from repro.runtime.broker import RuntimePolicy
-from repro.utils.parallel import parallel_map
-from repro.utils.rng import spawn
 from repro.utils.tables import format_count, format_sim_budget, render_table
 from repro.utils.timing import format_duration
 
@@ -36,7 +32,6 @@ class TableRow:
     runtime: str
     summary: FailureSummary
     result: RunResult | None = None
-    repeat: int = 0
 
 
 @dataclass
@@ -66,17 +61,6 @@ def _sim_budget_label(method: str, cfg: ExperimentConfig, n_sims: int) -> str:
     )
 
 
-def _run_cell(task) -> RunResult:
-    """Execute one (spec, method, repeat) cell (process-pool safe)."""
-    testbench, spec_name, method, cfg, init, seed, runtime = task
-    result = run_method(
-        method, testbench, spec_name, cfg, initial_data=init, seed=seed,
-        runtime=runtime,
-    )
-    result.method = method
-    return result
-
-
 def run_table(
     testbench: CircuitTestbench,
     cfg: ExperimentConfig,
@@ -84,74 +68,54 @@ def run_table(
     specs: list[str] | None = None,
     keep_results: bool = False,
     verbose: bool = False,
-    repeats: int = 1,
-    n_jobs: int = 1,
     runtime: RuntimePolicy | None = None,
 ) -> TableResult:
-    """Run ``methods`` × ``specs`` (× ``repeats``) and collect paper rows.
+    """Run ``methods`` × ``specs`` at ``cfg.seed`` and collect paper rows.
 
-    With ``repeats == 1`` (default) every cell runs at ``cfg.seed``, exactly
-    as before.  ``repeats > 1`` derives one independent seed stream per cell
-    via :func:`repro.utils.rng.spawn` from ``cfg.seed`` — the streams depend
-    only on cell order, so results are bit-identical for any ``n_jobs``.
-    Cells are mutually independent; ``n_jobs > 1`` fans them out across a
-    process pool.
-
-    ``runtime`` threads a shared :class:`RuntimePolicy` through every cell.
-    The policy pickles by value into worker tasks, so with ``n_jobs > 1``
-    each worker gets a *copy* of the cache (hits within a cell still work,
-    but cross-cell sharing needs ``n_jobs=1``).
+    Every spec's initial design is simulated first; then each cell runs,
+    one after another, from its spec's shared design, as in the paper.
+    ``runtime`` threads a shared :class:`RuntimePolicy` through every
+    cell, so a cache in it deduplicates designs across methods.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
     spec_names = specs if specs is not None else list(testbench.specs)
     table = TableResult(testbench_name=type(testbench).__name__)
+    inits = {
+        spec_name: shared_initial_data(testbench, spec_name, cfg, runtime=runtime)
+        for spec_name in spec_names
+    }
 
-    tasks = []
-    labels: list[tuple[str, str, int]] = []
-    cell_rng = np.random.default_rng(cfg.seed)
     for spec_name in spec_names:
-        init = shared_initial_data(testbench, spec_name, cfg, runtime=runtime)
-        for method in methods:
-            if repeats == 1:
-                seeds = [None]  # run_method falls back to cfg.seed
-            else:
-                seeds = spawn(cell_rng, repeats)
-            for repeat, seed in enumerate(seeds):
-                tasks.append(
-                    (testbench, spec_name, method, cfg, init, seed, runtime)
-                )
-                labels.append((spec_name, method, repeat))
-
-    results = parallel_map(_run_cell, tasks, n_jobs=n_jobs)
-
-    for (spec_name, method, repeat), result in zip(labels, results):
         spec = testbench.specs[spec_name]
-        summary = result.summarize(testbench.threshold(spec_name))
-        summary.method = method
-        row = TableRow(
-            spec_name=spec_name,
-            target=f"{spec.threshold:g}{spec.units}",
-            method=method,
-            sim_budget=_sim_budget_label(method, cfg, result.n_evaluations),
-            worst_case=spec.format_value(result.best_y),
-            first_failure=(
-                str(summary.first_failure_index)
-                if summary.detected
-                else "-"
-            ),
-            runtime=format_duration(result.total_seconds),
-            summary=summary,
-            result=result if keep_results else None,
-            repeat=repeat,
-        )
-        table.rows.append(row)
-        if verbose:
-            print(
-                f"[{table.testbench_name}/{spec_name}] {method}: "
-                f"worst={row.worst_case} first={row.first_failure} "
-                f"({row.runtime})"
+        for method in methods:
+            result = run_method(
+                method, testbench, spec_name, cfg,
+                initial_data=inits[spec_name], runtime=runtime,
             )
+            result.method = method
+            summary = result.summarize(testbench.threshold(spec_name))
+            summary.method = method
+            row = TableRow(
+                spec_name=spec_name,
+                target=f"{spec.threshold:g}{spec.units}",
+                method=method,
+                sim_budget=_sim_budget_label(method, cfg, result.n_evaluations),
+                worst_case=spec.format_value(result.best_y),
+                first_failure=(
+                    str(summary.first_failure_index)
+                    if summary.detected
+                    else "-"
+                ),
+                runtime=format_duration(result.total_seconds),
+                summary=summary,
+                result=result if keep_results else None,
+            )
+            table.rows.append(row)
+            if verbose:
+                print(
+                    f"[{table.testbench_name}/{spec_name}] {method}: "
+                    f"worst={row.worst_case} first={row.first_failure} "
+                    f"({row.runtime})"
+                )
     return table
 
 

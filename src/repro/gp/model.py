@@ -10,7 +10,6 @@ fitting needs, is :class:`~repro.gp.evaluator.MarginalLikelihoodEvaluator`'s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -103,13 +102,6 @@ class GaussianProcess:
         self._alpha: np.ndarray | None = None
         self._ws: KernelWorkspace | None = None
         self._theta_fitted: np.ndarray | None = None
-
-    def __getstate__(self) -> dict[str, Any]:
-        # the workspace caches O(n^2 dim) tensors rebuilt lazily on demand;
-        # dropping them keeps pickles (process-pool payloads) small
-        state = self.__dict__.copy()
-        state["_ws"] = None
-        return state
 
     @property
     def _workspace(self) -> KernelWorkspace:

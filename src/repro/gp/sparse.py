@@ -32,8 +32,6 @@ inducing set is rebuilt from the full data.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -163,19 +161,6 @@ class SparseGaussianProcess:
         self._trace_gap = 0.0
         self._n_uncovered = 0
         self._theta_fitted: FloatArray | None = None
-
-    def __getstate__(self) -> dict[str, Any]:
-        # factors rebuild in O(n m^2) on demand; dropping them keeps pickles
-        # (process-pool payloads) small, mirroring the exact GP
-        state = self.__dict__.copy()
-        for key in ("_Luu", "_LB", "_V", "_c"):
-            state[key] = None
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        if self._X is not None:
-            self._factorize()
 
     # -- hyperparameter vector ----------------------------------------------
 

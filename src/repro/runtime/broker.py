@@ -5,11 +5,12 @@ Every engine and sampler routes its objective calls through an
 call cannot express when each evaluation is an expensive, failure-prone
 simulation:
 
-* **dispatch** — a batch of points fans out as chunks across a
-  :class:`~repro.utils.parallel.WorkerPool` (inline / thread / process):
-  one vectorized ``objective.evaluate`` call per worker when the objective
+* **dispatch** — each retry round runs on the calling thread: one
+  vectorized ``objective.evaluate`` call over the round when the objective
   :attr:`~repro.runtime.objective.Objective.prefers_batch` and no timeout
-  is set, else one call per point under the per-evaluation timeout;
+  is set, else one call per point.  Under a per-evaluation timeout each
+  point runs alone on its own deadline thread, so a hung point costs only
+  its own deadline;
 * **retry** — transient failures (exceptions, timeouts, non-finite
   returns — the NaN quarantine) are retried up to ``max_retries`` times
   with exponential backoff plus deterministic jitter;
@@ -44,28 +45,29 @@ fault-free run, and a cache hit returns the exact float the simulation
 produced.  The backoff jitter draws from a broker-private seeded stream
 that never touches engine RNG state.
 
-Thread-sharing contract (DESIGN.md §13): the callable the broker submits
-to its pool (``self._simulate_chunk``) touches only locals and its
-arguments — *all* shared-state mutation (cache puts, ledger appends,
-counter deltas, ``stats`` bookkeeping) happens on the dispatching
-thread after the pool joins the batch.  The shared collaborators
+Thread-sharing contract (DESIGN.md §13): the callable the broker runs
+on a deadline thread (``self._simulate_chunk``) touches only locals and
+its arguments — *all* shared-state mutation (cache puts, ledger appends,
+counter deltas, ``stats`` bookkeeping) happens on the calling thread
+once the round has resolved.  The shared collaborators
 (:class:`~repro.runtime.cache.ResultCache`,
 :class:`~repro.runtime.ledger.RunLedger`,
 :class:`~repro.telemetry.metrics.MetricsRegistry`,
 :class:`~repro.telemetry.trace.Tracer`) are each ``@thread_shared`` and
 internally locked, so the broker itself is also safe to *call* from
-multiple campaign threads (ROADMAP item 1) as long as each thread uses its
-own broker instance over the shared cache/ledger/telemetry — broker
-``stats`` are per-instance and unsynchronized by design.  The NL6xx lint
-family (``tools/numlint/passes/concurrency.py``) checks the submitted
-callables statically; the ``REPRO_SANITIZE=1`` race sanitizer checks the
-shared objects at runtime.
+multiple campaign threads as long as each thread uses its own broker
+instance over the shared cache/ledger/telemetry — broker ``stats`` are
+per-instance and unsynchronized by design.  The NL6xx lint family
+(``tools/numlint/passes/concurrency.py``) checks the submitted callable
+statically; the ``REPRO_SANITIZE=1`` race sanitizer checks the shared
+objects at runtime.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -83,7 +85,6 @@ from repro.runtime.cache import (
 from repro.runtime.ledger import LEDGER_VERSION, RunLedger
 from repro.runtime.objective import Objective, require_objective
 from repro.telemetry.config import TelemetryLike, resolve_telemetry
-from repro.utils.parallel import POOL_KINDS, WorkerPool
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import as_matrix
 
@@ -106,10 +107,10 @@ class BrokerConfig:
     Parameters
     ----------
     timeout_seconds:
-        Per-evaluation deadline; None disables.  Requires a non-inline
-        executor to enforce (``executor="auto"`` picks threads when set).
-        Setting it dispatches every point as its own chunk, so the
-        deadline applies to one point.
+        Per-evaluation deadline; None disables.  Setting it runs every
+        point alone on its own thread, and the deadline starts when that
+        point starts.  A point past its deadline fails with a
+        :class:`TimeoutError`; its thread is abandoned, not killed.
     max_retries:
         Additional attempts after the first failure (0 = fail fast).
     backoff_seconds / backoff_factor / backoff_jitter:
@@ -123,13 +124,6 @@ class BrokerConfig:
         Required (finite) when ``failure_policy="penalty"`` — it enters
         ``RunResult.y``, so it must be a valid observation; pick something
         clearly uninteresting in minimization orientation (large).
-    n_jobs:
-        Worker width for dispatch parallelism (1 = sequential).  A round's
-        pending points split evenly into ``n_jobs`` vectorized chunks when
-        the objective prefers batches and no timeout is set.
-    executor:
-        ``"auto"`` (inline unless a timeout or ``n_jobs>1`` needs a pool),
-        or an explicit :data:`~repro.utils.parallel.POOL_KINDS` entry.
     cache_decimals:
         Rounding applied to points before content-addressing.
     """
@@ -141,8 +135,6 @@ class BrokerConfig:
     backoff_jitter: float = 0.1
     failure_policy: str = "raise"
     penalty_value: float | None = None
-    n_jobs: int = 1
-    executor: str = "auto"
     cache_decimals: int = DEFAULT_DECIMALS
 
     def __post_init__(self) -> None:
@@ -169,18 +161,6 @@ class BrokerConfig:
                     "failure_policy='penalty' requires a finite penalty_value "
                     "(it enters RunResult.y as an observation)"
                 )
-        if self.executor not in ("auto",) + POOL_KINDS:
-            raise ValueError(
-                f"executor must be 'auto' or one of {POOL_KINDS}, "
-                f"got {self.executor!r}"
-            )
-
-    def resolve_executor(self) -> str:
-        if self.executor != "auto":
-            return self.executor
-        if self.timeout_seconds is not None or self.n_jobs > 1:
-            return "thread"
-        return "inline"
 
 
 @dataclass
@@ -342,48 +322,66 @@ class EvaluationBroker:
             )
         return out, seconds
 
+    def _simulate_with_deadline(self, X: FloatArray) -> tuple[FloatArray, float]:
+        """:meth:`_simulate_chunk` under the per-evaluation deadline, if set.
+
+        The chunk runs alone on a fresh one-worker thread, so its deadline
+        starts when it starts.  A chunk past its deadline raises
+        :class:`TimeoutError` here; its thread is abandoned, not killed,
+        and runs on until the objective returns.
+        """
+        timeout = self.config.timeout_seconds
+        if timeout is None:
+            return self._simulate_chunk(X)
+        worker = ThreadPoolExecutor(max_workers=1)
+        try:
+            future = worker.submit(self._simulate_chunk, X)
+            if not wait((future,), timeout=timeout).done:
+                raise TimeoutError(f"evaluation exceeded {timeout}s")
+            return future.result()
+        finally:
+            worker.shutdown(wait=False)
+
     def _rows_per_chunk(self, n: int) -> int:
         """Points per chunk when ``n`` points are pending.
 
-        A vectorizing objective gets ``n_jobs`` even chunks; a timeout, or
-        an objective that does not prefer batches, gets one point per
-        chunk, so the deadline and any failure concern a single point.
+        A vectorizing objective gets the whole round as one chunk; a
+        timeout, or an objective that does not prefer batches, gets one
+        point per chunk, so the deadline and any failure concern a single
+        point.
         """
         if self.config.timeout_seconds is None and self.objective.prefers_batch:
-            return -(-n // max(1, self.config.n_jobs))  # ceil division
+            return n
         return 1
 
     def _run_chunks(
-        self, pool: WorkerPool, pending: list[_Pending], size: int
+        self, pending: list[_Pending], size: int
     ) -> list[tuple[Any, BaseException | None]]:
-        """Dispatch one retry round as chunks of ``size`` points.
+        """Simulate one retry round as chunks of ``size`` points.
 
         Returns per-point ``(result, error)`` outcomes aligned with
         ``pending``.  A size-1 chunk's exception is that point's outcome;
-        a multi-row chunk's exception re-dispatches its rows as size-1
-        chunks within the same round, so every point still resolves to
-        one outcome per attempt.  Per-point seconds are the chunk mean
-        (the total stays exact).
+        a multi-row chunk's exception re-runs its rows as size-1 chunks
+        within the same round, so every point still resolves to one
+        outcome per attempt.  Per-point seconds are the chunk mean (the
+        total stays exact).
         """
-        n = len(pending)
-        bounds = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-        chunk_outcomes = pool.run_tasks(
-            self._simulate_chunk,
-            [np.stack([p.x for p in pending[lo:hi]]) for lo, hi in bounds],
-            timeout=self.config.timeout_seconds,
-        )
         outcomes: list[tuple[Any, BaseException | None]] = []
-        for (lo, hi), (result, error) in zip(bounds, chunk_outcomes):
-            if error is not None:
-                if hi - lo == 1:
+        for lo in range(0, len(pending), size):
+            chunk = pending[lo : lo + size]
+            try:
+                out, seconds = self._simulate_with_deadline(
+                    np.stack([p.x for p in chunk])
+                )
+            except Exception as error:  # deliberate: a per-point outcome
+                if len(chunk) == 1:
                     outcomes.append((None, error))
                 else:
                     # one raising row poisons the whole vectorized call:
                     # re-run the chunk's rows one at a time
-                    outcomes.extend(self._run_chunks(pool, pending[lo:hi], 1))
+                    outcomes.extend(self._run_chunks(chunk, 1))
                 continue
-            out, seconds = result  # type: ignore[misc]
-            per_point = seconds / (hi - lo)
+            per_point = seconds / len(chunk)
             for value in out.tolist():
                 if math.isfinite(value):
                     outcomes.append(((value, per_point), None))
@@ -493,7 +491,7 @@ class EvaluationBroker:
     # -- public API ----------------------------------------------------------
 
     def evaluate_batch(self, X: FloatArray) -> EvalBatch:
-        """Evaluate a ``(n, dim)`` batch through cache, pool and policies."""
+        """Evaluate a ``(n, dim)`` batch through cache, dispatch and policies."""
         X = as_matrix(X, self.objective.dim)
         n = X.shape[0]
         before = replace(self.stats)
@@ -604,98 +602,85 @@ class EvaluationBroker:
         dropped: list[bool],
         owned: set[str],
     ) -> None:
-        kind = self.config.resolve_executor()
-        pool = WorkerPool(kind=kind, n_jobs=self.config.n_jobs)
         attempt = 0
-        try:
-            while pending:
-                for p in pending:
+        while pending:
+            for p in pending:
+                self._log(
+                    {
+                        "event": "dispatched",
+                        "id": p.eval_id,
+                        "attempt": attempt,
+                        "digest": p.digest,
+                    }
+                )
+            outcomes = self._run_chunks(
+                pending, self._rows_per_chunk(len(pending))
+            )
+            failed: list[tuple[_Pending, BaseException]] = []
+            for p, (result, error) in zip(pending, outcomes):
+                self.stats.n_simulations += 1
+                if error is None:
+                    value, seconds = result  # type: ignore[misc]
+                    self.stats.n_completed += 1
+                    self.stats.eval_seconds += seconds
+                    values[p.pos] = value
+                    self.cache.put(p.digest, value)  # releases the claim
+                    owned.discard(p.digest)
+                    # worker-measured duration, parented under whatever
+                    # span (iteration/init_design) is open right now —
+                    # the id attribute is the trace<->ledger join key
+                    self._tracer.record_span(
+                        "evaluate",
+                        seconds,
+                        {"id": p.eval_id, "attempt": attempt, "y": value},
+                    )
                     self._log(
                         {
-                            "event": "dispatched",
+                            "event": "completed",
                             "id": p.eval_id,
                             "attempt": attempt,
                             "digest": p.digest,
+                            "x": [float(v) for v in p.x],
+                            "y": value,
+                            "seconds": seconds,
+                            "cached": False,
                         }
                     )
-                outcomes = self._run_chunks(
-                    pool, pending, self._rows_per_chunk(len(pending))
-                )
-                failed: list[tuple[_Pending, BaseException]] = []
-                timed_out = False
-                for p, (result, error) in zip(pending, outcomes):
-                    self.stats.n_simulations += 1
-                    if error is None:
-                        value, seconds = result  # type: ignore[misc]
-                        self.stats.n_completed += 1
-                        self.stats.eval_seconds += seconds
-                        values[p.pos] = value
-                        self.cache.put(p.digest, value)  # releases the claim
-                        owned.discard(p.digest)
-                        # worker-measured duration, parented under whatever
-                        # span (iteration/init_design) is open right now —
-                        # the id attribute is the trace<->ledger join key
-                        self._tracer.record_span(
-                            "evaluate",
-                            seconds,
-                            {"id": p.eval_id, "attempt": attempt, "y": value},
-                        )
-                        self._log(
-                            {
-                                "event": "completed",
-                                "id": p.eval_id,
-                                "attempt": attempt,
-                                "digest": p.digest,
-                                "x": [float(v) for v in p.x],
-                                "y": value,
-                                "seconds": seconds,
-                                "cached": False,
-                            }
-                        )
-                    else:
-                        self.stats.n_attempt_failures += 1
-                        if isinstance(error, TimeoutError):
-                            self.stats.n_timeouts += 1
-                            timed_out = True
-                        self._log(
-                            {
-                                "event": "failed",
-                                "id": p.eval_id,
-                                "attempt": attempt,
-                                "error": type(error).__name__,
-                                "message": str(error),
-                            }
-                        )
-                        failed.append((p, error))
-                if not failed:
-                    return
-                if attempt >= self.config.max_retries:
-                    for p, error in failed:
-                        self._resolve_exhausted(p, error, values, dropped, owned)
-                    return
-                delay = self._backoff_delay(attempt)
-                self.stats.n_retries += len(failed)
-                for p, _ in failed:
+                else:
+                    self.stats.n_attempt_failures += 1
+                    if isinstance(error, TimeoutError):
+                        self.stats.n_timeouts += 1
                     self._log(
                         {
-                            "event": "retried",
+                            "event": "failed",
                             "id": p.eval_id,
-                            "attempt": attempt + 1,
-                            "backoff_seconds": delay,
+                            "attempt": attempt,
+                            "error": type(error).__name__,
+                            "message": str(error),
                         }
                     )
-                if delay > 0:
-                    time.sleep(delay)
-                if timed_out and kind != "inline":
-                    # abandoned (timed-out) tasks still occupy workers;
-                    # retries need a fresh pool or they queue behind the
-                    # very hang that failed them
-                    pool.close()
-                    pool = WorkerPool(kind=kind, n_jobs=self.config.n_jobs)
-                pending = [p for p, _ in failed]
-                attempt += 1
-        finally:
-            pool.close()
+                    failed.append((p, error))
+            if not failed:
+                return
+            if attempt >= self.config.max_retries:
+                for p, error in failed:
+                    self._resolve_exhausted(p, error, values, dropped, owned)
+                return
+            delay = self._backoff_delay(attempt)
+            self.stats.n_retries += len(failed)
+            for p, _ in failed:
+                self._log(
+                    {
+                        "event": "retried",
+                        "id": p.eval_id,
+                        "attempt": attempt + 1,
+                        "backoff_seconds": delay,
+                    }
+                )
+            if delay > 0:
+                time.sleep(delay)
+            pending = [p for p, _ in failed]
+            attempt += 1
 
     def evaluate(self, x: FloatArray) -> float | None:
         """Evaluate one point; returns None when the skip policy dropped it."""

@@ -23,18 +23,13 @@ Construction goes through two factories (the bare constructor raises
   append-only; ``max_entries`` bounds only the *in-memory* working set via
   LRU eviction (an evicted digest re-simulates, then re-appends).
 
-The cache is thread-safe (broker worker fleets and scheduler campaign
-threads share it) and exposes a *single-flight* protocol for
-cross-campaign deduplication: :meth:`lookup_or_claim` atomically resolves
-each digest to a hit, an ownership claim (the caller must simulate and
-:meth:`put` — or :meth:`abandon_many` on failure), or an in-flight marker
-another thread owns that :meth:`wait_for` blocks on.  With N campaigns
-racing over shared designs, exactly one simulates each point.
-
-It pickles by value with the locks dropped and recreated, so
-it can ride inside task tuples handed to a process pool — though mutations
-made in a child process do not propagate back (cross-method sharing needs
-``n_jobs=1`` or a ledger replay).
+The cache is thread-safe (scheduler campaign threads share it) and
+exposes a *single-flight* protocol for cross-campaign deduplication:
+:meth:`lookup_or_claim` atomically resolves each digest to a hit, an
+ownership claim (the caller must simulate and :meth:`put` — or
+:meth:`abandon_many` on failure), or an in-flight marker another thread
+owns that :meth:`wait_for` blocks on.  With N campaigns racing over
+shared designs, exactly one simulates each point.
 """
 
 from __future__ import annotations
@@ -150,7 +145,7 @@ def _append_shard_line(root: Path, digest: str, value: float) -> None:
     Open-append-close per record: the close flushes the line to the OS, a
     kill can tear at most the final line (which :func:`_parse_shard`
     tolerates), and the cache never holds open file handles — so it stays
-    picklable and safe to share across scheduler campaign threads.
+    safe to share across scheduler campaign threads.
     """
     line = json.dumps({"d": digest, "y": value}, separators=(",", ":")) + "\n"
     with (root / f"shard-{digest[0]}.jsonl").open("a", encoding="utf-8") as fh:
@@ -162,13 +157,10 @@ class ResultCache:
     """Thread-safe digest → objective-value store with hit/miss counters.
 
     One lock guards the store *and* the hit/miss/eviction counters, so
-    ``get`` can count and look up atomically.  Both construction and
-    unpickling obtain the lock from the same factory (:meth:`_new_lock`) —
-    there is exactly one place that decides which lock class an instance
-    carries, so a pickled-and-restored cache is guarded identically to a
-    fresh one.  The single-flight bookkeeping lives under a separate
-    condition variable (``_flight_lock``); where both are needed the
-    nesting order is always ``_flight_lock`` outer, ``_lock`` inner.
+    ``get`` can count and look up atomically.  The single-flight
+    bookkeeping lives under a separate condition variable
+    (``_flight_lock``); where both are needed the nesting order is always
+    ``_flight_lock`` outer, ``_lock`` inner.
 
     Build one with :meth:`in_memory` or :meth:`open`; the bare constructor
     raises ``TypeError`` (its keyword parameters are the factories'
@@ -191,7 +183,7 @@ class ResultCache:
             raise ValueError(
                 f"max_entries must be >= 1 when set, got {max_entries}"
             )
-        self._lock = self._new_lock()
+        self._lock = make_lock("runtime.ResultCache")
         self._flight_lock = threading.Condition()
         self.decimals = int(decimals)
         self.max_entries = max_entries
@@ -266,11 +258,6 @@ class ResultCache:
         return cls(
             decimals, path=root, max_entries=max_entries, _from_factory=True
         )
-
-    @staticmethod
-    def _new_lock() -> "threading.RLock":  # type: ignore[valid-type]
-        """The single source of the cache's lock (init and unpickle)."""
-        return make_lock("runtime.ResultCache")
 
     @property
     def persistent(self) -> bool:
@@ -454,19 +441,6 @@ class ResultCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
-
-    # -- pickling (locks and handles are not picklable) ----------------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        del state["_flight_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = self._new_lock()
-        self._flight_lock = threading.Condition()
 
 
 __all__ = [

@@ -54,13 +54,12 @@ LEDGER_VERSION = 1
 class RunLedger:
     """Append-only JSONL writer; one flushed line per event.
 
-    The file handle opens lazily on first append (so a ledger object can be
-    constructed, pickled into worker tasks, and only materialize the file
-    where events actually happen) and is excluded from pickling.
+    The file handle opens lazily on first append, so a ledger that never
+    records an event never creates its file.
 
     Appends are thread-safe: the lazy open, the line write and the flush
-    run under one lock, so concurrent campaign threads (ROADMAP item 1)
-    can share a ledger without ever interleaving bytes of two JSON lines.
+    run under one lock, so concurrent campaign threads can share a ledger
+    without ever interleaving bytes of two JSON lines.
     Serialization of the event happens *outside* the lock — the only
     serialized section is the file append itself.
     """
@@ -91,18 +90,6 @@ class RunLedger:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    # -- pickling (locks and file handles are not picklable) -----------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_fh"] = None
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = make_lock("runtime.RunLedger")
 
 
 @dataclass

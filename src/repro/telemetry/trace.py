@@ -9,7 +9,7 @@ explicit *per-thread* stack owned by the :class:`Tracer` (a
 ``threading.local``): each campaign/worker thread sees its own nesting, so
 ``tracer.span(...)`` context managers express the hierarchy directly even
 when several campaign threads share one tracer, while work measured
-elsewhere (the broker times each simulation inside its worker pool) enters
+elsewhere (the broker times each simulation where it runs) enters
 after the fact through :meth:`Tracer.record_span` and is parented to
 whatever span the *calling* thread has open.  Id assignment and line
 emission are serialized under the tracer lock, so concurrent spans get
@@ -268,8 +268,8 @@ class Tracer:
         """Record an already-measured span under the current open span.
 
         Used for work timed elsewhere — the broker measures each
-        simulation inside its worker pool and reports the duration here
-        from the dispatching thread.  The start offset is reconstructed
+        simulation where it runs (on a deadline thread under a timeout)
+        and reports the duration here from the calling thread.  The start offset is reconstructed
         as ``now - seconds``.
         """
         now = self._clock() - self._epoch

@@ -468,9 +468,9 @@ def thread_shared(cls: type[T]) -> type[T]:
     """Mark a class whose instances are mutated from multiple threads.
 
     The marker declares a contract, not a mechanism: every mutation of
-    instance state outside construction (``__init__`` / ``__setstate__``)
-    must hold the instance's ``_lock`` (an :class:`threading.RLock` built
-    with :func:`repro.utils.sanitize_concurrency.make_lock`) in a literal
+    instance state outside construction (``__init__``) must hold the
+    instance's ``_lock`` (an :class:`threading.RLock` built with
+    :func:`repro.utils.sanitize_concurrency.make_lock`) in a literal
     ``with self._lock:`` block.  The contract is checked twice, mirroring
     :func:`shape_contract`:
 

@@ -238,7 +238,7 @@ class TestTracerUnderThreads:
         assert all(json.loads(line) for line in lines)
 
 
-# -- broker thread-mode campaign ----------------------------------------------
+# -- broker deadline-thread campaigns ----------------------------------------
 
 
 class TestBrokerThreadCampaign:
@@ -246,7 +246,7 @@ class TestBrokerThreadCampaign:
     N_POINTS = 6
 
     def test_concurrent_campaigns_lose_nothing(self, tmp_path):
-        """N campaign threads × thread-pool broker over shared state.
+        """N campaign threads, each point on its own deadline thread.
 
         Points are distinct across campaigns, so the exact event ledger is
         predictable: one campaign header per broker, one ``dispatched``
@@ -265,7 +265,7 @@ class TestBrokerThreadCampaign:
             def campaign(i: int) -> None:
                 broker = EvaluationBroker(
                     FunctionObjective(objective, dim=2, cache_key="stress"),
-                    BrokerConfig(executor="thread", n_jobs=2),
+                    BrokerConfig(timeout_seconds=30.0),
                     cache=cache,
                     ledger=ledger,
                     telemetry=telemetry,

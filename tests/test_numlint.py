@@ -306,7 +306,6 @@ class TestConcurrencySafety:
             "src/repro/runtime/broker.py",
             "src/repro/telemetry/metrics.py",
             "src/repro/telemetry/trace.py",
-            "src/repro/utils/parallel.py",
         ):
             ctx = FileContext.from_path(REPO_ROOT / rel, REPO_ROOT)
             found = run_passes_on_context(
@@ -595,12 +594,6 @@ class TestCli:
     def test_missing_path_is_usage_error(self):
         proc = self._run("no/such/dir")
         assert proc.returncode == 2
-
-    def test_jobs_output_byte_identical(self):
-        seq = self._run("src/repro/runtime", "--jobs", "1")
-        par = self._run("src/repro/runtime", "--jobs", "4")
-        assert seq.returncode == par.returncode == 0, seq.stdout + par.stdout
-        assert par.stdout == seq.stdout
 
     def test_sarif_format(self, tmp_path):
         bad = tmp_path / "bad.py"

@@ -86,14 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'sarif' emits a SARIF 2.1.0 log of the new findings)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze files across N forked worker processes (prepare stays "
-        "single-threaded; output is byte-identical to --jobs 1)",
-    )
-    parser.add_argument(
         "--explain",
         metavar="NLxxx",
         default=None,
@@ -252,9 +244,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.pass_names
             else None
         )
-        findings = run_paths(
-            args.paths, root, passes=passes, select=select, jobs=args.jobs
-        )
+        findings = run_paths(args.paths, root, passes=passes, select=select)
     except (FileNotFoundError, KeyError) as exc:
         print(f"numlint: error: {exc}", file=sys.stderr)
         return 2

@@ -333,74 +333,17 @@ def _collect_findings(
     return findings
 
 
-#: Fork-inherited state for the ``jobs > 1`` fan-out: workers index into
-#: the parent's prepared contexts/passes by page-sharing instead of
-#: pickling the whole analysis state per task.
-_PARALLEL_STATE: dict | None = None
-
-
-def _collect_slice(bounds: tuple[int, int]) -> list[Finding]:
-    """Collect findings for a contiguous slice of the prepared contexts.
-
-    One slice per worker keeps the IPC to a handful of round-trips instead
-    of one per file, which is what makes the fan-out pay for itself.
-    """
-    state = _PARALLEL_STATE
-    if state is None:  # pragma: no cover - spawn platform, never scheduled
-        raise RuntimeError("numlint parallel state missing in worker")
-    start, stop = bounds
-    findings: list[Finding] = []
-    for ctx in state["contexts"][start:stop]:
-        findings.extend(
-            _collect_findings(ctx, state["passes"], select=state["select"])
-        )
-    return findings
-
-
-def _parallel_map_backend():
-    """``repro.utils.parallel.parallel_map`` when importable and forkable.
-
-    Returns ``None`` when parallel runs cannot be bitwise-faithful: without
-    ``fork`` the workers would not inherit ``_PARALLEL_STATE``, and without
-    ``repro`` on the path there is no pool helper to reuse.  Callers fall
-    back to the sequential loop, which is always correct.
-    """
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    try:
-        from repro.utils.parallel import parallel_map
-    except ModuleNotFoundError:
-        import sys
-
-        src = Path(__file__).resolve().parents[2] / "src"
-        if not src.is_dir():
-            return None
-        if str(src) not in sys.path:
-            sys.path.insert(0, str(src))
-        try:
-            from repro.utils.parallel import parallel_map
-        except ModuleNotFoundError:
-            return None
-    return parallel_map
-
-
 def run_paths(
     paths: Sequence[Path | str],
     root: Path,
     passes: Sequence[LintPass] | None = None,
     select: Sequence[str] | None = None,
-    jobs: int = 1,
 ) -> list[Finding]:
     """Lint every python file under ``paths`` and return sorted findings.
 
-    ``jobs > 1`` fans the per-file collection out across forked worker
-    processes.  Context building and ``prepare`` (cross-file state such as
-    the contract index and effect call graph) stay single-threaded in the
-    parent so every worker sees the identical prepared state; per-file
-    results come back in task order and feed the same global sort, so the
-    output is byte-identical to a ``jobs=1`` run.
+    Every context is built and every pass prepared (cross-file state such
+    as the contract index and effect call graph) before any file's
+    findings are collected.
     """
     from tools.numlint.passes import all_passes
 
@@ -412,27 +355,8 @@ def run_paths(
     for lint_pass in active:
         lint_pass.prepare(contexts)
     findings: list[Finding] = []
-    parallel_map = _parallel_map_backend() if jobs > 1 else None
-    if parallel_map is not None and len(contexts) > 1:
-        global _PARALLEL_STATE
-        _PARALLEL_STATE = {
-            "contexts": contexts,
-            "passes": active,
-            "select": list(select) if select else None,
-        }
-        n = len(contexts)
-        workers = min(jobs, n)
-        step = -(-n // workers)
-        slices = [(i, min(i + step, n)) for i in range(0, n, step)]
-        try:
-            per_slice = parallel_map(_collect_slice, slices, n_jobs=jobs)
-        finally:
-            _PARALLEL_STATE = None
-        for chunk in per_slice:
-            findings.extend(chunk)
-    else:
-        for ctx in contexts:
-            findings.extend(_collect_findings(ctx, active, select=select))
+    for ctx in contexts:
+        findings.extend(_collect_findings(ctx, active, select=select))
     findings.sort(key=lambda f: (f.relpath, f.line, f.col, f.code))
     return findings
 
