@@ -30,7 +30,12 @@ simulation:
   ``duplicate_simulations == 0``;
 * **audit + checkpoint** — every event is appended to an optional
   :class:`~repro.runtime.ledger.RunLedger`, which doubles as the resume
-  checkpoint;
+  checkpoint.  A retry round is the unit of persistence: its
+  ``dispatched`` events go out in one ledger write before it simulates,
+  and its outcomes are handled in slices of :data:`PERSIST_SLICE` points —
+  one :meth:`~repro.runtime.cache.ResultCache.put_many` for the slice's
+  values, then one ledger write of its ``completed``/``failed`` events, so
+  no ``completed`` line ever lands before its value is stored;
 * **timing** — per-simulation durations accumulate into
   ``stats.eval_seconds``, giving :class:`~repro.bo.records.RunResult` its
   ``eval_seconds`` / ``overhead_seconds`` split;
@@ -49,7 +54,9 @@ Thread-sharing contract (DESIGN.md §13): the callable the broker runs
 on a deadline thread (``self._simulate_chunk``) touches only locals and
 its arguments — *all* shared-state mutation (cache puts, ledger appends,
 counter deltas, ``stats`` bookkeeping) happens on the calling thread
-once the round has resolved.  The shared collaborators
+once the round has resolved.  Deadline threads are daemons, so one still
+stuck in a hung simulation never holds the process open at exit.  The
+shared collaborators
 (:class:`~repro.runtime.cache.ResultCache`,
 :class:`~repro.runtime.ledger.RunLedger`,
 :class:`~repro.telemetry.metrics.MetricsRegistry`,
@@ -66,11 +73,12 @@ objects at runtime.
 from __future__ import annotations
 
 import math
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -91,6 +99,11 @@ from repro.utils.validation import as_matrix
 #: Recognized failure policies.
 FAILURE_POLICIES = ("raise", "skip", "penalty")
 
+#: Points per persistence slice of a retry round: one cache ``put_many`` and
+#: one ledger write each.  Bounded so a 20k-point round never holds all of
+#: its event lines in memory at once.
+PERSIST_SLICE = 1024
+
 
 class EvaluationError(RuntimeError):
     """An evaluation failed after exhausting its retry budget."""
@@ -110,7 +123,8 @@ class BrokerConfig:
         Per-evaluation deadline; None disables.  Setting it runs every
         point alone on its own thread, and the deadline starts when that
         point starts.  A point past its deadline fails with a
-        :class:`TimeoutError`; its thread is abandoned, not killed.
+        :class:`TimeoutError`; its thread is abandoned, not killed, and
+        as a daemon it does not keep the process alive at exit.
     max_retries:
         Additional attempts after the first failure (0 = fail fast).
     backoff_seconds / backoff_factor / backoff_jitter:
@@ -301,46 +315,55 @@ class EvaluationBroker:
 
     # -- internals -----------------------------------------------------------
 
-    def _log(self, event: dict[str, Any]) -> None:
+    def _log(self, events: Iterable[dict[str, Any]]) -> None:
+        """Write a group of events with one ledger write, if logging."""
         if self.ledger is not None:
-            self.ledger.append(event)
+            self.ledger.extend(events)
 
-    def _simulate_chunk(self, X: FloatArray) -> tuple[FloatArray, float]:
+    def _simulate_chunk(
+        self, X: FloatArray, future: Future[tuple[FloatArray, float]]
+    ) -> None:
         """One objective call over a ``(k, dim)`` chunk.
 
-        NaN rows are *not* raised here — they surface per point in
+        Its ``(values, seconds)`` or its exception lands in ``future``, so
+        the call runs the same on the calling thread and on a deadline
+        thread.  NaN rows are *not* raised here — they surface per point in
         :meth:`_run_chunks` so one bad row quarantines alone instead of
         failing its whole chunk.
         """
-        start = time.perf_counter()
-        out = np.asarray(self.objective.evaluate(X), dtype=float).reshape(-1)
-        seconds = time.perf_counter() - start
-        if out.shape[0] != X.shape[0]:
-            raise ValueError(
-                f"{type(self.objective).__name__}.evaluate returned "
-                f"{out.shape[0]} values for {X.shape[0]} rows"
-            )
-        return out, seconds
+        try:
+            start = time.perf_counter()
+            out = np.asarray(self.objective.evaluate(X), dtype=float).reshape(-1)
+            seconds = time.perf_counter() - start
+            if out.shape[0] != X.shape[0]:
+                raise ValueError(
+                    f"{type(self.objective).__name__}.evaluate returned "
+                    f"{out.shape[0]} values for {X.shape[0]} rows"
+                )
+        except BaseException as error:  # deliberate: result() re-raises it
+            future.set_exception(error)
+        else:
+            future.set_result((out, seconds))
 
     def _simulate_with_deadline(self, X: FloatArray) -> tuple[FloatArray, float]:
         """:meth:`_simulate_chunk` under the per-evaluation deadline, if set.
 
-        The chunk runs alone on a fresh one-worker thread, so its deadline
+        The chunk runs alone on a fresh daemon thread, so its deadline
         starts when it starts.  A chunk past its deadline raises
         :class:`TimeoutError` here; its thread is abandoned, not killed,
-        and runs on until the objective returns.
+        and runs on until the objective returns or the process exits.
         """
+        future: Future[tuple[FloatArray, float]] = Future()
         timeout = self.config.timeout_seconds
         if timeout is None:
-            return self._simulate_chunk(X)
-        worker = ThreadPoolExecutor(max_workers=1)
-        try:
-            future = worker.submit(self._simulate_chunk, X)
+            self._simulate_chunk(X, future)
+        else:
+            threading.Thread(
+                target=self._simulate_chunk, args=(X, future), daemon=True
+            ).start()
             if not wait((future,), timeout=timeout).done:
                 raise TimeoutError(f"evaluation exceeded {timeout}s")
-            return future.result()
-        finally:
-            worker.shutdown(wait=False)
+        return future.result()
 
     def _rows_per_chunk(self, n: int) -> int:
         """Points per chunk when ``n`` points are pending.
@@ -411,19 +434,18 @@ class EvaluationBroker:
         digest: str,
         value: float,
         values: list[float | None],
-    ) -> None:
-        """Bookkeeping for one point served without simulating here."""
+    ) -> dict[str, Any]:
+        """Bookkeeping for one point served without simulating here;
+        returns its ``cache_hit`` event for the caller to log."""
         self.stats.n_cache_hits += 1
         values[pos] = value
-        self._log(
-            {"event": "cache_hit", "id": eval_id, "digest": digest, "y": value}
-        )
+        return {"event": "cache_hit", "id": eval_id, "digest": digest, "y": value}
 
     def _await_inflight(
         self,
         waiting: list[_Pending],
         values: list[float | None],
-        dropped: list[bool],
+        failures: list[str | None],
         owned: set[str],
     ) -> None:
         """Resolve points a concurrent broker claimed before this batch.
@@ -438,22 +460,28 @@ class EvaluationBroker:
         while waiting:
             parked: list[_Pending] = []
             claimed: list[_Pending] = []
+            hits: list[dict[str, Any]] = []
             for p in waiting:
                 value = self.cache.wait_for(p.digest)
                 if value is not None:
-                    self._record_hit(p.pos, p.eval_id, p.digest, value, values)
+                    hits.append(
+                        self._record_hit(p.pos, p.eval_id, p.digest, value, values)
+                    )
                     continue
                 status, hit = self.cache.lookup_or_claim([p.digest])[0]
                 if status == CLAIM_HIT:
-                    self._record_hit(p.pos, p.eval_id, p.digest, hit, values)
+                    hits.append(
+                        self._record_hit(p.pos, p.eval_id, p.digest, hit, values)
+                    )
                 elif status == CLAIM_OWNED:
                     owned.add(p.digest)
                     self.stats.n_cache_misses += 1
                     claimed.append(p)
                 else:  # a third broker won the re-claim race; park again
                     parked.append(p)
+            self._log(hits)
             if claimed:
-                self._run_rounds(claimed, values, dropped, owned)
+                self._run_rounds(claimed, values, failures, owned)
             waiting = parked
 
     def _resolve_exhausted(
@@ -461,9 +489,11 @@ class EvaluationBroker:
         pending: _Pending,
         error: BaseException,
         values: list[float | None],
-        dropped: list[bool],
+        failures: list[str | None],
         owned: set[str],
-    ) -> None:
+    ) -> dict[str, Any]:
+        """Apply the failure policy to a point out of retries; returns
+        its ``skipped``/``penalized`` event for the caller to log."""
         # terminal non-completion: release the single-flight claim *now* so
         # concurrent waiters re-claim immediately instead of blocking until
         # this batch's finally (two brokers skip-failing each other's
@@ -478,15 +508,13 @@ class EvaluationBroker:
             ) from error
         if policy == "skip":
             self.stats.n_skipped += 1
-            dropped[pending.pos] = True
-            self._log({"event": "skipped", "id": pending.eval_id})
-        else:  # penalty
-            penalty = float(self.config.penalty_value)  # type: ignore[arg-type]
-            self.stats.n_penalized += 1
-            values[pending.pos] = penalty
-            self._log(
-                {"event": "penalized", "id": pending.eval_id, "y": penalty}
-            )
+            failures[pending.pos] = "skipped"
+            return {"event": "skipped", "id": pending.eval_id}
+        penalty = float(self.config.penalty_value)  # type: ignore[arg-type]
+        self.stats.n_penalized += 1
+        values[pending.pos] = penalty
+        failures[pending.pos] = "penalized"
+        return {"event": "penalized", "id": pending.eval_id, "y": penalty}
 
     # -- public API ----------------------------------------------------------
 
@@ -497,7 +525,9 @@ class EvaluationBroker:
         before = replace(self.stats)
         self.stats.n_points += n
         values: list[float | None] = [None] * n
-        dropped = [False] * n
+        # the terminal failure event of each point the policy resolved
+        # ("skipped" or "penalized"); None for a point with a real value
+        failures: list[str | None] = [None] * n
 
         pending: list[_Pending] = []
         waiting: list[_Pending] = []
@@ -512,13 +542,14 @@ class EvaluationBroker:
             # broker (wait for its value)
             digests = self.cache.keys_for_batch(self.objective.cache_key, X)
             claims = self.cache.lookup_or_claim(digests)
+            hits: list[dict[str, Any]] = []
             for pos in range(n):
                 digest = digests[pos]
                 eval_id = self._next_id
                 self._next_id += 1
                 status, hit = claims[pos]
                 if status == CLAIM_HIT:
-                    self._record_hit(pos, eval_id, digest, hit, values)
+                    hits.append(self._record_hit(pos, eval_id, digest, hit, values))
                 elif status == CLAIM_OWNED:
                     first_pos[digest] = pos
                     owned.add(digest)
@@ -529,38 +560,37 @@ class EvaluationBroker:
                 else:  # CLAIM_REPEAT: same point again within this batch —
                     # simulate once, mirror the first occurrence's outcome
                     duplicates.append((pos, eval_id, digest))
+            self._log(hits)
 
             if pending:
-                self._run_rounds(pending, values, dropped, owned)
+                self._run_rounds(pending, values, failures, owned)
             if waiting:
                 # own simulations are done — block on concurrent owners
                 # (waiting *after* simulating keeps the fleet deadlock-free:
                 # nobody waits while holding an unresolved claim)
-                self._await_inflight(waiting, values, dropped, owned)
+                self._await_inflight(waiting, values, failures, owned)
 
+            # a repeat takes its first copy's outcome, not the cache's word:
+            # an LRU-bounded cache may already have evicted a completed lead
+            mirrored: list[dict[str, Any]] = []
             for pos, eval_id, digest in duplicates:
                 lead = first_pos[digest]
-                if dropped[lead]:
+                value = values[lead]
+                failures[pos] = failures[lead]
+                if failures[lead] == "skipped":
                     self.stats.n_skipped += 1
-                    dropped[pos] = True
-                    self._log({"event": "skipped", "id": eval_id})
-                elif digest in self.cache:  # completed (penalties are not cached)
-                    self.stats.n_cache_hits += 1
-                    values[pos] = values[lead]
-                    self._log(
-                        {
-                            "event": "cache_hit",
-                            "id": eval_id,
-                            "digest": digest,
-                            "y": values[lead],
-                        }
-                    )
-                else:
+                    mirrored.append({"event": "skipped", "id": eval_id})
+                elif failures[lead] == "penalized":
                     self.stats.n_penalized += 1
-                    values[pos] = values[lead]
-                    self._log(
-                        {"event": "penalized", "id": eval_id, "y": values[lead]}
+                    values[pos] = value
+                    mirrored.append(
+                        {"event": "penalized", "id": eval_id, "y": value}
                     )
+                else:  # completed: the repeat is served like a cache hit
+                    mirrored.append(
+                        self._record_hit(pos, eval_id, digest, value, values)
+                    )
+            self._log(mirrored)
         finally:
             # release any claims still held (raise-policy exits, bugs in
             # the objective) so concurrent waiters can re-claim the points
@@ -583,7 +613,7 @@ class EvaluationBroker:
                     self.stats.n_cache_misses - before.n_cache_misses,
                 )
 
-        keep = [i for i in range(n) if not dropped[i]]
+        keep = [i for i in range(n) if failures[i] != "skipped"]
         y = np.array([values[i] for i in keep], dtype=float)
         batch = EvalBatch(
             X=X[keep].copy(),
@@ -599,88 +629,125 @@ class EvaluationBroker:
         self,
         pending: list[_Pending],
         values: list[float | None],
-        dropped: list[bool],
+        failures: list[str | None],
         owned: set[str],
     ) -> None:
         attempt = 0
         while pending:
-            for p in pending:
-                self._log(
-                    {
-                        "event": "dispatched",
-                        "id": p.eval_id,
-                        "attempt": attempt,
-                        "digest": p.digest,
-                    }
-                )
+            self._log(
+                {
+                    "event": "dispatched",
+                    "id": p.eval_id,
+                    "attempt": attempt,
+                    "digest": p.digest,
+                }
+                for p in pending
+            )
             outcomes = self._run_chunks(
                 pending, self._rows_per_chunk(len(pending))
             )
             failed: list[tuple[_Pending, BaseException]] = []
-            for p, (result, error) in zip(pending, outcomes):
-                self.stats.n_simulations += 1
-                if error is None:
-                    value, seconds = result  # type: ignore[misc]
-                    self.stats.n_completed += 1
-                    self.stats.eval_seconds += seconds
-                    values[p.pos] = value
-                    self.cache.put(p.digest, value)  # releases the claim
-                    owned.discard(p.digest)
-                    # worker-measured duration, parented under whatever
-                    # span (iteration/init_design) is open right now —
-                    # the id attribute is the trace<->ledger join key
-                    self._tracer.record_span(
-                        "evaluate",
-                        seconds,
-                        {"id": p.eval_id, "attempt": attempt, "y": value},
-                    )
-                    self._log(
-                        {
-                            "event": "completed",
-                            "id": p.eval_id,
-                            "attempt": attempt,
-                            "digest": p.digest,
-                            "x": [float(v) for v in p.x],
-                            "y": value,
-                            "seconds": seconds,
-                            "cached": False,
-                        }
-                    )
-                else:
-                    self.stats.n_attempt_failures += 1
-                    if isinstance(error, TimeoutError):
-                        self.stats.n_timeouts += 1
-                    self._log(
-                        {
-                            "event": "failed",
-                            "id": p.eval_id,
-                            "attempt": attempt,
-                            "error": type(error).__name__,
-                            "message": str(error),
-                        }
-                    )
-                    failed.append((p, error))
+            for lo in range(0, len(pending), PERSIST_SLICE):
+                failed += self._persist_slice(
+                    pending[lo : lo + PERSIST_SLICE],
+                    outcomes[lo : lo + PERSIST_SLICE],
+                    attempt,
+                    values,
+                    owned,
+                )
             if not failed:
                 return
             if attempt >= self.config.max_retries:
-                for p, error in failed:
-                    self._resolve_exhausted(p, error, values, dropped, owned)
+                self._log(
+                    [
+                        self._resolve_exhausted(p, error, values, failures, owned)
+                        for p, error in failed
+                    ]
+                )
                 return
             delay = self._backoff_delay(attempt)
             self.stats.n_retries += len(failed)
-            for p, _ in failed:
-                self._log(
-                    {
-                        "event": "retried",
-                        "id": p.eval_id,
-                        "attempt": attempt + 1,
-                        "backoff_seconds": delay,
-                    }
-                )
+            self._log(
+                {
+                    "event": "retried",
+                    "id": p.eval_id,
+                    "attempt": attempt + 1,
+                    "backoff_seconds": delay,
+                }
+                for p, _ in failed
+            )
             if delay > 0:
                 time.sleep(delay)
             pending = [p for p, _ in failed]
             attempt += 1
+
+    def _persist_slice(
+        self,
+        pending: list[_Pending],
+        outcomes: list[tuple[Any, BaseException | None]],
+        attempt: int,
+        values: list[float | None],
+        owned: set[str],
+    ) -> list[tuple[_Pending, BaseException]]:
+        """Record one slice of a round's outcomes; returns its failures.
+
+        The slice's values are stored with one ``put_many``, which
+        releases their claims, *before* its ``completed``/``failed``
+        events go out in one ledger write — so a ``completed`` line never
+        lands before its value is stored.
+        """
+        failed: list[tuple[_Pending, BaseException]] = []
+        events: list[dict[str, Any]] = []
+        done: list[str] = []
+        done_values: list[float] = []
+        for p, (result, error) in zip(pending, outcomes):
+            self.stats.n_simulations += 1
+            if error is None:
+                value, seconds = result
+                self.stats.n_completed += 1
+                self.stats.eval_seconds += seconds
+                values[p.pos] = value
+                done.append(p.digest)
+                done_values.append(value)
+                # worker-measured duration, parented under whatever span
+                # (iteration/init_design) is open right now — the id
+                # attribute is the trace<->ledger join key
+                self._tracer.record_span(
+                    "evaluate",
+                    seconds,
+                    {"id": p.eval_id, "attempt": attempt, "y": value},
+                )
+                events.append(
+                    {
+                        "event": "completed",
+                        "id": p.eval_id,
+                        "attempt": attempt,
+                        "digest": p.digest,
+                        "x": p.x.tolist(),
+                        "y": value,
+                        "seconds": seconds,
+                        "cached": False,
+                    }
+                )
+            else:
+                self.stats.n_attempt_failures += 1
+                if isinstance(error, TimeoutError):
+                    self.stats.n_timeouts += 1
+                events.append(
+                    {
+                        "event": "failed",
+                        "id": p.eval_id,
+                        "attempt": attempt,
+                        "error": type(error).__name__,
+                        "message": str(error),
+                    }
+                )
+                failed.append((p, error))
+        if done:
+            self.cache.put_many(done, done_values)
+            owned.difference_update(done)
+        self._log(events)
+        return failed
 
     def evaluate(self, x: FloatArray) -> float | None:
         """Evaluate one point; returns None when the skip policy dropped it."""

@@ -18,15 +18,17 @@ Construction goes through two factories (the bare constructor raises
 * :meth:`ResultCache.open` — a **persistent cross-campaign store**
   (DESIGN.md §15): digest → value pairs are appended to 16 shard files
   (``shard-0.jsonl`` … ``shard-f.jsonl``, by first hex digit) under one
-  directory, one flushed JSONL line per new result, so a killed service
-  leaves valid shard prefixes the next open replays.  The files are
-  append-only; ``max_entries`` bounds only the *in-memory* working set via
-  LRU eviction (an evicted digest re-simulates, then re-appends).
+  directory, one JSONL line per new result.  A :meth:`~ResultCache.put_many`
+  call appends each touched shard's new lines with one open-write-close,
+  so a killed service leaves valid shard prefixes — at most one torn final
+  line per file — that the next open replays.  The files are append-only;
+  ``max_entries`` bounds only the *in-memory* working set via LRU eviction
+  (an evicted digest re-simulates, then re-appends).
 
 The cache is thread-safe (scheduler campaign threads share it) and
 exposes a *single-flight* protocol for cross-campaign deduplication:
 :meth:`lookup_or_claim` atomically resolves each digest to a hit, an
-ownership claim (the caller must simulate and :meth:`put` — or
+ownership claim (the caller must simulate and :meth:`put_many` — or
 :meth:`abandon_many` on failure), or an in-flight marker another thread
 owns that :meth:`wait_for` blocks on.  With N campaigns racing over
 shared designs, exactly one simulates each point.
@@ -38,7 +40,7 @@ import hashlib
 import json
 import threading
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +53,10 @@ DEFAULT_DECIMALS = 12
 
 #: On-disk schema version stamped into ``meta.json`` of a persistent cache.
 CACHE_FORMAT_VERSION = 1
+
+#: The one compact encoder for every line this module writes; passing
+#: ``separators`` per call would build a fresh encoder every time.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 #: Statuses returned by :meth:`ResultCache.lookup_or_claim`, per digest.
 CLAIM_HIT = "hit"  #: value present; returned alongside the status
@@ -139,17 +145,23 @@ def _read_shards(root: Path, max_entries: int | None) -> dict[str, float]:
     return store
 
 
-def _append_shard_line(root: Path, digest: str, value: float) -> None:
-    """Append one ``{"d", "y"}`` record to the digest's shard file.
+def _append_shard_lines(root: Path, entries: Iterable[tuple[str, float]]) -> None:
+    """Append ``{"d", "y"}`` records, one open-write-close per touched shard.
 
-    Open-append-close per record: the close flushes the line to the OS, a
-    kill can tear at most the final line (which :func:`_parse_shard`
-    tolerates), and the cache never holds open file handles — so it stays
-    safe to share across scheduler campaign threads.
+    Each shard's lines keep the order of ``entries``.  The close flushes
+    the lines to the OS, a kill can tear at most the final line of a
+    shard (which :func:`_parse_shard` tolerates), and the cache never
+    holds open file handles — so it stays safe to share across scheduler
+    campaign threads.
     """
-    line = json.dumps({"d": digest, "y": value}, separators=(",", ":")) + "\n"
-    with (root / f"shard-{digest[0]}.jsonl").open("a", encoding="utf-8") as fh:
-        fh.write(line)
+    shards: dict[str, list[str]] = {}
+    for digest, value in entries:
+        shards.setdefault(digest[0], []).append(
+            _ENCODER.encode({"d": digest, "y": value}) + "\n"
+        )
+    for shard, lines in shards.items():
+        with (root / f"shard-{shard}.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write("".join(lines))
 
 
 @thread_shared
@@ -248,9 +260,8 @@ class ResultCache:
         else:
             decimals = DEFAULT_DECIMALS if decimals is None else int(decimals)
             meta_path.write_text(
-                json.dumps(
-                    {"version": CACHE_FORMAT_VERSION, "decimals": decimals},
-                    separators=(",", ":"),
+                _ENCODER.encode(
+                    {"version": CACHE_FORMAT_VERSION, "decimals": decimals}
                 )
                 + "\n",
                 encoding="utf-8",
@@ -299,21 +310,38 @@ class ResultCache:
         return batch_digests(cache_key, X, decimals=self.decimals)
 
     def put(self, digest: str, value: float) -> None:
-        """Store one result, releasing any single-flight claim on it."""
+        """Store one result: :meth:`put_many` with a single entry."""
+        self.put_many((digest,), (value,))
+
+    def put_many(self, digests: Sequence[str], values: Sequence[float]) -> None:
+        """Store results in order, releasing any single-flight claims on them.
+
+        One hold of the store lock covers every entry, taken in turn: a
+        known digest moves to most-recently-used with its new value, a new
+        one is stored and evicts past ``max_entries``.  A persistent cache
+        then appends the new entries' lines with one open-write-close per
+        touched shard, still under the lock, so each shard's lines keep
+        the store's order.
+        """
+        new: list[tuple[str, float]] = []
         with self._lock:
-            if digest in self._store:
-                del self._store[digest]  # re-insert: most-recently-used
-                self._store[digest] = float(value)
-            else:
-                self._store[digest] = float(value)
-                if self.path is not None:
-                    _append_shard_line(self.path, digest, float(value))
+            store = self._store
+            for digest, raw in zip(digests, values):
+                value = float(raw)
+                if digest in store:
+                    del store[digest]  # re-insert: most-recently-used
+                    store[digest] = value
+                    continue
+                store[digest] = value
+                new.append((digest, value))
                 if self.max_entries is not None:
-                    while len(self._store) > self.max_entries:
-                        del self._store[next(iter(self._store))]
+                    while len(store) > self.max_entries:
+                        del store[next(iter(store))]
                         self.evictions += 1
+            if new and self.path is not None:
+                _append_shard_lines(self.path, new)
         with self._flight_lock:
-            self._inflight.discard(digest)
+            self._inflight.difference_update(digests)
             self._flight_lock.notify_all()
 
     def preload(self, mapping: Mapping[str, float]) -> None:
@@ -322,15 +350,18 @@ class ResultCache:
         Persistent caches write through: preloaded results a prior process
         simulated become part of the shared store.
         """
+        new: list[tuple[str, float]] = []
         with self._lock:
             for digest, value in mapping.items():
-                if digest not in self._store and self.path is not None:
-                    _append_shard_line(self.path, digest, float(value))
+                if digest not in self._store:
+                    new.append((digest, float(value)))
                 self._store[digest] = float(value)
             if self.max_entries is not None:
                 while len(self._store) > self.max_entries:
                     del self._store[next(iter(self._store))]
                     self.evictions += 1
+            if new and self.path is not None:
+                _append_shard_lines(self.path, new)
         with self._flight_lock:
             for digest in mapping:
                 self._inflight.discard(digest)
@@ -347,7 +378,7 @@ class ResultCache:
 
         * :data:`CLAIM_HIT` — ``value`` is the cached result;
         * :data:`CLAIM_OWNED` — the caller took ownership: it must
-          simulate the point and either :meth:`put` the result or
+          simulate the point and either :meth:`put_many` the result or
           :meth:`abandon_many` the digest (always abandon in a ``finally``
           — an unreleased claim blocks every waiter);
         * :data:`CLAIM_INFLIGHT` — another owner is simulating it now;
@@ -413,7 +444,7 @@ class ResultCache:
         """Release single-flight claims without storing values.
 
         Call from a ``finally`` for every digest the caller still owns —
-        including after :meth:`put` resolved some of them (releasing a
+        including after :meth:`put_many` resolved some of them (releasing a
         digest that is not claimed is a no-op), so failure paths can
         blanket-release the whole owned set.
         """

@@ -2,11 +2,14 @@
 
 Every evaluation the broker performs emits events — ``dispatched``,
 ``completed``, ``failed``, ``retried``, ``cache_hit``, ``skipped``,
-``penalized`` — as one JSON object per line.  Because each line is flushed
-as it is written, a killed campaign leaves a valid prefix: the ledger *is*
-the checkpoint.  :func:`read_ledger` tolerates a truncated final line (the
-write the kill interrupted) and rebuilds the completed-evaluation state
-that :func:`repro.runtime.resume` preloads into a fresh cache.
+``penalized`` — as one JSON object per line.  :meth:`RunLedger.extend`
+writes a group of events (a broker round's ``dispatched`` events, one
+slice of its results) with one write and one flush.  Lines land in order
+and a kill mid-write tears at most the final one, so a killed campaign
+leaves a valid prefix: the ledger *is* the checkpoint.
+:func:`read_ledger` tolerates a truncated final line (the write the kill
+interrupted) and rebuilds the completed-evaluation state that
+:func:`repro.runtime.resume` preloads into a fresh cache.
 
 Event schema (version 1)
 ------------------------
@@ -49,19 +52,23 @@ from repro.utils.sanitize_concurrency import make_lock
 #: Schema version stamped on campaign events.
 LEDGER_VERSION = 1
 
+#: The one compact encoder for every event line; passing ``separators``
+#: per call would build a fresh encoder every time.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 @thread_shared
 class RunLedger:
-    """Append-only JSONL writer; one flushed line per event.
+    """Append-only JSONL writer; one flush per group of events.
 
-    The file handle opens lazily on first append, so a ledger that never
+    The file handle opens lazily on first write, so a ledger that never
     records an event never creates its file.
 
-    Appends are thread-safe: the lazy open, the line write and the flush
-    run under one lock, so concurrent campaign threads can share a ledger
-    without ever interleaving bytes of two JSON lines.
-    Serialization of the event happens *outside* the lock — the only
-    serialized section is the file append itself.
+    Writes are thread-safe: the lazy open, the write and the flush run
+    under one lock, so concurrent campaign threads can share a ledger
+    without ever interleaving bytes of two JSON lines.  Events are encoded
+    *outside* the lock — the only serialized section is the file append
+    itself.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -70,13 +77,19 @@ class RunLedger:
         self._fh: IO[str] | None = None
 
     def append(self, event: dict[str, Any]) -> None:
-        """Write one event line and flush it to disk."""
-        line = json.dumps(event, separators=(",", ":")) + "\n"
+        """Write one event line and flush it: :meth:`extend` of one event."""
+        self.extend((event,))
+
+    def extend(self, events: Iterable[dict[str, Any]]) -> None:
+        """Write event lines in order, then flush them once."""
+        text = "".join([_ENCODER.encode(event) + "\n" for event in events])
+        if not text:
+            return
         with self._lock:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = self.path.open("a", encoding="utf-8")
-            self._fh.write(line)
+            self._fh.write(text)
             self._fh.flush()
 
     def close(self) -> None:

@@ -1,7 +1,10 @@
 """Campaign checkpoint/resume built on the run ledger.
 
-A killed campaign leaves a valid ledger prefix (each event line is flushed
-as written).  :func:`resume` parses that prefix and preloads every
+A killed campaign leaves a valid ledger prefix: the broker writes each
+group of event lines (a round's ``dispatched`` events, one slice of its
+results) with one write and one flush, only after the slice's values
+are stored, so the kill can tear at most the final line.
+:func:`resume` parses that prefix and preloads every
 *completed* evaluation into a fresh :class:`ResultCache`.  Re-running the
 same seeded campaign with the returned :class:`RuntimePolicy` then
 fast-forwards deterministically: every evaluation the interrupted run

@@ -129,8 +129,8 @@ def _write_result(path: Path, outcome_name: str, result: CampaignResult) -> None
         "campaign": outcome_name,
         "method": result.run.method,
         "n_evaluations": result.run.n_evaluations,
-        "X": [[float(v) for v in row] for row in result.run.X],
-        "y": [float(v) for v in result.run.y],
+        "X": result.run.X.tolist(),
+        "y": result.run.y.tolist(),
     }
     tmp = path.with_suffix(".tmp")
     tmp.write_text(

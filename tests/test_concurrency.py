@@ -49,7 +49,7 @@ def run_threads(target, n_threads: int = N_THREADS) -> list[BaseException]:
     errors: list[BaseException] = []
     barrier = threading.Barrier(n_threads)
 
-    def runner(i: int) -> None:
+    def runner(i: int, errors: list[BaseException]) -> None:
         try:
             barrier.wait()
             target(i)
@@ -57,7 +57,8 @@ def run_threads(target, n_threads: int = N_THREADS) -> list[BaseException]:
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=runner, args=(i,)) for i in range(n_threads)
+        threading.Thread(target=runner, args=(i, errors))
+        for i in range(n_threads)
     ]
     for t in threads:
         t.start()
@@ -126,6 +127,31 @@ class TestLedgerUnderThreads:
         for seen in per_thread.values():
             assert seen == set(range(self.N_PER_THREAD))
 
+    def test_extend_groups_never_interleave(self, tmp_path):
+        path = tmp_path / "groups.jsonl"
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with RunLedger(path) as ledger:
+
+                def extend(i: int) -> None:
+                    for g in range(20):
+                        ledger.extend(
+                            {"event": "tick", "thread": i, "group": g, "k": k}
+                            for k in range(50)
+                        )
+
+                assert run_threads(extend) == []
+        finally:
+            sys.setswitchinterval(switch)
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(events) == N_THREADS * 20 * 50
+        # each group's lines land together and in order
+        for lo in range(0, len(events), 50):
+            group = events[lo : lo + 50]
+            assert [e["k"] for e in group] == list(range(50))
+            assert len({(e["thread"], e["group"]) for e in group}) == 1
+
     def test_replay_parses_concurrent_ledger(self, tmp_path):
         path = tmp_path / "replay.jsonl"
         with RunLedger(path) as ledger:
@@ -152,7 +178,7 @@ class TestCacheUnderThreads:
         stop = threading.Event()
         reader_errors: list[BaseException] = []
 
-        def read_loop() -> None:
+        def read_loop(errors: list[BaseException]) -> None:
             try:
                 while not stop.is_set():
                     # a value is either absent or exactly what the writer
@@ -161,9 +187,9 @@ class TestCacheUnderThreads:
                         value = cache.get(digest)
                         assert value is None or value == float(k)
             except BaseException as exc:  # noqa: BLE001
-                reader_errors.append(exc)
+                errors.append(exc)
 
-        reader = threading.Thread(target=read_loop)
+        reader = threading.Thread(target=read_loop, args=(reader_errors,))
         reader.start()
         try:
 
@@ -178,6 +204,27 @@ class TestCacheUnderThreads:
         assert reader_errors == []
         assert len(cache) == len(digests)
         assert [cache.get(d) for d in digests] == [float(k) for k in range(512)]
+
+    def test_put_many_keeps_every_shard_line_whole(self, tmp_path):
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ResultCache.open(tmp_path / "c") as cache:
+
+                def write(i: int) -> None:
+                    for g in range(10):
+                        digests = [f"{k % 16:x}-{i}-{g}-{k}" for k in range(64)]
+                        cache.put_many(digests, [float(i)] * 64)
+
+                assert run_threads(write) == []
+        finally:
+            sys.setswitchinterval(switch)
+        for shard in (tmp_path / "c").glob("shard-*.jsonl"):
+            for line in shard.read_text().splitlines():
+                json.loads(line)  # raises on any torn/interleaved line
+        with ResultCache.open(tmp_path / "c") as reopened:
+            assert len(reopened) == N_THREADS * 10 * 64
+            assert reopened.get(f"a-3-9-{10}") == 3.0
 
     def test_hit_miss_accounting_is_exact(self):
         cache = ResultCache.in_memory()

@@ -297,6 +297,14 @@ class TestConcurrencySafety:
         ]
         assert {f.code for f in shared_self} == {"NL601", "NL602"}
 
+    def test_thread_target_is_a_submission(self):
+        # `threading.Thread(target=self.method)` runs the method on another
+        # thread: the racy target fires, the one writing only through its
+        # argument stays clean
+        found = lint_fixture("concurrency_thread.py", "concurrency-safety")
+        assert codes(found) == ["NL601"]
+        assert "'self._racy'" in found[0].message
+
     def test_repo_runtime_stack_is_clean(self):
         # the hardened shared classes are the reference implementations of
         # the @thread_shared contract; they must never be flagged

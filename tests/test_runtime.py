@@ -7,7 +7,13 @@ in ``test_runtime_resume.py``.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +39,8 @@ from repro.runtime import (
 )
 from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from repro.utils.validation import unit_cube_bounds
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def bowl(x):
@@ -245,6 +253,26 @@ class TestRunLedger:
                 )
         assert read_ledger(path).duplicate_simulations == 1
 
+    def test_extend_writes_the_lines_of_one_append_per_event(self, tmp_path):
+        events = [
+            {"event": "dispatched", "id": k, "attempt": 0, "digest": f"d{k}"}
+            for k in range(5)
+        ] + [{"event": "completed", "id": 0, "x": [0.1, -0.0], "y": 1e-300}]
+        with RunLedger(tmp_path / "one.jsonl") as one:
+            for event in events:
+                one.append(event)
+        with RunLedger(tmp_path / "many.jsonl") as many:
+            many.extend(events)
+            many.extend([])
+        assert (tmp_path / "many.jsonl").read_bytes() == (
+            tmp_path / "one.jsonl"
+        ).read_bytes()
+
+    def test_extend_of_nothing_creates_no_file(self, tmp_path):
+        with RunLedger(tmp_path / "run.jsonl") as ledger:
+            ledger.extend(iter(()))
+        assert not (tmp_path / "run.jsonl").exists()
+
 
 class TestBrokerConfig:
     def test_validation(self):
@@ -294,6 +322,42 @@ class TestBrokerFaultMatrix:
         batch = broker.evaluate_batch(np.array([[0.5, 0.5]]))
         assert batch.y[0] == pytest.approx(0.5)
         assert broker.stats.n_retries == 1
+
+    def test_hung_point_does_not_hold_the_process_open(self):
+        # the abandoned deadline thread is a daemon: the child exits as soon
+        # as its batch returns, not when the 30 s simulation would end
+        script = textwrap.dedent(
+            """
+            import time
+            import numpy as np
+            from repro.runtime import (
+                BrokerConfig, EvaluationBroker, FunctionObjective,
+            )
+            def hang(X):
+                time.sleep(30.0)
+                return np.sum(X**2, axis=1)
+            broker = EvaluationBroker(
+                FunctionObjective(hang, dim=2, vectorized=True),
+                BrokerConfig(
+                    timeout_seconds=0.1, max_retries=0, failure_policy="skip"
+                ),
+            )
+            print(broker.evaluate_batch(np.zeros((1, 2))).n_evaluated)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+        assert elapsed < 10.0
 
     def test_exhaustion_raise_policy(self):
         obj = CountingObjective(fail_first=10)
@@ -414,6 +478,28 @@ class TestBrokerCache:
         EvaluationBroker(obj, cache=policy.cache).evaluate_batch(x)
         assert obj.calls == 1
 
+    def test_repeat_of_an_evicted_point_is_a_cache_hit(self, tmp_path):
+        # the LRU bound evicts the first copy of row 0 before the batch
+        # resolves its repeat: the repeat still mirrors a completion
+        ledger = RunLedger(tmp_path / "run.jsonl")
+        broker = EvaluationBroker(
+            CountingObjective(),
+            cache=ResultCache.in_memory(max_entries=2),
+            ledger=ledger,
+        )
+        X = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3], [0.4, 0.4], [0.1, 0.1]])
+        batch = broker.evaluate_batch(X)
+        ledger.close()
+        assert read_ledger(ledger.path).counts == {
+            "campaign": 1,
+            "dispatched": 4,
+            "completed": 4,
+            "cache_hit": 1,
+        }
+        assert broker.stats.n_penalized == 0
+        assert broker.stats.n_cache_hits == 1
+        assert batch.y[4] == batch.y[0]
+
     def test_ledger_records_events(self, tmp_path):
         obj = CountingObjective(fail_first=1)
         ledger = RunLedger(tmp_path / "run.jsonl")
@@ -430,6 +516,146 @@ class TestBrokerCache:
         assert replay.counts["completed"] == 1
         assert replay.counts["cache_hit"] == 1
         assert replay.duplicate_simulations == 0
+
+
+class ScriptedObjective(Objective):
+    """A 2-D bowl with scripted NaN rows: ``x0 > 0.8`` on every call,
+    ``x1 > 0.8`` on the point's first call only."""
+
+    def __init__(self) -> None:
+        self.seen: set[bytes] = set()
+
+    @property
+    def dim(self) -> int:
+        return 2
+
+    @property
+    def bounds(self):
+        return unit_cube_bounds(2)
+
+    @property
+    def cache_key(self) -> str:
+        return "scripted-bowl"
+
+    def evaluate(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        out = np.sum(X**2, axis=1)
+        for i, x in enumerate(X):
+            if x[0] > 0.8 or (x[1] > 0.8 and x.tobytes() not in self.seen):
+                out[i] = np.nan
+            self.seen.add(x.tobytes())
+        return out
+
+
+class ShardCheckingLedger(RunLedger):
+    """A ledger that checks each ``completed`` digest is already in the
+    cache's shard files when its line is written."""
+
+    def __init__(self, path, shards) -> None:
+        super().__init__(path)
+        self.shards = shards
+        self.n_checked = 0
+
+    def extend(self, events) -> None:
+        events = list(events)
+        stored = {
+            json.loads(line)["d"]
+            for shard in self.shards.glob("shard-*.jsonl")
+            for line in shard.read_text(encoding="utf-8").splitlines()
+        }
+        for event in events:
+            if event["event"] == "completed":
+                assert event["digest"] in stored
+                self.n_checked += 1
+        super().extend(events)
+
+
+class TestBatchedPersistence:
+    @pytest.mark.parametrize("max_entries", [None, 3])
+    def test_put_many_matches_put_calls(self, tmp_path, max_entries):
+        rng = np.random.default_rng(3)
+        digests = [point_digest("bowl", x) for x in rng.uniform(-1, 1, (40, 2))]
+        # repeats, including re-puts of digests an LRU bound has evicted
+        order = digests + digests[::3] + digests[:5]
+        values = [float(k) for k in range(len(order))]
+        with ResultCache.open(tmp_path / "one", max_entries=max_entries) as one:
+            for digest, value in zip(order, values):
+                one.put(digest, value)
+        with ResultCache.open(tmp_path / "many", max_entries=max_entries) as many:
+            many.put_many(order, values)
+        names = sorted(p.name for p in (tmp_path / "one").iterdir())
+        assert sorted(p.name for p in (tmp_path / "many").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "many" / name).read_bytes() == (
+                tmp_path / "one" / name
+            ).read_bytes()
+        assert list(many._store.items()) == list(one._store.items())
+        assert many.stats == one.stats
+        if max_entries is not None:
+            assert many.evictions > 0
+
+    def test_fault_injected_batch_keeps_event_sequence(self, tmp_path):
+        ledger = RunLedger(tmp_path / "run.jsonl")
+        with ResultCache.open(tmp_path / "cache") as cache:
+            broker = EvaluationBroker(
+                ScriptedObjective(),
+                BrokerConfig(
+                    max_retries=1, backoff_seconds=0.0, failure_policy="skip"
+                ),
+                cache=cache,
+                ledger=ledger,
+            )
+            hit, flaky, broken, healthy = [0.1, 0.1], [0.2, 0.9], [0.9, 0.2], [0.3, 0.3]
+            broker.evaluate_batch(np.array([hit]))
+            batch = broker.evaluate_batch(
+                np.array([hit, flaky, broken, healthy, flaky, broken])
+            )
+        ledger.close()
+        assert batch.index.tolist() == [0, 1, 3, 4]
+        events = read_ledger(ledger.path).events
+        # the sequence the per-point writers produced, one write per event
+        assert [(e["event"], e.get("id"), e.get("attempt")) for e in events] == [
+            ("campaign", None, None),
+            ("dispatched", 0, 0),
+            ("completed", 0, 0),
+            ("cache_hit", 1, None),
+            ("dispatched", 2, 0),
+            ("dispatched", 3, 0),
+            ("dispatched", 4, 0),
+            ("failed", 2, 0),
+            ("failed", 3, 0),
+            ("completed", 4, 0),
+            ("retried", 2, 1),
+            ("retried", 3, 1),
+            ("dispatched", 2, 1),
+            ("dispatched", 3, 1),
+            ("completed", 2, 1),
+            ("failed", 3, 1),
+            ("skipped", 3, None),
+            ("cache_hit", 5, None),
+            ("skipped", 6, None),
+        ]
+
+    def test_completed_lines_follow_their_shard_lines(self, tmp_path):
+        objective = FaultInjectingObjective(
+            FunctionObjective(
+                lambda X: np.sum(X**2, axis=1), dim=3, vectorized=True
+            ),
+            FaultPlan(failure_rate=0.2, nan_fraction=1.0, seed=2),
+        )
+        ledger = ShardCheckingLedger(tmp_path / "run.jsonl", tmp_path / "cache")
+        with ResultCache.open(tmp_path / "cache") as cache:
+            broker = EvaluationBroker(
+                objective,
+                BrokerConfig(max_retries=2, backoff_seconds=0.0),
+                cache=cache,
+                ledger=ledger,
+            )
+            X = np.random.default_rng(5).uniform(-1, 1, (2500, 3))
+            broker.evaluate_batch(X)
+        ledger.close()
+        assert broker.stats.n_retries > 0
+        assert ledger.n_checked == 2500
 
 
 class TestRecorderIntegration:

@@ -29,7 +29,10 @@ from repro.runtime import (
     RuntimePolicy,
     read_ledger,
     resume,
+    truncate_mid_run,
 )
+from repro.runtime.broker import PERSIST_SLICE
+from repro.sampling import MonteCarloSampler
 
 
 def small_engine(seed=11):
@@ -137,6 +140,39 @@ class TestKillAndResume:
         replay = read_ledger(resumed_ledger)
         assert replay.n_cache_hits >= n_kept
         assert replay.n_completed == n_simulated - n_kept
+
+    def test_multi_slice_batch_resumes_bitwise(self, tmp_path):
+        # one 3000-point batch persists in several slices; the kill lands
+        # past the first slice, mid-way through the second
+        bench = UVLOTestbench()
+        spec = RunSpec(bounds=bench.bounds())
+        ledger_path = tmp_path / "mc.jsonl"
+        policy = RuntimePolicy.shared(
+            ledger_path=ledger_path, cache_path=tmp_path / "cache"
+        )
+        full = MonteCarloSampler(3000, seed=4).solve(
+            objective=bench.objective("delta_vthl"), spec=spec, policy=policy
+        )
+        policy.ledger.close()
+        n_kept = truncate_mid_run(ledger_path)
+        assert PERSIST_SLICE < n_kept < 2 * PERSIST_SLICE
+
+        state = resume(ledger_path)
+        assert state.truncated and state.n_completed == n_kept
+        resumed_policy = state.policy()
+        resumed = MonteCarloSampler(3000, seed=4).solve(
+            objective=bench.objective("delta_vthl"),
+            spec=spec,
+            policy=resumed_policy,
+        )
+        resumed_policy.ledger.close()
+
+        assert np.array_equal(full.X, resumed.X)
+        assert np.array_equal(full.y, resumed.y)
+        replay = read_ledger(ledger_path)
+        assert not replay.truncated
+        assert replay.n_completed == 3000
+        assert replay.duplicate_simulations == 0
 
     def test_resume_rejects_mismatched_decimals(self, tmp_path):
         ledger_path = tmp_path / "campaign.jsonl"

@@ -5,9 +5,10 @@ The unit of analysis is a **submission site**: a call that hands a
 callable to another execution context —
 
 * ``pool.run_tasks(fn, tasks)`` / ``executor.submit(fn, task)`` — the
-  :class:`repro.utils.parallel.WorkerPool` protocol and the stdlib
-  executor protocol it wraps;
-* ``parallel_map(fn, items, ...)`` — the module-level helper.
+  worker-pool protocol and the stdlib executor protocol;
+* ``parallel_map(fn, items, ...)`` — the module-level helper;
+* ``threading.Thread(target=fn, ...)`` — a callable run on its own
+  thread (the broker's per-point deadline thread).
 
 :func:`find_submissions` locates those sites and resolves the submitted
 callable expression back to a function definition in the same file:
@@ -48,6 +49,9 @@ SUBMIT_METHOD_NAMES = frozenset({"run_tasks", "submit"})
 SUBMIT_FUNCTION_NAMES = frozenset(
     {"parallel_map", "repro.utils.parallel.parallel_map"}
 )
+
+#: Constructors that run their ``target`` argument on a new thread.
+THREAD_CONSTRUCTOR_NAMES = frozenset({"threading.Thread"})
 
 #: Container methods that mutate their receiver in place.  Calling one on
 #: shared state from a pool-submitted callable is a data race.
@@ -139,6 +143,19 @@ def _is_submit_call(call: ast.Call, qualify) -> bool:
     return False
 
 
+def _submitted_callable(call: ast.Call, qualify) -> ast.expr | None:
+    """The callable expression a call hands to another execution context."""
+    if qualify(call.func) in THREAD_CONSTRUCTOR_NAMES:
+        for keyword in call.keywords:
+            if keyword.arg == "target":
+                return keyword.value
+        # Thread(group, target, ...): the target is the second positional
+        return call.args[1] if len(call.args) > 1 else None
+    if call.args and _is_submit_call(call, qualify):
+        return call.args[0]
+    return None
+
+
 def _index_functions(
     tree: ast.AST,
 ) -> tuple[dict[str, FunctionNode], dict[ast.AST, ast.AST]]:
@@ -174,18 +191,18 @@ def find_submissions(tree: ast.AST, qualify) -> list[Submission]:
 
     ``qualify`` is ``FileContext.qualified`` (or compatible): it maps an
     expression to its canonical dotted import path, used to recognize
-    ``parallel_map`` through aliases.  Unresolvable callables (an
-    arbitrary expression, a name with no local ``def``) are skipped —
-    the pass only judges code it can actually see.
+    ``parallel_map`` and ``threading.Thread`` through aliases.
+    Unresolvable callables (an arbitrary expression, a name with no local
+    ``def``) are skipped — the pass only judges code it can actually see.
     """
     by_name, parents = _index_functions(tree)
     out: list[Submission] = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call) or not node.args:
+        if not isinstance(node, ast.Call):
             continue
-        if not _is_submit_call(node, qualify):
+        target = _submitted_callable(node, qualify)
+        if target is None:
             continue
-        target = node.args[0]
         if isinstance(target, ast.Lambda):
             out.append(Submission(node, target, "<lambda>", False))
         elif isinstance(target, ast.Name):
@@ -303,6 +320,7 @@ __all__ = [
     "MUTATING_METHODS",
     "SUBMIT_FUNCTION_NAMES",
     "SUBMIT_METHOD_NAMES",
+    "THREAD_CONSTRUCTOR_NAMES",
     "Submission",
     "bound_names",
     "callable_body",

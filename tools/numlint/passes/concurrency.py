@@ -7,8 +7,9 @@ is ``repro.utils.sanitize_concurrency``); the escape analysis it leans on
 lives in :mod:`tools.numlint.concur`.
 
 * **NL601** — a callable submitted to a ``WorkerPool`` / executor /
-  ``parallel_map`` mutates state it does not own: a free (module-level
-  or closure-captured) name, a ``global``/``nonlocal`` assignment, or —
+  ``parallel_map``, or run as a ``threading.Thread`` target, mutates
+  state it does not own: a free (module-level or closure-captured)
+  name, a ``global``/``nonlocal`` assignment, or —
   for a bound method submitted as ``self.method`` — the shared instance
   itself.  Worker callables must write only through their arguments and
   locals; shared-state mutation belongs on the dispatching thread
