@@ -5,8 +5,12 @@ the paper's BO budgets (5 init + 95 sequential / 5×19 batches) and prints
 the table in the paper's layout.  MC/SSS budgets scale with
 ``REPRO_BENCH_SCALE`` (1.0 = the paper's 20 000 / ~1 000).
 
-Shape asserted (paper Table 1): only the proposed method detects failures;
-every baseline's worst case stays below the 0.9 V spec.
+What the bench asserts, at the one seed ``TABLE1_SEED`` (2019): the
+proposed method detects a failure, with a worst case beyond the 0.9 V
+spec, and MC and SSS detect none.  Full-D BO (EI, PI, LCB, pBO) is only
+reported: the bench prints which of them detected and asserts nothing
+about them.  One seed is not a detection rate; the proposed method's
+detection is seed-dependent (EXPERIMENTS.md, "Multi-seed robustness").
 """
 
 from benchmarks.conftest import run_once

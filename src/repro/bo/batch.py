@@ -27,7 +27,6 @@ from repro.bo.propose import (
     DEFAULT_LOCAL_BUDGET,
     acquisition_search,
 )
-from repro.gp.surrogate import SurrogateLike
 from repro.utils.rng import SeedLike
 
 #: Engine default when ``RunSpec.n_batches`` is None.
@@ -48,9 +47,6 @@ class BatchBO(BOEngine):
         Preset acquisition weights; defaults to ``pbo_weights(batch_size)``.
     ard / noise_variance / tune_every / n_restarts:
         Surrogate knobs, see :class:`~repro.bo.engine.SurrogateManager`.
-    surrogate:
-        Engine-level surrogate choice (spec / kind string / mapping);
-        ``spec.surrogate`` on an individual run overrides it.
     global_budget / local_budget:
         Acquisition evaluation caps of the DIRECT-L and COBYLA stages of
         :func:`~repro.bo.propose.acquisition_search`, per weight.
@@ -73,8 +69,6 @@ class BatchBO(BOEngine):
         local_budget: int = DEFAULT_LOCAL_BUDGET,
         stop_on_failure: bool = False,
         seed: SeedLike = None,
-        *,
-        surrogate: SurrogateLike = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -92,7 +86,7 @@ class BatchBO(BOEngine):
             raise ValueError("weights must lie in [0, 1]")
         super().__init__(
             ard, noise_variance, tune_every, n_restarts, global_budget,
-            local_budget, stop_on_failure, seed, surrogate
+            local_budget, stop_on_failure, seed
         )
 
     def _n_iterations(self, spec: RunSpec, n_init: int) -> int:

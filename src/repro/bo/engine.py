@@ -25,10 +25,8 @@ from repro.gp.standardize import Standardizer
 from repro.gp.surrogate import (
     SurrogateLike,
     SurrogateModel,
-    SurrogateSpec,
     coerce_surrogate_spec,
     make_surrogate,
-    surrogate_kind_of,
 )
 from repro.runtime.broker import RuntimePolicy, make_broker
 from repro.runtime.objective import Objective, require_objective, resolve_bounds
@@ -69,13 +67,13 @@ class RunSpec:
     initial_data:
         Precomputed ``(X0, y0)`` shared across methods, as in the paper.
     surrogate:
-        Which surrogate model the run should use: a
-        :class:`~repro.gp.surrogate.SurrogateSpec`, a kind string
-        (``"exact"`` / ``"sparse"`` / ``"auto"``), or a mapping of spec
-        fields (``{"kind": "sparse", "m": 256}``).  ``None`` defers to the
-        engine's own ``surrogate=`` default.  Normalized to a
-        ``SurrogateSpec`` at construction, so invalid kinds fail here with
-        an error naming the allowed ones.
+        Which surrogate model the run uses — the one place a campaign
+        chooses it: a :class:`~repro.gp.surrogate.SurrogateSpec`, a kind
+        string (``"exact"`` / ``"sparse"``), or a mapping of spec fields
+        (``{"kind": "sparse", "m": 256}``).  Normalized to a
+        ``SurrogateSpec`` at construction (``None`` is the exact GP), so
+        an invalid kind or key fails here with an error naming the
+        allowed ones.
     """
 
     bounds: object | None = None
@@ -127,12 +125,10 @@ def annotate_gp_fit(span, manager: "SurrogateManager") -> None:
     recorded.
     """
     span.set("tuned", manager.last_refit_tuned)
-    model = manager.model
-    if model is not None:
-        span.set("surrogate", surrogate_kind_of(model))
-        n_inducing = getattr(model, "n_inducing", None)
-        if n_inducing is not None:
-            span.set("n_inducing", int(n_inducing))
+    span.set("surrogate", manager.surrogate_spec.kind)
+    n_inducing = getattr(manager.model, "n_inducing", None)
+    if n_inducing is not None:
+        span.set("n_inducing", int(n_inducing))
     if manager.last_refit_tuned and manager.last_hyperopt is not None:
         hyper = manager.last_hyperopt
         span.set("lml", float(hyper.log_marginal_likelihood))
@@ -170,10 +166,8 @@ class SurrogateManager:
         Multi-start count for each hyperparameter fit.
     surrogate:
         Which surrogate to build (spec / kind string / field mapping, see
-        :func:`~repro.gp.surrogate.make_surrogate`).  ``"auto"`` starts
-        exact and rebuilds as sparse once the dataset crosses the spec's
-        ``switch_at`` threshold; tuned hyperparameters carry across the
-        switch.
+        :func:`~repro.gp.surrogate.make_surrogate`); the run's
+        ``RunSpec.surrogate``.  The model is built once, here.
     """
 
     def __init__(
@@ -191,47 +185,20 @@ class SurrogateManager:
         if tune_every < 1:
             raise ValueError(f"tune_every must be >= 1, got {tune_every}")
         self.dim = int(dim)
-        self._ard = bool(ard)
-        self._noise_variance = float(noise_variance)
         self.tune_every = int(tune_every)
         self.n_restarts = int(n_restarts)
         self._rng = as_generator(seed)
         self.standardizer = Standardizer()
-        self.surrogate_spec: SurrogateSpec = (
-            coerce_surrogate_spec(surrogate) or SurrogateSpec()
+        self.surrogate_spec = coerce_surrogate_spec(surrogate)
+        self.model: SurrogateModel = make_surrogate(
+            self.surrogate_spec, self.dim, ard=ard, noise_variance=noise_variance
         )
-        self.model: SurrogateModel | None = None
         self._refit_count = 0
         #: Result of the most recent hyperparameter search (telemetry reads
         #: this to attribute LML/restart/feval counts to the gp_fit span).
         self.last_hyperopt: HyperoptResult | None = None
         #: Whether the most recent :meth:`refit` ran a hyperparameter search.
         self.last_refit_tuned = False
-
-    def _ensure_model(self, n: int) -> SurrogateModel:
-        """The surrogate for an ``n``-point fit, rebuilt on a kind switch.
-
-        ``kind="auto"`` resolves against ``n`` on every refit; crossing the
-        ``switch_at`` threshold swaps the exact model for a sparse one (the
-        spec never switches back — ``n`` only grows along a run).  Tuned
-        hyperparameters transplant onto the replacement so the switch does
-        not discard the hyperopt state accumulated so far.
-        """
-        kind = self.surrogate_spec.resolve_kind(n)
-        model = self.model
-        if model is not None and surrogate_kind_of(model) == kind:
-            return model
-        replacement = make_surrogate(
-            self.surrogate_spec,
-            self.dim,
-            ard=self._ard,
-            noise_variance=self._noise_variance,
-            n=n,
-        )
-        if model is not None:
-            replacement.theta = model.theta
-        self.model = replacement
-        return replacement
 
     def refit(self, X, y) -> SurrogateModel:
         """(Re)train the surrogate on the full dataset in model space.
@@ -247,7 +214,7 @@ class SurrogateManager:
         X = as_matrix(X, self.dim)
         y = as_vector(y, X.shape[0])
         y_std = self.standardizer.fit_transform(y)
-        model = self._ensure_model(X.shape[0])
+        model = self.model
         n_prev = model.n_train
         if (
             model.is_fitted
@@ -317,13 +284,11 @@ class BOEngine:
         local_budget: int,
         stop_on_failure: bool,
         seed: SeedLike,
-        surrogate: SurrogateLike,
     ) -> None:
         self.ard = bool(ard)
         self.noise_variance = float(noise_variance)
         self.tune_every = int(tune_every)
         self.n_restarts = int(n_restarts)
-        self.surrogate = coerce_surrogate_spec(surrogate)
         self.global_budget, self.local_budget = check_budgets(
             global_budget, local_budget
         )
@@ -412,7 +377,7 @@ class BOEngine:
             tune_every=self.tune_every,
             n_restarts=self.n_restarts,
             seed=rng_model,
-            surrogate=spec.surrogate if spec.surrogate is not None else self.surrogate,
+            surrogate=spec.surrogate,
         )
 
         threshold = spec.threshold if self.stop_on_failure else None

@@ -19,7 +19,6 @@ from repro.bo.propose import (
     DEFAULT_LOCAL_BUDGET,
     acquisition_search,
 )
-from repro.gp.surrogate import SurrogateLike
 from repro.utils.rng import SeedLike
 
 #: Acquisition registry used by the experiment harness ("EI", "PI", "LCB").
@@ -48,9 +47,6 @@ class SequentialBO(BOEngine):
         must be non-negative.
     ard / noise_variance / tune_every / n_restarts:
         Surrogate knobs, see :class:`SurrogateManager`.
-    surrogate:
-        Engine-level surrogate choice (spec / kind string / mapping);
-        ``spec.surrogate`` on an individual run overrides it.
     global_budget / local_budget:
         Acquisition evaluation caps of the DIRECT-L and COBYLA stages of
         :func:`~repro.bo.propose.acquisition_search`, which each iteration
@@ -73,8 +69,6 @@ class SequentialBO(BOEngine):
         local_budget: int = DEFAULT_LOCAL_BUDGET,
         stop_on_failure: bool = False,
         seed: SeedLike = None,
-        *,
-        surrogate: SurrogateLike = None,
     ) -> None:
         if acquisition not in ACQUISITIONS:
             raise ValueError(
@@ -91,7 +85,7 @@ class SequentialBO(BOEngine):
         self.kappa = float(kappa)
         super().__init__(
             ard, noise_variance, tune_every, n_restarts, global_budget,
-            local_budget, stop_on_failure, seed, surrogate
+            local_budget, stop_on_failure, seed
         )
 
     def _n_iterations(self, spec: RunSpec, n_init: int) -> int:

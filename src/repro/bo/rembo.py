@@ -33,7 +33,6 @@ from repro.embedding.dimension_selection import (
     select_embedding_dimension,
 )
 from repro.embedding.random_embedding import RandomEmbedding
-from repro.gp.surrogate import SurrogateLike
 from repro.utils.rng import SeedLike
 
 
@@ -69,9 +68,6 @@ class RemboBO(BatchBO):
         Acquisition evaluation caps of the DIRECT-L and COBYLA stages of
         :func:`~repro.bo.propose.acquisition_search`, per weight, in the
         embedded box.
-    surrogate:
-        Engine-level surrogate choice (spec / kind string / mapping);
-        ``spec.surrogate`` on an individual run overrides it.
     stop_on_failure:
         Stop before the next iteration once any observation so far, the
         initial data included, is below ``spec.threshold``.
@@ -96,13 +92,10 @@ class RemboBO(BatchBO):
         local_budget: int = DEFAULT_LOCAL_BUDGET,
         stop_on_failure: bool = False,
         seed: SeedLike = None,
-        *,
-        surrogate: SurrogateLike = None,
     ) -> None:
         super().__init__(
             batch_size, weights, ard, noise_variance, tune_every, n_restarts,
             global_budget, local_budget, stop_on_failure, seed,
-            surrogate=surrogate,
         )
         if embedding_dim is not None and embedding_dim < 1:
             raise ValueError(f"embedding_dim must be >= 1, got {embedding_dim}")

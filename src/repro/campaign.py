@@ -25,6 +25,9 @@ keyword-only, validated description of one campaign that both
 :class:`Campaign` and the ``repro.serve`` scheduler consume through the
 single :func:`run_campaign_spec` code path.  ``Campaign`` is a thin
 convenience wrapper over a spec; the scheduler submits specs directly.
+The surrogate model belongs to the run, not to the wiring:
+``RunSpec(surrogate={"kind": "sparse", "m": 256})`` is the one place a
+campaign chooses it.
 
 The run opens the root ``campaign`` span (every engine span nests under
 it), materializes/owns the telemetry lifecycle when handed a
@@ -41,7 +44,6 @@ from typing import Any, Callable, Union
 
 from repro.bo.engine import EngineProtocol, RunSpec
 from repro.bo.records import RunResult
-from repro.gp.surrogate import SurrogateLike, coerce_surrogate_spec
 from repro.runtime.broker import RuntimePolicy
 from repro.runtime.objective import Objective, require_objective
 from repro.telemetry.config import (
@@ -115,12 +117,6 @@ class CampaignSpec:
     priority:
         Scheduler queue priority; higher runs first.  Ignored by
         :class:`Campaign`.
-    surrogate:
-        Campaign-level surrogate choice (spec / kind string / field
-        mapping, see :func:`~repro.gp.surrogate.make_surrogate`).  Applied
-        to runs whose :class:`RunSpec` does not pick its own surrogate;
-        validated here so an unknown kind fails at construction with an
-        error naming the allowed ones.
     """
 
     objective: Objective
@@ -131,13 +127,9 @@ class CampaignSpec:
     seed: SeedLike = None
     name: str = "campaign"
     priority: int = 0
-    surrogate: SurrogateLike = None
 
     def __post_init__(self) -> None:
         require_objective(self.objective, "CampaignSpec")
-        object.__setattr__(
-            self, "surrogate", coerce_surrogate_spec(self.surrogate)
-        )
         if not isinstance(self.engine, EngineProtocol) and not callable(
             self.engine
         ):
@@ -193,8 +185,6 @@ def run_campaign_spec(
     telemetry without rebuilding specs.
     """
     spec = run_spec if run_spec is not None else cspec.run_spec
-    if cspec.surrogate is not None and spec.surrogate is None:
-        spec = replace(spec, surrogate=cspec.surrogate)
     pol = policy if policy is not None else cspec.policy
     tele_like = telemetry if telemetry is not None else cspec.telemetry
     engine = cspec.make_engine()
@@ -255,7 +245,6 @@ class Campaign:
         telemetry: TelemetryLike = None,
         seed: SeedLike = None,
         name: str = "campaign",
-        surrogate: SurrogateLike = None,
     ) -> None:
         require_objective(objective, "Campaign")
         if not isinstance(engine, EngineProtocol):
@@ -270,7 +259,6 @@ class Campaign:
             telemetry=telemetry,
             seed=seed,
             name=name,
-            surrogate=surrogate,
         )
 
     @property

@@ -12,7 +12,6 @@ from repro.gp.surrogate import (
     SurrogateSpec,
     coerce_surrogate_spec,
     make_surrogate,
-    surrogate_kind_of,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "make_surrogate",
     "select_inducing_points",
     "Standardizer",
-    "surrogate_kind_of",
 ]

@@ -20,14 +20,14 @@ That identity is what the 1e-8 equivalence harness in
 superset of the exact one rather than a silently different model.
 
 Inducing points are initialized from per-dimension data quantiles and
-refined by a few deterministic Lloyd (k-means) iterations — no RNG, so
-ledger replay and campaign resume stay bitwise.  Incremental
-:meth:`SparseGaussianProcess.add_data` extends the cached factors in
-O(k m² + m³) and re-selects the inducing set only when coverage degrades:
-a new point whose best normalized kernel correlation to the inducing set
-falls below ``reselect_coverage`` counts as uncovered, and once the
-uncovered fraction of the dataset exceeds ``reselect_fraction`` the
-inducing set is rebuilt from the full data.
+refined by up to :data:`KMEANS_ITERS` deterministic Lloyd (k-means)
+iterations — no RNG, so ledger replay and campaign resume stay bitwise.
+Incremental :meth:`SparseGaussianProcess.add_data` extends the cached
+factors in O(k m² + m³) and re-selects the inducing set only when
+coverage degrades: a new point whose best normalized kernel correlation
+to the inducing set falls below :data:`RESELECT_COVERAGE` counts as
+uncovered, and once the uncovered fraction of the dataset exceeds
+:data:`RESELECT_FRACTION` the inducing set is rebuilt from the full data.
 """
 
 from __future__ import annotations
@@ -45,16 +45,25 @@ from repro.utils.validation import as_matrix, as_vector
 #: Hyperparameters live in log space, so an absolute step is well-scaled.
 _FD_STEP = 1e-4
 
+#: Kernel-correlation floor under which a training point counts as
+#: uncovered by the current inducing set.
+RESELECT_COVERAGE = 0.25
+
+#: Uncovered fraction of the dataset at which :meth:`add_data` rebuilds
+#: the inducing set.
+RESELECT_FRACTION = 0.10
+
+#: Lloyd refinement iterations of inducing-point selection.
+KMEANS_ITERS = 10
+
 
 @shape_contract("X: (n, d), m: k -> (k, d)")
-def select_inducing_points(
-    X: ArrayLike, m: int, n_iters: int = 10
-) -> FloatArray:
+def select_inducing_points(X: ArrayLike, m: int) -> FloatArray:
     """Pick ``m`` inducing points via data quantiles + k-means refinement.
 
     Initialization places point ``i`` at the per-dimension
     ``(i + 0.5) / m`` quantile of the data (a monotone space-filling curve
-    through the empirical marginals), then runs up to ``n_iters``
+    through the empirical marginals), then runs up to :data:`KMEANS_ITERS`
     deterministic Lloyd iterations so the points spread over the actual
     data clusters instead of the quantile diagonal.  Centers that lose all
     members keep their previous position.  No RNG anywhere — the same data
@@ -65,14 +74,12 @@ def select_inducing_points(
     n = X_arr.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
-    if n_iters < 0:
-        raise ValueError(f"n_iters must be >= 0, got {n_iters}")
     if m == n:
         return X_arr.copy()
     levels = (np.arange(m, dtype=float) + 0.5) / m
     Z = np.quantile(X_arr, levels, axis=0)
     x_sq = np.einsum("ij,ij->i", X_arr, X_arr)
-    for _ in range(n_iters):
+    for _ in range(KMEANS_ITERS):
         # assignment step on plain squared Euclidean distance
         d2 = x_sq[:, None] - 2.0 * (X_arr @ Z.T)
         d2 += np.einsum("ij,ij->i", Z, Z)[None, :]
@@ -90,8 +97,8 @@ class SparseGaussianProcess:
     """Inducing-point GP with the same engine-facing surface as the exact GP.
 
     Implements :class:`~repro.gp.surrogate.SurrogateModel`.  Construction
-    mirrors :class:`~repro.gp.model.GaussianProcess` plus the sparse knobs;
-    prefer building instances through
+    mirrors :class:`~repro.gp.model.GaussianProcess` plus the inducing
+    budget; campaigns build instances through
     :func:`~repro.gp.surrogate.make_surrogate`.
 
     Parameters
@@ -108,8 +115,6 @@ class SparseGaussianProcess:
     inducing_points:
         Explicit inducing locations.  When given, ``m`` is ignored and the
         set is never re-selected — used by equivalence and parity tests.
-    reselect_coverage / reselect_fraction / kmeans_iters:
-        Re-selection policy; see the module docstring.
     """
 
     def __init__(
@@ -119,9 +124,6 @@ class SparseGaussianProcess:
         train_noise: bool = True,
         m: int = 256,
         inducing_points: ArrayLike | None = None,
-        reselect_coverage: float = 0.25,
-        reselect_fraction: float = 0.10,
-        kmeans_iters: int = 10,
     ) -> None:
         if noise_variance <= 0:
             raise ValueError(
@@ -129,23 +131,10 @@ class SparseGaussianProcess:
             )
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        if not 0.0 <= reselect_coverage <= 1.0:
-            raise ValueError(
-                f"reselect_coverage must lie in [0, 1], "
-                f"got {reselect_coverage}"
-            )
-        if not 0.0 < reselect_fraction <= 1.0:
-            raise ValueError(
-                f"reselect_fraction must lie in (0, 1], "
-                f"got {reselect_fraction}"
-            )
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
         self.train_noise = bool(train_noise)
         self.m = int(m)
-        self.reselect_coverage = float(reselect_coverage)
-        self.reselect_fraction = float(reselect_fraction)
-        self.kmeans_iters = int(kmeans_iters)
         self._fixed_Z = (
             as_matrix(inducing_points) if inducing_points is not None else None
         )
@@ -301,7 +290,7 @@ class SparseGaussianProcess:
         m_eff = min(self.m, X.shape[0])
         if m_eff == X.shape[0]:
             return X.copy()
-        return select_inducing_points(X, m_eff, n_iters=self.kmeans_iters)
+        return select_inducing_points(X, m_eff)
 
     def _factorize(self) -> None:
         """Full O(n m²) refactorization at the current ``Z`` and theta."""
@@ -369,19 +358,19 @@ class SparseGaussianProcess:
         return np.max(corr, axis=0)
 
     def _count_uncovered(self, Kuf: FloatArray, X: FloatArray) -> int:
-        if self.reselect_coverage <= 0.0 or self._fixed_Z is not None:
+        if self._fixed_Z is not None:
             return 0
-        return int(np.sum(self._coverage(Kuf, X) < self.reselect_coverage))
+        return int(np.sum(self._coverage(Kuf, X) < RESELECT_COVERAGE))
 
     def _monitor_coverage(
         self, Kuf_new: FloatArray, X_new: FloatArray
     ) -> bool:
         """Fold new points into the uncovered count; True means re-select."""
-        if self._fixed_Z is not None or self.reselect_coverage <= 0.0:
+        if self._fixed_Z is not None:
             return False
         assert self._X is not None
         self._n_uncovered += self._count_uncovered(Kuf_new, X_new)
-        return self._n_uncovered > self.reselect_fraction * self._X.shape[0]
+        return self._n_uncovered > RESELECT_FRACTION * self._X.shape[0]
 
     # -- prediction ----------------------------------------------------------
 

@@ -1,24 +1,21 @@
-"""The pluggable surrogate-model layer: protocol, spec, and factory.
+"""The surrogate-model layer: protocol, spec, and factory.
 
 Every BO engine consumes its model through the :class:`SurrogateModel`
 protocol — the exact :class:`~repro.gp.model.GaussianProcess` (O(n³) fit,
 O(n²) memory) and the inducing-point
 :class:`~repro.gp.sparse.SparseGaussianProcess` (O(nm²) fit, O(m²)
 predict) are interchangeable behind it.  Which one a run uses is a
-*declarative* choice carried by :class:`SurrogateSpec`, which travels
-through ``RunSpec`` / ``CampaignSpec`` / the serve job schema and is
-materialized exactly once, by :func:`make_surrogate`.
-
-``kind="auto"`` defers the choice to data volume: the manager builds the
-exact GP while ``n < switch_at`` and switches to the sparse path at the
-threshold, which is what lets long-horizon campaigns outgrow the exact
-Cholesky without a config change.
+*declarative* choice carried by :class:`SurrogateSpec` — a kind and an
+inducing budget ``m`` — set only through ``RunSpec.surrogate`` (a job
+file's top-level ``surrogate`` key fills that field) and materialized
+once per run, by :func:`make_surrogate`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import Protocol, Union, runtime_checkable
 
 import numpy as np
@@ -28,13 +25,10 @@ from repro.gp.model import GaussianProcess, GPPrediction
 from repro.kernels.stationary import Matern52
 
 #: Surrogate kinds :func:`make_surrogate` can build.
-SURROGATE_KINDS = ("exact", "sparse", "auto")
+SURROGATE_KINDS = ("exact", "sparse")
 
 #: Default inducing-point count for the sparse surrogate.
 DEFAULT_INDUCING = 256
-
-#: Default ``n`` at which ``kind="auto"`` switches exact → sparse.
-DEFAULT_SWITCH_AT = 1024
 
 
 @runtime_checkable
@@ -99,34 +93,15 @@ class SurrogateSpec:
     Parameters
     ----------
     kind:
-        ``"exact"`` (full-rank GP), ``"sparse"`` (inducing-point GP), or
-        ``"auto"`` (exact below ``switch_at`` training points, sparse at
-        or above it).
+        ``"exact"`` (full-rank GP) or ``"sparse"`` (inducing-point GP).
     m:
-        Inducing-point budget for the sparse surrogate; ``None`` means
-        :data:`DEFAULT_INDUCING`.  Clamped to ``n`` at fit time — with
-        ``m >= n`` the sparse model is algebraically the exact GP.
-    switch_at:
-        The ``n`` threshold of ``kind="auto"``.
-    noise_variance:
-        Overrides the caller-side default observation noise when given.
-    reselect_coverage:
-        Kernel-correlation floor under which a training point counts as
-        uncovered by the current inducing set.
-    reselect_fraction:
-        Fraction of uncovered training points that triggers inducing-point
-        re-selection on :meth:`SparseGaussianProcess.add_data`.
-    kmeans_iters:
-        Lloyd refinement iterations for inducing-point selection.
+        Inducing-point budget of the sparse surrogate, an integer >= 1.
+        Clamped to ``n`` at fit time — with ``m >= n`` the sparse model
+        is algebraically the exact GP.  The exact GP ignores it.
     """
 
     kind: str = "exact"
-    m: int | None = None
-    switch_at: int = DEFAULT_SWITCH_AT
-    noise_variance: float | None = None
-    reselect_coverage: float = 0.25
-    reselect_fraction: float = 0.10
-    kmeans_iters: int = 10
+    m: int = DEFAULT_INDUCING
 
     def __post_init__(self) -> None:
         if self.kind not in SURROGATE_KINDS:
@@ -134,51 +109,33 @@ class SurrogateSpec:
                 f"unknown surrogate kind {self.kind!r}; "
                 f"allowed kinds: {', '.join(SURROGATE_KINDS)}"
             )
-        if self.m is not None and self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.switch_at < 1:
-            raise ValueError(f"switch_at must be >= 1, got {self.switch_at}")
-        if self.noise_variance is not None and self.noise_variance <= 0:
-            raise ValueError(
-                f"noise_variance must be positive, got {self.noise_variance}"
-            )
-        if not 0.0 <= self.reselect_coverage <= 1.0:
-            raise ValueError(
-                f"reselect_coverage must lie in [0, 1], got {self.reselect_coverage}"
-            )
-        if not 0.0 < self.reselect_fraction <= 1.0:
-            raise ValueError(
-                f"reselect_fraction must lie in (0, 1], got {self.reselect_fraction}"
-            )
-        if self.kmeans_iters < 0:
-            raise ValueError(
-                f"kmeans_iters must be >= 0, got {self.kmeans_iters}"
-            )
-
-    def resolve_kind(self, n: int) -> str:
-        """The concrete kind ("exact" or "sparse") for an ``n``-point fit."""
-        if self.kind == "auto":
-            return "sparse" if n >= self.switch_at else "exact"
-        return self.kind
+        # bool is an Integral; a float m would silently truncate
+        if (
+            not isinstance(self.m, Integral)
+            or isinstance(self.m, bool)
+            or self.m < 1
+        ):
+            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
 
 
 #: Anything a ``surrogate=`` argument accepts: a spec, a kind string, a
-#: mapping of :class:`SurrogateSpec` fields, or None (caller default).
+#: mapping of :class:`SurrogateSpec` fields, or None (the exact GP).
 SurrogateLike = Union["SurrogateSpec", str, Mapping, None]
 
 _SPEC_FIELDS = tuple(f.name for f in fields(SurrogateSpec))
 
 
-def coerce_surrogate_spec(value: SurrogateLike) -> SurrogateSpec | None:
-    """Normalize a ``surrogate=`` argument into a validated spec (or None).
+def coerce_surrogate_spec(value: SurrogateLike) -> SurrogateSpec:
+    """Normalize a ``surrogate=`` argument into a validated spec.
 
-    Strings name a kind (``"sparse"``); mappings supply
-    :class:`SurrogateSpec` fields (``{"kind": "sparse", "m": 256}``).
+    None is the exact GP; strings name a kind (``"sparse"``); mappings
+    supply :class:`SurrogateSpec` fields (``{"kind": "sparse", "m": 256}``).
     Unknown kinds and unknown keys raise ``ValueError`` naming the allowed
     values.
     """
     if value is None:
-        return None
+        return SurrogateSpec()
     if isinstance(value, SurrogateSpec):
         return value
     if isinstance(value, str):
@@ -204,70 +161,45 @@ def make_surrogate(
     *,
     ard: bool = True,
     noise_variance: float = 1e-4,
-    n: int | None = None,
 ) -> SurrogateModel:
     """Materialize one surrogate model from a declarative spec.
 
     This is the single construction path the engines use — direct
     ``GaussianProcess(...)`` calls remain supported for library users, but
-    everything reachable from ``RunSpec``/``CampaignSpec``/job files goes
-    through here so new surrogate kinds are one registry entry away.
+    everything reachable from ``RunSpec`` and job files goes through here.
 
     Parameters
     ----------
     spec:
         A :class:`SurrogateSpec`, kind string, field mapping, or None
-        (exact GP with library defaults).
+        (exact GP).
     dim:
         Input dimensionality the kernel is built for.
     ard:
         One Matérn-5/2 lengthscale per input dimension (the default), or
         one shared lengthscale.
     noise_variance:
-        Observation noise, unless the spec overrides it.
-    n:
-        Current training-set size, used to resolve ``kind="auto"``
-        (``None`` counts as 0, i.e. exact).
+        Observation noise.
     """
-    resolved = coerce_surrogate_spec(spec) or SurrogateSpec()
+    resolved = coerce_surrogate_spec(spec)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    kind = resolved.resolve_kind(0 if n is None else int(n))
     kernel = Matern52(dim=dim, ard=ard)
-    noise = (
-        resolved.noise_variance
-        if resolved.noise_variance is not None
-        else noise_variance
-    )
-    if kind == "exact":
-        return GaussianProcess(kernel, noise_variance=noise)
+    if resolved.kind == "exact":
+        return GaussianProcess(kernel, noise_variance=noise_variance)
     from repro.gp.sparse import SparseGaussianProcess
 
     return SparseGaussianProcess(
-        kernel,
-        noise_variance=noise,
-        m=resolved.m if resolved.m is not None else DEFAULT_INDUCING,
-        reselect_coverage=resolved.reselect_coverage,
-        reselect_fraction=resolved.reselect_fraction,
-        kmeans_iters=resolved.kmeans_iters,
+        kernel, noise_variance=noise_variance, m=resolved.m
     )
-
-
-def surrogate_kind_of(model: SurrogateModel) -> str:
-    """The spec-level kind string a live model corresponds to."""
-    from repro.gp.sparse import SparseGaussianProcess
-
-    return "sparse" if isinstance(model, SparseGaussianProcess) else "exact"
 
 
 __all__ = [
     "DEFAULT_INDUCING",
-    "DEFAULT_SWITCH_AT",
     "SURROGATE_KINDS",
     "SurrogateLike",
     "SurrogateModel",
     "SurrogateSpec",
     "coerce_surrogate_spec",
     "make_surrogate",
-    "surrogate_kind_of",
 ]

@@ -23,18 +23,20 @@ Job schema (all keys optional except ``name``, ``testbench``,
     }
 
 ``threshold: "auto"`` resolves to the testbench's specified threshold
-for ``measure``.  ``surrogate`` picks the GP surrogate — a kind string
-(``"exact"`` / ``"sparse"`` / ``"auto"``) or a table of
-:class:`~repro.gp.surrogate.SurrogateSpec` fields; it is validated at
-load time so a typo'd kind rejects the job file, not the running
-campaign.  For the same reason the ``engine`` table's keys are checked
-against the engine constructor's parameters at load time.  Every engine
-parameter takes a value, so a job file can set each of them — the
-acquisition caps ``global_budget`` / ``local_budget`` and the kernel's
-``ard`` flag included.  Engines are
-registered as *factories*: every (re)submission constructs a pristine
-solver, which is what makes ``--resume`` replay an interrupted campaign
-bitwise.
+for ``measure``.  ``surrogate`` picks the GP surrogate and fills the
+run's ``RunSpec.surrogate`` — a kind string (``"exact"`` / ``"sparse"``)
+or a table of :class:`~repro.gp.surrogate.SurrogateSpec` fields
+(``kind`` and the integer inducing budget ``m``).  Everything is
+validated at load time, so a bad value rejects the job file, not the
+running campaign: the surrogate, the ``engine`` table's keys (checked
+against the engine constructor's parameters) and their values (one
+engine is built and discarded); :func:`load_jobs` reports a rejected
+job as a ``ValueError`` that names its file.  Every engine parameter
+takes a value, so a job file can set each of them — the acquisition caps
+``global_budget`` / ``local_budget`` and the kernel's ``ard`` flag
+included.  Engines are registered as *factories*: every (re)submission
+constructs a pristine solver, which is what makes ``--resume`` replay an
+interrupted campaign bitwise.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from repro.bo.engine import EngineProtocol, RunSpec
 from repro.bo.loop import SequentialBO
 from repro.bo.rembo import RemboBO
 from repro.campaign import CampaignSpec
-from repro.gp.surrogate import coerce_surrogate_spec
 from repro.runtime.faults import (
     DelayObjective,
     FaultInjectingObjective,
@@ -109,6 +110,7 @@ def _engine_factory(
         )
     if "seed" not in cfg and default_seed is not None:
         cfg["seed"] = default_seed
+    ctor(**cfg)  # a bad value fails here, at load, not when the job runs
     # a fresh solver per call: resubmission/resume must never reuse
     # internal state an earlier run advanced
     return lambda: ctor(**cfg)
@@ -157,11 +159,9 @@ def build_spec(payload: dict[str, Any]) -> CampaignSpec:
         raise ValueError(f"unknown run keys: {sorted(unknown_run)}")
     if run_cfg.get("threshold") == "auto":
         run_cfg["threshold"] = bench.threshold(measure)
-    run_spec = RunSpec(bounds=bench.bounds(), **run_cfg)
-
-    # fail fast on a bad surrogate table: coercion raises the ValueError
-    # naming the allowed kinds before the job enters the queue
-    surrogate = coerce_surrogate_spec(payload.get("surrogate"))
+    run_spec = RunSpec(
+        bounds=bench.bounds(), surrogate=payload.get("surrogate"), **run_cfg
+    )
 
     return CampaignSpec(
         objective=objective,
@@ -170,7 +170,6 @@ def build_spec(payload: dict[str, Any]) -> CampaignSpec:
         seed=seed,
         name=str(name),
         priority=int(payload.get("priority", 0)),
-        surrogate=surrogate,
     )
 
 
@@ -218,7 +217,10 @@ def load_jobs(paths: list[str | Path]) -> list[CampaignSpec]:
     specs: list[CampaignSpec] = []
     for file in files:
         for payload in _load_payloads(file):
-            specs.append(build_spec(payload))
+            try:
+                specs.append(build_spec(payload))
+            except (TypeError, ValueError) as exc:  # a bad value in the file
+                raise ValueError(f"{file}: {exc}") from exc
     if not specs:
         raise ValueError(f"no jobs found under {', '.join(map(str, paths))}")
     return specs

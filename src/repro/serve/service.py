@@ -12,6 +12,9 @@ file exists are skipped, campaigns with a partial ledger are resumed
 bitwise, everything else runs fresh — all against the same persistent
 cache directory, so nothing already simulated is ever simulated again.
 
+Every job is validated before any campaign starts; a rejected job file
+is a usage error, reported as one line on stderr with exit status 2.
+
 ``--selftest`` is the one-command CI smoke for the whole service
 contract: run two tiny campaigns to completion as a baseline, run them
 again in a second directory, simulate a mid-flight kill (truncate every
@@ -233,7 +236,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not args.jobs:
         parser.error("pass at least one job file/directory (or --selftest)")
 
-    specs = load_jobs(args.jobs)
+    try:
+        specs = load_jobs(args.jobs)
+    except (OSError, ValueError) as exc:
+        # a rejected job file is a usage error: no campaign runs
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     runs_dir = Path(args.runs_dir)
     cache_dir = Path(args.cache) if args.cache else runs_dir / "cache"
     runs_dir.mkdir(parents=True, exist_ok=True)

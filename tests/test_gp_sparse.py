@@ -7,22 +7,27 @@ The load-bearing suite for the surrogate layer:
 * incremental ``add_data`` against a fixed inducing set must match a
   fresh fit bitwise-tight,
 * inducing-point selection is deterministic (no RNG),
-* ``surrogate=`` threads through RunSpec / Campaign / serve jobs, and a
+* a run chooses its surrogate only through ``RunSpec.surrogate`` (a
+  serve job's ``surrogate`` key fills it), a ``kind`` and an integer
+  inducing budget ``m``; its ``gp_fit`` spans name the kind, and a
   sparse-surrogate campaign resumes from its ledger bitwise-identically.
 """
 
 from __future__ import annotations
 
+import inspect
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.bo.engine import RunSpec, SurrogateManager
+from repro.bo import BatchBO, SequentialBO
+from repro.bo.engine import BOEngine, RunSpec, SurrogateManager
 from repro.bo.rembo import RemboBO
-from repro.campaign import Campaign, CampaignSpec, run_campaign_spec
+from repro.campaign import Campaign, CampaignSpec
 from repro.circuits.behavioral.uvlo import UVLOTestbench
 from repro.gp import (
+    SURROGATE_KINDS,
     GaussianProcess,
     MarginalLikelihoodEvaluator,
     SparseGaussianProcess,
@@ -32,11 +37,11 @@ from repro.gp import (
     fit_hyperparameters,
     make_surrogate,
     select_inducing_points,
-    surrogate_kind_of,
 )
 from repro.kernels import Matern52
 from repro.runtime import RunLedger, RuntimePolicy, resume
 from repro.serve.jobs import build_spec
+from repro.telemetry import TelemetryConfig, read_trace
 
 EQ_TOL = 1e-8  # the m = n equivalence gate
 
@@ -78,8 +83,6 @@ class TestInducingSelection:
             select_inducing_points(X, 0)
         with pytest.raises(ValueError):
             select_inducing_points(X, 6)
-        with pytest.raises(ValueError):
-            select_inducing_points(X, 2, n_iters=-1)
 
 
 class TestExactEquivalence:
@@ -183,9 +186,9 @@ class TestIncremental:
         # fill the inducing budget on one cluster, then append a far-away
         # cluster: every new point is uncovered and the monitor must trip
         X0 = rng.normal(0.0, 0.3, (30, 2))
-        gp = SparseGaussianProcess(
-            Matern52(dim=2), m=8, reselect_coverage=0.5, reselect_fraction=0.1
-        ).fit(X0, rng.standard_normal(30))
+        gp = SparseGaussianProcess(Matern52(dim=2), m=8).fit(
+            X0, rng.standard_normal(30)
+        )
         assert gp.n_reselections == 0
         X_far = rng.normal(50.0, 0.3, (10, 2))
         gp.add_data(X_far, rng.standard_normal(10))
@@ -258,22 +261,18 @@ class TestModelSurface:
             SparseGaussianProcess(Matern52(dim=2), noise_variance=0.0)
         with pytest.raises(ValueError):
             SparseGaussianProcess(Matern52(dim=2), m=0)
-        with pytest.raises(ValueError):
-            SparseGaussianProcess(Matern52(dim=2), reselect_coverage=1.5)
-        with pytest.raises(ValueError):
-            SparseGaussianProcess(Matern52(dim=2), reselect_fraction=0.0)
 
 
 class TestSpecAndFactory:
     def test_coercion_forms(self):
-        assert coerce_surrogate_spec(None) is None
+        assert coerce_surrogate_spec(None) == SurrogateSpec(kind="exact")
         assert coerce_surrogate_spec("sparse").kind == "sparse"
         spec = coerce_surrogate_spec({"kind": "sparse", "m": 32})
         assert spec.m == 32
         assert coerce_surrogate_spec(spec) is spec
 
     def test_unknown_kind_names_allowed(self):
-        with pytest.raises(ValueError, match="exact, sparse, auto"):
+        with pytest.raises(ValueError, match="allowed kinds: exact, sparse$"):
             coerce_surrogate_spec("bogus")
 
     def test_unknown_keys_rejected(self):
@@ -284,46 +283,43 @@ class TestSpecAndFactory:
         with pytest.raises(TypeError):
             coerce_surrogate_spec(42)
 
-    def test_auto_resolution(self):
-        spec = SurrogateSpec(kind="auto", switch_at=100)
-        assert spec.resolve_kind(99) == "exact"
-        assert spec.resolve_kind(100) == "sparse"
-        assert SurrogateSpec(kind="sparse").resolve_kind(1) == "sparse"
+    def test_spec_is_a_kind_and_a_budget(self):
+        assert SURROGATE_KINDS == ("exact", "sparse")
+        assert list(SurrogateSpec.__dataclass_fields__) == ["kind", "m"]
+
+    @pytest.mark.parametrize(
+        "surrogate, allowed",
+        [
+            ("auto", "allowed kinds: exact, sparse"),
+            ({"kind": "sparse", "switch_at": 10}, "allowed keys: kind, m"),
+            ({"kind": "sparse", "noise_variance": 0.5}, "allowed keys: kind, m"),
+            ({"kind": "sparse", "kmeans_iters": 3}, "allowed keys: kind, m"),
+        ],
+    )
+    def test_removed_choices_rejected(self, surrogate, allowed):
+        with pytest.raises(ValueError, match=allowed):
+            RunSpec(surrogate=surrogate)
+
+    @pytest.mark.parametrize("m", [2.5, True, 0, -3, "8", None])
+    def test_m_must_be_a_positive_integer(self, m):
+        # a float would silently truncate and a bool count as 0 or 1
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            coerce_surrogate_spec({"kind": "sparse", "m": m})
+
+    def test_numpy_integer_m_accepted(self):
+        spec = SurrogateSpec(kind="sparse", m=np.int64(32))
+        assert spec.m == 32 and type(spec.m) is int
 
     def test_make_surrogate_kinds(self):
-        assert surrogate_kind_of(make_surrogate("exact", 3)) == "exact"
+        assert isinstance(make_surrogate("exact", 3), GaussianProcess)
         sparse = make_surrogate({"kind": "sparse", "m": 9}, 3)
-        assert surrogate_kind_of(sparse) == "sparse"
+        assert isinstance(sparse, SparseGaussianProcess)
         assert sparse.m == 9
-        assert surrogate_kind_of(make_surrogate(None, 3)) == "exact"
-        auto = make_surrogate(SurrogateSpec(kind="auto", switch_at=10), 3, n=50)
-        assert surrogate_kind_of(auto) == "sparse"
-
-    def test_spec_noise_overrides_caller_default(self):
-        gp = make_surrogate(
-            SurrogateSpec(noise_variance=0.5), 2, noise_variance=1e-4
-        )
-        assert gp.noise_variance == 0.5
+        assert isinstance(make_surrogate(None, 3), GaussianProcess)
 
 
 class TestManagerAutoSwitch:
-    def test_switches_exact_to_sparse_at_threshold(self, rng):
-        manager = SurrogateManager(
-            2,
-            tune_every=10**9,  # isolate the switch from re-tuning
-            surrogate={"kind": "auto", "switch_at": 20, "m": 8},
-        )
-        X = rng.uniform(-1, 1, (15, 2))
-        y = rng.standard_normal(15)
-        assert surrogate_kind_of(manager.refit(X, y)) == "exact"
-        theta_before = manager.model.theta.copy()
-        X2 = np.vstack([X, rng.uniform(-1, 1, (10, 2))])
-        y2 = np.concatenate([y, rng.standard_normal(10)])
-        model = manager.refit(X2, y2)
-        assert surrogate_kind_of(model) == "sparse"
-        assert model.n_inducing == 8
-        # hyperparameters survive the swap
-        np.testing.assert_array_equal(model.theta, theta_before)
+    """The manager builds the spec's model once and never swaps it."""
 
     def test_sparse_spec_builds_sparse_from_start(self, rng):
         manager = SurrogateManager(2, surrogate="sparse")
@@ -331,6 +327,17 @@ class TestManagerAutoSwitch:
             rng.uniform(-1, 1, (10, 2)), rng.standard_normal(10)
         )
         assert isinstance(model, SparseGaussianProcess)
+
+    def test_model_is_built_once(self, rng):
+        manager = SurrogateManager(
+            2, tune_every=10**9, surrogate={"kind": "sparse", "m": 4}
+        )
+        model = manager.model
+        X = rng.uniform(-1, 1, (30, 2))
+        y = rng.standard_normal(30)
+        assert manager.refit(X[:10], y[:10]) is model
+        assert manager.refit(X, y) is model
+        assert model.n_inducing == 4
 
 
 def uvlo_engine(seed=11):
@@ -353,17 +360,14 @@ class TestEngineThreading:
     def test_runspec_coerces_surrogate(self):
         spec = RunSpec(surrogate="sparse")
         assert isinstance(spec.surrogate, SurrogateSpec)
+        assert RunSpec().surrogate == SurrogateSpec(kind="exact")
         with pytest.raises(ValueError, match="allowed kinds"):
             RunSpec(surrogate="bogus")
 
-    def test_campaign_spec_validates_surrogate(self):
-        bench = UVLOTestbench()
-        with pytest.raises(ValueError, match="allowed kinds"):
-            CampaignSpec(
-                objective=bench.objective("delta_vthl"),
-                engine=uvlo_engine(),
-                surrogate="bogus",
-            )
+    def test_runspec_is_the_only_choice(self):
+        for owner in (SequentialBO, BatchBO, RemboBO, BOEngine, Campaign):
+            assert "surrogate" not in inspect.signature(owner).parameters
+        assert "surrogate" not in CampaignSpec.__dataclass_fields__
 
     def test_uvlo_campaign_runs_sparse(self):
         bench = UVLOTestbench()
@@ -374,17 +378,27 @@ class TestEngineThreading:
         assert out.run.n_evaluations == 14  # 6 init + 2 batches of 4
         assert out.spec.surrogate.kind == "sparse"
 
-    def test_campaign_level_surrogate_applies_to_runs(self):
+    @pytest.mark.parametrize(
+        "surrogate, n_inducing",
+        [(None, None), ({"kind": "sparse", "m": 5}, 5)],
+    )
+    def test_gp_fit_spans_name_the_surrogate(
+        self, tmp_path, surrogate, n_inducing
+    ):
         bench = UVLOTestbench()
-        cspec = CampaignSpec(
-            objective=bench.objective("delta_vthl"),
-            engine=lambda: uvlo_engine(),
-            run_spec=uvlo_run_spec(bench),
+        trace_path = tmp_path / "t.jsonl"
+        Campaign(
+            bench.objective("delta_vthl"),
+            uvlo_engine(),
             seed=11,
-            surrogate={"kind": "sparse", "m": 16},
-        )
-        out = run_campaign_spec(cspec)
-        assert out.spec.surrogate.m == 16
+            telemetry=TelemetryConfig(trace_path=trace_path),
+        ).run(uvlo_run_spec(bench, surrogate=surrogate))
+        spans = read_trace(trace_path).named("gp_fit")
+        assert len(spans) == 2  # one per batch, each fit on n >= 6 > m
+        for span in spans:
+            kind = "exact" if n_inducing is None else "sparse"
+            assert span.attrs["surrogate"] == kind
+            assert span.attrs.get("n_inducing") == n_inducing
 
     def test_sparse_campaign_matches_m_equals_n_exact(self):
         # with m >= every n the campaign sees, the sparse surrogate is the
@@ -410,9 +424,25 @@ class TestEngineThreading:
             "surrogate": {"kind": "sparse", "m": 32},
         }
         cspec = build_spec(payload)
-        assert cspec.surrogate.m == 32
+        assert cspec.run_spec.surrogate.m == 32
         payload["surrogate"] = "bogus"
         with pytest.raises(ValueError, match="allowed kinds"):
+            build_spec(payload)
+
+    def test_serve_job_rejects_removed_choices(self):
+        payload = {
+            "name": "sparse-job",
+            "testbench": "uvlo",
+            "engine": {"kind": "rembo", "batch_size": 4},
+            "surrogate": "auto",
+        }
+        with pytest.raises(ValueError, match="allowed kinds: exact, sparse"):
+            build_spec(payload)
+        del payload["surrogate"]
+        payload["engine"]["surrogate"] = "sparse"
+        with pytest.raises(
+            ValueError, match=r"\['surrogate'\]; allowed: .*'batch_size'"
+        ):
             build_spec(payload)
 
     def test_ledger_resume_bitwise_identical(self, tmp_path):

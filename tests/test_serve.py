@@ -34,6 +34,7 @@ from repro.runtime.objective import FunctionObjective
 from repro.runtime.replay import truncate_mid_run, verify_replay
 from repro.sampling.monte_carlo import MonteCarloSampler
 from repro.serve import CampaignScheduler, build_spec, load_jobs
+from repro.serve.service import main as serve_main
 
 
 def bowl_objective(dim: int = 2) -> FunctionObjective:
@@ -268,6 +269,35 @@ class TestJobs:
         ):
             build_spec(self._payload(engine=engine))
 
+    @pytest.mark.parametrize(
+        "engine, message",
+        [
+            ({"kind": "sequential", "acquisition": "bogus"}, "unknown acquisition"),
+            ({"kind": "rembo", "batch_size": 0}, "batch_size must be >= 1"),
+        ],
+    )
+    def test_bad_engine_values_rejected_at_load(self, engine, message):
+        with pytest.raises(ValueError, match=message):
+            build_spec(self._payload(engine=engine))
+
+    def test_cli_reports_rejected_job_file_as_usage_error(self, tmp_path, capsys):
+        good = tmp_path / "a.json"
+        good.write_text(json.dumps(self._payload(name="a")), encoding="utf-8")
+        bad = tmp_path / "b.json"
+        bad.write_text(
+            json.dumps(
+                self._payload(name="b", engine={"kind": "rembo", "batch_size": 0})
+            ),
+            encoding="utf-8",
+        )
+        runs_dir = tmp_path / "runs"
+        assert serve_main([str(good), str(bad), "--runs-dir", str(runs_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"{bad}: batch_size must be >= 1" in err
+        assert not runs_dir.exists()  # no campaign ran, the good one included
+
     def test_every_engine_parameter_is_a_job_key(self):
         engine = {
             "kind": "rembo",
@@ -294,6 +324,21 @@ class TestJobs:
             )
         specs = load_jobs([tmp_path])
         assert [s.name for s in specs] == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {"faults": {"bogus": 1}},
+            {"surrogate": 42},
+            {"run": {"n_init": "six"}},
+            {"engine": {"kind": "rembo"}},  # batch_size is required
+        ],
+    )
+    def test_load_jobs_rejects_a_bad_value_naming_the_file(self, tmp_path, over):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(self._payload(**over)), encoding="utf-8")
+        with pytest.raises(ValueError, match="job.json: "):
+            load_jobs([job])
 
     def test_eval_delay_wraps_objective(self):
         spec = build_spec(self._payload(eval_delay_seconds=0.01))
