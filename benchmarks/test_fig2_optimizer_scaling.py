@@ -6,8 +6,6 @@ super-linearly with the dimension — the Section 3 motivation for dimension
 reduction.  This bench regenerates the two series and asserts the shape.
 """
 
-import numpy as np
-
 from benchmarks.conftest import run_once
 from repro.experiments import optimizer_scaling
 from repro.utils import render_table

@@ -7,8 +7,6 @@ UVLO, d̃=30 for the LDO).  The *shape* to reproduce: high MSE at tiny d,
 flattening somewhere well below the full dimensionality.
 """
 
-import numpy as np
-
 from benchmarks.conftest import run_once
 from repro.circuits.behavioral import LDOTestbench, UVLOTestbench
 from repro.experiments import dimension_selection_curve, ldo_config, uvlo_config

@@ -8,9 +8,12 @@ returns rows for the benchmark harness:
 * :func:`acquisition_weight_ablation` — the multi-weight pBO batch versus
   a single-weight LCB batch (DESIGN choice 2).
 * :func:`projection_ablation` — the clip projection ``p_Ω`` versus
-  rejecting out-of-box images (DESIGN choice 3).
+  ray-rescaling out-of-box images (DESIGN choice 3).
 * :func:`kernel_ablation` — ARD versus isotropic kernels in the embedded
   space (DESIGN choice 4).
+
+Every variant is the "This work" table cell with constructor overrides,
+run by :func:`~repro.experiments.methods.run_method`.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bo.engine import RunSpec
 from repro.bo.records import RunResult
-from repro.bo.rembo import RemboBO
 from repro.circuits.behavioral.base import CircuitTestbench
+from repro.embedding.random_embedding import RandomEmbedding
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.methods import shared_initial_data
+from repro.experiments.methods import run_method, shared_initial_data
 
 
 @dataclass
@@ -49,36 +51,6 @@ def _summary_row(variant: str, result: RunResult, threshold: float) -> AblationR
     )
 
 
-def _run_rembo(
-    testbench: CircuitTestbench,
-    spec_name: str,
-    cfg: ExperimentConfig,
-    initial_data,
-    **overrides,
-) -> RunResult:
-    kwargs = dict(
-        batch_size=cfg.batch_size,
-        embedding_dim=cfg.embedding_dim,
-        ard=cfg.ard,
-        noise_variance=cfg.noise_variance,
-        tune_every=cfg.tune_every_batch,
-        global_budget=cfg.global_budget,
-        local_budget=cfg.local_budget,
-        seed=cfg.seed,
-    )
-    kwargs.update(overrides)
-    engine = RemboBO(**kwargs)
-    return engine.solve(
-        objective=testbench.objective(spec_name),
-        spec=RunSpec(
-            bounds=testbench.bounds(),
-            n_batches=cfg.n_batches,
-            threshold=testbench.threshold(spec_name),
-            initial_data=initial_data,
-        ),
-    )
-
-
 def embedding_dimension_sweep(
     testbench: CircuitTestbench,
     spec_name: str,
@@ -93,8 +65,8 @@ def embedding_dimension_sweep(
     threshold = testbench.threshold(spec_name)
     rows = []
     for d in dims:
-        result = _run_rembo(
-            testbench, spec_name, cfg, initial, embedding_dim=int(d)
+        result = run_method(
+            "This work", testbench, spec_name, cfg, initial, embedding_dim=int(d)
         )
         rows.append(_summary_row(f"d={d}", result, threshold))
     return rows
@@ -108,8 +80,9 @@ def acquisition_weight_ablation(
     """Multi-weight pBO ladder versus a single repeated LCB-style weight."""
     initial = shared_initial_data(testbench, spec_name, cfg)
     threshold = testbench.threshold(spec_name)
-    multi = _run_rembo(testbench, spec_name, cfg, initial)
-    single = _run_rembo(
+    multi = run_method("This work", testbench, spec_name, cfg, initial)
+    single = run_method(
+        "This work",
         testbench,
         spec_name,
         cfg,
@@ -130,8 +103,8 @@ def kernel_ablation(
     """ARD versus isotropic Matérn-5/2 in the embedded space."""
     initial = shared_initial_data(testbench, spec_name, cfg)
     threshold = testbench.threshold(spec_name)
-    iso = _run_rembo(testbench, spec_name, cfg, initial, ard=False)
-    ard = _run_rembo(testbench, spec_name, cfg, initial, ard=True)
+    iso = run_method("This work", testbench, spec_name, cfg, initial, ard=False)
+    ard = run_method("This work", testbench, spec_name, cfg, initial, ard=True)
     return [
         _summary_row("isotropic Matern-5/2", iso, threshold),
         _summary_row("ARD Matern-5/2", ard, threshold),
@@ -148,30 +121,26 @@ def projection_ablation(
     Ray rescaling maps ``A z`` outside Ω to the boundary point along the
     ray from the origin, ``x = A z / ‖A z‖_∞`` — it keeps iterates inside
     Ω but destroys the coordinate-wise saturation (corner concentration)
-    that clipping provides.
+    that clipping provides.  The variant replaces
+    :meth:`RandomEmbedding.project`, the map the campaign loop simulates
+    its proposals through, for the length of one run.
     """
     initial = shared_initial_data(testbench, spec_name, cfg)
     threshold = testbench.threshold(spec_name)
-    clip = _run_rembo(testbench, spec_name, cfg, initial)
+    clip = run_method("This work", testbench, spec_name, cfg, initial)
 
-    from repro.embedding.random_embedding import RandomEmbedding
-
-    original_to_original = RandomEmbedding.to_original
+    project = RandomEmbedding.project
 
     def ray_rescaled(self, Z):
-        Z_arr = np.asarray(Z, dtype=float)
-        single = Z_arr.ndim == 1
-        Z_mat = Z_arr[None, :] if single else Z_arr
-        raw = Z_mat @ self.matrix.T
-        scale = np.maximum(np.abs(raw).max(axis=1, keepdims=True), 1.0)
-        X = raw / scale
-        return X[0] if single else X
+        raw = np.asarray(Z, dtype=float) @ self.matrix.T
+        X = raw / np.maximum(np.abs(raw).max(axis=-1, keepdims=True), 1.0)
+        return X, float(np.mean(raw != X))
 
-    RandomEmbedding.to_original = ray_rescaled
+    RandomEmbedding.project = ray_rescaled
     try:
-        rescale = _run_rembo(testbench, spec_name, cfg, initial)
+        rescale = run_method("This work", testbench, spec_name, cfg, initial)
     finally:
-        RandomEmbedding.to_original = original_to_original
+        RandomEmbedding.project = project
     return [
         _summary_row("clip projection p_Omega", clip, threshold),
         _summary_row("ray rescaling", rescale, threshold),

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.bo.propose import check_budgets
+from repro.circuits.behavioral import LDOTestbench, UVLOTestbench
 
 
 @dataclass(frozen=True)
@@ -118,3 +119,12 @@ def ldo_config(**overrides) -> ExperimentConfig:
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+#: Testbench name → (testbench class, its paper config): the names a job
+#: file's ``testbench`` and ``python -m repro.runtime.replay --testbench``
+#: accept.
+TESTBENCHES = {
+    "uvlo": (UVLOTestbench, uvlo_config),
+    "ldo": (LDOTestbench, ldo_config),
+}

@@ -1,15 +1,21 @@
-"""Method registry: every row of the paper's Tables 1-2 as a runnable.
+"""Method registry: every row of the paper's Tables 1-2 as a campaign.
 
 ``build_engine(name, cfg)`` constructs the engine/sampler behind one table
-row; ``run_method(name, ...)`` executes one (method, spec) cell through the
-shared :meth:`solve` entry point and returns the full :class:`RunResult`;
-``METHOD_ORDER`` fixes the paper's row order.  All BO methods share the
-same initial dataset (as the paper's setups do) and the same
-acquisition-evaluation caps; the proposed method differs only by operating
-through the random embedding.
+row; ``method_campaign(name, ...)`` describes one (method, spec) cell as a
+:class:`~repro.campaign.CampaignSpec`, and ``run_method(name, ...)`` runs
+that cell through :func:`~repro.campaign.run_campaign_spec` and returns
+the full :class:`RunResult`.  Table cells, ablation variants and service
+jobs (:mod:`repro.serve.jobs`) are all built here.  ``METHOD_ORDER`` fixes
+the paper's row order.  All BO methods share the same initial dataset (as
+the paper's setups do) and the same acquisition-evaluation caps; the
+proposed method differs only by operating through the random embedding.
 """
 
 from __future__ import annotations
+
+import functools
+import inspect
+from typing import Any
 
 import numpy as np
 
@@ -18,6 +24,7 @@ from repro.bo.engine import EngineProtocol, RunSpec, uniform_initial_design
 from repro.bo.loop import SequentialBO
 from repro.bo.records import RunResult
 from repro.bo.rembo import RemboBO
+from repro.campaign import CampaignSpec, run_campaign_spec
 from repro.circuits.behavioral.base import CircuitTestbench
 from repro.experiments.config import ExperimentConfig
 from repro.runtime.broker import EvaluationBroker, RuntimePolicy
@@ -31,54 +38,56 @@ METHOD_ORDER = ("MC", "SSS", "EI", "PI", "LCB", "pBO", "This work")
 
 
 def build_engine(
-    name: str, cfg: ExperimentConfig, seed: SeedLike = None
+    name: str, cfg: ExperimentConfig, seed: SeedLike = None, **overrides: Any
 ) -> EngineProtocol:
     """Construct the engine/sampler behind one :data:`METHOD_ORDER` row.
 
-    The returned object satisfies :class:`EngineProtocol`; run it via
-    ``solve(objective=..., spec=...)`` or hand it to a
-    :class:`~repro.campaign.Campaign`.
+    ``cfg`` supplies the constructor arguments and, unless ``seed`` is
+    given, the seed.  ``overrides`` replace constructor arguments by name
+    (an ablation's variant, a job file's ``engine`` table); one the
+    engine's constructor does not take raises a ``ValueError`` naming the
+    allowed keys.  The returned object satisfies :class:`EngineProtocol`.
     """
-    seed = cfg.seed if seed is None else seed
+    search: dict[str, Any] = dict(
+        ard=cfg.ard,
+        noise_variance=cfg.noise_variance,
+        global_budget=cfg.global_budget,
+        local_budget=cfg.local_budget,
+    )
+    ctor: Any
+    kwargs: dict[str, Any]
     if name == "MC":
-        return MonteCarloSampler(cfg.mc_samples, seed=seed)
-    if name == "SSS":
-        return ScaledSigmaSampler(
-            cfg.sss_samples_per_scale, scales=cfg.sss_scales, seed=seed
+        ctor, kwargs = MonteCarloSampler, dict(n_samples=cfg.mc_samples)
+    elif name == "SSS":
+        ctor, kwargs = ScaledSigmaSampler, dict(
+            samples_per_scale=cfg.sss_samples_per_scale, scales=cfg.sss_scales
         )
-    if name in ("EI", "PI", "LCB"):
-        return SequentialBO(
-            acquisition=name.lower(),
-            ard=cfg.ard,
-            noise_variance=cfg.noise_variance,
-            tune_every=cfg.tune_every_sequential,
-            global_budget=cfg.global_budget,
-            local_budget=cfg.local_budget,
-            seed=seed,
+    elif name in ("EI", "PI", "LCB"):
+        ctor, kwargs = SequentialBO, dict(
+            acquisition=name.lower(), tune_every=cfg.tune_every_sequential, **search
         )
-    if name == "pBO":
-        return BatchBO(
-            batch_size=cfg.batch_size,
-            ard=cfg.ard,
-            noise_variance=cfg.noise_variance,
-            tune_every=cfg.tune_every_batch,
-            global_budget=cfg.global_budget,
-            local_budget=cfg.local_budget,
-            seed=seed,
+    elif name == "pBO":
+        ctor, kwargs = BatchBO, dict(
+            batch_size=cfg.batch_size, tune_every=cfg.tune_every_batch, **search
         )
-    if name == "This work":
-        return RemboBO(
+    elif name == "This work":
+        ctor, kwargs = RemboBO, dict(
             batch_size=cfg.batch_size,
             embedding_dim=cfg.embedding_dim,
             dimension_trials=cfg.dimension_trials,
-            ard=cfg.ard,
-            noise_variance=cfg.noise_variance,
             tune_every=cfg.tune_every_batch,
-            global_budget=cfg.global_budget,
-            local_budget=cfg.local_budget,
-            seed=seed,
+            **search,
         )
-    raise ValueError(f"unknown method {name!r}; options: {METHOD_ORDER}")
+    else:
+        raise ValueError(f"unknown method {name!r}; options: {METHOD_ORDER}")
+    allowed = sorted(set(inspect.signature(ctor).parameters) - {"seed"})
+    unknown = sorted(set(overrides) - set(allowed))
+    if unknown:
+        raise ValueError(
+            f"unknown engine keys for {name!r}: {unknown}; allowed: {allowed}"
+        )
+    kwargs.update(overrides)
+    return ctor(seed=cfg.seed if seed is None else seed, **kwargs)
 
 
 def method_spec(
@@ -146,6 +155,29 @@ def shared_initial_data(
     return batch.X, batch.y
 
 
+def method_campaign(
+    name: str,
+    testbench: CircuitTestbench,
+    spec_name: str,
+    cfg: ExperimentConfig,
+    initial_data: tuple[np.ndarray, np.ndarray] | None = None,
+    seed: SeedLike = None,
+    **overrides: Any,
+) -> CampaignSpec:
+    """One (method, spec) cell as a :class:`CampaignSpec`.
+
+    The engine is a :func:`build_engine` factory, so every run of the spec
+    starts from a fresh engine seeded alike; the run is
+    :func:`method_spec`'s.
+    """
+    return CampaignSpec(
+        objective=testbench.objective(spec_name),
+        engine=functools.partial(build_engine, name, cfg, seed, **overrides),
+        run_spec=method_spec(name, testbench, spec_name, cfg, initial_data),
+        name=f"{spec_name}-{name}",
+    )
+
+
 def run_method(
     name: str,
     testbench: CircuitTestbench,
@@ -155,21 +187,24 @@ def run_method(
     seed: SeedLike = None,
     runtime: RuntimePolicy | None = None,
     telemetry: TelemetryLike = None,
+    **overrides: Any,
 ) -> RunResult:
     """Execute one method against one spec and return its evaluation log.
 
-    ``runtime`` threads a shared :class:`RuntimePolicy` (cache / ledger /
-    failure policy) through the method's evaluations; methods sharing a
-    policy never re-simulate a point any of them has already evaluated.
-    ``telemetry`` receives the engine's spans and broker metrics.
+    A BO method without ``initial_data`` first simulates the shared
+    :func:`shared_initial_data`.  ``runtime`` threads a shared
+    :class:`RuntimePolicy` (cache / ledger / failure policy) through the
+    method's evaluations; methods sharing a policy never re-simulate a
+    point any of them has already evaluated.  ``telemetry`` receives the
+    campaign's spans and broker metrics; ``overrides`` go to
+    :func:`build_engine`.
     """
-    objective = testbench.objective(spec_name)
-    engine = build_engine(name, cfg, seed=seed)
+    build_engine(name, cfg, seed, **overrides)  # a bad name fails before D_0
     if name not in ("MC", "SSS") and initial_data is None:
         initial_data = shared_initial_data(
             testbench, spec_name, cfg, runtime=runtime
         )
-    spec = method_spec(name, testbench, spec_name, cfg, initial_data=initial_data)
-    return engine.solve(
-        objective=objective, spec=spec, policy=runtime, telemetry=telemetry
+    cell = method_campaign(
+        name, testbench, spec_name, cfg, initial_data, seed, **overrides
     )
+    return run_campaign_spec(cell, policy=runtime, telemetry=telemetry).run

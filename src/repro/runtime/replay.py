@@ -446,7 +446,9 @@ def _objective_from_args(args: argparse.Namespace) -> Objective:
             obj = obj()
         return require_objective(obj, "--objective")
     if args.testbench:
-        bench = _make_testbench(args.testbench)
+        from repro.experiments.config import TESTBENCHES
+
+        bench: Any = TESTBENCHES[args.testbench][0]()
         if args.fault_rate > 0.0:
             from repro.runtime.faults import FaultInjectingTestbench, FaultPlan
 
@@ -462,19 +464,9 @@ def _objective_from_args(args: argparse.Namespace) -> Objective:
     raise SystemExit("pass --testbench or --objective (or --selftest)")
 
 
-def _make_testbench(name: str):
-    if name == "uvlo":
-        from repro.circuits.behavioral.uvlo import UVLOTestbench
-
-        return UVLOTestbench()
-    if name == "ldo":
-        from repro.circuits.behavioral.ldo import LDOTestbench
-
-        return LDOTestbench()
-    raise SystemExit(f"unknown testbench {name!r}")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    from repro.experiments.config import TESTBENCHES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.runtime.replay",
         description=(
@@ -489,7 +481,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="warm (resume-path cache check), cold (re-execute), or both",
     )
     parser.add_argument(
-        "--testbench", choices=("uvlo", "ldo"),
+        "--testbench", choices=sorted(TESTBENCHES),
         help="rebuild the objective from a named circuit testbench",
     )
     parser.add_argument(

@@ -12,108 +12,59 @@ Job schema (all keys optional except ``name``, ``testbench``,
     {
       "name": "uvlo-vthl-a",          // ledger/result file stem
       "priority": 1,                  // higher drains first
-      "seed": 7,                      // campaign re-seed per run
+      "seed": 7,                      // the paper config's seed
       "testbench": "uvlo",            // uvlo | ldo
-      "measure": "delta_vthl",        // testbench measure name
-      "engine": {"kind": "rembo", "batch_size": 4, "seed": 7},
-      "run": {"n_init": 6, "n_batches": 2, "threshold": "auto"},
+      "measure": "delta_vthl",        // a spec of the testbench
+      "engine": {"kind": "This work", "batch_size": 4},
+      "run": {"n_init": 6, "n_batches": 2},
       "surrogate": {"kind": "sparse", "m": 256},  // or just "sparse"
       "faults": {"failure_rate": 0.2},   // optional FaultPlan knobs
       "eval_delay_seconds": 0.05         // optional pacing (kill tests)
     }
 
-``threshold: "auto"`` resolves to the testbench's specified threshold
-for ``measure``.  ``surrogate`` picks the GP surrogate and fills the
-run's ``RunSpec.surrogate`` — a kind string (``"exact"`` / ``"sparse"``)
-or a table of :class:`~repro.gp.surrogate.SurrogateSpec` fields
-(``kind`` and the integer inducing budget ``m``).  Everything is
-validated at load time, so a bad value rejects the job file, not the
-running campaign: the surrogate, the ``engine`` table's keys (checked
-against the engine constructor's parameters) and their values (one
-engine is built and discarded); :func:`load_jobs` reports a rejected
-job as a ``ValueError`` that names its file.  Every engine parameter
-takes a value, so a job file can set each of them — the acquisition caps
-``global_budget`` / ``local_budget`` and the kernel's ``ard`` flag
-included.  Engines are registered as *factories*: every (re)submission
-constructs a pristine solver, which is what makes ``--resume`` replay an
-interrupted campaign bitwise.
+A job is a table cell, built by
+:func:`~repro.experiments.methods.method_campaign`: ``engine.kind`` is a
+:data:`~repro.experiments.methods.METHOD_ORDER` name, and the testbench
+name picks its paper config (``uvlo_config`` / ``ldo_config``) at the
+job's ``seed``.  The config supplies every default — so ``ard`` is False
+unless the ``engine`` table sets it — and the threshold is the measure's
+spec threshold.  The ``engine`` table's other keys override constructor
+arguments; the ``run`` table overrides ``n_init``, ``budget`` and
+``n_batches``; ``surrogate`` fills ``RunSpec.surrogate`` (a kind string,
+``"exact"`` / ``"sparse"``, or a table of ``kind`` and the integer
+inducing budget ``m``).
+
+Everything is validated at load time, engine values included (one engine
+is built and discarded), so a bad value rejects the job file, not the
+running campaign; :func:`load_jobs` reports a rejected job as a
+``ValueError`` that names its file.  The engine is a factory: every
+(re)submission constructs a pristine solver, which is what makes
+``--resume`` replay an interrupted campaign bitwise.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from repro.bo.batch import BatchBO
-from repro.bo.engine import EngineProtocol, RunSpec
-from repro.bo.loop import SequentialBO
-from repro.bo.rembo import RemboBO
 from repro.campaign import CampaignSpec
+from repro.experiments.config import TESTBENCHES
+from repro.experiments.methods import METHOD_ORDER, build_engine, method_campaign
 from repro.runtime.faults import (
     DelayObjective,
     FaultInjectingObjective,
     FaultPlan,
 )
-from repro.sampling.monte_carlo import MonteCarloSampler
 
 try:  # Python >= 3.11; TOML jobs degrade gracefully below that
     import tomllib
 except ImportError:  # pragma: no cover - version-dependent
     tomllib = None  # type: ignore[assignment]
 
-#: Engine registry: kind → constructor (params become keyword arguments).
-ENGINE_KINDS: dict[str, Callable[..., EngineProtocol]] = {
-    "rembo": RemboBO,
-    "batch": BatchBO,
-    "sequential": SequentialBO,
-    "monte-carlo": MonteCarloSampler,
-}
-
-#: RunSpec fields a job's ``run`` table may set (plus "threshold": "auto").
-_RUN_KEYS = ("n_init", "budget", "n_batches", "threshold")
-
-
-def _make_testbench(name: str) -> Any:
-    if name == "uvlo":
-        from repro.circuits.behavioral.uvlo import UVLOTestbench
-
-        return UVLOTestbench()
-    if name == "ldo":
-        from repro.circuits.behavioral.ldo import LDOTestbench
-
-        return LDOTestbench()
-    raise ValueError(f"unknown testbench {name!r}; options: uvlo, ldo")
-
-
-def _engine_factory(
-    engine_cfg: dict[str, Any], default_seed: Any
-) -> Callable[[], EngineProtocol]:
-    cfg = dict(engine_cfg)
-    kind = cfg.pop("kind", None)
-    if kind not in ENGINE_KINDS:
-        raise ValueError(
-            f"engine.kind must be one of {sorted(ENGINE_KINDS)}, got {kind!r}"
-        )
-    ctor = ENGINE_KINDS[kind]
-    allowed = sorted(
-        name
-        for name, param in inspect.signature(ctor).parameters.items()
-        if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
-    )
-    unknown = sorted(set(cfg) - set(allowed))
-    if unknown:
-        raise ValueError(
-            f"unknown engine keys for kind {kind!r}: {unknown}; "
-            f"allowed: {allowed}"
-        )
-    if "seed" not in cfg and default_seed is not None:
-        cfg["seed"] = default_seed
-    ctor(**cfg)  # a bad value fails here, at load, not when the job runs
-    # a fresh solver per call: resubmission/resume must never reuse
-    # internal state an earlier run advanced
-    return lambda: ctor(**cfg)
+#: RunSpec fields a job's ``run`` table may set.
+_RUN_KEYS = ("budget", "n_batches", "n_init")
 
 
 def build_spec(payload: dict[str, Any]) -> CampaignSpec:
@@ -137,11 +88,41 @@ def build_spec(payload: dict[str, Any]) -> CampaignSpec:
     name = payload.get("name")
     if not name:
         raise ValueError("every job needs a non-empty 'name'")
-    bench = _make_testbench(str(payload.get("testbench", "")))
-    measure = str(payload.get("measure", "delta_vthl"))
+    testbench = payload.get("testbench")
+    if testbench not in TESTBENCHES:
+        raise ValueError(
+            f"unknown testbench {testbench!r}; options: {sorted(TESTBENCHES)}"
+        )
+    bench_type, paper_config = TESTBENCHES[testbench]
+    bench = bench_type()
+    measure = payload.get("measure", "delta_vthl")
+    if measure not in bench.specs:
+        raise ValueError(
+            f"testbench {testbench!r} has no measure {measure!r}; "
+            f"options: {sorted(bench.specs)}"
+        )
     seed = payload.get("seed")
+    cfg = paper_config() if seed is None else paper_config(seed=seed)
 
-    objective = bench.objective(measure)
+    engine_cfg = payload.get("engine")
+    if not isinstance(engine_cfg, dict):
+        raise ValueError("every job needs an 'engine' object with a 'kind'")
+    overrides = dict(engine_cfg)
+    kind = overrides.pop("kind", None)
+    if kind not in METHOD_ORDER:
+        raise ValueError(
+            f"engine.kind must be one of {list(METHOD_ORDER)}, got {kind!r}"
+        )
+    run_cfg = dict(payload.get("run") or {})
+    unknown_run = set(run_cfg) - set(_RUN_KEYS)
+    if unknown_run:
+        raise ValueError(
+            f"unknown run keys: {sorted(unknown_run)}; allowed: {list(_RUN_KEYS)}"
+        )
+    build_engine(kind, cfg, **overrides)  # a bad key or value fails at load
+    cell = method_campaign(kind, bench, measure, cfg, **overrides)
+
+    objective = cell.objective
     faults = payload.get("faults")
     if faults:
         objective = FaultInjectingObjective(objective, FaultPlan(**faults))
@@ -149,27 +130,14 @@ def build_spec(payload: dict[str, Any]) -> CampaignSpec:
     if delay > 0.0:
         objective = DelayObjective(objective, delay)
 
-    engine_cfg = payload.get("engine")
-    if not isinstance(engine_cfg, dict):
-        raise ValueError("every job needs an 'engine' object with a 'kind'")
-
-    run_cfg = dict(payload.get("run") or {})
-    unknown_run = set(run_cfg) - set(_RUN_KEYS)
-    if unknown_run:
-        raise ValueError(f"unknown run keys: {sorted(unknown_run)}")
-    if run_cfg.get("threshold") == "auto":
-        run_cfg["threshold"] = bench.threshold(measure)
-    run_spec = RunSpec(
-        bounds=bench.bounds(), surrogate=payload.get("surrogate"), **run_cfg
-    )
-
-    return CampaignSpec(
+    return replace(
+        cell,
         objective=objective,
-        engine=_engine_factory(engine_cfg, seed),
-        run_spec=run_spec,
-        seed=seed,
+        run_spec=replace(
+            cell.run_spec, surrogate=payload.get("surrogate"), **run_cfg
+        ),
         name=str(name),
-        priority=int(payload.get("priority", 0)),
+        priority=payload.get("priority", 0),
     )
 
 
@@ -226,4 +194,4 @@ def load_jobs(paths: list[str | Path]) -> list[CampaignSpec]:
     return specs
 
 
-__all__ = ["ENGINE_KINDS", "build_spec", "load_jobs"]
+__all__ = ["build_spec", "load_jobs"]

@@ -54,14 +54,12 @@ _SELFTEST_JOBS = [
         "testbench": "uvlo",
         "measure": "delta_vthl",
         "engine": {
-            "kind": "rembo",
+            "kind": "This work",
             "batch_size": 4,
             "embedding_dim": 3,
-            "tune_every": 1,
             "n_restarts": 1,
-            "seed": 11,
         },
-        "run": {"n_init": 6, "n_batches": 2, "threshold": "auto"},
+        "run": {"n_init": 6, "n_batches": 2},
     },
     {
         "name": "selftest-b",
@@ -70,14 +68,12 @@ _SELFTEST_JOBS = [
         "testbench": "uvlo",
         "measure": "delta_vthl",
         "engine": {
-            "kind": "rembo",
+            "kind": "This work",
             "batch_size": 4,
             "embedding_dim": 3,
-            "tune_every": 1,
             "n_restarts": 1,
-            "seed": 11,
         },
-        "run": {"n_init": 6, "n_batches": 2, "threshold": "auto"},
+        "run": {"n_init": 6, "n_batches": 2},
     },
 ]
 

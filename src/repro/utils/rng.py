@@ -9,7 +9,7 @@ several optimizers) split one seed into independent child streams.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

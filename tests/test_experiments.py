@@ -82,6 +82,18 @@ class TestConfigs:
             with pytest.raises(ValueError, match="unknown kernel"):
                 uvlo_config(kernel=bad)
 
+    def test_build_engine_overrides_checked_against_the_constructor(self):
+        cfg = uvlo_config(seed=4)
+        engine = build_engine("This work", cfg, embedding_dim=3, ard=True)
+        assert (engine.embedding_dim, engine.ard) == (3, True)
+        assert engine.batch_size == cfg.batch_size  # the rest from cfg
+        with pytest.raises(
+            ValueError,
+            match=r"unknown engine keys for 'EI': \['batch_size'\]; "
+            r"allowed: \['acquisition', 'ard', .*'xi'\]",
+        ):
+            build_engine("EI", cfg, batch_size=4)
+
     def test_search_budgets_rejected_at_construction(self):
         with pytest.raises(ValueError, match="global_budget"):
             uvlo_config(global_budget=0)

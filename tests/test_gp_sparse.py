@@ -419,7 +419,7 @@ class TestEngineThreading:
         payload = {
             "name": "sparse-job",
             "testbench": "uvlo",
-            "engine": {"kind": "rembo", "batch_size": 4, "embedding_dim": 3},
+            "engine": {"kind": "This work", "batch_size": 4, "embedding_dim": 3},
             "run": {"n_init": 6, "n_batches": 1},
             "surrogate": {"kind": "sparse", "m": 32},
         }
@@ -433,7 +433,7 @@ class TestEngineThreading:
         payload = {
             "name": "sparse-job",
             "testbench": "uvlo",
-            "engine": {"kind": "rembo", "batch_size": 4},
+            "engine": {"kind": "This work", "batch_size": 4},
             "surrogate": "auto",
         }
         with pytest.raises(ValueError, match="allowed kinds: exact, sparse"):

@@ -11,6 +11,7 @@ from repro.experiments import (
     embedding_dimension_sweep,
     kernel_ablation,
     projection_ablation,
+    run_method,
     uvlo_config,
 )
 from repro.runtime import FunctionObjective
@@ -117,7 +118,28 @@ class TestAblationsRunSmall:
     def test_projection_ablation_restores_method(self, tb, cfg):
         from repro.embedding.random_embedding import RandomEmbedding
 
-        original = RandomEmbedding.to_original
+        original = RandomEmbedding.project
         rows = projection_ablation(tb, "delta_vthl", cfg)
         assert len(rows) == 2
-        assert RandomEmbedding.to_original is original  # monkey-patch undone
+        assert RandomEmbedding.project is original  # monkey-patch undone
+
+    def test_projection_variants_simulate_different_designs(
+        self, tb, cfg, monkeypatch
+    ):
+        import repro.experiments.ablation as ablation
+
+        runs = []
+
+        def recording_run_method(*args, **kwargs):
+            runs.append(run_method(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(ablation, "run_method", recording_run_method)
+        projection_ablation(tb, "delta_vthl", cfg)
+        clip, ray = (run.X[cfg.n_init:] for run in runs)
+        assert clip.shape == ray.shape == (cfg.batch_size * cfg.n_batches, tb.dim)
+        assert not np.array_equal(clip, ray)
+        # clipping saturates every coordinate of A z outside the box; ray
+        # rescaling only the largest one
+        assert np.sum(np.abs(clip) >= 1.0, axis=1).max() > 1
+        assert np.sum(np.abs(ray) >= 1.0, axis=1).max() <= 1

@@ -1,12 +1,10 @@
 """Tests for the MNA engine: linear elements and DC solves."""
 
-import numpy as np
 import pytest
 
 from repro.circuits.mna import (
     Capacitor,
     Circuit,
-    ConvergenceError,
     CurrentSource,
     Diode,
     Resistor,

@@ -11,7 +11,6 @@ from repro.circuits.mna import (
     VoltageSource,
     overshoot,
     settles_within,
-    solve_dc,
     solve_transient,
     sweep_source,
     threshold_crossings,

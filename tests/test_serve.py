@@ -26,7 +26,10 @@ import pytest
 
 from repro.bo.engine import RunSpec
 from repro.campaign import Campaign, CampaignSpec, run_campaign_spec
-from repro.runtime.broker import BrokerConfig, RuntimePolicy
+from repro.circuits.behavioral.uvlo import UVLOTestbench
+from repro.experiments.config import uvlo_config
+from repro.experiments.methods import method_campaign
+from repro.runtime.broker import RuntimePolicy
 from repro.runtime.cache import ResultCache
 from repro.runtime.faults import DelayObjective
 from repro.runtime.ledger import read_ledger
@@ -228,15 +231,15 @@ class TestJobs:
             "seed": 5,
             "testbench": "uvlo",
             "measure": "delta_vthl",
-            "engine": {"kind": "monte-carlo", "n_samples": 4},
-            "run": {"threshold": "auto"},
+            "engine": {"kind": "MC", "n_samples": 4},
         }
         payload.update(over)
         return payload
 
     def test_build_spec_resolves_threshold(self):
         spec = build_spec(self._payload())
-        assert spec.run_spec.threshold is not None
+        # the measure's spec threshold, as in a table cell
+        assert spec.run_spec.threshold == UVLOTestbench().threshold("delta_vthl")
         assert spec.run_spec.bounds is not None
         assert spec.name == "j"
 
@@ -253,12 +256,12 @@ class TestJobs:
     @pytest.mark.parametrize(
         "engine, bad",
         [
-            ({"kind": "rembo", "batch_sizee": 4}, "batch_sizee"),
-            ({"kind": "batch", "batch_size": 4, "n_jobs": 2}, "n_jobs"),
+            ({"kind": "This work", "batch_sizee": 4}, "batch_sizee"),
+            ({"kind": "pBO", "batch_size": 4, "n_jobs": 2}, "n_jobs"),
             # engines take budgets and an ard flag, not factories
-            ({"kind": "rembo", "kernel_factory": "ard"}, "kernel_factory"),
+            ({"kind": "This work", "kernel_factory": "ard"}, "kernel_factory"),
             (
-                {"kind": "batch", "acquisition_optimizer_factory": "direct"},
+                {"kind": "pBO", "acquisition_optimizer_factory": "direct"},
                 "acquisition_optimizer_factory",
             ),
         ],
@@ -272,8 +275,8 @@ class TestJobs:
     @pytest.mark.parametrize(
         "engine, message",
         [
-            ({"kind": "sequential", "acquisition": "bogus"}, "unknown acquisition"),
-            ({"kind": "rembo", "batch_size": 0}, "batch_size must be >= 1"),
+            ({"kind": "EI", "acquisition": "bogus"}, "unknown acquisition"),
+            ({"kind": "This work", "batch_size": 0}, "batch_size must be >= 1"),
         ],
     )
     def test_bad_engine_values_rejected_at_load(self, engine, message):
@@ -286,7 +289,9 @@ class TestJobs:
         bad = tmp_path / "b.json"
         bad.write_text(
             json.dumps(
-                self._payload(name="b", engine={"kind": "rembo", "batch_size": 0})
+                self._payload(
+                    name="b", engine={"kind": "This work", "batch_size": 0}
+                )
             ),
             encoding="utf-8",
         )
@@ -300,7 +305,7 @@ class TestJobs:
 
     def test_every_engine_parameter_is_a_job_key(self):
         engine = {
-            "kind": "rembo",
+            "kind": "This work",
             "batch_size": 2,
             "embedding_dim": 2,
             "global_budget": 50,
@@ -331,7 +336,7 @@ class TestJobs:
             {"faults": {"bogus": 1}},
             {"surrogate": 42},
             {"run": {"n_init": "six"}},
-            {"engine": {"kind": "rembo"}},  # batch_size is required
+            {"engine": {"kind": "This work", "embedding_dim": 0}},
         ],
     )
     def test_load_jobs_rejects_a_bad_value_naming_the_file(self, tmp_path, over):
@@ -343,6 +348,85 @@ class TestJobs:
     def test_eval_delay_wraps_objective(self):
         spec = build_spec(self._payload(eval_delay_seconds=0.01))
         assert isinstance(spec.objective, DelayObjective)
+
+    def test_job_runs_its_table_cell_bitwise(self):
+        overrides = {
+            "batch_size": 2,
+            "embedding_dim": 3,
+            "n_restarts": 1,
+            "global_budget": 30,
+            "local_budget": 10,
+        }
+        job = build_spec(
+            self._payload(engine={"kind": "This work", **overrides})
+        )
+        cell = method_campaign(
+            "This work",
+            UVLOTestbench(),
+            "delta_vthl",
+            uvlo_config(seed=5),
+            **overrides,
+        )
+        a, b = run_campaign_spec(job).run, run_campaign_spec(cell).run
+        assert a.n_evaluations == 5 + 5 * 2  # the paper config's D_0, batches
+        assert a.X.tobytes() == b.X.tobytes()
+        assert a.y.tobytes() == b.y.tobytes()
+
+    def test_sss_job_loads_and_runs(self):
+        spec = build_spec(
+            self._payload(engine={"kind": "SSS", "samples_per_scale": 2})
+        )
+        result = run_campaign_spec(spec).run
+        assert result.method == "SSS"
+        assert result.n_evaluations == 2 * len(uvlo_config().sss_scales)
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            (
+                {"engine": {"kind": "rembo"}},
+                r"engine.kind must be one of \['MC', 'SSS', 'EI', 'PI', 'LCB', "
+                r"'pBO', 'This work'\], got 'rembo'",
+            ),
+            (
+                {"run": {"threshold": "auto"}},
+                r"unknown run keys: \['threshold'\]; "
+                r"allowed: \['budget', 'n_batches', 'n_init'\]",
+            ),
+        ],
+        ids=["old-kind", "run-threshold"],
+    )
+    def test_removed_job_choices_rejected_naming_the_allowed(self, over, message):
+        with pytest.raises(ValueError, match=message):
+            build_spec(self._payload(**over))
+
+    @pytest.mark.parametrize("priority", [2.7, True, "3"])
+    def test_non_int_priority_rejected_at_load(self, tmp_path, priority):
+        job = tmp_path / "job.json"
+        job.write_text(
+            json.dumps(self._payload(priority=priority)), encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match="job.json: priority must be an int"):
+            load_jobs([job])
+
+    def test_missing_measure_is_a_usage_error(self, tmp_path, capsys):
+        payload = self._payload(testbench="ldo")
+        del payload["measure"]  # the default, delta_vthl, is the UVLO's
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(
+            ValueError,
+            match=r"job.json: testbench 'ldo' has no measure 'delta_vthl'; "
+            r"options: \['load_regulation', 'quiescent_current', 'undershoot'\]",
+        ):
+            load_jobs([job])
+        runs_dir = tmp_path / "runs"
+        assert serve_main([str(job), "--runs-dir", str(runs_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "has no measure 'delta_vthl'" in err
+        assert not runs_dir.exists()
 
 
 # -- the scheduler ------------------------------------------------------------
@@ -516,8 +600,7 @@ class TestSchedulerSigkill:
                 "seed": seed,
                 "testbench": "uvlo",
                 "measure": "delta_vthl",
-                "engine": {"kind": "monte-carlo", "n_samples": 16},
-                "run": {"threshold": "auto"},
+                "engine": {"kind": "MC", "n_samples": 16},
             }
             if delay:
                 job["eval_delay_seconds"] = delay
@@ -586,8 +669,6 @@ class TestSchedulerSigkill:
         resumer = self._serve(paced_jobs, killed_runs, "--resume")
         out, _ = resumer.communicate(timeout=120)
         assert resumer.returncode == 0, out.decode()
-
-        from repro.circuits.behavioral.uvlo import UVLOTestbench
 
         bench = UVLOTestbench()
         for name in ("k1", "k2"):

@@ -29,10 +29,9 @@ try:
     from repro.utils.contracts import (
         ArrayShape,
         Contract,
-        ContractParseError,
-        ParamSpec,
+        ContractParseError as ContractParseError,
         ScalarDim,
-        parse_contract,
+        parse_contract as parse_contract,
     )
 except ModuleNotFoundError:  # standalone checkout: put src/ on the path
     import sys
@@ -44,10 +43,9 @@ except ModuleNotFoundError:  # standalone checkout: put src/ on the path
     from repro.utils.contracts import (
         ArrayShape,
         Contract,
-        ContractParseError,
-        ParamSpec,
+        ContractParseError as ContractParseError,
         ScalarDim,
-        parse_contract,
+        parse_contract as parse_contract,
     )
 
 # A symbolic dimension: contract symbol, exact size, or unknown.
