@@ -31,22 +31,22 @@ from repro.runtime.broker import EvaluationBroker, RuntimePolicy
 from repro.sampling.monte_carlo import MonteCarloSampler
 from repro.sampling.sss import ScaledSigmaSampler
 from repro.telemetry.config import TelemetryLike
-from repro.utils.rng import SeedLike
 
 #: Paper row order in Tables 1-2.
 METHOD_ORDER = ("MC", "SSS", "EI", "PI", "LCB", "pBO", "This work")
 
 
 def build_engine(
-    name: str, cfg: ExperimentConfig, seed: SeedLike = None, **overrides: Any
+    name: str, cfg: ExperimentConfig, /, **overrides: Any
 ) -> EngineProtocol:
     """Construct the engine/sampler behind one :data:`METHOD_ORDER` row.
 
-    ``cfg`` supplies the constructor arguments and, unless ``seed`` is
-    given, the seed.  ``overrides`` replace constructor arguments by name
-    (an ablation's variant, a job file's ``engine`` table); one the
-    engine's constructor does not take raises a ``ValueError`` naming the
-    allowed keys.  The returned object satisfies :class:`EngineProtocol`.
+    ``cfg`` supplies the constructor arguments and the seed.  ``overrides``
+    replace constructor arguments by name (an ablation's variant, a job
+    file's ``engine`` table); one the engine's constructor does not take,
+    ``seed`` included, raises a ``ValueError`` naming the allowed keys.
+    A caller wanting another seed passes ``dataclasses.replace(cfg,
+    seed=...)``.  The returned object satisfies :class:`EngineProtocol`.
     """
     search: dict[str, Any] = dict(
         ard=cfg.ard,
@@ -87,7 +87,7 @@ def build_engine(
             f"unknown engine keys for {name!r}: {unknown}; allowed: {allowed}"
         )
     kwargs.update(overrides)
-    return ctor(seed=cfg.seed if seed is None else seed, **kwargs)
+    return ctor(seed=cfg.seed, **kwargs)
 
 
 def method_spec(
@@ -161,7 +161,6 @@ def method_campaign(
     spec_name: str,
     cfg: ExperimentConfig,
     initial_data: tuple[np.ndarray, np.ndarray] | None = None,
-    seed: SeedLike = None,
     **overrides: Any,
 ) -> CampaignSpec:
     """One (method, spec) cell as a :class:`CampaignSpec`.
@@ -172,7 +171,7 @@ def method_campaign(
     """
     return CampaignSpec(
         objective=testbench.objective(spec_name),
-        engine=functools.partial(build_engine, name, cfg, seed, **overrides),
+        engine=functools.partial(build_engine, name, cfg, **overrides),
         run_spec=method_spec(name, testbench, spec_name, cfg, initial_data),
         name=f"{spec_name}-{name}",
     )
@@ -184,7 +183,6 @@ def run_method(
     spec_name: str,
     cfg: ExperimentConfig,
     initial_data: tuple[np.ndarray, np.ndarray] | None = None,
-    seed: SeedLike = None,
     runtime: RuntimePolicy | None = None,
     telemetry: TelemetryLike = None,
     **overrides: Any,
@@ -199,12 +197,12 @@ def run_method(
     campaign's spans and broker metrics; ``overrides`` go to
     :func:`build_engine`.
     """
-    build_engine(name, cfg, seed, **overrides)  # a bad name fails before D_0
+    build_engine(name, cfg, **overrides)  # a bad name fails before D_0
     if name not in ("MC", "SSS") and initial_data is None:
         initial_data = shared_initial_data(
             testbench, spec_name, cfg, runtime=runtime
         )
     cell = method_campaign(
-        name, testbench, spec_name, cfg, initial_data, seed, **overrides
+        name, testbench, spec_name, cfg, initial_data, **overrides
     )
     return run_campaign_spec(cell, policy=runtime, telemetry=telemetry).run

@@ -22,8 +22,11 @@ Job schema (all keys optional except ``name``, ``testbench``,
       "eval_delay_seconds": 0.05         // optional pacing (kill tests)
     }
 
-A job is a table cell, built by
-:func:`~repro.experiments.methods.method_campaign`: ``engine.kind`` is a
+A job is built by :func:`~repro.experiments.methods.method_campaign`
+from the paper config, but without ``initial_data``: a BO job draws its
+own D_0 from the engine's seed, so it equals ``run_campaign_spec(
+method_campaign(...))`` without ``initial_data``, not ``run_table``'s
+cell, which shares one D_0 across methods.  ``engine.kind`` is a
 :data:`~repro.experiments.methods.METHOD_ORDER` name, and the testbench
 name picks its paper config (``uvlo_config`` / ``ldo_config``) at the
 job's ``seed``.  The config supplies every default — so ``ard`` is False

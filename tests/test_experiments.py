@@ -93,6 +93,11 @@ class TestConfigs:
             r"allowed: \['acquisition', 'ard', .*'xi'\]",
         ):
             build_engine("EI", cfg, batch_size=4)
+        for key in ("seed", "cfg"):  # the seed comes from cfg alone
+            with pytest.raises(
+                ValueError, match=rf"unknown engine keys for 'MC': \['{key}'\]"
+            ):
+                build_engine("MC", cfg, **{key: 3})
 
     def test_search_budgets_rejected_at_construction(self):
         with pytest.raises(ValueError, match="global_budget"):

@@ -310,13 +310,13 @@ class TestJobs:
             "embedding_dim": 2,
             "global_budget": 50,
             "local_budget": 20,
-            "ard": False,
+            "ard": True,  # the paper config's kernel is isotropic
         }
         run = {"n_init": 4, "n_batches": 1}
         spec = build_spec(self._payload(engine=engine, run=run))
         solver = spec.make_engine()
         assert (solver.global_budget, solver.local_budget) == (50, 20)
-        assert solver.ard is False
+        assert solver.ard is True
         result = run_campaign_spec(spec)
         assert result.run.n_evaluations == 4 + 2
         assert result.run.acquisition_evaluations <= 2 * (50 + 20)
@@ -393,8 +393,12 @@ class TestJobs:
                 r"unknown run keys: \['threshold'\]; "
                 r"allowed: \['budget', 'n_batches', 'n_init'\]",
             ),
+            (
+                {"engine": {"kind": "MC", "seed": 3}},  # the job's seed is one
+                r"unknown engine keys for 'MC': \['seed'\]; allowed: \[",
+            ),
         ],
-        ids=["old-kind", "run-threshold"],
+        ids=["old-kind", "run-threshold", "engine-seed"],
     )
     def test_removed_job_choices_rejected_naming_the_allowed(self, over, message):
         with pytest.raises(ValueError, match=message):
