@@ -100,13 +100,9 @@ class RandomEmbedding:
         """Map embedded points to the variation space: ``x = p_Ω(A z)``.
 
         Accepts a single ``(d,)`` vector or a ``(n, d)`` batch and returns
-        the matching shape.
+        the matching shape: :meth:`project` without the clipped fraction.
         """
-        Z_arr = np.asarray(Z, dtype=float)
-        single = Z_arr.ndim == 1
-        Z_mat = as_matrix(Z_arr, self.embedded_dim, name="z")
-        X = clip_to_box(Z_mat @ self.matrix.T, self.lower, self.upper)
-        return X[0] if single else X
+        return self.project(Z)[0]
 
     def project(self, Z: ArrayLike) -> tuple[FloatArray, float]:
         """Like :meth:`to_original`, plus the clipped-coordinate fraction.

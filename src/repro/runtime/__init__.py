@@ -8,8 +8,10 @@ Public surface of the evaluation layer described in DESIGN.md §10:
   :class:`RuntimePolicy` — dispatch, retry, timeout and failure policy;
 * :class:`ResultCache` / :func:`point_digest` — content-addressed
   deduplication of simulations;
-* :class:`RunLedger` / :func:`read_ledger` / :func:`resume` — JSONL event
-  log doubling as the campaign checkpoint;
+* :class:`RunLedger` / :func:`read_ledger` — JSONL event log doubling as
+  the campaign checkpoint: a killed campaign resumes from
+  ``cache.preload(read_ledger(path).completed)`` plus a :class:`RunLedger`
+  on the same path;
 * :class:`FaultPlan` / :class:`FaultInjectingTestbench` — deterministic
   fault injection for testing the above.
 """
@@ -65,7 +67,6 @@ from repro.runtime.objective import (
     resolve_bounds,
     stable_callable_name,
 )
-from repro.runtime.resume import ResumeState, resume
 
 __all__ = [
     "DEFAULT_DECIMALS",
@@ -88,7 +89,6 @@ __all__ = [
     "ReplayReport",
     "ResultCache",
     "batch_digests",
-    "ResumeState",
     "RunLedger",
     "RuntimePolicy",
     "TransientSimulationError",
@@ -97,7 +97,6 @@ __all__ = [
     "read_ledger",
     "require_objective",
     "resolve_bounds",
-    "resume",
     "stable_callable_name",
     "truncate_mid_run",
     "verify_replay",

@@ -138,8 +138,6 @@ class BrokerConfig:
         Required (finite) when ``failure_policy="penalty"`` — it enters
         ``RunResult.y``, so it must be a valid observation; pick something
         clearly uninteresting in minimization orientation (large).
-    cache_decimals:
-        Rounding applied to points before content-addressing.
     """
 
     timeout_seconds: float | None = None
@@ -149,7 +147,6 @@ class BrokerConfig:
     backoff_jitter: float = 0.1
     failure_policy: str = "raise"
     penalty_value: float | None = None
-    cache_decimals: int = DEFAULT_DECIMALS
 
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
@@ -289,11 +286,7 @@ class EvaluationBroker:
         self.telemetry = resolve_telemetry(telemetry)
         self._tracer = self.telemetry.tracer
         self._metrics = self.telemetry.metrics
-        self.cache = (
-            cache
-            if cache is not None
-            else ResultCache.in_memory(decimals=self.config.cache_decimals)
-        )
+        self.cache = cache if cache is not None else ResultCache.in_memory()
         self.ledger = ledger
         self.recorder = recorder
         self.stats = BrokerStats()
@@ -307,7 +300,7 @@ class EvaluationBroker:
                 "dim": self.objective.dim,
                 "failure_policy": self.config.failure_policy,
                 "max_retries": self.config.max_retries,
-                "cache_decimals": self.cache.decimals,
+                "cache_decimals": DEFAULT_DECIMALS,
             }
             if campaign:
                 header.update(campaign)
@@ -777,7 +770,6 @@ class RuntimePolicy:
         cls,
         ledger_path: str | Path | None = None,
         config: BrokerConfig | None = None,
-        decimals: int | None = None,
         cache: ResultCache | None = None,
         cache_path: str | Path | None = None,
     ) -> "RuntimePolicy":
@@ -786,29 +778,17 @@ class RuntimePolicy:
         ``cache`` reuses an existing store (e.g. the scheduler's persistent
         cross-campaign cache); ``cache_path`` opens a persistent
         :meth:`ResultCache.open` store at that directory.  Without either,
-        a fresh in-memory cache is created.  When a cache is supplied, the
-        policy's ``cache_decimals`` is aligned to it so brokers and
-        resume agree on the digests.
+        a fresh in-memory cache is created.
         """
         if cache is not None and cache_path is not None:
             raise ValueError("pass cache or cache_path, not both")
-        cfg = config if config is not None else BrokerConfig()
-        if decimals is not None:
-            cfg = replace(cfg, cache_decimals=decimals)
         if cache_path is not None:
             # ownership transfers to the returned policy; the caller scopes
             # the cache's lifetime through the policy it receives
-            cache = ResultCache.open(  # numlint: disable=NL705
-                cache_path,
-                decimals=decimals if decimals is not None else None,
-            )
-        if cache is None:
-            cache = ResultCache.in_memory(decimals=cfg.cache_decimals)
-        elif cache.decimals != cfg.cache_decimals:
-            cfg = replace(cfg, cache_decimals=cache.decimals)
+            cache = ResultCache.open(cache_path)  # numlint: disable=NL705
         return cls(
-            config=cfg,
-            cache=cache,
+            config=config if config is not None else BrokerConfig(),
+            cache=cache if cache is not None else ResultCache.in_memory(),
             ledger=RunLedger(ledger_path) if ledger_path is not None else None,
         )
 

@@ -9,7 +9,8 @@ every BO method starts from, REMBO proposals that clip to the same boundary
 well below 1e-12 but not always bit-for-bit after independent float
 pipelines.  Twelve decimals is far inside simulator noise and far outside
 any step an optimizer takes deliberately, so distinct query points never
-collide (see DESIGN.md §10 for the rationale).
+collide (see DESIGN.md §10 for the rationale).  The rounding is fixed at
+:data:`DEFAULT_DECIMALS`: every digest the program writes or reads uses it.
 
 Construction goes through two factories (the bare constructor raises
 ``TypeError``):
@@ -21,9 +22,10 @@ Construction goes through two factories (the bare constructor raises
   directory, one JSONL line per new result.  A :meth:`~ResultCache.put_many`
   call appends each touched shard's new lines with one open-write-close,
   so a killed service leaves valid shard prefixes — at most one torn final
-  line per file — that the next open replays.  The files are append-only;
-  ``max_entries`` bounds only the *in-memory* working set via LRU eviction
-  (an evicted digest re-simulates, then re-appends).
+  line per file.  The next open replays them and cuts a torn line before
+  anything is appended after it (:mod:`repro.utils.jsonl`).  The files
+  are append-only; ``max_entries`` bounds only the *in-memory* working
+  set via LRU eviction (an evicted digest re-simulates, then re-appends).
 
 The cache is thread-safe (scheduler campaign threads share it) and
 exposes a *single-flight* protocol for cross-campaign deduplication:
@@ -46,17 +48,14 @@ import numpy as np
 
 from repro._typing import ArrayLike
 from repro.utils.contracts import shape_contract, thread_shared
+from repro.utils.jsonl import ENCODER, drop_torn_tail, read_records
 from repro.utils.sanitize_concurrency import make_lock
 
-#: Default rounding applied to points before hashing (see module docstring).
+#: The rounding applied to points before hashing (see module docstring).
 DEFAULT_DECIMALS = 12
 
 #: On-disk schema version stamped into ``meta.json`` of a persistent cache.
 CACHE_FORMAT_VERSION = 1
-
-#: The one compact encoder for every line this module writes; passing
-#: ``separators`` per call would build a fresh encoder every time.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 #: Statuses returned by :meth:`ResultCache.lookup_or_claim`, per digest.
 CLAIM_HIT = "hit"  #: value present; returned alongside the status
@@ -70,29 +69,15 @@ _BARE_CONSTRUCTOR_MSG = (
 )
 
 
-@shape_contract("x: a(d,)")
-def point_digest(
-    cache_key: str, x: ArrayLike, decimals: int = DEFAULT_DECIMALS
-) -> str:
-    """SHA-256 digest addressing one ``(objective, rounded point)`` result."""
-    arr = np.asarray(x, dtype=np.float64).reshape(-1)
-    rounded = np.round(arr, decimals) + 0.0  # fold -0.0 into +0.0
-    payload = b"|".join(
-        [cache_key.encode("utf-8"), str(int(decimals)).encode(), rounded.tobytes()]
-    )
-    return hashlib.sha256(payload).hexdigest()
-
-
 @shape_contract("X: a(n, d)")
 def batch_digests(
     cache_key: str, X: ArrayLike, decimals: int = DEFAULT_DECIMALS
 ) -> list[str]:
-    """Digests for a whole ``(n, d)`` block in one vectorized pass.
+    """SHA-256 digests addressing each ``(objective, rounded row)`` result.
 
-    The rounding and ``-0.0`` fold run once over the full block instead of
-    row by row; each digest is byte-identical to :func:`point_digest` on
-    the corresponding row (``np.round`` and the ``+ 0.0`` fold are
-    elementwise, so batching cannot change any byte of a row's payload).
+    The payload is ``cache_key | decimals | round(x, decimals)`` bytes,
+    with ``-0.0`` folded into ``+0.0``; the rounding and the fold run once
+    over the whole ``(n, d)`` block.
     """
     arr = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
     rounded = np.ascontiguousarray(np.round(arr, decimals) + 0.0)
@@ -102,43 +87,29 @@ def batch_digests(
     ]
 
 
-def _parse_shard(path: Path) -> list[tuple[str, float]]:
-    """Parse one shard file, tolerating a torn final line (killed write)."""
-    entries: list[tuple[str, float]] = []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    last = len(lines)
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError:
-            if lineno == last:  # the write a kill interrupted
-                break
-            raise ValueError(
-                f"corrupt cache shard {path}: unparseable line {lineno} is "
-                "not the final line"
-            ) from None
-        entries.append((str(obj["d"]), float(obj["y"])))
-    return entries
+@shape_contract("x: a(d,)")
+def point_digest(cache_key: str, x: ArrayLike) -> str:
+    """:func:`batch_digests` of one point."""
+    return batch_digests(cache_key, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 def _read_shards(root: Path, max_entries: int | None) -> dict[str, float]:
     """Replay every shard file into an insertion-ordered store dict.
 
-    Later lines win (a re-appended digest after eviction); replaying in
-    file order keeps the most recently written entries newest in LRU
-    order, so the load-time trim keeps exactly the freshest tail.
+    Each shard is healed first (:func:`~repro.utils.jsonl.drop_torn_tail`),
+    so the entries this cache appends never land on a torn line a killed
+    writer left.  Later lines win (a re-appended digest after eviction);
+    replaying in file order keeps the most recently written entries newest
+    in LRU order, so the load-time trim keeps exactly the freshest tail.
     """
-    entries: list[tuple[str, float]] = []
-    for shard in sorted(root.glob("shard-*.jsonl")):
-        entries.extend(_parse_shard(shard))
     store: dict[str, float] = {}
-    for digest, value in entries:
-        if digest in store:
-            del store[digest]
-        store[digest] = value
+    for shard in sorted(root.glob("shard-*.jsonl")):
+        drop_torn_tail(shard)
+        for record in read_records(shard)[0]:
+            digest = str(record["d"])
+            if digest in store:
+                del store[digest]
+            store[digest] = float(record["y"])
     if max_entries is not None:
         while len(store) > max_entries:
             del store[next(iter(store))]
@@ -150,14 +121,14 @@ def _append_shard_lines(root: Path, entries: Iterable[tuple[str, float]]) -> Non
 
     Each shard's lines keep the order of ``entries``.  The close flushes
     the lines to the OS, a kill can tear at most the final line of a
-    shard (which :func:`_parse_shard` tolerates), and the cache never
+    shard (which the next open cuts), and the cache never
     holds open file handles — so it stays safe to share across scheduler
     campaign threads.
     """
     shards: dict[str, list[str]] = {}
     for digest, value in entries:
         shards.setdefault(digest[0], []).append(
-            _ENCODER.encode({"d": digest, "y": value}) + "\n"
+            ENCODER.encode({"d": digest, "y": value}) + "\n"
         )
     for shard, lines in shards.items():
         with (root / f"shard-{shard}.jsonl").open("a", encoding="utf-8") as fh:
@@ -181,7 +152,6 @@ class ResultCache:
 
     def __init__(
         self,
-        decimals: int = DEFAULT_DECIMALS,
         *,
         path: Path | None = None,
         max_entries: int | None = None,
@@ -189,15 +159,12 @@ class ResultCache:
     ) -> None:
         if not _from_factory:
             raise TypeError(_BARE_CONSTRUCTOR_MSG)
-        if decimals < 0:
-            raise ValueError(f"decimals must be non-negative, got {decimals}")
         if max_entries is not None and max_entries < 1:
             raise ValueError(
                 f"max_entries must be >= 1 when set, got {max_entries}"
             )
         self._lock = make_lock("runtime.ResultCache")
         self._flight_lock = threading.Condition()
-        self.decimals = int(decimals)
         self.max_entries = max_entries
         self.path = path
         self._store: dict[str, float] = {}
@@ -211,33 +178,27 @@ class ResultCache:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def in_memory(
-        cls,
-        decimals: int = DEFAULT_DECIMALS,
-        max_entries: int | None = None,
-    ) -> "ResultCache":
+    def in_memory(cls, max_entries: int | None = None) -> "ResultCache":
         """A process-local cache.
 
         ``max_entries`` optionally bounds the store with LRU eviction.
         """
-        return cls(decimals, max_entries=max_entries, _from_factory=True)
+        return cls(max_entries=max_entries, _from_factory=True)
 
     @classmethod
     def open(
-        cls,
-        path: str | Path,
-        decimals: int | None = None,
-        max_entries: int | None = None,
+        cls, path: str | Path, max_entries: int | None = None
     ) -> "ResultCache":
         """Open (or create) a persistent cache directory at ``path``.
 
-        The directory holds ``meta.json`` (format version + decimals) and
-        up to 16 append-only JSONL shard files keyed by the first hex digit
-        of each digest.  ``decimals`` must match an existing store's
-        recorded value (omit it to adopt whatever the store was created
-        with); ``max_entries`` bounds only the in-memory working set — the
-        shard files are append-only and never rewritten.  Each append is
-        written and closed eagerly, so no handle outlives the write.
+        The directory holds ``meta.json`` (format version + the digest
+        rounding) and up to 16 append-only JSONL shard files keyed by the
+        first hex digit of each digest.  A store whose ``meta.json``
+        records another rounding than :data:`DEFAULT_DECIMALS` is rejected:
+        its digests address other points.  ``max_entries`` bounds only the
+        in-memory working set — the shard files are append-only and only
+        ever cut by a torn final line.  Each append is written and closed
+        eagerly, so no handle outlives the write.
         """
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
@@ -251,24 +212,20 @@ class ResultCache:
                     f"build reads version {CACHE_FORMAT_VERSION}"
                 )
             stored = int(meta["decimals"])
-            if decimals is not None and int(decimals) != stored:
+            if stored != DEFAULT_DECIMALS:
                 raise ValueError(
-                    f"cache at {root} was created with decimals={stored}, "
-                    f"open() called with decimals={decimals}"
+                    f"cache at {root} was created with decimals={stored}; "
+                    f"digests here round to {DEFAULT_DECIMALS}"
                 )
-            decimals = stored
         else:
-            decimals = DEFAULT_DECIMALS if decimals is None else int(decimals)
             meta_path.write_text(
-                _ENCODER.encode(
-                    {"version": CACHE_FORMAT_VERSION, "decimals": decimals}
+                ENCODER.encode(
+                    {"version": CACHE_FORMAT_VERSION, "decimals": DEFAULT_DECIMALS}
                 )
                 + "\n",
                 encoding="utf-8",
             )
-        return cls(
-            decimals, path=root, max_entries=max_entries, _from_factory=True
-        )
+        return cls(path=root, max_entries=max_entries, _from_factory=True)
 
     @property
     def persistent(self) -> bool:
@@ -292,7 +249,7 @@ class ResultCache:
 
     def key_for(self, cache_key: str, x: ArrayLike) -> str:
         """The digest this cache would use for ``(cache_key, x)``."""
-        return point_digest(cache_key, x, decimals=self.decimals)
+        return point_digest(cache_key, x)
 
     def get(self, digest: str) -> float | None:
         """Look up a digest, counting the hit or miss."""
@@ -307,7 +264,7 @@ class ResultCache:
 
     def keys_for_batch(self, cache_key: str, X: ArrayLike) -> list[str]:
         """Digests for every row of ``X`` (one vectorized rounding pass)."""
-        return batch_digests(cache_key, X, decimals=self.decimals)
+        return batch_digests(cache_key, X)
 
     def put(self, digest: str, value: float) -> None:
         """Store one result: :meth:`put_many` with a single entry."""

@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from repro._typing import FloatArray
-from repro.runtime.cache import DEFAULT_DECIMALS, point_digest
+from repro.runtime.cache import point_digest
 from repro.runtime.objective import Objective, require_objective
 from repro.utils.rng import as_generator
 
@@ -136,7 +136,7 @@ class FaultInjectingObjective(Objective):
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape[0], dtype=float)
         for i, x in enumerate(X):
-            digest = point_digest(self.cache_key, x, decimals=DEFAULT_DECIMALS)
+            digest = point_digest(self.cache_key, x)
             faults = self._faults_for(digest)
             attempt = self._next_attempt(digest)
             if attempt < len(faults.modes):

@@ -6,10 +6,17 @@ Every evaluation the broker performs emits events — ``dispatched``,
 writes a group of events (a broker round's ``dispatched`` events, one
 slice of its results) with one write and one flush.  Lines land in order
 and a kill mid-write tears at most the final one, so a killed campaign
-leaves a valid prefix: the ledger *is* the checkpoint.
-:func:`read_ledger` tolerates a truncated final line (the write the kill
-interrupted) and rebuilds the completed-evaluation state that
-:func:`repro.runtime.resume` preloads into a fresh cache.
+leaves a valid prefix: the ledger *is* the checkpoint.  Both sides
+follow the rule of :mod:`repro.utils.jsonl`: :func:`read_ledger` drops
+a torn final line (the write the kill interrupted), and a
+:class:`RunLedger` cuts it before its first append.
+
+Resuming a killed campaign is a cache preload plus a ledger on the same
+path: ``cache.preload(read_ledger(path).completed)``, then rerun the
+same seeded campaign under ``RuntimePolicy(cache=cache,
+ledger=RunLedger(path))``.  Every evaluation the killed run finished is
+served from the cache, so the rerun appends only the rest and ends
+bitwise-identical to an uninterrupted run.
 
 Event schema (version 1)
 ------------------------
@@ -38,7 +45,6 @@ deterministic (see the NL401 invariant).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterable
@@ -46,15 +52,13 @@ from typing import IO, Any, Iterable
 import numpy as np
 
 from repro._typing import FloatArray
+from repro.runtime.cache import DEFAULT_DECIMALS
 from repro.utils.contracts import thread_shared
+from repro.utils.jsonl import ENCODER, drop_torn_tail, read_records
 from repro.utils.sanitize_concurrency import make_lock
 
 #: Schema version stamped on campaign events.
 LEDGER_VERSION = 1
-
-#: The one compact encoder for every event line; passing ``separators``
-#: per call would build a fresh encoder every time.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 @thread_shared
@@ -62,7 +66,10 @@ class RunLedger:
     """Append-only JSONL writer; one flush per group of events.
 
     The file handle opens lazily on first write, so a ledger that never
-    records an event never creates its file.
+    records an event never creates its file.  Opening an existing file
+    first cuts a torn final line a killed writer left
+    (:func:`~repro.utils.jsonl.drop_torn_tail`), so appended events never
+    land on the fragment.
 
     Writes are thread-safe: the lazy open, the write and the flush run
     under one lock, so concurrent campaign threads can share a ledger
@@ -82,12 +89,15 @@ class RunLedger:
 
     def extend(self, events: Iterable[dict[str, Any]]) -> None:
         """Write event lines in order, then flush them once."""
-        text = "".join([_ENCODER.encode(event) + "\n" for event in events])
+        text = "".join([ENCODER.encode(event) + "\n" for event in events])
         if not text:
             return
         with self._lock:
             if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
+                if self.path.exists():
+                    drop_torn_tail(self.path)
+                else:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = self.path.open("a", encoding="utf-8")
             self._fh.write(text)
             self._fh.flush()
@@ -110,8 +120,9 @@ class LedgerReplay:
     """Parsed state of one ledger file.
 
     ``completed`` maps digests to objective values (latest wins) and is
-    what resume preloads into a cache; ``X``/``y`` are the completed
-    evaluations in event order, for inspecting a partial campaign.
+    what a resumed campaign preloads into its cache; ``X``/``y`` are the
+    completed evaluations in event order, for inspecting a partial
+    campaign.
     """
 
     events: list[dict[str, Any]]
@@ -135,35 +146,31 @@ class LedgerReplay:
     def campaigns(self) -> list[dict[str, Any]]:
         return [e for e in self.events if e.get("event") == "campaign"]
 
+    def runs(self) -> list[list[dict[str, Any]]]:
+        """The events split into runs, each opening at a ``campaign`` header.
 
-def _parse_lines(lines: Iterable[str]) -> tuple[list[dict[str, Any]], bool]:
-    """Parse JSONL content, dropping at most one truncated trailing line."""
-    events: list[dict[str, Any]] = []
-    pending_error: int | None = None
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if pending_error is not None:
-            raise ValueError(
-                f"corrupt ledger: unparseable line {pending_error} is not "
-                "the final line"
-            )
-        try:
-            events.append(json.loads(stripped))
-        except json.JSONDecodeError:
-            pending_error = lineno
-    return events, pending_error is not None
+        Every broker writes its own header, so a resumed campaign's ledger
+        holds the killed run, then the resumed run appended in place.
+        Events before the first header form a run of their own.
+        """
+        runs: list[list[dict[str, Any]]] = []
+        for event in self.events:
+            if not runs or event.get("event") == "campaign":
+                runs.append([])
+            runs[-1].append(event)
+        return runs
 
 
 def read_ledger(path: str | Path) -> LedgerReplay:
     """Parse a ledger file into a :class:`LedgerReplay`.
 
     A truncated final line (interrupted write) is dropped and flagged via
-    ``truncated``; garbage anywhere else raises.
+    ``truncated``; garbage anywhere else raises, as does a ``campaign``
+    header that records a digest rounding other than
+    :data:`~repro.runtime.cache.DEFAULT_DECIMALS` (its digests would
+    address other points).
     """
-    text = Path(path).read_text(encoding="utf-8")
-    events, truncated = _parse_lines(text.splitlines())
+    events, truncated = read_records(path)
 
     completed: dict[str, float] = {}
     xs: list[list[float]] = []
@@ -173,7 +180,14 @@ def read_ledger(path: str | Path) -> LedgerReplay:
     for event in events:
         kind = str(event.get("event", "?"))
         counts[kind] = counts.get(kind, 0) + 1
-        if kind == "completed":
+        if kind == "campaign":
+            recorded = event.get("cache_decimals", DEFAULT_DECIMALS)
+            if int(recorded) != DEFAULT_DECIMALS:
+                raise ValueError(
+                    f"ledger {path} was written with cache_decimals="
+                    f"{recorded}; digests here round to {DEFAULT_DECIMALS}"
+                )
+        elif kind == "completed":
             digest = str(event["digest"])
             if digest in completed:
                 duplicates += 1

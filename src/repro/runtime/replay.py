@@ -18,8 +18,8 @@ Two replay modes, mirroring how a resumed campaign consumes the ledger:
 
 ``warm``
     The resume path without simulation: preload a fresh
-    :class:`~repro.runtime.cache.ResultCache` from the ledger (exactly
-    what :func:`repro.runtime.resume.resume` does) and confirm every
+    :class:`~repro.runtime.cache.ResultCache` from the ledger's completed
+    events (exactly what a resumed campaign does) and confirm every
     completed record's *recomputed* digest hits the cache with the
     recorded value.  Cheap — no objective calls.
 ``cold``
@@ -49,14 +49,14 @@ import argparse
 import importlib
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.runtime.broker import BrokerConfig, EvaluationBroker, RuntimePolicy
-from repro.runtime.cache import DEFAULT_DECIMALS, ResultCache, point_digest
+from repro.runtime.cache import ResultCache, point_digest
 from repro.runtime.ledger import RunLedger, read_ledger
 from repro.runtime.objective import Objective, require_objective
 
@@ -129,15 +129,6 @@ def _completed_records(events: Sequence[dict[str, Any]]) -> list[dict[str, Any]]
     return [e for e in events if e.get("event") == "completed"]
 
 
-def _header_value(
-    headers: Sequence[dict[str, Any]], key: str
-) -> Any | None:
-    for header in headers:
-        if key in header:
-            return header[key]
-    return None
-
-
 def verify_replay(
     ledger_path: str | Path,
     objective: Objective,
@@ -147,9 +138,7 @@ def verify_replay(
     """Verify every completed record of ``ledger_path`` against ``objective``.
 
     ``config`` shapes the cold-replay broker (retries matter when the
-    objective injects faults); the cache decimals always come from the
-    ledger's campaign header so digests are recomputed exactly as the
-    original run computed them.  Raises :class:`ValueError` when the
+    objective injects faults).  Raises :class:`ValueError` when the
     ledger was written for a different ``cache_key`` than the objective
     provides — that is operator error, not a divergence.
     """
@@ -157,21 +146,16 @@ def verify_replay(
         raise ValueError(f"mode must be one of {REPLAY_MODES}, got {mode!r}")
     objective = require_objective(objective, "verify_replay")
     replay = read_ledger(ledger_path)
-    headers = replay.campaigns()
 
-    recorded_key = _header_value(headers, "cache_key")
+    recorded_key = next(
+        (h["cache_key"] for h in replay.campaigns() if "cache_key" in h), None
+    )
     if recorded_key is not None and str(recorded_key) != objective.cache_key:
         raise ValueError(
             f"ledger was written for cache_key={recorded_key!r} but the "
             f"objective provides {objective.cache_key!r}; pass the same "
             "objective the campaign ran"
         )
-    recorded_decimals = _header_value(headers, "cache_decimals")
-    decimals = (
-        int(recorded_decimals)
-        if recorded_decimals is not None
-        else DEFAULT_DECIMALS
-    )
 
     records = _completed_records(replay.events)
     unique_x: dict[str, np.ndarray] = {}
@@ -195,7 +179,7 @@ def verify_replay(
     for record in records:
         report.n_checked += 1
         recomputed = point_digest(
-            objective.cache_key, np.asarray(record["x"], dtype=float), decimals
+            objective.cache_key, np.asarray(record["x"], dtype=float)
         )
         if recomputed != str(record["digest"]):
             report.divergences.append(
@@ -213,9 +197,9 @@ def verify_replay(
             )
 
     if mode in ("warm", "both"):
-        _verify_warm(report, records, objective, decimals)
+        _verify_warm(report, records, objective)
     if mode in ("cold", "both"):
-        _verify_cold(report, records, unique_x, objective, decimals, config)
+        _verify_cold(report, records, unique_x, objective, config)
 
     report.divergences.sort(key=lambda d: (d.record_id, d.mode, d.kind))
     return report
@@ -225,10 +209,9 @@ def _verify_warm(
     report: ReplayReport,
     records: Sequence[dict[str, Any]],
     objective: Objective,
-    decimals: int,
 ) -> None:
     """The resume path: ledger → preloaded cache → per-record lookups."""
-    cache = ResultCache.in_memory(decimals=decimals)
+    cache = ResultCache.in_memory()
     cache.preload(
         {str(r["digest"]): float(r["y"]) for r in records}
     )
@@ -275,17 +258,12 @@ def _verify_cold(
     records: Sequence[dict[str, Any]],
     unique_x: dict[str, np.ndarray],
     objective: Objective,
-    decimals: int,
     config: BrokerConfig | None,
 ) -> None:
     """Re-execute every unique point through a fresh broker, compare bitwise."""
     if not unique_x:
         return
-    cfg = config if config is not None else BrokerConfig()
-    cfg = replace(cfg, cache_decimals=decimals)
-    broker = EvaluationBroker(
-        objective, config=cfg, cache=ResultCache.in_memory(decimals=decimals)
-    )
+    broker = EvaluationBroker(objective, config=config)
     digests = list(unique_x)
     X = np.stack([unique_x[d] for d in digests])
     batch = broker.evaluate_batch(X)
@@ -362,9 +340,9 @@ def run_selftest(
     """Fault-injected UVLO campaign → kill mid-batch → resume → verify.
 
     The full replay-safety contract in one call: the resumed ledger (the
-    original prefix healed of its torn line, extended in place by the
-    resumed run) must replay with zero divergences against the clean
-    objective.
+    original prefix, healed of its torn line by the resumed run's first
+    append and extended in place) must replay with zero divergences
+    against the clean objective.
     """
     from repro.bo.engine import RunSpec
     from repro.bo.rembo import RemboBO
@@ -404,8 +382,6 @@ def run_selftest(
 
 
 def _selftest_in(workdir, engine, faulty_bench, bench, spec, cfg, mode):
-    from repro.runtime.resume import resume
-
     ledger_path = workdir / "campaign.jsonl"
     policy = RuntimePolicy(config=cfg, ledger=RunLedger(ledger_path))
     engine().solve(
@@ -416,8 +392,12 @@ def _selftest_in(workdir, engine, faulty_bench, bench, spec, cfg, mode):
     policy.ledger.close()
 
     truncate_mid_run(ledger_path)
-    state = resume(ledger_path)
-    resumed_policy = state.policy(config=cfg)  # append in place
+    cache = ResultCache.in_memory()
+    cache.preload(read_ledger(ledger_path).completed)
+    # the same ledger path: the resumed run appends in place
+    resumed_policy = RuntimePolicy(
+        config=cfg, cache=cache, ledger=RunLedger(ledger_path)
+    )
     engine().solve(
         objective=faulty_bench().objective("delta_vthl"),
         spec=spec,

@@ -6,8 +6,10 @@ hardened: campaigns run through the single
 their own :class:`~repro.runtime.ledger.RunLedger`, dedup through one
 shared :class:`~repro.runtime.cache.ResultCache` (single-flight, so two
 campaigns racing on the same design never both simulate it), and resume
-through :func:`repro.runtime.resume.resume` — which makes a SIGKILL of
-the whole service recoverable campaign by campaign, bitwise.
+by preloading that cache with each ledger's completed evaluations
+(``read_ledger(path).completed``) and appending to the same ledger —
+which makes a SIGKILL of the whole service recoverable campaign by
+campaign, bitwise.
 
 Concurrency model: jobs are drained from an in-memory priority queue
 (higher ``CampaignSpec.priority`` first, FIFO within a priority) by
@@ -27,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -35,7 +37,6 @@ from repro.campaign import CampaignResult, CampaignSpec, run_campaign_spec
 from repro.runtime.broker import BrokerConfig, RuntimePolicy
 from repro.runtime.cache import ResultCache
 from repro.runtime.ledger import RunLedger, read_ledger
-from repro.runtime.resume import resume
 from repro.telemetry.config import (
     TelemetryConfig,
     TelemetryLike,
@@ -157,7 +158,7 @@ class CampaignScheduler:
         How many campaigns run at once (each on its own thread).
     broker_config:
         Base :class:`~repro.runtime.broker.BrokerConfig` for every
-        campaign; ``cache_decimals`` is aligned to the shared cache.
+        campaign.
     telemetry:
         Shared observability for the whole service — every campaign's
         spans nest in one trace under a ``scheduled_campaign`` span, and
@@ -197,8 +198,9 @@ class CampaignScheduler:
             )
         else:
             self.cache = cache
-        cfg = broker_config if broker_config is not None else BrokerConfig()
-        self.config = replace(cfg, cache_decimals=self.cache.decimals)
+        self.config = (
+            broker_config if broker_config is not None else BrokerConfig()
+        )
         self.max_concurrent = int(max_concurrent)
         self._resume = bool(resume)
         self._owns_telemetry = isinstance(telemetry, TelemetryConfig)
@@ -284,22 +286,18 @@ class CampaignScheduler:
         Campaign A's pre-kill simulations may be recorded only in A's
         ledger (its partner B logged cache hits).  If B's worker starts
         before A's job has replayed A's ledger, B re-claims and
-        re-simulates those points — duplicated work the per-job
-        :func:`resume` call cannot prevent.  Replaying all ledgers before
-        the first worker starts makes every recorded value visible to
-        every campaign from its first claim.  Ledgers of already-complete
-        campaigns are replayed too: their values serve the others.
+        re-simulates those points — duplicated work the per-job preload
+        cannot prevent.  Replaying all ledgers before the first worker
+        starts makes every recorded value visible to every campaign from
+        its first claim.  Ledgers of already-complete campaigns are
+        replayed too: their values serve the others.
         """
         for spec in specs:
             ledger_path = self.ledger_path(spec.name)
             if not ledger_path.exists():
                 continue
             try:
-                resume(
-                    ledger_path,
-                    decimals=self.cache.decimals,
-                    cache=self.cache,
-                )
+                self.cache.preload(read_ledger(ledger_path).completed)
             except Exception:  # noqa: BLE001 — left for the job itself
                 # a bad ledger fails its own campaign in _run_job, where
                 # the error is recorded on that campaign's outcome
@@ -320,14 +318,10 @@ class CampaignScheduler:
                 outcome.already_complete = True
                 return outcome
             if self._resume and ledger_path.exists():
-                # preloads the interrupted run's completed evaluations
-                # into the shared cache and heals a torn final line; the
-                # re-run below appends to the same ledger
-                resume(
-                    ledger_path,
-                    decimals=self.cache.decimals,
-                    cache=self.cache,
-                )
+                # the interrupted run's completed evaluations serve the
+                # rerun below, which appends to the same ledger (its first
+                # write cuts a torn final line)
+                self.cache.preload(read_ledger(ledger_path).completed)
                 outcome.resumed = True
 
             policy = RuntimePolicy(

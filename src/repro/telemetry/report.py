@@ -135,18 +135,30 @@ def render_report(trace: Trace, title: str | None = None) -> str:
     )
 
 
+def _count(runs: list[list[dict]], kinds: tuple[str, ...]) -> int:
+    return sum(1 for run in runs for e in run if e.get("event") in kinds)
+
+
 def reconcile_with_ledger(trace: Trace, ledger_path: str) -> list[str]:
-    """Compare evaluation spans against the ledger's completed events."""
+    """Compare evaluation spans against the ledger's completed events.
+
+    A trace file holds one run, while a resumed campaign's ledger holds
+    the killed run too: only the ledger's last N runs are compared, N
+    being the trace's ``campaign`` span count (at least 1).
+    """
     from repro.runtime.ledger import read_ledger
 
-    replay = read_ledger(ledger_path)
+    runs = read_ledger(ledger_path).runs()
+    traced = runs[-max(1, len(trace.named("campaign"))):]
     n_spans = len(trace.named("evaluate"))
+    n_completed = _count(traced, ("completed",))
     lines = [
         f"evaluate spans:          {n_spans}",
-        f"ledger completed events: {replay.n_completed}",
-        f"ledger cache hits:       {replay.n_cache_hits}",
+        f"ledger runs compared:    {len(traced)} of {len(runs)}",
+        f"ledger completed events: {n_completed}",
+        f"ledger cache hits:       {_count(traced, ('cache_hit',))}",
     ]
-    if n_spans == replay.n_completed:
+    if n_spans == n_completed:
         lines.append("trace and ledger agree on the simulation count")
     else:
         lines.append(
@@ -156,24 +168,17 @@ def reconcile_with_ledger(trace: Trace, ledger_path: str) -> list[str]:
 
 
 def _final_run_evaluations(ledger_path: str) -> int:
-    """Evaluations the ledger's *final* run performed.
+    """Observations the ledger's *final* run made.
 
-    A resumed campaign's ledger holds the interrupted prefix plus the
-    resumed run appended in place, each run opening with its own
-    ``campaign`` header — only events after the last header belong to
-    the run the scheduler span measured.
+    A resumed campaign's ledger holds the interrupted run plus the
+    resumed one appended in place; only the last run belongs to the run
+    the scheduler span measured.
     """
     from repro.runtime.ledger import read_ledger
 
-    events = read_ledger(ledger_path).events
-    last_header = 0
-    for i, event in enumerate(events):
-        if event.get("event") == "campaign":
-            last_header = i
-    return sum(
-        1
-        for event in events[last_header:]
-        if event.get("event") in ("completed", "cache_hit", "penalized")
+    return _count(
+        read_ledger(ledger_path).runs()[-1:],
+        ("completed", "cache_hit", "penalized"),
     )
 
 

@@ -18,9 +18,10 @@ unique ids and whole JSONL lines; the tracer is ``@thread_shared``
 
 The trace file is one JSON object per line, flushed per line like the
 :class:`~repro.runtime.ledger.RunLedger` so a killed campaign leaves a
-valid prefix.  Spans carry the broker's evaluation ids in their
-attributes, which is what makes a trace joinable against the ledger's
-event stream (both sides name the same ``id``).
+valid prefix, read by the same torn-line rule (:mod:`repro.utils.jsonl`).
+Spans carry the broker's evaluation ids in their attributes, which is
+what makes a trace joinable against the ledger's event stream (both
+sides name the same ``id``).
 
 Trace schema (version 1)
 ------------------------
@@ -44,7 +45,6 @@ budget (same pattern as the PR 3 sanitizer).
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -52,6 +52,7 @@ from pathlib import Path
 from typing import IO, Any, Callable, Iterator
 
 from repro.utils.contracts import thread_shared
+from repro.utils.jsonl import ENCODER, read_records
 from repro.utils.sanitize_concurrency import make_lock
 
 #: Schema version stamped on the trace header line.
@@ -314,7 +315,7 @@ class Tracer:
             "dt": dt,
             "attrs": attrs,
         }
-        text = json.dumps(line, separators=(",", ":")) + "\n"
+        text = ENCODER.encode(line) + "\n"
         with self._lock:
             self.finished.append(line)
             if self.path is not None:
@@ -324,9 +325,7 @@ class Tracer:
                     # earlier run's file would add a second header
                     self._fh = self.path.open("w", encoding="utf-8")
                     header = {"kind": "trace", "version": TRACE_VERSION}
-                    self._fh.write(
-                        json.dumps(header, separators=(",", ":")) + "\n"
-                    )
+                    self._fh.write(ENCODER.encode(header) + "\n")
                 self._fh.write(text)
                 self._fh.flush()
 
@@ -432,25 +431,16 @@ def read_trace(path: str | Path) -> Trace:
     Enforced invariants: a version-1 header, unique span ids, every
     ``parent`` referencing a known id assigned before the child's (the
     open-before rule), and non-negative durations.  A torn trailing line
-    (interrupted write) is tolerated, anything else raises
-    :class:`TraceSchemaError`.
+    (interrupted write) is tolerated; an unparseable line elsewhere raises
+    :class:`ValueError`, and a schema violation :class:`TraceSchemaError`.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    records, _ = read_records(path)
+    if not records:
         raise TraceSchemaError(f"{path}: empty trace file")
     spans: list[TraceSpan] = []
     version: int | None = None
     seen: set[int] = set()
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            if lineno == len(lines):  # torn final line from a killed run
-                break
-            raise TraceSchemaError(
-                f"{path}: unparseable line {lineno} is not the final line"
-            ) from None
+    for lineno, obj in enumerate(records, start=1):
         kind = obj.get("kind")
         if kind == "trace":
             if version is not None:

@@ -18,9 +18,17 @@ import pytest
 from repro.bo import BatchBO, RemboBO, RunSpec, SequentialBO
 from repro.campaign import Campaign, CampaignResult
 from repro.circuits.behavioral.uvlo import UVLOTestbench
-from repro.runtime import FunctionObjective, RuntimePolicy, read_ledger
+from repro.runtime import (
+    FunctionObjective,
+    ResultCache,
+    RunLedger,
+    RuntimePolicy,
+    read_ledger,
+    truncate_mid_run,
+)
 from repro.sampling import MonteCarloSampler
 from repro.telemetry import Telemetry, TelemetryConfig, read_trace
+from repro.telemetry.report import reconcile_with_ledger
 from repro.utils.validation import unit_cube_bounds
 
 
@@ -196,6 +204,38 @@ class TestCampaignTelemetry:
         (sampling,) = trace.named("sampling")
         assert sampling.attrs["cache_hits"] == 5
         assert trace.named("evaluate") == []
+
+    def test_resumed_campaign_reconciles_with_its_final_run(self, tmp_path):
+        # the trace file holds the resumed run only, the ledger both runs
+        testbench = UVLOTestbench()
+        ledger_path = tmp_path / "uvlo.jsonl"
+
+        def run(trace_path, cache):
+            policy = RuntimePolicy(cache=cache, ledger=RunLedger(ledger_path))
+            Campaign(
+                testbench.objective("delta_vthl"),
+                small_rembo(),
+                policy=policy,
+                telemetry=TelemetryConfig(trace_path=trace_path),
+            ).run(uvlo_spec(testbench, n_batches=2))
+            policy.ledger.close()
+            return read_trace(trace_path)
+
+        full = run(tmp_path / "full.trace.jsonl", ResultCache.in_memory())
+        agree = "trace and ledger agree on the simulation count"
+        assert reconcile_with_ledger(full, str(ledger_path))[-1] == agree
+
+        truncate_mid_run(ledger_path)
+        cache = ResultCache.in_memory()
+        cache.preload(read_ledger(ledger_path).completed)
+        resumed = run(tmp_path / "resumed.trace.jsonl", cache)
+        replay = read_ledger(ledger_path)
+        assert len(replay.runs()) == 2
+        n_spans = len(resumed.named("evaluate"))
+        assert 0 < n_spans < replay.n_completed
+        lines = reconcile_with_ledger(resumed, str(ledger_path))
+        assert lines[-1] == agree, lines
+        assert f"ledger completed events: {n_spans}" in lines
 
     def test_off_by_default(self):
         outcome = Campaign(bowl_objective(), MonteCarloSampler(5, seed=0)).run()

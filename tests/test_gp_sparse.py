@@ -39,7 +39,7 @@ from repro.gp import (
     select_inducing_points,
 )
 from repro.kernels import Matern52
-from repro.runtime import RunLedger, RuntimePolicy, resume
+from repro.runtime import ResultCache, RunLedger, RuntimePolicy, read_ledger
 from repro.serve.jobs import build_spec
 from repro.telemetry import TelemetryConfig, read_trace
 
@@ -460,10 +460,11 @@ class TestEngineThreading:
         uninterrupted = run(policy)
         policy.ledger.close()
 
-        state = resume(ledger_path)
+        cache = ResultCache.in_memory()
+        cache.preload(read_ledger(ledger_path).completed)
         resumed = run(
             RuntimePolicy(
-                cache=state.cache, ledger=RunLedger(tmp_path / "resumed.jsonl")
+                cache=cache, ledger=RunLedger(tmp_path / "resumed.jsonl")
             )
         )
         assert np.array_equal(uninterrupted.X, resumed.X)

@@ -355,6 +355,13 @@ class TestDeterminism:
             lint_fixture("determinism_bad.py", "determinism", LIBRARY_PATH)
         )
         assert "NL706" not in found
+        # the JSONL module behind ledgers, shards and traces is in scope
+        found = codes(
+            lint_fixture(
+                "determinism_bad.py", "determinism", "src/repro/utils/jsonl.py"
+            )
+        )
+        assert found.count("NL706") == 2
 
     def test_interprocedural_witness_chain(self):
         # the cache-key finding names the helper chain down to time.time(),
@@ -375,7 +382,7 @@ class TestDeterminism:
             "src/repro/runtime/ledger.py",
             "src/repro/runtime/broker.py",
             "src/repro/runtime/replay.py",
-            "src/repro/runtime/resume.py",
+            "src/repro/utils/jsonl.py",
             "src/repro/runtime/objective.py",
         ):
             ctx = FileContext.from_path(REPO_ROOT / rel, REPO_ROOT)

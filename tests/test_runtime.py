@@ -20,6 +20,7 @@ import pytest
 
 from repro.bo.records import RunRecorder, RunResult
 from repro.runtime import (
+    DEFAULT_DECIMALS,
     BrokerConfig,
     EvaluationBroker,
     EvaluationError,
@@ -139,6 +140,15 @@ class TestResultCache:
             "k", np.array([-0.0])
         )
 
+    def test_digest_format_is_pinned(self):
+        # ledgers and cache shards on disk are addressed by this payload
+        # (key | decimals | rounded float64 bytes, -0.0 folded): it must
+        # not change
+        pinned = "c93dcb681346467adce54830b7c985e53a8618e3e20a2f8692562b34f32ab8c2"
+        x = [0.1, -0.0, 0.5]
+        assert point_digest("UVLOTestbench:delta_vthl", x) == pinned
+        assert batch_digests("UVLOTestbench:delta_vthl", [x]) == [pinned]
+
     def test_hit_miss_counting(self):
         cache = ResultCache.in_memory()
         d = cache.key_for("k", np.array([1.0]))
@@ -155,10 +165,6 @@ class TestResultCache:
         assert len(cache) == 1 and cache.hits == 0 and cache.misses == 0
         assert "abc" in cache
 
-    def test_rejects_negative_decimals(self):
-        with pytest.raises(ValueError):
-            ResultCache.in_memory(decimals=-1)
-
     def test_batch_digests_match_point_digest(self):
         rng = np.random.default_rng(7)
         X = rng.uniform(-1.0, 1.0, (17, 3))
@@ -169,10 +175,14 @@ class TestResultCache:
         assert digests[1] == digests[2]
 
     def test_keys_for_batch_respects_decimals(self):
-        cache = ResultCache.in_memory(decimals=4)
+        # the cache addresses points at the one fixed rounding
+        cache = ResultCache.in_memory()
         X = np.array([[0.123456, -0.5]])
         assert cache.keys_for_batch("k", X) == [cache.key_for("k", X[0])]
-        assert cache.keys_for_batch("k", X) != batch_digests("k", X)
+        assert cache.keys_for_batch("k", X) == batch_digests(
+            "k", X, decimals=DEFAULT_DECIMALS
+        )
+        assert cache.keys_for_batch("k", X) != batch_digests("k", X, decimals=4)
 
     def test_get_counts_one_hit_or_miss_per_lookup(self):
         cache = ResultCache.in_memory()

@@ -26,10 +26,10 @@ from repro.runtime import (
     FaultInjectingTestbench,
     FaultPlan,
     FunctionObjective,
+    ResultCache,
     RunLedger,
     RuntimePolicy,
     read_ledger,
-    resume,
     truncate_mid_run,
     verify_replay,
 )
@@ -71,6 +71,13 @@ def run_campaign(testbench, runtime, seed=11):
 RETRY = BrokerConfig(max_retries=3, backoff_seconds=0.0)
 
 
+def resumed_policy(ledger_path):
+    """Preload a fresh cache from the ledger; append to the same file."""
+    cache = ResultCache.in_memory()
+    cache.preload(read_ledger(ledger_path).completed)
+    return RuntimePolicy(config=RETRY, cache=cache, ledger=RunLedger(ledger_path))
+
+
 class TestKillResumeReplay:
     def test_resumed_fault_injected_ledger_replays_clean(self, tmp_path):
         ledger_path = tmp_path / "campaign.jsonl"
@@ -84,9 +91,11 @@ class TestKillResumeReplay:
         assert 0 < n_kept < n_total
 
         # 2. resume append-in-place (same file), fresh fault wrapper
-        state = resume(ledger_path)
-        assert state.truncated and state.n_completed == n_kept
-        run_campaign(faulty_bench(), state.policy(config=RETRY))
+        killed = read_ledger(ledger_path)
+        assert killed.truncated and killed.n_completed == n_kept
+        policy = resumed_policy(ledger_path)
+        run_campaign(faulty_bench(), policy)
+        policy.ledger.close()
 
         # 3. the combined ledger replays with zero divergence through the
         # clean objective: injected faults were transient, retried, and
@@ -154,19 +163,22 @@ class TestTornTailHealing:
         policy = RuntimePolicy(config=RETRY, ledger=RunLedger(ledger_path))
         run_campaign(UVLOTestbench(), policy)
         policy.ledger.close()
+        n_total = read_ledger(ledger_path).n_completed
         truncate_mid_run(ledger_path)
         raw = ledger_path.read_text(encoding="utf-8")
         assert not raw.splitlines()[-1].startswith("{\"event\": ")
 
-        state = resume(ledger_path)
-        assert state.truncated
-        # the fragment is gone: every remaining line parses
+        assert read_ledger(ledger_path).truncated
+        # the resumed run's first append cuts the fragment, so the
+        # appended ledger reads back whole: every line parses
+        policy = resumed_policy(ledger_path)
+        run_campaign(UVLOTestbench(), policy)
+        policy.ledger.close()
         for line in ledger_path.read_text(encoding="utf-8").splitlines():
             json.loads(line)
-        # so an appended resume leaves a ledger read_ledger still accepts
-        run_campaign(UVLOTestbench(), state.policy(config=RETRY))
         final = read_ledger(ledger_path)
         assert not final.truncated
+        assert final.n_completed == n_total
 
 
 class TestReplayCli:

@@ -25,10 +25,10 @@ from repro.runtime import (
     BrokerConfig,
     FaultInjectingTestbench,
     FaultPlan,
+    ResultCache,
     RunLedger,
     RuntimePolicy,
     read_ledger,
-    resume,
     truncate_mid_run,
 )
 from repro.runtime.broker import PERSIST_SLICE
@@ -43,6 +43,13 @@ def small_engine(seed=11):
         n_restarts=1,
         seed=seed,
     )
+
+
+def preloaded_cache(replay):
+    """A fresh cache holding a ledger's completed evaluations: the resume."""
+    cache = ResultCache.in_memory()
+    cache.preload(replay.completed)
+    return cache
 
 
 def run_campaign(testbench, runtime=None, seed=11):
@@ -119,13 +126,13 @@ class TestKillAndResume:
         n_kept = self._truncate_mid_batch(ledger_path)
         assert 0 < n_kept < n_simulated
 
-        state = resume(ledger_path)
-        assert state.truncated
-        assert state.n_completed == n_kept
+        killed = read_ledger(ledger_path)
+        assert killed.truncated
+        assert killed.n_completed == n_kept
 
         resumed_ledger = tmp_path / "resumed.jsonl"
         resumed_policy = RuntimePolicy(
-            cache=state.cache, ledger=RunLedger(resumed_ledger)
+            cache=preloaded_cache(killed), ledger=RunLedger(resumed_ledger)
         )
         resumed = run_campaign(UVLOTestbench(), runtime=resumed_policy)
         resumed_policy.ledger.close()
@@ -157,9 +164,11 @@ class TestKillAndResume:
         n_kept = truncate_mid_run(ledger_path)
         assert PERSIST_SLICE < n_kept < 2 * PERSIST_SLICE
 
-        state = resume(ledger_path)
-        assert state.truncated and state.n_completed == n_kept
-        resumed_policy = state.policy()
+        killed = read_ledger(ledger_path)
+        assert killed.truncated and killed.n_completed == n_kept
+        resumed_policy = RuntimePolicy(
+            cache=preloaded_cache(killed), ledger=RunLedger(ledger_path)
+        )
         resumed = MonteCarloSampler(3000, seed=4).solve(
             objective=bench.objective("delta_vthl"),
             spec=spec,
@@ -175,23 +184,20 @@ class TestKillAndResume:
         assert replay.duplicate_simulations == 0
 
     def test_resume_rejects_mismatched_decimals(self, tmp_path):
+        # a ledger written at another rounding addresses other points:
+        # preloading its digests would never hit, so reading it fails
         ledger_path = tmp_path / "campaign.jsonl"
         policy = RuntimePolicy(ledger=RunLedger(ledger_path))
         run_campaign(UVLOTestbench(), runtime=policy)
         policy.ledger.close()
-        with pytest.raises(ValueError, match="cache_decimals"):
-            resume(ledger_path, decimals=6)
-
-    def test_resume_policy_appends_by_default(self, tmp_path):
-        ledger_path = tmp_path / "campaign.jsonl"
-        policy = RuntimePolicy(ledger=RunLedger(ledger_path))
-        run_campaign(UVLOTestbench(), runtime=policy)
-        policy.ledger.close()
-        state = resume(ledger_path)
-        appended = state.policy()
-        assert appended.cache is state.cache
-        assert appended.ledger.path == ledger_path
-        assert state.policy(append_ledger=False).ledger is None
+        text = ledger_path.read_text(encoding="utf-8")
+        assert text.count('"cache_decimals":12') == 1
+        ledger_path.write_text(
+            text.replace('"cache_decimals":12', '"cache_decimals":6'),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="cache_decimals=6"):
+            read_ledger(ledger_path)
 
 
 class TestSharedRuntimeDedup:

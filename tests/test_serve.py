@@ -149,13 +149,14 @@ class TestPersistentCache:
             assert reloaded.get("dd") == value
 
     def test_decimals_mismatch_rejected(self, tmp_path):
-        with ResultCache.open(tmp_path / "c", decimals=6):
+        with ResultCache.open(tmp_path / "c"):
             pass
-        with pytest.raises(ValueError, match="decimals"):
-            ResultCache.open(tmp_path / "c", decimals=8)
-        # None adopts the stored rounding
-        with ResultCache.open(tmp_path / "c") as cache:
-            assert cache.decimals == 6
+        meta = tmp_path / "c" / "meta.json"
+        assert meta.read_text(encoding="utf-8") == '{"version":1,"decimals":12}\n'
+        # a store written at another rounding addresses other points
+        meta.write_text('{"version":1,"decimals":6}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="decimals=6"):
+            ResultCache.open(tmp_path / "c")
 
     def test_torn_final_shard_line_tolerated(self, tmp_path):
         with ResultCache.open(tmp_path / "c") as cache:
@@ -452,15 +453,9 @@ def _mc_spec(name: str, seed: int, n: int = 12, priority: int = 0) -> CampaignSp
 
 
 def _final_run_observations(ledger_path: Path) -> int:
-    events = read_ledger(ledger_path).events
-    last_header = max(
-        (i for i, e in enumerate(events) if e.get("event") == "campaign"),
-        default=0,
-    )
+    (run,) = read_ledger(ledger_path).runs()[-1:]
     return sum(
-        1
-        for e in events[last_header:]
-        if e.get("event") in ("completed", "cache_hit", "penalized")
+        1 for e in run if e.get("event") in ("completed", "cache_hit", "penalized")
     )
 
 
@@ -592,6 +587,36 @@ class TestSchedulerResume:
         assert again.n_failed == 0
         assert all(o.already_complete for o in again.outcomes)
 
+    def test_torn_shard_survives_repeated_resumes(self, tmp_path):
+        runs = tmp_path / "runs"
+        self._run_fleet(runs)
+        # a kill inside put_many tears a shard's final line; the entry it
+        # held survives in a ledger, so every resume re-stores it
+        shard = sorted((runs / "cache").glob("shard-*.jsonl"))[0]
+        with shard.open("r+b") as fh:
+            fh.truncate(shard.stat().st_size - 12)
+        for name in ("r1", "r3"):
+            truncate_mid_run(runs / f"{name}.jsonl")
+            (runs / f"{name}.result.json").unlink()
+            resumed = self._run_fleet(runs, resume=True)
+            assert resumed.n_failed == 0, resumed.summary()
+        with ResultCache.open(runs / "cache") as cache:
+            assert len(cache) == 3 * 12  # seeds 1, 2 and 3, 12 points each
+        for line in shard.read_text(encoding="utf-8").splitlines():
+            json.loads(line)
+
+    def test_rerun_without_resume_over_a_torn_ledger(self, tmp_path):
+        runs = tmp_path / "runs"
+        self._run_fleet(runs)
+        truncate_mid_run(runs / "r1.jsonl")
+        again = self._run_fleet(runs)
+        assert again.n_failed == 0
+        assert again.duplicate_simulations == 0
+        for name in ("r1", "r2", "r3", "r4"):
+            replay = read_ledger(runs / f"{name}.jsonl")
+            assert not replay.truncated
+            assert len(replay.runs()) == 2
+
 
 class TestSchedulerSigkill:
     """A real SIGKILL of the service process, then ``--resume``."""
@@ -700,10 +725,9 @@ class TestSchedulerSigkill:
 
 class TestSharedPolicy:
     def test_shared_accepts_existing_cache(self, tmp_path):
-        with ResultCache.open(tmp_path / "c", decimals=8) as cache:
+        with ResultCache.open(tmp_path / "c") as cache:
             policy = RuntimePolicy.shared(cache=cache)
             assert policy.cache is cache
-            assert policy.config.cache_decimals == 8
 
     def test_shared_opens_cache_path(self, tmp_path):
         policy = RuntimePolicy.shared(cache_path=tmp_path / "c")
@@ -716,14 +740,3 @@ class TestSharedPolicy:
         with ResultCache.open(tmp_path / "c") as cache:
             with pytest.raises(ValueError, match="not both"):
                 RuntimePolicy.shared(cache=cache, cache_path=tmp_path / "d")
-
-    def test_resume_rejects_decimal_mismatch(self, tmp_path):
-        from repro.runtime.resume import resume
-
-        ledger = tmp_path / "run.jsonl"
-        ledger.write_text(
-            '{"event":"campaign","cache_decimals":12}\n', encoding="utf-8"
-        )
-        cache = ResultCache.in_memory(decimals=6)
-        with pytest.raises(ValueError, match="decimals"):
-            resume(ledger, decimals=12, cache=cache)

@@ -36,9 +36,10 @@ though no impure call appears in its own body.
   Storing the resource on ``self`` (object-owned lifecycle) is exempt.
 * **NL706** — a swallowed exception (bare ``except:`` or a handler whose
   body is only ``pass``/``...``/``continue``) in the persistence layer
-  (``repro.runtime``/``repro.telemetry``).  A silently failed ledger or
-  checkpoint write turns the next resume into corruption; failures on
-  write paths must surface or be recorded.
+  (``repro.runtime``/``repro.telemetry``, and ``repro.utils.jsonl``, the
+  torn-line rule their ledgers, cache shards and traces share).  A
+  silently failed ledger or checkpoint write turns the next resume into
+  corruption; failures on write paths must surface or be recorded.
 
 Scope: ``src/`` only (NL701–NL704 interprocedural, falling back to
 file-local inference when run standalone).  Tests, benchmarks and
@@ -96,7 +97,7 @@ _RESOURCE_QUALS = frozenset(
 )
 
 #: Persistence-layer module prefixes for NL706.
-_PERSISTENCE_PREFIXES = ("repro.runtime", "repro.telemetry")
+_PERSISTENCE_PREFIXES = ("repro.runtime", "repro.telemetry", "repro.utils.jsonl")
 
 
 def _receiver_dotted(node: ast.expr) -> str | None:
