@@ -21,7 +21,7 @@ from repro.bo.engine import (
 )
 from repro.bo.loop import ACQUISITIONS, SequentialBO
 from repro.bo.propose import BatchProposal, acquisition_search
-from repro.bo.records import FailureSummary, RunRecorder, RunResult
+from repro.bo.records import FailureSummary, RunResult
 from repro.bo.rembo import RemboBO
 from repro.bo.spec import Specification
 
@@ -33,7 +33,6 @@ __all__ = [
     "EngineProtocol",
     "Specification",
     "RunResult",
-    "RunRecorder",
     "FailureSummary",
     "SurrogateManager",
     "acquisition_search",

@@ -50,9 +50,6 @@ class BatchBO(BOEngine):
     global_budget / local_budget:
         Acquisition evaluation caps of the DIRECT-L and COBYLA stages of
         :func:`~repro.bo.propose.acquisition_search`, per weight.
-    stop_on_failure:
-        Stop before the next iteration once any observation so far, the
-        initial data included, is below ``spec.threshold``.
     """
 
     _method = "pBO"
@@ -67,7 +64,6 @@ class BatchBO(BOEngine):
         n_restarts: int = 2,
         global_budget: int = DEFAULT_GLOBAL_BUDGET,
         local_budget: int = DEFAULT_LOCAL_BUDGET,
-        stop_on_failure: bool = False,
         seed: SeedLike = None,
     ) -> None:
         if batch_size < 1:
@@ -86,7 +82,7 @@ class BatchBO(BOEngine):
             raise ValueError("weights must lie in [0, 1]")
         super().__init__(
             ard, noise_variance, tune_every, n_restarts, global_budget,
-            local_budget, stop_on_failure, seed
+            local_budget, seed
         )
 
     def _n_iterations(self, spec: RunSpec, n_init: int) -> int:

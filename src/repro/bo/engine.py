@@ -6,9 +6,10 @@ A campaign has one shape: an initial design, then iterations of
 for all three engines; they differ only in their method label and RNG
 stream layout, in how many iterations a :class:`RunSpec` buys, in their
 proposal step (single acquisition, multi-weight batch), and — for REMBO —
-in the :class:`ModelSpace` the surrogate works in.  Surrogate fitting,
-label standardization and the hyperparameter tuning cadence
-(:class:`SurrogateManager`) live here too.
+in the :class:`ModelSpace` the surrogate works in.  A run always spends
+its whole iteration count, and its log stacks the rows each broker batch
+kept.  Surrogate fitting, label standardization and the hyperparameter
+tuning cadence (:class:`SurrogateManager`) live here too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Any, Protocol, runtime_checkable
 import numpy as np
 
 from repro.bo.propose import BatchProposal, check_budgets
-from repro.bo.records import RunRecorder, RunResult
+from repro.bo.records import RunResult
 from repro.gp.hyperopt import HyperoptResult, fit_hyperparameters
 from repro.gp.standardize import Standardizer
 from repro.gp.surrogate import (
@@ -30,7 +31,7 @@ from repro.gp.surrogate import (
 )
 from repro.runtime.broker import RuntimePolicy, make_broker
 from repro.runtime.objective import Objective, require_objective, resolve_bounds
-from repro.telemetry.config import TelemetryLike, resolve_telemetry
+from repro.telemetry.config import Telemetry, resolve_telemetry
 from repro.utils.contracts import shape_contract
 from repro.utils.rng import SeedLike, as_generator, spawn
 from repro.utils.timing import Timer
@@ -45,7 +46,7 @@ class RunSpec:
     bounds, initial design, evaluation budget, failure threshold — while
     runtime wiring (cache/ledger/failure policy) travels separately as a
     :class:`~repro.runtime.broker.RuntimePolicy` and observability as a
-    :class:`~repro.telemetry.Telemetry`.
+    live :class:`~repro.telemetry.Telemetry`.
 
     Parameters
     ----------
@@ -112,7 +113,7 @@ class EngineProtocol(Protocol):
         objective: Objective,
         spec: "RunSpec | None" = None,
         policy: "RuntimePolicy | None" = None,
-        telemetry: TelemetryLike = None,
+        telemetry: Telemetry | None = None,
         rng: SeedLike = None,
     ) -> "RunResult": ...
 
@@ -282,7 +283,6 @@ class BOEngine:
         n_restarts: int,
         global_budget: int,
         local_budget: int,
-        stop_on_failure: bool,
         seed: SeedLike,
     ) -> None:
         self.ard = bool(ard)
@@ -292,7 +292,6 @@ class BOEngine:
         self.global_budget, self.local_budget = check_budgets(
             global_budget, local_budget
         )
-        self.stop_on_failure = bool(stop_on_failure)
         self._rng = as_generator(seed)
 
     def _n_iterations(self, spec: RunSpec, n_init: int) -> int:
@@ -316,7 +315,7 @@ class BOEngine:
         objective: Objective,
         spec: RunSpec | None = None,
         policy: RuntimePolicy | None = None,
-        telemetry: TelemetryLike = None,
+        telemetry: Telemetry | None = None,
         rng: SeedLike = None,
     ) -> RunResult:
         """Run the initial design, then ``gp_fit → acq_opt → evaluate``
@@ -326,13 +325,13 @@ class BOEngine:
         as the paper shares one initial dataset across all BO methods;
         ``spec.n_init`` is then ignored.  Every simulation routes through
         the broker (``policy`` supplies the shared cache / ledger / failure
-        policy).  ``telemetry`` receives ``init_design`` / ``iteration`` /
-        ``gp_fit`` / ``acq_opt`` / ``evaluate`` spans and broker metrics.
+        policy).  ``telemetry``, a live :class:`Telemetry` or None, receives
+        ``init_design`` / ``iteration`` / ``gp_fit`` / ``acq_opt`` /
+        ``evaluate`` spans and broker metrics.
         ``rng`` overrides the constructor seed for this run.
         """
         objective = require_objective(objective, type(self).__name__)
         spec = spec if spec is not None else RunSpec()
-        # once per run: a TelemetryConfig builds a fresh Telemetry per call
         tele = resolve_telemetry(telemetry)
         tracer = tele.tracer
         _, _, box = resolve_bounds(objective, spec.bounds)
@@ -346,30 +345,25 @@ class BOEngine:
         )
         base_rng = as_generator(rng) if rng is not None else self._rng
         rng_init, *rng_space, rng_model = spawn(base_rng, self._n_streams)
-        recorder = RunRecorder(method=self._method)
-        broker = make_broker(
-            objective, policy, recorder=recorder, method=self._method, telemetry=tele
-        )
+        broker = make_broker(objective, policy, method=self._method, telemetry=tele)
 
         timer = Timer().start()
         if initial is not None:
             X, y = initial
-            recorder.record_initial(X, y)
         else:
             with tracer.span("init_design", n_init=spec.n_init) as span:
                 design = uniform_initial_design(box, spec.n_init, seed=rng_init)
                 batch = broker.evaluate_batch(design)
                 span.set("n_evaluated", batch.n_evaluated)
-            recorder.mark_initial()
             X, y = batch.X, batch.y
-        if y.size == 0:
+        n_init = y.size
+        if n_init == 0:
             raise ValueError(
                 "no initial evaluations survived the failure policy; "
                 "cannot fit a surrogate"
             )
 
         space, Z = self._model_space(X, y, box, rng_space, tracer)
-        recorder.model_dim = space.box.shape[0]
         manager = SurrogateManager(
             space.box.shape[0],
             ard=self.ard,
@@ -380,11 +374,8 @@ class BOEngine:
             surrogate=spec.surrogate,
         )
 
-        threshold = spec.threshold if self.stop_on_failure else None
+        acquisition_evaluations = 0
         for iteration in range(n_iterations):
-            # stop_on_failure: any failure so far, D_0 included, ends the run
-            if threshold is not None and np.min(y) < threshold:
-                break
             with tracer.span("iteration", index=iteration) as it_span:
                 with tracer.span("gp_fit", n_train=int(y.size)) as fit_span:
                     model = manager.refit(Z, y)
@@ -392,19 +383,27 @@ class BOEngine:
                 with tracer.span("acq_opt") as acq_span:
                     proposal = self._propose(model, space.box)
                     acq_span.set("fevals", proposal.n_evaluations)
-                recorder.add_acquisition(proposal.n_evaluations)
+                acquisition_evaluations += proposal.n_evaluations
                 new_Z = np.clip(proposal.X, space.box[:, 0], space.box[:, 1])
                 batch = broker.evaluate_batch(space.to_design(new_Z, it_span))
                 it_span.set("n_evaluated", batch.n_evaluated)
             if batch.n_evaluated:
                 # under the skip policy only evaluated rows (batch.index)
-                # enter the model — keep Z aligned with X row for row
+                # enter the log and the model — keep Z aligned with X
+                X = np.vstack([X, batch.X])
                 Z = np.vstack([Z, new_Z[batch.index]])
                 y = np.concatenate([y, batch.y])
         timer.stop()
 
-        return recorder.finalize(
-            total_seconds=timer.elapsed,
-            eval_seconds=broker.stats.eval_seconds,
+        eval_seconds = broker.stats.eval_seconds
+        return RunResult(
+            X=X,
+            y=y,
+            n_init=n_init,
+            method=self._method,
+            eval_seconds=eval_seconds,
+            overhead_seconds=max(0.0, timer.elapsed - eval_seconds),
+            acquisition_evaluations=acquisition_evaluations,
+            model_dim=space.box.shape[0],
             **space.result_fields(Z),
         )

@@ -51,9 +51,6 @@ class SequentialBO(BOEngine):
         Acquisition evaluation caps of the DIRECT-L and COBYLA stages of
         :func:`~repro.bo.propose.acquisition_search`, which each iteration
         runs on one row.
-    stop_on_failure:
-        Stop before the next iteration once any observation so far, the
-        initial data included, is below ``spec.threshold``.
     """
 
     def __init__(
@@ -67,7 +64,6 @@ class SequentialBO(BOEngine):
         n_restarts: int = 2,
         global_budget: int = DEFAULT_GLOBAL_BUDGET,
         local_budget: int = DEFAULT_LOCAL_BUDGET,
-        stop_on_failure: bool = False,
         seed: SeedLike = None,
     ) -> None:
         if acquisition not in ACQUISITIONS:
@@ -85,7 +81,7 @@ class SequentialBO(BOEngine):
         self.kappa = float(kappa)
         super().__init__(
             ard, noise_variance, tune_every, n_restarts, global_budget,
-            local_budget, stop_on_failure, seed
+            local_budget, seed
         )
 
     def _n_iterations(self, spec: RunSpec, n_init: int) -> int:

@@ -3,7 +3,9 @@
 The paper's tables report, per method: the number of simulations, the worst
 performance found, the index of the first detected failure, and runtime.
 ``RunResult`` keeps the full evaluation log so all of those derive from one
-object; ``FailureSummary`` is the table-row view against a specification.
+object; each engine's ``solve`` builds it from the
+:class:`~repro.runtime.broker.EvalBatch` rows the broker kept.
+``FailureSummary`` is the table-row view against a specification.
 """
 
 from __future__ import annotations
@@ -99,80 +101,6 @@ class RunResult:
             first_failure_index=first,
             total_seconds=self.total_seconds,
             failure_indices=failures,
-        )
-
-
-class RunRecorder:
-    """Accumulates one run's evaluation log into a :class:`RunResult`.
-
-    Every engine used to assemble its ``RunResult`` by hand from locally
-    vstacked arrays; the recorder is the single replacement.  It is fed
-    incrementally — by the evaluation broker (each
-    ``EvaluationBroker.evaluate_batch`` extends the bound recorder) or
-    directly via :meth:`extend` — and :meth:`finalize` emits the record.
-
-    Appends are deliberately lenient (plain Python lists, no finiteness
-    check): validation happens once, in ``RunResult.__post_init__``, after
-    the broker's failure policies have already quarantined or substituted
-    non-finite values.
-    """
-
-    def __init__(self, method: str = "", model_dim: int | None = None) -> None:
-        self.method = method
-        self.model_dim = model_dim
-        self._X: list[np.ndarray] = []
-        self._y: list[float] = []
-        self._n_init = 0
-        self._acquisition_evaluations = 0
-
-    @property
-    def n_evaluations(self) -> int:
-        return len(self._y)
-
-    def extend(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Append a batch of evaluated points (in evaluation order)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(
-                f"X has {X.shape[0]} rows but y has {y.shape[0]} values"
-            )
-        for row, value in zip(X, y):
-            self._X.append(np.array(row, dtype=float))
-            self._y.append(float(value))
-
-    def record_initial(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Append pre-evaluated initial data and count it as initial."""
-        self.extend(X, y)
-        self.mark_initial()
-
-    def mark_initial(self) -> None:
-        """Declare everything recorded so far as the initial design."""
-        self._n_init = len(self._y)
-
-    def add_acquisition(self, n: int) -> None:
-        self._acquisition_evaluations += int(n)
-
-    def finalize(
-        self,
-        total_seconds: float = 0.0,
-        eval_seconds: float = 0.0,
-        Z: np.ndarray | None = None,
-        extra: dict | None = None,
-    ) -> RunResult:
-        """Build the :class:`RunResult`; overhead = total - eval time."""
-        overhead = max(0.0, float(total_seconds) - float(eval_seconds))
-        return RunResult(
-            X=np.array(self._X, dtype=float),
-            y=np.array(self._y, dtype=float),
-            n_init=self._n_init,
-            method=self.method,
-            eval_seconds=float(eval_seconds),
-            overhead_seconds=overhead,
-            acquisition_evaluations=self._acquisition_evaluations,
-            model_dim=self.model_dim,
-            Z=Z,
-            extra=extra if extra is not None else {},
         )
 
 

@@ -68,9 +68,6 @@ class RemboBO(BatchBO):
         Acquisition evaluation caps of the DIRECT-L and COBYLA stages of
         :func:`~repro.bo.propose.acquisition_search`, per weight, in the
         embedded box.
-    stop_on_failure:
-        Stop before the next iteration once any observation so far, the
-        initial data included, is below ``spec.threshold``.
     """
 
     _method = "REMBO-pBO"
@@ -90,12 +87,11 @@ class RemboBO(BatchBO):
         n_restarts: int = 2,
         global_budget: int = DEFAULT_GLOBAL_BUDGET,
         local_budget: int = DEFAULT_LOCAL_BUDGET,
-        stop_on_failure: bool = False,
         seed: SeedLike = None,
     ) -> None:
         super().__init__(
             batch_size, weights, ard, noise_variance, tune_every, n_restarts,
-            global_budget, local_budget, stop_on_failure, seed,
+            global_budget, local_budget, seed,
         )
         if embedding_dim is not None and embedding_dim < 1:
             raise ValueError(f"embedding_dim must be >= 1, got {embedding_dim}")

@@ -190,7 +190,11 @@ def run_campaign_spec(
     engine = cspec.make_engine()
 
     owns_telemetry = isinstance(tele_like, TelemetryConfig)
-    tele: Telemetry = resolve_telemetry(tele_like)
+    tele: Telemetry = (
+        Telemetry.from_config(tele_like)
+        if isinstance(tele_like, TelemetryConfig)
+        else resolve_telemetry(tele_like)
+    )
     try:
         with tele.tracer.span(
             "campaign",

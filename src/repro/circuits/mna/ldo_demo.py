@@ -67,12 +67,11 @@ class LDODemo:
         vdd = c.add(VoltageSource("VDD", "vdd", "0", self.VDD))
         c.add(VoltageSource("VREF", "ref", "0", self.VREF))
 
-        nmos = lambda dv, w=20e-6: MOSParams(
-            vth=0.5 + dv, kp=2e-4, w=w, l=1e-6, lambda_=0.02
-        )
-        pmos = lambda dv, w=40e-6, l=1e-6: MOSParams(
-            vth=0.5 + dv, kp=1e-4, w=w, l=l, lambda_=0.02
-        )
+        def nmos(dv, w=20e-6):
+            return MOSParams(vth=0.5 + dv, kp=2e-4, w=w, l=1e-6, lambda_=0.02)
+
+        def pmos(dv, w=40e-6, length=1e-6):
+            return MOSParams(vth=0.5 + dv, kp=1e-4, w=w, l=length, lambda_=0.02)
 
         # error amplifier: M1 senses the feedback tap, M2 the reference;
         # PMOS mirror diode-connected on M1's side; NMOS tail current leg
@@ -91,7 +90,7 @@ class LDODemo:
                 "vout",
                 "ea",
                 "vdd",
-                pmos(dvth[3], w=2000e-6, l=1e-6 * (1 + dl_pass)),
+                pmos(dvth[3], w=2000e-6, length=1e-6 * (1 + dl_pass)),
                 polarity="pmos",
             )
         )

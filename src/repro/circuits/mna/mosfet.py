@@ -34,7 +34,7 @@ class MOSParams:
     vth: float = 0.5
     kp: float = 2e-4
     w: float = 10e-6
-    l: float = 1e-6
+    l: float = 1e-6  # noqa: E741 — the channel length's textbook name
     lambda_: float = 0.05
 
     def __post_init__(self) -> None:

@@ -67,8 +67,11 @@ class UVLODemo:
         c.add(Resistor("R2", "div", "tap", 80e3 * (1 + r[1])))
         c.add(Resistor("R3", "tap", "0", 70e3 * (1 + r[2])))
 
-        nmos = lambda dv: MOSParams(vth=0.5 + dv, kp=2e-4, w=20e-6, l=1e-6, lambda_=0.02)
-        pmos = lambda dv: MOSParams(vth=0.5 + dv, kp=1e-4, w=40e-6, l=1e-6, lambda_=0.02)
+        def nmos(dv):
+            return MOSParams(vth=0.5 + dv, kp=2e-4, w=20e-6, l=1e-6, lambda_=0.02)
+
+        def pmos(dv):
+            return MOSParams(vth=0.5 + dv, kp=1e-4, w=40e-6, l=1e-6, lambda_=0.02)
 
         # comparator: NMOS pair (M1 at the reference, M2 at the divider),
         # PMOS mirror load diode-connected on M1's side, resistor tail.

@@ -6,13 +6,15 @@ Public surface of the evaluation layer described in DESIGN.md §10:
   protocol every engine and sampler consumes;
 * :class:`EvaluationBroker` / :class:`BrokerConfig` /
   :class:`RuntimePolicy` — dispatch, retry, timeout and failure policy;
+  ``evaluate_batch`` returns an :class:`EvalBatch` of the rows the policy
+  kept, which each engine stacks into its own run log;
 * :class:`ResultCache` / :func:`point_digest` — content-addressed
   deduplication of simulations;
 * :class:`RunLedger` / :func:`read_ledger` — JSONL event log doubling as
   the campaign checkpoint: a killed campaign resumes from
   ``cache.preload(read_ledger(path).completed)`` plus a :class:`RunLedger`
   on the same path;
-* :class:`FaultPlan` / :class:`FaultInjectingTestbench` — deterministic
+* :class:`FaultPlan` / :class:`FaultInjectingObjective` — deterministic
   fault injection for testing the above.
 """
 
@@ -35,7 +37,6 @@ from repro.runtime.cache import (
 )
 from repro.runtime.faults import (
     FaultInjectingObjective,
-    FaultInjectingTestbench,
     FaultPlan,
     TransientSimulationError,
 )
@@ -79,7 +80,6 @@ __all__ = [
     "EvaluationError",
     "Divergence",
     "FaultInjectingObjective",
-    "FaultInjectingTestbench",
     "FaultPlan",
     "FunctionObjective",
     "LedgerReplay",

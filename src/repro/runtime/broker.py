@@ -39,6 +39,9 @@ simulation:
 * **timing** — per-simulation durations accumulate into
   ``stats.eval_seconds``, giving :class:`~repro.bo.records.RunResult` its
   ``eval_seconds`` / ``overhead_seconds`` split;
+* **result** — :meth:`EvaluationBroker.evaluate_batch` is the one entry
+  point, and its :class:`EvalBatch` holds the rows the policy kept; each
+  engine stacks those batches into its own ``RunResult``;
 * **counting** — :class:`BrokerStats` is the only place the broker counts;
   each batch adds its delta to the telemetry registry under the
   :data:`_COUNTERS` names, and its cache hit/miss split to the open phase
@@ -92,8 +95,8 @@ from repro.runtime.cache import (
 )
 from repro.runtime.ledger import LEDGER_VERSION, RunLedger
 from repro.runtime.objective import Objective, require_objective
-from repro.telemetry.config import TelemetryLike, resolve_telemetry
-from repro.utils.rng import SeedLike, as_generator
+from repro.telemetry.config import Telemetry, resolve_telemetry
+from repro.utils.rng import as_generator
 from repro.utils.validation import as_matrix
 
 #: Recognized failure policies.
@@ -182,7 +185,7 @@ class BrokerStats:
     receives each batch's delta of the fields :data:`_COUNTERS` names.
     """
 
-    n_points: int = 0  # points requested through evaluate/evaluate_batch
+    n_points: int = 0  # points requested through evaluate_batch
     n_simulations: int = 0  # attempts actually dispatched to the objective
     n_completed: int = 0
     n_cache_hits: int = 0
@@ -255,19 +258,14 @@ class EvaluationBroker:
     ledger:
         Optional :class:`RunLedger` receiving every event; a campaign
         header is appended on construction.
-    recorder:
-        Optional :class:`~repro.bo.records.RunRecorder` fed every
-        surviving evaluation, in order.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry`.  Each completed
+        Optional live :class:`~repro.telemetry.Telemetry`.  Each completed
         simulation emits an ``evaluate`` span (worker-measured duration,
         parented under whatever span the dispatching thread has open, with
         the ledger ``id`` as attribute — the trace/ledger join key), and
         each batch adds its :class:`BrokerStats` counts (completed, cache
         hits and misses, retries, attempt failures, timeouts, skipped,
         penalized) to the metrics registry.
-    seed:
-        Stream for backoff jitter only (never touches caller RNG state).
     """
 
     def __init__(
@@ -276,10 +274,8 @@ class EvaluationBroker:
         config: BrokerConfig | None = None,
         cache: ResultCache | None = None,
         ledger: RunLedger | None = None,
-        recorder: Any | None = None,
         campaign: dict[str, Any] | None = None,
-        telemetry: TelemetryLike = None,
-        seed: SeedLike = 0,
+        telemetry: Telemetry | None = None,
     ) -> None:
         self.objective = require_objective(objective, "EvaluationBroker")
         self.config = config if config is not None else BrokerConfig()
@@ -288,9 +284,8 @@ class EvaluationBroker:
         self._metrics = self.telemetry.metrics
         self.cache = cache if cache is not None else ResultCache.in_memory()
         self.ledger = ledger
-        self.recorder = recorder
         self.stats = BrokerStats()
-        self._rng = as_generator(0 if seed is None else seed)
+        self._rng = as_generator(0)
         self._next_id = 0
         if self.ledger is not None:
             header: dict[str, Any] = {
@@ -607,16 +602,12 @@ class EvaluationBroker:
                 )
 
         keep = [i for i in range(n) if failures[i] != "skipped"]
-        y = np.array([values[i] for i in keep], dtype=float)
-        batch = EvalBatch(
+        return EvalBatch(
             X=X[keep].copy(),
-            y=y,
+            y=np.array([values[i] for i in keep], dtype=float),
             index=np.asarray(keep, dtype=np.int_),
             n_submitted=n,
         )
-        if self.recorder is not None and batch.n_evaluated:
-            self.recorder.extend(batch.X, batch.y)
-        return batch
 
     def _run_rounds(
         self,
@@ -742,13 +733,6 @@ class EvaluationBroker:
         self._log(events)
         return failed
 
-    def evaluate(self, x: FloatArray) -> float | None:
-        """Evaluate one point; returns None when the skip policy dropped it."""
-        batch = self.evaluate_batch(np.asarray(x, dtype=float)[None, :])
-        if batch.n_evaluated == 0:
-            return None
-        return float(batch.y[0])
-
 
 @dataclass
 class RuntimePolicy:
@@ -796,9 +780,8 @@ class RuntimePolicy:
 def make_broker(
     objective: Objective,
     runtime: RuntimePolicy | None = None,
-    recorder: Any | None = None,
     method: str = "",
-    telemetry: TelemetryLike = None,
+    telemetry: Telemetry | None = None,
 ) -> EvaluationBroker:
     """Build the broker one engine run uses, honoring a shared policy."""
     policy = runtime if runtime is not None else RuntimePolicy()
@@ -808,7 +791,6 @@ def make_broker(
         config=policy.config,
         cache=policy.cache,
         ledger=policy.ledger,
-        recorder=recorder,
         campaign=campaign,
         telemetry=telemetry,
     )

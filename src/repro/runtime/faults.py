@@ -12,11 +12,9 @@ plan, regardless of evaluation order or parallelism.  Faults are
 *transient* — each faulty point fails a fixed number of times (drawn from
 the same stream) and then returns the true value — so a campaign run under
 injection with enough retries completes with exactly the fault-free
-``X``/``y``.
-
-:class:`FaultInjectingTestbench` lifts the same wrapper to a circuit
-testbench: it delegates everything to the wrapped bench but returns
-fault-injecting objectives from ``objective(name)``.
+``X``/``y``.  It is the one fault-injection wrapper: a circuit's faulty
+objective is ``FaultInjectingObjective(bench.objective(name), plan)``,
+built fresh per run so each run starts with empty attempt counters.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -201,34 +198,9 @@ class DelayObjective(Objective):
         return self._inner.evaluate(X)
 
 
-class FaultInjectingTestbench:
-    """A circuit testbench whose objectives inject deterministic faults.
-
-    Delegates every attribute to the wrapped testbench; only
-    ``objective(name)`` differs, returning the wrapped bench's objective
-    inside a :class:`FaultInjectingObjective`.
-    """
-
-    def __init__(self, testbench: Any, plan: FaultPlan | None = None) -> None:
-        self._testbench = testbench
-        self._plan = plan if plan is not None else FaultPlan()
-        self._wrapped: dict[str, FaultInjectingObjective] = {}
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._testbench, name)
-
-    def objective(self, name: str) -> FaultInjectingObjective:
-        if name not in self._wrapped:
-            self._wrapped[name] = FaultInjectingObjective(
-                self._testbench.objective(name), plan=self._plan
-            )
-        return self._wrapped[name]
-
-
 __all__ = [
     "DelayObjective",
     "FaultInjectingObjective",
-    "FaultInjectingTestbench",
     "FaultPlan",
     "TransientSimulationError",
 ]

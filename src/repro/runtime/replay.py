@@ -347,22 +347,23 @@ def run_selftest(
     from repro.bo.engine import RunSpec
     from repro.bo.rembo import RemboBO
     from repro.circuits.behavioral.uvlo import UVLOTestbench
-    from repro.runtime.faults import FaultInjectingTestbench, FaultPlan
+    from repro.runtime.faults import FaultInjectingObjective, FaultPlan
+
+    bench = UVLOTestbench()
 
     def engine() -> RemboBO:
         return RemboBO(
             batch_size=4, embedding_dim=3, tune_every=1, n_restarts=1, seed=11
         )
 
-    def faulty_bench() -> FaultInjectingTestbench:
+    def faulty_objective() -> FaultInjectingObjective:
         # fresh wrapper per run: a resumed process starts with empty
         # attempt counters, exactly like a real kill
-        return FaultInjectingTestbench(
-            UVLOTestbench(),
+        return FaultInjectingObjective(
+            bench.objective("delta_vthl"),
             FaultPlan(failure_rate=0.3, nan_fraction=0.4, seed=5),
         )
 
-    bench = UVLOTestbench()
     spec = RunSpec(
         bounds=bench.bounds(),
         n_init=6,
@@ -374,21 +375,17 @@ def run_selftest(
     if workdir is None:
         with tempfile.TemporaryDirectory(prefix="replay-selftest-") as tmp:
             return _selftest_in(
-                Path(tmp), engine, faulty_bench, bench, spec, cfg, mode
+                Path(tmp), engine, faulty_objective, bench, spec, cfg, mode
             )
     return _selftest_in(
-        Path(workdir), engine, faulty_bench, bench, spec, cfg, mode
+        Path(workdir), engine, faulty_objective, bench, spec, cfg, mode
     )
 
 
-def _selftest_in(workdir, engine, faulty_bench, bench, spec, cfg, mode):
+def _selftest_in(workdir, engine, faulty_objective, bench, spec, cfg, mode):
     ledger_path = workdir / "campaign.jsonl"
     policy = RuntimePolicy(config=cfg, ledger=RunLedger(ledger_path))
-    engine().solve(
-        objective=faulty_bench().objective("delta_vthl"),
-        spec=spec,
-        policy=policy,
-    )
+    engine().solve(objective=faulty_objective(), spec=spec, policy=policy)
     policy.ledger.close()
 
     truncate_mid_run(ledger_path)
@@ -398,11 +395,7 @@ def _selftest_in(workdir, engine, faulty_bench, bench, spec, cfg, mode):
     resumed_policy = RuntimePolicy(
         config=cfg, cache=cache, ledger=RunLedger(ledger_path)
     )
-    engine().solve(
-        objective=faulty_bench().objective("delta_vthl"),
-        spec=spec,
-        policy=resumed_policy,
-    )
+    engine().solve(objective=faulty_objective(), spec=spec, policy=resumed_policy)
     resumed_policy.ledger.close()
 
     return verify_replay(
@@ -428,19 +421,7 @@ def _objective_from_args(args: argparse.Namespace) -> Objective:
     if args.testbench:
         from repro.experiments.config import TESTBENCHES
 
-        bench: Any = TESTBENCHES[args.testbench][0]()
-        if args.fault_rate > 0.0:
-            from repro.runtime.faults import FaultInjectingTestbench, FaultPlan
-
-            bench = FaultInjectingTestbench(
-                bench,
-                FaultPlan(
-                    failure_rate=args.fault_rate,
-                    nan_fraction=args.nan_fraction,
-                    seed=args.fault_seed,
-                ),
-            )
-        return bench.objective(args.measure)
+        return TESTBENCHES[args.testbench][0]().objective(args.measure)
     raise SystemExit("pass --testbench or --objective (or --selftest)")
 
 
@@ -476,12 +457,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--max-retries", type=int, default=3,
         help="retry budget for cold re-execution (default: 3)",
     )
-    parser.add_argument(
-        "--fault-rate", type=float, default=0.0,
-        help="re-inject transient faults at this rate during cold replay",
-    )
-    parser.add_argument("--nan-fraction", type=float, default=0.3)
-    parser.add_argument("--fault-seed", type=int, default=0)
     parser.add_argument(
         "--selftest", action="store_true",
         help="run the kill/resume/replay smoke end to end (no ledger needed)",

@@ -6,12 +6,11 @@ the large hyper-cube, uniform sampling distribution is adopted for MC."
 
 from __future__ import annotations
 
-
 from repro.bo.engine import RunSpec
-from repro.bo.records import RunRecorder, RunResult
+from repro.bo.records import RunResult
 from repro.runtime.broker import RuntimePolicy, make_broker
 from repro.runtime.objective import Objective, require_objective, resolve_bounds
-from repro.telemetry.config import TelemetryLike, resolve_telemetry
+from repro.telemetry.config import Telemetry, resolve_telemetry
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.timing import Timer
 
@@ -19,24 +18,23 @@ from repro.utils.timing import Timer
 class MonteCarloSampler:
     """Evaluate ``n_samples`` i.i.d. uniform points inside the box.
 
+    ``solve`` simulates them as one broker batch; every row it keeps
+    counts as initial (non-adaptive).
+
     Parameters
     ----------
     n_samples:
         Simulation budget.
-    stop_on_failure:
-        Terminate at the first ``y < threshold`` observation.
     """
 
     def __init__(
         self,
         n_samples: int,
-        stop_on_failure: bool = False,
         seed: SeedLike = None,
     ) -> None:
         if n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         self.n_samples = int(n_samples)
-        self.stop_on_failure = bool(stop_on_failure)
         self._rng = as_generator(seed)
 
     def solve(
@@ -45,7 +43,7 @@ class MonteCarloSampler:
         objective: Objective,
         spec: RunSpec | None = None,
         policy: RuntimePolicy | None = None,
-        telemetry: TelemetryLike = None,
+        telemetry: Telemetry | None = None,
         rng: SeedLike = None,
     ) -> RunResult:
         objective = require_objective(objective, type(self).__name__)
@@ -53,28 +51,22 @@ class MonteCarloSampler:
         tele = resolve_telemetry(telemetry)
         sample_rng = as_generator(rng) if rng is not None else self._rng
         lower, upper, _ = resolve_bounds(objective, spec.bounds)
-        threshold = spec.threshold
-        recorder = RunRecorder(method="MC")
-        broker = make_broker(
-            objective, policy, recorder=recorder, method="MC", telemetry=tele
-        )
+        broker = make_broker(objective, policy, method="MC", telemetry=tele)
 
         timer = Timer().start()
         X = sample_rng.uniform(
             lower, upper, size=(self.n_samples, lower.shape[0])
         )
         with tele.tracer.span("sampling", n_samples=self.n_samples):
-            if self.stop_on_failure and threshold is not None:
-                for x in X:
-                    value = broker.evaluate(x)
-                    if value is not None and value < threshold:
-                        break
-            else:
-                broker.evaluate_batch(X)
-        recorder.mark_initial()
+            batch = broker.evaluate_batch(X)
         timer.stop()
-        return recorder.finalize(
-            total_seconds=timer.elapsed,
-            eval_seconds=broker.stats.eval_seconds,
+        eval_seconds = broker.stats.eval_seconds
+        return RunResult(
+            X=batch.X,
+            y=batch.y,
+            n_init=batch.n_evaluated,
+            method="MC",
+            eval_seconds=eval_seconds,
+            overhead_seconds=max(0.0, timer.elapsed - eval_seconds),
         )
 

@@ -28,10 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.bo.engine import RunSpec
-from repro.bo.records import RunRecorder, RunResult
+from repro.bo.records import RunResult
 from repro.runtime.broker import RuntimePolicy, make_broker
 from repro.runtime.objective import Objective, require_objective, resolve_bounds
-from repro.telemetry.config import TelemetryLike, resolve_telemetry
+from repro.telemetry.config import Telemetry, resolve_telemetry
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.timing import Timer
 
@@ -70,8 +70,6 @@ class ScaledSigmaSampler:
         Sigma inflation factors; defaults to the customary ladder 1-4.
     sigma_fraction:
         Nominal per-coordinate sigma as a fraction of the half box side.
-    stop_on_failure:
-        Terminate at the first in-cube failure.
     """
 
     def __init__(
@@ -79,7 +77,6 @@ class ScaledSigmaSampler:
         samples_per_scale: int,
         scales: Sequence[float] = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0),
         sigma_fraction: float = NOMINAL_SIGMA_FRACTION,
-        stop_on_failure: bool = False,
         seed: SeedLike = None,
     ) -> None:
         if samples_per_scale < 1:
@@ -94,7 +91,6 @@ class ScaledSigmaSampler:
         self.samples_per_scale = int(samples_per_scale)
         self.scales = np.sort(scales)
         self.sigma_fraction = float(sigma_fraction)
-        self.stop_on_failure = bool(stop_on_failure)
         self._rng = as_generator(seed)
 
     @property
@@ -107,14 +103,16 @@ class ScaledSigmaSampler:
         objective: Objective,
         spec: RunSpec | None = None,
         policy: RuntimePolicy | None = None,
-        telemetry: TelemetryLike = None,
+        telemetry: Telemetry | None = None,
         rng: SeedLike = None,
     ) -> RunResult:
         """Sample every scale, simulate, and fit the extrapolation model.
 
-        The returned :class:`RunResult` carries the :class:`SSSModelFit`
-        (when enough scales failed to fit one) in ``extra["sss_fit"]`` and
-        the per-scale failure fractions in ``extra["failure_fractions"]``.
+        Each scale's ``samples_per_scale`` points are one broker batch;
+        every row kept counts as initial (non-adaptive).  The returned
+        :class:`RunResult` carries the :class:`SSSModelFit` (when enough
+        scales failed to fit one) in ``extra["sss_fit"]`` and the
+        per-scale failure fractions in ``extra["failure_fractions"]``.
         """
         objective = require_objective(objective, type(self).__name__)
         spec = spec if spec is not None else RunSpec()
@@ -125,14 +123,11 @@ class ScaledSigmaSampler:
         dim = lower.shape[0]
         center = 0.5 * (lower + upper)
         half_span = 0.5 * (upper - lower)
-        recorder = RunRecorder(method="SSS")
-        broker = make_broker(
-            objective, policy, recorder=recorder, method="SSS", telemetry=tele
-        )
+        broker = make_broker(objective, policy, method="SSS", telemetry=tele)
 
         timer = Timer().start()
         fractions = np.zeros(self.scales.size)
-        stop = False
+        batches = []
         for i, scale in enumerate(self.scales):
             with tele.tracer.span(
                 "sampling", scale=float(scale), n_samples=self.samples_per_scale
@@ -142,35 +137,31 @@ class ScaledSigmaSampler:
                     (self.samples_per_scale, dim)
                 ) * sigma
                 X = np.clip(X, lower, upper)
+                batch = broker.evaluate_batch(X)
                 n_fail = 0
-                if self.stop_on_failure and threshold is not None:
-                    for x in X:
-                        value = broker.evaluate(x)
-                        if value is not None and value < threshold:
-                            n_fail += 1
-                            stop = True
-                            break
-                else:
-                    batch = broker.evaluate_batch(X)
-                    if threshold is not None and batch.n_evaluated:
-                        n_fail = int(np.sum(batch.y < threshold))
+                if threshold is not None:
+                    n_fail = int(np.sum(batch.y < threshold))
+                # a skipped point still counts in the denominator
                 fractions[i] = n_fail / self.samples_per_scale
                 span.set("n_failures", n_fail)
-            if stop:
-                break
-        recorder.mark_initial()
+            batches.append(batch)
         timer.stop()
 
         extra: dict = {"failure_fractions": fractions, "scales": self.scales}
         fit = self._fit_model(fractions)
         if fit is not None:
             extra["sss_fit"] = fit
-        return recorder.finalize(
-            total_seconds=timer.elapsed,
-            eval_seconds=broker.stats.eval_seconds,
+        y = np.concatenate([batch.y for batch in batches])
+        eval_seconds = broker.stats.eval_seconds
+        return RunResult(
+            X=np.vstack([batch.X for batch in batches]),
+            y=y,
+            n_init=y.size,
+            method="SSS",
+            eval_seconds=eval_seconds,
+            overhead_seconds=max(0.0, timer.elapsed - eval_seconds),
             extra=extra,
         )
-
 
     def _fit_model(self, fractions: np.ndarray) -> SSSModelFit | None:
         """Least-squares fit of the three-parameter SSS model.

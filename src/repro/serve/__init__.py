@@ -1,9 +1,9 @@
 """Campaign service layer: run many campaigns over one shared runtime.
 
 ``repro.serve`` turns the single-campaign library into a service
-(ROADMAP item 1): an asyncio :class:`CampaignScheduler` drains a
-priority queue of :class:`~repro.campaign.CampaignSpec` jobs over a
-bounded pool of worker threads, every campaign writing its own
+(ROADMAP item 1): a :class:`CampaignScheduler` runs
+:class:`~repro.campaign.CampaignSpec` jobs in priority order on one
+bounded thread pool, every campaign writing its own
 :class:`~repro.runtime.ledger.RunLedger` checkpoint while all of them
 share one persistent :meth:`~repro.runtime.cache.ResultCache.open`
 store — so repeated corner-stress workloads become cache hits instead

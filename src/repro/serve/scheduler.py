@@ -1,4 +1,4 @@
-"""Async multi-campaign scheduler over a shared persistent result cache.
+"""Multi-campaign scheduler over a shared persistent result cache.
 
 The scheduler is deliberately thin glue over machinery earlier PRs
 hardened: campaigns run through the single
@@ -11,12 +11,12 @@ by preloading that cache with each ledger's completed evaluations
 which makes a SIGKILL of the whole service recoverable campaign by
 campaign, bitwise.
 
-Concurrency model: jobs are drained from an in-memory priority queue
-(higher ``CampaignSpec.priority`` first, FIFO within a priority) by
-``max_concurrent`` asyncio workers; each worker pushes the actual
-campaign onto a thread via :func:`asyncio.to_thread`, because engines
-and brokers are synchronous, thread-safe code.  The event loop itself
-never blocks on simulation.
+Concurrency model: one :class:`~concurrent.futures.ThreadPoolExecutor`
+of ``max_concurrent`` threads drains the jobs.  They are submitted in
+priority order (higher ``CampaignSpec.priority`` first, submission order
+within a priority), so the pool's FIFO work queue starts them in that
+order; engines and brokers are synchronous, thread-safe code, and each
+campaign runs whole on one pool thread.
 
 Artifacts live under ``runs_dir``: ``<name>.jsonl`` (ledger),
 ``<name>.result.json`` (final X/y, written atomically after the run so
@@ -26,9 +26,9 @@ shard store, unless an external cache is injected).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -38,6 +38,7 @@ from repro.runtime.broker import BrokerConfig, RuntimePolicy
 from repro.runtime.cache import ResultCache
 from repro.runtime.ledger import RunLedger, read_ledger
 from repro.telemetry.config import (
+    Telemetry,
     TelemetryConfig,
     TelemetryLike,
     resolve_telemetry,
@@ -204,7 +205,11 @@ class CampaignScheduler:
         self.max_concurrent = int(max_concurrent)
         self._resume = bool(resume)
         self._owns_telemetry = isinstance(telemetry, TelemetryConfig)
-        self.telemetry = resolve_telemetry(telemetry)
+        self.telemetry = (
+            Telemetry.from_config(telemetry)
+            if isinstance(telemetry, TelemetryConfig)
+            else resolve_telemetry(telemetry)
+        )
         self._specs: list[CampaignSpec] = []
         self._closed = False
 
@@ -234,51 +239,28 @@ class CampaignScheduler:
     # -- execution ------------------------------------------------------------
 
     def run(self) -> SchedulerResult:
-        """Drain the queue to completion (blocking wrapper)."""
-        return asyncio.run(self.run_async())
-
-    async def run_async(self) -> SchedulerResult:
-        """Drain every submitted campaign, ``max_concurrent`` at a time."""
+        """Drain every submitted campaign, ``max_concurrent`` at a time;
+        outcomes come back in submission order."""
         if self._closed:
             raise RuntimeError("scheduler is closed")
         specs, self._specs = self._specs, []
-        queue: asyncio.PriorityQueue[
-            tuple[int, int, CampaignSpec, float]
-        ] = asyncio.PriorityQueue()
-        for seq, spec in enumerate(specs):
-            queue.put_nowait((-spec.priority, seq, spec, time.perf_counter()))
-
+        enqueued = time.perf_counter()
         if self._resume:
-            await asyncio.to_thread(self._preload_ledgers, specs)
+            self._preload_ledgers(specs)
 
-        outcomes: dict[int, CampaignOutcome] = {}
+        # a stable sort: submission order within a priority
+        by_priority = sorted(specs, key=lambda spec: -spec.priority)
         n_workers = max(1, min(self.max_concurrent, len(specs)))
-        workers = [
-            asyncio.create_task(self._worker(queue, outcomes))
-            for _ in range(n_workers)
-        ]
-        await asyncio.gather(*workers)
-
-        ordered = [outcomes[seq] for seq in sorted(outcomes)]
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            futures = {
+                spec.name: pool.submit(self._run_job, spec, enqueued)
+                for spec in by_priority
+            }
         return SchedulerResult(
-            outcomes=ordered,
+            outcomes=[futures[spec.name].result() for spec in specs],
             cache_stats=dict(self.cache.stats),
             metrics=self.telemetry.snapshot(),
         )
-
-    async def _worker(
-        self,
-        queue: "asyncio.PriorityQueue[tuple[int, int, CampaignSpec, float]]",
-        outcomes: dict[int, CampaignOutcome],
-    ) -> None:
-        while True:
-            try:
-                _, seq, spec, enqueued = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return
-            outcomes[seq] = await asyncio.to_thread(
-                self._run_job, spec, enqueued
-            )
 
     def _preload_ledgers(self, specs: list[CampaignSpec]) -> None:
         """Seed the shared cache from *every* resumable ledger up front.

@@ -2,14 +2,21 @@
 
 :class:`Telemetry` pairs a tracer with a metrics registry behind one
 object so every instrumented layer takes a single ``telemetry=`` argument.
-Three spellings reach an engine:
+Two spellings reach an engine or a broker:
 
 * ``None`` — telemetry off; resolves to :data:`NULL_TELEMETRY`, whose
   tracer and metrics are shared no-op singletons (identity objects, the
   <2%-overhead path);
-* a :class:`TelemetryConfig` — declarative: where the trace goes; the
-  engine (or :class:`~repro.campaign.Campaign`) materializes it;
-* a live :class:`Telemetry` — shared across runs of one campaign.
+* a live :class:`Telemetry` — shared across runs of one campaign; whoever
+  built it closes it.
+
+A :class:`TelemetryConfig` (declarative: where the trace goes) is
+materialized only by the two owners that also close what they build:
+:func:`~repro.campaign.run_campaign_spec` (behind
+:class:`~repro.campaign.Campaign`) and
+:class:`~repro.serve.scheduler.CampaignScheduler`.  An engine or broker
+handed one raises ``TypeError``, since nothing there would close its
+trace file.
 """
 
 from __future__ import annotations
@@ -81,21 +88,26 @@ class Telemetry:
 #: The telemetry-off singleton: no-op tracer, no-op metrics.
 NULL_TELEMETRY = Telemetry()
 
-#: What instrumented call sites accept as their ``telemetry`` argument.
+#: What the campaign owners (``CampaignSpec``, ``Campaign``,
+#: ``run_campaign_spec``, ``CampaignScheduler``) accept as ``telemetry``.
 TelemetryLike = Union[Telemetry, TelemetryConfig, None]
 
 
-def resolve_telemetry(telemetry: TelemetryLike) -> Telemetry:
-    """Normalize a ``telemetry=`` argument to a live :class:`Telemetry`.
+def resolve_telemetry(telemetry: Telemetry | None) -> Telemetry:
+    """Normalize an engine's or broker's ``telemetry=`` argument.
 
-    ``None`` resolves to the shared :data:`NULL_TELEMETRY` (off);
-    a :class:`TelemetryConfig` is materialized fresh — the caller owns
-    closing it (``with resolve_telemetry(cfg) as tele: ...``).
+    ``None`` resolves to the shared :data:`NULL_TELEMETRY` (off); a live
+    :class:`Telemetry` passes through.  A :class:`TelemetryConfig` raises
+    ``TypeError``: it belongs to an owner that materializes and closes it.
     """
     if telemetry is None:
         return NULL_TELEMETRY
     if isinstance(telemetry, TelemetryConfig):
-        return Telemetry.from_config(telemetry)
+        raise TypeError(
+            "a TelemetryConfig is materialized by its owner: pass it to "
+            "Campaign, run_campaign_spec or CampaignScheduler, or pass a "
+            "live Telemetry (Telemetry.from_config) and close it yourself"
+        )
     return telemetry
 
 

@@ -1,7 +1,7 @@
 """Opt-in runtime race sanitizer for shared runtime/telemetry state.
 
-ROADMAP item 1 (the async campaign scheduler) will run N campaigns × M
-workers against *shared* objects — one :class:`~repro.runtime.cache.ResultCache`
+The campaign scheduler runs N campaigns at once, on the threads of one
+pool, against *shared* objects — one :class:`~repro.runtime.cache.ResultCache`
 across campaigns, one :class:`~repro.runtime.ledger.RunLedger` event stream,
 one :class:`~repro.telemetry.metrics.MetricsRegistry`.  A lost counter
 increment or an interleaved ledger line is silent: the campaign still

@@ -474,7 +474,8 @@ class ReferenceCobyla(Optimizer):
                 vertices.append(clip(anchor + step))
             return np.array(vertices, dtype=float)
 
-        budget_left = lambda n: count + n <= self.max_evaluations
+        def budget_left(n):
+            return count + n <= self.max_evaluations
 
         if not budget_left(dim + 1):
             # budget cannot even hold a simplex; fall back to evaluating x0

@@ -99,19 +99,6 @@ class TestSequentialBO:
         np.testing.assert_array_equal(result.X[:6], X0)
         assert result.n_init == 6
 
-    def test_stop_on_failure(self):
-        engine = SequentialBO(
-            acquisition="lcb",
-            seed=3,
-            stop_on_failure=True,
-            **TINY,
-        )
-        result = engine.solve(
-            objective=bowl_objective(2),
-            spec=RunSpec(n_init=4, budget=40, threshold=0.05),
-        )
-        assert result.n_evaluations < 40
-
     def test_budget_below_init_rejected(self):
         engine = SequentialBO(seed=0)
         with pytest.raises(ValueError):
@@ -260,48 +247,9 @@ class TestRemboBO:
                 objective=bowl_objective(4), spec=RunSpec(n_init=3, n_batches=1)
             )
 
-    def test_stop_on_failure(self):
-        fun = RareFailureFunction(12, 2, threshold=-0.5, radius=0.5, seed=5)
-        engine = RemboBO(
-            batch_size=4,
-            embedding_dim=3,
-            seed=6,
-            stop_on_failure=True,
-            **TINY,
-        )
-        result = engine.solve(
-            objective=wrap(fun, 12),
-            spec=RunSpec(n_init=8, n_batches=10, threshold=fun.threshold),
-        )
-        # either stopped early after a failing batch or exhausted budget
-        assert result.n_evaluations <= 8 + 40
-
-
-def stopping_engines():
-    """One small instance of each engine, stopping on failure."""
-    common = dict(stop_on_failure=True, seed=0, **TINY)
-    return [
-        SequentialBO(**common),
-        BatchBO(2, **common),
-        RemboBO(2, embedding_dim=2, **common),
-    ]
-
 
 class TestSharedLoop:
     """Rules the one campaign loop applies to every engine alike."""
-
-    @pytest.mark.parametrize(
-        "engine", stopping_engines(), ids=lambda e: type(e).__name__
-    )
-    def test_failure_in_initial_data_stops_before_first_iteration(self, engine):
-        X0 = uniform_initial_design(unit_cube_bounds(4), 4, seed=5)
-        y0 = np.array([bowl(x) for x in X0])
-        y0[2] = 0.0  # D_0 already holds a failure
-        result = engine.solve(
-            objective=bowl_objective(4),
-            spec=RunSpec(threshold=0.01, initial_data=(X0, y0)),
-        )
-        assert result.n_evaluations == result.n_init == 4
 
     @pytest.mark.parametrize(
         "engine", [SequentialBO, BatchBO, RemboBO], ids=lambda e: e.__name__

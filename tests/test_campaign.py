@@ -19,6 +19,7 @@ from repro.bo import BatchBO, RemboBO, RunSpec, SequentialBO
 from repro.campaign import Campaign, CampaignResult
 from repro.circuits.behavioral.uvlo import UVLOTestbench
 from repro.runtime import (
+    EvaluationBroker,
     FunctionObjective,
     ResultCache,
     RunLedger,
@@ -26,7 +27,7 @@ from repro.runtime import (
     read_ledger,
     truncate_mid_run,
 )
-from repro.sampling import MonteCarloSampler
+from repro.sampling import MonteCarloSampler, ScaledSigmaSampler
 from repro.telemetry import Telemetry, TelemetryConfig, read_trace
 from repro.telemetry.report import reconcile_with_ledger
 from repro.utils.validation import unit_cube_bounds
@@ -244,6 +245,49 @@ class TestCampaignTelemetry:
         assert outcome.ledger_path is None
         assert outcome.metrics == {"counters": {}}
         assert outcome.method == "MC"
+
+
+#: An engine run and a broker call, each handed ``(objective, telemetry)``.
+TELEMETRY_USERS = {
+    "SequentialBO": lambda objective, telemetry: SequentialBO(seed=0).solve(
+        objective=objective, spec=RunSpec(n_init=3, budget=5), telemetry=telemetry
+    ),
+    "RemboBO": lambda objective, telemetry: small_rembo().solve(
+        objective=objective, spec=RunSpec(n_init=3, n_batches=1), telemetry=telemetry
+    ),
+    "MC": lambda objective, telemetry: MonteCarloSampler(5, seed=0).solve(
+        objective=objective, telemetry=telemetry
+    ),
+    "SSS": lambda objective, telemetry: ScaledSigmaSampler(5, seed=0).solve(
+        objective=objective, telemetry=telemetry
+    ),
+    "broker": lambda objective, telemetry: EvaluationBroker(
+        objective, telemetry=telemetry
+    ).evaluate_batch(np.zeros((2, 4))),
+}
+
+
+class TestTelemetryOwnership:
+    @pytest.mark.parametrize("user", sorted(TELEMETRY_USERS))
+    def test_config_rejected_below_its_owners(self, tmp_path, user):
+        # only Campaign / run_campaign_spec and the scheduler materialize a
+        # TelemetryConfig, because they close what they build
+        calls = []
+
+        def counted_bowl(x):
+            calls.append(1)
+            return bowl(x)
+
+        objective = FunctionObjective(
+            counted_bowl, dim=4, bounds=unit_cube_bounds(4), cache_key="bowl4"
+        )
+        trace_path = tmp_path / "t.jsonl"
+        with pytest.raises(TypeError, match="run_campaign_spec"):
+            TELEMETRY_USERS[user](
+                objective, TelemetryConfig(trace_path=trace_path)
+            )
+        assert calls == []
+        assert not trace_path.exists()
 
 
 class TestRunMethodTelemetry:

@@ -18,14 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bo.records import RunRecorder, RunResult
+from repro.bo.records import RunResult
 from repro.runtime import (
     DEFAULT_DECIMALS,
     BrokerConfig,
     EvaluationBroker,
     EvaluationError,
     FaultInjectingObjective,
-    FaultInjectingTestbench,
     FaultPlan,
     FunctionObjective,
     Objective,
@@ -419,7 +418,11 @@ class TestBrokerFaultMatrix:
                 max_retries=0, backoff_seconds=0.0, failure_policy="skip"
             ),
         )
-        assert broker.evaluate(np.array([0.5, 0.5])) is None
+        batch = broker.evaluate_batch(np.array([[0.5, 0.5]]))
+        assert batch.n_submitted == 1
+        assert batch.n_evaluated == 0
+        assert batch.X.shape == (0, 2)
+        assert batch.index.tolist() == []
 
     @pytest.mark.parametrize(
         "policy, counter, field, event",
@@ -669,26 +672,6 @@ class TestBatchedPersistence:
 
 
 class TestRecorderIntegration:
-    def test_broker_feeds_recorder(self):
-        recorder = RunRecorder(method="T", model_dim=2)
-        broker = EvaluationBroker(CountingObjective(), recorder=recorder)
-        broker.evaluate_batch(np.array([[0.1, 0.2]]))
-        recorder.mark_initial()
-        broker.evaluate_batch(np.array([[0.3, 0.4]]))
-        result = recorder.finalize(
-            total_seconds=1.0, eval_seconds=broker.stats.eval_seconds
-        )
-        assert result.n_evaluations == 2
-        assert result.n_init == 1
-        assert result.method == "T"
-        assert result.eval_seconds + result.overhead_seconds == pytest.approx(
-            result.total_seconds
-        )
-
-    def test_recorder_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            RunRecorder().extend(np.zeros((2, 2)), np.zeros(3))
-
     def test_runresult_total_is_derived(self):
         split = RunResult(
             X=np.zeros((1, 2)),
@@ -731,15 +714,6 @@ class TestFaultInjection:
         assert np.array_equal(wrapped.bounds, inner.bounds) or (
             wrapped.bounds is None and inner.bounds is None
         )
-
-    def test_testbench_wrapper_delegates(self):
-        from repro.circuits.behavioral.uvlo import UVLOTestbench
-
-        tb = FaultInjectingTestbench(UVLOTestbench(), FaultPlan(failure_rate=0.0))
-        assert tb.dim == 19
-        obj = tb.objective("delta_vthl")
-        assert obj.cache_key == "UVLOTestbench:delta_vthl"
-        assert obj is tb.objective("delta_vthl")  # cached wrapper
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

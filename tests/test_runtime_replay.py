@@ -23,7 +23,7 @@ from repro.bo.rembo import RemboBO
 from repro.circuits.behavioral.uvlo import UVLOTestbench
 from repro.runtime import (
     BrokerConfig,
-    FaultInjectingTestbench,
+    FaultInjectingObjective,
     FaultPlan,
     FunctionObjective,
     ResultCache,
@@ -47,17 +47,22 @@ def small_engine(seed=11):
     )
 
 
-def faulty_bench():
-    return FaultInjectingTestbench(
-        UVLOTestbench(),
+def clean_objective():
+    return UVLOTestbench().objective("delta_vthl")
+
+
+def faulty_objective():
+    """A fresh wrapper: a new process starts with empty attempt counters."""
+    return FaultInjectingObjective(
+        clean_objective(),
         FaultPlan(failure_rate=0.3, nan_fraction=0.4, seed=5),
     )
 
 
-def run_campaign(testbench, runtime, seed=11):
+def run_campaign(objective, runtime, seed=11):
     bench = UVLOTestbench()
     return small_engine(seed=seed).solve(
-        objective=testbench.objective("delta_vthl"),
+        objective=objective,
         spec=RunSpec(
             bounds=bench.bounds(),
             n_init=6,
@@ -84,7 +89,7 @@ class TestKillResumeReplay:
 
         # 1. fault-injected campaign, killed mid-run
         policy = RuntimePolicy(config=RETRY, ledger=RunLedger(ledger_path))
-        run_campaign(faulty_bench(), policy)
+        run_campaign(faulty_objective(), policy)
         policy.ledger.close()
         n_total = read_ledger(ledger_path).n_completed
         n_kept = truncate_mid_run(ledger_path)
@@ -94,7 +99,7 @@ class TestKillResumeReplay:
         killed = read_ledger(ledger_path)
         assert killed.truncated and killed.n_completed == n_kept
         policy = resumed_policy(ledger_path)
-        run_campaign(faulty_bench(), policy)
+        run_campaign(faulty_objective(), policy)
         policy.ledger.close()
 
         # 3. the combined ledger replays with zero divergence through the
@@ -110,7 +115,7 @@ class TestKillResumeReplay:
     def test_warm_and_cold_modes_run_independently(self, tmp_path):
         ledger_path = tmp_path / "campaign.jsonl"
         policy = RuntimePolicy(config=RETRY, ledger=RunLedger(ledger_path))
-        run_campaign(UVLOTestbench(), policy)
+        run_campaign(clean_objective(), policy)
         policy.ledger.close()
         clean = UVLOTestbench().objective("delta_vthl")
         warm = verify_replay(ledger_path, clean, mode="warm")
@@ -124,7 +129,7 @@ class TestKillResumeReplay:
     def test_tampered_value_is_caught(self, tmp_path):
         ledger_path = tmp_path / "campaign.jsonl"
         policy = RuntimePolicy(config=RETRY, ledger=RunLedger(ledger_path))
-        run_campaign(UVLOTestbench(), policy)
+        run_campaign(clean_objective(), policy)
         policy.ledger.close()
 
         lines = ledger_path.read_text(encoding="utf-8").splitlines()
@@ -147,7 +152,7 @@ class TestKillResumeReplay:
     def test_wrong_objective_is_operator_error(self, tmp_path):
         ledger_path = tmp_path / "campaign.jsonl"
         policy = RuntimePolicy(config=RETRY, ledger=RunLedger(ledger_path))
-        run_campaign(UVLOTestbench(), policy)
+        run_campaign(clean_objective(), policy)
         policy.ledger.close()
         dim = UVLOTestbench().dim
         other = FunctionObjective(
@@ -161,7 +166,7 @@ class TestTornTailHealing:
     def test_resume_heals_torn_line_in_place(self, tmp_path):
         ledger_path = tmp_path / "campaign.jsonl"
         policy = RuntimePolicy(config=RETRY, ledger=RunLedger(ledger_path))
-        run_campaign(UVLOTestbench(), policy)
+        run_campaign(clean_objective(), policy)
         policy.ledger.close()
         n_total = read_ledger(ledger_path).n_completed
         truncate_mid_run(ledger_path)
@@ -172,7 +177,7 @@ class TestTornTailHealing:
         # the resumed run's first append cuts the fragment, so the
         # appended ledger reads back whole: every line parses
         policy = resumed_policy(ledger_path)
-        run_campaign(UVLOTestbench(), policy)
+        run_campaign(clean_objective(), policy)
         policy.ledger.close()
         for line in ledger_path.read_text(encoding="utf-8").splitlines():
             json.loads(line)
@@ -198,7 +203,7 @@ class TestReplayCli:
     def test_ledger_argument_verifies_uvlo_run(self, tmp_path):
         ledger_path = tmp_path / "campaign.jsonl"
         policy = RuntimePolicy(config=RETRY, ledger=RunLedger(ledger_path))
-        run_campaign(UVLOTestbench(), policy)
+        run_campaign(clean_objective(), policy)
         policy.ledger.close()
         proc = self._run(
             str(ledger_path), "--testbench", "uvlo",

@@ -8,7 +8,9 @@ UVLO testbench:
 * a campaign killed mid-batch resumes from its ledger to a bitwise-identical
   :class:`RunResult` without re-simulating completed points;
 * methods sharing an initial design through one :class:`RuntimePolicy`
-  perform zero duplicate simulations.
+  perform zero duplicate simulations;
+* under the skip policy an engine's run log is exactly the rows its
+  broker batches kept.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.methods import run_method, shared_initial_data
 from repro.runtime import (
     BrokerConfig,
-    FaultInjectingTestbench,
+    EvaluationBroker,
+    FaultInjectingObjective,
     FaultPlan,
+    FunctionObjective,
     ResultCache,
     RunLedger,
     RuntimePolicy,
@@ -32,7 +36,8 @@ from repro.runtime import (
     truncate_mid_run,
 )
 from repro.runtime.broker import PERSIST_SLICE
-from repro.sampling import MonteCarloSampler
+from repro.sampling import MonteCarloSampler, ScaledSigmaSampler
+from repro.utils.validation import unit_cube_bounds
 
 
 def small_engine(seed=11):
@@ -52,14 +57,26 @@ def preloaded_cache(replay):
     return cache
 
 
-def run_campaign(testbench, runtime=None, seed=11):
+def clean_objective():
+    return UVLOTestbench().objective("delta_vthl")
+
+
+def faulty_objective():
+    return FaultInjectingObjective(
+        clean_objective(),
+        FaultPlan(failure_rate=0.3, nan_fraction=0.4, seed=5),
+    )
+
+
+def run_campaign(objective, runtime=None, seed=11):
+    bench = UVLOTestbench()
     return small_engine(seed=seed).solve(
-        objective=testbench.objective("delta_vthl"),
+        objective=objective,
         spec=RunSpec(
-            bounds=testbench.bounds(),
+            bounds=bench.bounds(),
             n_init=6,
             n_batches=2,
-            threshold=testbench.threshold("delta_vthl"),
+            threshold=bench.threshold("delta_vthl"),
         ),
         policy=runtime,
     )
@@ -67,30 +84,20 @@ def run_campaign(testbench, runtime=None, seed=11):
 
 class TestFaultToleratedCampaign:
     def test_transient_faults_leave_results_identical(self):
-        clean = run_campaign(UVLOTestbench())
-        faulty_bench = FaultInjectingTestbench(
-            UVLOTestbench(),
-            FaultPlan(failure_rate=0.3, nan_fraction=0.4, seed=5),
-        )
+        clean = run_campaign(clean_objective())
         runtime = RuntimePolicy(
             config=BrokerConfig(max_retries=3, backoff_seconds=0.0)
         )
-        faulty = run_campaign(faulty_bench, runtime=runtime)
+        faulty = run_campaign(faulty_objective(), runtime=runtime)
         assert np.array_equal(clean.X, faulty.X)
         assert np.array_equal(clean.y, faulty.y)
         assert clean.n_init == faulty.n_init
 
     def test_faults_were_actually_injected(self):
-        faulty_bench = FaultInjectingTestbench(
-            UVLOTestbench(),
-            FaultPlan(failure_rate=0.3, nan_fraction=0.4, seed=5),
-        )
         runtime = RuntimePolicy(
             config=BrokerConfig(max_retries=3, backoff_seconds=0.0)
         )
-        obj = faulty_bench.objective("delta_vthl")
-        from repro.runtime import EvaluationBroker
-
+        obj = faulty_objective()
         broker = EvaluationBroker(obj, runtime.config)
         rng = np.random.default_rng(0)
         broker.evaluate_batch(rng.uniform(-1, 1, (30, obj.dim)))
@@ -119,7 +126,7 @@ class TestKillAndResume:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         ledger_path = tmp_path / "campaign.jsonl"
         policy = RuntimePolicy(ledger=RunLedger(ledger_path))
-        uninterrupted = run_campaign(UVLOTestbench(), runtime=policy)
+        uninterrupted = run_campaign(clean_objective(), runtime=policy)
         policy.ledger.close()
         n_simulated = read_ledger(ledger_path).n_completed
 
@@ -134,7 +141,7 @@ class TestKillAndResume:
         resumed_policy = RuntimePolicy(
             cache=preloaded_cache(killed), ledger=RunLedger(resumed_ledger)
         )
-        resumed = run_campaign(UVLOTestbench(), runtime=resumed_policy)
+        resumed = run_campaign(clean_objective(), runtime=resumed_policy)
         resumed_policy.ledger.close()
 
         # bitwise identical evaluation log
@@ -188,7 +195,7 @@ class TestKillAndResume:
         # preloading its digests would never hit, so reading it fails
         ledger_path = tmp_path / "campaign.jsonl"
         policy = RuntimePolicy(ledger=RunLedger(ledger_path))
-        run_campaign(UVLOTestbench(), runtime=policy)
+        run_campaign(clean_objective(), runtime=policy)
         policy.ledger.close()
         text = ledger_path.read_text(encoding="utf-8")
         assert text.count('"cache_decimals":12') == 1
@@ -198,6 +205,82 @@ class TestKillAndResume:
         )
         with pytest.raises(ValueError, match="cache_decimals=6"):
             read_ledger(ledger_path)
+
+
+class TestRunLogUnderSkip:
+    """Each engine builds its RunResult from the batches the broker kept."""
+
+    def _solve(self, tmp_path, monkeypatch, engine, spec):
+        batches = []
+        evaluate_batch = EvaluationBroker.evaluate_batch
+
+        def spy(broker, X):
+            batch = evaluate_batch(broker, X)
+            batches.append(batch)
+            return batch
+
+        monkeypatch.setattr(EvaluationBroker, "evaluate_batch", spy)
+        objective = FaultInjectingObjective(
+            FunctionObjective(
+                lambda x: float(np.sum(np.asarray(x) ** 2)),
+                dim=6,
+                bounds=unit_cube_bounds(6),
+                cache_key="bowl6",
+            ),
+            FaultPlan(failure_rate=0.3, seed=1),
+        )
+        ledger_path = tmp_path / "run.jsonl"
+        policy = RuntimePolicy(
+            config=BrokerConfig(
+                max_retries=0, backoff_seconds=0.0, failure_policy="skip"
+            ),
+            ledger=RunLedger(ledger_path),
+        )
+        result = engine.solve(objective=objective, spec=spec, policy=policy)
+        policy.ledger.close()
+
+        assert sum(b.n_submitted - b.n_evaluated for b in batches) > 0
+        # the kept rows, in submission order, D_0 included
+        assert result.X.tobytes() == np.vstack([b.X for b in batches]).tobytes()
+        assert result.y.tobytes() == np.concatenate([b.y for b in batches]).tobytes()
+        events = read_ledger(ledger_path).events
+        kept = [e for e in events if e["event"] in ("completed", "cache_hit")]
+        assert result.n_evaluations == len(kept)
+        return result, batches
+
+    def test_rembo(self, tmp_path, monkeypatch):
+        engine = RemboBO(
+            batch_size=3,
+            embedding_dim=2,
+            n_restarts=1,
+            global_budget=80,
+            local_budget=40,
+            seed=3,
+        )
+        result, batches = self._solve(
+            tmp_path, monkeypatch, engine, RunSpec(n_init=8, n_batches=2)
+        )
+        # the surviving initial rows; D_0 lost a point to the policy
+        assert result.n_init == batches[0].n_evaluated < 8
+        assert result.Z.shape == (result.n_evaluations, 2)
+
+    def test_monte_carlo(self, tmp_path, monkeypatch):
+        result, _ = self._solve(
+            tmp_path, monkeypatch, MonteCarloSampler(40, seed=2), RunSpec()
+        )
+        assert result.n_init == result.n_evaluations < 40
+
+    def test_sss_fractions_divide_by_samples_per_scale(
+        self, tmp_path, monkeypatch
+    ):
+        sampler = ScaledSigmaSampler(20, scales=(1.0, 2.0, 4.0), seed=4)
+        threshold = 0.5
+        result, batches = self._solve(
+            tmp_path, monkeypatch, sampler, RunSpec(threshold=threshold)
+        )
+        assert result.n_init == result.n_evaluations < 60
+        expected = [np.sum(b.y < threshold) / 20 for b in batches]
+        assert result.extra["failure_fractions"].tolist() == expected
 
 
 class TestSharedRuntimeDedup:

@@ -32,14 +32,6 @@ class TestMonteCarloSampler:
         result = MonteCarloSampler(10, seed=0).solve(objective=bowl_objective(2))
         assert result.method == "MC"
 
-    def test_stop_on_failure(self):
-        sampler = MonteCarloSampler(10_000, stop_on_failure=True, seed=1)
-        result = sampler.solve(
-            objective=bowl_objective(2), spec=RunSpec(threshold=0.5)
-        )
-        assert result.n_evaluations < 10_000
-        assert result.y[-1] < 0.5
-
     def test_reproducible(self):
         a = MonteCarloSampler(50, seed=3).solve(objective=bowl_objective(2))
         b = MonteCarloSampler(50, seed=3).solve(objective=bowl_objective(2))

@@ -38,6 +38,7 @@ from repro.runtime.replay import truncate_mid_run, verify_replay
 from repro.sampling.monte_carlo import MonteCarloSampler
 from repro.serve import CampaignScheduler, build_spec, load_jobs
 from repro.serve.service import main as serve_main
+from repro.telemetry import Telemetry, Tracer
 
 
 def bowl_objective(dim: int = 2) -> FunctionObjective:
@@ -398,8 +399,14 @@ class TestJobs:
                 {"engine": {"kind": "MC", "seed": 3}},  # the job's seed is one
                 r"unknown engine keys for 'MC': \['seed'\]; allowed: \[",
             ),
+            (
+                # a fixed budget always runs to the end
+                {"engine": {"kind": "This work", "stop_on_failure": True}},
+                r"unknown engine keys for 'This work': \['stop_on_failure'\]; "
+                r"allowed: \[",
+            ),
         ],
-        ids=["old-kind", "run-threshold", "engine-seed"],
+        ids=["old-kind", "run-threshold", "engine-seed", "stop-on-failure"],
     )
     def test_removed_job_choices_rejected_naming_the_allowed(self, over, message):
         with pytest.raises(ValueError, match=message):
@@ -492,6 +499,27 @@ class TestSchedulerConcurrent:
         # every campaign completed and recorded its queue wait
         assert result.n_completed == 4
         assert all(o.queue_wait_seconds > 0.0 for o in result.outcomes)
+
+    def test_jobs_start_by_priority_then_submission(self, tmp_path):
+        tracer = Tracer()
+        with CampaignScheduler(
+            tmp_path / "runs",
+            max_concurrent=1,
+            telemetry=Telemetry(tracer=tracer),
+        ) as scheduler:
+            scheduler.submit(_mc_spec("a", seed=1, priority=0))
+            scheduler.submit(_mc_spec("b", seed=2, priority=2))
+            scheduler.submit(_mc_spec("c", seed=3, priority=2))
+            result = scheduler.run()
+        # one worker runs the jobs one after another, in start order
+        started = [
+            span["attrs"]["campaign"]
+            for span in tracer.finished
+            if span["name"] == "scheduled_campaign"
+        ]
+        assert started == ["b", "c", "a"]
+        assert [o.name for o in result.outcomes] == ["a", "b", "c"]
+        assert result.n_completed == 3
 
     def test_duplicate_names_rejected(self, tmp_path):
         with CampaignScheduler(tmp_path / "runs") as scheduler:

@@ -268,12 +268,12 @@ class TestNullObjects:
         assert resolve_telemetry(None) is NULL_TELEMETRY
         live = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
         assert resolve_telemetry(live) is live
-        materialized = resolve_telemetry(
-            TelemetryConfig(trace_path=tmp_path / "t.jsonl")
-        )
-        assert materialized.enabled
-        assert materialized.tracer.path == tmp_path / "t.jsonl"
-        materialized.close()
+        # a config belongs to an owner that materializes and closes it
+        with pytest.raises(
+            TypeError, match="Campaign, run_campaign_spec or CampaignScheduler"
+        ):
+            resolve_telemetry(TelemetryConfig(trace_path=tmp_path / "t.jsonl"))
+        assert not (tmp_path / "t.jsonl").exists()
         assert not NULL_TELEMETRY.enabled
 
 
