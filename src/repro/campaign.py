@@ -8,14 +8,15 @@ observability — meets in one documented place::
     from repro.runtime import RuntimePolicy
     from repro.telemetry import TelemetryConfig
 
-    campaign = Campaign(
-        objective=testbench.objective("vth_plus"),
-        engine=RemboBO(batch_size=19, seed=7),
-        policy=RuntimePolicy.shared(ledger_path="runs/uvlo.jsonl"),
-        telemetry=TelemetryConfig(trace_path="runs/uvlo.trace.jsonl"),
-        seed=7,
-    )
-    outcome = campaign.run(RunSpec(n_init=20, n_batches=10, threshold=T))
+    with RuntimePolicy.shared(ledger_path="runs/uvlo.jsonl") as policy:
+        campaign = Campaign(
+            objective=testbench.objective("vth_plus"),
+            engine=RemboBO(batch_size=19, seed=7),
+            policy=policy,
+            telemetry=TelemetryConfig(trace_path="runs/uvlo.trace.jsonl"),
+            seed=7,
+        )
+        outcome = campaign.run(RunSpec(n_init=20, n_batches=10, threshold=T))
     outcome.run.summarize(T)          # table row
     outcome.metrics["counters"]       # broker counters
     # per-phase breakdown: python -m repro.telemetry.report runs/uvlo.trace.jsonl

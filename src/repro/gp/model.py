@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky
 from scipy.linalg.lapack import get_lapack_funcs
 
 from repro._typing import ArrayLike, FloatArray
@@ -24,10 +24,33 @@ from repro.utils.validation import as_matrix, as_vector
 #: Diagonal jitter ladder tried when the Gram matrix is numerically singular.
 _JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
-# resolve the LAPACK factorization/inverse routines once, not per call
-_potrf, _potrs, _potri = get_lapack_funcs(
-    ("potrf", "potrs", "potri"), (np.empty((1, 1)),)
+# resolve the LAPACK factorization/inverse/solve routines once, not per call
+_potrf, _potrs, _potri, _trtrs = get_lapack_funcs(
+    ("potrf", "potrs", "potri", "trtrs"), (np.empty((1, 1)),)
 )
+
+
+def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``solve_triangular(L, B, lower=True, check_finite=False)``, unwrapped.
+
+    The same LAPACK call scipy makes, in scipy's branch: an F-ordered
+    factor is solved as is, a C-ordered one as the upper-triangular
+    transposed system.  Both orders occur (``fit`` leaves an F-ordered
+    factor, the rank-k update a C-ordered one), and the two calls do not
+    round alike (a one-column ``B`` shows it), so seeded campaigns depend
+    on keeping the branch.  ``L`` and ``B`` are 2-D float64 arrays the
+    caller already checked.
+    """
+    x: np.ndarray
+    if L.flags.f_contiguous:
+        x, info = _trtrs(L, B, lower=1, trans=0)
+    else:
+        x, info = _trtrs(L.T, B, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    return x
 
 
 @shape_contract("A: (n, n) -> (n, n)")
@@ -227,7 +250,7 @@ class GaussianProcess:
         C = self.kernel(X_new)
         C_diag = np.einsum("ii->i", C)
         C_diag += self.noise_variance
-        L21T = solve_triangular(self._chol, B, lower=True, check_finite=False)  # (n, k)
+        L21T = _solve_lower(self._chol, B)  # (n, k)
         S = C - L21T.T @ L21T
         try:
             # Fail fast: a jittered retry would mask an ill-conditioned
@@ -261,14 +284,20 @@ class GaussianProcess:
     # -- prediction -------------------------------------------------------------
 
     def predict(self, X: ArrayLike) -> GPPrediction:
-        """Posterior mean and variance at test points (Eqs. 5-7)."""
+        """Posterior mean and variance at test points (Eqs. 5-7).
+
+        The one place a scoring call checks its input: ``X`` must be finite
+        with the training column count (one row may come as a vector).  The
+        acquisitions pass their candidates straight here, and nothing below
+        checks again.
+        """
         if not self.is_fitted:
             raise RuntimeError("GP has not been fitted")
-        assert self._X is not None
+        assert self._X is not None and self._chol is not None
         X_arr = as_matrix(X, self._X.shape[1])
         k_star = self.kernel.cross(self._workspace, X_arr)  # (n_train, n_test)
         mean = k_star.T @ self._alpha
-        v = solve_triangular(self._chol, k_star, lower=True, check_finite=False)
+        v = _solve_lower(self._chol, k_star)
         variance = self.kernel.diag(X_arr) - np.sum(v**2, axis=0)
         return GPPrediction(mean=mean, variance=np.maximum(variance, 0.0))
 

@@ -114,8 +114,11 @@ class Matern52:
     # campaigns depend on each path's exact rounding.
 
     def diag(self, X: np.ndarray) -> np.ndarray:
-        """``k(x_i, x_i)`` for each row, cheaper than ``diag(K(X, X))``."""
-        X = as_matrix(X)
+        """``k(x_i, x_i)`` for each row, cheaper than ``diag(K(X, X))``.
+
+        ``X`` is an ``(n, d)`` float array its caller already checked (the
+        GPs' ``fit``, ``add_data`` and ``predict`` do); it is not re-checked.
+        """
         return np.full(X.shape[0], self.variance)
 
     def _g(self, sq: np.ndarray) -> np.ndarray:
@@ -295,8 +298,11 @@ class Matern52:
         return out
 
     def cross(self, ws: KernelWorkspace, Z: np.ndarray) -> np.ndarray:
-        """Cross Gram matrix ``k(ws.X, Z)`` (the prediction hot path)."""
-        Z = as_matrix(Z, self.dim)
+        """Cross Gram matrix ``k(ws.X, Z)`` (the prediction hot path).
+
+        ``Z`` is an ``(m, d)`` float array its caller already checked (the
+        exact GP's ``add_data`` and ``predict`` do); it is not re-checked.
+        """
         key = self.lengthscales.tobytes()
         if ws.cache.get("cross_key") != key:
             Xs = ws.X / self.lengthscales

@@ -742,12 +742,24 @@ class RuntimePolicy:
     a result cache (deduplicating evaluations between methods that share an
     initial design), and a ledger (one event stream for the whole
     campaign).  Each ``solve`` builds its own broker from the policy via
-    :func:`make_broker`.
+    :func:`make_broker`.  The policy owns its ledger's file handle:
+    :meth:`close`, or leaving a ``with`` block, closes it.
     """
 
     config: BrokerConfig = field(default_factory=BrokerConfig)
     cache: ResultCache | None = None
     ledger: RunLedger | None = None
+
+    def close(self) -> None:
+        """Close the ledger, if any; closing twice is harmless."""
+        if self.ledger is not None:
+            self.ledger.close()
+
+    def __enter__(self) -> "RuntimePolicy":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     @classmethod
     def shared(
@@ -762,13 +774,13 @@ class RuntimePolicy:
         ``cache`` reuses an existing store (e.g. the scheduler's persistent
         cross-campaign cache); ``cache_path`` opens a persistent
         :meth:`ResultCache.open` store at that directory.  Without either,
-        a fresh in-memory cache is created.
+        a fresh in-memory cache is created.  A persistent cache holds no
+        file open between writes, so the ledger is the one handle the
+        policy keeps: run it in a ``with`` block, or call :meth:`close`.
         """
         if cache is not None and cache_path is not None:
             raise ValueError("pass cache or cache_path, not both")
         if cache_path is not None:
-            # ownership transfers to the returned policy; the caller scopes
-            # the cache's lifetime through the policy it receives
             cache = ResultCache.open(cache_path)  # numlint: disable=NL705
         return cls(
             config=config if config is not None else BrokerConfig(),

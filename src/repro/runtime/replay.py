@@ -384,19 +384,19 @@ def run_selftest(
 
 def _selftest_in(workdir, engine, faulty_objective, bench, spec, cfg, mode):
     ledger_path = workdir / "campaign.jsonl"
-    policy = RuntimePolicy(config=cfg, ledger=RunLedger(ledger_path))
-    engine().solve(objective=faulty_objective(), spec=spec, policy=policy)
-    policy.ledger.close()
+    with RuntimePolicy(config=cfg, ledger=RunLedger(ledger_path)) as policy:
+        engine().solve(objective=faulty_objective(), spec=spec, policy=policy)
 
     truncate_mid_run(ledger_path)
     cache = ResultCache.in_memory()
     cache.preload(read_ledger(ledger_path).completed)
     # the same ledger path: the resumed run appends in place
-    resumed_policy = RuntimePolicy(
+    with RuntimePolicy(
         config=cfg, cache=cache, ledger=RunLedger(ledger_path)
-    )
-    engine().solve(objective=faulty_objective(), spec=spec, policy=resumed_policy)
-    resumed_policy.ledger.close()
+    ) as resumed_policy:
+        engine().solve(
+            objective=faulty_objective(), spec=spec, policy=resumed_policy
+        )
 
     return verify_replay(
         ledger_path, bench.objective("delta_vthl"), mode=mode, config=cfg

@@ -325,7 +325,7 @@ class CampaignScheduler:
                     )
                     span.set("n_evaluations", result.run.n_evaluations)
             finally:
-                policy.ledger.close()
+                policy.close()
             outcome.elapsed_seconds = time.perf_counter() - t0
             _write_result(result_path, spec.name, result)
             outcome.result = result

@@ -1,5 +1,10 @@
 """Tests for the acquisition functions and the acquisition search."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +18,8 @@ from repro.acquisition import (
 from repro.bo import acquisition_search
 from repro.gp import GaussianProcess
 from repro.kernels import Matern52
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -120,6 +127,52 @@ class TestWeightedAcquisition:
                 MultiWeightAcquisition(fitted_gp, [bad])
 
 
+def scorer(gp, name):
+    """One of the scoring entry points, as a function of ``X``."""
+    if name == "predict":
+        return gp.predict
+    if name == "segments":
+        multi = MultiWeightAcquisition(gp, [0.3])
+        return lambda X: multi.evaluate_segments(X, [(0, np.atleast_2d(X).shape[0])])
+    acquisitions = {
+        "EI": ExpectedImprovement,
+        "PI": ProbabilityOfImprovement,
+        "LCB": LowerConfidenceBound,
+    }
+    return acquisitions[name](gp).evaluate
+
+
+SCORERS = ("predict", "EI", "PI", "LCB", "segments")
+
+
+class TestOneInputCheck:
+    """``predict`` checks every scoring call's input; the acquisitions
+    pass theirs straight through, so bad rows still raise from each."""
+
+    @pytest.mark.parametrize("name", SCORERS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, fitted_gp, name, bad):
+        X = np.zeros((4, 2))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            scorer(fitted_gp, name)(X)
+
+    @pytest.mark.parametrize("name", SCORERS)
+    def test_wrong_column_count_rejected(self, fitted_gp, name):
+        with pytest.raises(ValueError, match="columns"):
+            scorer(fitted_gp, name)(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("name", SCORERS)
+    def test_one_point_may_come_as_a_vector(self, fitted_gp, name):
+        x = np.array([0.3, -0.2])
+        one = scorer(fitted_gp, name)(x)
+        row = scorer(fitted_gp, name)(x[None, :])
+        if name == "predict":
+            one, row = one.variance, row.variance
+        assert one.shape == (1,)
+        assert one.tobytes() == row.tobytes()
+
+
 class TestPboWeights:
     def test_spans_zero_to_one(self):
         w = pbo_weights(5)
@@ -163,3 +216,26 @@ class TestOptimizeAcquisition:
             acquisition_search(score, 1, self.bounds, global_budget=0)
         with pytest.raises(ValueError, match="max_evaluations must be >= 2"):
             acquisition_search(score, 1, self.bounds, local_budget=1)
+
+
+def test_no_repro_module_imports_scipy_stats():
+    """EI and PI take the normal cdf and pdf from ``scipy.special`` and
+    numpy; loading ``scipy.stats`` would add its import time to every start
+    of ``python -m repro.serve``, ``replay`` and ``report``."""
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import repro\n"
+        "for module in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if not module.name.endswith('.__main__'):\n"
+        "        importlib.import_module(module.name)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

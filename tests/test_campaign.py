@@ -12,6 +12,9 @@ small UVLO campaigns, one per BO engine:
 
 from __future__ import annotations
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,13 +104,14 @@ class TestCampaignTelemetry:
         testbench = UVLOTestbench()
         trace_path = tmp_path / "uvlo.trace.jsonl"
         ledger_path = tmp_path / "uvlo.jsonl"
-        campaign = Campaign(
-            testbench.objective("delta_vthl"),
-            make_engine(),
-            policy=RuntimePolicy.shared(ledger_path=ledger_path),
-            telemetry=TelemetryConfig(trace_path=trace_path),
-        )
-        outcome = campaign.run(uvlo_spec(testbench, **run))
+        with RuntimePolicy.shared(ledger_path=ledger_path) as policy:
+            campaign = Campaign(
+                testbench.objective("delta_vthl"),
+                make_engine(),
+                policy=policy,
+                telemetry=TelemetryConfig(trace_path=trace_path),
+            )
+            outcome = campaign.run(uvlo_spec(testbench, **run))
 
         assert outcome.trace_path == trace_path
         assert outcome.ledger_path == ledger_path
@@ -288,6 +292,31 @@ class TestTelemetryOwnership:
             )
         assert calls == []
         assert not trace_path.exists()
+
+
+class TestPolicyLifetime:
+    def test_with_block_closes_the_ledger(self, tmp_path):
+        testbench = UVLOTestbench()
+        ledger_path = tmp_path / "uvlo.jsonl"
+        make_engine, run = ENGINE_CASES["SequentialBO"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with RuntimePolicy.shared(ledger_path=ledger_path) as policy:
+                Campaign(
+                    testbench.objective("delta_vthl"), make_engine(), policy=policy
+                ).run(uvlo_spec(testbench, **run))
+            # a handle still open here warns when the policy is collected
+            del policy
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
+        assert read_ledger(ledger_path).n_completed == run["budget"]
+
+    def test_close_is_idempotent_and_allows_no_ledger(self, tmp_path):
+        policy = RuntimePolicy.shared(ledger_path=tmp_path / "l.jsonl")
+        policy.close()
+        policy.close()
+        RuntimePolicy().close()
 
 
 class TestRunMethodTelemetry:

@@ -456,17 +456,15 @@ class TestEngineThreading:
             )
 
         ledger_path = tmp_path / "sparse.jsonl"
-        policy = RuntimePolicy(ledger=RunLedger(ledger_path))
-        uninterrupted = run(policy)
-        policy.ledger.close()
+        with RuntimePolicy(ledger=RunLedger(ledger_path)) as policy:
+            uninterrupted = run(policy)
 
         cache = ResultCache.in_memory()
         cache.preload(read_ledger(ledger_path).completed)
-        resumed = run(
-            RuntimePolicy(
-                cache=cache, ledger=RunLedger(tmp_path / "resumed.jsonl")
-            )
-        )
+        with RuntimePolicy(
+            cache=cache, ledger=RunLedger(tmp_path / "resumed.jsonl")
+        ) as policy:
+            resumed = run(policy)
         assert np.array_equal(uninterrupted.X, resumed.X)
         assert np.array_equal(uninterrupted.y, resumed.y)
         assert np.array_equal(uninterrupted.Z, resumed.Z)

@@ -7,16 +7,25 @@ chunked broker dispatch) is pure plumbing: every optimization must return
 what the straightforward implementation returns.  These tests pin that
 contract so future performance work cannot silently change numbers.  The
 references: per-weight one-row searches and the coroutine searches the
-engines replaced (``tests/search_reference.py``) for the proposal, and a
-one-row-per-call objective wrapper for chunked dispatch.
+engines replaced (``tests/search_reference.py``) for the proposal, scipy's
+``solve_triangular`` and ``scipy.stats.norm`` for the posterior and EI/PI,
+and a one-row-per-call objective wrapper for chunked dispatch.
 """
 
 import time
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.stats import norm
 
-from repro.acquisition.functions import MultiWeightAcquisition, pbo_weights
+from repro.acquisition.functions import (
+    _MIN_STD,
+    ExpectedImprovement,
+    MultiWeightAcquisition,
+    ProbabilityOfImprovement,
+    pbo_weights,
+)
 from repro.bo.engine import RunSpec
 from repro.bo.loop import ACQUISITIONS, SequentialBO
 from repro.bo.propose import acquisition_search
@@ -107,6 +116,94 @@ class TestIncrementalCholeskyEquivalence:
         np.testing.assert_allclose(
             inc.predict(Z).mean, full.predict(Z).mean, atol=1e-8
         )
+
+
+class TestPredictEquivalence:
+    """``predict`` equals scipy's ``solve_triangular`` posterior, bitwise.
+
+    ``fit`` leaves an F-ordered Cholesky factor and the rank-k update of
+    ``add_data`` a C-ordered one; the raw LAPACK solve must take scipy's
+    branch for each, since the two branches round differently.
+    """
+
+    @staticmethod
+    def _reference(gp, X):
+        k = gp.kernel.cross(gp._workspace, X)
+        v = solve_triangular(gp._chol, k, lower=True, check_finite=False)
+        variance = gp.kernel.diag(X) - np.sum(v**2, axis=0)
+        return k.T @ gp._alpha, np.maximum(variance, 0.0)
+
+    def _check(self, gp, n_test):
+        # 57 points, predicted in blocks of n_test: a one-column solve is
+        # where the branches differ, so every point gets its own block
+        Z = _dataset(57, 4, seed=17)[0]
+        for start in range(0, Z.shape[0], n_test):
+            block = Z[start : start + n_test]
+            pred = gp.predict(block)
+            mean, variance = self._reference(gp, block)
+            assert pred.mean.tobytes() == mean.tobytes()
+            assert pred.variance.tobytes() == variance.tobytes()
+
+    @pytest.mark.parametrize("n_test", [1, 3, 57])
+    def test_after_fit(self, n_test):
+        X, y = _dataset(40, 4, seed=1)
+        gp = GaussianProcess(Matern52(dim=4, ard=True), noise_variance=1e-4)
+        gp.fit(X, y)
+        assert gp._chol.flags.f_contiguous
+        self._check(gp, n_test)
+
+    @pytest.mark.parametrize("n_test", [1, 3, 57])
+    def test_after_rank_k_update(self, n_test):
+        X, y = _dataset(40, 4, seed=1)
+        gp = GaussianProcess(Matern52(dim=4, ard=True), noise_variance=1e-4)
+        gp.fit(X[:33], y[:33])
+        gp.add_data(X[33:], y[33:])
+        assert gp._chol.flags.c_contiguous and not gp._chol.flags.f_contiguous
+        self._check(gp, n_test)
+
+
+class TestNormalFormulaEquivalence:
+    """EI and PI equal the ``scipy.stats.norm`` formulas, bitwise.
+
+    The points cover training inputs, where the posterior std sits at the
+    ``_MIN_STD`` floor, and rays out to far from the data, where ``|z|``
+    reaches about 40 on either side of zero.
+    """
+
+    @staticmethod
+    def _fitted(offset):
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-1.0, 1.0, (10, 2))
+        y = offset + np.sin(3.0 * X[:, 0]) + X[:, 1]
+        gp = GaussianProcess(
+            Matern52(dim=2, lengthscale=0.3), noise_variance=1e-16, train_noise=False
+        ).fit(X, y)
+        directions = np.random.default_rng(22).standard_normal((400, 2))
+        radii = np.geomspace(1e-3, 50.0, 400)
+        starts = X[rng.integers(0, X.shape[0], radii.shape[0])]
+        return gp, np.vstack([X, starts + directions * radii[:, None]])
+
+    @pytest.mark.parametrize("offset", [-40.0, 40.0])
+    @pytest.mark.parametrize("xi", [0.0, 0.3])
+    def test_matches_scipy_stats(self, offset, xi):
+        gp, points = self._fitted(offset)
+        pred = gp.predict(points)
+        std = np.maximum(pred.std, _MIN_STD)
+        improvement = np.min(gp.y_train) - xi - pred.mean
+        z = improvement / std
+        assert np.any(pred.std[: gp.n_train] < _MIN_STD)
+        far = np.abs(z[gp.n_train :])
+        assert np.any((far > 35.0) & (far < 45.0))
+
+        pi = -np.asarray(norm.cdf(z), dtype=float)
+        ei = -np.maximum(
+            np.asarray(improvement * norm.cdf(z) + std * norm.pdf(z), dtype=float),
+            0.0,
+        )
+        got_pi = ProbabilityOfImprovement(gp, xi=xi).evaluate(points)
+        got_ei = ExpectedImprovement(gp, xi=xi).evaluate(points)
+        assert got_pi.tobytes() == pi.tobytes()
+        assert got_ei.tobytes() == ei.tobytes()
 
 
 class TestFusedEvaluatorEquivalence:

@@ -161,13 +161,12 @@ class TestKillAndResume:
         bench = UVLOTestbench()
         spec = RunSpec(bounds=bench.bounds())
         ledger_path = tmp_path / "mc.jsonl"
-        policy = RuntimePolicy.shared(
+        with RuntimePolicy.shared(
             ledger_path=ledger_path, cache_path=tmp_path / "cache"
-        )
-        full = MonteCarloSampler(3000, seed=4).solve(
-            objective=bench.objective("delta_vthl"), spec=spec, policy=policy
-        )
-        policy.ledger.close()
+        ) as policy:
+            full = MonteCarloSampler(3000, seed=4).solve(
+                objective=bench.objective("delta_vthl"), spec=spec, policy=policy
+            )
         n_kept = truncate_mid_run(ledger_path)
         assert PERSIST_SLICE < n_kept < 2 * PERSIST_SLICE
 
@@ -297,12 +296,10 @@ class TestSharedRuntimeDedup:
             seed=3,
         )
         tb = UVLOTestbench()
-        runtime = RuntimePolicy.shared(ledger_path=tmp_path / "shared.jsonl")
-
-        for method in ("EI", "LCB"):
-            result = run_method(method, tb, "delta_vthl", cfg, runtime=runtime)
-            assert result.n_evaluations == cfg.bo_budget
-        runtime.ledger.close()
+        with RuntimePolicy.shared(ledger_path=tmp_path / "shared.jsonl") as runtime:
+            for method in ("EI", "LCB"):
+                result = run_method(method, tb, "delta_vthl", cfg, runtime=runtime)
+                assert result.n_evaluations == cfg.bo_budget
 
         replay = read_ledger(tmp_path / "shared.jsonl")
         # the acceptance criterion: zero duplicate simulations across
