@@ -13,7 +13,6 @@ import abc
 import numpy as np
 
 from repro.gp.surrogate import SurrogateModel
-from repro.utils.validation import as_matrix
 
 
 class AcquisitionFunction(abc.ABC):
@@ -32,7 +31,3 @@ class AcquisitionFunction(abc.ABC):
     @abc.abstractmethod
     def evaluate(self, X: np.ndarray) -> np.ndarray:
         """Vectorized acquisition at each row of ``X`` (lower is better)."""
-
-    def __call__(self, x: np.ndarray) -> float:
-        """Scalar acquisition value at a single point, for the optimizers."""
-        return float(self.evaluate(as_matrix(x))[0])

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.optim.cobyla import Cobyla, cobyla_rows
-from repro.optim.direct import Direct, RowObjective, direct_rows
+from repro.optim.cobyla import cobyla_rows
+from repro.optim.direct import RowObjective, direct_rows
 from repro.utils.contracts import shape_contract
 from repro.utils.validation import check_bounds
 
@@ -81,16 +81,14 @@ def acquisition_search(
     ``n_evaluations`` counts both stages over every row.
     """
     lower, upper = check_bounds(box)
-    direct = Direct(max_evaluations=global_budget)
-    cobyla = Cobyla(max_evaluations=local_budget)
-    coarse = direct_rows([direct] * n_rows, lower, upper, score)
+    coarse = direct_rows(n_rows, lower, upper, score, max_evaluations=global_budget)
     radius = LOCAL_RADIUS * (upper - lower)
     fine = cobyla_rows(
-        [cobyla] * n_rows,
         np.maximum(lower, coarse.x - radius),
         np.minimum(upper, coarse.x + radius),
         coarse.x,
         score,
+        max_evaluations=local_budget,
     )
     refined = fine.fun <= coarse.fun
     return BatchProposal(

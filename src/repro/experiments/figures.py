@@ -16,8 +16,8 @@ from repro.circuits.behavioral.base import CircuitTestbench
 from repro.embedding.dimension_selection import select_embedding_dimension
 from repro.embedding.random_embedding import RandomEmbedding
 from repro.experiments.config import ExperimentConfig
-from repro.optim.cobyla import Cobyla
-from repro.optim.direct import Direct
+from repro.optim.cobyla import cobyla_rows
+from repro.optim.direct import RowObjective, direct_rows
 from repro.synthetic.functions import ysyn
 from repro.utils.rng import SeedLike, as_generator, spawn
 from repro.utils.validation import unit_cube_bounds
@@ -53,21 +53,30 @@ def optimizer_scaling(
     dims = np.asarray(list(dims), dtype=int)
     counts: dict[str, list[float]] = {"DIRECT-L": [], "COBYLA": []}
     for D in dims:
-        bounds = unit_cube_bounds(int(D))
+        lower, upper = unit_cube_bounds(int(D)).T
         per_method = {"DIRECT-L": [], "COBYLA": []}
         for child in spawn(rng, n_repeats):
             c = child.uniform(-0.8, 0.8, size=int(D))
             fun = ysyn(c)
-            direct = Direct(
+            direct = direct_rows(
+                1,
+                lower,
+                upper,
+                _one_row(fun),
                 max_evaluations=max_evaluations,
                 max_iterations=10**7,
                 f_target=f_target,
             )
-            result = direct.minimize(fun, bounds)
-            per_method["DIRECT-L"].append(result.n_evaluations)
-            cobyla = Cobyla(max_evaluations=max_evaluations, rho_end=1e-8)
+            per_method["DIRECT-L"].append(int(direct.n_evaluations[0]))
             counting = _until_target(fun, f_target)
-            cobyla.minimize(counting, bounds)
+            cobyla_rows(
+                lower[None, :],
+                upper[None, :],
+                0.5 * (lower + upper)[None, :],
+                _one_row(counting),
+                max_evaluations=max_evaluations,
+                rho_end=1e-8,
+            )
             per_method["COBYLA"].append(counting.evaluations_at_target or counting.n)
         for name in counts:
             counts[name].append(float(np.mean(per_method[name])))
@@ -75,6 +84,11 @@ def optimizer_scaling(
         dims=dims,
         evaluations={k: np.asarray(v) for k, v in counts.items()},
     )
+
+
+def _one_row(fun) -> RowObjective:
+    """``fun`` as a one-row search objective: each point scored in order."""
+    return lambda X, segments: np.array([float(fun(x)) for x in X], dtype=float)
 
 
 class _until_target:

@@ -17,101 +17,68 @@ function-evaluation count grow super-linearly with dimension in Fig. 2.
 own box, as an array program: ``(n, d + 1, d)`` simplices and their
 values, sorted and stepped together, and one ``evaluate`` call per
 lockstep round on the union of every live row's pending points — a whole
-simplex after a geometry step, a single trust-region candidate otherwise.  :meth:`Cobyla.minimize` is the one-row
-case.  Each row's result is bitwise what a point-at-a-time implementation
-returns: the LU factor and solve are LAPACK ``getrf``/``getrs`` per row,
-the gradient norm is ``sqrt(vecdot(g, g))`` (``np.linalg.norm(G, axis=1)``
-rounds differently from the per-vector norm), and a step the box blocks is
-the row-wise form of ``np.allclose(candidate, best)``.
+simplex after a geometry step, a single trust-region candidate otherwise.
+Every row runs under the call's one configuration, with its radii scaled
+by its own box.  Each row's result is bitwise what a point-at-a-time
+implementation returns: the LU factor and solve are LAPACK
+``getrf``/``getrs`` per row, the gradient norm is ``sqrt(vecdot(g, g))``
+(``np.linalg.norm(G, axis=1)`` rounds differently from the per-vector
+norm), and a step the box blocks is the row-wise form of
+``np.allclose(candidate, best)``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from repro.optim.base import CountingObjective, Objective, Optimizer
 from repro.optim.direct import RowObjective
-from repro.optim.result import OptimizationResult, RowOutcome
+from repro.optim.result import RowOutcome
+from repro.utils.validation import check_bounds
 
 # what each live row submits next
 _X0, _SIMPLEX, _CANDIDATE, _STEP, _DONE = range(5)
 
 
-class Cobyla(Optimizer):
-    """Linear-approximation trust-region minimizer over a box.
-
-    Parameters
-    ----------
-    rho_begin:
-        Initial trust-region radius, as a fraction of the shortest box side.
-    rho_end:
-        Final radius; convergence is declared when ``rho`` shrinks below it.
-    max_evaluations:
-        Objective evaluation budget.
-    """
-
-    def __init__(
-        self,
-        rho_begin: float = 0.25,
-        rho_end: float = 1e-6,
-        max_evaluations: int = 5000,
-    ) -> None:
-        if not 0 < rho_end < rho_begin:
-            raise ValueError(
-                f"need 0 < rho_end < rho_begin, got {rho_end}, {rho_begin}"
-            )
-        if max_evaluations < 2:
-            raise ValueError(f"max_evaluations must be >= 2, got {max_evaluations}")
-        self.rho_begin = float(rho_begin)
-        self.rho_end = float(rho_end)
-        self.max_evaluations = int(max_evaluations)
-
-    def _minimize(
-        self,
-        fun: Objective,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        x0: np.ndarray | None,
-    ) -> OptimizationResult:
-        counted = CountingObjective(fun)
-        if x0 is None:
-            x0 = 0.5 * (lower + upper)
-        outcome = cobyla_rows(
-            [self],
-            lower[None, :],
-            upper[None, :],
-            x0[None, :],
-            lambda X, segments: counted.evaluate(X),
-        )
-        return OptimizationResult(
-            x=counted.best_x,
-            fun=counted.best_f,
-            n_evaluations=counted.n_evaluations,
-            n_iterations=int(outcome.n_iterations[0]),
-            success=bool(outcome.success[0]),
-            message=outcome.message[0],
-            history=list(counted.history),
-        )
-
-
 def cobyla_rows(
-    optimizers: Sequence[Cobyla],
     lower: np.ndarray,
     upper: np.ndarray,
     x0: np.ndarray,
     evaluate: RowObjective,
+    *,
+    max_evaluations: int,
+    rho_begin: float = 0.25,
+    rho_end: float = 1e-6,
 ) -> RowOutcome:
-    """Run one COBYLA search per optimizer, row ``i`` in the box
-    ``[lower[i], upper[i]]`` from ``x0[i]`` (all ``(n, d)``).
+    """Run one COBYLA search per row ``i`` in the box ``[lower[i],
+    upper[i]]`` from ``x0[i]`` (all ``(n, d)``; ``x0`` is clipped into
+    the box).
 
-    Each round calls ``evaluate`` once on the union of every live row's
-    pending points, rows ascending; row ``i``'s result equals what
-    ``optimizers[i]``'s own :meth:`~Cobyla.minimize` returns.
+    Every row spends up to ``max_evaluations`` evaluations; its trust
+    region starts at radius ``rho_begin`` and converges at ``rho_end``,
+    both as fractions of its box's shortest side.  Each round calls
+    ``evaluate`` once on the union of every live row's pending points,
+    rows ascending.
     """
-    return _CobylaRows(optimizers, lower, upper, x0).run(evaluate)
+    if max_evaluations < 2:
+        raise ValueError(f"max_evaluations must be >= 2, got {max_evaluations}")
+    if not 0 < rho_end < rho_begin:
+        raise ValueError(
+            f"need 0 < rho_end < rho_begin, got {rho_end}, {rho_begin}"
+        )
+    lower, upper, x0 = (np.asarray(a, dtype=float) for a in (lower, upper, x0))
+    if lower.ndim != 2 or upper.shape != lower.shape:
+        raise ValueError(
+            f"lower and upper must share one (n, d) shape, got {lower.shape} "
+            f"and {upper.shape}"
+        )
+    # before clipping, which would broadcast a wrong shape
+    if x0.shape != lower.shape:
+        raise ValueError(f"x0 has shape {x0.shape}, the boxes {lower.shape}")
+    check_bounds(np.column_stack([lower.ravel(), upper.ravel()]))
+    return _CobylaRows(
+        lower, upper, x0, int(max_evaluations), float(rho_begin), float(rho_end)
+    ).run(evaluate)
 
 
 class _CobylaRows:
@@ -126,18 +93,20 @@ class _CobylaRows:
 
     def __init__(
         self,
-        optimizers: Sequence[Cobyla],
         lower: np.ndarray,
         upper: np.ndarray,
         x0: np.ndarray,
+        budget: int,
+        rho_begin: float,
+        rho_end: float,
     ) -> None:
         n, dim = lower.shape
         self.dim = dim
         self.lower, self.upper = lower, upper
         shortest = (upper - lower).min(axis=1).tolist()
-        self.rho = [o.rho_begin * s for o, s in zip(optimizers, shortest)]
-        self.rho_end = [o.rho_end * s for o, s in zip(optimizers, shortest)]
-        self.budget = [o.max_evaluations for o in optimizers]
+        self.rho = [rho_begin * s for s in shortest]
+        self.rho_end = [rho_end * s for s in shortest]
+        self.budget = budget
         x0 = np.clip(x0, lower, upper)
         self.V = np.empty((n, dim + 1, dim))
         self.f = np.empty((n, dim + 1))
@@ -149,10 +118,10 @@ class _CobylaRows:
         self.message = ["evaluation budget exhausted"] * n
         self.success = [False] * n
         # a budget that cannot hold a simplex evaluates x0 alone
-        self.state = [_X0 if b < dim + 1 else _SIMPLEX for b in self.budget]
-        fits = [r for r in range(n) if self.state[r] == _SIMPLEX]
-        if fits:
-            self.V[fits] = self._vertices(fits, x0[fits])
+        start = _X0 if budget < dim + 1 else _SIMPLEX
+        self.state = [start] * n
+        if start == _SIMPLEX:
+            self.V[:] = self._vertices(list(range(n)), x0)
         self._rows = np.arange(n)[:, None]
 
     def _vertices(self, rows: list[int], anchor: np.ndarray) -> np.ndarray:
@@ -178,7 +147,7 @@ class _CobylaRows:
 
     def _loop_top(self, r: int) -> None:
         """Step again while one evaluation is left."""
-        self.state[r] = _STEP if self.count[r] + 1 <= self.budget[r] else _DONE
+        self.state[r] = _STEP if self.count[r] + 1 <= self.budget else _DONE
 
     def _step(self, rows: list[int]) -> list[int]:
         """One model step for each row: sort the simplex, fit the linear
@@ -225,7 +194,7 @@ class _CobylaRows:
                 self._finish(r, "rho converged", True)
                 continue
             self.rho[r] *= 0.5
-            if self.count[r] + dim + 1 > self.budget[r]:
+            if self.count[r] + dim + 1 > self.budget:
                 self.state[r] = _DONE
                 continue
             rebuild.append(r)

@@ -20,8 +20,8 @@ with a single ``evaluate`` call.  Without ``f_target`` a row submits all of
 an iteration's divisions in one round (budget gating is deterministic at
 two evaluations per division); with it, one division per round, so the
 early-stop check between rectangles keeps its sequential semantics.
-:meth:`Direct.minimize` is the one-row case; the pBO proposal runs one row
-per weight.
+Every row runs under the call's one configuration; the pBO proposal runs
+one row per weight, Fig. 2 one row.
 
 Each row's result is bitwise what a rectangle-at-a-time implementation
 returns, which rests on four invariants:
@@ -39,12 +39,12 @@ returns, which rests on four invariants:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from repro.optim.base import CountingObjective, Objective, Optimizer
-from repro.optim.result import OptimizationResult, RowOutcome
+from repro.optim.result import RowOutcome
+from repro.utils.validation import check_bounds
 
 #: ``evaluate(X, segments)`` for the multi-row engines: score the ``(m, d)``
 #: union ``X`` whose consecutive blocks belong to the ``(row, length)``
@@ -72,58 +72,9 @@ _SIZE_TOLERANCE = 1e-8
 #: clip to the last entry.
 _DELTA = np.array([3.0 ** -(level + 1) for level in range(1024)], dtype=float)
 
-#: Rectangle slots allocated per row before the first growth; rows with
-#: larger budgets double their capacity on demand.
+#: Rectangle slots allocated per row before the first growth; a larger
+#: budget doubles the capacity on demand.
 _INITIAL_CAPACITY = 4096
-
-
-class Direct(Optimizer):
-    """DIRECT-L over a box.
-
-    Parameters
-    ----------
-    max_evaluations:
-        Objective evaluation budget.
-    max_iterations:
-        Cap on outer divide-select iterations.
-    f_target:
-        Optional early-stop threshold: terminate once ``f <= f_target``.
-    """
-
-    def __init__(
-        self,
-        max_evaluations: int = 2000,
-        max_iterations: int = 1000,
-        f_target: float | None = None,
-    ) -> None:
-        if max_evaluations < 1:
-            raise ValueError(f"max_evaluations must be >= 1, got {max_evaluations}")
-        self.max_evaluations = int(max_evaluations)
-        self.max_iterations = int(max_iterations)
-        self.f_target = f_target
-
-    def _minimize(
-        self,
-        fun: Objective,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        x0: np.ndarray | None,
-    ) -> OptimizationResult:
-        counted = CountingObjective(fun)
-        outcome = direct_rows(
-            [self], lower, upper, lambda X, segments: counted.evaluate(X)
-        )
-        if counted.best_x is None:  # pragma: no cover - budget >= 1 guards this
-            raise RuntimeError("DIRECT made no evaluations")
-        return OptimizationResult(
-            x=counted.best_x,
-            fun=counted.best_f,
-            n_evaluations=counted.n_evaluations,
-            n_iterations=int(outcome.n_iterations[0]),
-            success=bool(outcome.success[0]),
-            message=outcome.message[0],
-            history=list(counted.history),
-        )
 
 
 def _potentially_optimal(
@@ -162,20 +113,29 @@ def _potentially_optimal(
 
 
 def direct_rows(
-    optimizers: Sequence[Direct],
+    n_rows: int,
     lower: np.ndarray,
     upper: np.ndarray,
     evaluate: RowObjective,
+    *,
+    max_evaluations: int,
+    max_iterations: int = 1000,
+    f_target: float | None = None,
 ) -> RowOutcome:
-    """Run one DIRECT-L search per optimizer over the box ``[lower, upper]``.
+    """Run ``n_rows`` DIRECT-L searches over the box ``[lower, upper]``.
 
-    Row ``i`` follows ``optimizers[i]``'s budget, iteration cap and target.
-    Each round calls ``evaluate`` once on the union of every live row's
-    pending points, rows ascending and each row's points in division order
-    (plus then minus trisection point); the row's result equals what that
-    optimizer's own :meth:`~Direct.minimize` returns.
+    Every row spends up to ``max_evaluations`` evaluations in at most
+    ``max_iterations`` divide-select iterations, and stops early once its
+    best value reaches ``f_target``.  Each round calls ``evaluate`` once on
+    the union of every live row's pending points, rows ascending and each
+    row's points in division order (plus then minus trisection point).
     """
-    return _DirectRows(optimizers, lower, upper).run(evaluate)
+    if max_evaluations < 1:
+        raise ValueError(f"max_evaluations must be >= 1, got {max_evaluations}")
+    lower, upper = check_bounds(np.column_stack([lower, upper]))
+    return _DirectRows(
+        n_rows, lower, upper, int(max_evaluations), int(max_iterations), f_target
+    ).run(evaluate)
 
 
 class _DirectRows:
@@ -193,14 +153,20 @@ class _DirectRows:
     """
 
     def __init__(
-        self, optimizers: Sequence[Direct], lower: np.ndarray, upper: np.ndarray
+        self,
+        n: int,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        budget: int,
+        max_iterations: int,
+        f_target: float | None,
     ) -> None:
-        n, dim = len(optimizers), lower.shape[0]
+        dim = lower.shape[0]
         self.n, self.dim = n, dim
         self.lower, self.span = lower, upper - lower
-        self.budget = [o.max_evaluations for o in optimizers]
-        self.max_iterations = [o.max_iterations for o in optimizers]
-        self.f_target = [o.f_target for o in optimizers]
+        self.budget = budget
+        self.max_iterations = max_iterations
+        self.f_target = f_target
         self.count = [0] * n
         self.best = [np.inf] * n
         self.iteration = [0] * n
@@ -216,7 +182,7 @@ class _DirectRows:
         self._stride = 2 * (dim + 3) * np.arange(most)
         self._ramp = np.arange(2 * most)
         self.capacity = 0
-        self._allocate(min(max(self.budget), _INITIAL_CAPACITY))
+        self._allocate(min(budget, _INITIAL_CAPACITY))
 
     def _allocate(self, capacity: int) -> None:
         """(Re)size every row to ``capacity`` rectangle records."""
@@ -242,15 +208,15 @@ class _DirectRows:
     def _done(self, r: int) -> bool:
         # a division costs two evaluations, so one remaining slot is as
         # exhausted as zero
-        if self.count[r] + 2 > self.budget[r]:
+        if self.count[r] + 2 > self.budget:
             return True
-        target = self.f_target[r]
+        target = self.f_target
         return target is not None and self.best[r] <= target
 
     def _finish(
         self, r: int, n_iterations: int, reason: tuple[str, bool] | None = None
     ) -> None:
-        target = self.f_target[r]
+        target = self.f_target
         stop = (
             ("f_target reached", True)
             if target is not None and self.best[r] <= target
@@ -290,9 +256,9 @@ class _DirectRows:
                 self._finish(r, self.iteration[r])
                 return []
             iteration = self.iteration[r] + 1
-            if iteration > self.max_iterations[r]:
+            if iteration > self.max_iterations:
                 self._finish(
-                    r, self.max_iterations[r], ("max iterations reached", False)
+                    r, self.max_iterations, ("max iterations reached", False)
                 )
                 return []
             self.iteration[r] = iteration
@@ -303,8 +269,8 @@ class _DirectRows:
             if selected is None:
                 self._finish(r, iteration, ("size tolerance reached", True))
                 return []
-            if self.f_target[r] is None:
-                fits = min(len(selected), (self.budget[r] - self.count[r]) // 2)
+            if self.f_target is None:
+                fits = min(len(selected), (self.budget - self.count[r]) // 2)
                 self.stop_after[r] = fits < len(selected)
                 return selected[:fits]
             self.queue[r] = selected
@@ -325,7 +291,7 @@ class _DirectRows:
         self.gi[::_N_GROUPS] = np.arange(n) * self.capacity
         self.count = [1] * n
         self.best = values.tolist()
-        most = max(self.budget)
+        most = self.budget
         live = list(range(n))
         while live:
             if self.capacity < most and max(self.count) + 2 * _N_GROUPS > self.capacity:

@@ -41,6 +41,13 @@ from repro.runtime.faults import (
     TransientSimulationError,
 )
 from repro.runtime.ledger import LEDGER_VERSION, LedgerReplay, RunLedger, read_ledger
+from repro.runtime.objective import (
+    FunctionObjective,
+    Objective,
+    require_objective,
+    resolve_bounds,
+    stable_callable_name,
+)
 
 #: Replay-verifier names resolved lazily so ``python -m repro.runtime.replay``
 #: does not import the module twice (once here, once as ``__main__``).
@@ -61,13 +68,7 @@ def __getattr__(name: str):
 
         return getattr(replay, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-from repro.runtime.objective import (
-    FunctionObjective,
-    Objective,
-    require_objective,
-    resolve_bounds,
-    stable_callable_name,
-)
+
 
 __all__ = [
     "DEFAULT_DECIMALS",

@@ -107,6 +107,12 @@ FAILURE_POLICIES = ("raise", "skip", "penalty")
 #: its event lines in memory at once.
 PERSIST_SLICE = 1024
 
+#: Retry round ``k`` sleeps ``backoff_seconds * BACKOFF_FACTOR**k``, scaled
+#: by a deterministic jitter drawn uniformly from ``[1 - j, 1 + j]`` with
+#: ``j = BACKOFF_JITTER``.
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.1
+
 
 class EvaluationError(RuntimeError):
     """An evaluation failed after exhausting its retry budget."""
@@ -130,9 +136,10 @@ class BrokerConfig:
         as a daemon it does not keep the process alive at exit.
     max_retries:
         Additional attempts after the first failure (0 = fail fast).
-    backoff_seconds / backoff_factor / backoff_jitter:
-        Retry round ``k`` sleeps ``backoff_seconds * backoff_factor**k``,
-        scaled by a deterministic jitter in ``[1-j, 1+j]``.
+    backoff_seconds:
+        The first retry round's sleep; round ``k`` sleeps
+        ``backoff_seconds * BACKOFF_FACTOR**k`` with a deterministic
+        jitter of up to ``BACKOFF_JITTER`` either way.
     failure_policy:
         ``"raise"`` propagates an :class:`EvaluationError`; ``"skip"``
         drops the point from the batch; ``"penalty"`` substitutes
@@ -146,8 +153,6 @@ class BrokerConfig:
     timeout_seconds: float | None = None
     max_retries: int = 2
     backoff_seconds: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.1
     failure_policy: str = "raise"
     penalty_value: float | None = None
 
@@ -158,11 +163,9 @@ class BrokerConfig:
             )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_seconds < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff_seconds >= 0 and backoff_factor >= 1 required")
-        if not 0.0 <= self.backoff_jitter < 1.0:
+        if self.backoff_seconds < 0:
             raise ValueError(
-                f"backoff_jitter must lie in [0, 1), got {self.backoff_jitter}"
+                f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
             )
         if self.failure_policy not in FAILURE_POLICIES:
             raise ValueError(
@@ -408,12 +411,8 @@ class EvaluationBroker:
         return outcomes
 
     def _backoff_delay(self, attempt: int) -> float:
-        delay = self.config.backoff_seconds * self.config.backoff_factor**attempt
-        if self.config.backoff_jitter > 0.0:
-            delay *= 1.0 + self.config.backoff_jitter * float(
-                self._rng.uniform(-1.0, 1.0)
-            )
-        return delay
+        delay = self.config.backoff_seconds * BACKOFF_FACTOR**attempt
+        return delay * (1.0 + BACKOFF_JITTER * float(self._rng.uniform(-1.0, 1.0)))
 
     def _record_hit(
         self,

@@ -4,8 +4,9 @@
 ``_apply_divisions``) and ``ReferenceCobyla.search`` are the
 rectangle-at-a-time DIRECT and point-at-a-time COBYLA coroutines that
 :func:`repro.optim.direct_rows` and :func:`repro.optim.cobyla_rows`
-replaced, kept unchanged apart from their class names.  ``_RowSearch``
-and ``_drive_lockstep`` drive one coroutine per search row in lockstep;
+replaced, kept unchanged apart from their class names and the dropped
+one-search ``minimize`` wrapper.  ``_RowSearch`` and ``_drive_lockstep``
+drive one coroutine per search row in lockstep;
 :func:`reference_propose_batch` is the DIRECT-L then COBYLA proposal built
 on them, the reference of :func:`repro.bo.propose.acquisition_search`.
 Each engine row must equal its coroutine run alone, bit for bit.
@@ -20,8 +21,6 @@ from typing import Generator
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from repro.optim.base import CountingObjective, Objective, Optimizer
-from repro.optim.result import OptimizationResult
 from repro.utils.validation import check_bounds
 
 #: Epsilon of the potentially-optimal test (standard DIRECT magic constant).
@@ -41,7 +40,7 @@ def _pow3(level: int) -> float:
 
 @dataclass
 class SearchOutcome:
-    """Terminal state of one :meth:`Direct.search` coroutine run."""
+    """Terminal state of one reference ``search`` coroutine run."""
 
     message: str
     success: bool
@@ -55,7 +54,7 @@ class _Rect:
     center: np.ndarray
     f: float
     levels: np.ndarray  # trisection count per dimension; side_k = 3^-levels_k
-    size: float = field(default=0.0)  # cached size measure, set by Direct
+    size: float = field(default=0.0)  # cached size measure, set by ReferenceDirect
     size_key: float = field(default=0.0)  # size rounded for grouping, ditto
     min_level: int = field(default=0)  # cached min(levels), ditto
 
@@ -63,7 +62,7 @@ class _Rect:
         return 3.0 ** (-self.levels.astype(float))
 
 
-class ReferenceDirect(Optimizer):
+class ReferenceDirect:
     """DIRECT / DIRECT-L over a box (the rectangle-at-a-time coroutine).
 
     Parameters
@@ -151,38 +150,6 @@ class ReferenceDirect(Optimizer):
         return kept
 
     # -- main loop -----------------------------------------------------------
-
-    def _minimize(
-        self,
-        fun: Objective,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        x0: np.ndarray | None,
-    ) -> OptimizationResult:
-        dim = lower.shape[0]
-        span = upper - lower
-        counted = CountingObjective(fun)
-        engine = self.search(dim)
-        points = next(engine)
-        outcome: SearchOutcome
-        while True:
-            values = counted.evaluate(lower + points * span)
-            try:
-                points = engine.send(values)
-            except StopIteration as stop:
-                outcome = stop.value
-                break
-        if counted.best_x is None:  # pragma: no cover - budget >= 1 guards this
-            raise RuntimeError("DIRECT made no evaluations")
-        return OptimizationResult(
-            x=counted.best_x,
-            fun=counted.best_f,
-            n_evaluations=counted.n_evaluations,
-            n_iterations=outcome.n_iterations,
-            success=outcome.success,
-            message=outcome.message,
-            history=list(counted.history),
-        )
 
     def search(
         self, dim: int
@@ -374,7 +341,7 @@ class ReferenceDirect(Optimizer):
             size_keys[rect_idx] = rect.size_key
 
 
-class ReferenceCobyla(Optimizer):
+class ReferenceCobyla:
     """Linear-approximation trust-region minimizer over a box (the
     point-at-a-time coroutine).
 
@@ -404,34 +371,6 @@ class ReferenceCobyla(Optimizer):
         self.rho_end = float(rho_end)
         self.max_evaluations = int(max_evaluations)
 
-    def _minimize(
-        self,
-        fun: Objective,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        x0: np.ndarray | None,
-    ) -> OptimizationResult:
-        counted = CountingObjective(fun)
-        engine = self.search(lower, upper, x0=x0)
-        points = next(engine)
-        outcome: SearchOutcome
-        while True:
-            values = counted.evaluate(points)
-            try:
-                points = engine.send(np.asarray(values, dtype=float))
-            except StopIteration as stop:
-                outcome = stop.value
-                break
-        return OptimizationResult(
-            x=counted.best_x,
-            fun=counted.best_f,
-            n_evaluations=counted.n_evaluations,
-            n_iterations=outcome.n_iterations,
-            success=outcome.success,
-            message=outcome.message,
-            history=list(counted.history),
-        )
-
     def search(
         self,
         lower: np.ndarray,
@@ -441,13 +380,13 @@ class ReferenceCobyla(Optimizer):
         """Coroutine over the box yielding candidate batches.
 
         Each ``yield`` produces an ``(m, dim)`` array of points *in the
-        original coordinates* (unlike :meth:`Direct.search`, which works
-        on the unit cube); the caller sends back the ``(m,)`` objective
+        original coordinates* (unlike :meth:`ReferenceDirect.search`, which
+        works on the unit cube); the caller sends back the ``(m,)`` objective
         values.  Geometry steps yield the whole rebuilt simplex at once,
         trust-region steps a single candidate; a caller tracking
         best-so-far state over the batches sees exactly the sequence a
         point-at-a-time evaluation would have produced.  Returns a
-        :class:`~repro.optim.direct.SearchOutcome` via ``StopIteration``.
+        :class:`SearchOutcome` via ``StopIteration``.
         """
         lower = np.asarray(lower, dtype=float)
         upper = np.asarray(upper, dtype=float)

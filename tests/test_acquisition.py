@@ -42,11 +42,6 @@ class TestConventions:
         acq = ExpectedImprovement(fitted_gp)
         assert acq.incumbent == pytest.approx(fitted_gp.y_train.min())
 
-    def test_scalar_call_matches_evaluate(self, fitted_gp):
-        acq = LowerConfidenceBound(fitted_gp, kappa=2.0)
-        x = np.array([0.3, -0.3])
-        assert acq(x) == pytest.approx(acq.evaluate(x[None, :])[0])
-
 
 class TestExpectedImprovement:
     def test_nonpositive_everywhere(self, fitted_gp, rng):
@@ -57,18 +52,20 @@ class TestExpectedImprovement:
     def test_prefers_low_mean_region(self, fitted_gp):
         """EI near the bowl minimum beats EI at the rim."""
         acq = ExpectedImprovement(fitted_gp)
-        assert acq(np.array([0.0, 0.0])) <= acq(np.array([0.95, 0.95]))
+        centre, rim = acq.evaluate(np.array([[0.0, 0.0], [0.95, 0.95]]))
+        assert centre <= rim
 
     def test_zero_at_well_sampled_worse_point(self, fitted_gp):
         acq = ExpectedImprovement(fitted_gp)
         worst_idx = int(np.argmax(fitted_gp.y_train))
-        assert acq(fitted_gp.X_train[worst_idx]) == pytest.approx(0.0, abs=1e-6)
+        value = acq.evaluate(fitted_gp.X_train[worst_idx])[0]
+        assert value == pytest.approx(0.0, abs=1e-6)
 
     def test_xi_reduces_improvement(self, fitted_gp):
         plain = ExpectedImprovement(fitted_gp, xi=0.0)
         margin = ExpectedImprovement(fitted_gp, xi=0.5)
-        x = np.array([0.1, 0.1])
-        assert margin(x) >= plain(x)
+        x = np.array([[0.1, 0.1]])
+        assert margin.evaluate(x)[0] >= plain.evaluate(x)[0]
 
     def test_negative_xi_rejected(self, fitted_gp):
         with pytest.raises(ValueError):

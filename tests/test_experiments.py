@@ -171,6 +171,23 @@ class TestFigures:
             # be linear; super-linear growth at least doubles the ratio
             assert counts[1] > counts[0], name
 
+    def test_optimizer_scaling_counts_are_pinned(self):
+        """Fig. 2's counts at the bench's settings without D = 40 and 60:
+        a rewrite of the driver or the engines must not move them."""
+        result = optimizer_scaling(
+            dims=(2, 5, 10, 20),
+            n_repeats=3,
+            f_target=0.1,
+            max_evaluations=300_000,
+            seed=42,
+        )
+        # three times the mean: each draw's count summed over the repeats
+        totals = {k: (3 * v).round().tolist() for k, v in result.evaluations.items()}
+        assert totals == {
+            "DIRECT-L": [45, 141, 279, 511],
+            "COBYLA": [38, 53, 113, 217],
+        }
+
     def test_embedding_illustration_recovers_optimum(self):
         result = embedding_illustration(seed=1)
         assert result.y_optimum_embedded == pytest.approx(

@@ -1,11 +1,11 @@
 """Tests for the local optimizer COBYLA, the DIRECT + COBYLA composition
-and the shared ``minimize`` checks."""
+and the checks at ``cobyla_rows``'s entry."""
 
 import numpy as np
 import pytest
 
 from repro.bo import acquisition_search
-from repro.optim import Cobyla, CountingObjective, Direct
+from repro.optim import cobyla_rows, direct_rows
 from repro.utils.validation import unit_cube_bounds
 
 
@@ -18,74 +18,98 @@ def rosenbrock2(x):
     return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
 
-LOCALS = [
-    Cobyla(max_evaluations=2000),
-]
+def row_score(fun):
+    """``fun`` as a one-row search objective."""
+    return lambda X, segments: np.array([fun(x) for x in X])
+
+
+def search(fun, bounds, x0=None, **config):
+    """One COBYLA row over the ``(d, 2)`` ``bounds`` from ``x0`` (the box
+    centre by default), scoring each point with ``fun`` in order."""
+    lower, upper = np.asarray(bounds, dtype=float).T
+    if x0 is None:
+        x0 = 0.5 * (lower + upper)
+    return cobyla_rows(
+        lower[None, :],
+        upper[None, :],
+        np.asarray(x0, dtype=float)[None, :],
+        row_score(fun),
+        **config,
+    )
+
+
+#: The COBYLA configurations the shared convergence cases run under.
+LOCALS = {"Cobyla": dict(max_evaluations=2000)}
 
 
 class TestLocalConvergence:
-    @pytest.mark.parametrize("opt", LOCALS, ids=lambda o: type(o).__name__)
-    def test_sphere_3d(self, opt):
-        result = opt.minimize(sphere_at([0.2, -0.3, 0.5]), unit_cube_bounds(3))
-        assert result.fun < 1e-4
+    @pytest.mark.parametrize("config", LOCALS.values(), ids=LOCALS.keys())
+    def test_sphere_3d(self, config):
+        result = search(sphere_at([0.2, -0.3, 0.5]), unit_cube_bounds(3), **config)
+        assert result.fun[0] < 1e-4
 
-    @pytest.mark.parametrize("opt", LOCALS, ids=lambda o: type(o).__name__)
-    def test_warm_start_used(self, opt):
-        result = opt.minimize(
-            sphere_at([0.5, 0.5]), unit_cube_bounds(2), x0=np.array([0.45, 0.55])
+    @pytest.mark.parametrize("config", LOCALS.values(), ids=LOCALS.keys())
+    def test_warm_start_used(self, config):
+        result = search(
+            sphere_at([0.5, 0.5]),
+            unit_cube_bounds(2),
+            x0=np.array([0.45, 0.55]),
+            **config,
         )
-        assert result.fun < 1e-4
+        assert result.fun[0] < 1e-4
 
     def test_cobyla_rosenbrock_makes_progress(self):
-        opt = Cobyla(max_evaluations=5000, rho_begin=0.3, rho_end=1e-8)
         bounds = np.array([[-2.0, 2.0], [-2.0, 2.0]])
         start = np.array([-1.0, 1.0])
-        result = opt.minimize(rosenbrock2, bounds, x0=start)
+        result = search(
+            rosenbrock2,
+            bounds,
+            x0=start,
+            max_evaluations=5000,
+            rho_begin=0.3,
+            rho_end=1e-8,
+        )
         # linear trust-region models crawl in the banana valley; require
         # substantial progress from f(start) = 4, not full convergence
-        assert result.fun < 0.3 * rosenbrock2(start)
+        assert result.fun[0] < 0.3 * rosenbrock2(start)
 
     def test_optimum_on_boundary(self):
-        opt = Cobyla(max_evaluations=1000)
-        result = opt.minimize(sphere_at([2.0, 2.0]), unit_cube_bounds(2))
-        assert result.fun == pytest.approx(2.0, abs=0.05)
+        result = search(
+            sphere_at([2.0, 2.0]), unit_cube_bounds(2), max_evaluations=1000
+        )
+        assert result.fun[0] == pytest.approx(2.0, abs=0.05)
 
-    @pytest.mark.parametrize("opt", LOCALS, ids=lambda o: type(o).__name__)
-    def test_stays_in_bounds(self, opt):
+    @pytest.mark.parametrize("config", LOCALS.values(), ids=LOCALS.keys())
+    def test_stays_in_bounds(self, config):
         seen = []
 
         def fun(x):
             seen.append(np.array(x))
             return float(np.sum((x - 2.0) ** 2))
 
-        opt.minimize(fun, unit_cube_bounds(2))
+        search(fun, unit_cube_bounds(2), **config)
         pts = np.array(seen)
         assert np.all(pts >= -1.0 - 1e-9) and np.all(pts <= 1.0 + 1e-9)
 
 
 class TestBudgets:
     @pytest.mark.parametrize(
-        "opt",
-        [
-            Cobyla(max_evaluations=50),
-        ],
-        ids=lambda o: type(o).__name__,
+        "config", [dict(max_evaluations=50)], ids=["Cobyla"]
     )
-    def test_respects_budget(self, opt):
-        counted = CountingObjective(sphere_at([0.2] * 4))
-        opt.minimize(counted, unit_cube_bounds(4))
-        assert counted.n_evaluations <= 60
+    def test_respects_budget(self, config):
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            return sphere_at([0.2] * 4)(x)
+
+        result = search(fun, unit_cube_bounds(4), **config)
+        assert len(calls) == result.n_evaluations[0] <= 60
 
     def test_cobyla_tiny_budget_falls_back(self):
-        opt = Cobyla(max_evaluations=3)
-        result = opt.minimize(sphere_at([0.0] * 8), unit_cube_bounds(8))
-        assert result.n_evaluations <= 3
-        assert not result.success
-
-
-def row_score(fun):
-    """``fun`` as a one-row search objective."""
-    return lambda X, segments: np.array([fun(x) for x in X])
+        result = search(sphere_at([0.0] * 8), unit_cube_bounds(8), max_evaluations=3)
+        assert result.n_evaluations[0] <= 3
+        assert not result.success[0]
 
 
 class TestComposition:
@@ -94,9 +118,11 @@ class TestComposition:
     def test_global_local_beats_global_alone(self):
         fun = sphere_at([0.123, -0.456, 0.789])
         bounds = unit_cube_bounds(3)
-        coarse = Direct(max_evaluations=150).minimize(fun, bounds)
+        coarse = direct_rows(
+            1, bounds[:, 0], bounds[:, 1], row_score(fun), max_evaluations=150
+        )
         combo = acquisition_search(row_score(fun), 1, bounds, 150, 500)
-        assert fun(combo.X[0]) <= coarse.fun
+        assert fun(combo.X[0]) <= coarse.fun[0]
 
     def test_global_local_counts_both(self):
         fun = sphere_at([0.2, 0.2])
@@ -104,28 +130,48 @@ class TestComposition:
         assert combo.n_evaluations > 100  # both stages ran
 
 
+def _unscored(X, segments):
+    raise AssertionError("scored despite a bad configuration")
+
+
 class TestStartPoint:
     @pytest.mark.parametrize("x0", [[0.5], [0.5, 0.5]], ids=["one", "two"])
     def test_x0_shape_checked_before_clipping(self, x0):
         """A wrong-shape x0 is rejected, not broadcast over the box."""
-        with pytest.raises(ValueError, match=rf"x0 has shape \({len(x0)},\)"):
-            Cobyla(max_evaluations=50).minimize(
-                sphere_at([0.0] * 3), unit_cube_bounds(3), x0=np.array(x0)
+        lower, upper = -np.ones((1, 3)), np.ones((1, 3))
+        with pytest.raises(ValueError, match=rf"x0 has shape \(1, {len(x0)}\)"):
+            cobyla_rows(
+                lower, upper, np.array([x0]), _unscored, max_evaluations=50
             )
 
 
-class TestCountingObjective:
-    def test_counts_and_tracks_best(self):
-        counted = CountingObjective(sphere_at([0.0, 0.0]))
-        counted(np.array([1.0, 1.0]))
-        counted(np.array([0.5, 0.5]))
-        counted(np.array([0.8, 0.8]))  # worse, should not update best
-        assert counted.n_evaluations == 3
-        assert counted.best_f == pytest.approx(0.5)
-        np.testing.assert_allclose(counted.best_x, [0.5, 0.5])
+class TestValidation:
+    """``cobyla_rows`` rejects a bad configuration before any evaluation."""
 
-    def test_history_records_improvements_only(self):
-        counted = CountingObjective(sphere_at([0.0]))
-        for v in [1.0, 0.5, 0.7, 0.2]:
-            counted(np.array([v]))
-        assert len(counted.history) == 3  # 1.0, 0.5, 0.2
+    box = (-np.ones((2, 3)), np.ones((2, 3)), np.zeros((2, 3)))
+
+    def test_rejects_bad_budget(self):
+        with pytest.raises(ValueError, match="max_evaluations must be >= 2"):
+            cobyla_rows(*self.box, _unscored, max_evaluations=1)
+
+    @pytest.mark.parametrize("rho_begin, rho_end", [(0.25, 0.0), (0.1, 0.2)])
+    def test_rejects_bad_radii(self, rho_begin, rho_end):
+        with pytest.raises(ValueError, match="0 < rho_end < rho_begin"):
+            cobyla_rows(
+                *self.box,
+                _unscored,
+                max_evaluations=50,
+                rho_begin=rho_begin,
+                rho_end=rho_end,
+            )
+
+    def test_rejects_bad_boxes(self):
+        lower, upper, x0 = self.box
+        flat, infinite = upper.copy(), upper.copy()
+        flat[1, 2] = -1.0
+        infinite[0, 0] = np.inf
+        for top in (flat, infinite):
+            with pytest.raises(ValueError, match="bound"):
+                cobyla_rows(lower, top, x0, _unscored, max_evaluations=50)
+        with pytest.raises(ValueError, match="share one"):
+            cobyla_rows(lower, upper[:1], x0, _unscored, max_evaluations=50)

@@ -3,7 +3,10 @@
 Every row of :func:`repro.optim.direct_rows` / :func:`repro.optim.cobyla_rows`
 must equal its search run alone through the moved coroutine
 (``tests/search_reference.py``): every evaluated point in order, best x,
-best f, evaluation count, iteration count and stop message, bit for bit.  Besides the generic grid (1, 5 and 19
+best f, evaluation count, iteration count and stop message, bit for bit.
+Every row of a call shares the call's configuration, so a case that
+covers several budgets, targets, iteration caps or radii makes one call
+per setting over the same rows.  Besides the generic grid (1, 5 and 19
 rows at d = 1, 2, 4, 8, 19) each invariant the array form has to keep gets
 its own case: tie-heavy objectives, deep one-dimensional searches, odd and
 tiny budgets, ``f_target`` stops between rectangles, and COBYLA's blocked,
@@ -17,7 +20,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from repro.optim import Cobyla, Direct, cobyla_rows, direct_rows
+from repro.optim import cobyla_rows, direct_rows
 from repro.optim.direct import _DELTA, _N_GROUPS, _SIZE_KEY
 from tests.search_reference import (
     ReferenceCobyla,
@@ -75,16 +78,15 @@ def _logged(fun, seen):
     return wrapped
 
 
-def _check_direct(optimizers, funs, lower, upper):
+def _check_direct(funs, lower, upper, **config):
+    """One ``direct_rows`` call under ``config``, a row per function."""
     seen: list[list[bytes]] = [[] for _ in funs]
-    outcome = direct_rows(optimizers, lower, upper, _row_objective(funs, seen))
+    outcome = direct_rows(
+        len(funs), lower, upper, _row_objective(funs, seen), **config
+    )
     span = upper - lower
-    for i, (opt, fun) in enumerate(zip(optimizers, funs)):
-        reference = ReferenceDirect(
-            max_evaluations=opt.max_evaluations,
-            max_iterations=opt.max_iterations,
-            f_target=opt.f_target,
-        )
+    reference = ReferenceDirect(**config)
+    for i, fun in enumerate(funs):
         alone: list[bytes] = []
         best_x, best_f, n_evaluations, stop = drive_alone(
             reference.search(lower.shape[0]),
@@ -101,17 +103,12 @@ def _check_direct(optimizers, funs, lower, upper):
     return outcome
 
 
-def _check_cobyla(optimizers, funs, lower, upper, x0):
+def _check_cobyla(funs, lower, upper, x0, **config):
+    """One ``cobyla_rows`` call under ``config``, a row per function."""
     seen: list[list[bytes]] = [[] for _ in funs]
-    outcome = cobyla_rows(
-        optimizers, lower, upper, x0, _row_objective(funs, seen)
-    )
-    for i, (opt, fun) in enumerate(zip(optimizers, funs)):
-        reference = ReferenceCobyla(
-            rho_begin=opt.rho_begin,
-            rho_end=opt.rho_end,
-            max_evaluations=opt.max_evaluations,
-        )
+    outcome = cobyla_rows(lower, upper, x0, _row_objective(funs, seen), **config)
+    reference = ReferenceCobyla(**config)
+    for i, fun in enumerate(funs):
         alone: list[bytes] = []
         best_x, best_f, n_evaluations, stop = drive_alone(
             reference.search(lower[i], upper[i], x0=x0[i]), _logged(fun, alone)
@@ -149,18 +146,16 @@ class TestDirectRows:
     def test_rows_match_reference(self, n, dim):
         rng = np.random.default_rng(100 * n + dim)
         budgets = rng.choice([1, 2, 3, 51, 120, 199, 400], size=n)
-        optimizers = [Direct(max_evaluations=int(b)) for b in budgets]
+        funs = _mixed_funs(n, dim, rng)
         lower, upper = -np.ones(dim), np.ones(dim)
-        _check_direct(optimizers, _mixed_funs(n, dim, rng), lower, upper)
+        for budget in sorted(set(budgets.tolist())):
+            _check_direct(funs, lower, upper, max_evaluations=budget)
 
     def test_ties_pick_lowest_index_and_first_best(self):
         """Constant and piecewise-constant objectives, one of them
         symmetric about the box centre so sibling children tie below their
         parent: every group minimum and the best point are decided by index
         alone."""
-        optimizers = [
-            Direct(max_evaluations=b) for b in (300, 301, 150, 77, 200)
-        ]
         funs = [
             _constant(1.0),
             _constant(0.0),
@@ -169,16 +164,18 @@ class TestDirectRows:
             lambda x: -float(abs(x[0] - 0.5) > 0.2),
         ]
         lower, upper = np.array([0.0, -1.0, 2.0]), np.array([1.0, 1.0, 5.0])
-        _check_direct(optimizers, funs, lower, upper)
+        for budget in (300, 301, 150, 77, 200):
+            _check_direct(funs, lower, upper, max_evaluations=budget)
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 37, 99])
     def test_tiny_and_odd_budgets(self, budget):
         """Budgets that stop at the root or mid-iteration."""
         dim = 3
         rng = np.random.default_rng(budget)
-        optimizers = [Direct(max_evaluations=budget) for _ in range(3)]
         lower, upper = -np.ones(dim), np.ones(dim)
-        _check_direct(optimizers, _mixed_funs(3, dim, rng), lower, upper)
+        _check_direct(
+            _mixed_funs(3, dim, rng), lower, upper, max_evaluations=budget
+        )
 
     def test_deep_one_dimensional_search(self):
         """Searches past level 21 (where np.power's table departs from
@@ -193,12 +190,12 @@ class TestDirectRows:
 
             return wrapped
 
-        optimizers = [Direct(max_evaluations=b) for b in (400, 250)]
         funs = [
             recorded("centred", lambda x: float((x[0] - 0.5) ** 2)),
             recorded("zero", _constant(0.0)),
         ]
-        _check_direct(optimizers, funs, np.zeros(1), np.ones(1))
+        for budget in (400, 250):
+            _check_direct(funs, np.zeros(1), np.ones(1), max_evaluations=budget)
 
         def deepest_offset(name):
             offsets = np.abs(np.array(seen[name]) - 0.5)
@@ -209,7 +206,7 @@ class TestDirectRows:
         assert deepest_offset("zero") <= 3.0**-27
 
     def test_f_target_stops_between_rectangles(self):
-        """Rows with and without a target side by side; targets trip after
+        """The same rows with and without a target; targets trip after
         some rectangles of an iteration, as Fig. 2 counts them."""
         dim = 5
         rng = np.random.default_rng(2)
@@ -218,48 +215,42 @@ class TestDirectRows:
         def ysyn(c):
             return lambda x: float(np.linalg.norm(x - c) / np.linalg.norm(c))
 
-        optimizers = [
-            Direct(max_evaluations=5000, max_iterations=10**6, f_target=0.1),
-            Direct(max_evaluations=300),
-            Direct(max_evaluations=5000, max_iterations=10**6, f_target=0.3),
-            Direct(max_evaluations=40, f_target=0.01),
+        configs = [
+            dict(max_evaluations=5000, max_iterations=10**6, f_target=0.1),
+            dict(max_evaluations=300),
+            dict(max_evaluations=5000, max_iterations=10**6, f_target=0.3),
+            dict(max_evaluations=40, f_target=0.01),
         ]
         lower, upper = -np.ones(dim), np.ones(dim)
-        outcome = _check_direct(
-            optimizers, [ysyn(c) for c in centers], lower, upper
-        )
-        assert outcome.message[0] == "f_target reached"
-        assert outcome.message[3] == "evaluation budget exhausted"
+        funs = [ysyn(c) for c in centers]
+        outcomes = [_check_direct(funs, lower, upper, **c) for c in configs]
+        assert outcomes[0].message[0] == "f_target reached"
+        assert outcomes[3].message[3] == "evaluation budget exhausted"
 
     def test_iteration_cap(self):
-        optimizers = [
-            Direct(max_evaluations=500, max_iterations=m) for m in (0, 1, 3, 9)
-        ]
         rng = np.random.default_rng(9)
-        _check_direct(
-            optimizers, _mixed_funs(4, 2, rng), -np.ones(2), np.ones(2)
-        )
+        funs = _mixed_funs(4, 2, rng)
+        for cap in (0, 1, 3, 9):
+            _check_direct(
+                funs, -np.ones(2), np.ones(2), max_evaluations=500, max_iterations=cap
+            )
 
     def test_capacity_growth_keeps_rows_exact(self):
         """Budgets above the initial allocation grow the records in place,
         with an unreachable target's queued selections carried along."""
-        optimizers = [
-            Direct(max_evaluations=4200),
-            Direct(max_evaluations=9000, max_iterations=10**6, f_target=-1.0),
-        ]
         funs = [_sphere([0.7, 0.1]), _wavy([0.31, -0.2])]
-        outcome = _check_direct(optimizers, funs, -np.ones(2), np.ones(2))
-        assert outcome.n_evaluations.tolist() == [4199, 8999]
-
-    def test_minimize_is_the_one_row_case(self):
-        fun = _wavy([0.2, -0.4, 0.1])
-        bounds = np.column_stack([-np.ones(3), np.ones(3)])
-        result = Direct(max_evaluations=300).minimize(fun, bounds)
+        lower, upper = -np.ones(2), np.ones(2)
+        outcome = _check_direct(funs, lower, upper, max_evaluations=4200)
+        assert outcome.n_evaluations.tolist() == [4199, 4199]
         outcome = _check_direct(
-            [Direct(max_evaluations=300)], [fun], bounds[:, 0], bounds[:, 1]
+            funs,
+            lower,
+            upper,
+            max_evaluations=9000,
+            max_iterations=10**6,
+            f_target=-1.0,
         )
-        assert result.x.tobytes() == outcome.x[0].tobytes()
-        assert result.n_evaluations == outcome.n_evaluations[0]
+        assert outcome.n_evaluations.tolist() == [8999, 8999]
 
 
 class TestCobylaRows:
@@ -267,10 +258,10 @@ class TestCobylaRows:
     @pytest.mark.parametrize("n", ROWS)
     def test_rows_match_reference(self, n, dim):
         rng = np.random.default_rng(1000 + 100 * n + dim)
-        optimizers = [
-            Cobyla(
-                max_evaluations=int(rng.choice([2, dim + 1, 40, 150])),
-                rho_begin=float(rng.choice([0.25, 0.4])),
+        configs = [
+            (
+                int(rng.choice([2, dim + 1, 40, 150])),
+                float(rng.choice([0.25, 0.4])),
             )
             for _ in range(n)
         ]
@@ -279,52 +270,61 @@ class TestCobylaRows:
         lower = np.maximum(-1.0, centre - radius)
         upper = np.minimum(1.0, centre + radius)
         x0 = rng.uniform(lower, upper)
-        _check_cobyla(optimizers, _mixed_funs(n, dim, rng), lower, upper, x0)
+        funs = _mixed_funs(n, dim, rng)
+        for budget, rho_begin in sorted(set(configs)):
+            _check_cobyla(
+                funs, lower, upper, x0, max_evaluations=budget, rho_begin=rho_begin
+            )
 
     def test_step_blocked_at_box_corner(self):
         """The optimum lies beyond a corner: clipped steps stall there and
         count as no descent without an evaluation."""
         dim = 3
-        optimizers = [Cobyla(max_evaluations=b) for b in (200, 61)]
         funs = [_sphere([2.0, 2.0, 2.0]), _sphere([-3.0, 1.5, -2.0])]
         lower, upper = np.full((2, dim), -1.0), np.full((2, dim), 1.0)
         x0 = np.array([[0.9, 0.95, 0.99], [-0.9, 0.9, -0.9]])
-        outcome = _check_cobyla(optimizers, funs, lower, upper, x0)
+        outcome = _check_cobyla(funs, lower, upper, x0, max_evaluations=200)
         np.testing.assert_array_equal(outcome.x[0], upper[0])
+        _check_cobyla(funs, lower, upper, x0, max_evaluations=61)
 
     def test_flat_objective_converges_by_geometry_steps(self):
         """A flat objective gives a zero model gradient: geometry steps
         halve rho until it converges."""
         dim = 4
-        optimizers = [Cobyla(max_evaluations=b) for b in (400, 30)]
         funs = [_constant(3.0), _constant(0.0)]
         lower, upper = np.full((2, dim), -1.0), np.full((2, dim), 1.0)
         x0 = np.zeros((2, dim))
-        outcome = _check_cobyla(optimizers, funs, lower, upper, x0)
+        outcome = _check_cobyla(funs, lower, upper, x0, max_evaluations=400)
         assert outcome.message[0] == "rho converged"
+        _check_cobyla(funs, lower, upper, x0, max_evaluations=30)
 
     def test_budget_below_simplex(self):
         dim = 6
-        optimizers = [Cobyla(max_evaluations=b) for b in (2, 6, 7, 8)]
         rng = np.random.default_rng(4)
         lower, upper = np.full((4, dim), -1.0), np.full((4, dim), 1.0)
         x0 = rng.uniform(-1, 1, (4, dim))
-        outcome = _check_cobyla(
-            optimizers, _mixed_funs(4, dim, rng), lower, upper, x0
-        )
-        assert outcome.message[:2] == ["evaluation budget below simplex size"] * 2
+        funs = _mixed_funs(4, dim, rng)
+        for budget in (2, 6, 7, 8):
+            outcome = _check_cobyla(funs, lower, upper, x0, max_evaluations=budget)
+            if budget < dim + 1:
+                assert outcome.message == ["evaluation budget below simplex size"] * 4
 
     def test_rows_with_own_boxes_and_radii(self):
         dim = 2
         lower = np.array([[-1.0, -1.0], [0.0, 0.5], [-0.01, -3.0]])
         upper = np.array([[1.0, 1.0], [0.2, 0.9], [0.01, 3.0]])
-        optimizers = [
-            Cobyla(max_evaluations=300, rho_begin=r, rho_end=e)
-            for r, e in ((0.25, 1e-6), (0.5, 1e-3), (0.1, 1e-8))
-        ]
         funs = [_wavy([0.3, -0.1]), _sphere([0.15, 0.6]), _steps]
         x0 = (lower + upper) / 2.0
-        _check_cobyla(optimizers, funs, lower, upper, x0)
+        for rho_begin, rho_end in ((0.25, 1e-6), (0.5, 1e-3), (0.1, 1e-8)):
+            _check_cobyla(
+                funs,
+                lower,
+                upper,
+                x0,
+                max_evaluations=300,
+                rho_begin=rho_begin,
+                rho_end=rho_end,
+            )
 
 
 class TestPrimitives:

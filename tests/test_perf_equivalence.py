@@ -33,7 +33,7 @@ from repro.circuits.behavioral.uvlo import UVLOTestbench
 from repro.gp import GaussianProcess
 from repro.gp.evaluator import MarginalLikelihoodEvaluator
 from repro.kernels import Matern52
-from repro.optim import Cobyla
+from repro.optim import cobyla_rows
 from repro.runtime import (
     BrokerConfig,
     EvaluationBroker,
@@ -338,52 +338,51 @@ class TestGemmAcquisitionEquivalence:
 
 class TestCobylaCoroutineEquivalence:
     """The coroutine ``ReferenceCobyla.search`` (the point-at-a-time code
-    the array engine replaced), driven by hand, must replay ``minimize``
-    exactly."""
+    the array engine replaced), driven by hand, must replay a one-row
+    ``cobyla_rows`` search exactly."""
 
     @staticmethod
     def _fun(x):
         x = np.asarray(x)
         return float(np.sum((x - 0.3) ** 2) + 0.1 * np.sin(5.0 * x[0]))
 
-    def _drive(self, cobyla, lower, upper, x0):
-        reference = ReferenceCobyla(
-            rho_begin=cobyla.rho_begin,
-            rho_end=cobyla.rho_end,
-            max_evaluations=cobyla.max_evaluations,
+    def _run(self, lower, upper, x0, **config):
+        """The one-row engine search and the coroutine driven alone."""
+        result = cobyla_rows(
+            lower[None, :],
+            upper[None, :],
+            x0[None, :],
+            lambda X, segments: np.array([self._fun(x) for x in X]),
+            **config,
         )
-        return drive_alone(reference.search(lower, upper, x0=x0), self._fun)
+        reference = ReferenceCobyla(**config).search(lower, upper, x0=x0)
+        return result, drive_alone(reference, self._fun)
 
-    def test_search_driven_matches_minimize(self):
-        cobyla = Cobyla(max_evaluations=200)
+    def test_search_driven_matches_one_row(self):
         lower, upper = -np.ones(3), np.ones(3)
         x0 = np.array([0.4, -0.2, 0.1])
-        bounds = np.column_stack([lower, upper])
-        result = cobyla.minimize(self._fun, bounds, x0=x0)
-        best_x, best_f, n_evals, outcome = self._drive(
-            cobyla, lower, upper, x0
+        result, (best_x, best_f, n_evals, outcome) = self._run(
+            lower, upper, x0, max_evaluations=200
         )
-        np.testing.assert_array_equal(best_x, result.x)
-        assert best_f == result.fun
-        assert n_evals == result.n_evaluations
-        assert outcome.n_iterations == result.n_iterations
-        assert outcome.success == result.success
-        assert outcome.message == result.message
+        np.testing.assert_array_equal(best_x, result.x[0])
+        assert best_f == result.fun[0]
+        assert n_evals == result.n_evaluations[0]
+        assert outcome.n_iterations == result.n_iterations[0]
+        assert outcome.success == result.success[0]
+        assert outcome.message == result.message[0]
 
     def test_budget_below_simplex_falls_back_to_x0(self):
-        cobyla = Cobyla(max_evaluations=2)
         lower, upper = -np.ones(3), np.ones(3)
         x0 = np.array([0.1, 0.2, -0.3])
-        result = cobyla.minimize(
-            self._fun, np.column_stack([lower, upper]), x0=x0
+        result, (best_x, _, n_evals, outcome) = self._run(
+            lower, upper, x0, max_evaluations=2
         )
-        best_x, _, n_evals, outcome = self._drive(cobyla, lower, upper, x0)
-        np.testing.assert_array_equal(result.x, x0)
+        np.testing.assert_array_equal(result.x[0], x0)
         np.testing.assert_array_equal(best_x, x0)
-        assert result.n_evaluations == n_evals == 1
-        assert not result.success and not outcome.success
-        assert "budget below simplex" in result.message
-        assert result.message == outcome.message
+        assert result.n_evaluations[0] == n_evals == 1
+        assert not result.success[0] and not outcome.success
+        assert "budget below simplex" in result.message[0]
+        assert result.message[0] == outcome.message
 
 
 def _search(gp, weights, box, *budgets):

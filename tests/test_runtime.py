@@ -295,8 +295,23 @@ class TestBrokerConfig:
             BrokerConfig(failure_policy="penalty")  # needs a value
         with pytest.raises(ValueError):
             BrokerConfig(failure_policy="penalty", penalty_value=float("nan"))
-        with pytest.raises(ValueError):
-            BrokerConfig(backoff_jitter=1.5)
+
+    def test_retry_backoff_is_pinned(self, tmp_path):
+        """Two failures of one point sleep ``0.05 * 2**k`` scaled by the
+        broker's seed-0 jitter, as the ``retried`` events record."""
+        ledger = RunLedger(tmp_path / "run.jsonl")
+        broker = EvaluationBroker(
+            CountingObjective(fail_first=2),
+            BrokerConfig(max_retries=2, backoff_seconds=0.05),
+            ledger=ledger,
+        )
+        broker.evaluate_batch(np.array([[0.5, 0.5]]))
+        ledger.close()
+        events = read_ledger(ledger.path).events
+        assert [e["backoff_seconds"] for e in events if e["event"] == "retried"] == [
+            0.05136961687321454,
+            0.09539573427527742,
+        ]
 
 
 class TestBrokerFaultMatrix:

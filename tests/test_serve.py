@@ -717,11 +717,12 @@ class TestSchedulerSigkill:
                     victim.send_signal(signal.SIGKILL)
                     break
                 time.sleep(0.05)
-            victim.wait(timeout=60)
+            # reap the service and release its stdout pipe
+            victim.communicate(timeout=60)
         finally:
             if victim.poll() is None:
                 victim.kill()
-                victim.wait(timeout=60)
+                victim.communicate(timeout=60)
 
         resumer = self._serve(paced_jobs, killed_runs, "--resume")
         out, _ = resumer.communicate(timeout=120)
