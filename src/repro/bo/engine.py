@@ -7,9 +7,10 @@ for all three engines; they differ only in their method label and RNG
 stream layout, in how many iterations a :class:`RunSpec` buys, in their
 proposal step (single acquisition, multi-weight batch), and — for REMBO —
 in the :class:`ModelSpace` the surrogate works in.  A run always spends
-its whole iteration count, and its log stacks the rows each broker batch
-kept.  Surrogate fitting, label standardization and the hyperparameter
-tuning cadence (:class:`SurrogateManager`) live here too.
+its whole iteration count, and its log stacks every row it submitted to
+the broker with the value the broker returned.  Surrogate fitting, label
+standardization and the hyperparameter tuning cadence
+(:class:`SurrogateManager`) live here too.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class RunSpec:
 
     The spec carries the *problem-shaped* arguments every engine shares —
     bounds, initial design, evaluation budget, failure threshold — while
-    runtime wiring (cache/ledger/failure policy) travels separately as a
+    runtime wiring (cache, ledger, retries) travels separately as a
     :class:`~repro.runtime.broker.RuntimePolicy` and observability as a
     live :class:`~repro.telemetry.Telemetry`.
 
@@ -137,7 +138,7 @@ def annotate_gp_fit(span, manager: "SurrogateManager") -> None:
         span.set("fevals", int(hyper.n_evaluations))
 
 
-@shape_contract("bounds: a(d, 2) | a(2, d), n_init: n -> (n, d)")
+@shape_contract("bounds: a(d, 2), n_init: n -> (n, d)")
 def uniform_initial_design(
     bounds, n_init: int, seed: SeedLike = None
 ) -> np.ndarray:
@@ -324,10 +325,12 @@ class BOEngine:
         ``spec.initial_data`` (``X0, y0``) reuses precomputed simulations,
         as the paper shares one initial dataset across all BO methods;
         ``spec.n_init`` is then ignored.  Every simulation routes through
-        the broker (``policy`` supplies the shared cache / ledger / failure
-        policy).  ``telemetry``, a live :class:`Telemetry` or None, receives
-        ``init_design`` / ``iteration`` / ``gp_fit`` / ``acq_opt`` /
-        ``evaluate`` spans and broker metrics.
+        the broker (``policy`` supplies the shared cache, ledger and retry
+        settings); a point whose retries ran out raises
+        :class:`~repro.runtime.broker.EvaluationError`.  ``telemetry``, a
+        live :class:`Telemetry` or None, receives ``init_design`` /
+        ``iteration`` / ``gp_fit`` / ``acq_opt`` / ``evaluate`` spans and
+        broker metrics.
         ``rng`` overrides the constructor seed for this run.
         """
         objective = require_objective(objective, type(self).__name__)
@@ -339,6 +342,10 @@ class BOEngine:
         if spec.initial_data is not None:
             X0 = as_matrix(spec.initial_data[0], box.shape[0]).copy()
             initial = X0, as_vector(spec.initial_data[1], X0.shape[0]).copy()
+            if X0.shape[0] == 0:
+                raise ValueError(
+                    "initial_data holds no evaluations; cannot fit a surrogate"
+                )
         # before the broker: a rejected spec writes no ledger header
         n_iterations = self._n_iterations(
             spec, spec.n_init if initial is None else initial[0].shape[0]
@@ -352,16 +359,10 @@ class BOEngine:
             X, y = initial
         else:
             with tracer.span("init_design", n_init=spec.n_init) as span:
-                design = uniform_initial_design(box, spec.n_init, seed=rng_init)
-                batch = broker.evaluate_batch(design)
-                span.set("n_evaluated", batch.n_evaluated)
-            X, y = batch.X, batch.y
+                X = uniform_initial_design(box, spec.n_init, seed=rng_init)
+                y = broker.evaluate_batch(X)
+                span.set("n_evaluated", y.size)
         n_init = y.size
-        if n_init == 0:
-            raise ValueError(
-                "no initial evaluations survived the failure policy; "
-                "cannot fit a surrogate"
-            )
 
         space, Z = self._model_space(X, y, box, rng_space, tracer)
         manager = SurrogateManager(
@@ -385,14 +386,12 @@ class BOEngine:
                     acq_span.set("fevals", proposal.n_evaluations)
                 acquisition_evaluations += proposal.n_evaluations
                 new_Z = np.clip(proposal.X, space.box[:, 0], space.box[:, 1])
-                batch = broker.evaluate_batch(space.to_design(new_Z, it_span))
-                it_span.set("n_evaluated", batch.n_evaluated)
-            if batch.n_evaluated:
-                # under the skip policy only evaluated rows (batch.index)
-                # enter the log and the model — keep Z aligned with X
-                X = np.vstack([X, batch.X])
-                Z = np.vstack([Z, new_Z[batch.index]])
-                y = np.concatenate([y, batch.y])
+                new_X = space.to_design(new_Z, it_span)
+                new_y = broker.evaluate_batch(new_X)
+                it_span.set("n_evaluated", new_y.size)
+            X = np.vstack([X, new_X])
+            Z = np.vstack([Z, new_Z])
+            y = np.concatenate([y, new_y])
         timer.stop()
 
         eval_seconds = broker.stats.eval_seconds

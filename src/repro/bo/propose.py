@@ -61,7 +61,7 @@ class BatchProposal:
     n_evaluations: int
 
 
-@shape_contract("box: a(d, 2) | a(2, d)")
+@shape_contract("box: a(d, 2)")
 def acquisition_search(
     score: RowObjective,
     n_rows: int,

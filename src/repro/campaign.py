@@ -101,7 +101,7 @@ class CampaignSpec:
         The :class:`~repro.bo.engine.RunSpec` the engine solves under.
     policy:
         Optional shared :class:`~repro.runtime.broker.RuntimePolicy`
-        (cache / ledger / failure policy).  The scheduler overrides this
+        (cache / ledger / retries).  The scheduler overrides this
         per job with its shared-cache policy.
     telemetry:
         ``None`` (off), a :class:`~repro.telemetry.TelemetryConfig`

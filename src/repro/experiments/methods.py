@@ -146,13 +146,7 @@ def shared_initial_data(
         ledger=policy.ledger,
         campaign={"method": "initial_design", "spec": spec_name},
     )
-    batch = broker.evaluate_batch(X)
-    if batch.n_evaluated != X.shape[0]:
-        raise RuntimeError(
-            "initial design lost points to the skip policy; the shared "
-            "dataset must be complete"
-        )
-    return batch.X, batch.y
+    return X, broker.evaluate_batch(X)
 
 
 def method_campaign(
@@ -191,7 +185,7 @@ def run_method(
 
     A BO method without ``initial_data`` first simulates the shared
     :func:`shared_initial_data`.  ``runtime`` threads a shared
-    :class:`RuntimePolicy` (cache / ledger / failure policy) through the
+    :class:`RuntimePolicy` (cache / ledger / retries) through the
     method's evaluations; methods sharing a policy never re-simulate a
     point any of them has already evaluated.  ``telemetry`` receives the
     campaign's spans and broker metrics; ``overrides`` go to

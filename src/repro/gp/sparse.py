@@ -93,6 +93,52 @@ def select_inducing_points(X: ArrayLike, m: int) -> FloatArray:
     return Z
 
 
+def _condition(
+    kernel: Matern52,
+    noise: float,
+    Z: FloatArray,
+    X: FloatArray,
+    y: FloatArray,
+) -> tuple[FloatArray, FloatArray, FloatArray, float, FloatArray, FloatArray]:
+    """The VFE factors of ``(X, y)`` at inducing set ``Z``, kernel and noise.
+
+    Returns ``(Kuf, Luu, V, trace_gap, LB, c)``: the cross-covariance,
+    ``Luu = chol(K_uu)``, ``V = Luu⁻¹ K_uf``, the clipped trace term
+    ``tr(K_ff − Q_ff)``, and :func:`_information`'s ``LB`` and ``c``.
+    """
+    Luu = chol_with_jitter(kernel(Z))
+    Kuf = kernel(Z, X)  # (m, n)
+    V = solve_triangular(Luu, Kuf, lower=True, check_finite=False)
+    trace_gap = max(
+        float(np.sum(kernel.diag(X)) - np.einsum("ij,ij->", V, V)), 0.0
+    )
+    LB, c = _information(V, y, noise)
+    return Kuf, Luu, V, trace_gap, LB, c
+
+
+def _information(
+    V: FloatArray, y: FloatArray, noise: float
+) -> tuple[FloatArray, FloatArray]:
+    """``LB = chol(I + σ⁻² V Vᵀ)`` and the information vector ``LB⁻¹ V y``."""
+    B = (V @ V.T) / noise
+    diag = np.einsum("ii->i", B)
+    diag += 1.0
+    LB = chol_with_jitter(B)
+    return LB, solve_triangular(LB, V @ y, lower=True, check_finite=False)
+
+
+def _bound(
+    y: FloatArray, LB: FloatArray, c: FloatArray, trace_gap: float, noise: float
+) -> float:
+    """The variational bound of :func:`_condition`'s factors, via Woodbury."""
+    n = y.shape[0]
+    quad = (y @ y) / noise - (c @ c) / noise**2
+    log_det = n * np.log(noise) + 2.0 * np.sum(np.log(np.einsum("ii->i", LB)))
+    return float(
+        -0.5 * (quad + log_det + n * np.log(2.0 * np.pi)) - 0.5 * trace_gap / noise
+    )
+
+
 class SparseGaussianProcess:
     """Inducing-point GP with the same engine-facing surface as the exact GP.
 
@@ -275,8 +321,11 @@ class SparseGaussianProcess:
         """Replace training labels, keeping inputs and cached factors."""
         if self._X is None:
             raise RuntimeError("sparse GP has not been fitted")
+        assert self._V is not None and self._LB is not None
         self._y = as_vector(y, self._X.shape[0])
-        self._refresh_information_vector()
+        self._c = solve_triangular(
+            self._LB, self._V @ self._y, lower=True, check_finite=False
+        )
         return self
 
     def _choose_inducing(self, X: FloatArray) -> FloatArray:
@@ -295,43 +344,17 @@ class SparseGaussianProcess:
     def _factorize(self) -> None:
         """Full O(n m²) refactorization at the current ``Z`` and theta."""
         assert self._X is not None and self._Z is not None
-        kernel = self.kernel
-        Kuu = kernel(self._Z)
-        self._Luu = chol_with_jitter(Kuu)
-        Kuf = kernel(self._Z, self._X)  # (m, n)
-        self._V = solve_triangular(
-            self._Luu, Kuf, lower=True, check_finite=False
+        assert self._y is not None
+        Kuf, self._Luu, self._V, self._trace_gap, self._LB, self._c = _condition(
+            self.kernel, self.noise_variance, self._Z, self._X, self._y
         )
-        self._trace_gap = max(
-            float(
-                np.sum(kernel.diag(self._X))
-                - np.einsum("ij,ij->", self._V, self._V)
-            ),
-            0.0,
-        )
-        self._refresh_information_factor()
         self._n_uncovered = self._count_uncovered(Kuf, self._X)
         self._theta_fitted = self.theta.copy()
-
-    def _refresh_information_factor(self) -> None:
-        """``LB = chol(I + σ⁻² V Vᵀ)`` plus the information vector."""
-        assert self._V is not None
-        B = (self._V @ self._V.T) / self.noise_variance
-        diag = np.einsum("ii->i", B)
-        diag += 1.0
-        self._LB = chol_with_jitter(B)
-        self._refresh_information_vector()
-
-    def _refresh_information_vector(self) -> None:
-        assert self._y is not None
-        assert self._V is not None and self._LB is not None
-        self._c = solve_triangular(
-            self._LB, self._V @ self._y, lower=True, check_finite=False
-        )
 
     def _extend_factors(self, Kuf_new: FloatArray, X_new: FloatArray) -> None:
         """Incremental update for ``k`` appended points: O(k m² + m³)."""
         assert self._Luu is not None and self._V is not None
+        assert self._y is not None
         V_new = solve_triangular(
             self._Luu, Kuf_new, lower=True, check_finite=False
         )
@@ -344,7 +367,7 @@ class SparseGaussianProcess:
             ),
             0.0,
         )
-        self._refresh_information_factor()
+        self._LB, self._c = _information(self._V, self._y, self.noise_variance)
 
     # -- coverage monitoring -------------------------------------------------
 
@@ -405,16 +428,8 @@ class SparseGaussianProcess:
             raise RuntimeError("sparse GP has not been fitted")
         assert self._y is not None
         assert self._LB is not None and self._c is not None
-        y = self._y
-        n = y.shape[0]
-        noise = self.noise_variance
-        quad = (y @ y) / noise - (self._c @ self._c) / noise**2
-        log_det = n * np.log(noise) + 2.0 * np.sum(
-            np.log(np.einsum("ii->i", self._LB))
-        )
-        return float(
-            -0.5 * (quad + log_det + n * np.log(2.0 * np.pi))
-            - 0.5 * self._trace_gap / noise
+        return _bound(
+            self._y, self._LB, self._c, self._trace_gap, self.noise_variance
         )
 
     def evaluate_theta(self, theta: np.ndarray) -> tuple[float, FloatArray]:
@@ -439,7 +454,8 @@ class SparseGaussianProcess:
         return value, grad
 
     def _bound_at(self, theta: np.ndarray) -> float:
-        """The variational bound at arbitrary theta, without mutating self."""
+        """The variational bound at arbitrary theta, without mutating self:
+        :func:`_condition` on a cloned kernel, as :meth:`_factorize` runs it."""
         if not self.is_fitted:
             raise RuntimeError("sparse GP has not been fitted")
         assert self._X is not None and self._y is not None
@@ -452,29 +468,10 @@ class SparseGaussianProcess:
             if self.train_noise
             else self.noise_variance
         )
-        Luu = chol_with_jitter(kernel(self._Z))
-        V = solve_triangular(
-            Luu, kernel(self._Z, self._X), lower=True, check_finite=False
+        _, _, _, trace_gap, LB, c = _condition(
+            kernel, noise, self._Z, self._X, self._y
         )
-        trace_gap = max(
-            float(np.sum(kernel.diag(self._X)) - np.einsum("ij,ij->", V, V)),
-            0.0,
-        )
-        B = (V @ V.T) / noise
-        diag = np.einsum("ii->i", B)
-        diag += 1.0
-        LB = chol_with_jitter(B)
-        y = self._y
-        c = solve_triangular(LB, V @ y, lower=True, check_finite=False)
-        n = y.shape[0]
-        quad = (y @ y) / noise - (c @ c) / noise**2
-        log_det = n * np.log(noise) + 2.0 * np.sum(
-            np.log(np.einsum("ii->i", LB))
-        )
-        return float(
-            -0.5 * (quad + log_det + n * np.log(2.0 * np.pi))
-            - 0.5 * trace_gap / noise
-        )
+        return _bound(self._y, LB, c, trace_gap, noise)
 
 
 __all__ = ["SparseGaussianProcess", "select_inducing_points"]

@@ -5,9 +5,9 @@ Public surface of the evaluation layer described in DESIGN.md §10:
 * :class:`Objective` / :class:`FunctionObjective` — the unified objective
   protocol every engine and sampler consumes;
 * :class:`EvaluationBroker` / :class:`BrokerConfig` /
-  :class:`RuntimePolicy` — dispatch, retry, timeout and failure policy;
-  ``evaluate_batch`` returns an :class:`EvalBatch` of the rows the policy
-  kept, which each engine stacks into its own run log;
+  :class:`RuntimePolicy` — dispatch, retry and timeout;
+  ``evaluate_batch`` returns the value of every submitted row, or raises
+  :class:`EvaluationError` for a point whose retries ran out;
 * :class:`ResultCache` / :func:`point_digest` — content-addressed
   deduplication of simulations;
 * :class:`RunLedger` / :func:`read_ledger` — JSONL event log doubling as
@@ -19,10 +19,8 @@ Public surface of the evaluation layer described in DESIGN.md §10:
 """
 
 from repro.runtime.broker import (
-    FAILURE_POLICIES,
     BrokerConfig,
     BrokerStats,
-    EvalBatch,
     EvaluationBroker,
     EvaluationError,
     NonFiniteResultError,
@@ -72,11 +70,9 @@ def __getattr__(name: str):
 
 __all__ = [
     "DEFAULT_DECIMALS",
-    "FAILURE_POLICIES",
     "LEDGER_VERSION",
     "BrokerConfig",
     "BrokerStats",
-    "EvalBatch",
     "EvaluationBroker",
     "EvaluationError",
     "Divergence",

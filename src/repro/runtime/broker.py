@@ -14,10 +14,10 @@ simulation:
 * **retry** — transient failures (exceptions, timeouts, non-finite
   returns — the NaN quarantine) are retried up to ``max_retries`` times
   with exponential backoff plus deterministic jitter;
-* **graceful degradation** — retry exhaustion resolves through a
-  configurable failure policy: ``raise`` (default), ``skip`` (drop the
-  point from the batch) or ``penalty`` (substitute a finite sentinel
-  value);
+* **exhaustion** — a point whose retries ran out raises
+  :class:`EvaluationError`.  Every point of its batch that completed is
+  already stored and logged by then, so a rerun over the preloaded cache
+  dispatches only the failed point;
 * **deduplication** — results are stored in a content-addressed
   :class:`~repro.runtime.cache.ResultCache` keyed on ``(cache_key,
   rounded x)``, so repeated points never re-simulate.  Across *concurrent*
@@ -40,8 +40,9 @@ simulation:
   ``stats.eval_seconds``, giving :class:`~repro.bo.records.RunResult` its
   ``eval_seconds`` / ``overhead_seconds`` split;
 * **result** — :meth:`EvaluationBroker.evaluate_batch` is the one entry
-  point, and its :class:`EvalBatch` holds the rows the policy kept; each
-  engine stacks those batches into its own ``RunResult``;
+  point, and it returns the value of every submitted row; each engine
+  stacks the rows it submitted and their values into its own
+  ``RunResult``;
 * **counting** — :class:`BrokerStats` is the only place the broker counts;
   each batch adds its delta to the telemetry registry under the
   :data:`_COUNTERS` names, and its cache hit/miss split to the open phase
@@ -85,7 +86,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro._typing import FloatArray, IntArray
+from repro._typing import FloatArray
 from repro.runtime.cache import (
     CLAIM_HIT,
     CLAIM_INFLIGHT,
@@ -98,9 +99,6 @@ from repro.runtime.objective import Objective, require_objective
 from repro.telemetry.config import Telemetry, resolve_telemetry
 from repro.utils.rng import as_generator
 from repro.utils.validation import as_matrix
-
-#: Recognized failure policies.
-FAILURE_POLICIES = ("raise", "skip", "penalty")
 
 #: Points per persistence slice of a retry round: one cache ``put_many`` and
 #: one ledger write each.  Bounded so a 20k-point round never holds all of
@@ -124,7 +122,7 @@ class NonFiniteResultError(RuntimeError):
 
 @dataclass(frozen=True)
 class BrokerConfig:
-    """Dispatch, retry and failure-policy knobs for the broker.
+    """Dispatch and retry knobs for the broker.
 
     Parameters
     ----------
@@ -140,21 +138,11 @@ class BrokerConfig:
         The first retry round's sleep; round ``k`` sleeps
         ``backoff_seconds * BACKOFF_FACTOR**k`` with a deterministic
         jitter of up to ``BACKOFF_JITTER`` either way.
-    failure_policy:
-        ``"raise"`` propagates an :class:`EvaluationError`; ``"skip"``
-        drops the point from the batch; ``"penalty"`` substitutes
-        ``penalty_value``.
-    penalty_value:
-        Required (finite) when ``failure_policy="penalty"`` — it enters
-        ``RunResult.y``, so it must be a valid observation; pick something
-        clearly uninteresting in minimization orientation (large).
     """
 
     timeout_seconds: float | None = None
     max_retries: int = 2
     backoff_seconds: float = 0.05
-    failure_policy: str = "raise"
-    penalty_value: float | None = None
 
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
@@ -167,17 +155,6 @@ class BrokerConfig:
             raise ValueError(
                 f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
             )
-        if self.failure_policy not in FAILURE_POLICIES:
-            raise ValueError(
-                f"failure_policy must be one of {FAILURE_POLICIES}, "
-                f"got {self.failure_policy!r}"
-            )
-        if self.failure_policy == "penalty":
-            if self.penalty_value is None or not math.isfinite(self.penalty_value):
-                raise ValueError(
-                    "failure_policy='penalty' requires a finite penalty_value "
-                    "(it enters RunResult.y as an observation)"
-                )
 
 
 @dataclass
@@ -196,8 +173,6 @@ class BrokerStats:
     n_retries: int = 0
     n_attempt_failures: int = 0
     n_timeouts: int = 0  # attempt failures that were timeouts
-    n_skipped: int = 0
-    n_penalized: int = 0
     eval_seconds: float = 0.0  # summed duration of completed simulations
 
 
@@ -209,28 +184,7 @@ _COUNTERS = (
     ("n_retries", "evaluations.retries"),
     ("n_attempt_failures", "evaluations.attempt_failures"),
     ("n_timeouts", "evaluations.timeouts"),
-    ("n_skipped", "evaluations.skipped"),
-    ("n_penalized", "evaluations.penalized"),
 )
-
-
-@dataclass
-class EvalBatch:
-    """Outcome of one batch: surviving points in submission order.
-
-    Under ``raise``/``penalty`` policies ``X``/``y`` cover every submitted
-    point; under ``skip`` dropped points are absent and ``index`` maps each
-    surviving row back to its position in the submitted batch.
-    """
-
-    X: FloatArray
-    y: FloatArray
-    index: IntArray
-    n_submitted: int
-
-    @property
-    def n_evaluated(self) -> int:
-        return int(self.y.shape[0])
 
 
 @dataclass
@@ -253,8 +207,8 @@ class EvaluationBroker:
         callables explicitly with
         :class:`~repro.runtime.objective.FunctionObjective`).
     config:
-        Dispatch/retry/policy knobs; defaults are zero-overhead inline
-        execution with fail-fast semantics compatible with direct calls.
+        Dispatch and retry knobs; the defaults run inline with no
+        deadline and two retries.
     cache:
         Shared result cache; None creates a private per-broker cache (still
         deduplicates within the run).
@@ -267,8 +221,8 @@ class EvaluationBroker:
         parented under whatever span the dispatching thread has open, with
         the ledger ``id`` as attribute — the trace/ledger join key), and
         each batch adds its :class:`BrokerStats` counts (completed, cache
-        hits and misses, retries, attempt failures, timeouts, skipped,
-        penalized) to the metrics registry.
+        hits and misses, retries, attempt failures, timeouts) to the
+        metrics registry.
     """
 
     def __init__(
@@ -296,7 +250,6 @@ class EvaluationBroker:
                 "version": LEDGER_VERSION,
                 "cache_key": self.objective.cache_key,
                 "dim": self.objective.dim,
-                "failure_policy": self.config.failure_policy,
                 "max_retries": self.config.max_retries,
                 "cache_decimals": DEFAULT_DECIMALS,
             }
@@ -432,7 +385,6 @@ class EvaluationBroker:
         self,
         waiting: list[_Pending],
         values: list[float | None],
-        failures: list[str | None],
         owned: set[str],
     ) -> None:
         """Resolve points a concurrent broker claimed before this batch.
@@ -468,53 +420,23 @@ class EvaluationBroker:
                     parked.append(p)
             self._log(hits)
             if claimed:
-                self._run_rounds(claimed, values, failures, owned)
+                self._run_rounds(claimed, values, owned)
             waiting = parked
-
-    def _resolve_exhausted(
-        self,
-        pending: _Pending,
-        error: BaseException,
-        values: list[float | None],
-        failures: list[str | None],
-        owned: set[str],
-    ) -> dict[str, Any]:
-        """Apply the failure policy to a point out of retries; returns
-        its ``skipped``/``penalized`` event for the caller to log."""
-        # terminal non-completion: release the single-flight claim *now* so
-        # concurrent waiters re-claim immediately instead of blocking until
-        # this batch's finally (two brokers skip-failing each other's
-        # waited points would otherwise deadlock)
-        self.cache.abandon_many((pending.digest,))
-        owned.discard(pending.digest)
-        policy = self.config.failure_policy
-        if policy == "raise":
-            raise EvaluationError(
-                f"evaluation {pending.eval_id} failed after "
-                f"{self.config.max_retries + 1} attempts: {error}"
-            ) from error
-        if policy == "skip":
-            self.stats.n_skipped += 1
-            failures[pending.pos] = "skipped"
-            return {"event": "skipped", "id": pending.eval_id}
-        penalty = float(self.config.penalty_value)  # type: ignore[arg-type]
-        self.stats.n_penalized += 1
-        values[pending.pos] = penalty
-        failures[pending.pos] = "penalized"
-        return {"event": "penalized", "id": pending.eval_id, "y": penalty}
 
     # -- public API ----------------------------------------------------------
 
-    def evaluate_batch(self, X: FloatArray) -> EvalBatch:
-        """Evaluate a ``(n, dim)`` batch through cache, dispatch and policies."""
+    def evaluate_batch(self, X: FloatArray) -> FloatArray:
+        """The ``(n,)`` values of a ``(n, dim)`` batch, in row order.
+
+        Raises :class:`EvaluationError` for a point whose retries ran out;
+        every point that completed before it is already in the cache and
+        logged ``completed``.
+        """
         X = as_matrix(X, self.objective.dim)
         n = X.shape[0]
         before = replace(self.stats)
         self.stats.n_points += n
         values: list[float | None] = [None] * n
-        # the terminal failure event of each point the policy resolved
-        # ("skipped" or "penalized"); None for a point with a real value
-        failures: list[str | None] = [None] * n
 
         pending: list[_Pending] = []
         waiting: list[_Pending] = []
@@ -545,41 +467,30 @@ class EvaluationBroker:
                 elif status == CLAIM_INFLIGHT:
                     waiting.append(_Pending(pos, eval_id, X[pos], digest))
                 else:  # CLAIM_REPEAT: same point again within this batch —
-                    # simulate once, mirror the first occurrence's outcome
+                    # simulated once, then served like a cache hit
                     duplicates.append((pos, eval_id, digest))
             self._log(hits)
 
             if pending:
-                self._run_rounds(pending, values, failures, owned)
+                self._run_rounds(pending, values, owned)
             if waiting:
                 # own simulations are done — block on concurrent owners
                 # (waiting *after* simulating keeps the fleet deadlock-free:
                 # nobody waits while holding an unresolved claim)
-                self._await_inflight(waiting, values, failures, owned)
+                self._await_inflight(waiting, values, owned)
 
-            # a repeat takes its first copy's outcome, not the cache's word:
-            # an LRU-bounded cache may already have evicted a completed lead
-            mirrored: list[dict[str, Any]] = []
-            for pos, eval_id, digest in duplicates:
-                lead = first_pos[digest]
-                value = values[lead]
-                failures[pos] = failures[lead]
-                if failures[lead] == "skipped":
-                    self.stats.n_skipped += 1
-                    mirrored.append({"event": "skipped", "id": eval_id})
-                elif failures[lead] == "penalized":
-                    self.stats.n_penalized += 1
-                    values[pos] = value
-                    mirrored.append(
-                        {"event": "penalized", "id": eval_id, "y": value}
+            # a repeat takes its first copy's value, not the cache's word:
+            # an LRU-bounded cache may already have evicted it
+            self._log(
+                [
+                    self._record_hit(
+                        pos, eval_id, digest, values[first_pos[digest]], values
                     )
-                else:  # completed: the repeat is served like a cache hit
-                    mirrored.append(
-                        self._record_hit(pos, eval_id, digest, value, values)
-                    )
-            self._log(mirrored)
+                    for pos, eval_id, digest in duplicates
+                ]
+            )
         finally:
-            # release any claims still held (raise-policy exits, bugs in
+            # release any claims still held (an exhausted point, a bug in
             # the objective) so concurrent waiters can re-claim the points
             if owned:
                 self.cache.abandon_many(owned)
@@ -600,19 +511,12 @@ class EvaluationBroker:
                     self.stats.n_cache_misses - before.n_cache_misses,
                 )
 
-        keep = [i for i in range(n) if failures[i] != "skipped"]
-        return EvalBatch(
-            X=X[keep].copy(),
-            y=np.array([values[i] for i in keep], dtype=float),
-            index=np.asarray(keep, dtype=np.int_),
-            n_submitted=n,
-        )
+        return np.array(values, dtype=float)
 
     def _run_rounds(
         self,
         pending: list[_Pending],
         values: list[float | None],
-        failures: list[str | None],
         owned: set[str],
     ) -> None:
         attempt = 0
@@ -641,13 +545,11 @@ class EvaluationBroker:
             if not failed:
                 return
             if attempt >= self.config.max_retries:
-                self._log(
-                    [
-                        self._resolve_exhausted(p, error, values, failures, owned)
-                        for p, error in failed
-                    ]
-                )
-                return
+                p, error = failed[0]
+                raise EvaluationError(
+                    f"evaluation {p.eval_id} failed after "
+                    f"{self.config.max_retries + 1} attempts: {error}"
+                ) from error
             delay = self._backoff_delay(attempt)
             self.stats.n_retries += len(failed)
             self._log(
@@ -808,10 +710,8 @@ def make_broker(
 
 
 __all__ = [
-    "FAILURE_POLICIES",
     "BrokerConfig",
     "BrokerStats",
-    "EvalBatch",
     "EvaluationBroker",
     "EvaluationError",
     "NonFiniteResultError",

@@ -1,12 +1,12 @@
 """Append-only JSONL run ledger: event log and checkpoint format in one.
 
 Every evaluation the broker performs emits events — ``dispatched``,
-``completed``, ``failed``, ``retried``, ``cache_hit``, ``skipped``,
-``penalized`` — as one JSON object per line.  :meth:`RunLedger.extend`
-writes a group of events (a broker round's ``dispatched`` events, one
-slice of its results) with one write and one flush.  Lines land in order
-and a kill mid-write tears at most the final one, so a killed campaign
-leaves a valid prefix: the ledger *is* the checkpoint.  Both sides
+``completed``, ``failed``, ``retried``, ``cache_hit`` — as one JSON
+object per line.  :meth:`RunLedger.extend` writes a group of events (a
+broker round's ``dispatched`` events, one slice of its results) with
+one write and one flush.  Lines land in order and a kill mid-write
+tears at most the final one, so a killed campaign leaves a valid
+prefix: the ledger *is* the checkpoint.  Both sides
 follow the rule of :mod:`repro.utils.jsonl`: :func:`read_ledger` drops
 a torn final line (the write the kill interrupted), and a
 :class:`RunLedger` cuts it before its first append.
@@ -34,9 +34,11 @@ Event schema (version 1)
     ``id``, ``attempt``, ``error`` (exception class), ``message``.
 ``retried``
     ``id``, ``attempt`` (the upcoming attempt), ``backoff_seconds``.
-``skipped`` / ``penalized``
-    Terminal outcome under the matching failure policy; ``penalized``
-    carries the substituted ``y``.
+
+A point whose retries ran out ends on its last ``failed`` event (the
+broker raises).  Ledgers from before the failure policies were removed
+may also hold ``skipped`` and ``penalized`` lines; they read like any
+other event.
 
 Durations are monotonic (``time.perf_counter``) deltas only; the ledger
 deliberately records no wall-clock timestamps so replaying it is

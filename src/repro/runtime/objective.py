@@ -136,7 +136,8 @@ class FunctionObjective(Objective):
     dim:
         Dimensionality of the variation space.
     bounds:
-        Optional evaluation box, ``(dim, 2)`` or ``(2, dim)``.
+        Optional evaluation box: ``(dim, 2)``, one ``(lo, hi)`` row per
+        coordinate.
     cache_key:
         Stable identity; defaults to the function's qualified name plus
         ``dim``, which is only collision-safe within a single run.

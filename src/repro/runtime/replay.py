@@ -265,31 +265,14 @@ def _verify_cold(
         return
     broker = EvaluationBroker(objective, config=config)
     digests = list(unique_x)
-    X = np.stack([unique_x[d] for d in digests])
-    batch = broker.evaluate_batch(X)
-    replayed: dict[str, float] = {}
-    for row, submitted_pos in enumerate(np.asarray(batch.index)):
-        replayed[digests[int(submitted_pos)]] = float(batch.y[row])
+    values = broker.evaluate_batch(np.stack([unique_x[d] for d in digests]))
+    replayed = dict(zip(digests, values.tolist()))
     for record in records:
         report.n_checked += 1
         recorded_y = float(record["y"])
         digest = str(record["digest"])
-        value = replayed.get(digest)
-        if value is None:
-            report.divergences.append(
-                Divergence(
-                    record_id=int(record.get("id", -1)),
-                    mode="cold",
-                    kind="missing",
-                    digest=digest,
-                    recorded_y=recorded_y,
-                    detail=(
-                        "re-execution dropped the point (failure policy); "
-                        "the original run completed it"
-                    ),
-                )
-            )
-        elif value != recorded_y:
+        value = replayed[digest]
+        if value != recorded_y:
             report.divergences.append(
                 Divergence(
                     record_id=int(record.get("id", -1)),

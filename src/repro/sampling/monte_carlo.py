@@ -58,13 +58,13 @@ class MonteCarloSampler:
             lower, upper, size=(self.n_samples, lower.shape[0])
         )
         with tele.tracer.span("sampling", n_samples=self.n_samples):
-            batch = broker.evaluate_batch(X)
+            y = broker.evaluate_batch(X)
         timer.stop()
         eval_seconds = broker.stats.eval_seconds
         return RunResult(
-            X=batch.X,
-            y=batch.y,
-            n_init=batch.n_evaluated,
+            X=X,
+            y=y,
+            n_init=self.n_samples,
             method="MC",
             eval_seconds=eval_seconds,
             overhead_seconds=max(0.0, timer.elapsed - eval_seconds),

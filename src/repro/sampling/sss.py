@@ -109,7 +109,7 @@ class ScaledSigmaSampler:
         """Sample every scale, simulate, and fit the extrapolation model.
 
         Each scale's ``samples_per_scale`` points are one broker batch;
-        every row kept counts as initial (non-adaptive).  The returned
+        every row counts as initial (non-adaptive).  The returned
         :class:`RunResult` carries the :class:`SSSModelFit` (when enough
         scales failed to fit one) in ``extra["sss_fit"]`` and the
         per-scale failure fractions in ``extra["failure_fractions"]``.
@@ -127,7 +127,7 @@ class ScaledSigmaSampler:
 
         timer = Timer().start()
         fractions = np.zeros(self.scales.size)
-        batches = []
+        Xs, ys = [], []
         for i, scale in enumerate(self.scales):
             with tele.tracer.span(
                 "sampling", scale=float(scale), n_samples=self.samples_per_scale
@@ -137,24 +137,24 @@ class ScaledSigmaSampler:
                     (self.samples_per_scale, dim)
                 ) * sigma
                 X = np.clip(X, lower, upper)
-                batch = broker.evaluate_batch(X)
+                y = broker.evaluate_batch(X)
                 n_fail = 0
                 if threshold is not None:
-                    n_fail = int(np.sum(batch.y < threshold))
-                # a skipped point still counts in the denominator
+                    n_fail = int(np.sum(y < threshold))
                 fractions[i] = n_fail / self.samples_per_scale
                 span.set("n_failures", n_fail)
-            batches.append(batch)
+            Xs.append(X)
+            ys.append(y)
         timer.stop()
 
         extra: dict = {"failure_fractions": fractions, "scales": self.scales}
         fit = self._fit_model(fractions)
         if fit is not None:
             extra["sss_fit"] = fit
-        y = np.concatenate([batch.y for batch in batches])
+        y = np.concatenate(ys)
         eval_seconds = broker.stats.eval_seconds
         return RunResult(
-            X=np.vstack([batch.X for batch in batches]),
+            X=np.vstack(Xs),
             y=y,
             n_init=y.size,
             method="SSS",

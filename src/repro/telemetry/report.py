@@ -178,7 +178,7 @@ def _final_run_evaluations(ledger_path: str) -> int:
 
     return _count(
         read_ledger(ledger_path).runs()[-1:],
-        ("completed", "cache_hit", "penalized"),
+        ("completed", "cache_hit"),
     )
 
 
@@ -187,7 +187,7 @@ def scheduler_report(trace: Trace, runs_dir: str) -> str:
 
     One row per ``scheduled_campaign`` span; the ``ledger`` column
     recounts the campaign's observations (``completed`` + ``cache_hit``
-    + ``penalized`` events of its final run) from
+    events of its final run) from
     ``RUNS_DIR/<campaign>.jsonl`` and must match the span's recorded
     ``n_evaluations``.
     """

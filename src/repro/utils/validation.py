@@ -62,18 +62,17 @@ def check_bounds(
 ) -> tuple[FloatArray, FloatArray]:
     """Validate box bounds and return ``(lower, upper)`` float arrays.
 
-    Accepts an ``(dim, 2)`` array-like of per-coordinate ``(lo, hi)`` pairs
-    or a ``(2, dim)``-style tuple ``(lower, upper)``.
+    Accepts only a ``(dim, 2)`` array-like of per-coordinate ``(lo, hi)``
+    rows; a ``(lower, upper)`` pair of vectors is rejected, since at
+    ``dim == 2`` it would read as two rows.
     """
     arr = np.asarray(bounds, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"bounds must be 2-D, got shape {arr.shape}")
-    if arr.shape[1] == 2:
-        lower, upper = arr[:, 0], arr[:, 1]
-    elif arr.shape[0] == 2:
-        lower, upper = arr[0], arr[1]
-    else:
-        raise ValueError(f"bounds must be (dim, 2) or (2, dim), got {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(
+            f"bounds must have shape (dim, 2), one (lo, hi) row per "
+            f"coordinate; got shape {arr.shape}"
+        )
+    lower, upper = arr[:, 0], arr[:, 1]
     if dim is not None and lower.shape[0] != dim:
         raise ValueError(f"bounds cover {lower.shape[0]} dims, expected {dim}")
     if not np.all(np.isfinite(lower)) or not np.all(np.isfinite(upper)):

@@ -38,6 +38,7 @@ from repro.circuits.mna.stack import newton
 from repro.circuits.mna.uvlo_demo import UVLO_DEMO_DIM, UVLODemo
 from repro.runtime import BrokerConfig, EvaluationBroker
 from repro.runtime.objective import Objective
+from tests.fails_alone import assert_fails_alone
 
 # -- the per-element reference -------------------------------------------------
 
@@ -416,7 +417,7 @@ class TestSingularRows:
         with pytest.raises(ConvergenceError, match="source scale"):
             solve_dc_stack([self.circuit(gm) for gm in (1e-3, -1e-3)])
 
-    def test_broker_isolates_the_failing_row(self):
+    def test_broker_isolates_the_failing_row(self, tmp_path):
         """The chunk raises; its rows re-run alone and only one fails."""
 
         class Singular(Objective):
@@ -433,14 +434,18 @@ class TestSingularRows:
 
         objective = Singular()
         X = np.array([[1e-3], [-1e-3], [2e-3]])
-        broker = EvaluationBroker(
-            objective, BrokerConfig(max_retries=0, failure_policy="skip")
+        _, values = assert_fails_alone(
+            lambda cache, ledger: EvaluationBroker(
+                objective, BrokerConfig(max_retries=0), cache=cache, ledger=ledger
+            ),
+            X,
+            [1],
+            tmp_path / "run.jsonl",
         )
-        batch = broker.evaluate_batch(X)
-        assert objective.calls == [3, 1, 1, 1]
-        np.testing.assert_array_equal(batch.index, [0, 2])
+        # the chunk, each of its rows alone, then the rerun's bad row alone
+        assert objective.calls == [3, 1, 1, 1, 1]
         expected = [solve_dc(self.circuit(gm)).voltage("n") for gm in (1e-3, 2e-3)]
-        np.testing.assert_array_equal(batch.y, expected)
+        assert values == expected
 
 
 # -- objectives -------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.runtime import (
     FunctionObjective,
     Objective,
 )
+from tests.fails_alone import assert_fails_alone
 from tests.gp_reference import lml_gradient_two_pass
 from tests.search_reference import (
     ReferenceCobyla,
@@ -539,8 +540,7 @@ class TestDispatchEquivalence:
         row = EvaluationBroker(row_objective).evaluate_batch(X)
         chunk = EvaluationBroker(self._objective()).evaluate_batch(X)
         assert row_objective.call_rows == [1] * 40
-        np.testing.assert_array_equal(row.y, chunk.y)
-        np.testing.assert_array_equal(row.X, chunk.X)
+        np.testing.assert_array_equal(row, chunk)
 
     def test_auto_dispatch_selection(self):
         """Chunks span the round only for a batch objective with no timeout."""
@@ -558,28 +558,28 @@ class TestDispatchEquivalence:
             assert objective.call_rows == rows
 
     @pytest.mark.parametrize("max_retries", [0, 1])
-    def test_timeout_dispatches_single_rows(self, max_retries):
+    def test_timeout_dispatches_single_rows(self, tmp_path, max_retries):
         """A hung point costs only its own deadline, on every attempt.
 
         The rows after it start their own deadlines, so each healthy row
-        is simulated exactly once and kept.
+        is simulated exactly once and stored before the hung one raises.
         """
         objective = _SlowRows(sleep_seconds=0.5)
         X = np.array([[0.1, 0.2], [0.95, 0.0], [-0.3, 0.4]])
-        broker = EvaluationBroker(
-            objective,
-            BrokerConfig(
-                timeout_seconds=0.05,
-                max_retries=max_retries,
-                failure_policy="skip",
+        broker, values = assert_fails_alone(
+            lambda cache, ledger: EvaluationBroker(
+                objective,
+                BrokerConfig(timeout_seconds=0.05, max_retries=max_retries),
+                cache=cache,
+                ledger=ledger,
             ),
+            X,
+            [1],
+            tmp_path / "run.jsonl",
         )
-        batch = broker.evaluate_batch(X)
-        np.testing.assert_array_equal(batch.index, [0, 2])
-        np.testing.assert_array_equal(batch.y, np.sum(X[[0, 2]] ** 2, axis=1))
+        assert values == np.sum(X[[0, 2]] ** 2, axis=1).tolist()
         assert broker.stats.n_timeouts == max_retries + 1
         assert broker.stats.n_attempt_failures == max_retries + 1
-        assert broker.stats.n_skipped == 1
         for row in (0, 2):
             assert objective.calls.count(X[row].tolist()) == 1
 
@@ -596,23 +596,26 @@ class TestDispatchEquivalence:
         broker = EvaluationBroker(
             faulty, BrokerConfig(max_retries=5, backoff_seconds=0.0)
         )
-        batch = broker.evaluate_batch(X)
+        y = broker.evaluate_batch(X)
         assert broker.stats.n_attempt_failures > 0  # faults did fire
         assert faulty.call_rows[0] == 30  # the first round went as one chunk
-        np.testing.assert_array_equal(batch.y, clean.y)
+        np.testing.assert_array_equal(y, clean)
 
-    def test_chunk_skip_policy_drops_only_bad_rows(self):
+    def test_chunk_fails_only_its_bad_rows(self, tmp_path):
         def half_nan(X):
             return np.where(X[:, 0] > 0, np.nan, np.sum(X**2, axis=1))
 
         objective = FunctionObjective(half_nan, dim=2, vectorized=True)
         X = np.array([[-0.5, 0.1], [0.5, 0.2], [-0.25, 0.3], [0.75, 0.4]])
-        broker = EvaluationBroker(
-            objective, BrokerConfig(max_retries=0, failure_policy="skip")
+        _, values = assert_fails_alone(
+            lambda cache, ledger: EvaluationBroker(
+                objective, BrokerConfig(max_retries=0), cache=cache, ledger=ledger
+            ),
+            X,
+            [1, 3],
+            tmp_path / "run.jsonl",
         )
-        batch = broker.evaluate_batch(X)
-        np.testing.assert_array_equal(batch.index, [0, 2])
-        np.testing.assert_array_equal(batch.X, X[[0, 2]])
+        assert values == np.sum(X[[0, 2]] ** 2, axis=1).tolist()
 
     def test_campaign_chunk_vs_row_identical(self):
         from repro.bo.rembo import RemboBO

@@ -1,7 +1,7 @@
 """Tests for the evaluation runtime: objective protocol, cache, ledger, broker.
 
-The fault-injection matrix (timeout→retry→success, retry exhaustion per
-failure policy, NaN quarantine) lives here; campaign-level resume tests are
+The fault-injection matrix (timeout→retry→success, retry exhaustion, NaN
+quarantine) lives here; campaign-level resume tests are
 in ``test_runtime_resume.py``.
 """
 
@@ -282,6 +282,22 @@ class TestRunLedger:
             ledger.extend(iter(()))
         assert not (tmp_path / "run.jsonl").exists()
 
+    def test_skipped_and_penalized_lines_still_read(self, tmp_path):
+        # ledgers written while the broker had skip and penalty policies
+        path = tmp_path / "run.jsonl"
+        with RunLedger(path) as ledger:
+            ledger.extend(
+                [
+                    {"event": "campaign", "dim": 1, "failure_policy": "skip"},
+                    {"event": "completed", "digest": "d0", "x": [0.0], "y": 1.0},
+                    {"event": "skipped", "id": 1},
+                    {"event": "penalized", "id": 2, "y": 99.0},
+                ]
+            )
+        replay = read_ledger(path)
+        assert replay.completed == {"d0": 1.0}
+        assert replay.counts["skipped"] == replay.counts["penalized"] == 1
+
 
 class TestBrokerConfig:
     def test_validation(self):
@@ -290,11 +306,7 @@ class TestBrokerConfig:
         with pytest.raises(ValueError):
             BrokerConfig(max_retries=-1)
         with pytest.raises(ValueError):
-            BrokerConfig(failure_policy="explode")
-        with pytest.raises(ValueError):
-            BrokerConfig(failure_policy="penalty")  # needs a value
-        with pytest.raises(ValueError):
-            BrokerConfig(failure_policy="penalty", penalty_value=float("nan"))
+            BrokerConfig(backoff_seconds=-0.1)
 
     def test_retry_backoff_is_pinned(self, tmp_path):
         """Two failures of one point sleep ``0.05 * 2**k`` scaled by the
@@ -320,8 +332,8 @@ class TestBrokerFaultMatrix:
         broker = EvaluationBroker(
             obj, BrokerConfig(max_retries=2, backoff_seconds=0.0)
         )
-        batch = broker.evaluate_batch(np.array([[0.5, 0.5]]))
-        assert batch.y[0] == pytest.approx(0.5)
+        y = broker.evaluate_batch(np.array([[0.5, 0.5]]))
+        assert y.tolist() == [0.5]
         assert broker.stats.n_retries == 2
         assert broker.stats.n_attempt_failures == 2
         assert broker.stats.n_completed == 1
@@ -331,8 +343,8 @@ class TestBrokerFaultMatrix:
         broker = EvaluationBroker(
             obj, BrokerConfig(max_retries=1, backoff_seconds=0.0)
         )
-        batch = broker.evaluate_batch(np.array([[0.5, 0.0]]))
-        assert batch.y[0] == pytest.approx(0.25)  # NaN never reached the log
+        y = broker.evaluate_batch(np.array([[0.5, 0.0]]))
+        assert y.tolist() == [0.25]  # NaN never reached the log
         assert broker.stats.n_attempt_failures == 1
 
     def test_timeout_then_retry_succeeds(self):
@@ -343,36 +355,49 @@ class TestBrokerFaultMatrix:
                 timeout_seconds=0.05, max_retries=1, backoff_seconds=0.0
             ),
         )
-        batch = broker.evaluate_batch(np.array([[0.5, 0.5]]))
-        assert batch.y[0] == pytest.approx(0.5)
+        y = broker.evaluate_batch(np.array([[0.5, 0.5]]))
+        assert y.tolist() == [0.5]
         assert broker.stats.n_retries == 1
 
-    def test_hung_point_does_not_hold_the_process_open(self):
-        # the abandoned deadline thread is a daemon: the child exits as soon
-        # as its batch returns, not when the 30 s simulation would end
+    def test_hung_point_does_not_hold_the_process_open(self, tmp_path):
+        # the abandoned deadline threads are daemons: the child exits as
+        # soon as its batches raise, not when the 30 s simulations would end
         script = textwrap.dedent(
             """
+            import sys
             import time
             import numpy as np
             from repro.runtime import (
-                BrokerConfig, EvaluationBroker, FunctionObjective,
+                BrokerConfig, EvaluationBroker, EvaluationError,
+                FunctionObjective, ResultCache, RunLedger, read_ledger,
             )
             def hang(X):
-                time.sleep(30.0)
+                if np.any(X[:, 0] > 0.9):
+                    time.sleep(30.0)
                 return np.sum(X**2, axis=1)
-            broker = EvaluationBroker(
-                FunctionObjective(hang, dim=2, vectorized=True),
-                BrokerConfig(
-                    timeout_seconds=0.1, max_retries=0, failure_policy="skip"
-                ),
-            )
-            print(broker.evaluate_batch(np.zeros((1, 2))).n_evaluated)
+            X = np.array([[0.1, 0.2], [0.95, 0.0], [-0.3, 0.4]])
+            for k, path in enumerate(sys.argv[1:3]):
+                cache = ResultCache.in_memory()
+                if k:  # the rerun resumes from the first run's ledger
+                    cache.preload(read_ledger(sys.argv[1]).completed)
+                with RunLedger(path) as ledger:
+                    broker = EvaluationBroker(
+                        FunctionObjective(hang, dim=2, vectorized=True),
+                        BrokerConfig(timeout_seconds=0.1, max_retries=0),
+                        cache=cache,
+                        ledger=ledger,
+                    )
+                    try:
+                        broker.evaluate_batch(X)
+                    except EvaluationError as error:
+                        print(error)
             """
         )
+        first, rerun = tmp_path / "first.jsonl", tmp_path / "rerun.jsonl"
         env = dict(os.environ, PYTHONPATH=str(SRC))
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", script, str(first), str(rerun)],
             env=env,
             capture_output=True,
             text=True,
@@ -380,8 +405,18 @@ class TestBrokerFaultMatrix:
         )
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0"
+        assert proc.stdout.splitlines() == [
+            "evaluation 1 failed after 1 attempts: evaluation exceeded 0.1s"
+        ] * 2
         assert elapsed < 10.0
+        # the healthy rows completed before the hung one raised
+        healthy = np.sum(np.array([[0.1, 0.2], [-0.3, 0.4]]) ** 2, axis=1)
+        assert sorted(read_ledger(first).completed.values()) == healthy.tolist()
+        # the rerun served them from the preloaded cache: only the hung
+        # point was dispatched again
+        events = read_ledger(rerun).events
+        assert [e["id"] for e in events if e["event"] == "dispatched"] == [1]
+        assert [e["id"] for e in events if e["event"] == "cache_hit"] == [0, 2]
 
     def test_exhaustion_raise_policy(self):
         obj = CountingObjective(fail_first=10)
@@ -390,85 +425,6 @@ class TestBrokerFaultMatrix:
         )
         with pytest.raises(EvaluationError):
             broker.evaluate_batch(np.array([[0.5, 0.5]]))
-
-    def test_exhaustion_skip_policy(self):
-        obj = CountingObjective(fail_first=10)
-        broker = EvaluationBroker(
-            obj,
-            BrokerConfig(
-                max_retries=0, backoff_seconds=0.0, failure_policy="skip"
-            ),
-        )
-        X = np.array([[0.5, 0.5], [0.1, 0.2], [0.3, 0.3]])
-        obj.per_point[X[1].tobytes()] = 10**6  # make only the middle row work
-        batch = broker.evaluate_batch(X)
-        assert batch.n_submitted == 3
-        assert batch.index.tolist() == [1]
-        assert batch.X.tolist() == [[0.1, 0.2]]
-        assert broker.stats.n_skipped == 2
-
-    def test_exhaustion_penalty_policy(self):
-        obj = CountingObjective(fail_first=10)
-        broker = EvaluationBroker(
-            obj,
-            BrokerConfig(
-                max_retries=0,
-                backoff_seconds=0.0,
-                failure_policy="penalty",
-                penalty_value=99.0,
-            ),
-        )
-        batch = broker.evaluate_batch(np.array([[0.5, 0.5]]))
-        assert batch.y.tolist() == [99.0]
-        assert broker.stats.n_penalized == 1
-        # a penalty is not a measurement: it must not enter the cache
-        digest = broker.cache.key_for(obj.cache_key, np.array([0.5, 0.5]))
-        assert digest not in broker.cache
-
-    def test_single_point_skip_returns_none(self):
-        obj = CountingObjective(fail_first=10)
-        broker = EvaluationBroker(
-            obj,
-            BrokerConfig(
-                max_retries=0, backoff_seconds=0.0, failure_policy="skip"
-            ),
-        )
-        batch = broker.evaluate_batch(np.array([[0.5, 0.5]]))
-        assert batch.n_submitted == 1
-        assert batch.n_evaluated == 0
-        assert batch.X.shape == (0, 2)
-        assert batch.index.tolist() == []
-
-    @pytest.mark.parametrize(
-        "policy, counter, field, event",
-        [
-            ("skip", "evaluations.skipped", "n_skipped", "skipped"),
-            ("penalty", "evaluations.penalized", "n_penalized", "penalized"),
-        ],
-    )
-    def test_failed_duplicate_counts_in_every_record(
-        self, tmp_path, policy, counter, field, event
-    ):
-        telemetry = Telemetry(metrics=MetricsRegistry())
-        ledger = RunLedger(tmp_path / "run.jsonl")
-        broker = EvaluationBroker(
-            CountingObjective(fail_first=10, mode="nan"),
-            BrokerConfig(
-                max_retries=0,
-                backoff_seconds=0.0,
-                failure_policy=policy,
-                penalty_value=99.0 if policy == "penalty" else None,
-            ),
-            ledger=ledger,
-            telemetry=telemetry,
-        )
-        broker.evaluate_batch(np.array([[0.5, 0.5]] * 2))
-        ledger.close()
-        # the in-batch repeat mirrors the first point's outcome: both
-        # points count, in the registry as in the stats and the ledger
-        assert telemetry.snapshot()["counters"][counter] == 2
-        assert getattr(broker.stats, field) == 2
-        assert read_ledger(ledger.path).counts[event] == 2
 
 
 class TestBrokerCache:
@@ -479,7 +435,7 @@ class TestBrokerCache:
         first = broker.evaluate_batch(X)
         second = broker.evaluate_batch(X)
         assert obj.calls == 2  # no re-simulation
-        assert second.y.tolist() == first.y.tolist()
+        assert second.tolist() == first.tolist()
         assert broker.stats.n_cache_hits == 2
 
     def test_within_batch_duplicates_simulate_once(self):
@@ -487,9 +443,9 @@ class TestBrokerCache:
         telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
         broker = EvaluationBroker(obj, telemetry=telemetry)
         with telemetry.tracer.span("iteration") as phase:
-            batch = broker.evaluate_batch(np.array([[0.1, 0.1]] * 3))
+            y = broker.evaluate_batch(np.array([[0.1, 0.1]] * 3))
         assert obj.calls == 1
-        assert batch.y.tolist() == [bowl([0.1, 0.1])] * 3
+        assert y.tolist() == [bowl([0.1, 0.1])] * 3
         # one claimed miss, two repeats served as hits — the same split
         # in the stats, the registry and the phase span
         counters = telemetry.snapshot()["counters"]
@@ -508,7 +464,7 @@ class TestBrokerCache:
 
     def test_repeat_of_an_evicted_point_is_a_cache_hit(self, tmp_path):
         # the LRU bound evicts the first copy of row 0 before the batch
-        # resolves its repeat: the repeat still mirrors a completion
+        # resolves its repeat: the repeat is still served like a cache hit
         ledger = RunLedger(tmp_path / "run.jsonl")
         broker = EvaluationBroker(
             CountingObjective(),
@@ -516,7 +472,7 @@ class TestBrokerCache:
             ledger=ledger,
         )
         X = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3], [0.4, 0.4], [0.1, 0.1]])
-        batch = broker.evaluate_batch(X)
+        y = broker.evaluate_batch(X)
         ledger.close()
         assert read_ledger(ledger.path).counts == {
             "campaign": 1,
@@ -524,9 +480,8 @@ class TestBrokerCache:
             "completed": 4,
             "cache_hit": 1,
         }
-        assert broker.stats.n_penalized == 0
         assert broker.stats.n_cache_hits == 1
-        assert batch.y[4] == batch.y[0]
+        assert y[4] == y[0]
 
     def test_ledger_records_events(self, tmp_path):
         obj = CountingObjective(fail_first=1)
@@ -627,21 +582,22 @@ class TestBatchedPersistence:
         with ResultCache.open(tmp_path / "cache") as cache:
             broker = EvaluationBroker(
                 ScriptedObjective(),
-                BrokerConfig(
-                    max_retries=1, backoff_seconds=0.0, failure_policy="skip"
-                ),
+                BrokerConfig(max_retries=1, backoff_seconds=0.0),
                 cache=cache,
                 ledger=ledger,
             )
             hit, flaky, broken, healthy = [0.1, 0.1], [0.2, 0.9], [0.9, 0.2], [0.3, 0.3]
             broker.evaluate_batch(np.array([hit]))
-            batch = broker.evaluate_batch(
-                np.array([hit, flaky, broken, healthy, flaky, broken])
-            )
+            with pytest.raises(
+                EvaluationError, match="evaluation 3 failed after 2 attempts"
+            ):
+                broker.evaluate_batch(
+                    np.array([hit, flaky, broken, healthy, flaky, broken])
+                )
         ledger.close()
-        assert batch.index.tolist() == [0, 1, 3, 4]
         events = read_ledger(ledger.path).events
-        # the sequence the per-point writers produced, one write per event
+        # the sequence the per-point writers produced, one write per event;
+        # the broken point raises once its last attempt's outcome is logged
         assert [(e["event"], e.get("id"), e.get("attempt")) for e in events] == [
             ("campaign", None, None),
             ("dispatched", 0, 0),
@@ -659,9 +615,6 @@ class TestBatchedPersistence:
             ("dispatched", 3, 1),
             ("completed", 2, 1),
             ("failed", 3, 1),
-            ("skipped", 3, None),
-            ("cache_hit", 5, None),
-            ("skipped", 6, None),
         ]
 
     def test_completed_lines_follow_their_shard_lines(self, tmp_path):

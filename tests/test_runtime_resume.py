@@ -9,8 +9,8 @@ UVLO testbench:
   :class:`RunResult` without re-simulating completed points;
 * methods sharing an initial design through one :class:`RuntimePolicy`
   perform zero duplicate simulations;
-* under the skip policy an engine's run log is exactly the rows its
-  broker batches kept.
+* an engine's run log is exactly the rows it submitted to its broker and
+  the values the broker returned.
 """
 
 from __future__ import annotations
@@ -26,12 +26,15 @@ from repro.experiments.methods import run_method, shared_initial_data
 from repro.runtime import (
     BrokerConfig,
     EvaluationBroker,
+    EvaluationError,
     FaultInjectingObjective,
     FaultPlan,
     FunctionObjective,
+    Objective,
     ResultCache,
     RunLedger,
     RuntimePolicy,
+    TransientSimulationError,
     read_ledger,
     truncate_mid_run,
 )
@@ -66,6 +69,37 @@ def faulty_objective():
         clean_objective(),
         FaultPlan(failure_rate=0.3, nan_fraction=0.4, seed=5),
     )
+
+
+class SimulatorGoesDown(Objective):
+    """The clean objective for its first ``budget`` rows; every later call
+    that would pass that budget raises, as a simulator that went down."""
+
+    def __init__(self, budget: int) -> None:
+        self.inner = clean_objective()
+        self.budget = budget
+
+    @property
+    def dim(self) -> int:
+        return self.inner.dim
+
+    @property
+    def bounds(self):
+        return self.inner.bounds
+
+    @property
+    def cache_key(self) -> str:
+        return self.inner.cache_key
+
+    @property
+    def prefers_batch(self) -> bool:
+        return self.inner.prefers_batch
+
+    def evaluate(self, X):
+        if len(X) > self.budget:
+            raise TransientSimulationError("simulator down")
+        self.budget -= len(X)
+        return self.inner.evaluate(X)
 
 
 def run_campaign(objective, runtime=None, seed=11):
@@ -155,6 +189,33 @@ class TestKillAndResume:
         assert replay.n_cache_hits >= n_kept
         assert replay.n_completed == n_simulated - n_kept
 
+    def test_evaluation_error_stop_resumes_bitwise(self, tmp_path):
+        # the simulator goes down two rows into the first iteration's
+        # batch: those two rows complete, the other two exhaust their retry
+        with RuntimePolicy(ledger=RunLedger(tmp_path / "clean.jsonl")) as policy:
+            uninterrupted = run_campaign(clean_objective(), runtime=policy)
+        ledger_path = tmp_path / "campaign.jsonl"
+        with RuntimePolicy(
+            config=BrokerConfig(max_retries=1, backoff_seconds=0.0),
+            ledger=RunLedger(ledger_path),
+        ) as policy:
+            with pytest.raises(EvaluationError, match="simulator down"):
+                run_campaign(SimulatorGoesDown(budget=8), runtime=policy)
+        stopped = read_ledger(ledger_path)
+        assert stopped.n_completed == 8
+
+        # once the simulator is back, the same campaign resumes in place
+        with RuntimePolicy(
+            cache=preloaded_cache(stopped), ledger=RunLedger(ledger_path)
+        ) as policy:
+            resumed = run_campaign(clean_objective(), runtime=policy)
+        assert np.array_equal(uninterrupted.X, resumed.X)
+        assert np.array_equal(uninterrupted.y, resumed.y)
+        # each point was simulated once, over the stop and the resume
+        replay = read_ledger(ledger_path)
+        assert replay.n_completed == read_ledger(tmp_path / "clean.jsonl").n_completed
+        assert replay.duplicate_simulations == 0
+
     def test_multi_slice_batch_resumes_bitwise(self, tmp_path):
         # one 3000-point batch persists in several slices; the kill lands
         # past the first slice, mid-way through the second
@@ -206,17 +267,18 @@ class TestKillAndResume:
             read_ledger(ledger_path)
 
 
-class TestRunLogUnderSkip:
-    """Each engine builds its RunResult from the batches the broker kept."""
+class TestRunLog:
+    """Each engine's RunResult stacks the rows it submitted to the broker
+    and the values the broker returned, injected faults retried away."""
 
     def _solve(self, tmp_path, monkeypatch, engine, spec):
         batches = []
         evaluate_batch = EvaluationBroker.evaluate_batch
 
         def spy(broker, X):
-            batch = evaluate_batch(broker, X)
-            batches.append(batch)
-            return batch
+            y = evaluate_batch(broker, X)
+            batches.append((np.array(X), y))
+            return y
 
         monkeypatch.setattr(EvaluationBroker, "evaluate_batch", spy)
         objective = FaultInjectingObjective(
@@ -230,19 +292,17 @@ class TestRunLogUnderSkip:
         )
         ledger_path = tmp_path / "run.jsonl"
         policy = RuntimePolicy(
-            config=BrokerConfig(
-                max_retries=0, backoff_seconds=0.0, failure_policy="skip"
-            ),
+            config=BrokerConfig(max_retries=2, backoff_seconds=0.0),
             ledger=RunLedger(ledger_path),
         )
         result = engine.solve(objective=objective, spec=spec, policy=policy)
         policy.ledger.close()
 
-        assert sum(b.n_submitted - b.n_evaluated for b in batches) > 0
-        # the kept rows, in submission order, D_0 included
-        assert result.X.tobytes() == np.vstack([b.X for b in batches]).tobytes()
-        assert result.y.tobytes() == np.concatenate([b.y for b in batches]).tobytes()
         events = read_ledger(ledger_path).events
+        assert any(e["event"] == "failed" for e in events)  # faults fired
+        # every submitted row, in submission order, D_0 included
+        assert result.X.tobytes() == np.vstack([X for X, _ in batches]).tobytes()
+        assert result.y.tobytes() == np.concatenate([y for _, y in batches]).tobytes()
         kept = [e for e in events if e["event"] in ("completed", "cache_hit")]
         assert result.n_evaluations == len(kept)
         return result, batches
@@ -256,18 +316,17 @@ class TestRunLogUnderSkip:
             local_budget=40,
             seed=3,
         )
-        result, batches = self._solve(
+        result, _ = self._solve(
             tmp_path, monkeypatch, engine, RunSpec(n_init=8, n_batches=2)
         )
-        # the surviving initial rows; D_0 lost a point to the policy
-        assert result.n_init == batches[0].n_evaluated < 8
-        assert result.Z.shape == (result.n_evaluations, 2)
+        assert result.n_init == 8
+        assert result.Z.shape == (result.n_evaluations, 2) == (14, 2)
 
     def test_monte_carlo(self, tmp_path, monkeypatch):
         result, _ = self._solve(
             tmp_path, monkeypatch, MonteCarloSampler(40, seed=2), RunSpec()
         )
-        assert result.n_init == result.n_evaluations < 40
+        assert result.n_init == result.n_evaluations == 40
 
     def test_sss_fractions_divide_by_samples_per_scale(
         self, tmp_path, monkeypatch
@@ -277,8 +336,8 @@ class TestRunLogUnderSkip:
         result, batches = self._solve(
             tmp_path, monkeypatch, sampler, RunSpec(threshold=threshold)
         )
-        assert result.n_init == result.n_evaluations < 60
-        expected = [np.sum(b.y < threshold) / 20 for b in batches]
+        assert result.n_init == result.n_evaluations == 60
+        expected = [np.sum(y < threshold) / 20 for _, y in batches]
         assert result.extra["failure_fractions"].tolist() == expected
 
 

@@ -462,7 +462,7 @@ def _mc_spec(name: str, seed: int, n: int = 12, priority: int = 0) -> CampaignSp
 def _final_run_observations(ledger_path: Path) -> int:
     (run,) = read_ledger(ledger_path).runs()[-1:]
     return sum(
-        1 for e in run if e.get("event") in ("completed", "cache_hit", "penalized")
+        1 for e in run if e.get("event") in ("completed", "cache_hit")
     )
 
 

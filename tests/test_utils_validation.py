@@ -69,8 +69,10 @@ class TestCheckBounds:
         np.testing.assert_array_equal(upper, [1.0, 2.0])
 
     def test_two_row_layout(self):
-        lower, upper = check_bounds(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
-        np.testing.assert_array_equal(upper, [1.0, 2.0, 3.0])
+        # a (lower, upper) pair of vectors is not a box: at d = 2 it would
+        # read as two (lo, hi) rows
+        with pytest.raises(ValueError, match=r"\(dim, 2\)"):
+            check_bounds(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
 
     def test_rejects_inverted(self):
         with pytest.raises(ValueError, match="lower bound"):
