@@ -2,8 +2,8 @@
 
 Shows the full "real simulator" code path: build a netlist, measure a
 performance with DC sweeps / transients, expose it as a cache-addressable
-runtime :class:`~repro.circuits.mna.MNAObjective`, and hunt worst-case
-variations with the proposed method.
+runtime objective (:func:`~repro.circuits.mna.ldo_demo_objective`), and
+hunt worst-case variations with the proposed method.
 
 The circuit is the built-in MNA low-dropout-regulator demo (9 variation
 parameters); the verified spec is its load regulation.  Each simulation is
@@ -41,7 +41,7 @@ def main() -> None:
             objective=objective,
             spec=RunSpec(
                 n_batches=4,
-                threshold=objective.threshold,
+                threshold=spec.minimization_threshold,
                 initial_data=(X0, y0),
             ),
         )

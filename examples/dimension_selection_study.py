@@ -37,14 +37,14 @@ def main() -> None:
     # UVLO with the paper's 5 initial samples (Section 5.2)
     uvlo = UVLOTestbench()
     X = uniform_initial_design(uvlo.bounds(), 5, seed=1)
-    y = np.array([uvlo.objective("delta_vthl")(x) for x in X])
+    y = uvlo.objective("delta_vthl").evaluate(X)
     curve("UVLO |ΔV_THL| (5 samples)", X, y, dims=[1, 2, 4, 6, 8, 12, 16, 19], seed=1)
 
     # LDO with the paper's 50 initial samples, one curve per spec
     ldo = LDOTestbench()
     X = uniform_initial_design(ldo.bounds(), 50, seed=2)
     for spec in ldo.PERFORMANCES:
-        y = np.array([ldo.objective(spec)(x) for x in X])
+        y = ldo.objective(spec).evaluate(X)
         curve(
             f"LDO {spec} (50 samples)",
             X,

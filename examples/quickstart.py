@@ -15,8 +15,6 @@ The trace lands in quickstart.trace.jsonl; inspect it with
 ``python -m repro.telemetry.report quickstart.trace.jsonl``.
 """
 
-import numpy as np
-
 from repro.bo import RemboBO, RunSpec, uniform_initial_design
 from repro.campaign import Campaign
 from repro.embedding import select_embedding_dimension
@@ -50,7 +48,7 @@ def main() -> None:
 
     # step 1: a shared initial dataset (the paper's D_0)
     X0 = uniform_initial_design(bounds, n_init=25, seed=SEED)
-    y0 = np.asarray(objective(X0))
+    y0 = objective.evaluate(X0)
     print(f"initial dataset: {len(y0)} simulations, best value {y0.min():+.3f}")
 
     # step 2: Algorithm 2 — embedding dimension from the initial data

@@ -358,10 +358,9 @@ class BOEngine:
         if initial is not None:
             X, y = initial
         else:
-            with tracer.span("init_design", n_init=spec.n_init) as span:
+            with tracer.span("init_design", n_init=spec.n_init):
                 X = uniform_initial_design(box, spec.n_init, seed=rng_init)
                 y = broker.evaluate_batch(X)
-                span.set("n_evaluated", y.size)
         n_init = y.size
 
         space, Z = self._model_space(X, y, box, rng_space, tracer)
@@ -388,7 +387,6 @@ class BOEngine:
                 new_Z = np.clip(proposal.X, space.box[:, 0], space.box[:, 1])
                 new_X = space.to_design(new_Z, it_span)
                 new_y = broker.evaluate_batch(new_X)
-                it_span.set("n_evaluated", new_y.size)
             X = np.vstack([X, new_X])
             Z = np.vstack([Z, new_Z])
             y = np.concatenate([y, new_y])

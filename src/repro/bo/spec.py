@@ -11,7 +11,6 @@ and everything downstream works in minimization units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -67,16 +66,6 @@ class Specification:
         value = np.asarray(value, dtype=float)
         out = value > self.threshold if self.failure_when == "above" else value < self.threshold
         return bool(out) if out.ndim == 0 else out
-
-    def wrap_objective(
-        self, performance: Callable[[np.ndarray], float]
-    ) -> Callable[[np.ndarray], float]:
-        """Wrap a natural-units performance function into Eq. 2 form."""
-
-        def objective(x: np.ndarray) -> float:
-            return self.to_minimization(performance(x))
-
-        return objective
 
     def format_value(self, minimized_value: float) -> str:
         """Render a minimization-orientation value back in natural units."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bo.spec import Specification
-from repro.runtime.objective import Objective
+from repro.runtime.objective import FunctionObjective
 from repro.utils.contracts import shape_contract
 from repro.utils.validation import as_float_array, unit_cube_bounds
 
@@ -63,17 +63,6 @@ class CircuitTestbench(abc.ABC):
         """The failure search region Ω = [-1, 1]^D."""
         return unit_cube_bounds(self.dim)
 
-    @shape_contract("x: a(D,) -> (D,)")
-    def _check(self, x) -> np.ndarray:
-        x = as_float_array(x, "x")
-        if x.shape != (self.dim,):
-            raise ValueError(
-                f"expected a ({self.dim},) variation vector, got shape {x.shape}"
-            )
-        if np.any(np.abs(x) > 1.0 + 1e-9):
-            raise ValueError("variation coordinates must lie in [-1, 1]")
-        return np.clip(x, -1.0, 1.0)
-
     @shape_contract("X: a(n, D) -> (n, D)")
     def _check_batch(self, X) -> np.ndarray:
         X = as_float_array(X, "X")
@@ -86,84 +75,44 @@ class CircuitTestbench(abc.ABC):
             raise ValueError("variation coordinates must lie in [-1, 1]")
         return np.clip(X, -1.0, 1.0)
 
-    @abc.abstractmethod
-    def performance(self, name: str, x) -> float:
-        """Evaluate the named performance (natural units) at variation ``x``."""
-
     @shape_contract("X: a(n, D) -> (n,)")
+    @abc.abstractmethod
     def performance_batch(self, name: str, X) -> np.ndarray:
-        """Evaluate the named performance over a ``(n, D)`` block.
+        """The named performance (natural units) over a ``(n, D)`` block.
 
-        The base implementation loops :meth:`performance` row by row;
-        closed-form behavioral testbenches override it with a genuinely
-        vectorized map (same equations over columns) so chunked broker
-        dispatch pays one array pipeline per batch instead of per point.
+        Each testbench maps the whole block through the same closed-form
+        equations over columns, so chunked broker dispatch pays one array
+        pipeline per batch instead of per point.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array(
-            [float(self.performance(name, x)) for x in X], dtype=float
-        )
 
-    def objective(self, name: str) -> "TestbenchObjective":
-        """Minimization-orientation objective for the named spec (Eq. 2)."""
-        return TestbenchObjective(self, name)
+    def objective(self, name: str) -> FunctionObjective:
+        """Minimization-orientation objective for the named spec (Eq. 2).
+
+        Each block goes through :meth:`performance_batch` and then
+        ``spec.to_minimization``.  The stable ``cache_key`` (testbench
+        class + spec name) lets the evaluation runtime cache and
+        deduplicate simulations across methods sharing a testbench.
+        """
+        if name not in self.specs:
+            raise KeyError(
+                f"unknown spec {name!r}; options: {sorted(self.specs)}"
+            )
+        spec = self.specs[name]
+
+        def measure(X: np.ndarray) -> np.ndarray:
+            return spec.to_minimization(self.performance_batch(name, X))
+
+        return FunctionObjective(
+            measure,
+            dim=self.dim,
+            bounds=self.bounds(),
+            cache_key=f"{type(self).__name__}:{name}",
+            vectorized=True,
+        )
 
     def threshold(self, name: str) -> float:
         """The minimization threshold ``T`` for the named spec (Eq. 1)."""
         return self.specs[name].minimization_threshold
-
-    def is_failure(self, name: str, x) -> bool:
-        """Pass/fail of one variation point against the named spec."""
-        return bool(self.specs[name].is_failure(self.performance(name, x)))
-
-
-class TestbenchObjective(Objective):
-    """A testbench performance as a runtime :class:`Objective`.
-
-    The vectorized :meth:`evaluate` maps each variation row through
-    ``spec.to_minimization(performance(name, x))`` (paper Eq. 2) —
-    arithmetic identical to the legacy ``spec.wrap_objective`` closure.
-    The stable ``cache_key`` (testbench class + spec name) is what lets
-    the evaluation runtime cache and deduplicate simulations across
-    methods sharing a testbench.
-    """
-
-    def __init__(self, testbench: CircuitTestbench, name: str) -> None:
-        if name not in testbench.specs:
-            raise KeyError(
-                f"unknown spec {name!r}; options: {sorted(testbench.specs)}"
-            )
-        self.testbench = testbench
-        self.name = name
-        self._spec = testbench.specs[name]
-
-    @property
-    def dim(self) -> int:
-        return self.testbench.dim
-
-    @property
-    def bounds(self) -> np.ndarray:
-        return self.testbench.bounds()
-
-    @property
-    def cache_key(self) -> str:
-        return f"{type(self.testbench).__name__}:{self.name}"
-
-    @property
-    def threshold(self) -> float:
-        """The minimization threshold ``T`` for this spec (Eq. 1)."""
-        return self._spec.minimization_threshold
-
-    @property
-    def prefers_batch(self) -> bool:
-        """Closed-form testbenches welcome chunked vectorized dispatch."""
-        return True
-
-    def evaluate(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        perf = self.testbench.performance_batch(self.name, X)
-        out = self._spec.to_minimization(np.asarray(perf, dtype=float))
-        return np.asarray(out, dtype=float).reshape(X.shape[0])
 
 
 def soft_step(margin, width: float):

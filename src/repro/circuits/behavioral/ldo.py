@@ -280,18 +280,6 @@ class LDOTestbench(CircuitTestbench):
             self.load_regulation_margin_batch(X), _LR_SHAPE
         )
 
-    def quiescent_current(self, x) -> float:
-        """Quiescent current in mA (nominal ≈ 5, fails above 12)."""
-        return float(self.quiescent_current_batch(self._check(x)[None, :])[0])
-
-    def undershoot(self, x) -> float:
-        """Load-step undershoot in volts (nominal ≈ 0.15, fails above 0.40)."""
-        return float(self.undershoot_batch(self._check(x)[None, :])[0])
-
-    def load_regulation(self, x) -> float:
-        """Load regulation in percent (nominal ≈ 18, fails above 50)."""
-        return float(self.load_regulation_batch(self._check(x)[None, :])[0])
-
     # -- testbench API ------------------------------------------------------------
 
     _BATCH_PERFORMANCES = {
@@ -299,17 +287,6 @@ class LDOTestbench(CircuitTestbench):
         "undershoot": "undershoot_batch",
         "load_regulation": "load_regulation_batch",
     }
-
-    def performance(self, name: str, x) -> float:
-        if name == "quiescent_current":
-            return self.quiescent_current(x)
-        if name == "undershoot":
-            return self.undershoot(x)
-        if name == "load_regulation":
-            return self.load_regulation(x)
-        raise KeyError(
-            f"unknown performance {name!r}; options: {self.PERFORMANCES}"
-        )
 
     def performance_batch(self, name: str, X) -> np.ndarray:
         method = self._BATCH_PERFORMANCES.get(name)

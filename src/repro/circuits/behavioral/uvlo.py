@@ -126,8 +126,7 @@ class UVLOTestbench(CircuitTestbench):
         }
 
     # -- circuit equations ---------------------------------------------------
-    # every helper maps a (n, 19) variation block to per-row quantities;
-    # the scalar API wraps the single row in a 1-point batch
+    # every helper maps a (n, 19) variation block to per-row quantities
 
     def _resistors(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r1 = _R1_NOM * (1.0 + _RESISTOR_SPREAD * X[:, 0])
@@ -201,17 +200,7 @@ class UVLOTestbench(CircuitTestbench):
         direction = np.where(smooth >= 0.0, 1.0, -1.0)
         return smooth + direction * (gain_sag + _COLLAPSE_JUMP * collapse)
 
-    def delta_vthl(self, x) -> float:
-        """The signed turn-off-threshold offset ``ΔV_THL`` in volts."""
-        x = self._check(x)
-        return float(self.delta_vthl_batch(x[None, :])[0])
-
     # -- testbench API ---------------------------------------------------------
-
-    def performance(self, name: str, x) -> float:
-        if name != "delta_vthl":
-            raise KeyError(f"unknown performance {name!r}; only 'delta_vthl'")
-        return abs(self.delta_vthl(x))
 
     def performance_batch(self, name: str, X) -> np.ndarray:
         if name != "delta_vthl":

@@ -30,11 +30,7 @@ from repro.circuits.mna.measure import (
 )
 from repro.circuits.mna.mosfet import MOSFET, MOSParams, level1_current
 from repro.circuits.mna.netlist import GROUND, Circuit
-from repro.circuits.mna.objective import (
-    MNAObjective,
-    ldo_demo_objective,
-    uvlo_demo_objective,
-)
+from repro.circuits.mna.objective import ldo_demo_objective, uvlo_demo_objective
 from repro.circuits.mna.stack import CircuitStack
 from repro.circuits.mna.sweep import SweepResult, sweep_source, sweep_source_stack
 from repro.circuits.mna.transient import TransientResult, solve_transient
@@ -63,7 +59,6 @@ __all__ = [
     "sweep_source",
     "sweep_source_stack",
     "SweepResult",
-    "MNAObjective",
     "ldo_demo_objective",
     "uvlo_demo_objective",
     "threshold_crossings",

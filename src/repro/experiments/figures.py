@@ -177,7 +177,7 @@ def dimension_selection_curve(
     objective = testbench.objective(spec_name)
     n = n_init if n_init is not None else cfg.n_init
     X = uniform_initial_design(testbench.bounds(), n, seed=rng)
-    y = np.array([objective(x) for x in X])
+    y = objective.evaluate(X)
     if dims is None:
         D = testbench.dim
         dims = [d for d in (1, 2, 4, 6, 8, 10, 12, 16, 20, 25, 30, 40, 50, D) if d <= D]

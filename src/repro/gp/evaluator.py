@@ -43,8 +43,6 @@ class MarginalLikelihoodEvaluator:
         if not gp.is_fitted:
             raise RuntimeError("fit the GP on data before evaluating theta")
         self.kernel = gp.kernel.clone()
-        self.train_noise = gp.train_noise
-        self.noise_variance = gp.noise_variance
         self.y = gp.y_train.copy()
         self.ws = self.kernel.make_workspace(gp.X_train)
         self._y_col = np.asfortranarray(self.y[:, None], dtype=float)
@@ -63,9 +61,7 @@ class MarginalLikelihoodEvaluator:
         kernel = self.kernel
         n_kernel = kernel.n_params
         kernel.theta = theta[:n_kernel]
-        noise = (
-            float(np.exp(theta[-1])) if self.train_noise else self.noise_variance
-        )
+        noise = float(np.exp(theta[-1]))
         # prime g and dg together so the kernel computes them fused (one
         # sqrt/exp sweep) instead of in two passes
         kernel.corr_state(self.ws, need_dg=True)
@@ -94,7 +90,5 @@ class MarginalLikelihoodEvaluator:
         inner -= inv.T
         np.einsum("ii->i", inner)[...] += np.einsum("ii->i", inv)
         grads = kernel.gradient_inner_products(self.ws, inner)
-        if self.train_noise:
-            trace = float(np.einsum("ii->", inner))
-            grads = np.concatenate([grads, [0.5 * noise * trace]])
-        return lml, np.asarray(grads, dtype=float)
+        trace = float(np.einsum("ii->", inner))
+        return lml, np.concatenate([grads, [0.5 * noise * trace]])

@@ -100,17 +100,12 @@ class GaussianProcess:
         Prior covariance function.
     noise_variance:
         The intrinsic noise ``sigma_0^2`` of Eq. 4.
-    train_noise:
-        When True, the log noise variance is appended to the hyperparameter
-        vector exposed through :attr:`theta` and fitted jointly with the
-        kernel parameters.
     """
 
     def __init__(
         self,
         kernel: Matern52,
         noise_variance: float = 1e-6,
-        train_noise: bool = True,
     ) -> None:
         if noise_variance <= 0:
             raise ValueError(
@@ -118,7 +113,6 @@ class GaussianProcess:
             )
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
-        self.train_noise = bool(train_noise)
         self._X: np.ndarray | None = None
         self._y: np.ndarray | None = None
         self._chol: np.ndarray | None = None
@@ -137,33 +131,25 @@ class GaussianProcess:
 
     @property
     def theta(self) -> np.ndarray:
-        """Kernel log-hyperparameters, plus log noise when ``train_noise``."""
-        theta = self.kernel.theta
-        if self.train_noise:
-            theta = np.concatenate([theta, [np.log(self.noise_variance)]])
-        return theta
+        """Kernel log-hyperparameters, then the log noise variance."""
+        return np.concatenate([self.kernel.theta, [np.log(self.noise_variance)]])
 
     @theta.setter
     def theta(self, value: np.ndarray) -> None:
         value = np.asarray(value, dtype=float)
         n_kernel = self.kernel.n_params
-        expected = n_kernel + (1 if self.train_noise else 0)
-        if value.shape != (expected,):
+        if value.shape != (n_kernel + 1,):
             raise ValueError(
-                f"theta must have shape ({expected},), got {value.shape}"
+                f"theta must have shape ({n_kernel + 1},), got {value.shape}"
             )
         self.kernel.theta = value[:n_kernel]
-        if self.train_noise:
-            self.noise_variance = float(np.exp(value[-1]))
+        self.noise_variance = float(np.exp(value[-1]))
         if self._X is not None:
             self._refit()
 
     def theta_bounds(self) -> np.ndarray:
-        bounds = self.kernel.theta_bounds()
-        if self.train_noise:
-            noise_bounds = np.array([[np.log(1e-10), np.log(1e2)]], dtype=float)
-            bounds = np.vstack([bounds, noise_bounds])
-        return bounds
+        noise_bounds = np.array([[np.log(1e-10), np.log(1e2)]], dtype=float)
+        return np.vstack([self.kernel.theta_bounds(), noise_bounds])
 
     # -- fitting --------------------------------------------------------------
 

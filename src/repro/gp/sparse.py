@@ -153,8 +153,6 @@ class SparseGaussianProcess:
         Prior covariance function.
     noise_variance:
         Observation noise ``σ₀²``.
-    train_noise:
-        Append log noise variance to :attr:`theta` and fit it jointly.
     m:
         Inducing-point budget, clamped to ``n`` at fit time (``m >= n``
         reproduces the exact GP).
@@ -167,7 +165,6 @@ class SparseGaussianProcess:
         self,
         kernel: Matern52,
         noise_variance: float = 1e-6,
-        train_noise: bool = True,
         m: int = 256,
         inducing_points: ArrayLike | None = None,
     ) -> None:
@@ -179,7 +176,6 @@ class SparseGaussianProcess:
             raise ValueError(f"m must be >= 1, got {m}")
         self.kernel = kernel
         self.noise_variance = float(noise_variance)
-        self.train_noise = bool(train_noise)
         self.m = int(m)
         self._fixed_Z = (
             as_matrix(inducing_points) if inducing_points is not None else None
@@ -201,33 +197,25 @@ class SparseGaussianProcess:
 
     @property
     def theta(self) -> FloatArray:
-        """Kernel log-hyperparameters, plus log noise when ``train_noise``."""
-        theta = self.kernel.theta
-        if self.train_noise:
-            theta = np.concatenate([theta, [np.log(self.noise_variance)]])
-        return theta
+        """Kernel log-hyperparameters, then the log noise variance."""
+        return np.concatenate([self.kernel.theta, [np.log(self.noise_variance)]])
 
     @theta.setter
     def theta(self, value: np.ndarray) -> None:
         value = np.asarray(value, dtype=float)
         n_kernel = self.kernel.n_params
-        expected = n_kernel + (1 if self.train_noise else 0)
-        if value.shape != (expected,):
+        if value.shape != (n_kernel + 1,):
             raise ValueError(
-                f"theta must have shape ({expected},), got {value.shape}"
+                f"theta must have shape ({n_kernel + 1},), got {value.shape}"
             )
         self.kernel.theta = value[:n_kernel]
-        if self.train_noise:
-            self.noise_variance = float(np.exp(value[-1]))
+        self.noise_variance = float(np.exp(value[-1]))
         if self._X is not None:
             self._factorize()
 
     def theta_bounds(self) -> FloatArray:
-        bounds = self.kernel.theta_bounds()
-        if self.train_noise:
-            noise_bounds = np.array([[np.log(1e-10), np.log(1e2)]], dtype=float)
-            bounds = np.vstack([bounds, noise_bounds])
-        return bounds
+        noise_bounds = np.array([[np.log(1e-10), np.log(1e2)]], dtype=float)
+        return np.vstack([self.kernel.theta_bounds(), noise_bounds])
 
     # -- state --------------------------------------------------------------
 
@@ -463,11 +451,7 @@ class SparseGaussianProcess:
         kernel = self.kernel.clone()
         n_kernel = kernel.n_params
         kernel.theta = np.asarray(theta[:n_kernel], dtype=float)
-        noise = (
-            float(np.exp(theta[-1]))
-            if self.train_noise
-            else self.noise_variance
-        )
+        noise = float(np.exp(theta[-1]))
         _, _, _, trace_gap, LB, c = _condition(
             kernel, noise, self._Z, self._X, self._y
         )

@@ -203,7 +203,7 @@ class EvaluationBroker:
     Parameters
     ----------
     objective:
-        An :class:`~repro.runtime.objective.Objective` (wrap legacy
+        An :class:`~repro.runtime.objective.Objective` (wrap plain
         callables explicitly with
         :class:`~repro.runtime.objective.FunctionObjective`).
     config:

@@ -1,29 +1,23 @@
 """The unified ``Objective`` protocol every evaluation flows through.
 
-Historically each engine and sampler accepted a bare ``Callable`` taking one
-variation row and returning a float — no identity (so results could not be
-cached or deduplicated), no declared dimensionality or bounds (so every
-caller re-derived them), and no batch form (so vectorized testbenches were
-evaluated row by row).  :class:`Objective` is the single replacement: a
-vectorized ``__call__(X: (n, D)) -> (n,)`` plus ``dim``, ``bounds`` and a
-stable ``cache_key`` that the evaluation runtime (broker, cache, ledger)
-keys results on.
+An :class:`Objective` is a vectorized ``evaluate(X: (n, D)) -> (n,)`` plus
+``dim``, ``bounds`` and a stable ``cache_key`` that the evaluation runtime
+(broker, cache, ledger) keys results on.  The ``(n, D)`` block is the one
+evaluation form: the broker hands every simulation over as a block (one
+row long when it isolates a point), and an objective has no per-row call.
 
-Migration
----------
-Plain scalar/row callables are wrapped explicitly, once::
+:class:`FunctionObjective` is the one adapter from a measure to an
+:class:`Objective`: a row function (``vectorized=False``) or a batch
+measure (``vectorized=True``), on an optional box, under an explicit
+``cache_key``.  The circuit testbenches and the MNA demos fold their batch
+measures through :meth:`~repro.bo.spec.Specification.to_minimization`
+and return one; wrap any other callable once, explicitly::
 
     objective = FunctionObjective(my_fn, dim=19, bounds=bounds)
     campaign = Campaign(objective, engine)
 
-The implicit coercion shims (``as_objective`` / ``coerce_objective``) that
-accepted bare callables at every engine boundary completed their one-release
-deprecation cycle and are gone; the runtime now requires a real
-:class:`Objective` (see :func:`require_objective`).
-
-For backward compatibility :meth:`Objective.__call__` also accepts a single
-1-D row and returns a plain float, so an :class:`Objective` is a drop-in
-replacement anywhere a legacy row callable was expected.
+The runtime requires a real :class:`Objective` (see
+:func:`require_objective`); a bare callable is a :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -84,19 +78,6 @@ class Objective(abc.ABC):
     def evaluate(self, X: FloatArray) -> FloatArray:
         """Evaluate a batch ``X`` of shape ``(n, dim)``; returns ``(n,)``."""
 
-    def __call__(self, x: ArrayLike):
-        """Vectorized call; a single 1-D row returns a plain float."""
-        arr = np.asarray(x, dtype=float)
-        single = arr.ndim == 1
-        X = as_matrix(arr, self.dim)
-        out = np.asarray(self.evaluate(X), dtype=float).reshape(-1)
-        if out.shape[0] != X.shape[0]:
-            raise ValueError(
-                f"{type(self).__name__}.evaluate returned {out.shape[0]} "
-                f"values for {X.shape[0]} rows"
-            )
-        return float(out[0]) if single else out
-
 
 def stable_callable_name(fn: Callable) -> str:
     """A cache-key-safe name for ``fn``: its qualname, or a content digest.
@@ -125,14 +106,14 @@ def stable_callable_name(fn: Callable) -> str:
 
 
 class FunctionObjective(Objective):
-    """Adapter giving a plain callable the :class:`Objective` interface.
+    """The one adapter from a measure to the :class:`Objective` interface.
 
     Parameters
     ----------
     fn:
-        With ``vectorized=False`` (default), a legacy row callable
-        ``fn(x: (dim,)) -> float``; with ``vectorized=True``, a batch
-        callable ``fn(X: (n, dim)) -> (n,)``.
+        With ``vectorized=False`` (default), a row function
+        ``fn(x: (dim,)) -> float`` called once per row; with
+        ``vectorized=True``, a batch measure ``fn(X: (n, dim)) -> (n,)``.
     dim:
         Dimensionality of the variation space.
     bounds:
@@ -141,6 +122,9 @@ class FunctionObjective(Objective):
     cache_key:
         Stable identity; defaults to the function's qualified name plus
         ``dim``, which is only collision-safe within a single run.
+    vectorized:
+        Whether ``fn`` is a batch measure; the broker then hands it whole
+        chunks (``prefers_batch``).
     """
 
     def __init__(

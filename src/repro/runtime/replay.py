@@ -28,7 +28,8 @@ Two replay modes, mirroring how a resumed campaign consumes the ledger:
     compare values bitwise.  This exercises the full dispatch path the
     original run used; a fault-injected campaign replays clean because
     injected faults are transient and ``cache_key`` delegates to the
-    wrapped objective.
+    wrapped objective.  A point whose retries run out is reported as a
+    ``missing`` divergence, and every other record is still compared.
 
 CLI::
 
@@ -55,7 +56,12 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.runtime.broker import BrokerConfig, EvaluationBroker, RuntimePolicy
+from repro.runtime.broker import (
+    BrokerConfig,
+    EvaluationBroker,
+    EvaluationError,
+    RuntimePolicy,
+)
 from repro.runtime.cache import ResultCache, point_digest
 from repro.runtime.ledger import RunLedger, read_ledger
 from repro.runtime.objective import Objective, require_objective
@@ -260,17 +266,50 @@ def _verify_cold(
     objective: Objective,
     config: BrokerConfig | None,
 ) -> None:
-    """Re-execute every unique point through a fresh broker, compare bitwise."""
+    """Re-execute every unique point through a fresh broker, compare bitwise.
+
+    A point that no longer simulates is a ``missing`` divergence, not an
+    error: when the batch raises, each point is scored alone through the
+    same broker (the completed ones are cache hits by then), and each one
+    whose retries run out is reported with its error.
+    """
     if not unique_x:
         return
     broker = EvaluationBroker(objective, config=config)
     digests = list(unique_x)
-    values = broker.evaluate_batch(np.stack([unique_x[d] for d in digests]))
-    replayed = dict(zip(digests, values.tolist()))
+    replayed: dict[str, float] = {}
+    errors: dict[str, str] = {}
+    try:
+        values = broker.evaluate_batch(np.stack([unique_x[d] for d in digests]))
+        replayed = dict(zip(digests, values.tolist()))
+    except EvaluationError:
+        for d in digests:
+            try:
+                replayed[d] = float(broker.evaluate_batch(unique_x[d][None, :])[0])
+            except EvaluationError as error:
+                # the replay broker's evaluation ids are not the ledger's:
+                # report the simulator's own error
+                errors[d] = str(error.__cause__)
     for record in records:
         report.n_checked += 1
         recorded_y = float(record["y"])
         digest = str(record["digest"])
+        if digest in errors:
+            report.divergences.append(
+                Divergence(
+                    record_id=int(record.get("id", -1)),
+                    mode="cold",
+                    kind="missing",
+                    digest=digest,
+                    recorded_y=recorded_y,
+                    detail=(
+                        "re-execution failed after "
+                        f"{broker.config.max_retries + 1} attempt(s): "
+                        f"{errors[digest]}"
+                    ),
+                )
+            )
+            continue
         value = replayed[digest]
         if value != recorded_y:
             report.divergences.append(

@@ -53,7 +53,6 @@ def lml_gradient_two_pass(gp):
     grads = [
         0.5 * np.sum(inner * dK) for dK in matern52_gram_gradients(gp.kernel, X)
     ]
-    if gp.train_noise:
-        # d(K + σ² I)/d(log σ²) = σ² I
-        grads.append(0.5 * gp.noise_variance * np.trace(inner))
+    # d(K + σ² I)/d(log σ²) = σ² I
+    grads.append(0.5 * gp.noise_variance * np.trace(inner))
     return np.asarray(grads, dtype=float)

@@ -39,12 +39,6 @@ class TestSpecification:
         out = spec.is_failure(np.array([0.4, 0.6]))
         np.testing.assert_array_equal(out, [False, True])
 
-    def test_wrap_objective(self):
-        spec = Specification("x", threshold=2.0, failure_when="above")
-        objective = spec.wrap_objective(lambda x: float(np.sum(x)))
-        # performance 3 (> 2, failing) must map below T
-        assert objective(np.array([3.0])) < spec.minimization_threshold
-
     def test_format_value(self):
         spec = Specification("IQ", threshold=12.0, failure_when="above", units="mA")
         assert spec.format_value(spec.to_minimization(12.7)) == "12.7mA"

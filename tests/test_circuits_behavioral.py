@@ -9,6 +9,11 @@ from repro.circuits.behavioral import LDOTestbench, UVLOTestbench
 from repro.circuits.behavioral.base import local_halo, soft_step
 
 
+def failures(tb, name, X):
+    """Pass/fail of each row of ``X`` against the named spec."""
+    return tb.specs[name].is_failure(tb.performance_batch(name, X))
+
+
 class TestSoftStep:
     def test_limits(self):
         assert soft_step(10.0, 0.1) == pytest.approx(0.0, abs=1e-10)
@@ -58,30 +63,28 @@ class TestUVLO:
         assert tb.parameter_names[3] == "L1"
 
     def test_nominal_is_nearly_zero_offset(self, tb):
-        assert tb.performance("delta_vthl", np.zeros(19)) < 0.01
+        assert tb.performance_batch("delta_vthl", np.zeros((1, 19)))[0] < 0.01
 
     def test_performance_nonnegative(self, tb, rng):
-        for _ in range(20):
-            x = rng.uniform(-1, 1, 19)
-            assert tb.performance("delta_vthl", x) >= 0.0
+        X = rng.uniform(-1, 1, (20, 19))
+        assert np.all(tb.performance_batch("delta_vthl", X) >= 0.0)
 
     def test_typical_variations_pass_spec(self, tb, rng):
         """Points inside ±1σ (|x| <= 0.25) never come close to failing."""
         X = rng.uniform(-0.25, 0.25, (200, 19))
-        values = [tb.performance("delta_vthl", x) for x in X]
-        assert max(values) < 0.5 * tb.specs["delta_vthl"].threshold
+        values = tb.performance_batch("delta_vthl", X)
+        assert values.max() < 0.5 * tb.specs["delta_vthl"].threshold
 
     def test_failures_are_rare_under_uniform(self, tb, rng):
         X = rng.uniform(-1, 1, (3000, 19))
-        failures = sum(tb.is_failure("delta_vthl", x) for x in X)
-        assert failures == 0
+        assert not np.any(failures(tb, "delta_vthl", X))
 
     def test_failure_region_exists(self, tb):
         """Driving the bias-collapse direction produces a spec failure."""
         from repro.circuits.behavioral.uvlo import _BIAS_WEIGHTS
 
         x = np.sign(_BIAS_WEIGHTS)
-        assert tb.is_failure("delta_vthl", x)
+        assert failures(tb, "delta_vthl", x[None, :])[0]
 
     def test_collapse_direction_is_dense(self):
         from repro.circuits.behavioral.uvlo import _BIAS_WEIGHTS
@@ -97,8 +100,9 @@ class TestUVLO:
         x_common[:3] = 0.5  # all resistors drift together
         x_single = np.zeros(19)
         x_single[0] = 0.5  # only R1 drifts
-        common = tb.performance("delta_vthl", x_common)
-        single = tb.performance("delta_vthl", x_single)
+        common, single = tb.performance_batch(
+            "delta_vthl", np.stack([x_common, x_single])
+        )
         assert common < single
 
     def test_objective_threshold_orientation(self, tb):
@@ -106,20 +110,25 @@ class TestUVLO:
         T = tb.threshold("delta_vthl")
         from repro.circuits.behavioral.uvlo import _BIAS_WEIGHTS
 
-        assert obj(np.sign(_BIAS_WEIGHTS)) < T  # failure maps below T
-        assert obj(np.zeros(19)) > T
+        failing, nominal = obj.evaluate(
+            np.stack([np.sign(_BIAS_WEIGHTS), np.zeros(19)])
+        )
+        assert failing < T  # failure maps below T
+        assert nominal > T
 
     def test_unknown_performance(self, tb):
         with pytest.raises(KeyError):
-            tb.performance("gain", np.zeros(19))
+            tb.performance_batch("gain", np.zeros((1, 19)))
+        with pytest.raises(KeyError, match="unknown spec"):
+            tb.objective("gain")
 
     def test_out_of_cube_rejected(self, tb):
         with pytest.raises(ValueError):
-            tb.performance("delta_vthl", np.full(19, 1.5))
+            tb.performance_batch("delta_vthl", np.full((1, 19), 1.5))
 
     def test_wrong_shape_rejected(self, tb):
         with pytest.raises(ValueError):
-            tb.performance("delta_vthl", np.zeros(18))
+            tb.performance_batch("delta_vthl", np.zeros((1, 18)))
 
 
 class TestLDO:
@@ -134,18 +143,20 @@ class TestLDO:
         assert tb.parameter_names[59] == "M20.tox"
 
     def test_nominal_values(self, tb):
-        x = np.zeros(60)
-        assert tb.performance("quiescent_current", x) == pytest.approx(5.0, abs=1.0)
-        assert tb.performance("undershoot", x) == pytest.approx(0.15, abs=0.03)
-        assert tb.performance("load_regulation", x) == pytest.approx(18.0, abs=3.0)
+        x = np.zeros((1, 60))
+        iq = tb.performance_batch("quiescent_current", x)[0]
+        us = tb.performance_batch("undershoot", x)[0]
+        lr = tb.performance_batch("load_regulation", x)[0]
+        assert iq == pytest.approx(5.0, abs=1.0)
+        assert us == pytest.approx(0.15, abs=0.03)
+        assert lr == pytest.approx(18.0, abs=3.0)
 
     @pytest.mark.parametrize(
         "spec", ["quiescent_current", "undershoot", "load_regulation"]
     )
     def test_failures_rare_under_uniform(self, tb, spec, rng):
         X = rng.uniform(-1, 1, (2000, 60))
-        failures = sum(tb.is_failure(spec, x) for x in X)
-        assert failures == 0
+        assert not np.any(failures(tb, spec, X))
 
     @pytest.mark.parametrize(
         "spec, direction_name",
@@ -160,7 +171,7 @@ class TestLDO:
 
         direction = getattr(ldo_module, direction_name)
         x = np.sign(direction)
-        assert tb.is_failure(spec, x), f"{spec} corner does not fail"
+        assert failures(tb, spec, x[None, :])[0], f"{spec} corner does not fail"
 
     def test_margins_are_dense_directions(self):
         import repro.circuits.behavioral.ldo as ldo_module
@@ -184,7 +195,7 @@ class TestLDO:
 
     def test_unknown_performance(self, tb):
         with pytest.raises(KeyError):
-            tb.performance("psrr", np.zeros(60))
+            tb.performance_batch("psrr", np.zeros((1, 60)))
 
     def test_spec_thresholds_match_paper(self, tb):
         assert tb.specs["quiescent_current"].threshold == 12.0
@@ -197,9 +208,9 @@ class TestLDO:
 def test_property_uvlo_deterministic_and_finite(seed):
     """The testbench is a pure function of the variation vector."""
     tb = UVLOTestbench()
-    x = np.random.default_rng(seed).uniform(-1, 1, 19)
-    a = tb.performance("delta_vthl", x)
-    b = tb.performance("delta_vthl", x)
+    X = np.random.default_rng(seed).uniform(-1, 1, (1, 19))
+    a = tb.performance_batch("delta_vthl", X)[0]
+    b = tb.performance_batch("delta_vthl", X)[0]
     assert a == b
     assert np.isfinite(a) and a >= 0.0
 
@@ -229,14 +240,6 @@ class TestVectorizedObjectives:
         # single row produce the same floats bit for bit — this is what
         # makes chunked broker dispatch and resume bitwise-compatible
         np.testing.assert_array_equal(batched, rowwise)
-
-    def test_performance_batch_matches_scalar(self):
-        tb = UVLOTestbench()
-        rng = np.random.default_rng(23)
-        X = rng.uniform(-1.0, 1.0, (9, tb.dim))
-        batched = tb.performance_batch("delta_vthl", X)
-        scalar = np.array([tb.performance("delta_vthl", x) for x in X])
-        np.testing.assert_array_equal(batched, scalar)
 
     def test_objectives_prefer_batch_dispatch(self):
         assert UVLOTestbench().objective("delta_vthl").prefers_batch

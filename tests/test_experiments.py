@@ -202,3 +202,26 @@ class TestFigures:
         assert curve.dims.shape == (3,)
         assert curve.normalized_mse.min() == pytest.approx(0.0)
         assert curve.selected_dim in (1, 4, 8)
+
+    def test_dimension_selection_curve_is_pinned(self, tb):
+        """Fig. 6's UVLO curve at the bench's call: a rewrite of the
+        driver or of the objective's evaluation path must not move it."""
+        curve = dimension_selection_curve(
+            tb, "delta_vthl", uvlo_config(), dims=[1, 2, 4, 6, 8, 12, 16, 19], seed=7
+        )
+        assert curve.selected_dim == 4
+        np.testing.assert_allclose(
+            curve.normalized_mse,
+            [
+                1.0,
+                0.31779176372344764,
+                0.07496710049033112,
+                0.0020660570818101607,
+                0.6641950965132045,
+                0.0,
+                0.3164107138976662,
+                0.019256236225939773,
+            ],
+            rtol=0,
+            atol=1e-9,
+        )

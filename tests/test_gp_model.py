@@ -112,14 +112,6 @@ class TestLogMarginalLikelihood:
         gp.theta = theta0
         np.testing.assert_allclose(analytic, numeric, atol=1e-5)
 
-    def test_gradient_without_noise_training(self, small_dataset):
-        X, y = small_dataset
-        gp = GaussianProcess(
-            Matern52(dim=3), noise_variance=1e-2, train_noise=False
-        ).fit(X, y)
-        _, grad = MarginalLikelihoodEvaluator(gp).evaluate(gp.theta)
-        assert grad.shape == (gp.kernel.n_params,)
-
 
 class TestThetaPlumbing:
     def test_theta_includes_noise(self, small_dataset):

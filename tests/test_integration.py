@@ -73,17 +73,22 @@ class TestSpecObjectiveConsistency:
         spec = tb.specs["delta_vthl"]
         objective = tb.objective("delta_vthl")
         threshold = tb.threshold("delta_vthl")
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = rng.uniform(-1, 1, 19)
-            perf = tb.performance("delta_vthl", x)
-            assert (objective(x) < threshold) == spec.is_failure(perf)
+        X = np.random.default_rng(0).uniform(-1, 1, (50, 19))
+        perf = tb.performance_batch("delta_vthl", X)
+        np.testing.assert_array_equal(
+            objective.evaluate(X) < threshold, spec.is_failure(perf)
+        )
 
     def test_custom_spec_on_arbitrary_function(self):
         spec = Specification("area", threshold=2.0, failure_when="below")
-        objective = spec.wrap_objective(lambda x: float(np.sum(np.abs(x))))
-        assert objective(np.array([0.5, 0.5])) < spec.minimization_threshold
-        assert objective(np.array([2.0, 2.0])) > spec.minimization_threshold
+        objective = FunctionObjective(
+            lambda X: spec.to_minimization(np.sum(np.abs(X), axis=1)),
+            dim=2,
+            vectorized=True,
+        )
+        failing, passing = objective.evaluate(np.array([[0.5, 0.5], [2.0, 2.0]]))
+        assert failing < spec.minimization_threshold
+        assert passing > spec.minimization_threshold
 
 
 class TestAblationsRunSmall:

@@ -85,7 +85,6 @@ class TestMNAObjectives:
         objective = ldo_demo_objective("load_regulation")
         assert objective.dim == LDO_DEMO_DIM
         assert objective.prefers_batch  # chunks solve as one stack
-        assert objective.threshold is None
         assert objective.cache_key == "LDODemo:load_regulation"
         rng = np.random.default_rng(3)
         X = rng.uniform(-1.0, 1.0, (4, LDO_DEMO_DIM))
@@ -103,13 +102,37 @@ class TestMNAObjectives:
             "load regulation", threshold=0.22, failure_when="above", units="%"
         )
         objective = ldo_demo_objective("load_regulation", spec=spec)
-        assert objective.threshold == spec.minimization_threshold
         x = np.zeros(LDO_DEMO_DIM)
         value = float(objective.evaluate(x[None, :])[0])
         raw = LDODemo(x).load_regulation()
-        assert value == pytest.approx(
-            float(spec.to_minimization(np.array([raw]))[0])
+        assert value == pytest.approx(spec.to_minimization(raw))
+        assert (value < spec.minimization_threshold) == spec.is_failure(raw)
+
+    def test_spec_folded_objectives_have_their_own_cache_key(self):
+        """Equal keys must compute the same function, so a shared cache
+        serves the folded and the natural-units objective each its own
+        value."""
+        from repro.bo.spec import Specification
+        from repro.circuits.mna import ldo_demo_objective, uvlo_demo_objective
+        from repro.runtime import EvaluationBroker, ResultCache
+
+        spec = Specification(
+            "load regulation", threshold=0.22, failure_when="above", units="%"
         )
+        plain = ldo_demo_objective("load_regulation")
+        folded = ldo_demo_objective("load_regulation", spec=spec)
+        assert folded.cache_key == "LDODemo:load_regulation:above"
+        assert uvlo_demo_objective().cache_key == "UVLODemo:delta_vthl"
+        assert (
+            uvlo_demo_objective(spec).cache_key == "UVLODemo:delta_vthl:above"
+        )
+
+        cache = ResultCache.in_memory()
+        X = np.zeros((1, LDO_DEMO_DIM))
+        raw = EvaluationBroker(plain, cache=cache).evaluate_batch(X)[0]
+        value = EvaluationBroker(folded, cache=cache).evaluate_batch(X)[0]
+        assert raw > 0.0
+        assert value == -raw
 
     def test_ldo_unknown_measure_rejected(self):
         from repro.circuits.mna import ldo_demo_objective

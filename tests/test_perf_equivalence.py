@@ -177,7 +177,7 @@ class TestNormalFormulaEquivalence:
         X = rng.uniform(-1.0, 1.0, (10, 2))
         y = offset + np.sin(3.0 * X[:, 0]) + X[:, 1]
         gp = GaussianProcess(
-            Matern52(dim=2, lengthscale=0.3), noise_variance=1e-16, train_noise=False
+            Matern52(dim=2, lengthscale=0.3), noise_variance=1e-16
         ).fit(X, y)
         directions = np.random.default_rng(22).standard_normal((400, 2))
         radii = np.geomspace(1e-3, 50.0, 400)
@@ -220,13 +220,13 @@ class TestFusedEvaluatorEquivalence:
     def test_matches_model_two_call_path(self, kernel_name):
         X, y = _dataset(35, 4, seed=4)
         gp = GaussianProcess(
-            self.KERNELS[kernel_name](), noise_variance=1e-3, train_noise=True
+            self.KERNELS[kernel_name](), noise_variance=1e-3
         ).fit(X, y)
         evaluator = MarginalLikelihoodEvaluator(gp)
         bounds = gp.theta_bounds()
         rng = np.random.default_rng(7)
         reference = GaussianProcess(
-            self.KERNELS[kernel_name](), noise_variance=1e-3, train_noise=True
+            self.KERNELS[kernel_name](), noise_variance=1e-3
         ).fit(X, y)
         for _ in range(5):
             theta = rng.uniform(

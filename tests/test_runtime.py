@@ -90,8 +90,8 @@ class CountingObjective(Objective):
 class TestObjectiveProtocol:
     def test_function_objective_row_and_batch(self):
         obj = FunctionObjective(bowl, dim=3)
-        assert obj(np.array([1.0, 2.0, 0.0])) == pytest.approx(5.0)
-        out = obj(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
+        assert obj.evaluate(np.array([[1.0, 2.0, 0.0]]))[0] == pytest.approx(5.0)
+        out = obj.evaluate(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
         assert out.tolist() == [1.0, 4.0]
 
     def test_vectorized_function(self):
@@ -122,7 +122,7 @@ class TestObjectiveProtocol:
             lambda X: np.zeros(3), dim=2, vectorized=True
         )
         with pytest.raises(ValueError):
-            obj(np.zeros((2, 2)))
+            obj.evaluate(np.zeros((2, 2)))
 
 
 class TestResultCache:

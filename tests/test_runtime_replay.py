@@ -12,10 +12,12 @@ leaves behind is healed so the appended ledger stays readable.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.bo.engine import RunSpec
@@ -23,6 +25,7 @@ from repro.bo.rembo import RemboBO
 from repro.circuits.behavioral.uvlo import UVLOTestbench
 from repro.runtime import (
     BrokerConfig,
+    EvaluationBroker,
     FaultInjectingObjective,
     FaultPlan,
     FunctionObjective,
@@ -162,6 +165,53 @@ class TestKillResumeReplay:
             verify_replay(ledger_path, other)
 
 
+BOWL_KEY = "replay-bowl"
+
+
+def bowl(x):
+    return float(np.sum(x**2))
+
+
+def nan_past_08():
+    """The bowl under its own key, except that points with x0 > 0.8 no
+    longer simulate (``--objective`` factory for the CLI test)."""
+    return FunctionObjective(
+        lambda x: float("nan") if x[0] > 0.8 else bowl(x),
+        dim=2,
+        cache_key=BOWL_KEY,
+    )
+
+
+def write_bowl_ledger(path):
+    """Three completed points; the one with id 1 has x0 = 0.9."""
+    ledger = RunLedger(path)
+    EvaluationBroker(
+        FunctionObjective(bowl, dim=2, cache_key=BOWL_KEY), ledger=ledger
+    ).evaluate_batch(np.array([[0.1, 0.2], [0.9, 0.0], [-0.3, 0.4]]))
+    ledger.close()
+
+
+class TestColdReplayOfUnsimulatablePoint:
+    def test_point_that_no_longer_simulates_is_a_divergence(self, tmp_path):
+        ledger_path = tmp_path / "bowl.jsonl"
+        write_bowl_ledger(ledger_path)
+        report = verify_replay(
+            ledger_path,
+            nan_past_08(),
+            mode="cold",
+            config=BrokerConfig(max_retries=0),
+        )
+        assert report.n_completed == 3
+        # the other two records replay clean
+        [divergence] = report.divergences
+        assert (divergence.record_id, divergence.mode, divergence.kind) == (
+            1,
+            "cold",
+            "missing",
+        )
+        assert "non-finite value nan" in divergence.detail
+
+
 class TestTornTailHealing:
     def test_resume_heals_torn_line_in_place(self, tmp_path):
         ledger_path = tmp_path / "campaign.jsonl"
@@ -192,7 +242,10 @@ class TestReplayCli:
             [sys.executable, "-m", "repro.runtime.replay", *argv],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+            env={
+                "PYTHONPATH": os.pathsep.join([str(SRC), str(SRC.parent)]),
+                "PATH": "/usr/bin:/bin",
+            },
         )
 
     def test_selftest_exits_zero(self, tmp_path):
@@ -210,6 +263,18 @@ class TestReplayCli:
             "--measure", "delta_vthl", "--mode", "warm",
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_unsimulatable_point_exits_one_with_a_report(self, tmp_path):
+        ledger_path = tmp_path / "bowl.jsonl"
+        write_bowl_ledger(ledger_path)
+        proc = self._run(
+            str(ledger_path), "--objective",
+            "tests.test_runtime_replay:nan_past_08",
+            "--mode", "cold", "--max-retries", "0",
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "1 divergence(s)" in proc.stdout
+        assert "record id=1 [cold/missing]" in proc.stdout
 
     def test_usage_error_without_ledger_or_selftest(self):
         proc = self._run()
