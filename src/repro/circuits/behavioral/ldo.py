@@ -148,6 +148,15 @@ _US_SHAPE = (0.13, 0.40, 0.30, 0.06)  # V
 _LR_SHAPE = (13.0, 0.40, 30.0, 0.06)  # %
 
 
+def _margin(X: np.ndarray, nominal: float, direction: np.ndarray) -> np.ndarray:
+    """Saturation / headroom margin of the relevant internal node, for a
+    ``(n, 60)`` block the calling measure has already checked."""
+    # einsum, not matmul: BLAS gemv is not bitwise batch-size-invariant,
+    # and row-vs-chunk broker dispatch must produce identical floats for
+    # the same variation row
+    return nominal - np.einsum("nd,d->n", corner_stress(X), direction)
+
+
 def _degradation(margin, shape: tuple[float, float, float, float]):
     """Strictly-local degradation halo plus collapse jump (UVLO recipe).
 
@@ -215,27 +224,6 @@ class LDOTestbench(CircuitTestbench):
     def _as_batch(self, x) -> np.ndarray:
         return self._check_batch(np.atleast_2d(np.asarray(x, dtype=float)))
 
-    # -- margins (saturation / headroom of the relevant internal node) ---------
-
-    # einsum, not matmul, for the margin contractions: BLAS gemv is not
-    # bitwise batch-size-invariant, and row-vs-chunk broker dispatch must
-    # produce identical floats for the same variation row
-
-    def iq_margin_batch(self, X) -> np.ndarray:
-        return _IQ_MARGIN_NOM - np.einsum(
-            "nd,d->n", corner_stress(self._as_batch(X)), _IQ_DIRECTION
-        )
-
-    def undershoot_margin_batch(self, X) -> np.ndarray:
-        return _US_MARGIN_NOM - np.einsum(
-            "nd,d->n", corner_stress(self._as_batch(X)), _US_DIRECTION
-        )
-
-    def load_regulation_margin_batch(self, X) -> np.ndarray:
-        return _LR_MARGIN_NOM - np.einsum(
-            "nd,d->n", corner_stress(self._as_batch(X)), _LR_DIRECTION
-        )
-
     # -- performances -----------------------------------------------------------
 
     def quiescent_current_batch(self, X) -> np.ndarray:
@@ -252,7 +240,9 @@ class LDOTestbench(CircuitTestbench):
         fixed = 2.0 * (1.0 + 0.6 * np.mean(dtox[:, :8], axis=1))
         smooth = fixed + mirror  # ≈ 5 mA nominal, ≤ ~9.5 mA at corners
         # cascode headroom erosion multiplies the mirror leg
-        return smooth + _degradation(self.iq_margin_batch(X), _IQ_SHAPE)
+        return smooth + _degradation(
+            _margin(X, _IQ_MARGIN_NOM, _IQ_DIRECTION), _IQ_SHAPE
+        )
 
     def undershoot_batch(self, X) -> np.ndarray:
         """Load-step undershoot in volts for a ``(n, 60)`` block."""
@@ -264,7 +254,9 @@ class LDOTestbench(CircuitTestbench):
             + 0.25 * (dtox[:, 5] + dtox[:, 8]) / _TOX_SPREAD * 0.008
         )
         smooth = 0.15 + slew_loss  # ≈ 0.15 ± 0.05 V
-        return smooth + _degradation(self.undershoot_margin_batch(X), _US_SHAPE)
+        return smooth + _degradation(
+            _margin(X, _US_MARGIN_NOM, _US_DIRECTION), _US_SHAPE
+        )
 
     def load_regulation_batch(self, X) -> np.ndarray:
         """Load regulation in percent for a ``(n, 60)`` block."""
@@ -277,7 +269,7 @@ class LDOTestbench(CircuitTestbench):
         )
         smooth = 18.0 * np.exp(np.clip(log_gain_loss, -1.0, 1.0) * 0.35)
         return smooth + _degradation(
-            self.load_regulation_margin_batch(X), _LR_SHAPE
+            _margin(X, _LR_MARGIN_NOM, _LR_DIRECTION), _LR_SHAPE
         )
 
     # -- testbench API ------------------------------------------------------------

@@ -13,13 +13,15 @@ this is a from-scratch implementation of the same algorithm family:
 
 Only box bounds are supported, which is all acquisition optimization needs.
 
-:func:`direct_rows` runs ``n`` independent searches ("rows") over one box as
-an array program: every row's rectangles live in ``(n, R, ·)`` arrays, and
-one lockstep round scores the union of all live rows' trisection points
-with a single ``evaluate`` call.  Without ``f_target`` a row submits all of
-an iteration's divisions in one round (budget gating is deterministic at
-two evaluations per division); with it, one division per round, so the
-early-stop check between rectangles keeps its sequential semantics.
+:func:`direct_rows` runs ``n`` independent searches ("rows") over one box in
+lockstep: every row's rectangle centres live in one ``(n, R, d)`` array,
+their values, depths and size groups in per-row lists, and one round
+trisects every planned rectangle with array operations and scores the union
+of all live rows' trisection points with a single ``evaluate`` call.
+Without ``f_target`` a row submits all of an iteration's divisions in one
+round (budget gating is deterministic at two evaluations per division);
+with it, one division per round, so the early-stop check between
+rectangles keeps its sequential semantics.
 Every row runs under the call's one configuration; the pBO proposal runs
 one row per weight, Fig. 2 one row.
 
@@ -39,6 +41,7 @@ returns, which rests on four invariants:
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable
 
 import numpy as np
@@ -84,13 +87,13 @@ def _potentially_optimal(
 
     ``groups`` must be sorted by size ascending with one entry per distinct
     size (the group's minimum f).  Returns rectangle indices, smallest size
-    first.
+    first; the largest rectangle is always among them.
     """
     hull: list[tuple[float, float, int]] = []
     for point in groups:
+        d3, f3, _ = point
         while len(hull) >= 2:
             (d1, f1, _), (d2, f2, _) = hull[-2], hull[-1]
-            d3, f3, _ = point
             # keep the lower hull: pop if hull[-1] lies above chord 1-3
             if (f2 - f1) * (d3 - d1) >= (f3 - f1) * (d2 - d1):
                 hull.pop()
@@ -100,15 +103,13 @@ def _potentially_optimal(
     # drop small rectangles whose potential improvement is negligible
     threshold = f_best - _EPS * abs(f_best)
     kept: list[int] = []
-    for j, (d_j, f_j, idx) in enumerate(hull):
-        if j + 1 < len(hull):
-            d_next, f_next, _ = hull[j + 1]
-            slope = (f_next - f_j) / max(d_next - d_j, 1e-300)
-            if f_j - slope * d_j > threshold:
-                continue
-        kept.append(idx)
-    if not kept:  # always divide at least the largest rectangle
-        kept = [hull[-1][2]]
+    d_j, f_j, idx = hull[0]
+    for d_next, f_next, next_idx in hull[1:]:
+        slope = (f_next - f_j) / max(d_next - d_j, 1e-300)
+        if not f_j - slope * d_j > threshold:
+            kept.append(idx)
+        d_j, f_j, idx = d_next, f_next, next_idx
+    kept.append(idx)
     return kept
 
 
@@ -129,6 +130,8 @@ def direct_rows(
     best value reaches ``f_target``.  Each round calls ``evaluate`` once on
     the union of every live row's pending points, rows ascending and each
     row's points in division order (plus then minus trisection point).
+    ``+inf`` scores and zeros of either sign are ordinary values (ties go
+    to the lower index); NaN scores are undefined.
     """
     if max_evaluations < 1:
         raise ValueError(f"max_evaluations must be >= 1, got {max_evaluations}")
@@ -139,17 +142,18 @@ def direct_rows(
 
 
 class _DirectRows:
-    """Rectangle records, size-group minima and per-row control state.
+    """Per-row rectangle lists, size-group heaps and control state.
 
-    Rectangle ``i`` of row ``r`` is record ``r * capacity + i`` of ``S1``:
-    its centre in the unit cube, its ``f``, its division depth ``t`` and
-    its size-group key ``r * 27 + group``.  DIRECT-L always trisects the
-    first longest side, so a rectangle's side levels are ``L + 1`` on its
-    first ``t % d`` sides and ``L = t // d`` on the rest: ``t`` alone gives
-    the size level and the next side to cut.  ``gf``/``gi`` hold each
-    (row, size group)'s minimum ``f`` and record index; a round folds its
-    children into them and rescans only the groups a divided rectangle
-    left or entered.
+    Rectangle ``i`` of row ``r`` has its centre in the unit cube at
+    ``centres[r, i]`` and its ``f``, division depth ``t`` and size group at
+    index ``i`` of the row's lists.  DIRECT-L always trisects the first
+    longest side, so a rectangle's side levels are ``L + 1`` on its first
+    ``t % d`` sides and ``L = t // d`` on the rest: ``t`` alone gives the
+    size level and the next side to cut.  Each (row, size group) keeps a
+    heap of ``(f, index)`` whose top is the group's representative: tuple
+    order puts the lowest index first among equal ``f``.  A rectangle only
+    ever moves up a group, so the entry it leaves behind is popped once it
+    reaches the top.
     """
 
     def __init__(
@@ -167,7 +171,6 @@ class _DirectRows:
         self.budget = budget
         self.max_iterations = max_iterations
         self.f_target = f_target
-        self.count = [0] * n
         self.best = [np.inf] * n
         self.iteration = [0] * n
         self.queue: list[list[int]] = [[] for _ in range(n)]
@@ -175,32 +178,26 @@ class _DirectRows:
         self.message = [""] * n
         self.success = [False] * n
         self.n_iterations = [0] * n
-        self.gf = np.full(n * _N_GROUPS, np.inf)
-        self.gi = np.full(n * _N_GROUPS, -1, dtype=np.intp)
+        self.f: list[list[float]] = [[] for _ in range(n)]
+        self.depth: list[list[int]] = [[] for _ in range(n)]
+        self.group: list[list[int]] = [[] for _ in range(n)]
+        self.heaps: list[list[list[tuple[float, int]]]] = [
+            [[] for _ in range(_N_GROUPS)] for _ in range(n)
+        ]
+        # the deepest (smallest) size group each row has reached
+        self.deepest = [0] * n
         # a row divides at most one rectangle per size group per round
-        most = _N_GROUPS * n
-        self._stride = 2 * (dim + 3) * np.arange(most)
-        self._ramp = np.arange(2 * most)
+        self._stride = 2 * dim * np.arange(_N_GROUPS * n)
         self.capacity = 0
         self._allocate(min(budget, _INITIAL_CAPACITY))
 
     def _allocate(self, capacity: int) -> None:
-        """(Re)size every row to ``capacity`` rectangle records."""
-        n, old = self.n, self.capacity
-        # columns: centre (d), f, depth, size-group key
-        S = np.empty((n, capacity, self.dim + 3))
-        S[:, :, -1] = -1.0  # no rectangle: in no size group
-        if old:
-            S[:, :old] = self.S
-            # record indices move with the row stride
-            held = self.gi >= 0
-            self.gi[held] = (self.gi[held] // old) * capacity + self.gi[held] % old
-            self.queue = [
-                [(i // old) * capacity + i % old for i in queue]
-                for queue in self.queue
-            ]
-        self.S = S
-        self.S1 = S.reshape(n * capacity, self.dim + 3)
+        """(Re)size every row to ``capacity`` rectangle centres."""
+        centres = np.empty((self.n, capacity, self.dim))
+        if self.capacity:
+            centres[:, : self.capacity] = self.centres
+        self.centres = centres
+        self.flat = centres.reshape(-1, self.dim)
         self.capacity = capacity
 
     # -- per-row control (plain Python, O(1) per row and round) -------------
@@ -208,7 +205,7 @@ class _DirectRows:
     def _done(self, r: int) -> bool:
         # a division costs two evaluations, so one remaining slot is as
         # exhausted as zero
-        if self.count[r] + 2 > self.budget:
+        if len(self.f[r]) + 2 > self.budget:
             return True
         target = self.f_target
         return target is not None and self.best[r] <= target
@@ -229,16 +226,17 @@ class _DirectRows:
         self.n_iterations[r] = n_iterations
 
     def _selection(self, r: int) -> list[int] | None:
-        """Row ``r``'s potentially optimal rectangles (record indices), or
-        None at the size tolerance."""
-        base = r * _N_GROUPS
-        fs = self.gf[base : base + _N_GROUPS].tolist()
-        idx = self.gi[base : base + _N_GROUPS].tolist()
-        groups = [
-            (_SIZE_KEY[g], fs[g], idx[g])
-            for g in range(_N_GROUPS - 1, -1, -1)
-            if idx[g] >= 0
-        ]
+        """Row ``r``'s potentially optimal rectangles, or None at the size
+        tolerance."""
+        heaps, group = self.heaps[r], self.group[r]
+        groups = []
+        for g in range(self.deepest[r], -1, -1):
+            heap = heaps[g]
+            while heap and group[heap[0][1]] != g:
+                heappop(heap)
+            if heap:
+                f, i = heap[0]
+                groups.append((_SIZE_KEY[g], f, i))
         if groups[-1][0] < _SIZE_TOLERANCE:
             return None
         return _potentially_optimal(groups, self.best[r])
@@ -270,32 +268,34 @@ class _DirectRows:
                 self._finish(r, iteration, ("size tolerance reached", True))
                 return []
             if self.f_target is None:
-                fits = min(len(selected), (self.budget - self.count[r]) // 2)
-                self.stop_after[r] = fits < len(selected)
-                return selected[:fits]
+                # the divisions the budget still allows, two evaluations each
+                room = (self.budget - len(self.f[r])) // 2
+                if room < len(selected):
+                    self.stop_after[r] = True
+                    return selected[:room]
+                return selected
             self.queue[r] = selected
 
-    # -- the array rounds ----------------------------------------------------
+    # -- the lockstep rounds -------------------------------------------------
 
     def run(self, evaluate: RowObjective) -> RowOutcome:
-        n, d = self.n, self.dim
-        root = self.S[:, 0]
-        root[:, :d] = 0.5
-        root[:, d + 1] = 0.0
-        root[:, d + 2] = np.arange(n) * _N_GROUPS
+        n = self.n
+        self.centres[:, 0] = 0.5
         values = evaluate(
-            self.lower + root[:, :d] * self.span, [(r, 1) for r in range(n)]
-        )
-        root[:, d] = values
-        self.gf[::_N_GROUPS] = values
-        self.gi[::_N_GROUPS] = np.arange(n) * self.capacity
-        self.count = [1] * n
-        self.best = values.tolist()
-        most = self.budget
+            self.lower + self.centres[:, 0] * self.span, [(r, 1) for r in range(n)]
+        ).tolist()
+        for r, value in enumerate(values):
+            self.f[r].append(value)
+            self.depth[r].append(0)
+            self.group[r].append(0)
+            self.heaps[r][0].append((value, 0))
+        self.best = values
         live = list(range(n))
         while live:
-            if self.capacity < most and max(self.count) + 2 * _N_GROUPS > self.capacity:
-                self._allocate(min(most, 2 * self.capacity + 2 * _N_GROUPS))
+            if self.capacity < self.budget and (
+                max(map(len, self.f)) + 2 * _N_GROUPS > self.capacity
+            ):
+                self._allocate(min(self.budget, 2 * self.capacity + 2 * _N_GROUPS))
             plan_rows: list[int] = []
             chunks: list[list[int]] = []
             for r in live:
@@ -314,97 +314,64 @@ class _DirectRows:
         """Trisect every planned rectangle, score the children with one
         ``evaluate`` call, and file them into their size groups."""
         d, R = self.dim, self.capacity
-        # per planned rectangle: its record and its children's offset
-        planned: list[int] = []
-        child_base: list[int] = []
+        parents: list[int] = []
+        depths: list[int] = []
+        children: list[int] = []
         segments: list[tuple[int, int]] = []
-        starts: list[int] = []
-        start = 0
         for r, chunk in zip(plan_rows, chunks):
-            size = 2 * len(chunk)
-            planned += chunk
-            child_base += [r * R + self.count[r] - start] * size
-            segments.append((r, size))
-            starts.append(start)
-            self.count[r] += size
-            start += size
-        flat = np.array(planned, dtype=np.intp)
-        p = flat.shape[0]
-        # the children's records start as copies of their parent's
-        rec = self.S1[flat.repeat(2)]
-        level, k = np.divmod(rec[::2, d + 1].astype(np.intp), d)
+            depth, base = self.depth[r], r * R
+            for i in chunk:
+                parents.append(base + i)
+                depths.append(depth[i])
+            start = base + len(self.f[r])
+            children += range(start, start + 2 * len(chunk))
+            segments.append((r, 2 * len(chunk)))
+        # both children start at their parent's centre; the plus child
+        # then moves up the cut side, the minus child down
+        points = self.flat[parents].repeat(2, axis=0)
+        level, side = np.divmod(depths, d)
         delta = _DELTA.take(level, mode="clip")
-        at = self._stride[:p] + k
-        cells = rec.reshape(-1)
+        at = self._stride[: len(depths)] + side
+        cells = points.reshape(-1)
         cells[at] += delta
-        cells[at + d + 3] -= delta
-        values = evaluate(self.lower + rec[:, :d] * self.span, segments)
-        lows = np.minimum.reduceat(values, starts).tolist()
-        for r, low in zip(plan_rows, lows):
-            self.best[r] = min(self.best[r], low)
+        cells[at + d] -= delta
+        values = evaluate(self.lower + points * self.span, segments).tolist()
+        self.flat[children] = points
 
         # the parent keeps its centre and f; both children share its new
         # depth and size group
-        keys = rec[::2, d + 2].astype(np.intp)
-        last = k == d - 1  # the last longest side was cut: one level up
-        moves = np.count_nonzero(last)
-        rec[:, d] = values
-        rec[:, d + 1] += 1.0
-        if moves:
-            moved = last & (level < _N_GROUPS - 1)
-            rec[::2, d + 2] += moved
-            rec[1::2, d + 2] = rec[::2, d + 2]
-        self.S1[flat, d + 1 :] = rec[::2, d + 1 :]
-        children = np.array(child_base, dtype=np.intp) + self._ramp[: 2 * p]
-        self.S1[children] = rec
-
-        # fold the children into their group's minimum (they hold the
-        # highest indices, so only a strictly lower f wins)
-        current = self.gf[keys]
-        plus, minus = values[::2], values[1::2]
-        low = np.minimum(plus, minus)
-        better = low < current
-        if np.count_nonzero(better):
-            self.gf[keys] = np.where(better, low, current)
-            self.gi[keys] = np.where(better, children[::2] + (minus < plus), self.gi[keys])
-        if moves:
-            # a parent that moved up a size group left its old group and
-            # joined the next with its children: rescan both
-            keys = keys[moved]
-            self._regroup(np.concatenate((keys, keys + 1)))
-
-    def _regroup(self, keys: np.ndarray) -> None:
-        """Rescan (row, size group) keys: each group's minimum is its
-        lowest-index rectangle among the minimal f."""
-        d, width = self.dim, max(self.count)
-        rows = keys // _N_GROUPS
-        member = self.S[rows, :width, d + 2] == keys[:, None]
-        f = np.where(member, self.S[rows, :width, d], np.inf)
-        first = f.argmin(axis=1)
-        at = self._ramp[: rows.shape[0]]
-        index = rows * self.capacity + first
-        hit = member[at, first]
-        if np.count_nonzero(hit) < hit.shape[0]:
-            # every member has f = inf (the first one wins) or none is left
-            anyone = member.any(axis=1)
-            index = np.where(
-                hit,
-                index,
-                np.where(anyone, rows * self.capacity + member.argmax(axis=1), -1),
-            )
-        self.gf[keys] = f[at, first]
-        self.gi[keys] = index
+        j = 0
+        for r, chunk in zip(plan_rows, chunks):
+            f, depth, group = self.f[r], self.depth[r], self.group[r]
+            heaps, best, child = self.heaps[r], self.best[r], len(f)
+            for i in chunk:
+                t = depth[i] + 1
+                depth[i] = t
+                g = group[i]
+                # the last longest side was cut: one level up
+                if not t % d and g < _N_GROUPS - 1:
+                    g += 1
+                    group[i] = g
+                    heappush(heaps[g], (f[i], i))
+                    self.deepest[r] = max(self.deepest[r], g)
+                plus, minus = values[j : j + 2]
+                f += (plus, minus)
+                depth += (t, t)
+                group += (g, g)
+                heappush(heaps[g], (plus, child))
+                heappush(heaps[g], (minus, child + 1))
+                best = min(best, plus, minus)
+                child += 2
+                j += 2
+            self.best[r] = best
 
     def _outcome(self) -> RowOutcome:
-        d = self.dim
-        first = [
-            int(self.S[r, :count, d].argmin()) for r, count in enumerate(self.count)
-        ]
-        best = self.S[np.arange(self.n), first]
+        # the first evaluated argmin of each row
+        first = [f.index(min(f)) for f in self.f]
         return RowOutcome(
-            x=self.lower + best[:, :d] * self.span,
-            fun=best[:, d].copy(),
-            n_evaluations=np.array(self.count, dtype=np.intp),
+            x=self.lower + self.centres[np.arange(self.n), first] * self.span,
+            fun=np.array([f[i] for f, i in zip(self.f, first)], dtype=float),
+            n_evaluations=np.array([len(f) for f in self.f], dtype=np.intp),
             n_iterations=np.array(self.n_iterations, dtype=np.intp),
             success=np.array(self.success, dtype=bool),
             message=list(self.message),

@@ -15,9 +15,10 @@ simulation:
   returns — the NaN quarantine) are retried up to ``max_retries`` times
   with exponential backoff plus deterministic jitter;
 * **exhaustion** — a point whose retries ran out raises
-  :class:`EvaluationError`.  Every point of its batch that completed is
-  already stored and logged by then, so a rerun over the preloaded cache
-  dispatches only the failed point;
+  :class:`EvaluationError`, which names every point of the round that ran
+  out.  Every point of its batch that completed is already stored and
+  logged by then, so a rerun over the preloaded cache dispatches only the
+  failed points;
 * **deduplication** — results are stored in a content-addressed
   :class:`~repro.runtime.cache.ResultCache` keyed on ``(cache_key,
   rounded x)``, so repeated points never re-simulate.  Across *concurrent*
@@ -428,9 +429,9 @@ class EvaluationBroker:
     def evaluate_batch(self, X: FloatArray) -> FloatArray:
         """The ``(n,)`` values of a ``(n, dim)`` batch, in row order.
 
-        Raises :class:`EvaluationError` for a point whose retries ran out;
-        every point that completed before it is already in the cache and
-        logged ``completed``.
+        Raises :class:`EvaluationError` naming every point whose retries
+        ran out in the same round; every point that completed before it is
+        already in the cache and logged ``completed``.
         """
         X = as_matrix(X, self.objective.dim)
         n = X.shape[0]
@@ -545,11 +546,14 @@ class EvaluationBroker:
             if not failed:
                 return
             if attempt >= self.config.max_retries:
+                what = f"failed after {self.config.max_retries + 1} attempts"
                 p, error = failed[0]
-                raise EvaluationError(
-                    f"evaluation {p.eval_id} failed after "
-                    f"{self.config.max_retries + 1} attempts: {error}"
-                ) from error
+                message = f"evaluation {p.eval_id} {what}: {error}"
+                if len(failed) > 1:  # name every point that ran out
+                    message = f"{len(failed)} evaluations {what}: " + "; ".join(
+                        f"evaluation {q.eval_id}: {e}" for q, e in failed
+                    )
+                raise EvaluationError(message) from error
             delay = self._backoff_delay(attempt)
             self.stats.n_retries += len(failed)
             self._log(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import Callable
 
@@ -25,17 +26,17 @@ def assert_fails_alone(
     """Check that rows ``bad`` of ``X`` are the only ones that fail.
 
     ``make_broker(cache, ledger)`` builds a fresh broker.  Three checks:
-    the batch raises :class:`EvaluationError` for row ``bad[0]``; every
-    other row's value is in the cache and its ``completed`` event in the
-    ledger at ``path``; and a rerun over the cache preloaded from that
-    ledger dispatches only the bad rows.  Returns the first run's broker
-    and the other rows' values, in row order.
+    the batch raises one :class:`EvaluationError` that names every row of
+    ``bad`` and no other; every other row's value is in the cache and its
+    ``completed`` event in the ledger at ``path``; and a rerun over the
+    cache preloaded from that ledger dispatches only the bad rows and
+    names them again.  Returns the first run's broker and the other rows'
+    values, in row order.
     """
     cache = ResultCache.in_memory()
     with RunLedger(path) as ledger:
         broker = make_broker(cache, ledger)
-        with pytest.raises(EvaluationError, match=f"evaluation {bad[0]} failed"):
-            broker.evaluate_batch(X)
+        _assert_names(broker.evaluate_batch, X, bad)
     digests = cache.keys_for_batch(broker.objective.cache_key, X)
     good = [digests[k] for k in range(len(X)) if k not in bad]
     completed = read_ledger(path).completed
@@ -47,8 +48,16 @@ def assert_fails_alone(
     resumed = ResultCache.in_memory()
     resumed.preload(completed)
     with RunLedger(rerun) as ledger:
-        with pytest.raises(EvaluationError, match=f"evaluation {bad[0]} failed"):
-            make_broker(resumed, ledger).evaluate_batch(X)
+        _assert_names(make_broker(resumed, ledger).evaluate_batch, X, bad)
     events = read_ledger(rerun).events
     assert sorted({e["id"] for e in events if e["event"] == "dispatched"}) == bad
     return broker, values
+
+
+def _assert_names(evaluate_batch, X: np.ndarray, bad: list[int]) -> None:
+    """``evaluate_batch(X)`` raises an error naming exactly the ``bad`` ids
+    (a fresh broker numbers its points by row)."""
+    with pytest.raises(EvaluationError) as raised:
+        evaluate_batch(X)
+    named = re.findall(r"\bevaluation (\d+)(?: failed|:)", str(raised.value))
+    assert sorted(map(int, named)) == sorted(bad), str(raised.value)

@@ -197,6 +197,19 @@ class TestLDO:
         with pytest.raises(KeyError):
             tb.performance_batch("psrr", np.zeros((1, 60)))
 
+    @pytest.mark.parametrize("spec", LDOTestbench.PERFORMANCES)
+    def test_each_block_is_checked_once(self, tb, spec, monkeypatch, rng):
+        checked = []
+        check = LDOTestbench._check_batch
+
+        def counted(self, X):
+            checked.append(X.shape)
+            return check(self, X)
+
+        monkeypatch.setattr(LDOTestbench, "_check_batch", counted)
+        tb.performance_batch(spec, rng.uniform(-1, 1, (7, 60)))
+        assert checked == [(7, 60)]
+
     def test_spec_thresholds_match_paper(self, tb):
         assert tb.specs["quiescent_current"].threshold == 12.0
         assert tb.specs["undershoot"].threshold == 0.40

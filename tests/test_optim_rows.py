@@ -8,9 +8,10 @@ Every row of a call shares the call's configuration, so a case that
 covers several budgets, targets, iteration caps or radii makes one call
 per setting over the same rows.  Besides the generic grid (1, 5 and 19
 rows at d = 1, 2, 4, 8, 19) each invariant the array form has to keep gets
-its own case: tie-heavy objectives, deep one-dimensional searches, odd and
-tiny budgets, ``f_target`` stops between rectangles, and COBYLA's blocked,
-flat and budget-starved rows.
+its own case: tie-heavy objectives, ``+inf`` plateaus and signed zeros,
+rectangles leaving and entering one size group in a round, deep
+one-dimensional searches, odd and tiny budgets, ``f_target`` stops between
+rectangles, and COBYLA's blocked, flat and budget-starved rows.
 """
 
 from __future__ import annotations
@@ -166,6 +167,69 @@ class TestDirectRows:
         lower, upper = np.array([0.0, -1.0, 2.0]), np.array([1.0, 1.0, 5.0])
         for budget in (300, 301, 150, 77, 200):
             _check_direct(funs, lower, upper, max_evaluations=budget)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_infinite_plateaus_and_signed_zeros_tie_by_index(self, dim):
+        """Rows scoring mostly ``+inf`` or a zero of either sign: ``inf ==
+        inf`` and ``-0.0 == 0.0``, so the index alone picks each group's
+        representative and the best point.  Every row's centre scores
+        finite, since the reference has no best point for a row that has
+        seen only ``+inf``.  NaN scores are undefined."""
+        funs = [
+            lambda x: 0.0 if abs(x[0]) < 0.3 else np.inf,
+            lambda x: -0.0 if x[-1] > 0.0 else 0.0,
+            lambda x: np.inf if x[0] > 0.4 else (-0.0 if x[0] < -0.2 else 0.0),
+            lambda x: 1.0 if np.all(np.abs(x) < 0.5) else np.inf,
+            lambda x: float(np.floor(2.0 * x[0])) if x[-1] < 0.5 else np.inf,
+        ]
+        lower, upper = -np.ones(dim), np.ones(dim)
+        for budget in (2, 3, 10, 57, 150, 400):
+            _check_direct(funs, lower, upper, max_evaluations=budget)
+        _check_direct(
+            funs,
+            lower,
+            upper,
+            max_evaluations=120,
+            max_iterations=10**6,
+            f_target=-1.0,
+        )
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_groups_left_and_entered_in_one_round(self, dim):
+        """Several divisions a round at d = 1 and 2.  At d = 1 every
+        division moves its rectangle up a size group, so dividing two
+        rectangles of adjacent levels in one round makes one leave the
+        group the other enters."""
+        rng = np.random.default_rng(dim)
+        centres = rng.uniform(0.1, 0.9, (4, dim))
+        funs = [
+            lambda x, c=c, w=w: float(
+                np.sum(np.sin(w * (x - c)) + 4.0 * (x - c) ** 2)
+            )
+            for c, w in zip(centres, (7.0, 13.0, 23.0, 31.0))
+        ]
+        lower, upper = np.zeros(dim), np.ones(dim)
+        for budget in (2, 5, 40, 151, 400):
+            _check_direct(funs, lower, upper, max_evaluations=budget)
+        if dim > 1:
+            return
+        # a level-L division samples 3^-(L + 1) either side of its centre
+        adjacent = 0
+        score = _row_objective(funs, [[] for _ in funs])
+
+        def evaluate(X, segments):
+            nonlocal adjacent
+            offset = 0
+            for _, length in segments:
+                block = X[offset : offset + length, 0]
+                half = (block[0::2] - block[1::2]) / 2.0
+                levels = set(np.rint(-np.log(half) / np.log(3.0)).tolist())
+                adjacent += any(level + 1 in levels for level in levels)
+                offset += length
+            return score(X, segments)
+
+        direct_rows(len(funs), lower, upper, evaluate, max_evaluations=400)
+        assert adjacent > 0
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 37, 99])
     def test_tiny_and_odd_budgets(self, budget):
