@@ -16,9 +16,9 @@ simulation:
   with exponential backoff plus deterministic jitter;
 * **exhaustion** — a point whose retries ran out raises
   :class:`EvaluationError`, which names every point of the round that ran
-  out.  Every point of its batch that completed is already stored and
-  logged by then, so a rerun over the preloaded cache dispatches only the
-  failed points;
+  out, up to :data:`NAMED_FAILURES` of them.  Every point of its batch that
+  completed is already stored and logged by then, so a rerun over the
+  preloaded cache dispatches only the failed points;
 * **deduplication** — results are stored in a content-addressed
   :class:`~repro.runtime.cache.ResultCache` keyed on ``(cache_key,
   rounded x)``, so repeated points never re-simulate.  Across *concurrent*
@@ -105,6 +105,11 @@ from repro.utils.validation import as_matrix
 #: one ledger write each.  Bounded so a 20k-point round never holds all of
 #: its event lines in memory at once.
 PERSIST_SLICE = 1024
+
+#: Exhausted points an :class:`EvaluationError` names, each with its error;
+#: past them it counts the rest (their ``failed`` ledger lines name them), so
+#: a simulator that goes down under a 20k-point batch raises a short message.
+NAMED_FAILURES = 10
 
 #: Retry round ``k`` sleeps ``backoff_seconds * BACKOFF_FACTOR**k``, scaled
 #: by a deterministic jitter drawn uniformly from ``[1 - j, 1 + j]`` with
@@ -430,8 +435,9 @@ class EvaluationBroker:
         """The ``(n,)`` values of a ``(n, dim)`` batch, in row order.
 
         Raises :class:`EvaluationError` naming every point whose retries
-        ran out in the same round; every point that completed before it is
-        already in the cache and logged ``completed``.
+        ran out in the same round (up to :data:`NAMED_FAILURES`, then how
+        many more); every point that completed before it is already in the
+        cache and logged ``completed``.
         """
         X = as_matrix(X, self.objective.dim)
         n = X.shape[0]
@@ -547,13 +553,13 @@ class EvaluationBroker:
                 return
             if attempt >= self.config.max_retries:
                 what = f"failed after {self.config.max_retries + 1} attempts"
-                p, error = failed[0]
-                message = f"evaluation {p.eval_id} {what}: {error}"
-                if len(failed) > 1:  # name every point that ran out
-                    message = f"{len(failed)} evaluations {what}: " + "; ".join(
-                        f"evaluation {q.eval_id}: {e}" for q, e in failed
-                    )
-                raise EvaluationError(message) from error
+                message = "; ".join(
+                    f"evaluation {p.eval_id} {what}: {error}"
+                    for p, error in failed[:NAMED_FAILURES]
+                )
+                if len(failed) > NAMED_FAILURES:
+                    message += f"; and {len(failed) - NAMED_FAILURES} more"
+                raise EvaluationError(message) from failed[0][1]
             delay = self._backoff_delay(attempt)
             self.stats.n_retries += len(failed)
             self._log(

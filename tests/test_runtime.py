@@ -37,6 +37,7 @@ from repro.runtime import (
     read_ledger,
     require_objective,
 )
+from repro.runtime.broker import NAMED_FAILURES
 from repro.telemetry import MetricsRegistry, Telemetry, Tracer
 from repro.utils.validation import unit_cube_bounds
 
@@ -358,6 +359,23 @@ class TestBrokerFaultMatrix:
         y = broker.evaluate_batch(np.array([[0.5, 0.5]]))
         assert y.tolist() == [0.5]
         assert broker.stats.n_retries == 1
+
+    @pytest.mark.parametrize("n", [1, 3, NAMED_FAILURES + 15])
+    def test_exhaustion_names_the_points_that_ran_out(self, n):
+        # one form for one point or several; past NAMED_FAILURES a count
+        broker = EvaluationBroker(
+            CountingObjective(fail_first=1),
+            BrokerConfig(max_retries=0, backoff_seconds=0.0),
+        )
+        X = np.linspace(-1.0, 1.0, 2 * n).reshape(n, 2)
+        with pytest.raises(EvaluationError) as raised:
+            broker.evaluate_batch(X)
+        named = [
+            f"evaluation {k} failed after 1 attempts: transient #0"
+            for k in range(min(n, NAMED_FAILURES))
+        ]
+        more = [f"and {n - NAMED_FAILURES} more"] if n > NAMED_FAILURES else []
+        assert str(raised.value).split("; ") == named + more
 
     def test_hung_point_does_not_hold_the_process_open(self, tmp_path):
         # the abandoned deadline threads are daemons: the child exits as
