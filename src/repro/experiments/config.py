@@ -44,23 +44,11 @@ class ExperimentConfig:
     #: implementation must).
     tune_every_sequential: int = 10
     tune_every_batch: int = 1
-    #: Use ARD lengthscales ("ard") or a shared one ("iso", the BayesOpt
-    #: default the paper's baselines used).
-    kernel: str = "iso"
     noise_variance: float = 1e-4
     seed: int = 2019
 
     def __post_init__(self) -> None:
-        if self.kernel not in ("iso", "ard"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; allowed: 'iso', 'ard'"
-            )
         check_budgets(self.global_budget, self.local_budget)
-
-    @property
-    def ard(self) -> bool:
-        """The engines' ``ard`` flag for :attr:`kernel`."""
-        return self.kernel == "ard"
 
     @property
     def bo_budget(self) -> int:

@@ -46,10 +46,12 @@ def build_engine(
     file's ``engine`` table); one the engine's constructor does not take,
     ``seed`` included, raises a ``ValueError`` naming the allowed keys.
     A caller wanting another seed passes ``dataclasses.replace(cfg,
-    seed=...)``.  The returned object satisfies :class:`EngineProtocol`.
+    seed=...)``.  BO engines get one shared lengthscale (``ard=False``,
+    the BayesOpt default the paper's baselines used) unless an override
+    sets ``ard``.  The returned object satisfies :class:`EngineProtocol`.
     """
     search: dict[str, Any] = dict(
-        ard=cfg.ard,
+        ard=False,
         noise_variance=cfg.noise_variance,
         global_budget=cfg.global_budget,
         local_budget=cfg.local_budget,
@@ -131,10 +133,11 @@ def shared_initial_data(
 
     Routed through the evaluation runtime so a shared ``runtime`` caches
     the initial simulations: every method reusing this design (or
-    re-evaluating the same points) is then served without re-simulating.
-    Pass ``RuntimePolicy.shared(cache_path=...)`` to persist the initial
-    simulations in an on-disk :meth:`ResultCache.open` store that later
-    campaigns (or the ``repro.serve`` scheduler) can reuse.
+    re-evaluating the same points) is then served without re-simulating,
+    since the cache keeps every result.  Pass
+    ``RuntimePolicy.shared(cache=ResultCache.open(path))`` to persist the
+    initial simulations in an on-disk store that later campaigns (or the
+    ``repro.serve`` scheduler) can reuse.
     """
     objective = testbench.objective(spec_name)
     X = uniform_initial_design(testbench.bounds(), cfg.n_init, seed=cfg.seed)

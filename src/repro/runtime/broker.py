@@ -171,8 +171,6 @@ class BrokerStats:
     receives each batch's delta of the fields :data:`_COUNTERS` names.
     """
 
-    n_points: int = 0  # points requested through evaluate_batch
-    n_simulations: int = 0  # attempts actually dispatched to the objective
     n_completed: int = 0
     n_cache_hits: int = 0
     n_cache_misses: int = 0  # digests this broker claimed to simulate
@@ -442,7 +440,6 @@ class EvaluationBroker:
         X = as_matrix(X, self.objective.dim)
         n = X.shape[0]
         before = replace(self.stats)
-        self.stats.n_points += n
         values: list[float | None] = [None] * n
 
         pending: list[_Pending] = []
@@ -486,8 +483,7 @@ class EvaluationBroker:
                 # nobody waits while holding an unresolved claim)
                 self._await_inflight(waiting, values, owned)
 
-            # a repeat takes its first copy's value, not the cache's word:
-            # an LRU-bounded cache may already have evicted it
+            # a repeat takes its first copy's value, served as a cache hit
             self._log(
                 [
                     self._record_hit(
@@ -596,7 +592,6 @@ class EvaluationBroker:
         done: list[str] = []
         done_values: list[float] = []
         for p, (result, error) in zip(pending, outcomes):
-            self.stats.n_simulations += 1
             if error is None:
                 value, seconds = result
                 self.stats.n_completed += 1
@@ -678,21 +673,15 @@ class RuntimePolicy:
         ledger_path: str | Path | None = None,
         config: BrokerConfig | None = None,
         cache: ResultCache | None = None,
-        cache_path: str | Path | None = None,
     ) -> "RuntimePolicy":
         """A policy with one shared cache (and optional ledger) for a campaign.
 
-        ``cache`` reuses an existing store (e.g. the scheduler's persistent
-        cross-campaign cache); ``cache_path`` opens a persistent
-        :meth:`ResultCache.open` store at that directory.  Without either,
-        a fresh in-memory cache is created.  A persistent cache holds no
+        ``cache`` reuses an existing store: the scheduler's persistent
+        cross-campaign cache, or ``ResultCache.open(path)``.  Without it, a
+        fresh in-memory cache is created.  A persistent cache holds no
         file open between writes, so the ledger is the one handle the
         policy keeps: run it in a ``with`` block, or call :meth:`close`.
         """
-        if cache is not None and cache_path is not None:
-            raise ValueError("pass cache or cache_path, not both")
-        if cache_path is not None:
-            cache = ResultCache.open(cache_path)  # numlint: disable=NL705
         return cls(
             config=config if config is not None else BrokerConfig(),
             cache=cache if cache is not None else ResultCache.in_memory(),

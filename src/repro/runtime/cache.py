@@ -24,8 +24,12 @@ Construction goes through two factories (the bare constructor raises
   so a killed service leaves valid shard prefixes — at most one torn final
   line per file.  The next open replays them and cuts a torn line before
   anything is appended after it (:mod:`repro.utils.jsonl`).  The files
-  are append-only; ``max_entries`` bounds only the *in-memory* working
-  set via LRU eviction (an evicted digest re-simulates, then re-appends).
+  are append-only.
+
+Every write — a simulated result or a ledger's replayed one
+(:meth:`~ResultCache.preload`) — goes through :meth:`~ResultCache.put_many`,
+and the cache keeps every result it stores or loads for as long as it
+lives, so a stored result is never simulated again.
 
 The cache is thread-safe (scheduler campaign threads share it) and
 exposes a *single-flight* protocol for cross-campaign deduplication:
@@ -93,26 +97,19 @@ def point_digest(cache_key: str, x: ArrayLike) -> str:
     return batch_digests(cache_key, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-def _read_shards(root: Path, max_entries: int | None) -> dict[str, float]:
-    """Replay every shard file into an insertion-ordered store dict.
+def _read_shards(root: Path) -> dict[str, float]:
+    """Replay every shard file into one digest → value dict.
 
     Each shard is healed first (:func:`~repro.utils.jsonl.drop_torn_tail`),
     so the entries this cache appends never land on a torn line a killed
-    writer left.  Later lines win (a re-appended digest after eviction);
-    replaying in file order keeps the most recently written entries newest
-    in LRU order, so the load-time trim keeps exactly the freshest tail.
+    writer left.  A later line wins when a digest appears twice (stores
+    written by older builds may hold such repeats).
     """
     store: dict[str, float] = {}
     for shard in sorted(root.glob("shard-*.jsonl")):
         drop_torn_tail(shard)
         for record in read_records(shard)[0]:
-            digest = str(record["d"])
-            if digest in store:
-                del store[digest]
-            store[digest] = float(record["y"])
-    if max_entries is not None:
-        while len(store) > max_entries:
-            del store[next(iter(store))]
+            store[str(record["d"])] = float(record["y"])
     return store
 
 
@@ -139,7 +136,7 @@ def _append_shard_lines(root: Path, entries: Iterable[tuple[str, float]]) -> Non
 class ResultCache:
     """Thread-safe digest → objective-value store with hit/miss counters.
 
-    One lock guards the store *and* the hit/miss/eviction counters, so
+    One lock guards the store *and* the hit/miss counters, so
     ``get`` can count and look up atomically.  The single-flight
     bookkeeping lives under a separate condition variable
     (``_flight_lock``); where both are needed the nesting order is always
@@ -151,54 +148,39 @@ class ResultCache:
     """
 
     def __init__(
-        self,
-        *,
-        path: Path | None = None,
-        max_entries: int | None = None,
-        _from_factory: bool = False,
+        self, *, path: Path | None = None, _from_factory: bool = False
     ) -> None:
         if not _from_factory:
             raise TypeError(_BARE_CONSTRUCTOR_MSG)
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(
-                f"max_entries must be >= 1 when set, got {max_entries}"
-            )
         self._lock = make_lock("runtime.ResultCache")
         self._flight_lock = threading.Condition()
-        self.max_entries = max_entries
         self.path = path
         self._store: dict[str, float] = {}
         self._inflight: set[str] = set()
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         if self.path is not None:
-            self._store = _read_shards(self.path, max_entries)
+            self._store = _read_shards(self.path)
 
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def in_memory(cls, max_entries: int | None = None) -> "ResultCache":
-        """A process-local cache.
-
-        ``max_entries`` optionally bounds the store with LRU eviction.
-        """
-        return cls(max_entries=max_entries, _from_factory=True)
+    def in_memory(cls) -> "ResultCache":
+        """A process-local cache."""
+        return cls(_from_factory=True)
 
     @classmethod
-    def open(
-        cls, path: str | Path, max_entries: int | None = None
-    ) -> "ResultCache":
+    def open(cls, path: str | Path) -> "ResultCache":
         """Open (or create) a persistent cache directory at ``path``.
 
         The directory holds ``meta.json`` (format version + the digest
         rounding) and up to 16 append-only JSONL shard files keyed by the
-        first hex digit of each digest.  A store whose ``meta.json``
-        records another rounding than :data:`DEFAULT_DECIMALS` is rejected:
-        its digests address other points.  ``max_entries`` bounds only the
-        in-memory working set — the shard files are append-only and only
-        ever cut by a torn final line.  Each append is written and closed
-        eagerly, so no handle outlives the write.
+        first hex digit of each digest, and the opened cache holds every
+        result they record.  A store whose ``meta.json`` records another
+        rounding than :data:`DEFAULT_DECIMALS` is rejected: its digests
+        address other points.  The shard files are only ever cut by a torn
+        final line.  Each append is written and closed eagerly, so no
+        handle outlives the write.
         """
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
@@ -225,7 +207,7 @@ class ResultCache:
                 + "\n",
                 encoding="utf-8",
             )
-        return cls(path=root, max_entries=max_entries, _from_factory=True)
+        return cls(path=root, _from_factory=True)
 
     @property
     def persistent(self) -> bool:
@@ -254,12 +236,11 @@ class ResultCache:
     def get(self, digest: str) -> float | None:
         """Look up a digest, counting the hit or miss."""
         with self._lock:
-            if digest in self._store:
-                self.hits += 1
-                value = self._store[digest] = self._store.pop(digest)
-            else:
+            value = self._store.get(digest)
+            if value is None:
                 self.misses += 1
-                value = None
+            else:
+                self.hits += 1
         return value
 
     def keys_for_batch(self, cache_key: str, X: ArrayLike) -> list[str]:
@@ -274,27 +255,20 @@ class ResultCache:
         """Store results in order, releasing any single-flight claims on them.
 
         One hold of the store lock covers every entry, taken in turn: a
-        known digest moves to most-recently-used with its new value, a new
-        one is stored and evicts past ``max_entries``.  A persistent cache
-        then appends the new entries' lines with one open-write-close per
-        touched shard, still under the lock, so each shard's lines keep
-        the store's order.
+        known digest takes its new value, a new one is stored.  A
+        persistent cache then appends the new entries' lines with one
+        open-write-close per touched shard, still under the lock, so each
+        shard's lines keep the order of ``digests``.  Hit and miss counts
+        do not move.
         """
         new: list[tuple[str, float]] = []
         with self._lock:
             store = self._store
             for digest, raw in zip(digests, values):
                 value = float(raw)
-                if digest in store:
-                    del store[digest]  # re-insert: most-recently-used
-                    store[digest] = value
-                    continue
+                if digest not in store:
+                    new.append((digest, value))
                 store[digest] = value
-                new.append((digest, value))
-                if self.max_entries is not None:
-                    while len(store) > self.max_entries:
-                        del store[next(iter(store))]
-                        self.evictions += 1
             if new and self.path is not None:
                 _append_shard_lines(self.path, new)
         with self._flight_lock:
@@ -302,27 +276,12 @@ class ResultCache:
             self._flight_lock.notify_all()
 
     def preload(self, mapping: Mapping[str, float]) -> None:
-        """Bulk-insert digest → value pairs (ledger replay) without counting.
+        """Store digest → value pairs (ledger replay): one :meth:`put_many`.
 
         Persistent caches write through: preloaded results a prior process
         simulated become part of the shared store.
         """
-        new: list[tuple[str, float]] = []
-        with self._lock:
-            for digest, value in mapping.items():
-                if digest not in self._store:
-                    new.append((digest, float(value)))
-                self._store[digest] = float(value)
-            if self.max_entries is not None:
-                while len(self._store) > self.max_entries:
-                    del self._store[next(iter(self._store))]
-                    self.evictions += 1
-            if new and self.path is not None:
-                _append_shard_lines(self.path, new)
-        with self._flight_lock:
-            for digest in mapping:
-                self._inflight.discard(digest)
-            self._flight_lock.notify_all()
+        self.put_many(list(mapping), list(mapping.values()))
 
     # -- single-flight claims (cross-campaign dedup) --------------------------
 
@@ -358,8 +317,7 @@ class ResultCache:
                 for digest in digests:
                     if digest in self._store:
                         hits += 1
-                        value = self._store[digest] = self._store.pop(digest)
-                        out.append((CLAIM_HIT, value))
+                        out.append((CLAIM_HIT, self._store[digest]))
                     elif digest in seen:
                         misses += 1
                         out.append((CLAIM_REPEAT, None))
@@ -374,27 +332,21 @@ class ResultCache:
                 self.misses += misses
         return out
 
-    def wait_for(
-        self, digest: str, timeout: float | None = None
-    ) -> float | None:
+    def wait_for(self, digest: str) -> float | None:
         """Block until an in-flight digest resolves; return its value.
 
-        Returns ``None`` when the owner abandoned the claim (the caller
-        should :meth:`lookup_or_claim` again — it may now win ownership),
-        when the value was evicted before this thread woke, or when
-        ``timeout`` (seconds) expired.  A successful wait counts as a hit;
-        the unresolved outcomes count nothing (the retry accounts itself).
+        Returns ``None`` when the owner abandoned the claim: the caller
+        should :meth:`lookup_or_claim` again, and it may now win ownership.
+        A successful wait counts as a hit; an abandoned one counts nothing
+        (the retry accounts itself).
         """
         with self._flight_lock:
             while digest in self._inflight:
-                if not self._flight_lock.wait(timeout):
-                    return None
+                self._flight_lock.wait()
             with self._lock:
-                if digest in self._store:
+                value = self._store.get(digest)
+                if value is not None:
                     self.hits += 1
-                    value = self._store[digest] = self._store.pop(digest)
-                else:
-                    value = None
         return value
 
     def abandon_many(self, digests: Iterable[str]) -> None:
@@ -427,7 +379,6 @@ class ResultCache:
                 "size": len(self._store),
                 "hits": self.hits,
                 "misses": self.misses,
-                "evictions": self.evictions,
             }
 
 

@@ -488,6 +488,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="directory for --selftest artifacts (default: temporary)",
     )
     args = parser.parse_args(argv)
+    if args.max_retries < 0:
+        # a usage error (exit 2), not a divergence (exit 1)
+        print(
+            f"{parser.prog}: error: --max-retries must be >= 0, "
+            f"got {args.max_retries}",
+            file=sys.stderr,
+        )
+        return 2
 
     if args.selftest:
         report = run_selftest(workdir=args.workdir, mode=args.mode)

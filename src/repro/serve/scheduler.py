@@ -21,7 +21,9 @@ campaign runs whole on one pool thread.
 Artifacts live under ``runs_dir``: ``<name>.jsonl`` (ledger),
 ``<name>.result.json`` (final X/y, written atomically after the run so
 its existence certifies completion) and ``cache/`` (the persistent
-shard store, unless an external cache is injected).
+shard store, unless an external cache is injected).  The cache keeps
+every result it stores or loads, so a point one campaign simulated is
+never simulated again by another, in this run or a resumed one.
 """
 
 from __future__ import annotations
@@ -152,9 +154,7 @@ class CampaignScheduler:
     cache:
         An existing :class:`~repro.runtime.cache.ResultCache` every
         campaign shares.  Default: a persistent store opened at
-        ``runs_dir / "cache"`` (closed when the scheduler closes).
-    max_entries:
-        LRU bound for the default cache; ignored when ``cache`` is given.
+        ``runs_dir / "cache"``.
     max_concurrent:
         How many campaigns run at once (each on its own thread).
     broker_config:
@@ -180,7 +180,6 @@ class CampaignScheduler:
         runs_dir: str | Path,
         *,
         cache: ResultCache | None = None,
-        max_entries: int | None = None,
         max_concurrent: int = 2,
         broker_config: BrokerConfig | None = None,
         telemetry: TelemetryLike = None,
@@ -192,13 +191,9 @@ class CampaignScheduler:
             )
         self.runs_dir = Path(runs_dir)
         self.runs_dir.mkdir(parents=True, exist_ok=True)
-        self._owns_cache = cache is None
-        if cache is None:
-            self.cache = ResultCache.open(
-                self.runs_dir / "cache", max_entries=max_entries
-            )
-        else:
-            self.cache = cache
+        self.cache = (
+            cache if cache is not None else ResultCache.open(self.runs_dir / "cache")
+        )
         self.config = (
             broker_config if broker_config is not None else BrokerConfig()
         )
@@ -336,12 +331,10 @@ class CampaignScheduler:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Release owned resources (default cache, owned telemetry)."""
+        """Release owned telemetry; the cache holds no open handle."""
         if self._closed:
             return
         self._closed = True
-        if self._owns_cache:
-            self.cache.close()
         if self._owns_telemetry:
             self.telemetry.close()
 

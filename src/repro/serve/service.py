@@ -10,10 +10,12 @@ Submit declarative job files (see :mod:`repro.serve.jobs`) to a
 ``--resume`` restarts an interrupted service: campaigns whose result
 file exists are skipped, campaigns with a partial ledger are resumed
 bitwise, everything else runs fresh — all against the same persistent
-cache directory, so nothing already simulated is ever simulated again.
+cache directory, which keeps every result it stores or loads, so nothing
+already simulated is ever simulated again.
 
 Every job is validated before any campaign starts; a rejected job file
-is a usage error, reported as one line on stderr with exit status 2.
+or a ``--workers`` below 1 is a usage error, reported as one line on
+stderr with exit status 2 before anything is created.
 
 ``--selftest`` is the one-command CI smoke for the whole service
 contract: run two tiny campaigns to completion as a baseline, run them
@@ -200,12 +202,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="persistent cache directory (default: RUNS_DIR/cache)",
     )
     parser.add_argument(
-        "--max-cache-entries",
-        type=int,
-        default=None,
-        help="LRU bound on the shared cache (default: unbounded)",
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help="skip completed campaigns, resume interrupted ones bitwise",
@@ -226,6 +222,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="directory for --selftest artifacts (default: temporary)",
     )
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        # a usage error, like a rejected job file: nothing is created
+        print(
+            f"{parser.prog}: error: --workers must be >= 1, got {args.workers}",
+            file=sys.stderr,
+        )
+        return 2
 
     if args.selftest:
         return run_serve_selftest(workdir=args.workdir)
@@ -242,9 +245,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     cache_dir = Path(args.cache) if args.cache else runs_dir / "cache"
     runs_dir.mkdir(parents=True, exist_ok=True)
     telemetry = TelemetryConfig(trace_path=args.trace) if args.trace else None
-    with ResultCache.open(
-        cache_dir, max_entries=args.max_cache_entries
-    ) as cache:
+    with ResultCache.open(cache_dir) as cache:
         with CampaignScheduler(
             runs_dir,
             cache=cache,

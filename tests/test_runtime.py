@@ -155,9 +155,7 @@ class TestResultCache:
         assert cache.get(d) is None
         cache.put(d, 3.5)
         assert cache.get(d) == 3.5
-        assert cache.stats == {
-            "size": 1, "hits": 1, "misses": 1, "evictions": 0
-        }
+        assert cache.stats == {"size": 1, "hits": 1, "misses": 1}
 
     def test_preload_does_not_count(self):
         cache = ResultCache.in_memory()
@@ -190,9 +188,7 @@ class TestResultCache:
         digests = cache.keys_for_batch("k", X)
         cache.put(digests[1], 4.5)
         assert [cache.get(d) for d in digests] == [None, 4.5, None]
-        assert cache.stats == {
-            "size": 1, "hits": 1, "misses": 2, "evictions": 0
-        }
+        assert cache.stats == {"size": 1, "hits": 1, "misses": 2}
 
 
 class TestRunLedger:
@@ -456,14 +452,23 @@ class TestBrokerCache:
         assert second.tolist() == first.tolist()
         assert broker.stats.n_cache_hits == 2
 
-    def test_within_batch_duplicates_simulate_once(self):
+    def test_within_batch_duplicates_simulate_once(self, tmp_path):
         obj = CountingObjective()
         telemetry = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
-        broker = EvaluationBroker(obj, telemetry=telemetry)
+        ledger = RunLedger(tmp_path / "run.jsonl")
+        broker = EvaluationBroker(obj, ledger=ledger, telemetry=telemetry)
         with telemetry.tracer.span("iteration") as phase:
             y = broker.evaluate_batch(np.array([[0.1, 0.1]] * 3))
+        ledger.close()
         assert obj.calls == 1
         assert y.tolist() == [bowl([0.1, 0.1])] * 3
+        # each repeat is logged as a cache hit on its first copy's value
+        assert read_ledger(ledger.path).counts == {
+            "campaign": 1,
+            "dispatched": 1,
+            "completed": 1,
+            "cache_hit": 2,
+        }
         # one claimed miss, two repeats served as hits — the same split
         # in the stats, the registry and the phase span
         counters = telemetry.snapshot()["counters"]
@@ -479,27 +484,6 @@ class TestBrokerCache:
         EvaluationBroker(obj, cache=policy.cache).evaluate_batch(x)
         EvaluationBroker(obj, cache=policy.cache).evaluate_batch(x)
         assert obj.calls == 1
-
-    def test_repeat_of_an_evicted_point_is_a_cache_hit(self, tmp_path):
-        # the LRU bound evicts the first copy of row 0 before the batch
-        # resolves its repeat: the repeat is still served like a cache hit
-        ledger = RunLedger(tmp_path / "run.jsonl")
-        broker = EvaluationBroker(
-            CountingObjective(),
-            cache=ResultCache.in_memory(max_entries=2),
-            ledger=ledger,
-        )
-        X = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3], [0.4, 0.4], [0.1, 0.1]])
-        y = broker.evaluate_batch(X)
-        ledger.close()
-        assert read_ledger(ledger.path).counts == {
-            "campaign": 1,
-            "dispatched": 4,
-            "completed": 4,
-            "cache_hit": 1,
-        }
-        assert broker.stats.n_cache_hits == 1
-        assert y[4] == y[0]
 
     def test_ledger_records_events(self, tmp_path):
         obj = CountingObjective(fail_first=1)
@@ -572,28 +556,36 @@ class ShardCheckingLedger(RunLedger):
 
 
 class TestBatchedPersistence:
-    @pytest.mark.parametrize("max_entries", [None, 3])
-    def test_put_many_matches_put_calls(self, tmp_path, max_entries):
+    def test_put_many_matches_put_calls(self, tmp_path):
         rng = np.random.default_rng(3)
         digests = [point_digest("bowl", x) for x in rng.uniform(-1, 1, (40, 2))]
-        # repeats, including re-puts of digests an LRU bound has evicted
-        order = digests + digests[::3] + digests[:5]
+        # the same entries in three segments: each repeats earlier digests
+        segments = [digests, digests[::3], digests[:5]]
+        order = [digest for segment in segments for digest in segment]
         values = [float(k) for k in range(len(order))]
-        with ResultCache.open(tmp_path / "one", max_entries=max_entries) as one:
+        with ResultCache.open(tmp_path / "one") as one:
             for digest, value in zip(order, values):
                 one.put(digest, value)
-        with ResultCache.open(tmp_path / "many", max_entries=max_entries) as many:
+        with ResultCache.open(tmp_path / "many") as many:
             many.put_many(order, values)
+        # a ledger replay stores the same entries, one mapping per segment
+        with ResultCache.open(tmp_path / "preloaded") as preloaded:
+            start = 0
+            for segment in segments:
+                stop = start + len(segment)
+                preloaded.preload(dict(zip(segment, values[start:stop])))
+                start = stop
         names = sorted(p.name for p in (tmp_path / "one").iterdir())
-        assert sorted(p.name for p in (tmp_path / "many").iterdir()) == names
-        for name in names:
-            assert (tmp_path / "many" / name).read_bytes() == (
-                tmp_path / "one" / name
-            ).read_bytes()
+        for other in ("many", "preloaded"):
+            assert sorted(p.name for p in (tmp_path / other).iterdir()) == names
+            for name in names:
+                assert (tmp_path / other / name).read_bytes() == (
+                    tmp_path / "one" / name
+                ).read_bytes()
         assert list(many._store.items()) == list(one._store.items())
-        assert many.stats == one.stats
-        if max_entries is not None:
-            assert many.evictions > 0
+        assert list(preloaded._store.items()) == list(one._store.items())
+        assert many.stats == one.stats == preloaded.stats
+        assert one.stats == {"size": 40, "hits": 0, "misses": 0}
 
     def test_fault_injected_batch_keeps_event_sequence(self, tmp_path):
         ledger = RunLedger(tmp_path / "run.jsonl")

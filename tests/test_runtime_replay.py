@@ -279,3 +279,17 @@ class TestReplayCli:
     def test_usage_error_without_ledger_or_selftest(self):
         proc = self._run()
         assert proc.returncode == 2
+
+    def test_negative_max_retries_is_a_usage_error(self, tmp_path):
+        # exit 1 means divergence, so a bad flag must not reach the replay
+        ledger_path = tmp_path / "bowl.jsonl"
+        write_bowl_ledger(ledger_path)
+        proc = self._run(
+            str(ledger_path), "--testbench", "uvlo", "--max-retries", "-1"
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "python -m repro.runtime.replay: error: --max-retries must be "
+            ">= 0, got -1\n"
+        )

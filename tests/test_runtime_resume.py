@@ -223,7 +223,7 @@ class TestKillAndResume:
         spec = RunSpec(bounds=bench.bounds())
         ledger_path = tmp_path / "mc.jsonl"
         with RuntimePolicy.shared(
-            ledger_path=ledger_path, cache_path=tmp_path / "cache"
+            ledger_path=ledger_path, cache=ResultCache.open(tmp_path / "cache")
         ) as policy:
             full = MonteCarloSampler(3000, seed=4).solve(
                 objective=bench.objective("delta_vthl"), spec=spec, policy=policy

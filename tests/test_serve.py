@@ -1,7 +1,7 @@
 """Tests for the ``repro.serve`` campaign service layer.
 
 Covers the service contract end to end: spec validation, the persistent
-cache factories (shard round-trip, torn lines, LRU eviction, stats),
+cache factories (shard round-trip, torn lines, repeated digests),
 N≥4 concurrent campaigns over one shared cache with zero lost ledger
 events and zero duplicate simulations, and kill + ``--resume`` bitwise
 reproduction — both in-process (truncated ledgers) and with a real
@@ -177,40 +177,19 @@ class TestPersistentCache:
         with pytest.raises(ValueError, match="corrupt"):
             ResultCache.open(tmp_path / "c")
 
-    def test_lru_eviction(self):
-        cache = ResultCache.in_memory(max_entries=3)
-        for i in range(3):
-            cache.put(f"d{i}", float(i))
-        cache.get("d0")  # touch: d1 becomes the eviction candidate
-        cache.put("d3", 3.0)
-        assert cache.evictions == 1
-        assert cache.get("d1") is None
-        assert cache.get("d0") == 0.0
-        assert cache.get("d3") == 3.0
-        assert cache.stats["size"] == 3
-
-    def test_persistent_eviction_is_memory_only(self, tmp_path):
-        with ResultCache.open(tmp_path / "c", max_entries=2) as cache:
-            for i in range(4):
-                cache.put(f"d{i}", float(i))
+    def test_a_digest_written_twice_reopens_with_the_later_value(self, tmp_path):
+        # older builds could append one digest twice to a shard: they
+        # evicted results from memory and re-stored them when re-simulated
+        with ResultCache.open(tmp_path / "c"):
+            pass
+        (tmp_path / "c" / "shard-a.jsonl").write_text(
+            '{"d":"aa","y":1.0}\n{"d":"ab","y":2.0}\n{"d":"aa","y":3.0}\n',
+            encoding="utf-8",
+        )
+        with ResultCache.open(tmp_path / "c") as cache:
             assert len(cache) == 2
-            assert cache.evictions == 2
-        # reload honors the bound too (append-only shards keep everything,
-        # the newest max_entries win)
-        with ResultCache.open(tmp_path / "c", max_entries=2) as cache:
-            assert len(cache) == 2
-        with ResultCache.open(tmp_path / "c") as unbounded:
-            assert len(unbounded) == 4
-
-    def test_stats_count_hits_misses_evictions(self):
-        cache = ResultCache.in_memory(max_entries=1)
-        cache.put("a", 1.0)
-        cache.get("a")
-        cache.get("missing")
-        cache.put("b", 2.0)  # evicts "a"
-        assert cache.stats == {
-            "size": 1, "hits": 1, "misses": 1, "evictions": 1
-        }
+            assert cache.get("aa") == 3.0
+            assert cache.get("ab") == 2.0
 
     def test_bare_constructor_raises(self):
         with pytest.raises(TypeError, match=r"in_memory\(\).*open\(path\)"):
@@ -304,6 +283,17 @@ class TestJobs:
         assert err.count("\n") == 1
         assert f"{bad}: batch_size must be >= 1" in err
         assert not runs_dir.exists()  # no campaign ran, the good one included
+
+    def test_cli_reports_zero_workers_as_usage_error(self, tmp_path, capsys):
+        job = tmp_path / "a.json"
+        job.write_text(json.dumps(self._payload(name="a")), encoding="utf-8")
+        runs_dir = tmp_path / "runs"
+        argv = [str(job), "--runs-dir", str(runs_dir), "--workers", "0"]
+        assert serve_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "python -m repro.serve: error: --workers must be >= 1, got 0\n"
+        assert not runs_dir.exists()
 
     def test_every_engine_parameter_is_a_job_key(self):
         engine = {
@@ -757,15 +747,3 @@ class TestSharedPolicy:
         with ResultCache.open(tmp_path / "c") as cache:
             policy = RuntimePolicy.shared(cache=cache)
             assert policy.cache is cache
-
-    def test_shared_opens_cache_path(self, tmp_path):
-        policy = RuntimePolicy.shared(cache_path=tmp_path / "c")
-        try:
-            assert policy.cache.persistent
-        finally:
-            policy.cache.close()
-
-    def test_shared_rejects_both(self, tmp_path):
-        with ResultCache.open(tmp_path / "c") as cache:
-            with pytest.raises(ValueError, match="not both"):
-                RuntimePolicy.shared(cache=cache, cache_path=tmp_path / "d")
