@@ -485,6 +485,27 @@ class TestBrokerCache:
         EvaluationBroker(obj, cache=policy.cache).evaluate_batch(x)
         assert obj.calls == 1
 
+    def test_repeat_of_an_evicted_point_is_a_cache_hit(self, tmp_path):
+        # three other points come between row 0 and its repeat — enough to
+        # have evicted the first copy under the size bound the cache once
+        # had; the cache now keeps it, and the repeat is a cache hit
+        cache = ResultCache.in_memory()
+        ledger = RunLedger(tmp_path / "run.jsonl")
+        obj = CountingObjective()
+        broker = EvaluationBroker(obj, cache=cache, ledger=ledger)
+        X = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3], [0.4, 0.4], [0.1, 0.1]])
+        y = broker.evaluate_batch(X)
+        ledger.close()
+        assert read_ledger(ledger.path).counts == {
+            "campaign": 1,
+            "dispatched": 4,
+            "completed": 4,
+            "cache_hit": 1,
+        }
+        assert broker.stats.n_cache_hits == 1
+        assert y[4] == y[0]
+        assert cache.stats["size"] == 4
+
     def test_ledger_records_events(self, tmp_path):
         obj = CountingObjective(fail_first=1)
         ledger = RunLedger(tmp_path / "run.jsonl")
