@@ -229,10 +229,6 @@ class ResultCache:
 
     # -- lookups -------------------------------------------------------------
 
-    def key_for(self, cache_key: str, x: ArrayLike) -> str:
-        """The digest this cache would use for ``(cache_key, x)``."""
-        return point_digest(cache_key, x)
-
     def get(self, digest: str) -> float | None:
         """Look up a digest, counting the hit or miss."""
         with self._lock:

@@ -150,11 +150,6 @@ class FaultInjectingObjective(Objective):
             out[i] = float(self._inner.evaluate(x[None, :])[0])
         return out
 
-    def reset(self) -> None:
-        """Forget attempt history (a 'fresh process' for resume tests)."""
-        with self._lock:
-            self._attempts.clear()
-
 
 class DelayObjective(Objective):
     """Wrap an objective so every evaluation takes real wall time.

@@ -16,7 +16,9 @@ path: ``cache.preload(read_ledger(path).completed)``, then rerun the
 same seeded campaign under ``RuntimePolicy(cache=cache,
 ledger=RunLedger(path))``.  Every evaluation the killed run finished is
 served from the cache, so the rerun appends only the rest and ends
-bitwise-identical to an uninterrupted run.
+bitwise-identical to an uninterrupted run.  The replay verifier's warm
+mode (:mod:`repro.runtime.replay`) checks that map against every
+completed record.
 
 Event schema (version 1)
 ------------------------
@@ -51,9 +53,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterable
 
-import numpy as np
-
-from repro._typing import FloatArray
 from repro.runtime.cache import DEFAULT_DECIMALS
 from repro.utils.contracts import thread_shared
 from repro.utils.jsonl import ENCODER, drop_torn_tail, read_records
@@ -122,15 +121,12 @@ class LedgerReplay:
     """Parsed state of one ledger file.
 
     ``completed`` maps digests to objective values (latest wins) and is
-    what a resumed campaign preloads into its cache; ``X``/``y`` are the
-    completed evaluations in event order, for inspecting a partial
-    campaign.
+    what a resumed campaign preloads into its cache; ``events`` keeps
+    every record, the evaluated points included.
     """
 
     events: list[dict[str, Any]]
     completed: dict[str, float]
-    X: FloatArray
-    y: FloatArray
     counts: dict[str, int] = field(default_factory=dict)
     truncated: bool = False
     #: completed events whose digest had already completed earlier — actual
@@ -175,8 +171,6 @@ def read_ledger(path: str | Path) -> LedgerReplay:
     events, truncated = read_records(path)
 
     completed: dict[str, float] = {}
-    xs: list[list[float]] = []
-    ys: list[float] = []
     counts: dict[str, int] = {}
     duplicates = 0
     for event in events:
@@ -194,23 +188,10 @@ def read_ledger(path: str | Path) -> LedgerReplay:
             if digest in completed:
                 duplicates += 1
             completed[digest] = float(event["y"])
-            xs.append([float(v) for v in event["x"]])
-            ys.append(float(event["y"]))
 
-    if xs:
-        X = np.asarray(xs, dtype=float)
-    else:
-        dim = 0
-        for event in events:
-            if event.get("event") == "campaign" and "dim" in event:
-                dim = int(event["dim"])
-                break
-        X = np.empty((0, dim), dtype=float)
     return LedgerReplay(
         events=events,
         completed=completed,
-        X=X,
-        y=np.asarray(ys, dtype=float),
         counts=counts,
         truncated=truncated,
         duplicate_simulations=duplicates,

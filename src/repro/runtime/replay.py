@@ -17,11 +17,11 @@ held —
 Two replay modes, mirroring how a resumed campaign consumes the ledger:
 
 ``warm``
-    The resume path without simulation: preload a fresh
-    :class:`~repro.runtime.cache.ResultCache` from the ledger's completed
-    events (exactly what a resumed campaign does) and confirm every
-    completed record's *recomputed* digest hits the cache with the
-    recorded value.  Cheap — no objective calls.
+    The resume path without simulation: look every completed record's
+    digest up in ``read_ledger(path).completed``, the digest → value map
+    a resumed campaign preloads into its cache (a later line wins), and
+    confirm a resume serves the recorded value.  Cheap — no objective
+    calls.
 ``cold``
     Re-execute every unique completed point through a fresh
     :class:`~repro.runtime.broker.EvaluationBroker` (empty cache) and
@@ -35,13 +35,10 @@ CLI::
 
     python -m repro.runtime.replay LEDGER --testbench uvlo
     python -m repro.runtime.replay LEDGER --objective pkg.mod:attr
-    python -m repro.runtime.replay --selftest
 
-``--selftest`` runs a fault-injected UVLO campaign, kills it mid-batch
-(torn final line included), resumes it appending to the same ledger, then
-verifies the combined ledger in both modes — the one-line CI smoke for
-the whole kill/resume/replay contract.  Exit status: 0 on zero
-divergence, 1 on any divergence, 2 on usage errors.
+Exit status: 0 on zero divergence, 1 on any divergence, 2 on usage
+errors.  The kill/resume smoke that replays killed and resumed ledgers
+through this verifier is ``python -m repro.serve --selftest``.
 """
 
 from __future__ import annotations
@@ -49,21 +46,15 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.runtime.broker import (
-    BrokerConfig,
-    EvaluationBroker,
-    EvaluationError,
-    RuntimePolicy,
-)
-from repro.runtime.cache import ResultCache, point_digest
-from repro.runtime.ledger import RunLedger, read_ledger
+from repro.runtime.broker import BrokerConfig, EvaluationBroker, EvaluationError
+from repro.runtime.cache import point_digest
+from repro.runtime.ledger import read_ledger
 from repro.runtime.objective import Objective, require_objective
 
 #: Recognized replay modes.
@@ -203,7 +194,7 @@ def verify_replay(
             )
 
     if mode in ("warm", "both"):
-        _verify_warm(report, records, objective)
+        _verify_warm(report, records, replay.completed)
     if mode in ("cold", "both"):
         _verify_cold(report, records, unique_x, objective, config)
 
@@ -214,35 +205,15 @@ def verify_replay(
 def _verify_warm(
     report: ReplayReport,
     records: Sequence[dict[str, Any]],
-    objective: Objective,
+    completed: dict[str, float],
 ) -> None:
-    """The resume path: ledger → preloaded cache → per-record lookups."""
-    cache = ResultCache.in_memory()
-    cache.preload(
-        {str(r["digest"]): float(r["y"]) for r in records}
-    )
+    """The resume path: the value a preload of ``completed`` serves per record."""
     for record in records:
         report.n_checked += 1
         recorded_y = float(record["y"])
-        digest = cache.key_for(
-            objective.cache_key, np.asarray(record["x"], dtype=float)
-        )
-        hit = cache.get(digest)
-        if hit is None:
-            report.divergences.append(
-                Divergence(
-                    record_id=int(record.get("id", -1)),
-                    mode="warm",
-                    kind="missing",
-                    digest=digest,
-                    recorded_y=recorded_y,
-                    detail=(
-                        "resume-preloaded cache misses the recomputed "
-                        f"digest {digest[:12]}…; the point would re-simulate"
-                    ),
-                )
-            )
-        elif hit != recorded_y:
+        digest = str(record["digest"])
+        served = completed[digest]
+        if served != recorded_y:
             report.divergences.append(
                 Divergence(
                     record_id=int(record.get("id", -1)),
@@ -250,10 +221,10 @@ def _verify_warm(
                     kind="value",
                     digest=digest,
                     recorded_y=recorded_y,
-                    replayed_y=hit,
+                    replayed_y=served,
                     detail=(
-                        f"cache returned {hit!r} for a record that stored "
-                        f"{recorded_y!r}"
+                        f"a resume serves {served!r} for a record that "
+                        f"stored {recorded_y!r}"
                     ),
                 )
             )
@@ -328,7 +299,7 @@ def _verify_cold(
             )
 
 
-# -- kill / resume self-test -------------------------------------------------
+# -- simulated kill -----------------------------------------------------------
 
 
 def truncate_mid_run(path: str | Path, keep_fraction: float = 0.5) -> int:
@@ -356,95 +327,30 @@ def truncate_mid_run(path: str | Path, keep_fraction: float = 0.5) -> int:
     return kept_completed
 
 
-def run_selftest(
-    workdir: str | Path | None = None, mode: str = "both"
-) -> ReplayReport:
-    """Fault-injected UVLO campaign → kill mid-batch → resume → verify.
-
-    The full replay-safety contract in one call: the resumed ledger (the
-    original prefix, healed of its torn line by the resumed run's first
-    append and extended in place) must replay with zero divergences
-    against the clean objective.
-    """
-    from repro.bo.engine import RunSpec
-    from repro.bo.rembo import RemboBO
-    from repro.circuits.behavioral.uvlo import UVLOTestbench
-    from repro.runtime.faults import FaultInjectingObjective, FaultPlan
-
-    bench = UVLOTestbench()
-
-    def engine() -> RemboBO:
-        return RemboBO(
-            batch_size=4, embedding_dim=3, tune_every=1, n_restarts=1, seed=11
-        )
-
-    def faulty_objective() -> FaultInjectingObjective:
-        # fresh wrapper per run: a resumed process starts with empty
-        # attempt counters, exactly like a real kill
-        return FaultInjectingObjective(
-            bench.objective("delta_vthl"),
-            FaultPlan(failure_rate=0.3, nan_fraction=0.4, seed=5),
-        )
-
-    spec = RunSpec(
-        bounds=bench.bounds(),
-        n_init=6,
-        n_batches=2,
-        threshold=bench.threshold("delta_vthl"),
-    )
-    cfg = BrokerConfig(max_retries=3, backoff_seconds=0.0)
-
-    if workdir is None:
-        with tempfile.TemporaryDirectory(prefix="replay-selftest-") as tmp:
-            return _selftest_in(
-                Path(tmp), engine, faulty_objective, bench, spec, cfg, mode
-            )
-    return _selftest_in(
-        Path(workdir), engine, faulty_objective, bench, spec, cfg, mode
-    )
-
-
-def _selftest_in(workdir, engine, faulty_objective, bench, spec, cfg, mode):
-    ledger_path = workdir / "campaign.jsonl"
-    with RuntimePolicy(config=cfg, ledger=RunLedger(ledger_path)) as policy:
-        engine().solve(objective=faulty_objective(), spec=spec, policy=policy)
-
-    truncate_mid_run(ledger_path)
-    cache = ResultCache.in_memory()
-    cache.preload(read_ledger(ledger_path).completed)
-    # the same ledger path: the resumed run appends in place
-    with RuntimePolicy(
-        config=cfg, cache=cache, ledger=RunLedger(ledger_path)
-    ) as resumed_policy:
-        engine().solve(
-            objective=faulty_objective(), spec=spec, policy=resumed_policy
-        )
-
-    return verify_replay(
-        ledger_path, bench.objective("delta_vthl"), mode=mode, config=cfg
-    )
-
-
 # -- CLI ----------------------------------------------------------------------
 
 
+def _usage_problem(args: argparse.Namespace) -> str | None:
+    """What makes the parsed arguments unusable, or None."""
+    if args.max_retries < 0:
+        return f"--max-retries must be >= 0, got {args.max_retries}"
+    if args.objective is None and args.testbench is None:
+        return "pass --testbench or --objective"
+    if args.objective is not None and ":" not in args.objective:
+        return f"--objective expects module:attr, got {args.objective!r}"
+    return None
+
+
 def _objective_from_args(args: argparse.Namespace) -> Objective:
-    if args.objective:
-        spec = args.objective
-        if ":" not in spec:
-            raise SystemExit(
-                f"--objective expects module:attr, got {spec!r}"
-            )
-        module_name, attr = spec.split(":", 1)
+    if args.objective is not None:
+        module_name, attr = args.objective.split(":", 1)
         obj = getattr(importlib.import_module(module_name), attr)
         if callable(obj) and not isinstance(obj, Objective):
             obj = obj()
         return require_objective(obj, "--objective")
-    if args.testbench:
-        from repro.experiments.config import TESTBENCHES
+    from repro.experiments.config import TESTBENCHES
 
-        return TESTBENCHES[args.testbench][0]().objective(args.measure)
-    raise SystemExit("pass --testbench or --objective (or --selftest)")
+    return TESTBENCHES[args.testbench][0]().objective(args.measure)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -458,10 +364,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             "first diverging record."
         ),
     )
-    parser.add_argument("ledger", nargs="?", help="path to a ledger .jsonl")
+    parser.add_argument("ledger", help="path to a ledger .jsonl")
     parser.add_argument(
         "--mode", choices=REPLAY_MODES, default="both",
-        help="warm (resume-path cache check), cold (re-execute), or both",
+        help="warm (the values a resume serves), cold (re-execute), or both",
     )
     parser.add_argument(
         "--testbench", choices=sorted(TESTBENCHES),
@@ -479,37 +385,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--max-retries", type=int, default=3,
         help="retry budget for cold re-execution (default: 3)",
     )
-    parser.add_argument(
-        "--selftest", action="store_true",
-        help="run the kill/resume/replay smoke end to end (no ledger needed)",
-    )
-    parser.add_argument(
-        "--workdir", default=None,
-        help="directory for --selftest artifacts (default: temporary)",
-    )
     args = parser.parse_args(argv)
-    if args.max_retries < 0:
+    problem = _usage_problem(args)
+    if problem is not None:
         # a usage error (exit 2), not a divergence (exit 1)
-        print(
-            f"{parser.prog}: error: --max-retries must be >= 0, "
-            f"got {args.max_retries}",
-            file=sys.stderr,
-        )
+        print(f"{parser.prog}: error: {problem}", file=sys.stderr)
         return 2
 
-    if args.selftest:
-        report = run_selftest(workdir=args.workdir, mode=args.mode)
-    else:
-        if not args.ledger:
-            parser.error("a ledger path is required unless --selftest is set")
-        config = BrokerConfig(max_retries=args.max_retries, backoff_seconds=0.0)
-        report = verify_replay(
-            args.ledger,
-            _objective_from_args(args),
-            mode=args.mode,
-            config=config,
-        )
-
+    report = verify_replay(
+        args.ledger,
+        _objective_from_args(args),
+        mode=args.mode,
+        config=BrokerConfig(max_retries=args.max_retries, backoff_seconds=0.0),
+    )
     print(report.summary())
     return 0 if report.zero_divergence else 1
 

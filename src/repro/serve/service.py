@@ -13,18 +13,20 @@ bitwise, everything else runs fresh — all against the same persistent
 cache directory, which keeps every result it stores or loads, so nothing
 already simulated is ever simulated again.
 
-Every job is validated before any campaign starts; a rejected job file
-or a ``--workers`` below 1 is a usage error, reported as one line on
+Every job is validated before any campaign starts; a rejected job file,
+a ``--workers`` below 1 or a cache store written with another digest
+rounding or format version is a usage error, reported as one line on
 stderr with exit status 2 before anything is created.
 
-``--selftest`` is the one-command CI smoke for the whole service
-contract: run two tiny campaigns to completion as a baseline, run them
+``--selftest`` is the one-command CI smoke for the whole kill/resume
+contract: run two tiny fault-injected campaigns (transient errors and
+NaNs, retried by the broker) to completion as a baseline, run them
 again in a second directory, simulate a mid-flight kill (truncate every
-ledger, drop the result files and the cache), restart with resume, and
-require (a) bitwise-identical result files, (b) zero replay divergence
-per ledger (``verify_replay``), and (c) zero duplicate simulations
-across the campaigns.  Exit status: 0 clean, 1 divergent/failed,
-2 usage errors.
+ledger to a torn final line, drop the result files and the cache),
+restart with resume, and require (a) bitwise-identical result files,
+(b) zero replay divergence per ledger through the clean objective
+(``verify_replay``), and (c) zero duplicate simulations across the
+campaigns.  Exit status: 0 clean, 1 divergent/failed, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ from repro.telemetry.config import TelemetryConfig
 #: The two-campaign job set the selftest schedules.  Same seed and
 #: measure on purpose: the campaigns propose identical designs, so the
 #: shared single-flight cache must absorb every overlap (zero duplicate
-#: simulations) while both still complete with full ledgers.
+#: simulations) while both still complete with full ledgers.  Injected
+#: faults are transient, so the broker's retries recover the fault-free
+#: values and the ledgers replay clean through the clean objective.
 _SELFTEST_JOBS = [
     {
         "name": "selftest-a",
@@ -62,6 +66,7 @@ _SELFTEST_JOBS = [
             "n_restarts": 1,
         },
         "run": {"n_init": 6, "n_batches": 2},
+        "faults": {"failure_rate": 0.3, "nan_fraction": 0.4, "seed": 5},
     },
     {
         "name": "selftest-b",
@@ -76,6 +81,7 @@ _SELFTEST_JOBS = [
             "n_restarts": 1,
         },
         "run": {"n_init": 6, "n_batches": 2},
+        "faults": {"failure_rate": 0.3, "nan_fraction": 0.4, "seed": 5},
     },
 ]
 
@@ -165,8 +171,8 @@ def _selftest_in(workdir: Path) -> int:
         return 1
     print(
         "serve selftest: kill + --resume reproduced "
-        f"{len(_SELFTEST_JOBS)} campaigns bitwise, zero replay divergence, "
-        "zero duplicate simulations"
+        f"{len(_SELFTEST_JOBS)} fault-injected campaigns bitwise, zero "
+        "replay divergence, zero duplicate simulations"
     )
     return 0
 
@@ -243,9 +249,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     runs_dir = Path(args.runs_dir)
     cache_dir = Path(args.cache) if args.cache else runs_dir / "cache"
-    runs_dir.mkdir(parents=True, exist_ok=True)
-    telemetry = TelemetryConfig(trace_path=args.trace) if args.trace else None
-    with ResultCache.open(cache_dir) as cache:
+    try:
+        cache = ResultCache.open(cache_dir)
+    except ValueError as exc:
+        # a store with another rounding or format: no campaign runs
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+    with cache:
+        runs_dir.mkdir(parents=True, exist_ok=True)
+        telemetry = TelemetryConfig(trace_path=args.trace) if args.trace else None
         with CampaignScheduler(
             runs_dir,
             cache=cache,

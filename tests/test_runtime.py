@@ -151,7 +151,7 @@ class TestResultCache:
 
     def test_hit_miss_counting(self):
         cache = ResultCache.in_memory()
-        d = cache.key_for("k", np.array([1.0]))
+        d = point_digest("k", np.array([1.0]))
         assert cache.get(d) is None
         cache.put(d, 3.5)
         assert cache.get(d) == 3.5
@@ -176,7 +176,7 @@ class TestResultCache:
         # the cache addresses points at the one fixed rounding
         cache = ResultCache.in_memory()
         X = np.array([[0.123456, -0.5]])
-        assert cache.keys_for_batch("k", X) == [cache.key_for("k", X[0])]
+        assert cache.keys_for_batch("k", X) == [point_digest("k", X[0])]
         assert cache.keys_for_batch("k", X) == batch_digests(
             "k", X, decimals=DEFAULT_DECIMALS
         )
@@ -211,8 +211,6 @@ class TestRunLedger:
         replay = read_ledger(path)
         assert replay.n_completed == 1
         assert replay.completed == {"d0": 1.5}
-        assert replay.X.tolist() == [[0.1, 0.2]]
-        assert replay.y.tolist() == [1.5]
         assert not replay.truncated
         assert replay.campaigns()[0]["dim"] == 2
 
@@ -242,13 +240,6 @@ class TestRunLedger:
         )
         with pytest.raises(ValueError, match="corrupt"):
             read_ledger(path)
-
-    def test_empty_ledger_uses_campaign_dim(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with RunLedger(path) as ledger:
-            ledger.append({"event": "campaign", "dim": 7})
-        replay = read_ledger(path)
-        assert replay.X.shape == (0, 7)
 
     def test_duplicate_simulations_counted(self, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -3,10 +3,11 @@
 The acceptance scenario: a fault-injected UVLO campaign is killed
 mid-run, resumed append-in-place from its ledger, and the combined ledger
 then replays with zero divergence through the *clean* objective — warm
-(cache preload, the resume path) and cold (full re-execution, bitwise
-float comparison).  Plus the failure modes: value tampering is caught,
-wrong-objective replay is an operator error, and the torn line a kill
-leaves behind is healed so the appended ledger stays readable.
+(the values a resume's preload serves) and cold (full re-execution,
+bitwise float comparison).  Plus the failure modes: value tampering and
+an edited point are caught, wrong-objective replay is an operator error,
+and the torn line a kill leaves behind is healed so the appended ledger
+stays readable.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.runtime import (
     ResultCache,
     RunLedger,
     RuntimePolicy,
+    point_digest,
     read_ledger,
     truncate_mid_run,
     verify_replay,
@@ -86,6 +88,18 @@ def resumed_policy(ledger_path):
     return RuntimePolicy(config=RETRY, cache=cache, ledger=RunLedger(ledger_path))
 
 
+def rewrite_first_completed(path, edit):
+    """Apply ``edit`` to the ledger's first completed event, in place."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines):
+        event = json.loads(line)
+        if event.get("event") == "completed":
+            edit(event)
+            lines[i] = json.dumps(event)
+            break
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 class TestKillResumeReplay:
     def test_resumed_fault_injected_ledger_replays_clean(self, tmp_path):
         ledger_path = tmp_path / "campaign.jsonl"
@@ -135,14 +149,10 @@ class TestKillResumeReplay:
         run_campaign(clean_objective(), policy)
         policy.ledger.close()
 
-        lines = ledger_path.read_text(encoding="utf-8").splitlines()
-        for i, line in enumerate(lines):
-            event = json.loads(line)
-            if event.get("event") == "completed":
-                event["y"] = event["y"] + 1.0
-                lines[i] = json.dumps(event)
-                break
-        ledger_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        def shift_value(event):
+            event["y"] += 1.0
+
+        rewrite_first_completed(ledger_path, shift_value)
 
         clean = UVLOTestbench().objective("delta_vthl")
         report = verify_replay(ledger_path, clean, mode="both", config=RETRY)
@@ -212,6 +222,63 @@ class TestColdReplayOfUnsimulatablePoint:
         assert "non-finite value nan" in divergence.detail
 
 
+class TestLedgerEdits:
+    def test_edited_point_is_a_digest_and_a_cold_divergence(self, tmp_path):
+        ledger_path = tmp_path / "bowl.jsonl"
+        write_bowl_ledger(ledger_path)
+
+        def move_point(event):
+            event["x"][0] += 0.05
+
+        rewrite_first_completed(ledger_path, move_point)
+        report = verify_replay(
+            ledger_path,
+            FunctionObjective(bowl, dim=2, cache_key=BOWL_KEY),
+            mode="both",
+        )
+        # warm looks the recorded digest up, which still serves the
+        # recorded value: the digest pass alone reports the moved point
+        assert [(d.record_id, d.mode, d.kind) for d in report.divergences] == [
+            (0, "cold", "value"),
+            (0, "digest", "digest"),
+        ]
+
+    def test_earlier_of_two_values_for_one_digest_is_a_warm_divergence(
+        self, tmp_path
+    ):
+        ledger_path = tmp_path / "bowl.jsonl"
+        x = [0.1, 0.2]
+        digest = point_digest(BOWL_KEY, x)
+        with RunLedger(ledger_path) as ledger:
+            ledger.append({"event": "campaign", "dim": 2, "cache_key": BOWL_KEY})
+            for record_id, y in enumerate([9.0, bowl(np.array(x))]):
+                ledger.append(
+                    {
+                        "event": "completed",
+                        "id": record_id,
+                        "digest": digest,
+                        "x": x,
+                        "y": y,
+                    }
+                )
+        report = verify_replay(
+            ledger_path,
+            FunctionObjective(bowl, dim=2, cache_key=BOWL_KEY),
+            mode="warm",
+        )
+        # a resume preloads the later line's value for the digest
+        [divergence] = report.divergences
+        assert (divergence.record_id, divergence.mode, divergence.kind) == (
+            0,
+            "warm",
+            "value",
+        )
+        assert (divergence.recorded_y, divergence.replayed_y) == (
+            9.0,
+            bowl(np.array(x)),
+        )
+
+
 class TestTornTailHealing:
     def test_resume_heals_torn_line_in_place(self, tmp_path):
         ledger_path = tmp_path / "campaign.jsonl"
@@ -248,11 +315,6 @@ class TestReplayCli:
             },
         )
 
-    def test_selftest_exits_zero(self, tmp_path):
-        proc = self._run("--selftest", "--workdir", str(tmp_path))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "ZERO DIVERGENCE" in proc.stdout
-
     def test_ledger_argument_verifies_uvlo_run(self, tmp_path):
         ledger_path = tmp_path / "campaign.jsonl"
         policy = RuntimePolicy(config=RETRY, ledger=RunLedger(ledger_path))
@@ -276,7 +338,7 @@ class TestReplayCli:
         assert "1 divergence(s)" in proc.stdout
         assert "record id=1 [cold/missing]" in proc.stdout
 
-    def test_usage_error_without_ledger_or_selftest(self):
+    def test_usage_error_without_ledger(self):
         proc = self._run()
         assert proc.returncode == 2
 
@@ -293,3 +355,24 @@ class TestReplayCli:
             "python -m repro.runtime.replay: error: --max-retries must be "
             ">= 0, got -1\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ((), "pass --testbench or --objective"),
+            (
+                ("--objective", "foo"),
+                "--objective expects module:attr, got 'foo'",
+            ),
+        ],
+        ids=["no-objective", "objective-without-attr"],
+    )
+    def test_objective_choice_errors_are_usage_errors(
+        self, tmp_path, argv, message
+    ):
+        ledger_path = tmp_path / "bowl.jsonl"
+        write_bowl_ledger(ledger_path)
+        proc = self._run(str(ledger_path), *argv)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == f"python -m repro.runtime.replay: error: {message}\n"

@@ -37,7 +37,7 @@ from repro.runtime.objective import FunctionObjective
 from repro.runtime.replay import truncate_mid_run, verify_replay
 from repro.sampling.monte_carlo import MonteCarloSampler
 from repro.serve import CampaignScheduler, build_spec, load_jobs
-from repro.serve.service import main as serve_main
+from repro.serve.service import main as serve_main, run_serve_selftest
 from repro.telemetry import Telemetry, Tracer
 
 
@@ -293,6 +293,36 @@ class TestJobs:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "python -m repro.serve: error: --workers must be >= 1, got 0\n"
+        assert not runs_dir.exists()
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            (
+                {"version": 1, "decimals": 6},
+                "was created with decimals=6; digests here round to 12",
+            ),
+            (
+                {"version": 2, "decimals": 12},
+                "has format version 2; this build reads version 1",
+            ),
+        ],
+        ids=["decimals", "format-version"],
+    )
+    def test_cli_reports_mismatched_cache_store_as_usage_error(
+        self, tmp_path, capsys, meta, message
+    ):
+        job = tmp_path / "a.json"
+        job.write_text(json.dumps(self._payload(name="a")), encoding="utf-8")
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        runs_dir = tmp_path / "runs"
+        argv = [str(job), "--runs-dir", str(runs_dir), "--cache", str(store)]
+        assert serve_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"python -m repro.serve: error: cache at {store} {message}\n"
         assert not runs_dir.exists()
 
     def test_every_engine_parameter_is_a_job_key(self):
@@ -634,6 +664,22 @@ class TestSchedulerResume:
             replay = read_ledger(runs / f"{name}.jsonl")
             assert not replay.truncated
             assert len(replay.runs()) == 2
+
+
+class TestServeSelftest:
+    def test_selftest_resumes_fault_injected_campaigns(self, tmp_path):
+        assert run_serve_selftest(workdir=tmp_path) == 0
+        killed = [
+            read_ledger(tmp_path / "killed" / f"{name}.jsonl")
+            for name in ("selftest-a", "selftest-b")
+        ]
+        # each ledger holds its killed run, then the resumed run
+        assert [len(ledger.runs()) for ledger in killed] == [2, 2]
+        # whichever campaign claims a shared point first simulates it and
+        # logs its faults, so only the two ledgers together are sure to
+        # hold every injected fault
+        for kind in ("failed", "retried"):
+            assert sum(ledger.counts.get(kind, 0) for ledger in killed) > 0
 
 
 class TestSchedulerSigkill:

@@ -10,7 +10,7 @@ The analysis has three parts:
 
 1. **Function discovery** — every module-level function, first-level method
    and one-level nested function in the analyzed file set is indexed by
-   dotted qualname (``repro.runtime.cache.ResultCache.key_for``), reusing
+   dotted qualname (``repro.runtime.cache.ResultCache.get``), reusing
    the module naming of :attr:`FileContext.module_name` so cross-file calls
    resolve through the import alias map exactly as the NL5xx shape passes
    do.
