@@ -3,9 +3,10 @@
 * :class:`SequentialBO` — classic EI/PI/LCB baseline BO in the full space.
 * :class:`BatchBO` — the pBO multi-weight batch baseline [5].
 * :class:`RemboBO` — the proposed random-embedding batch BO (Algorithm 1).
-* :class:`RunSpec` / :class:`EngineProtocol` — the shared keyword-only
-  ``solve(objective=..., spec=..., policy=..., telemetry=..., rng=...)``
-  entry point; the three engines run one campaign loop
+* :class:`RunSpec` / :class:`Engine` — the one keyword-only
+  ``Engine.solve(objective=..., spec=..., policy=..., telemetry=...,
+  rng=...)`` every engine runs, the samplers of :mod:`repro.sampling`
+  included; the three BO engines run one campaign loop
   (:class:`~repro.bo.engine.BOEngine`) and supply only their proposal step.
 * :func:`acquisition_search` — the one DIRECT-L → COBYLA acquisition
   search every proposal step runs, on one row or one row per pBO weight.
@@ -14,7 +15,7 @@
 
 from repro.bo.batch import BatchBO
 from repro.bo.engine import (
-    EngineProtocol,
+    Engine,
     RunSpec,
     SurrogateManager,
     uniform_initial_design,
@@ -30,7 +31,7 @@ __all__ = [
     "BatchBO",
     "RemboBO",
     "RunSpec",
-    "EngineProtocol",
+    "Engine",
     "Specification",
     "RunResult",
     "FailureSummary",

@@ -37,7 +37,7 @@ class BatchBO(BOEngine):
     """Full-dimensional pBO (the paper's strongest non-embedded baseline).
 
     ``solve`` runs ``spec.n_batches`` batches of ``batch_size`` simulations
-    each after the initial design.
+    each after the initial design; a spec that sets ``budget`` is rejected.
 
     Parameters
     ----------
@@ -53,6 +53,8 @@ class BatchBO(BOEngine):
     """
 
     _method = "pBO"
+    _reads = ("n_batches", "initial_data")
+    _spends = "RunSpec.n_batches"
 
     def __init__(
         self,
@@ -86,11 +88,6 @@ class BatchBO(BOEngine):
         )
 
     def _n_iterations(self, spec: RunSpec, n_init: int) -> int:
-        if spec.budget is not None:
-            raise ValueError(
-                f"{type(self).__name__} runs RunSpec.n_batches batches; "
-                "it does not read budget"
-            )
         return spec.n_batches if spec.n_batches is not None else DEFAULT_N_BATCHES
 
     def _propose(self, model, box):

@@ -1,14 +1,18 @@
-"""The one campaign loop every BO engine runs, and its shared plumbing.
+"""The one ``solve`` of every engine, the one BO campaign loop, and their
+shared plumbing.
 
-A campaign has one shape: an initial design, then iterations of
-``gp_fit → acq_opt → evaluate`` until the run's iteration count is spent
-(paper Algorithm 1, lines 5-15).  :class:`BOEngine` runs that loop once,
-for all three engines; they differ only in their method label and RNG
-stream layout, in how many iterations a :class:`RunSpec` buys, in their
-proposal step (single acquisition, multi-weight batch), and — for REMBO —
-in the :class:`ModelSpace` the surrogate works in.  A run always spends
-its whole iteration count, and its log stacks every row it submitted to
-the broker with the value the broker returned.  Surrogate fitting, label
+:meth:`Engine.solve` runs all five engines of the paper's Tables 1-2;
+each supplies only its method label, what it reads of the
+:class:`RunSpec` and one run hook, ``_solve``.  A BO campaign has one
+shape: an initial design, then iterations of ``gp_fit → acq_opt →
+evaluate`` until the run's iteration count is spent (paper Algorithm 1,
+lines 5-15).  :class:`BOEngine` runs that loop once, for all three BO
+engines; they differ only in their method label and RNG stream layout,
+in how many iterations a :class:`RunSpec` buys, in their proposal step
+(single acquisition, multi-weight batch), and — for REMBO — in the
+:class:`ModelSpace` the surrogate works in.  A run always spends its
+whole budget, and its log stacks every row it submitted to the broker
+with the value the broker returned.  Surrogate fitting, label
 standardization and the hyperparameter tuning cadence
 (:class:`SurrogateManager`) live here too.
 """
@@ -16,7 +20,7 @@ standardization and the hyperparameter tuning cadence
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from repro.gp.surrogate import (
     coerce_surrogate_spec,
     make_surrogate,
 )
-from repro.runtime.broker import RuntimePolicy, make_broker
+from repro.runtime.broker import EvaluationBroker, RuntimePolicy
 from repro.runtime.objective import Objective, require_objective, resolve_bounds
 from repro.telemetry.config import Telemetry, resolve_telemetry
 from repro.utils.contracts import shape_contract
@@ -59,15 +63,17 @@ class RunSpec:
     budget:
         Total evaluation budget, initial design included, of
         :class:`~repro.bo.loop.SequentialBO`; None applies its default.
-        The batch engines reject a spec that sets it.
+        Every other engine rejects a spec that sets it
+        (:meth:`Engine.check`).
     n_batches:
         Batch count of :class:`~repro.bo.batch.BatchBO` and
         :class:`~repro.bo.rembo.RemboBO`; None applies their default.
-        :class:`~repro.bo.loop.SequentialBO` rejects a spec that sets it.
+        Every other engine rejects a spec that sets it.
     threshold:
         Failure threshold ``T`` (minimization orientation: ``y < T``).
     initial_data:
-        Precomputed ``(X0, y0)`` shared across methods, as in the paper.
+        Precomputed ``(X0, y0)`` shared across the BO methods, as in the
+        paper; the two samplers reject a spec that sets it.
     surrogate:
         Which surrogate model the run uses — the one place a campaign
         chooses it: a :class:`~repro.gp.surrogate.SurrogateSpec`, a kind
@@ -98,25 +104,98 @@ class RunSpec:
         )
 
 
-@runtime_checkable
-class EngineProtocol(Protocol):
-    """The one entry point every BO engine and sampler exposes.
+class Engine:
+    """The one run path of every engine: :meth:`solve`.
 
-    Implementations: :class:`~repro.bo.loop.SequentialBO`,
-    :class:`~repro.bo.batch.BatchBO`, :class:`~repro.bo.rembo.RemboBO`
-    (all three through :meth:`BOEngine.solve`) and, duck-typed, the
-    sampling baselines.  ``solve`` is the only way to run an engine.
+    Subclasses (:class:`BOEngine` and the sampling baselines) keep
+    explicit constructor signatures (the job loader reads them) and
+    supply only what differs: the method label, the :class:`RunSpec`
+    fields they read and the run hook :meth:`_solve`.
     """
+
+    #: Method label of the run record and the ledger's campaign header.
+    _method = ""
+    #: The fields among ``budget``, ``n_batches`` and ``initial_data`` a
+    #: run reads; :meth:`check` rejects a spec that sets another.
+    _reads: tuple[str, ...] = ()
+    #: What a run spends, as a rejected spec's error names it.
+    _spends = ""
+
+    def __init__(self, seed: SeedLike) -> None:
+        self._rng = as_generator(seed)
+
+    def check(self, spec: RunSpec, box: np.ndarray) -> None:
+        """Reject a ``spec`` this engine cannot run in ``box``.
+
+        The one place a :class:`RunSpec` meets an engine: a ``ValueError``
+        names a field the engine does not read, or initial data that does
+        not fit ``box``.  :meth:`solve` calls it before it builds the
+        broker, and the job loader at load time.
+        """
+        for name in ("budget", "n_batches", "initial_data"):
+            if getattr(spec, name) is not None and name not in self._reads:
+                raise ValueError(
+                    f"{type(self).__name__} spends {self._spends}; "
+                    f"it does not read RunSpec.{name}"
+                )
+        if spec.initial_data is not None:
+            X0 = as_matrix(spec.initial_data[0], box.shape[0])
+            as_vector(spec.initial_data[1], X0.shape[0])
+            if X0.shape[0] == 0:
+                raise ValueError(
+                    "initial_data holds no evaluations; cannot fit a surrogate"
+                )
+
+    def _solve(self, spec, box, broker, rng, tracer) -> dict[str, Any]:
+        """Spend the run's budget through ``broker``, drawing from ``rng``;
+        the :class:`RunResult` fields besides the method and the timings."""
+        raise NotImplementedError
 
     def solve(
         self,
         *,
         objective: Objective,
-        spec: "RunSpec | None" = None,
-        policy: "RuntimePolicy | None" = None,
+        spec: RunSpec | None = None,
+        policy: RuntimePolicy | None = None,
         telemetry: Telemetry | None = None,
         rng: SeedLike = None,
-    ) -> "RunResult": ...
+    ) -> RunResult:
+        """Run the engine once; returns the full evaluation log.
+
+        Checks ``spec`` (:meth:`check`), then routes every simulation
+        through one broker built from ``policy`` (the shared cache, ledger
+        and retry settings); a point whose retries ran out raises
+        :class:`~repro.runtime.broker.EvaluationError`.  ``telemetry``, a
+        live :class:`Telemetry` or None, receives the engine's spans and
+        the broker's metrics.  ``rng`` overrides the constructor seed.
+        """
+        objective = require_objective(objective, type(self).__name__)
+        spec = spec if spec is not None else RunSpec()
+        tele = resolve_telemetry(telemetry)
+        box = resolve_bounds(objective, spec.bounds)
+        # before the broker: a rejected spec writes no ledger header
+        self.check(spec, box)
+        policy = policy if policy is not None else RuntimePolicy()
+        broker = EvaluationBroker(
+            objective,
+            config=policy.config,
+            cache=policy.cache,
+            ledger=policy.ledger,
+            campaign={"method": self._method},
+            telemetry=tele,
+        )
+        run_rng = as_generator(rng) if rng is not None else self._rng
+
+        timer = Timer().start()
+        fields = self._solve(spec, box, broker, run_rng, tele.tracer)
+        timer.stop()
+        eval_seconds = broker.stats.eval_seconds
+        return RunResult(
+            method=self._method,
+            eval_seconds=eval_seconds,
+            overhead_seconds=max(0.0, timer.elapsed - eval_seconds),
+            **fields,
+        )
 
 
 def annotate_gp_fit(span, manager: "SurrogateManager") -> None:
@@ -260,18 +339,15 @@ class ModelSpace:
         return {}
 
 
-class BOEngine:
+class BOEngine(Engine):
     """The campaign loop shared by :class:`~repro.bo.loop.SequentialBO`,
     :class:`~repro.bo.batch.BatchBO` and :class:`~repro.bo.rembo.RemboBO`.
 
-    Subclasses keep explicit constructor signatures (the job loader reads
-    them) and supply only what differs: the method label, the RNG stream
-    count, :meth:`_n_iterations`, :meth:`_propose` and, for REMBO,
-    :meth:`_model_space`.
+    Subclasses supply only what differs: the method label, the RNG stream
+    count, the spec field their budget comes from, :meth:`_n_iterations`,
+    :meth:`_propose` and, for REMBO, :meth:`_model_space`.
     """
 
-    #: Method label of the run record and the ledger's campaign header.
-    _method = ""
     #: RNG streams per run: the initial design's first, the surrogate's
     #: last, the model space's in between.
     _n_streams = 2
@@ -293,11 +369,16 @@ class BOEngine:
         self.global_budget, self.local_budget = check_budgets(
             global_budget, local_budget
         )
-        self._rng = as_generator(seed)
+        super().__init__(seed)
+
+    def check(self, spec: RunSpec, box: np.ndarray) -> None:
+        super().check(spec, box)
+        initial = spec.initial_data
+        self._n_iterations(spec, spec.n_init if initial is None else len(initial[0]))
 
     def _n_iterations(self, spec: RunSpec, n_init: int) -> int:
         """Iterations ``spec`` buys after ``n_init`` initial points; a
-        ``ValueError`` for a spec field the engine does not read."""
+        ``ValueError`` when it buys none that make sense."""
         raise NotImplementedError
 
     def _propose(self, model: SurrogateModel, box: np.ndarray) -> BatchProposal:
@@ -310,53 +391,20 @@ class BOEngine:
         """The model space built from the initial data, and its inputs."""
         return ModelSpace(box), X
 
-    def solve(
-        self,
-        *,
-        objective: Objective,
-        spec: RunSpec | None = None,
-        policy: RuntimePolicy | None = None,
-        telemetry: Telemetry | None = None,
-        rng: SeedLike = None,
-    ) -> RunResult:
-        """Run the initial design, then ``gp_fit → acq_opt → evaluate``
-        iterations; returns the full evaluation log.
+    def _solve(self, spec, box, broker, rng, tracer):
+        """The initial design, then ``gp_fit → acq_opt → evaluate``
+        iterations.
 
         ``spec.initial_data`` (``X0, y0``) reuses precomputed simulations,
         as the paper shares one initial dataset across all BO methods;
-        ``spec.n_init`` is then ignored.  Every simulation routes through
-        the broker (``policy`` supplies the shared cache, ledger and retry
-        settings); a point whose retries ran out raises
-        :class:`~repro.runtime.broker.EvaluationError`.  ``telemetry``, a
-        live :class:`Telemetry` or None, receives ``init_design`` /
-        ``iteration`` / ``gp_fit`` / ``acq_opt`` / ``evaluate`` spans and
-        broker metrics.
-        ``rng`` overrides the constructor seed for this run.
+        ``spec.n_init`` is then ignored.  The spans are ``init_design``,
+        ``iteration``, ``gp_fit`` and ``acq_opt``; the broker's
+        ``evaluate`` spans nest under them.
         """
-        objective = require_objective(objective, type(self).__name__)
-        spec = spec if spec is not None else RunSpec()
-        tele = resolve_telemetry(telemetry)
-        tracer = tele.tracer
-        _, _, box = resolve_bounds(objective, spec.bounds)
-        initial: tuple[np.ndarray, np.ndarray] | None = None
+        rng_init, *rng_space, rng_model = spawn(rng, self._n_streams)
         if spec.initial_data is not None:
-            X0 = as_matrix(spec.initial_data[0], box.shape[0]).copy()
-            initial = X0, as_vector(spec.initial_data[1], X0.shape[0]).copy()
-            if X0.shape[0] == 0:
-                raise ValueError(
-                    "initial_data holds no evaluations; cannot fit a surrogate"
-                )
-        # before the broker: a rejected spec writes no ledger header
-        n_iterations = self._n_iterations(
-            spec, spec.n_init if initial is None else initial[0].shape[0]
-        )
-        base_rng = as_generator(rng) if rng is not None else self._rng
-        rng_init, *rng_space, rng_model = spawn(base_rng, self._n_streams)
-        broker = make_broker(objective, policy, method=self._method, telemetry=tele)
-
-        timer = Timer().start()
-        if initial is not None:
-            X, y = initial
+            X = as_matrix(spec.initial_data[0], box.shape[0]).copy()
+            y = as_vector(spec.initial_data[1], X.shape[0]).copy()
         else:
             with tracer.span("init_design", n_init=spec.n_init):
                 X = uniform_initial_design(box, spec.n_init, seed=rng_init)
@@ -375,7 +423,7 @@ class BOEngine:
         )
 
         acquisition_evaluations = 0
-        for iteration in range(n_iterations):
+        for iteration in range(self._n_iterations(spec, n_init)):
             with tracer.span("iteration", index=iteration) as it_span:
                 with tracer.span("gp_fit", n_train=int(y.size)) as fit_span:
                     model = manager.refit(Z, y)
@@ -390,16 +438,10 @@ class BOEngine:
             X = np.vstack([X, new_X])
             Z = np.vstack([Z, new_Z])
             y = np.concatenate([y, new_y])
-        timer.stop()
-
-        eval_seconds = broker.stats.eval_seconds
-        return RunResult(
+        return dict(
             X=X,
             y=y,
             n_init=n_init,
-            method=self._method,
-            eval_seconds=eval_seconds,
-            overhead_seconds=max(0.0, timer.elapsed - eval_seconds),
             acquisition_evaluations=acquisition_evaluations,
             model_dim=space.box.shape[0],
             **space.result_fields(Z),

@@ -36,7 +36,8 @@ class SequentialBO(BOEngine):
     """Classic one-point-per-iteration BO over a box.
 
     ``solve`` spends ``spec.budget`` evaluations in total, the initial
-    design included, one point per iteration.
+    design included, one point per iteration; a spec that sets
+    ``n_batches`` is rejected.
 
     Parameters
     ----------
@@ -52,6 +53,9 @@ class SequentialBO(BOEngine):
         :func:`~repro.bo.propose.acquisition_search`, which each iteration
         runs on one row.
     """
+
+    _reads = ("budget", "initial_data")
+    _spends = "RunSpec.budget"
 
     def __init__(
         self,
@@ -85,10 +89,6 @@ class SequentialBO(BOEngine):
         )
 
     def _n_iterations(self, spec: RunSpec, n_init: int) -> int:
-        if spec.n_batches is not None:
-            raise ValueError(
-                "SequentialBO spends RunSpec.budget; it does not read n_batches"
-            )
         budget = spec.budget if spec.budget is not None else DEFAULT_BUDGET
         if budget < n_init:
             raise ValueError(f"budget {budget} smaller than initial design {n_init}")

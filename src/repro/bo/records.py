@@ -3,8 +3,8 @@
 The paper's tables report, per method: the number of simulations, the worst
 performance found, the index of the first detected failure, and runtime.
 ``RunResult`` keeps the full evaluation log so all of those derive from one
-object; each engine's ``solve`` builds it from the rows it submitted to
-the broker and the values the broker returned.
+object; :meth:`~repro.bo.engine.Engine.solve` builds it from the rows an
+engine submitted to the broker and the values the broker returned.
 ``FailureSummary`` is the table-row view against a specification.
 """
 

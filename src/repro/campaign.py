@@ -25,7 +25,10 @@ The same wiring is expressed declaratively by :class:`CampaignSpec` — a
 keyword-only, validated description of one campaign that both
 :class:`Campaign` and the ``repro.serve`` scheduler consume through the
 single :func:`run_campaign_spec` code path.  ``Campaign`` is a thin
-convenience wrapper over a spec; the scheduler submits specs directly.
+convenience wrapper over a spec (read it as ``campaign.spec``); the
+scheduler submits specs directly.  The engine is any
+:class:`~repro.bo.engine.Engine` — a BO engine or a sampling baseline —
+and every run goes through its one :meth:`~repro.bo.engine.Engine.solve`.
 The surrogate model belongs to the run, not to the wiring:
 ``RunSpec(surrogate={"kind": "sparse", "m": 256})`` is the one place a
 campaign chooses it.
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Union
 
-from repro.bo.engine import EngineProtocol, RunSpec
+from repro.bo.engine import Engine, RunSpec
 from repro.bo.records import RunResult
 from repro.runtime.broker import RuntimePolicy
 from repro.runtime.objective import Objective, require_objective
@@ -58,7 +61,7 @@ from repro.utils.rng import SeedLike
 #: An engine instance, or a zero-argument factory producing a fresh one.
 #: Factories matter to the scheduler: resubmitting or resuming a spec must
 #: never reuse a solver whose internal state an earlier run advanced.
-EngineLike = Union[EngineProtocol, Callable[[], EngineProtocol]]
+EngineLike = Union[Engine, Callable[[], Engine]]
 
 
 @dataclass
@@ -93,7 +96,7 @@ class CampaignSpec:
         An :class:`~repro.runtime.objective.Objective` (wrap plain
         callables with :class:`~repro.runtime.objective.FunctionObjective`).
     engine:
-        An :class:`~repro.bo.engine.EngineProtocol` instance, or a
+        An :class:`~repro.bo.engine.Engine` instance, or a
         zero-argument factory returning a fresh one.  Prefer factories
         when submitting to the scheduler: each (re)run then gets a
         pristine engine.
@@ -131,12 +134,11 @@ class CampaignSpec:
 
     def __post_init__(self) -> None:
         require_objective(self.objective, "CampaignSpec")
-        if not isinstance(self.engine, EngineProtocol) and not callable(
-            self.engine
-        ):
+        if not isinstance(self.engine, Engine) and not callable(self.engine):
             raise TypeError(
-                f"engine must implement solve(objective=..., spec=...) or "
-                f"be a zero-argument factory, got {type(self.engine).__name__}"
+                f"engine must be an Engine, whose solve(objective=..., "
+                f"spec=...) runs the campaign, or a zero-argument factory of "
+                f"one, got {type(self.engine).__name__}"
             )
         if not isinstance(self.run_spec, RunSpec):
             raise TypeError(
@@ -156,16 +158,16 @@ class CampaignSpec:
                 f"priority must be an int, got {type(self.priority).__name__}"
             )
 
-    def make_engine(self) -> EngineProtocol:
+    def make_engine(self) -> Engine:
         """A ready-to-solve engine: the instance itself, or a fresh one
         from the factory."""
-        if isinstance(self.engine, EngineProtocol):
+        if isinstance(self.engine, Engine):
             return self.engine
         engine = self.engine()
-        if not isinstance(engine, EngineProtocol):
+        if not isinstance(engine, Engine):
             raise TypeError(
                 f"engine factory for campaign {self.name!r} returned "
-                f"{type(engine).__name__}, which does not implement "
+                f"{type(engine).__name__}, which is not an Engine with "
                 f"solve(objective=..., spec=...)"
             )
         return engine
@@ -234,28 +236,26 @@ class Campaign:
     """Bind an objective to an engine, runtime policy and telemetry.
 
     A thin wrapper over :class:`CampaignSpec`: construction builds (and
-    validates) a spec, :meth:`run` hands it to :func:`run_campaign_spec`.
-    The parameters are those of :class:`CampaignSpec` minus ``priority``
-    (which only the scheduler consumes).  For engines, the wrapper keeps
-    the historical instance-only contract so ``campaign.engine`` is
-    always a solver, never a factory.
+    validates) a spec, :attr:`spec`, and :meth:`run` hands it to
+    :func:`run_campaign_spec`.  The parameters are those of
+    :class:`CampaignSpec` minus ``priority`` (which only the scheduler
+    consumes), except that ``engine`` is an instance, never a factory.
     """
 
     def __init__(
         self,
         objective: Objective,
-        engine: EngineProtocol,
+        engine: Engine,
         *,
         policy: RuntimePolicy | None = None,
         telemetry: TelemetryLike = None,
         seed: SeedLike = None,
         name: str = "campaign",
     ) -> None:
-        require_objective(objective, "Campaign")
-        if not isinstance(engine, EngineProtocol):
+        if not isinstance(engine, Engine):
             raise TypeError(
-                f"engine must implement solve(objective=..., spec=...), "
-                f"got {type(engine).__name__}"
+                f"engine must be an Engine, whose solve(objective=..., "
+                f"spec=...) runs the campaign, got {type(engine).__name__}"
             )
         self.spec = CampaignSpec(
             objective=objective,
@@ -265,26 +265,6 @@ class Campaign:
             seed=seed,
             name=name,
         )
-
-    @property
-    def objective(self) -> Objective:
-        return self.spec.objective
-
-    @property
-    def engine(self) -> EngineProtocol:
-        return self.spec.make_engine()
-
-    @property
-    def policy(self) -> RuntimePolicy | None:
-        return self.spec.policy
-
-    @property
-    def telemetry(self) -> TelemetryLike:
-        return self.spec.telemetry
-
-    @property
-    def seed(self) -> SeedLike:
-        return self.spec.seed
 
     def run(self, spec: RunSpec | None = None, **overrides: Any) -> CampaignResult:
         """Execute the engine once under the campaign's wiring.

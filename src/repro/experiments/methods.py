@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from repro.bo.batch import BatchBO
-from repro.bo.engine import EngineProtocol, RunSpec, uniform_initial_design
+from repro.bo.engine import Engine, RunSpec, uniform_initial_design
 from repro.bo.loop import SequentialBO
 from repro.bo.records import RunResult
 from repro.bo.rembo import RemboBO
@@ -38,7 +38,7 @@ METHOD_ORDER = ("MC", "SSS", "EI", "PI", "LCB", "pBO", "This work")
 
 def build_engine(
     name: str, cfg: ExperimentConfig, /, **overrides: Any
-) -> EngineProtocol:
+) -> Engine:
     """Construct the engine/sampler behind one :data:`METHOD_ORDER` row.
 
     ``cfg`` supplies the constructor arguments and the seed.  ``overrides``
@@ -48,7 +48,7 @@ def build_engine(
     A caller wanting another seed passes ``dataclasses.replace(cfg,
     seed=...)``.  BO engines get one shared lengthscale (``ard=False``,
     the BayesOpt default the paper's baselines used) unless an override
-    sets ``ard``.  The returned object satisfies :class:`EngineProtocol`.
+    sets ``ard``.
     """
     search: dict[str, Any] = dict(
         ard=False,

@@ -25,7 +25,6 @@ from repro.runtime.broker import (
     EvaluationError,
     NonFiniteResultError,
     RuntimePolicy,
-    make_broker,
 )
 from repro.runtime.cache import (
     DEFAULT_DECIMALS,
@@ -89,7 +88,6 @@ __all__ = [
     "RunLedger",
     "RuntimePolicy",
     "TransientSimulationError",
-    "make_broker",
     "point_digest",
     "read_ledger",
     "require_objective",

@@ -642,14 +642,14 @@ class EvaluationBroker:
 
 @dataclass
 class RuntimePolicy:
-    """Bundled runtime wiring passed to every engine/sampler ``solve(...)``.
+    """Bundled runtime wiring passed to every engine's ``solve(...)``.
 
     A policy owns what should be *shared across* runs — the broker config,
     a result cache (deduplicating evaluations between methods that share an
     initial design), and a ledger (one event stream for the whole
-    campaign).  Each ``solve`` builds its own broker from the policy via
-    :func:`make_broker`.  The policy owns its ledger's file handle:
-    :meth:`close`, or leaving a ``with`` block, closes it.
+    campaign).  Each run builds its own broker from the policy in
+    :meth:`~repro.bo.engine.Engine.solve`.  The policy owns its ledger's
+    file handle: :meth:`close`, or leaving a ``with`` block, closes it.
     """
 
     config: BrokerConfig = field(default_factory=BrokerConfig)
@@ -689,25 +689,6 @@ class RuntimePolicy:
         )
 
 
-def make_broker(
-    objective: Objective,
-    runtime: RuntimePolicy | None = None,
-    method: str = "",
-    telemetry: Telemetry | None = None,
-) -> EvaluationBroker:
-    """Build the broker one engine run uses, honoring a shared policy."""
-    policy = runtime if runtime is not None else RuntimePolicy()
-    campaign = {"method": method} if method else None
-    return EvaluationBroker(
-        objective,
-        config=policy.config,
-        cache=policy.cache,
-        ledger=policy.ledger,
-        campaign=campaign,
-        telemetry=telemetry,
-    )
-
-
 __all__ = [
     "BrokerConfig",
     "BrokerStats",
@@ -715,5 +696,4 @@ __all__ = [
     "EvaluationError",
     "NonFiniteResultError",
     "RuntimePolicy",
-    "make_broker",
 ]

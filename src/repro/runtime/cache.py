@@ -177,8 +177,10 @@ class ResultCache:
         rounding) and up to 16 append-only JSONL shard files keyed by the
         first hex digit of each digest, and the opened cache holds every
         result they record.  A store whose ``meta.json`` records another
-        rounding than :data:`DEFAULT_DECIMALS` is rejected: its digests
-        address other points.  The shard files are only ever cut by a torn
+        rounding than :data:`DEFAULT_DECIMALS` is rejected with a
+        ``ValueError``: its digests address other points.  So is one whose
+        ``meta.json`` records another format version, no rounding, or is
+        not an object.  The shard files are only ever cut by a torn
         final line.  Each append is written and closed eagerly, so no
         handle outlives the write.
         """
@@ -187,12 +189,19 @@ class ResultCache:
         meta_path = root / "meta.json"
         if meta_path.exists():
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            if not isinstance(meta, dict):
+                raise ValueError(
+                    f"cache at {root} has a meta.json holding "
+                    f"{type(meta).__name__}, not an object"
+                )
             version = int(meta.get("version", -1))
             if version != CACHE_FORMAT_VERSION:
                 raise ValueError(
                     f"cache at {root} has format version {version}; this "
                     f"build reads version {CACHE_FORMAT_VERSION}"
                 )
+            if "decimals" not in meta:
+                raise ValueError(f"cache at {root} has no decimals in meta.json")
             stored = int(meta["decimals"])
             if stored != DEFAULT_DECIMALS:
                 raise ValueError(

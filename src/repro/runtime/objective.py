@@ -191,7 +191,7 @@ def require_objective(objective: object, who: str = "the evaluation runtime") ->
 
 
 def resolve_bounds(objective, bounds):
-    """The evaluation box a run happens in: ``(lower, upper, (d, 2) box)``.
+    """The ``(d, 2)`` evaluation box a run happens in.
 
     Explicit ``bounds`` win; otherwise the objective's own ``bounds``
     attribute (the :class:`Objective` protocol) is used.  Raises when
@@ -204,8 +204,7 @@ def resolve_bounds(objective, bounds):
             "no bounds available: pass bounds= or an Objective that "
             "declares its own"
         )
-    lower, upper = check_bounds(bounds)
-    return lower, upper, np.column_stack([lower, upper])
+    return np.column_stack(check_bounds(bounds))
 
 
 __all__ = [

@@ -342,12 +342,22 @@ def _usage_problem(args: argparse.Namespace) -> str | None:
 
 
 def _objective_from_args(args: argparse.Namespace) -> Objective:
+    """The objective the arguments name; a ``ValueError`` when
+    ``--objective`` names no module, no attribute, or no Objective."""
     if args.objective is not None:
         module_name, attr = args.objective.split(":", 1)
-        obj = getattr(importlib.import_module(module_name), attr)
+        try:
+            obj = getattr(importlib.import_module(module_name), attr)
+        except (ImportError, AttributeError) as exc:
+            raise ValueError(f"--objective {args.objective!r}: {exc}") from exc
         if callable(obj) and not isinstance(obj, Objective):
             obj = obj()
-        return require_objective(obj, "--objective")
+        if not isinstance(obj, Objective):
+            raise ValueError(
+                f"--objective {args.objective!r} names a value of type "
+                f"{type(obj).__name__}, not an Objective"
+            )
+        return obj
     from repro.experiments.config import TESTBENCHES
 
     return TESTBENCHES[args.testbench][0]().objective(args.measure)
@@ -387,6 +397,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     problem = _usage_problem(args)
+    if problem is None:
+        try:
+            objective = _objective_from_args(args)
+        except ValueError as exc:
+            problem = str(exc)
     if problem is not None:
         # a usage error (exit 2), not a divergence (exit 1)
         print(f"{parser.prog}: error: {problem}", file=sys.stderr)
@@ -394,7 +409,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     report = verify_replay(
         args.ledger,
-        _objective_from_args(args),
+        objective,
         mode=args.mode,
         config=BrokerConfig(max_retries=args.max_retries, backoff_seconds=0.0),
     )

@@ -27,13 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bo.engine import RunSpec
-from repro.bo.records import RunResult
-from repro.runtime.broker import RuntimePolicy, make_broker
-from repro.runtime.objective import Objective, require_objective, resolve_bounds
-from repro.telemetry.config import Telemetry, resolve_telemetry
-from repro.utils.rng import SeedLike, as_generator
-from repro.utils.timing import Timer
+from repro.bo.engine import Engine
+from repro.utils.rng import SeedLike
 
 #: ±4σ spans the normalized cube (paper Section 5.1).
 NOMINAL_SIGMA_FRACTION = 1.0 / 4.0
@@ -59,8 +54,17 @@ class SSSModelFit:
         return float(np.exp(self.log_failure_rate(scale)))
 
 
-class ScaledSigmaSampler:
+class ScaledSigmaSampler(Engine):
     """The SSS baseline: tail-inflated Gaussian sampling plus extrapolation.
+
+    ``solve`` (:meth:`~repro.bo.engine.Engine.solve`) samples every scale,
+    simulates, and fits the extrapolation model.  Each scale's
+    ``samples_per_scale`` points are one broker batch under a ``sampling``
+    span; every row counts as initial (non-adaptive).  The result carries
+    the :class:`SSSModelFit` (when enough scales failed to fit one) in
+    ``extra["sss_fit"]`` and the per-scale failure fractions in
+    ``extra["failure_fractions"]``.  A spec that sets ``budget``,
+    ``n_batches`` or ``initial_data`` is rejected.
 
     Parameters
     ----------
@@ -71,6 +75,9 @@ class ScaledSigmaSampler:
     sigma_fraction:
         Nominal per-coordinate sigma as a fraction of the half box side.
     """
+
+    _method = "SSS"
+    _spends = "samples_per_scale at each scale"
 
     def __init__(
         self,
@@ -91,77 +98,42 @@ class ScaledSigmaSampler:
         self.samples_per_scale = int(samples_per_scale)
         self.scales = np.sort(scales)
         self.sigma_fraction = float(sigma_fraction)
-        self._rng = as_generator(seed)
+        super().__init__(seed)
 
     @property
     def n_samples(self) -> int:
         return self.samples_per_scale * self.scales.size
 
-    def solve(
-        self,
-        *,
-        objective: Objective,
-        spec: RunSpec | None = None,
-        policy: RuntimePolicy | None = None,
-        telemetry: Telemetry | None = None,
-        rng: SeedLike = None,
-    ) -> RunResult:
-        """Sample every scale, simulate, and fit the extrapolation model.
-
-        Each scale's ``samples_per_scale`` points are one broker batch;
-        every row counts as initial (non-adaptive).  The returned
-        :class:`RunResult` carries the :class:`SSSModelFit` (when enough
-        scales failed to fit one) in ``extra["sss_fit"]`` and the
-        per-scale failure fractions in ``extra["failure_fractions"]``.
-        """
-        objective = require_objective(objective, type(self).__name__)
-        spec = spec if spec is not None else RunSpec()
-        tele = resolve_telemetry(telemetry)
-        sample_rng = as_generator(rng) if rng is not None else self._rng
-        lower, upper, _ = resolve_bounds(objective, spec.bounds)
-        threshold = spec.threshold
-        dim = lower.shape[0]
+    def _solve(self, spec, box, broker, rng, tracer):
+        lower, upper = box[:, 0], box[:, 1]
         center = 0.5 * (lower + upper)
         half_span = 0.5 * (upper - lower)
-        broker = make_broker(objective, policy, method="SSS", telemetry=tele)
-
-        timer = Timer().start()
         fractions = np.zeros(self.scales.size)
         Xs, ys = [], []
         for i, scale in enumerate(self.scales):
-            with tele.tracer.span(
+            with tracer.span(
                 "sampling", scale=float(scale), n_samples=self.samples_per_scale
             ) as span:
                 sigma = scale * self.sigma_fraction * half_span
-                X = center + sample_rng.standard_normal(
-                    (self.samples_per_scale, dim)
+                X = center + rng.standard_normal(
+                    (self.samples_per_scale, box.shape[0])
                 ) * sigma
                 X = np.clip(X, lower, upper)
                 y = broker.evaluate_batch(X)
                 n_fail = 0
-                if threshold is not None:
-                    n_fail = int(np.sum(y < threshold))
+                if spec.threshold is not None:
+                    n_fail = int(np.sum(y < spec.threshold))
                 fractions[i] = n_fail / self.samples_per_scale
                 span.set("n_failures", n_fail)
             Xs.append(X)
             ys.append(y)
-        timer.stop()
 
         extra: dict = {"failure_fractions": fractions, "scales": self.scales}
         fit = self._fit_model(fractions)
         if fit is not None:
             extra["sss_fit"] = fit
         y = np.concatenate(ys)
-        eval_seconds = broker.stats.eval_seconds
-        return RunResult(
-            X=np.vstack(Xs),
-            y=y,
-            n_init=y.size,
-            method="SSS",
-            eval_seconds=eval_seconds,
-            overhead_seconds=max(0.0, timer.elapsed - eval_seconds),
-            extra=extra,
-        )
+        return dict(X=np.vstack(Xs), y=y, n_init=y.size, extra=extra)
 
     def _fit_model(self, fractions: np.ndarray) -> SSSModelFit | None:
         """Least-squares fit of the three-parameter SSS model.

@@ -37,11 +37,13 @@ arguments; the ``run`` table overrides ``n_init``, ``budget`` and
 ``"exact"`` / ``"sparse"``, or a table of ``kind`` and the integer
 inducing budget ``m``).
 
-Everything is validated at load time, engine values included (one engine
-is built and discarded), so a bad value rejects the job file, not the
-running campaign; :func:`load_jobs` reports a rejected job as a
-``ValueError`` that names its file.  The engine is a factory: every
-(re)submission constructs a pristine solver, which is what makes
+Everything is validated at load time, engine values and run keys
+included: one engine is built, checks the run spec against what it reads
+(:meth:`~repro.bo.engine.Engine.check` rejects an MC job's ``budget`` or
+an EI job's ``n_batches``) and is discarded.  So a bad value rejects the
+job file, not the running campaign; :func:`load_jobs` reports a rejected
+job as a ``ValueError`` that names its file.  The engine is a factory:
+every (re)submission constructs a pristine solver, which is what makes
 ``--resume`` replay an interrupted campaign bitwise.
 """
 
@@ -122,8 +124,12 @@ def build_spec(payload: dict[str, Any]) -> CampaignSpec:
         raise ValueError(
             f"unknown run keys: {sorted(unknown_run)}; allowed: {list(_RUN_KEYS)}"
         )
-    build_engine(kind, cfg, **overrides)  # a bad key or value fails at load
+    engine = build_engine(kind, cfg, **overrides)  # a bad key or value fails at load
     cell = method_campaign(kind, bench, measure, cfg, **overrides)
+    run_spec = replace(
+        cell.run_spec, surrogate=payload.get("surrogate"), **run_cfg
+    )
+    engine.check(run_spec, bench.bounds())  # so does a run key it does not read
 
     objective = cell.objective
     faults = payload.get("faults")
@@ -136,9 +142,7 @@ def build_spec(payload: dict[str, Any]) -> CampaignSpec:
     return replace(
         cell,
         objective=objective,
-        run_spec=replace(
-            cell.run_spec, surrogate=payload.get("surrogate"), **run_cfg
-        ),
+        run_spec=run_spec,
         name=str(name),
         priority=payload.get("priority", 0),
     )

@@ -37,10 +37,10 @@ trips on NaN/Inf in float arrays (``check_finite=False`` opts a function
 out), and rejects aliasing between ``out``/``*_out`` buffers and the other
 array arguments (``allow_aliasing=True`` opts out).
 
-**Static mode.**  The same contract strings are parsed by
-``tools/numlint/shapes.py`` and checked interprocedurally by the NL5xx
-shapelint passes without importing this module; keep the two grammars in
-sync (``tests/test_contracts.py`` cross-checks them on a shared corpus).
+**Static mode.**  The NL5xx shapelint passes check the same contract
+strings interprocedurally.  The grammar has one parser,
+:func:`parse_contract` here: ``tools/numlint/shapes.py`` imports it, and
+``tests/test_contracts.py`` asserts that the linter's parser is this one.
 """
 
 from __future__ import annotations

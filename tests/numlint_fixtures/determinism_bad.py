@@ -42,6 +42,9 @@ class KeyedThing:
     def solve(self, budget: int):  # NL703: global RNG reachable via _draw()
         return [_draw() for _ in range(budget)]
 
+    def _solve(self, budget: int):  # NL703: an engine's run hook
+        return np.random.rand(budget)
+
     def dump(self, names) -> str:  # NL704: set iteration into json.dumps
         return json.dumps([n for n in set(names)])
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.bo import BatchBO, RemboBO, RunSpec, SequentialBO, uniform_initial_design
-from repro.bo.engine import EngineProtocol, SurrogateManager
+from repro.bo.engine import Engine, SurrogateManager
 from repro.runtime import FunctionObjective
+from repro.sampling import MonteCarloSampler, ScaledSigmaSampler
 from repro.synthetic import RareFailureFunction
 from repro.utils.validation import unit_cube_bounds
 
@@ -69,7 +70,7 @@ class TestSurrogateManager:
 
 class TestSequentialBO:
     def test_satisfies_engine_protocol(self):
-        assert isinstance(SequentialBO(seed=0), EngineProtocol)
+        assert isinstance(SequentialBO(seed=0), Engine)
 
     def test_improves_on_initial_design(self):
         engine = SequentialBO(acquisition="ei", seed=0, **TINY)
@@ -154,7 +155,7 @@ class TestSequentialBO:
 
 class TestBatchBO:
     def test_satisfies_engine_protocol(self):
-        assert isinstance(BatchBO(batch_size=2, seed=0), EngineProtocol)
+        assert isinstance(BatchBO(batch_size=2, seed=0), Engine)
 
     def test_batch_structure(self):
         engine = BatchBO(batch_size=4, seed=0, **TINY)
@@ -180,7 +181,7 @@ class TestBatchBO:
 
 class TestRemboBO:
     def test_satisfies_engine_protocol(self):
-        assert isinstance(RemboBO(batch_size=2, seed=0), EngineProtocol)
+        assert isinstance(RemboBO(batch_size=2, seed=0), Engine)
 
     def test_fixed_embedding_dim(self):
         engine = RemboBO(
@@ -274,8 +275,22 @@ class TestSharedLoop:
                 RunSpec(n_init=4, budget=6),
                 "n_batches",
             ),
+            (MonteCarloSampler(5, seed=0), RunSpec(budget=6), "budget"),
+            (ScaledSigmaSampler(2, seed=0), RunSpec(n_batches=2), "n_batches"),
+            (
+                MonteCarloSampler(5, seed=0),
+                RunSpec(initial_data=(np.zeros((2, 4)), np.ones(2))),
+                "initial_data",
+            ),
         ],
-        ids=["SequentialBO", "BatchBO", "RemboBO"],
+        ids=[
+            "SequentialBO",
+            "BatchBO",
+            "RemboBO",
+            "MC-budget",
+            "SSS-n_batches",
+            "MC-initial_data",
+        ],
     )
     def test_rejects_spec_field_it_does_not_read(self, engine, spec, field):
         calls = []
@@ -287,7 +302,8 @@ class TestSharedLoop:
         objective = FunctionObjective(
             counted_bowl, dim=4, bounds=unit_cube_bounds(4), cache_key="bowl4"
         )
-        # the error names the field the engine does read
+        # the error names the field a BO engine reads, or the one a
+        # sampler does not
         with pytest.raises(ValueError, match=f"RunSpec.{field}"):
             engine.solve(objective=objective, spec=spec)
         assert not calls  # rejected before the initial design

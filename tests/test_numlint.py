@@ -329,11 +329,11 @@ class TestDeterminism:
         )
         assert found.count("NL701") == 2
         assert found.count("NL702") == 1
-        assert found.count("NL703") == 2
+        assert found.count("NL703") == 3
         assert found.count("NL704") == 1
         assert found.count("NL705") == 1
         assert found.count("NL706") == 2
-        assert len(found) == 9
+        assert len(found) == 10
 
     def test_silent_on_good(self):
         assert (

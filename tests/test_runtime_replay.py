@@ -364,8 +364,28 @@ class TestReplayCli:
                 ("--objective", "foo"),
                 "--objective expects module:attr, got 'foo'",
             ),
+            (
+                ("--objective", "nosuchmod:attr"),
+                "--objective 'nosuchmod:attr': No module named 'nosuchmod'",
+            ),
+            (
+                ("--objective", "repro.runtime:nosuchattr"),
+                "--objective 'repro.runtime:nosuchattr': module "
+                "'repro.runtime' has no attribute 'nosuchattr'",
+            ),
+            (
+                ("--objective", "repro.runtime.cache:DEFAULT_DECIMALS"),
+                "--objective 'repro.runtime.cache:DEFAULT_DECIMALS' names a "
+                "value of type int, not an Objective",
+            ),
         ],
-        ids=["no-objective", "objective-without-attr"],
+        ids=[
+            "no-objective",
+            "objective-without-attr",
+            "no-such-module",
+            "no-such-attribute",
+            "not-an-objective",
+        ],
     )
     def test_objective_choice_errors_are_usage_errors(
         self, tmp_path, argv, message

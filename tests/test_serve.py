@@ -102,8 +102,8 @@ class TestCampaignSpec:
         engine = MonteCarloSampler(5, seed=0)
         campaign = Campaign(bowl_objective(), engine, seed=3)
         assert isinstance(campaign.spec, CampaignSpec)
-        assert campaign.engine is engine
-        assert campaign.seed == 3
+        assert campaign.spec.engine is engine
+        assert campaign.spec.seed == 3
         outcome = campaign.run(
             bounds=np.array([[-1.0, 1.0]] * 2), threshold=0.0
         )
@@ -306,8 +306,10 @@ class TestJobs:
                 {"version": 2, "decimals": 12},
                 "has format version 2; this build reads version 1",
             ),
+            ({"version": 1}, "has no decimals in meta.json"),
+            ([], "has a meta.json holding list, not an object"),
         ],
-        ids=["decimals", "format-version"],
+        ids=["decimals", "format-version", "no-decimals", "not-an-object"],
     )
     def test_cli_reports_mismatched_cache_store_as_usage_error(
         self, tmp_path, capsys, meta, message
@@ -359,6 +361,9 @@ class TestJobs:
             {"surrogate": 42},
             {"run": {"n_init": "six"}},
             {"engine": {"kind": "This work", "embedding_dim": 0}},
+            # a run key the engine does not read
+            {"engine": {"kind": "EI"}, "run": {"n_batches": 2}},
+            {"engine": {"kind": "MC"}, "run": {"budget": 7}},
         ],
     )
     def test_load_jobs_rejects_a_bad_value_naming_the_file(self, tmp_path, over):

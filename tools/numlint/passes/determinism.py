@@ -21,8 +21,10 @@ though no impure call appears in its own body.
   only monotonic durations may be recorded.
 * **NL703** — global or unseeded RNG (legacy ``np.random.*``, stdlib
   ``random``, unseeded ``default_rng()``, OS entropy) is reachable from an
-  ``evaluate``/``solve`` path.  Draws from hidden global state make the
-  objective value depend on call order, which breaks both replay
+  ``evaluate``/``solve`` path, or from an engine's run hook ``_solve``
+  (the one ``Engine.solve`` reaches it through ``self``, which the effect
+  index resolves to the base class only).  Draws from hidden global state
+  make the objective value depend on call order, which breaks both replay
   verification and cross-method result dedup.
 * **NL704** — iteration over an unordered collection is reachable from a
   function that serializes (``json.dumps``/``json.dump``), digests or
@@ -189,7 +191,7 @@ class DeterminismPass(LintPass):
     codes = {
         "NL701": "impure effect reachable from a cache-key/digest implementation",
         "NL702": "wall-clock read reachable from ledger/trace record construction",
-        "NL703": "global or unseeded RNG reachable from an evaluate/solve path",
+        "NL703": "global or unseeded RNG reachable from an evaluate/solve/_solve path",
         "NL704": "unordered iteration reachable from a serialization/digest sink",
         "NL705": "closeable resource created outside with/try-finally in library code",
         "NL706": "swallowed exception on a persistence write path",
@@ -302,7 +304,7 @@ class DeterminismPass(LintPass):
                     "replayed records must be byte-comparable — record "
                     "monotonic durations only",
                 )
-            if "GLOBAL_RNG" in effects and short in ("evaluate", "solve"):
+            if "GLOBAL_RNG" in effects and short in ("evaluate", "solve", "_solve"):
                 yield self.emit(
                     ctx,
                     node,
